@@ -1,0 +1,50 @@
+package bench
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestGoldenQuickFigures pins the printed table of every quick-scale figure
+// — the -all set plus the four feature figures runnable by id — as one
+// SHA-256 digest per figure. The simulation is deterministic at any worker
+// count, so a changed digest is a real change in simulated behaviour.
+// Regenerate with: go test ./internal/bench -run Golden -update
+func TestGoldenQuickFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick figure sweep")
+	}
+	o := QuickOptions()
+	results := All(o)
+	results = append(results, FigMeta(o), FigDedup(o), FigTail(o), FigSplit(o))
+	var got strings.Builder
+	for _, r := range results {
+		var buf bytes.Buffer
+		r.Print(&buf)
+		fmt.Fprintf(&got, "%s %x\n", r.ID, sha256.Sum256(buf.Bytes()))
+	}
+	path := filepath.Join("testdata", "golden_quick.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("figure digests differ from golden file %s\ngot:\n%swant:\n%s", path, got.String(), want)
+	}
+}
