@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck check bench bench-perf chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
+.PHONY: all build vet test race race-diffcheck check bench chaos-smoke meta-smoke dedup-smoke gateway-smoke split-smoke
 
 all: check
 
@@ -86,15 +86,10 @@ split-smoke:
 	done
 	@echo "split-smoke: online split + leased reads held across 3 seeds with mid-window metacrash"
 
-# Quick paper-figure benchmark sweep.
+# Quick paper-figure sweep (simulated results). Host performance is
+# measured by `bash benchmark/run.sh` (see benchmark/README.md).
 bench:
 	$(GO) run ./cmd/univibench -quick -all
-
-# Wall-clock comparison of the incremental vs global flow allocator over
-# the quick figure sweeps. Override the output with PERF_OUT=path.
-PERF_OUT ?= BENCH_PR10.json
-bench-perf:
-	$(GO) run ./cmd/univibench -quick -perf -out $(PERF_OUT)
 
 # Race-enabled sim + chaos tests with the differential-check oracle armed,
 # so the concurrent solver is exercised against the reference allocator.

@@ -21,20 +21,16 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "", "figure id to regenerate (see -list)")
-		all      = flag.Bool("all", false, "regenerate every figure and ablation")
-		quick    = flag.Bool("quick", false, "laptop-scale sweep (small scales, small data)")
-		scales   = flag.String("scales", "", "comma-separated process counts (overrides default sweep)")
-		verbose  = flag.Bool("v", false, "print progress per data point")
-		list     = flag.Bool("list", false, "list available figure ids")
-		traceTo  = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) of each run to this path (last run wins)")
-		smoke    = flag.Bool("chaos-smoke", false, "run every figure with fault injection armed and sweep all invariants; exit 1 on any violation")
-		spec     = flag.String("chaos-spec", "", "chaos spec for -chaos-smoke (default: the built-in non-destructive schedule)")
-		perf     = flag.Bool("perf", false, "time the figure sweeps under the incremental and global allocators and write the comparison JSON")
-		perfOut  = flag.String("out", "BENCH_PR9.json", "output path for the -perf report")
-		perfReps = flag.Int("perf-reps", 3, "repetitions per sweep and mode in -perf (best-of)")
-		perfFigs = flag.String("perf-figs", "", "comma-separated figure ids for -perf (default: fig5a,fig6a,fig7,fig8,fig9; non-quick -perf appends fig8@1k/4k/16k rank sweeps)")
-		workers  = flag.Int("workers", 0, "solver worker pool size per engine (0 = runtime.NumCPU(); results are byte-identical at any value)")
+		fig     = flag.String("fig", "", "figure id to regenerate (see -list)")
+		all     = flag.Bool("all", false, "regenerate every figure and ablation")
+		quick   = flag.Bool("quick", false, "laptop-scale sweep (small scales, small data)")
+		scales  = flag.String("scales", "", "comma-separated process counts (overrides default sweep)")
+		verbose = flag.Bool("v", false, "print progress per data point")
+		list    = flag.Bool("list", false, "list available figure ids")
+		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) of each run to this path (last run wins)")
+		smoke   = flag.Bool("chaos-smoke", false, "run every figure with fault injection armed and sweep all invariants; exit 1 on any violation")
+		spec    = flag.String("chaos-spec", "", "chaos spec for -chaos-smoke (default: the built-in non-destructive schedule)")
+		workers = flag.Int("workers", 0, "solver worker pool size per engine (0 = runtime.NumCPU(); results are byte-identical at any value)")
 	)
 	flag.Parse()
 
@@ -68,24 +64,6 @@ func main() {
 	o.Workers = *workers
 
 	switch {
-	case *perf:
-		var figs []string
-		for _, tok := range strings.Split(*perfFigs, ",") {
-			if tok = strings.TrimSpace(tok); tok != "" {
-				figs = append(figs, tok)
-			}
-		}
-		rep, err := bench.RunPerf(o, *quick, figs, *perfReps, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "univibench: %v\n", err)
-			os.Exit(2)
-		}
-		if err := rep.WriteFile(*perfOut); err != nil {
-			fmt.Fprintf(os.Stderr, "univibench: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("perf: largest sweep %s speedup %.2fx (incremental vs global allocator); report written to %s\n",
-			rep.LargestSweep, rep.HeadlineSpeedup, *perfOut)
 	case *smoke:
 		results, err := bench.ChaosSmoke(o, *spec)
 		if err != nil {

@@ -110,7 +110,7 @@ func main() {
 		ckptRetain = flag.Int("ckpt-retain", 0,
 			"checkpoint: keep only this many newest step files, deleting older ones (0 = keep all)")
 		ckptSeed = flag.Int64("ckpt-seed", 1, "checkpoint: mutation-pattern seed")
-		gwMode = flag.Bool("gateway", false,
+		gwMode   = flag.Bool("gateway", false,
 			"drive the system through the multi-tenant QoS gateway instead of the micro workload (univistor driver only)")
 		tenants = flag.Int("tenants", 64, "gateway: simulated tenant count")
 		zipfS   = flag.Float64("zipf", 1.2, "gateway: Zipf skew of object popularity (>1)")
@@ -118,13 +118,12 @@ func main() {
 		gwOps   = flag.Int("gw-ops", 0, "gateway: closed-loop ops per tenant (0 = gateway default)")
 		gwRate  = flag.Float64("gw-arrival", 0,
 			"gateway: open-loop arrivals per tenant per virtual second (>0 switches from closed to open loop)")
-		gwSecs = flag.Float64("gw-seconds", 0, "gateway: open-loop duration in virtual seconds (0 = gateway default)")
-		gwKiB  = flag.Int64("gw-kb", 0, "gateway: payload KiB per data op (0 = gateway default)")
-		gwSeed = flag.Int64("gw-seed", 1, "gateway: workload seed")
+		gwSecs  = flag.Float64("gw-seconds", 0, "gateway: open-loop duration in virtual seconds (0 = gateway default)")
+		gwKiB   = flag.Int64("gw-kb", 0, "gateway: payload KiB per data op (0 = gateway default)")
+		gwSeed  = flag.Int64("gw-seed", 1, "gateway: workload seed")
 		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) to this path")
-		chaosIn  = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
-		alloc    = flag.String("alloc", "", "flow allocator: incremental (default) | global (also settable via UNIVISTOR_SIM_ALLOC)")
-		workers  = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
+		chaosIn = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
+		workers = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
 	)
 	flag.Parse()
 	if *metaReplicas > 1 && *metaShards == 0 {
@@ -178,15 +177,6 @@ func main() {
 	}
 
 	e := sim.NewEngine()
-	switch *alloc {
-	case "":
-	case "incremental":
-		e.SetAllocMode(sim.AllocIncremental)
-	case "global":
-		e.SetAllocMode(sim.AllocGlobal)
-	default:
-		fatal("unknown allocator %q (want incremental or global)", *alloc)
-	}
 	if *workers > 0 {
 		e.SetWorkers(*workers)
 	}

@@ -48,43 +48,3 @@ func TestDebugDiagnosticsDoNotCorruptJSON(t *testing.T) {
 		t.Errorf("stderr missing recompute diagnostics, got:\n%s", stderr.String())
 	}
 }
-
-// The two allocator modes must be observationally identical end to end:
-// the same run under -alloc=global yields the same JSON measurements
-// (only the allocator counters themselves may differ).
-func TestAllocModesIdenticalOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	bin := filepath.Join(t.TempDir(), "univistor-sim")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	run := func(mode string) Output {
-		cmd := exec.Command(bin, "-procs", "8", "-ranks-per-node", "4", "-mb", "8",
-			"-seg-mb", "4", "-read", "-flush", "-alloc", mode)
-		cmd.Env = os.Environ()
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("univistor-sim -alloc=%s: %v\nstderr:\n%s", mode, err, stderr.String())
-		}
-		var out Output
-		if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
-			t.Fatalf("-alloc=%s stdout not JSON: %v", mode, err)
-		}
-		return out
-	}
-	inc := run("incremental")
-	glob := run("global")
-	inc.Alloc, glob.Alloc = nil, nil
-	a, _ := json.Marshal(inc)
-	b, _ := json.Marshal(glob)
-	if !bytes.Equal(a, b) {
-		t.Errorf("measurements differ across allocator modes:\nincremental: %s\nglobal:      %s", a, b)
-	}
-}

@@ -179,9 +179,9 @@ func ByID(id string) (func(Options) *Result, bool) {
 		"abl-striping": AblationStriping, "abl-laread": AblationLocationAwareRead,
 		"abl-centralmeta": AblationCentralMetadata, "abl-servers": AblationServersPerNode,
 		"abl-segsize": AblationSegmentSize,
-		// figmeta, figdedup, figtail and figsplit are runnable by id and
-		// ride in the -perf report, but are deliberately not part of
-		// All(): -all output stays byte-identical with earlier releases.
+		// figmeta, figdedup, figtail and figsplit are runnable by id but
+		// deliberately not part of All(): -all output stays byte-identical
+		// with earlier releases.
 		"figmeta":  FigMeta,
 		"figdedup": FigDedup,
 		"figtail":  FigTail,

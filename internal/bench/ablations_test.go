@@ -75,10 +75,10 @@ func TestByIDAndIDsConsistent(t *testing.T) {
 }
 
 // TestAllFigureSetStable pins the -all figure set: exactly the legacy ten
-// paper figures plus the five ablations, in order. figmeta and figdedup are
-// runnable by id and embedded in the -perf report, but must never leak into
-// All() — `univibench -quick -all` output stays byte-identical with dedup
-// compiled in but disabled.
+// paper figures plus the five ablations, in order. figmeta, figdedup,
+// figtail and figsplit are runnable by id (and pinned by the golden digest
+// test), but must never leak into All() — `univibench -quick -all` output
+// stays byte-identical with those features compiled in but disabled.
 func TestAllFigureSetStable(t *testing.T) {
 	o := quick()
 	o.Scales = []int{16}

@@ -58,16 +58,6 @@ type Options struct {
 	// ChaosReport, when set alongside Chaos, observes each completed
 	// stack's chaos report (the -chaos-smoke collector).
 	ChaosReport func(chaos.Report)
-	// GlobalAlloc forces every engine the sweep builds onto the historical
-	// global flow allocator — the perf mode's baseline. Default is the
-	// incremental component-based allocator.
-	GlobalAlloc bool
-	// DiffCheck arms the allocator's differential self-check on every
-	// engine (each batch re-solved globally and compared bitwise).
-	DiffCheck bool
-	// AllocReport, when set, observes each completed run's cumulative
-	// allocator counters.
-	AllocReport func(sim.AllocStats)
 	// Workers, when positive, caps the engine's solver worker pool on
 	// every stack the sweep builds (sim.Engine.SetWorkers). 0 keeps the
 	// engine default (NumCPU / UNIVISTOR_SIM_WORKERS). Figure output is
@@ -241,7 +231,6 @@ type stack struct {
 
 	Chaos   *chaos.Harness // nil unless Options.Chaos is set (UV stacks only)
 	onChaos func(chaos.Report)
-	onAlloc func(sim.AllocStats)
 }
 
 // variant describes one configuration under test.
@@ -257,17 +246,11 @@ type variant struct {
 func buildStack(v variant, procs int, o Options) *stack {
 	tc := clusterFor(procs, o, v.topo)
 	e := sim.NewEngine()
-	if o.GlobalAlloc {
-		e.SetAllocMode(sim.AllocGlobal)
-	}
-	if o.DiffCheck {
-		e.SetDifferentialCheck(true)
-	}
 	if o.Workers > 0 {
 		e.SetWorkers(o.Workers)
 	}
 	w := mpi.NewWorld(e, topology.New(e, tc), v.policy)
-	st := &stack{E: e, W: w, onAlloc: o.AllocReport}
+	st := &stack{E: e, W: w}
 	if o.TracePath != "" {
 		st.Rec = trace.New()
 		st.TraceOut = o.TracePath
@@ -354,9 +337,6 @@ func (st *stack) drain() {
 		if st.onChaos != nil {
 			st.onChaos(rep)
 		}
-	}
-	if st.onAlloc != nil {
-		st.onAlloc(st.E.AllocStats())
 	}
 	st.exportTrace()
 }

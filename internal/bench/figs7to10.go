@@ -192,9 +192,6 @@ func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float
 		if d := st.E.Deadlocked(); d != 0 {
 			panic(fmt.Sprintf("bench: %d processes deadlocked", d))
 		}
-		if st.onAlloc != nil {
-			st.onAlloc(st.E.AllocStats())
-		}
 		st.exportTrace()
 	}
 	return float64(elapsed)

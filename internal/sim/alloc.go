@@ -7,8 +7,8 @@
 // fair shares) is local to one component, and flows are always iterated in
 // insertion (flow.seq) order, so the sequence of heap operations a
 // component sees is exactly the subsequence the global solve would have
-// performed for it. The differential mode re-runs the global solver after
-// every incremental batch and asserts the rates match bitwise.
+// performed for it. The differential mode re-runs the global reference
+// solver after every incremental batch and asserts the rates match bitwise.
 
 package sim
 
@@ -18,28 +18,6 @@ import (
 	"os"
 	"strconv"
 )
-
-// AllocMode selects the allocator strategy for an Engine.
-type AllocMode int
-
-const (
-	// AllocIncremental (the default) partitions active flows into
-	// connected components and re-solves only dirty components on flow
-	// transitions and capacity changes.
-	AllocIncremental AllocMode = iota
-	// AllocGlobal keeps every flow in a single component, so each
-	// transition re-solves the full active set — the historical solver,
-	// kept as the reference baseline for the differential mode, property
-	// tests, and perf comparisons.
-	AllocGlobal
-)
-
-func (m AllocMode) String() string {
-	if m == AllocGlobal {
-		return "global"
-	}
-	return "incremental"
-}
 
 // AllocStats are cumulative allocator counters, exposed for benchmarks,
 // tracing, and tests.
@@ -74,16 +52,6 @@ type AllocTracer interface {
 	// AllocSample reports the cumulative allocator counters and the
 	// number of live components after a batch solve.
 	AllocSample(t Time, s AllocStats, liveComponents int)
-}
-
-// SetAllocMode selects the allocator strategy. It must be called before
-// any flow starts; switching modes with flows in flight would leave the
-// component partition inconsistent.
-func (e *Engine) SetAllocMode(m AllocMode) {
-	if len(e.flows.active) > 0 || len(e.flows.comps) > 0 {
-		panic("sim: SetAllocMode called with flows in flight")
-	}
-	e.flows.mode = m
 }
 
 // SetDifferentialCheck toggles the allocator self-check: after every
@@ -182,48 +150,15 @@ type resState struct {
 	heapPos int32
 }
 
-// stateOf returns the solve state the most recent live solve stored for
-// r, according to the active mode's storage.
-func (fs *flowSet) stateOf(r *Resource) *resState {
-	if fs.mode == AllocGlobal {
-		return fs.scratch[r]
-	}
-	return r.state
-}
-
-// setRate/getRate route the solver's output: the live solve writes
-// flow.rate, the differential reference solve writes flow.refRate.
-func setRate(f *flow, rate float64, ref bool) {
-	if ref {
-		f.refRate = rate
-	} else {
-		f.rate = rate
-	}
-}
-
-func getRate(f *flow, ref bool) float64 {
-	if ref {
-		return f.refRate
-	}
-	return f.rate
-}
-
 // allocateRef is the reference max-min fair (water-filling) solver — the
 // historical global implementation, kept verbatim (map-keyed resource
-// states, container/heap). It serves two roles: the live solver in
-// AllocGlobal mode (the baseline the perf mode compares against) and the
-// independent oracle of the differential check. Flows must be in
-// ascending flow.seq order. Bottleneck selection uses a lazy min-heap of
-// fair shares, so a solve costs O(E log R) in the total flow-resource
-// degree E of the set. Flows crossing a zero-capacity resource are parked
-// at rate 0 and excluded from the water-fill (their resources still count
-// as touched, keeping component connectivity).
-//
-// With ref=false the computed rates land in flow.rate and resource flow
-// counts are refreshed; with ref=true (the differential check) rates land
-// in flow.refRate and no engine state is disturbed. It returns the
-// resources touched, valid until the next solve.
-func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
+// states, container/heap) as the independent oracle of the differential
+// check. Flows must be in ascending flow.seq order. Bottleneck selection
+// uses a lazy min-heap of fair shares, so a solve costs O(E log R) in the
+// total flow-resource degree E of the set. Flows crossing a zero-capacity
+// resource are held at rate 0 and excluded from the water-fill. Rates
+// land in flow.refRate; no engine state is disturbed.
+func (fs *flowSet) allocateRef(flows []*flow) {
 	if fs.scratch == nil {
 		fs.scratch = make(map[*Resource]*resState, 64)
 	}
@@ -257,23 +192,10 @@ func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
 			}
 		}
 		if parked {
-			// Hold the flow at rate 0 until a recompute sees capacity
-			// restored; its resources stay touched so the component keeps
-			// owning them (and their alloc caches read 0, not stale).
-			setRate(f, 0, ref)
-			if !ref {
-				f.parked = true
-				fs.stats.ParkedFlows++
-			}
-			for _, r := range f.resources {
-				ensure(r)
-			}
+			f.refRate = 0
 			continue
 		}
-		if !ref {
-			f.parked = false
-		}
-		setRate(f, -1, ref) // unassigned
+		f.refRate = -1 // unassigned
 		unassigned++
 		for _, r := range f.resources {
 			st := ensure(r)
@@ -285,9 +207,6 @@ func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
 	h := fs.heapBuf[:0]
 	for _, r := range touched {
 		st := states[r]
-		if !ref {
-			r.nflows = st.remCnt
-		}
 		if st.remCnt > 0 {
 			h = append(h, shareEntry{share: st.remCap / float64(st.remCnt), res: r, ver: 0})
 		}
@@ -309,10 +228,10 @@ func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
 		// Freeze every unassigned flow crossing the bottleneck, charging its
 		// rate to its other resources and refreshing their heap entries.
 		for _, f := range st.flows {
-			if getRate(f, ref) >= 0 {
+			if f.refRate >= 0 {
 				continue
 			}
-			setRate(f, share, ref)
+			f.refRate = share
 			unassigned--
 			for _, r := range f.resources {
 				ost := states[r]
@@ -328,7 +247,6 @@ func (fs *flowSet) allocateRef(flows []*flow, ref bool) []*Resource {
 			}
 		}
 	}
-	return touched
 }
 
 // cacheRates stores the post-solve allocated rate of every touched
@@ -342,7 +260,7 @@ func (fs *flowSet) cacheRates(touched []*Resource) {
 	for _, r := range touched {
 		used := 0.0
 		var prev *flow
-		for _, f := range fs.stateOf(r).flows {
+		for _, f := range r.state.flows {
 			if f == prev {
 				continue // repeat crossing of the same flow
 			}
@@ -452,7 +370,7 @@ func (h fastHeap) update(i int, share float64) {
 	h.down(i)
 }
 
-// allocateFast is the incremental mode's solver: identical arithmetic and
+// allocateFast is the allocator's solver: identical arithmetic and
 // bottleneck ordering to allocateRef, but the per-resource solve state is
 // reached through Resource.state instead of a map, and the share heap is
 // monomorphic — together removing hashing and per-push boxing from the
@@ -565,7 +483,7 @@ func (fs *flowSet) verifyIncremental() {
 		fs.stats.DiffChecks++
 		return
 	}
-	fs.allocateRef(fs.active, true)
+	fs.allocateRef(fs.active)
 	for _, f := range fs.active {
 		if f.refRate != f.rate {
 			names := make([]string, 0, len(f.resources))

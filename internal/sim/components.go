@@ -38,7 +38,7 @@ type component struct {
 	// resources currently owned by this component (r.comp == c); rebuilt
 	// from the touched set on every solve.
 	resources []*Resource
-	dirty bool // queued in flowSet.dirtyComps
+	dirty     bool // queued in flowSet.dirtyComps
 	// needSplit marks that flows finished since the last solve, so the
 	// component may have disconnected and should be re-partitioned.
 	// Splitting is pure optimization — water-filling a disconnected
@@ -65,21 +65,14 @@ func (fs *flowSet) add(f *flow) {
 	fs.active = append(fs.active, f)
 
 	found := fs.compScratch[:0]
-	if fs.mode == AllocGlobal {
-		// Global mode: everything lives in one component.
-		for _, c := range fs.comps {
+	for _, r := range f.resources {
+		if c := r.comp; c != nil && !c.visit {
+			c.visit = true
 			found = append(found, c)
 		}
-	} else {
-		for _, r := range f.resources {
-			if c := r.comp; c != nil && !c.visit {
-				c.visit = true
-				found = append(found, c)
-			}
-		}
-		for _, c := range found {
-			c.visit = false
-		}
+	}
+	for _, c := range found {
+		c.visit = false
 	}
 	var target *component
 	switch len(found) {
@@ -237,7 +230,7 @@ func (fs *flowSet) processDirty() {
 			continue
 		}
 		c.dirty = false
-		if c.needSplit && fs.mode != AllocGlobal {
+		if c.needSplit {
 			if len(c.flows) <= 1 {
 				c.needSplit = false
 			} else if len(c.flows)*2 <= c.splitCheckAt {
@@ -380,19 +373,12 @@ func (fs *flowSet) solveComponent(c *component) {
 	}
 	fs.stats.ComponentsSolved++
 	fs.stats.FlowsSolved += int64(len(c.flows))
-	var touched []*Resource
-	var gen int64
-	if fs.mode == AllocGlobal {
-		touched = fs.allocateRef(c.flows, false)
-		gen = fs.solveGen
-	} else {
-		fs.solveGen++
-		gen = fs.solveGen
-		sc := fs.serialScratch()
-		touched = sc.allocateFast(c.flows, gen)
-		fs.stats.ParkedFlows += sc.parked
-		sc.parked = 0
-	}
+	fs.solveGen++
+	gen := fs.solveGen
+	sc := fs.serialScratch()
+	touched := sc.allocateFast(c.flows, gen)
+	fs.stats.ParkedFlows += sc.parked
+	sc.parked = 0
 	for _, r := range touched {
 		r.comp = c
 	}
@@ -400,7 +386,7 @@ func (fs *flowSet) solveComponent(c *component) {
 	// flows: zero their caches and release them.
 	for _, r := range c.resources {
 		if r.comp == c {
-			if st := fs.stateOf(r); st == nil || st.gen != gen {
+			if st := r.state; st == nil || st.gen != gen {
 				fs.closeResource(r)
 			}
 		}

@@ -160,7 +160,7 @@ type Tracer interface {
 	// resource after a rate recomputation; a resource whose last flow
 	// retired is reported once with rate 0.
 	ResourceSample(t Time, r *Resource, rate float64)
-	// Instant reports a free-form instant event (the Tracef shim).
+	// Instant reports a free-form instant event.
 	Instant(t Time, category, name string)
 }
 
@@ -176,18 +176,15 @@ func workersConfig(v string) int {
 }
 
 // NewEngine returns an empty simulation at virtual time zero. The
-// allocator runs in incremental (component-based) mode unless
-// UNIVISTOR_SIM_ALLOC=global is set; UNIVISTOR_SIM_DIFFCHECK enables the
-// differential self-check (see SetDifferentialCheck). Dirty-component
-// batches are solved on up to runtime.NumCPU() workers (overridable via
-// UNIVISTOR_SIM_WORKERS or SetWorkers) — results are identical at any
-// worker count.
+// allocator re-solves only the dirty connected components of the active
+// flow set; UNIVISTOR_SIM_DIFFCHECK enables the differential self-check
+// against the global reference solver (see SetDifferentialCheck).
+// Dirty-component batches are solved on up to runtime.NumCPU() workers
+// (overridable via UNIVISTOR_SIM_WORKERS or SetWorkers) — results are
+// identical at any worker count.
 func NewEngine() *Engine {
 	e := &Engine{idle: make(chan struct{}), workers: defaultWorkers}
 	e.flows.e = e
-	if os.Getenv("UNIVISTOR_SIM_ALLOC") == "global" {
-		e.flows.mode = AllocGlobal
-	}
 	if os.Getenv("UNIVISTOR_SIM_DIFFCHECK") != "" {
 		e.flows.diffCheck = true
 	}
@@ -215,14 +212,6 @@ func (e *Engine) Workers() int { return e.workers }
 // SetTracer attaches the instrumentation sink. Passing nil disables
 // tracing; a disabled engine pays one nil check per potential event.
 func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
-
-// Tracef is the legacy printf-style trace hook, kept as a compat shim: the
-// formatted line is recorded as an instant event on the attached tracer.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer.Instant(e.now, "sim", fmt.Sprintf(format, args...))
-	}
-}
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 func (e *Engine) At(t Time, fn func()) {
@@ -499,7 +488,6 @@ type flowSet struct {
 	// finish together.
 	dirty bool
 
-	mode      AllocMode
 	diffCheck bool
 	stats     AllocStats
 
@@ -702,17 +690,9 @@ func (e *Engine) RecomputeFlows() {
 // Any recompute already queued for this instant is folded into the batch.
 func (e *Engine) RecomputeResources(rs ...*Resource) {
 	fs := &e.flows
-	if fs.mode == AllocGlobal {
-		// Baseline semantics: the historical solver re-solved the whole
-		// active set on every capacity-change notification, changed or not.
-		for _, c := range fs.comps {
+	for _, r := range rs {
+		if c := r.comp; c != nil && !c.dead {
 			fs.queueDirty(c)
-		}
-	} else {
-		for _, r := range rs {
-			if c := r.comp; c != nil && !c.dead {
-				fs.queueDirty(c)
-			}
 		}
 	}
 	fs.runPending()

@@ -164,7 +164,7 @@ func (fs *flowSet) solveBatch(solve []*component, residues []splitResidue) {
 		w = n
 	}
 	nflows := batchFlows(solve)
-	if w <= 1 || fs.mode == AllocGlobal || nflows < parallelMinFlows {
+	if w <= 1 || nflows < parallelMinFlows {
 		ri := 0
 		for i, c := range solve {
 			fs.solveComponent(c)

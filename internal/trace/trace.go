@@ -50,7 +50,7 @@ const (
 	CatChaos Category = "chaos"
 	// CatGateway: multi-tenant gateway operations (admission, tenant ops).
 	CatGateway Category = "gateway"
-	// CatSim: engine-level diagnostics (the Tracef compat shim).
+	// CatSim: engine-level instant events (sim.Tracer.Instant).
 	CatSim Category = "sim"
 )
 
@@ -282,8 +282,7 @@ func (r *Recorder) Mark(p *sim.Proc, cat Category, name string) {
 // engineTrack is the synthetic track engine-level instants land on.
 const engineTrack = "engine"
 
-// Instant records an engine-level instant event (sim.Tracer hook; also the
-// sink of the Engine.Tracef compat shim).
+// Instant records an engine-level instant event (sim.Tracer hook).
 func (r *Recorder) Instant(t sim.Time, cat, name string) {
 	if r == nil {
 		return
