@@ -16,6 +16,7 @@ import (
 	"univistor/internal/metaplane"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
+	"univistor/internal/trace"
 )
 
 // figMetaShards and figMetaReplicas are the swept plane shapes.
@@ -105,23 +106,7 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 	if end > 0 {
 		opsPerSec = float64(charged) / float64(end)
 	}
-	return opsPerSec, percentile(pl.StatLatencies(), 0.99) * 1e6
-}
-
-// percentile returns the p-th percentile (0 < p ≤ 1) of the samples by
-// nearest-rank on a sorted copy; 0 when there are no samples.
-func percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	idx := int(float64(len(s))*p+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	lat := append([]float64(nil), pl.StatLatencies()...)
+	sort.Float64s(lat)
+	return opsPerSec, trace.Quantile(lat, 0.99) * 1e6
 }

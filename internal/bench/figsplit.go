@@ -15,12 +15,14 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"univistor/internal/core"
 	"univistor/internal/meta"
 	"univistor/internal/metaplane"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
+	"univistor/internal/trace"
 )
 
 // figSplitClients is the swept storm width of the lease-scaling half.
@@ -206,7 +208,8 @@ func runSplitStorm(leased bool, opsPer int) [3]float64 {
 	}
 	var out [3]float64
 	for i, l := range lats {
-		out[i] = percentile(l, 0.99)
+		sort.Float64s(l)
+		out[i] = trace.Quantile(l, 0.99)
 	}
 	return out
 }
