@@ -2,13 +2,61 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_reports.txt")
+
+// The univistor-sim binary every test in this package runs: built at most
+// once per test run, into simDir (removed by TestMain).
+var (
+	simDir   string
+	simOnce  sync.Once
+	simBuilt string
+	simErr   error
+)
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	dir, err := os.MkdirTemp("", "univistor-sim-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	simDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildSim returns the path of the univistor-sim binary, building it on
+// first use.
+func buildSim(t *testing.T) string {
+	t.Helper()
+	simOnce.Do(func() {
+		bin := filepath.Join(simDir, "univistor-sim")
+		build := exec.Command("go", "build", "-o", bin, ".")
+		build.Env = os.Environ()
+		if out, err := build.CombinedOutput(); err != nil {
+			simErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		simBuilt = bin
+	})
+	if simErr != nil {
+		t.Fatal(simErr)
+	}
+	return simBuilt
+}
 
 // Regression test for the debug-diagnostics channel: with
 // UNIVISTOR_SIM_DEBUG set, stdout must still be exactly one JSON
@@ -18,12 +66,7 @@ func TestDebugDiagnosticsDoNotCorruptJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "univistor-sim")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildSim(t)
 
 	cmd := exec.Command(bin, "-procs", "8", "-ranks-per-node", "4", "-mb", "8", "-seg-mb", "4")
 	cmd.Env = append(os.Environ(), "UNIVISTOR_SIM_DEBUG=1")
@@ -46,5 +89,133 @@ func TestDebugDiagnosticsDoNotCorruptJSON(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "[sim] recompute #") {
 		t.Errorf("stderr missing recompute diagnostics, got:\n%s", stderr.String())
+	}
+}
+
+// reportRow is one pinned univistor-sim invocation.
+type reportRow struct {
+	name string
+	args string
+	// workers additionally runs the row at -workers 2 and requires the
+	// same report as at -workers 1.
+	workers bool
+}
+
+// goldenRows are the chaos gates over the sharded metadata plane, three
+// seeds each, plus the same workloads on the legacy metadata ring:
+//
+//   - meta: a 3-shard, R=3 plane under shard-leader crashes (one with a
+//     recovery window) during a write/read micro run.
+//   - dedup: the checkpoint workload with the content-addressed store, a
+//     shard-leader crash and a node crash pinned at t=15.045s — inside the
+//     collector's second flow window — so a GC batch is in flight when the
+//     fault lands.
+//   - gateway: the multi-tenant QoS mix driven open-loop into overload
+//     with shard-leader crashes mid-run; the chaos sweep also patrols the
+//     gateway's admission invariants.
+//   - split: a gateway stat storm with leased follower reads, an online
+//     shard split at t=0.2 and a shard-leader crash at t=0.25, inside the
+//     migration's transfer window.
+//
+// The ring rows drop the -meta-* flags, so the ring's puts, range deletes
+// and stats (and its refusal of the plane-only faults) are pinned too.
+func goldenRows() []reportRow {
+	var rows []reportRow
+	for seed := 1; seed <= 3; seed++ {
+		rows = append(rows,
+			reportRow{name: fmt.Sprintf("meta-seed%d", seed), args: fmt.Sprintf(
+				"-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -read -meta-shards 3 -meta-replicas 3 "+
+					"-chaos seed=%d,check=0.2,horizon=3,metacrash=0@0.05+0.4,metacrash=1@0.1,metacrash=2@0.15+0.5", seed)},
+			reportRow{name: fmt.Sprintf("dedup-seed%d", seed), workers: true, args: fmt.Sprintf(
+				"-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -dedup -ckpt 5 -ckpt-retain 2 -meta-shards 3 -meta-replicas 3 "+
+					"-chaos seed=%d,check=0.2,horizon=3,metacrash=0@6.5,metacrash=1@8.2,crash=1@15.045", seed)},
+			reportRow{name: fmt.Sprintf("gateway-seed%d", seed), args: fmt.Sprintf(
+				"-gateway -tenants 32 -qos -zipf 1.4 -gw-arrival 12 -gw-seconds 2 -gw-seed %d -meta-shards 3 -meta-replicas 3 "+
+					"-chaos seed=%d,check=0.2,horizon=4,metacrash=0@0.4+0.5,metacrash=1@0.8", seed, seed)},
+			reportRow{name: fmt.Sprintf("split-seed%d", seed), workers: true, args: fmt.Sprintf(
+				"-gateway -tenants 16 -gw-arrival 400 -gw-seconds 0.6 -gw-kb 8 "+
+					"-meta-shards 3 -meta-replicas 3 -meta-follower-reads -meta-split 1@0.2 "+
+					"-chaos seed=%d,check=0.1,horizon=0.7,metacrash=1@0.25", seed)},
+		)
+	}
+	return append(rows,
+		reportRow{name: "ring-micro", args: "-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -read -flush"},
+		reportRow{name: "ring-dedup", workers: true, args: "-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -dedup -ckpt 5 -ckpt-retain 2 " +
+			"-chaos seed=1,check=0.2,horizon=3,metacrash=0@6.5,metacrash=1@8.2,crash=1@15.045"},
+		reportRow{name: "ring-gateway", args: "-gateway -tenants 32 -qos -zipf 1.4 -gw-arrival 12 -gw-seconds 2 -gw-seed 1 " +
+			"-chaos seed=1,check=0.2,horizon=4,metacrash=0@0.4+0.5,metacrash=1@0.8"},
+	)
+}
+
+// runReport runs univistor-sim with a trace export and returns its stdout,
+// failing the test on a non-zero exit (which includes any invariant
+// violation under -chaos).
+func runReport(t *testing.T, bin, args string, workers int) []byte {
+	t.Helper()
+	argv := append(strings.Fields(args),
+		"-trace", filepath.Join(t.TempDir(), "t.json"), "-workers", fmt.Sprint(workers))
+	cmd := exec.Command(bin, argv...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("univistor-sim %s: %v\nstderr:\n%s", args, err, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+// TestGoldenReports pins the full JSON report of every golden row —
+// including the meta_op_detail and trace_summary blocks — as one SHA-256
+// digest per row. Every row must also exit 0, so this doubles as the
+// metadata-plane, dedup, gateway and split chaos gate.
+// Regenerate with: go test ./cmd/univistor-sim -run TestGoldenReports -update
+func TestGoldenReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildSim(t)
+	path := filepath.Join("testdata", "golden_reports.txt")
+	want := map[string]string{}
+	if !*update {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading golden file (regenerate with -update): %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if name, sum, ok := strings.Cut(line, " "); ok {
+				want[name] = sum
+			}
+		}
+	}
+	rows := goldenRows()
+	got := make([]string, len(rows))
+	for i, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			out := runReport(t, bin, row.args, 1)
+			if row.workers {
+				if out2 := runReport(t, bin, row.args, 2); !bytes.Equal(out, out2) {
+					t.Errorf("report differs between -workers 1 and -workers 2")
+				}
+			}
+			got[i] = fmt.Sprintf("%x", sha256.Sum256(out))
+			if !*update && got[i] != want[row.name] {
+				t.Errorf("report digest %s, golden %s", got[i], want[row.name])
+			}
+		})
+	}
+	if *update {
+		var b strings.Builder
+		for i, row := range rows {
+			if got[i] == "" {
+				t.Fatalf("row %s did not run; regenerate without a subtest filter", row.name)
+			}
+			fmt.Fprintf(&b, "%s %s\n", row.name, got[i])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
