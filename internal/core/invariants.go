@@ -41,11 +41,7 @@ func (sys *System) CheckInvariants() []string {
 	out = append(out, sys.checkMetadataCoverage()...)
 	out = append(out, sys.checkStatsCoherence()...)
 	out = append(out, sys.checkCAS()...)
-	if sys.plane != nil {
-		for _, v := range sys.plane.CheckInvariants() {
-			out = append(out, "metaplane "+v)
-		}
-	}
+	out = append(out, sys.meta.checkInvariants()...)
 	out = append(out, sys.W.E.CheckFlowConservation(1e-6)...)
 	return out
 }

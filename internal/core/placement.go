@@ -92,7 +92,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 
 	// Re-point the metadata at the promoted copy.
 	rec.VA = newVA
-	sys.metaRepoint(p, prodNode, rec)
+	sys.meta.repoint(p, prodNode, rec)
 	sys.nodeMeta[prodNode].Put(rec)
 
 	// Pending-flush accounting follows the bytes.
@@ -166,11 +166,9 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 		}
 		removed++
 	}
-	// One metadata round-trip for the whole range delete (plane mode pays
-	// per-record replicated commits above instead).
-	if sys.plane == nil {
-		sys.chargeMetaOp(cf.c.rank.P, cf.c.rank.Node(), sys.metaServer(sys.ring.HomeServer(off)))
-	}
+	// Ring mode pays one metadata round trip for the whole range here;
+	// plane mode paid per-record replicated commits above instead.
+	sys.meta.chargeRangeDelete(cf.c.rank.P, cf.c.rank.Node(), off)
 	// Flushed CAS blocks fully inside the range lose their reference now;
 	// the drop and the GC kick are park-free, so no sweep can observe
 	// orphaned dead blocks in between.

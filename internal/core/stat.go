@@ -17,13 +17,11 @@ type FileInfo struct {
 	Size int64
 }
 
-// Stat resolves a file's logical size through the metadata service. The
-// round trip is charged against the file's home metadata server in legacy
-// ring mode, or routed through the metadata plane (the owning shard's
-// leader, transport + serialized service) when Config.MetaShards is set —
-// the same dispatch every other client metadata op takes. A stat of a
-// nonexistent file costs the same round trip (the server still had to
-// look) and reports ok = false.
+// Stat resolves a file's logical size through the metadata service: one
+// round trip, charged against the file's home metadata server in ring
+// mode or the owning shard in plane mode. A stat of a nonexistent file
+// costs the same round trip (the server still had to look) and reports
+// ok = false.
 func (c *Client) Stat(name string) (FileInfo, bool) {
 	sys := c.sys
 	p := c.rank.P
@@ -32,21 +30,11 @@ func (c *Client) Stat(name string) (FileInfo, bool) {
 	sys.metaDetail.StatOps++
 
 	fs, ok := sys.files[name]
-	if sys.plane != nil {
-		// Route through the plane: the shard owning the file's first
-		// range serves the stat (a nonexistent name resolves on the
-		// zero-fid shard — the server that would own it).
-		var fid meta.FileID
-		if ok {
-			fid = fs.fid
-		}
-		psp := sys.W.Trace.Begin(p, trace.CatMetaPlane, "plane-stat")
-		sys.plane.Stat(p, c.rank.Node(), fid, 0)
-		psp.End(p.Now())
-		sys.stats.MetaOps++
-	} else {
-		sys.chargeMetaOp(p, c.rank.Node(), sys.homeServer(name))
+	var fid meta.FileID
+	if ok {
+		fid = fs.fid
 	}
+	sys.meta.stat(p, c.rank.Node(), name, fid)
 	if !ok {
 		return FileInfo{Name: name}, false
 	}
