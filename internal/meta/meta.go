@@ -14,10 +14,7 @@
 // bound is k < i.)
 package meta
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tier enumerates the storage layers, ordered fastest to slowest. The
 // numeric order is the spill order of distributed hierarchical placement.
@@ -204,28 +201,4 @@ type RangePart struct {
 	Offset int64
 	Size   int64
 	Server int
-}
-
-// CoalesceByServer groups parts by owning server, preserving offset order
-// within each group. The groups are returned in ascending server order.
-func CoalesceByServer(parts []RangePart) map[int][]RangePart {
-	out := make(map[int][]RangePart)
-	for _, p := range parts {
-		out[p.Server] = append(out[p.Server], p)
-	}
-	return out
-}
-
-// SortedServers returns the sorted server set appearing in parts.
-func SortedServers(parts []RangePart) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range parts {
-		if !seen[p.Server] {
-			seen[p.Server] = true
-			out = append(out, p.Server)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -221,21 +221,3 @@ func TestSplitZeroSize(t *testing.T) {
 		t.Errorf("Split with zero size = %v, want nil", parts)
 	}
 }
-
-func TestCoalesceAndSortedServers(t *testing.T) {
-	p := NewPartitioner(10, 3)
-	parts := p.Split(0, 60) // servers 0,1,2,0,1,2
-	groups := CoalesceByServer(parts)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
-	}
-	for srv, g := range groups {
-		if len(g) != 2 {
-			t.Errorf("server %d has %d parts, want 2", srv, len(g))
-		}
-	}
-	servers := SortedServers(parts)
-	if len(servers) != 3 || servers[0] != 0 || servers[2] != 2 {
-		t.Errorf("SortedServers = %v", servers)
-	}
-}
