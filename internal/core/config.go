@@ -128,19 +128,6 @@ type Config struct {
 	// MetaShards > 0; zero defaults to 1 (unreplicated shards).
 	MetaReplicas int
 
-	// MetaApplyTime is a metadata follower's service time to append one
-	// shipped WAL entry; zero defaults to half of MetaOpTime.
-	MetaApplyTime float64
-
-	// MetaSnapshotEvery is the retained-WAL-entry threshold at which a
-	// metadata replica compacts its log into a snapshot (the metaplane
-	// default when zero).
-	MetaSnapshotEvery int
-
-	// MetaRecordLatencies retains per-op metadata-plane latency samples
-	// for benchmark percentiles (costs memory; off for figure runs).
-	MetaRecordLatencies bool
-
 	// MetaFollowerReads lets metadata Stat/Lookup be served by a follower
 	// holding a time-bounded lease from its shard leader, load-balancing
 	// hot stat storms across the replica set. Reads are never staler than
@@ -250,10 +237,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MetaShards must be non-negative, got %d", c.MetaShards)
 	case c.MetaReplicas < 0:
 		return fmt.Errorf("core: MetaReplicas must be non-negative, got %d", c.MetaReplicas)
-	case c.MetaApplyTime < 0:
-		return fmt.Errorf("core: MetaApplyTime must be non-negative, got %v", c.MetaApplyTime)
-	case c.MetaSnapshotEvery < 0:
-		return fmt.Errorf("core: MetaSnapshotEvery must be non-negative, got %d", c.MetaSnapshotEvery)
 	case c.MetaShards > 0 && c.CentralMetadata:
 		return fmt.Errorf("core: MetaShards and CentralMetadata are mutually exclusive")
 	case c.MetaShards == 0 && c.MetaReplicas > 1:
