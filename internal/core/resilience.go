@@ -78,8 +78,8 @@ func (sys *System) StallServer(s int, until sim.Time) {
 	if s < 0 || s >= len(sys.servers) {
 		panic(fmt.Sprintf("core: StallServer(%d) out of range", s))
 	}
-	if srv := sys.servers[s]; srv.opsFree < until {
-		srv.opsFree = until
+	if srv := sys.servers[s]; srv.ops.Free < until {
+		srv.ops.Free = until
 	}
 }
 

@@ -23,9 +23,9 @@ type replica struct {
 	log     wal
 	applied int64 // last log index applied to store
 
-	// opsFree is the virtual time the replica's service queue next drains
-	// (an M/D/1-style analytic queue, like the core servers').
-	opsFree sim.Time
+	// ops is the replica's service queue (analytic, like the core
+	// servers').
+	ops sim.Queue
 
 	crashed bool
 
@@ -137,16 +137,11 @@ func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
 		if i == g.leader || f.crashed {
 			continue
 		}
-		arrive := tAppend + sim.Time(c.NetLatency)
-		start := arrive
-		if f.opsFree > start {
-			start = f.opsFree
-		}
-		f.opsFree = start + sim.Time(c.ApplyTime)
+		applied := f.ops.Serve(tAppend+sim.Time(c.NetLatency), c.ApplyTime)
 		f.log.append(e)
 		f.applied = max64i(f.applied, f.log.snapIndex)
 		g.appended++
-		acks = append(acks, f.opsFree+sim.Time(c.NetLatency))
+		acks = append(acks, applied+sim.Time(c.NetLatency))
 	}
 	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
 	return acks

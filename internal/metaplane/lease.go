@@ -85,10 +85,9 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 	if f.node == fromNode {
 		lat = c.ShmLatency
 	}
-	start := t0 + sim.Time(lat)
-	if f.opsFree > start {
-		start = f.opsFree
-	}
+	// The earliest service start on f's queue; booked below, once any
+	// renewal has pushed it back.
+	start := max(t0+sim.Time(lat), f.ops.Free)
 	if f.leaseEpoch != g.epoch || f.leaseExpiry < start {
 		// Renew. The grant lands at start + 2·hop + OpTime > start, so the
 		// renewed lease is always valid at the (pushed-back) service time.
@@ -97,13 +96,7 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 		if ld.node == f.node {
 			hop = c.ShmLatency
 		}
-		arr := start + sim.Time(hop)
-		ls := arr
-		if ld.opsFree > ls {
-			ls = ld.opsFree
-		}
-		ld.opsFree = ls + sim.Time(c.OpTime)
-		granted := ld.opsFree + sim.Time(hop)
+		granted := ld.ops.Serve(start+sim.Time(hop), c.OpTime) + sim.Time(hop)
 		f.leaseEpoch = g.epoch
 		f.leaseExpiry = granted + sim.Time(leaseT)
 		pl.leaseGrants++
@@ -118,8 +111,7 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 	}
 	// The lease holder serves its log's state: catch the lazy applier up.
 	f.applyTo(f.log.lastIndex())
-	f.opsFree = start + sim.Time(c.OpTime)
-	respond := f.opsFree + sim.Time(lat)
+	respond := f.ops.Serve(start, c.OpTime) + sim.Time(lat)
 	g.ops++
 	pl.followerReads++
 	pl.sample(respond)

@@ -210,12 +210,7 @@ func (pl *Plane) chargeBatch(p *sim.Proc, src, dst *group, n int, recBytes int64
 	c := pl.cfg.Costs
 	sl, dl := src.lead(), dst.lead()
 	t0 := p.Now()
-	start := t0
-	if sl.opsFree > start {
-		start = sl.opsFree
-	}
-	sl.opsFree = start + sim.Time(c.OpTime+float64(n)*c.ApplyTime)
-	if wait := float64(sl.opsFree - t0); wait > 0 {
+	if wait := float64(sl.ops.Serve(t0, c.OpTime+float64(n)*c.ApplyTime) - t0); wait > 0 {
 		p.Sleep(wait)
 	}
 	if sl.node != dl.node {
@@ -226,12 +221,7 @@ func (pl *Plane) chargeBatch(p *sim.Proc, src, dst *group, n int, recBytes int64
 		}
 	}
 	t1 := p.Now()
-	start = t1
-	if dl.opsFree > start {
-		start = dl.opsFree
-	}
-	dl.opsFree = start + sim.Time(float64(n)*c.ApplyTime)
-	if wait := float64(dl.opsFree - t1); wait > 0 {
+	if wait := float64(dl.ops.Serve(t1, float64(n)*c.ApplyTime) - t1); wait > 0 {
 		p.Sleep(wait)
 	}
 }

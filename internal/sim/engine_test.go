@@ -559,3 +559,23 @@ func TestCheckFlowConservation(t *testing.T) {
 		t.Fatal("check callback never ran")
 	}
 }
+
+// TestQueueServe: a request starts at max(arrival, Free), holds the queue
+// for its service time, and the completion becomes the new Free.
+func TestQueueServe(t *testing.T) {
+	var q Queue
+	steps := []struct {
+		arrival Time
+		service float64
+		want    Time
+	}{
+		{1, 2, 3}, // idle queue: starts on arrival
+		{2, 1, 4}, // arrives while busy: waits until 3
+		{10, 0.5, 10.5},
+	}
+	for i, s := range steps {
+		if got := q.Serve(s.arrival, s.service); got != s.want || q.Free != s.want {
+			t.Errorf("step %d: Serve = %v, Free = %v, want %v", i, got, q.Free, s.want)
+		}
+	}
+}

@@ -181,3 +181,21 @@ func (ev *Event) Wait(p *Proc) {
 		p.park()
 	}
 }
+
+// Queue is an analytic single-server FIFO queue: requests serialize on
+// Free, the instant the server next becomes idle, in one closed-form
+// M/D/1-style step instead of as fluid flows, which keeps the allocator
+// out of microsecond-scale control planes.
+type Queue struct{ Free Time }
+
+// Serve books a request arriving at arrival that holds the server for
+// service seconds. It starts at max(arrival, Free) and completes at the
+// returned time, which becomes the new Free.
+func (q *Queue) Serve(arrival Time, service float64) Time {
+	start := arrival
+	if q.Free > start {
+		start = q.Free
+	}
+	q.Free = start + Time(service)
+	return q.Free
+}
