@@ -29,7 +29,8 @@ chaos-smoke:
 bench:
 	$(GO) run ./cmd/univibench -quick -all
 
-# Race-enabled sim + chaos tests with the differential-check oracle armed,
-# so the concurrent solver is exercised against the reference allocator.
+# Race-enabled sim, chaos and core tests with the differential-check oracle
+# armed, so the concurrent solver is exercised against the reference
+# allocator on the storage system's real resource paths.
 race-diffcheck:
-	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/...
+	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...

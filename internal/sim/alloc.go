@@ -9,12 +9,40 @@
 // component sees is exactly the subsequence the global solve would have
 // performed for it. The differential mode re-runs the global reference
 // solver after every incremental batch and asserts the rates match bitwise.
+//
+// The fast solver (allocateFast) does less work than the reference for the
+// same result:
+//
+//   - Non-binding resources never enter the share heap. Every flow's rate
+//     is at most bound(f,r) = max(the smallest capacity on its path other
+//     than this crossing of r, 1e-12 × the largest capacity on its path):
+//     the bottleneck's share is at most the key of every other resource on
+//     the path, a key never exceeds its capacity, and the share floor is a
+//     fraction of the bottleneck's own capacity. If r were popped with
+//     unassigned flows, its capacity would be spent exactly on its flows'
+//     rates, so a resource whose capacity exceeds Σ bound(f,r) over its
+//     crossings (with a 1e-9 relative margin for rounding in the running
+//     remCap subtraction and in the sum) is never a bottleneck. Left out,
+//     it is never popped, so the other pops are unchanged. The smallest
+//     capacity on a path has a bound of at least itself and always stays,
+//     so every unassigned flow keeps a heap resource. Pruned resources
+//     keep their flow lists and nflows: rate caches and tracer samples do
+//     not change. In fabric-coupled components (one wide fabric, DRAM
+//     ports, memory sockets) most resources are of this kind.
+//   - A bottleneck's freezes collect the heap members they touch and
+//     re-key each once afterwards, not once per crossing. The remCap
+//     subtractions still run per crossing in the same order, so the keys
+//     after the loop are the ones per-crossing re-keying would leave.
+//   - The heap is 4-ary. Because (share, resource id) is a strict total
+//     order, the heap pops the same minimum whatever its shape, so neither
+//     the deferred re-keys nor the arity change the pop sequence.
 
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 )
@@ -148,6 +176,12 @@ type resState struct {
 	// heapPos is the resource's slot in the fast path's indexed share
 	// heap, or -1 when not enqueued.
 	heapPos int32
+	// pend marks a heap member already queued for re-keying after the
+	// current bottleneck's freezes (fast path).
+	pend bool
+	// bound is Σ bound(f,r) over the resource's crossings: a cap on the
+	// rate its flows can ever be allocated (fast path, see allocateFast).
+	bound float64
 }
 
 // allocateRef is the reference max-min fair (water-filling) solver — the
@@ -278,12 +312,21 @@ func (fs *flowSet) cacheRates(touched []*Resource) {
 
 // fastEntry is one slot of the fast path's indexed share heap. The
 // resource id is copied inline so tie-breaks never chase the resource
-// pointer, and the state pointer lets swaps maintain heapPos directly.
+// pointer, and the state pointer lets moves maintain heapPos directly.
 type fastEntry struct {
 	share float64
 	id    int64
 	res   *Resource
 	st    *resState
+}
+
+// before is the share order: (share, resource id), a strict total order
+// because resource ids are unique.
+func (a *fastEntry) before(b *fastEntry) bool {
+	if a.share != b.share {
+		return a.share < b.share
+	}
+	return a.id < b.id
 }
 
 // fastHeap is the fast path's share min-heap: the same (share, resource
@@ -295,55 +338,62 @@ type fastEntry struct {
 // valid entry it acts on is the minimum over current shares — exactly
 // what this heap pops — and the share value both read is computed from
 // the same remCap/remCnt operands, keeping results bitwise identical.
+// It is 4-ary (children of i are 4i+1..4i+4): half the levels of a binary
+// heap for pop and down, at the cost of more comparisons per level.
 type fastHeap []fastEntry
 
-func (h fastHeap) less(i, j int) bool {
-	if h[i].share != h[j].share {
-		return h[i].share < h[j].share
-	}
-	return h[i].id < h[j].id
-}
-
-func (h fastHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].st.heapPos = int32(i)
-	h[j].st.heapPos = int32(j)
-}
+const fastHeapArity = 4
 
 func (h fastHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / fastHeapArity; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
+// up and down move the entry at i through a hole: the entries it passes
+// shift one level, and it is written once, at its final slot.
 func (h fastHeap) up(i int) {
+	x := h[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / fastHeapArity
+		if !x.before(&h[p]) {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		h[i].st.heapPos = int32(i)
+		i = p
 	}
+	h[i] = x
+	x.st.heapPos = int32(i)
 }
 
 func (h fastHeap) down(i int) {
 	n := len(h)
+	x := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := fastHeapArity*i + 1
+		if c >= n {
+			break
 		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
+		m := c
+		end := min(c+fastHeapArity, n)
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
 		}
-		if !h.less(m, i) {
-			return
+		if !h[m].before(&x) {
+			break
 		}
-		h.swap(i, m)
+		h[i] = h[m]
+		h[i].st.heapPos = int32(i)
 		i = m
 	}
+	h[i] = x
+	x.st.heapPos = int32(i)
 }
 
 func (h *fastHeap) pop() fastEntry {
@@ -351,23 +401,23 @@ func (h *fastHeap) pop() fastEntry {
 	top := hh[0]
 	top.st.heapPos = -1
 	n := len(hh) - 1
+	*h = hh[:n]
 	if n > 0 {
 		hh[0] = hh[n]
-		hh[0].st.heapPos = 0
-	}
-	*h = hh[:n]
-	if n > 1 {
-		(*h).down(0)
+		hh[:n].down(0)
 	}
 	return top
 }
 
-// update re-keys the entry at position i and restores heap order (at
-// most one of up/down moves it).
+// update re-keys the entry at position i and restores heap order.
 func (h fastHeap) update(i int, share float64) {
+	old := h[i].share
 	h[i].share = share
-	h.up(i)
-	h.down(i)
+	if share < old {
+		h.up(i)
+	} else if share > old {
+		h.down(i)
+	}
 }
 
 // allocateFast is the allocator's solver: identical arithmetic and
@@ -375,7 +425,10 @@ func (h fastHeap) update(i int, share float64) {
 // reached through Resource.state instead of a map, and the share heap is
 // monomorphic — together removing hashing and per-push boxing from the
 // hot loop. The differential mode cross-checks its output against
-// allocateRef bitwise.
+// allocateRef bitwise. It also skips the work that cannot change a rate:
+// non-binding resources stay out of the heap, and each bottleneck re-keys
+// the heap members it touched once (see the file comment for why both
+// are exact).
 //
 // It is a method on solveScratch, not flowSet, so that parallel batches
 // can run one solve per worker with disjoint scratch: all mutable state is
@@ -396,6 +449,7 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 			st.gen = gen
 			st.remCap = r.Capacity
 			st.remCnt = 0
+			st.bound = 0
 			st.heapPos = -1
 			st.flows = st.flows[:0]
 			touched = append(touched, r)
@@ -404,11 +458,23 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 	}
 	unassigned := 0
 	for _, f := range flows {
+		// One pass over the path: the parked check plus the two smallest
+		// capacities (with multiplicity) and the largest, for the bounds.
 		parked := false
+		min1, min2, maxCap := math.Inf(1), math.Inf(1), 0.0
 		for _, r := range f.resources {
-			if r.Capacity <= 0 {
+			c := r.Capacity
+			if c <= 0 {
 				parked = true
 				break
+			}
+			if c < min1 {
+				min1, min2 = c, min1
+			} else if c < min2 {
+				min2 = c
+			}
+			if c > maxCap {
+				maxCap = c
 			}
 		}
 		if parked {
@@ -423,10 +489,16 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 		f.parked = false
 		f.rate = -1 // unassigned
 		unassigned++
+		floor := maxCap * 1e-12
 		for _, r := range f.resources {
 			st := ensure(r)
 			st.remCnt++
 			st.flows = append(st.flows, f)
+			b := min1
+			if r.Capacity == min1 {
+				b = min2 // this crossing is (one of) the path's smallest
+			}
+			st.bound += max(b, floor)
 		}
 	}
 	sc.touched = touched
@@ -434,13 +506,18 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 	for _, r := range touched {
 		st := r.state
 		r.nflows = st.remCnt
-		if st.remCnt > 0 {
-			st.heapPos = int32(len(h))
-			h = append(h, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r, st: st})
+		if st.remCnt == 0 {
+			continue
 		}
+		if r.Capacity > st.bound*(1+1e-9) {
+			sc.pruned++
+			continue
+		}
+		st.heapPos = int32(len(h))
+		h = append(h, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r, st: st})
 	}
 	h.init()
-	defer func() { sc.heap = h[:0] }()
+	pend := sc.pend[:0]
 	for unassigned > 0 && len(h) > 0 {
 		e := h.pop()
 		st := e.st
@@ -459,17 +536,29 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 			unassigned--
 			for _, r := range f.resources {
 				ost := r.state
+				if ost.heapPos < 0 {
+					continue // pruned or already popped: never read again
+				}
 				ost.remCap -= share
 				if ost.remCap < 0 {
 					ost.remCap = 0
 				}
 				ost.remCnt--
-				if ost.heapPos >= 0 && ost.remCnt > 0 {
-					h.update(int(ost.heapPos), ost.remCap/float64(ost.remCnt))
+				if !ost.pend {
+					ost.pend = true
+					pend = append(pend, ost)
 				}
 			}
 		}
+		for _, ost := range pend {
+			ost.pend = false
+			if ost.remCnt > 0 {
+				h.update(int(ost.heapPos), ost.remCap/float64(ost.remCnt))
+			}
+		}
+		pend = pend[:0]
 	}
+	sc.heap, sc.pend = h[:0], pend
 	return touched
 }
 

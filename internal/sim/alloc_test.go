@@ -27,7 +27,7 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 		e.RecomputeResources(disk)
 	})
 	e.At(5, func() {
-		if u := disk.Utilization(e); u != 0 || math.IsNaN(u) {
+		if u := disk.Utilization(); u != 0 || math.IsNaN(u) {
 			t.Errorf("Utilization of zero-capacity resource = %v, want 0", u)
 		}
 		if n := e.ActiveFlows(); n != 1 {
@@ -49,7 +49,7 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 	if want := Time(18); math.Abs(float64(done-want)) > 1e-6 {
 		t.Errorf("completion at t=%v, want %v", done, want)
 	}
-	if u := disk.Utilization(e); u != 0 {
+	if u := disk.Utilization(); u != 0 {
 		t.Errorf("idle Utilization = %v, want 0", u)
 	}
 }
@@ -127,13 +127,41 @@ func randomScenario(r *rand.Rand) scenario {
 			frac: frac,
 		})
 	}
+	// A wide "fabric" crossed by a random subset of flows: usually too
+	// wide to ever bind, so the solver keeps it out of its share heap,
+	// unless a degrade event narrows it into a bottleneck.
+	fabric := len(sc.caps)
+	sc.caps = append(sc.caps, 1e3*(50+200*r.Float64()))
+	for i := range sc.flows {
+		if r.Intn(2) == 0 {
+			sc.flows[i].path = append(sc.flows[i].path, fabric)
+		}
+	}
+	if r.Intn(2) == 0 {
+		sc.events = append(sc.events, scenEvent{
+			at:   Time(r.Float64() * 30),
+			res:  fabric,
+			frac: 0.001 + 0.01*r.Float64(),
+		})
+	}
 	return sc
+}
+
+// prunedResources totals the non-binding resources the engine's solver
+// scratch has kept out of the share heap.
+func prunedResources(e *Engine) int64 {
+	var n int64
+	for i := range e.flows.workerScratch {
+		n += e.flows.workerScratch[i].pruned
+	}
+	return n
 }
 
 // run executes the scenario with the differential check on or off and
 // returns each flow's completion time (exactly as computed), the final
-// clock, and the number of differential checks that passed.
-func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64) {
+// clock, the number of differential checks that passed, and the number of
+// resources the solver pruned as non-binding.
+func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64, int64) {
 	t.Helper()
 	e := NewEngine()
 	e.SetDifferentialCheck(diff)
@@ -171,7 +199,7 @@ func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64) {
 		e.RecomputeResources(rs...)
 	})
 	end := e.Run()
-	return completed, end, e.AllocStats().DiffChecks
+	return completed, end, e.AllocStats().DiffChecks, prunedResources(e)
 }
 
 // The incremental component-based allocator must match the global
@@ -179,17 +207,21 @@ func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64) {
 // capacity changes and outages: every trial runs with the differential
 // check armed (which panics on the first diverging rate), and the checked
 // run's completion times must equal an unchecked run's exactly, so the
-// oracle cannot perturb the simulation it verifies.
+// oracle cannot perturb the simulation it verifies. The scenarios' wide
+// fabric must make the solver prune non-binding resources, so the oracle
+// covers that path too.
 func TestAllocEquivalenceRandomized(t *testing.T) {
 	trials := 25
 	if testing.Short() {
 		trials = 5
 	}
+	var pruned int64
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(1000 + trial)))
 		sc := randomScenario(r)
-		checked, checkedEnd, checks := sc.run(t, true)
-		plain, plainEnd, _ := sc.run(t, false)
+		checked, checkedEnd, checks, n := sc.run(t, true)
+		plain, plainEnd, _, _ := sc.run(t, false)
+		pruned += n
 		if checks == 0 {
 			t.Fatalf("trial %d: differential check armed but never ran", trial)
 		}
@@ -205,6 +237,110 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 					trial, i, float64(checked[i]), float64(plain[i]))
 			}
 		}
+	}
+	if pruned == 0 {
+		t.Fatal("no trial pruned a non-binding resource; the pruning path went untested")
+	}
+}
+
+// Pruning non-binding resources out of the share heap must be exact at
+// its edges. Every case runs with the differential check armed, so any
+// rate that differs from the reference solver's panics; the completion
+// times pin the rates, and wantPruned whether the case hit the pruning
+// path at all.
+func TestNonBindingPruning(t *testing.T) {
+	cases := []struct {
+		name       string
+		sc         scenario
+		want       []Time
+		wantPruned bool
+	}{
+		{
+			// 4 flows of 100 B/s under a 10 kB/s fabric: pruned. Narrowed
+			// to 200 B/s at t=2 it binds (50 B/s each); restored at t=5 it
+			// is pruned again. 200 + 150 bytes by t=5, 650 more at 100 B/s.
+			name: "fabric degraded to binding and restored",
+			sc: scenario{
+				caps: []float64{1e4, 100, 100, 100, 100},
+				flows: []scenFlow{
+					{size: 1000, path: []int{1, 0}},
+					{size: 1000, path: []int{2, 0}},
+					{size: 1000, path: []int{3, 0}},
+					{size: 1000, path: []int{4, 0}},
+				},
+				events: []scenEvent{{at: 2, res: 0, frac: 0.02}, {at: 5, res: 0, frac: 1}},
+			},
+			want:       []Time{11.5, 11.5, 11.5, 11.5},
+			wantPruned: true,
+		},
+		{
+			// [r, r]: each crossing's bound is the other crossing's
+			// capacity, so the sum is 2·cap and r stays; it grants 50 B/s.
+			name: "repeated crossing of a lone resource",
+			sc: scenario{
+				caps:  []float64{100},
+				flows: []scenFlow{{size: 500, path: []int{0, 0}}},
+			},
+			want: []Time{10},
+		},
+		{
+			// The wide resource is crossed twice, each crossing bounded by
+			// the 100 B/s narrow one: pruned.
+			name: "repeated crossing of a wide resource",
+			sc: scenario{
+				caps:  []float64{100, 1e6},
+				flows: []scenFlow{{size: 500, path: []int{0, 1, 1}}},
+			},
+			want:       []Time{5},
+			wantPruned: true,
+		},
+		{
+			// A single-resource flow's bound is +Inf, so the wide resource
+			// it crosses can never be pruned; the other flow binds on the
+			// narrow one at 100 B/s and the single-resource flow takes the
+			// rest, then the whole capacity.
+			name: "single-resource flow",
+			sc: scenario{
+				caps: []float64{1e6, 100},
+				flows: []scenFlow{
+					{size: 1e6, path: []int{0}},
+					{size: 100, path: []int{1, 0}},
+				},
+			},
+			want: []Time{1.0001, 1},
+		},
+		{
+			// Paths spanning more than 12 orders of magnitude, where the
+			// share-floor term 1e-12·max dominates the bound: the 1e27
+			// resource is pruned by a bound of 1e-12·1e27 = 1e15 B/s from
+			// the flow that also crosses the 1e13 resource.
+			name: "capacity ratio above 1e12",
+			sc: scenario{
+				caps: []float64{1e-3, 1e13, 1e27},
+				flows: []scenFlow{
+					{size: 1e-3, path: []int{0, 1}},
+					{size: 1e13, path: []int{1, 2}},
+				},
+			},
+			want:       []Time{1, 1},
+			wantPruned: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _, checks, pruned := tc.sc.run(t, true)
+			if checks == 0 {
+				t.Fatal("differential check armed but never ran")
+			}
+			for i, w := range tc.want {
+				if math.Abs(float64(got[i]-w)) > 1e-9*float64(w) {
+					t.Errorf("flow %d completed at t=%v, want %v", i, float64(got[i]), float64(w))
+				}
+			}
+			if (pruned > 0) != tc.wantPruned {
+				t.Errorf("pruned %d resources, want pruning=%v", pruned, tc.wantPruned)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ type Duration = float64
 const Infinity Time = Time(math.MaxFloat64)
 
 // completionQuantum is the virtual-time window within which flow
-// completions are batched (see completeFlows). 20 µs is far below every
+// completions are batched (see completeAll). 20 µs is far below every
 // modelled latency, so measurements are unaffected, while synchronized
 // fan-outs (thousands of ranks finishing near-together) collapse into a
 // handful of allocation rounds.
@@ -441,8 +441,7 @@ func NewResource(name string, capacity float64) *Resource {
 // than once — the same value ResourceSample reports. A resource degraded
 // to zero capacity reports 0 (its flows are parked, nothing is allocated)
 // rather than NaN.
-func (r *Resource) Utilization(e *Engine) float64 {
-	_ = e // kept for API compatibility; the rate is cached on the resource
+func (r *Resource) Utilization() float64 {
 	if r.Capacity <= 0 {
 		return 0
 	}

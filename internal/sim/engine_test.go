@@ -482,7 +482,7 @@ func TestUtilizationCountsRepeatCrossingOnce(t *testing.T) {
 	r := NewResource("loop", 100)
 	var mid float64
 	e.Go("w", func(p *Proc) { p.Transfer(500, r, r) })
-	e.After(1, func() { mid = r.Utilization(e) })
+	e.After(1, func() { mid = r.Utilization() })
 	e.Run()
 	// Two crossings of a 100 B/s resource: the allocator grants 50 B/s.
 	if !almostEqual(mid, 0.5, 1e-9) {
@@ -491,7 +491,7 @@ func TestUtilizationCountsRepeatCrossingOnce(t *testing.T) {
 	if got := s.last[r]; !almostEqual(got, 0, 1e-9) {
 		t.Errorf("final ResourceSample = %v, want 0 after completion", got)
 	}
-	if u := r.Utilization(e); u != 0 {
+	if u := r.Utilization(); u != 0 {
 		t.Errorf("Utilization after completion = %v, want 0", u)
 	}
 }
@@ -507,7 +507,7 @@ func TestUtilizationMatchesResourceSample(t *testing.T) {
 	e.After(1, func() {
 		for _, r := range []*Resource{nic, disk} {
 			want := s.last[r] / r.Capacity
-			if got := r.Utilization(e); !almostEqual(got, want, 1e-9) {
+			if got := r.Utilization(); !almostEqual(got, want, 1e-9) {
 				t.Errorf("Utilization(%s) = %v, want %v (last ResourceSample)", r.Name, got, want)
 			}
 		}
@@ -520,12 +520,12 @@ func TestUtilizationZeroAfterFlowsDrain(t *testing.T) {
 	r := NewResource("disk", 100)
 	e.Go("w", func(p *Proc) { p.Transfer(100, r) })
 	var during float64
-	e.After(0.5, func() { during = r.Utilization(e) })
+	e.After(0.5, func() { during = r.Utilization() })
 	e.Run()
 	if !almostEqual(during, 1.0, 1e-9) {
 		t.Errorf("Utilization during single flow = %v, want 1.0", during)
 	}
-	if u := r.Utilization(e); u != 0 {
+	if u := r.Utilization(); u != 0 {
 		t.Errorf("Utilization after drain = %v, want 0", u)
 	}
 }

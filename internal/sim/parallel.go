@@ -101,13 +101,18 @@ func parallelDo(workers, items int, fn func(worker, item int)) {
 	wg.Wait()
 }
 
-// solveScratch is one worker's private allocator state: the touched-set
-// and share-heap buffers of allocateFast plus the parked-flow count the
-// caller folds into the stats. The serial path uses slot 0.
+// solveScratch is one worker's private allocator state: the touched-set,
+// share-heap and re-key buffers of allocateFast plus the parked-flow count
+// the caller folds into the stats. The serial path uses slot 0.
 type solveScratch struct {
 	touched []*Resource
 	heap    fastHeap
+	pend    []*resState
 	parked  int64
+	// pruned counts resources kept out of the share heap as non-binding,
+	// cumulatively. It is a host-side diagnostic for tests, not a
+	// simulation result, so it is not part of AllocStats.
+	pruned int64
 }
 
 // resSample is one buffered tracer sample (ResourceSample arguments).

@@ -216,24 +216,81 @@ func steadyEngine() (*Engine, []*Resource) {
 	return e, all
 }
 
+// fabricEngine builds one workflow-shaped component: 64 nodes of 24 ranks
+// behind a single 10 TB/s fabric, with per-node NIC, PFS-client and two
+// socket memory ports, a memory port per rank, and 64 OSTs. Every rank
+// runs one long-lived flow: a remote read over the fabric, a PFS write
+// through an OST, or a local DRAM write sharing its socket port with the
+// reads — 1536 flows in all. The fabric, the socket ports and the PFS
+// writers' memory ports (641 of 1857 resources) are non-binding, the shape
+// the solver's heap pruning targets.
+func fabricEngine() (*Engine, []*Resource) {
+	const (
+		GB           = 1 << 30
+		nodes        = 64
+		ranksPerNode = 24
+		osts         = 64
+	)
+	e := NewEngine()
+	e.SetDifferentialCheck(false) // the oracle allocates by design
+	fabric := NewResource("fabric", 10<<40)
+	all := []*Resource{fabric}
+	nic := make([]*Resource, nodes)
+	pfs := make([]*Resource, nodes)
+	mem := make([][2]*Resource, nodes)
+	for n := range nic {
+		nic[n] = NewResource("nic", 8*GB)
+		pfs[n] = NewResource("pfsport", 2.5*GB)
+		mem[n] = [2]*Resource{NewResource("mem", 60*GB), NewResource("mem", 60*GB)}
+		all = append(all, nic[n], pfs[n], mem[n][0], mem[n][1])
+	}
+	ost := make([]*Resource, osts)
+	for o := range ost {
+		ost[o] = NewResource("ost", 1.1*GB)
+		all = append(all, ost[o])
+	}
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < ranksPerNode; i++ {
+			port := NewResource("memport", 7*GB)
+			all = append(all, port)
+			sock := mem[n][i%2]
+			switch i % 3 {
+			case 0:
+				e.StartTransfer(1e15, func() {}, port, sock, nic[n], fabric, nic[(n+1)%nodes])
+			case 1:
+				e.StartTransfer(1e15, func() {}, port, pfs[n], nic[n], fabric, ost[(n*ranksPerNode+i)%osts])
+			default:
+				e.StartTransfer(1e15, func() {}, port, sock)
+			}
+		}
+	}
+	e.RecomputeFlows() // fold the pending start batch; grows all scratch
+	return e, all
+}
+
 // The steady-state batch hot path must not allocate: once the engine's
-// scratch buffers have grown, a full dirty-batch solve of 512 flows runs
-// allocation-free. This is the regression bound for the pooled-scratch
-// refactor; the previous implementation allocated hundreds of objects per
-// batch (scratch maps, share-heap nodes, sample closures).
+// scratch buffers have grown, a full dirty-batch solve runs
+// allocation-free, both for 512 flows over four small components and for
+// one fabric-coupled component of 1536 flows. This is the regression bound
+// for the pooled-scratch refactor; the previous implementation allocated
+// hundreds of objects per batch (scratch maps, share-heap nodes, sample
+// closures).
 func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	e, all := steadyEngine()
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, r := range all {
-			r.Capacity *= 0.999
+	for _, build := range []func() (*Engine, []*Resource){steadyEngine, fabricEngine} {
+		e, all := build()
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, r := range all {
+				r.Capacity *= 0.999
+			}
+			e.RecomputeResources(all...)
+		})
+		if allocs > 2 {
+			t.Errorf("batch solve of %d flows in %d components allocates %.1f objects/op, want ≤2",
+				e.ActiveFlows(), e.ActiveComponents(), allocs)
 		}
-		e.RecomputeResources(all...)
-	})
-	if allocs > 2 {
-		t.Errorf("batch solve of %d flows allocates %.1f objects/op, want ≤2", e.ActiveFlows(), allocs)
 	}
 }
 
@@ -242,6 +299,22 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 // reporting allocs/op (expected ~0 in steady state).
 func BenchmarkBatchSolve(b *testing.B) {
 	e, all := steadyEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range all {
+			r.Capacity *= 0.999
+		}
+		e.RecomputeResources(all...)
+	}
+}
+
+// BenchmarkSolveFabricComponent measures a full re-solve of one
+// workflow-shaped component (fabricEngine: 1536 flows over ~1900
+// resources, all coupled through the fabric), the regime where the share
+// heap dominates the solve.
+func BenchmarkSolveFabricComponent(b *testing.B) {
+	e, all := fabricEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
