@@ -324,39 +324,11 @@ func main() {
 			fatal("gateway invariants violated:\n  %s", strings.Join(viol, "\n  "))
 		}
 		rep := g.Report()
-		out := Output{
+		report(Output{
 			Driver: *driver, Procs: gcfg.Tenants, Nodes: nodes,
 			VirtualEnd: float64(end),
 			Gateway:    &rep,
-		}
-		st := uv.Sys.Stats()
-		out.Stats = &st
-		d := uv.Sys.MetaOpDetail()
-		out.MetaOps = &d
-		if pl := uv.Sys.Plane(); pl != nil {
-			pst := pl.Stats()
-			out.MetaPlane = &pst
-		}
-		as := e.AllocStats()
-		out.Alloc = &as
-		if harness != nil {
-			crep := harness.Finish()
-			out.Chaos = &crep
-		}
-		if rec != nil {
-			if err := rec.ExportChromeFile(*traceTo); err != nil {
-				fatal("writing trace: %v", err)
-			}
-			out.TraceSummary = rec.Summarize(8)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal("%v", err)
-		}
-		if out.Chaos != nil && len(out.Chaos.Violations) > 0 {
-			fatal("%d invariant violation(s) under chaos", len(out.Chaos.Violations))
-		}
+		}, e, uv, harness, rec, *traceTo)
 		return
 	}
 
@@ -450,9 +422,10 @@ func main() {
 	total := float64(*procs) * float64(cfg.BytesPerRank)
 	out := Output{
 		Driver: *driver, Procs: *procs, Nodes: nodes,
-		BytesPerRank: cfg.BytesPerRank,
-		WriteSecs:    float64(maxWrite),
-		VirtualEnd:   float64(end),
+		BytesPerRank:  cfg.BytesPerRank,
+		WriteSecs:     float64(maxWrite),
+		VirtualEnd:    float64(end),
+		ReadLostRanks: readLost,
 	}
 	if maxWrite > 0 {
 		out.WriteGiBs = total / float64(maxWrite) / gib
@@ -475,6 +448,15 @@ func main() {
 			out.FlushGiBs = float64(bytes) / float64(endF-start) / gib
 		}
 	}
+	report(out, e, uv, harness, rec, *traceTo)
+}
+
+// report completes out with the counter snapshots every run carries — the
+// core, dedup, metadata and plane counters (univistor driver only), the
+// allocator counters, the chaos report and the trace summary — writes the
+// trace file, and prints the JSON document. It exits 1 when the chaos
+// sweep found invariant violations.
+func report(out Output, e *sim.Engine, uv *mpiio.UniviStorDriver, harness *chaos.Harness, rec *trace.Recorder, traceTo string) {
 	if uv != nil {
 		st := uv.Sys.Stats()
 		out.Stats = &st
@@ -491,10 +473,9 @@ func main() {
 	if harness != nil {
 		rep := harness.Finish()
 		out.Chaos = &rep
-		out.ReadLostRanks = readLost
 	}
 	if rec != nil {
-		if err := rec.ExportChromeFile(*traceTo); err != nil {
+		if err := rec.ExportChromeFile(traceTo); err != nil {
 			fatal("writing trace: %v", err)
 		}
 		out.TraceSummary = rec.Summarize(8)

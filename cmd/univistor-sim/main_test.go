@@ -9,9 +9,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"univistor/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden_reports.txt")
@@ -147,13 +151,13 @@ func goldenRows() []reportRow {
 	)
 }
 
-// runReport runs univistor-sim with a trace export and returns its stdout,
-// failing the test on a non-zero exit (which includes any invariant
-// violation under -chaos).
-func runReport(t *testing.T, bin, args string, workers int) []byte {
+// runReport runs univistor-sim with a trace export and returns its stdout
+// and the exported trace, failing the test on a non-zero exit (which
+// includes any invariant violation under -chaos).
+func runReport(t *testing.T, bin, args string, workers int) (report, traceJSON []byte) {
 	t.Helper()
-	argv := append(strings.Fields(args),
-		"-trace", filepath.Join(t.TempDir(), "t.json"), "-workers", fmt.Sprint(workers))
+	tracePath := filepath.Join(t.TempDir(), "t.json")
+	argv := append(strings.Fields(args), "-trace", tracePath, "-workers", fmt.Sprint(workers))
 	cmd := exec.Command(bin, argv...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
@@ -161,13 +165,41 @@ func runReport(t *testing.T, bin, args string, workers int) []byte {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("univistor-sim %s: %v\nstderr:\n%s", args, err, stderr.String())
 	}
-	return stdout.Bytes()
+	traceJSON, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.Bytes(), traceJSON
+}
+
+// checkTraceCounters validates an exported trace and requires the report's
+// trace_summary.counters to name exactly the trace's counter series — the
+// summary and the Perfetto export read the same series.
+func checkTraceCounters(t *testing.T, report, traceJSON []byte) {
+	t.Helper()
+	rep, err := trace.ValidateChrome(traceJSON)
+	if err != nil {
+		t.Fatalf("exported trace: %v", err)
+	}
+	var out Output
+	if err := json.Unmarshal(report, &out); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range out.TraceSummary.Counters {
+		names = append(names, c.Name)
+	}
+	sort.Strings(names)
+	if !slices.Equal(names, rep.Counters) {
+		t.Errorf("trace_summary counters %v, trace counter series %v", names, rep.Counters)
+	}
 }
 
 // TestGoldenReports pins the full JSON report of every golden row —
 // including the meta_op_detail and trace_summary blocks — as one SHA-256
 // digest per row. Every row must also exit 0, so this doubles as the
-// metadata-plane, dedup, gateway and split chaos gate.
+// metadata-plane, dedup, gateway and split chaos gate, and must export a
+// valid trace whose counter series match the summary's.
 // Regenerate with: go test ./cmd/univistor-sim -run TestGoldenReports -update
 func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
@@ -191,9 +223,10 @@ func TestGoldenReports(t *testing.T) {
 	got := make([]string, len(rows))
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			out := runReport(t, bin, row.args, 1)
+			out, traceJSON := runReport(t, bin, row.args, 1)
+			checkTraceCounters(t, out, traceJSON)
 			if row.workers {
-				if out2 := runReport(t, bin, row.args, 2); !bytes.Equal(out, out2) {
+				if out2, _ := runReport(t, bin, row.args, 2); !bytes.Equal(out, out2) {
 					t.Errorf("report differs between -workers 1 and -workers 2")
 				}
 			}

@@ -137,8 +137,8 @@ func runCheck(path string) {
 	if err != nil {
 		fatal("invalid trace %s: %v", path, err)
 	}
-	fmt.Printf("%s: valid — %d events, %d spans, %d flows, %d counter tracks\n",
-		path, rep.Events, rep.Spans, rep.Flows, rep.CounterTracks)
+	fmt.Printf("%s: valid — %d events, %d spans, %d flows, %d resource tracks, %d counter series\n",
+		path, rep.Events, rep.Spans, rep.Flows, len(rep.Resources), len(rep.Counters))
 	fmt.Printf("categories: %s\n", strings.Join(rep.Categories, ", "))
 }
 

@@ -68,12 +68,11 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 	const nodes = 8
 	e := sim.NewEngine()
 	pl, err := metaplane.New(metaplane.Config{
-		Shards:          shards,
-		Replicas:        replicas,
-		Nodes:           nodes,
-		RangeSize:       rangeSize,
-		Seed:            1234,
-		RecordLatencies: true,
+		Shards:    shards,
+		Replicas:  replicas,
+		Nodes:     nodes,
+		RangeSize: rangeSize,
+		Seed:      1234,
 		Costs: metaplane.Costs{
 			NetLatency: tc.NetLatency,
 			ShmLatency: cc.ShmLatency,
@@ -84,6 +83,7 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 	if err != nil {
 		panic(fmt.Sprintf("bench: figmeta plane: %v", err))
 	}
+	var lat []float64 // stat round trips, timed at the caller
 	for c := 0; c < clients; c++ {
 		c := c
 		e.Go(fmt.Sprintf("meta-client-%d", c), func(p *sim.Proc) {
@@ -95,7 +95,9 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 					FID: fid, Offset: off, Size: rangeSize, Proc: c, VA: off,
 				})
 				if i%2 == 1 {
+					t0 := p.Now()
 					pl.Stat(p, node, fid, off)
+					lat = append(lat, float64(p.Now()-t0))
 				}
 			}
 		})
@@ -106,7 +108,6 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 	if end > 0 {
 		opsPerSec = float64(charged) / float64(end)
 	}
-	lat := append([]float64(nil), pl.StatLatencies()...)
 	sort.Float64s(lat)
 	return opsPerSec, trace.Quantile(lat, 0.99) * 1e6
 }

@@ -77,18 +77,17 @@ func FigSplit(o Options) *Result {
 }
 
 // newStormPlane builds the storm's plane: the core system's cost
-// parameters on the Cori fabric, latency recording on.
+// parameters on the Cori fabric.
 func newStormPlane(shards int, leased bool) *metaplane.Plane {
 	tc := topology.Cori()
 	cc := core.DefaultConfig()
 	pl, err := metaplane.New(metaplane.Config{
-		Shards:          shards,
-		Replicas:        3,
-		Nodes:           8,
-		RangeSize:       1 << 20,
-		Seed:            1234,
-		RecordLatencies: true,
-		FollowerReads:   leased,
+		Shards:        shards,
+		Replicas:      3,
+		Nodes:         8,
+		RangeSize:     1 << 20,
+		Seed:          1234,
+		FollowerReads: leased,
 		// Small batches so the split's transfer windows interleave with
 		// the storm instead of one long freeze.
 		SplitBatchRecords: 64,

@@ -116,8 +116,19 @@ func (sys *System) casPlanFlush(p *sim.Proc, fs *fileState, recs []meta.Record) 
 	sys.stats.DedupBytesSaved += fs.cachedTotal - phys
 	sys.casLogical += fs.cachedTotal
 	sp.End(p.Now())
-	sys.W.Trace.CASSample(p.Now(), sys.casLogical, sys.stats.BytesFlushedPhysical, sys.cas.PendingBytes())
+	sys.traceCAS(p.Now())
 	return phys
+}
+
+// traceCAS records the dedup layer's counter series: cumulative logical
+// bytes presented to flush, the physical bytes actually moved, and the
+// dead bytes pending GC.
+func (sys *System) traceCAS(t sim.Time) {
+	if tr := sys.W.Trace; tr.Enabled() {
+		tr.Counter(t, "cas.logical_bytes", sys.casLogical)
+		tr.Counter(t, "cas.physical_bytes", sys.stats.BytesFlushedPhysical)
+		tr.Counter(t, "cas.dead_bytes", sys.cas.PendingBytes())
+	}
 }
 
 // casDeleteRange releases the flushed blocks lying entirely inside the
@@ -169,7 +180,7 @@ func (sys *System) casGCRun(p *sim.Proc) {
 		sp.End(p.Now())
 		sys.stats.CASGCRuns++
 		sys.stats.CASGCBytes += bytes
-		sys.W.Trace.CASSample(p.Now(), sys.casLogical, sys.stats.BytesFlushedPhysical, sys.cas.PendingBytes())
+		sys.traceCAS(p.Now())
 	}
 }
 

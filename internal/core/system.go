@@ -272,10 +272,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 				sys.InvariantCheck("metasplitdone")
 			}
 		}
-		if w.Trace.Enabled() {
-			pl.Sampler = w.Trace.MetaSample
-			pl.LeaseSampler = w.Trace.LeaseSample
-		}
+		pl.Trace = w.Trace
 		sys.explain = append(sys.explain, fmt.Sprintf(
 			"metadata plane: %d shards × %d replicas across %d nodes",
 			cfg.MetaShards, replicas, nNodes))

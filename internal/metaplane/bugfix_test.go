@@ -117,31 +117,3 @@ func containsAll(violations []string, subs ...string) bool {
 	}
 	return true
 }
-
-// Regression: Delete used to file its commit latency into the put series,
-// conflating the two tails in the figure percentiles.
-func TestDeleteLatenciesRecordedSeparately(t *testing.T) {
-	cfg := testConfig(2, 3)
-	cfg.RecordLatencies = true
-	pl := mustPlane(t, cfg)
-	drive(t, func(p *sim.Proc) {
-		for i := 0; i < 90; i++ {
-			pl.Put(p, 0, rec(1, int64(i)*256, 256))
-		}
-		for i := 0; i < 30; i++ {
-			pl.Delete(p, 0, 1, int64(i)*256)
-		}
-		for i := 30; i < 60; i++ {
-			pl.Stat(p, 0, 1, int64(i)*256)
-		}
-	})
-	if n := len(pl.PutLatencies()); n != 90 {
-		t.Fatalf("put series has %d samples, want 90 (deletes leaked in?)", n)
-	}
-	if n := len(pl.DeleteLatencies()); n != 30 {
-		t.Fatalf("delete series has %d samples, want 30", n)
-	}
-	if n := len(pl.StatLatencies()); n != 30 {
-		t.Fatalf("stat series has %d samples, want 30", n)
-	}
-}

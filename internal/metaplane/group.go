@@ -74,8 +74,9 @@ type group struct {
 	// lost or mis-replayed entry shows up as a store/ledger mismatch.
 	ledger map[meta.Key]bool
 
-	// cumulative telemetry
+	// cumulative telemetry; opsSeries names the ops counter series
 	ops       int64
+	opsSeries string
 	appended  int64
 	snapshots int64
 

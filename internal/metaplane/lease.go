@@ -11,18 +11,6 @@ package metaplane
 // forward to the leader.
 import "univistor/internal/sim"
 
-// LeaseSampler observes the cumulative lease/split counters after every
-// follower read and migration batch — the tracer's lease counter track
-// attaches here.
-type LeaseSampler func(t sim.Time, grants, followerReads, forwardedReads, splitRecords int64)
-
-func (pl *Plane) sampleLease(t sim.Time) {
-	if pl.LeaseSampler == nil {
-		return
-	}
-	pl.LeaseSampler(t, pl.leaseGrants, pl.followerReads, pl.forwardedReads, pl.splitRecords)
-}
-
 // revokeLeases invalidates every outstanding lease on g by bumping the
 // group epoch.
 func (pl *Plane) revokeLeases(g *group) {
@@ -65,7 +53,7 @@ func (pl *Plane) chargeReadAny(p *sim.Proc, fromNode int, g *group) (sim.Time, *
 		// An arc transfer window is open: leases are revoked, ownership is
 		// in flight — forward to the leader.
 		pl.forwardedReads++
-		pl.sampleLease(p.Now())
+		pl.Trace.Counter(p.Now(), "meta.forwarded_reads", pl.forwardedReads)
 		return pl.chargeRead(p, fromNode, g), g.lead()
 	}
 	return pl.chargeFollowerRead(p, fromNode, g, r)
@@ -100,6 +88,7 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 		f.leaseEpoch = g.epoch
 		f.leaseExpiry = granted + sim.Time(leaseT)
 		pl.leaseGrants++
+		pl.Trace.Counter(granted, "meta.lease_grants", pl.leaseGrants)
 		if granted > start {
 			start = granted
 		}
@@ -114,7 +103,7 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 	respond := f.ops.Serve(start, c.OpTime) + sim.Time(lat)
 	g.ops++
 	pl.followerReads++
-	pl.sample(respond)
-	pl.sampleLease(respond)
+	pl.Trace.Counter(respond, g.opsSeries, g.ops)
+	pl.Trace.Counter(respond, "meta.follower_reads", pl.followerReads)
 	return respond - t0, f
 }

@@ -5,6 +5,7 @@ import (
 
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/trace"
 )
 
 // With FollowerReads off (the default) no lease machinery may engage.
@@ -152,27 +153,31 @@ func TestLeasesFrozenDuringSplitWindow(t *testing.T) {
 	}
 }
 
-// The lease sampler hook observes monotone cumulative counters.
-func TestLeaseSamplerObservesCounters(t *testing.T) {
+// The lease counter series end at the plane's totals and never go
+// backwards (peak == final).
+func TestLeaseCountersRecorded(t *testing.T) {
 	cfg := testConfig(1, 3)
 	cfg.FollowerReads = true
 	pl := mustPlane(t, cfg)
-	var calls int
-	var lastG, lastF int64
-	pl.LeaseSampler = func(tm sim.Time, grants, follower, forwarded, splitRecs int64) {
-		calls++
-		if grants < lastG || follower < lastF {
-			t.Errorf("lease counters went backwards")
-		}
-		lastG, lastF = grants, follower
-	}
+	pl.Trace = trace.New()
 	drive(t, func(p *sim.Proc) {
 		pl.Put(p, 0, rec(1, 0, 256))
 		for i := 0; i < 30; i++ {
 			pl.Stat(p, i%cfg.Nodes, 1, 0)
 		}
 	})
-	if calls == 0 || lastF == 0 {
-		t.Fatalf("sampler saw %d calls, %d follower reads", calls, lastF)
+	series := map[string]trace.CounterSummary{}
+	for _, c := range pl.Trace.Summarize(0).Counters {
+		series[c.Name] = c
+	}
+	st := pl.Stats()
+	for name, want := range map[string]int64{
+		"meta.lease_grants":   st.LeaseGrants,
+		"meta.follower_reads": st.FollowerReads,
+	} {
+		c := series[name]
+		if want == 0 || c.Final != want || c.Peak != want {
+			t.Errorf("%s = %+v, want final = peak = %d (nonzero)", name, c, want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/trace"
 )
 
 func testConfig(shards, replicas int) Config {
@@ -380,17 +381,19 @@ func TestMembershipHandoffPreservesRecords(t *testing.T) {
 func TestPlaneDeterministicTiming(t *testing.T) {
 	run := func() (sim.Time, Stats, []float64) {
 		cfg := testConfig(4, 3)
-		cfg.RecordLatencies = true
 		pl := mustPlane(t, cfg)
+		var lat []float64 // put commit latencies, timed at the caller
 		end := drive(t, func(p *sim.Proc) {
 			for i := 0; i < 300; i++ {
+				t0 := p.Now()
 				pl.Put(p, i%cfg.Nodes, rec(1, int64(i)*256, 256))
+				lat = append(lat, float64(p.Now()-t0))
 				if i%3 == 0 {
 					pl.Stat(p, i%cfg.Nodes, 1, int64(i)*256)
 				}
 			}
 		})
-		return end, pl.Stats(), pl.PutLatencies()
+		return end, pl.Stats(), lat
 	}
 	e1, s1, l1 := run()
 	e2, s2, l2 := run()
@@ -425,29 +428,34 @@ func TestReplicationCostsTime(t *testing.T) {
 	}
 }
 
+// Every charged op lands one sample on its shard's ops series, and each
+// series ends at that shard's op count.
 func TestSamplerObservesPerShardOps(t *testing.T) {
 	cfg := testConfig(2, 1)
 	pl := mustPlane(t, cfg)
-	var calls int
-	var last []int64
-	pl.Sampler = func(t sim.Time, shards []int, ops []int64) {
-		calls++
-		last = append(last[:0], ops...)
-	}
+	pl.Trace = trace.New()
 	drive(t, func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			pl.Put(p, 0, rec(1, int64(i)*1024, 1024))
 		}
 	})
-	if calls != 40 {
-		t.Fatalf("sampler saw %d calls, want 40", calls)
+	series := map[string]trace.CounterSummary{}
+	samples := 0
+	for _, c := range pl.Trace.Summarize(0).Counters {
+		series[c.Name] = c
+		samples += c.Samples
 	}
-	sum := int64(0)
-	for _, c := range last {
-		sum += c
+	if samples != 40 {
+		t.Fatalf("ops series hold %d samples, want 40 (%v)", samples, series)
 	}
-	if sum != 40 {
-		t.Fatalf("final cumulative ops %d, want 40 (%v)", sum, last)
+	for _, ss := range pl.Stats().PerShard {
+		c := series[fmt.Sprintf("meta.shard%d.ops", ss.Shard)]
+		if c.Final != ss.Ops || c.Peak != ss.Ops {
+			t.Errorf("shard %d series %+v, want final = peak = %d ops", ss.Shard, c, ss.Ops)
+		}
+	}
+	if len(series) != 2 {
+		t.Fatalf("series = %v, want one per shard", series)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/trace"
 )
 
 // DefaultSnapshotEvery is the retained-WAL-entry threshold at which a
@@ -59,10 +60,6 @@ type Config struct {
 	// Seed derives the replica stores' skiplist seeds.
 	Seed int64
 
-	// RecordLatencies retains per-op commit/stat latency samples for the
-	// benchmark percentiles (off for figure runs to keep memory flat).
-	RecordLatencies bool
-
 	// FollowerReads lets Stat/Lookup be served by a follower holding a
 	// time-bounded lease from its leader (bounded staleness of LeaseTime on
 	// the virtual clock). Off (the default) keeps every read on the leader —
@@ -107,12 +104,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Sampler observes the cumulative per-shard op counts after each charged
-// operation — the hook the tracer's per-shard counter track attaches to.
-// shards and ops are parallel slices ordered by shard id; the slices are
-// reused across calls and must not be retained.
-type Sampler func(t sim.Time, shards []int, ops []int64)
-
 // Plane is the sharded, replicated metadata service.
 type Plane struct {
 	cfg  Config
@@ -126,8 +117,12 @@ type Plane struct {
 
 	split *splitRun // active online split, nil otherwise
 
-	// Sampler, when set, is called after every charged op.
-	Sampler Sampler
+	// Trace, when non-nil, records the plane's counter series: each
+	// shard's cumulative charged ops (meta.shard<N>.ops) after every op,
+	// and the cumulative lease grants, follower-served and leader-forwarded
+	// reads, and migrated split records (meta.lease_grants,
+	// meta.follower_reads, meta.forwarded_reads, meta.split_records).
+	Trace *trace.Recorder
 
 	// Mover, when set, charges a split-migration batch as a real transfer
 	// in the caller's flow allocator (source leader node → target leader
@@ -137,11 +132,6 @@ type Plane struct {
 	// SplitDone, when set, is called (at the migrator's current virtual
 	// instant) after an online split finishes installing its ring.
 	SplitDone func(newShard int)
-
-	// LeaseSampler, when set, observes the cumulative lease/split counters
-	// after every follower read and migration batch — the tracer's lease
-	// counter track attaches here.
-	LeaseSampler LeaseSampler
 
 	puts, deletes, lookups      int64
 	failovers, recoveries       int64
@@ -157,10 +147,6 @@ type Plane struct {
 	followerReads        int64
 	forwardedReads       int64
 	staleServes          int64 // must stay 0: serves on an expired/revoked lease
-
-	latPut, latDelete, latStat []float64
-	sampleShards               []int
-	sampleOps                  []int64
 }
 
 // New builds a plane of cfg.Shards replication groups, each with
@@ -197,7 +183,7 @@ func (pl *Plane) addGroup() *group {
 func (pl *Plane) newGroup() *group {
 	id := pl.nextShard
 	pl.nextShard++
-	g := &group{id: id, ledger: map[meta.Key]bool{}}
+	g := &group{id: id, ledger: map[meta.Key]bool{}, opsSeries: fmt.Sprintf("meta.shard%d.ops", id)}
 	for k := 0; k < pl.cfg.Replicas; k++ {
 		pl.seedCtr++
 		g.replicas = append(g.replicas, &replica{
@@ -266,11 +252,8 @@ func (pl *Plane) Put(p *sim.Proc, fromNode int, rec meta.Record) int {
 	// Mirror before propose sleeps: the mutation's state lands at the call
 	// instant, and the arc may hand over while the reply is in flight.
 	pl.mirror(h, OpPut, rec)
-	d := pl.propose(p, fromNode, pl.groups[shard], OpPut, rec)
+	pl.propose(p, fromNode, pl.groups[shard], OpPut, rec)
 	pl.puts++
-	if pl.cfg.RecordLatencies {
-		pl.latPut = append(pl.latPut, float64(d))
-	}
 	return shard
 }
 
@@ -282,12 +265,8 @@ func (pl *Plane) Delete(p *sim.Proc, fromNode int, fid meta.FileID, offset int64
 	g := pl.groups[shard]
 	_, existed = g.lead().store.Get(meta.Key{FID: fid, Offset: offset})
 	pl.mirror(h, OpDelete, meta.Record{FID: fid, Offset: offset})
-	d := pl.propose(p, fromNode, g, OpDelete,
-		meta.Record{FID: fid, Offset: offset})
+	pl.propose(p, fromNode, g, OpDelete, meta.Record{FID: fid, Offset: offset})
 	pl.deletes++
-	if pl.cfg.RecordLatencies {
-		pl.latDelete = append(pl.latDelete, float64(d))
-	}
 	return existed, shard
 }
 
@@ -323,9 +302,6 @@ func (pl *Plane) Stat(p *sim.Proc, fromNode int, fid meta.FileID, offset int64) 
 	d, r := pl.chargeReadAny(p, fromNode, g)
 	rec, ok := r.store.Get(meta.Key{FID: fid, Offset: offset})
 	pl.lookups++
-	if pl.cfg.RecordLatencies {
-		pl.latStat = append(pl.latStat, float64(d))
-	}
 	p.Sleep(float64(d))
 	return rec, ok
 }
@@ -339,9 +315,6 @@ func (pl *Plane) Lookup(p *sim.Proc, fromNode, shard int) {
 	}
 	d, _ := pl.chargeReadAny(p, fromNode, g)
 	pl.lookups++
-	if pl.cfg.RecordLatencies {
-		pl.latStat = append(pl.latStat, float64(d))
-	}
 	p.Sleep(float64(d))
 }
 
@@ -353,7 +326,7 @@ func (pl *Plane) Lookup(p *sim.Proc, fromNode, shard int) {
 // commits on the acks of all alive followers if they are fewer than a
 // majority — the sim crashes replicas but never partitions them, so
 // availability wins (and recovery catches the replica up from the WAL).
-func (pl *Plane) propose(p *sim.Proc, fromNode int, g *group, kind OpKind, rec meta.Record) sim.Time {
+func (pl *Plane) propose(p *sim.Proc, fromNode int, g *group, kind OpKind, rec meta.Record) {
 	t0 := p.Now()
 	ld := g.lead()
 	c := pl.cfg.Costs
@@ -381,9 +354,8 @@ func (pl *Plane) propose(p *sim.Proc, fromNode int, g *group, kind OpKind, rec m
 
 	g.commitEntry(e, pl.cfg.SnapshotEvery)
 	g.ops++
-	pl.sample(respond)
+	pl.Trace.Counter(respond, g.opsSeries, g.ops)
 	p.Sleep(float64(respond - t0))
-	return respond - t0
 }
 
 // chargeRead books one read round trip on the shard leader's queue and
@@ -399,22 +371,8 @@ func (pl *Plane) chargeRead(p *sim.Proc, fromNode int, g *group) sim.Time {
 	}
 	respond := ld.ops.Serve(t0+sim.Time(lat), c.OpTime) + sim.Time(lat)
 	g.ops++
-	pl.sample(respond)
+	pl.Trace.Counter(respond, g.opsSeries, g.ops)
 	return respond - t0
-}
-
-// sample feeds the cumulative per-shard op counts to the Sampler hook.
-func (pl *Plane) sample(t sim.Time) {
-	if pl.Sampler == nil {
-		return
-	}
-	pl.sampleShards = pl.sampleShards[:0]
-	pl.sampleOps = pl.sampleOps[:0]
-	for _, id := range pl.order {
-		pl.sampleShards = append(pl.sampleShards, id)
-		pl.sampleOps = append(pl.sampleOps, pl.groups[id].ops)
-	}
-	pl.Sampler(t, pl.sampleShards, pl.sampleOps)
 }
 
 // ---------------------------------------------------------------------------
@@ -831,16 +789,3 @@ func (pl *Plane) Stats() Stats {
 	}
 	return s
 }
-
-// PutLatencies returns the recorded put commit latencies (only when
-// Config.RecordLatencies).
-func (pl *Plane) PutLatencies() []float64 { return pl.latPut }
-
-// DeleteLatencies returns the recorded delete commit latencies (only when
-// Config.RecordLatencies). Deletes used to be filed into the put series,
-// conflating the two tails in the figure percentiles.
-func (pl *Plane) DeleteLatencies() []float64 { return pl.latDelete }
-
-// StatLatencies returns the recorded read round-trip latencies (only when
-// Config.RecordLatencies).
-func (pl *Plane) StatLatencies() []float64 { return pl.latStat }

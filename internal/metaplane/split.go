@@ -176,7 +176,7 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 			}
 			pl.splitRecords += int64(len(batch))
 			pl.splitBytes += int64(len(batch)) * recBytes
-			pl.sampleLease(p.Now())
+			pl.Trace.Counter(p.Now(), "meta.split_records", pl.splitRecords)
 		}
 
 		// Hand the arc over: re-scan the source (keys created mid-copy are

@@ -227,7 +227,6 @@ func TestSplitSurvivesLeaderCrashInTransferWindow(t *testing.T) {
 func TestSplitDeterministicTiming(t *testing.T) {
 	run := func() (sim.Time, Stats) {
 		cfg := testConfig(2, 3)
-		cfg.RecordLatencies = true
 		pl := mustPlane(t, cfg)
 		e := sim.NewEngine()
 		e.Go("load", func(p *sim.Proc) {

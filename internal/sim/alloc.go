@@ -71,17 +71,6 @@ type AllocStats struct {
 	DiffChecks int64 `json:"diff_checks,omitempty"`
 }
 
-// AllocTracer is an optional extension of Tracer: implementations also
-// receive a sample of the allocator counters after every dirty-batch
-// solve. The engine detects it by type assertion, so existing Tracer
-// implementations are unaffected.
-type AllocTracer interface {
-	Tracer
-	// AllocSample reports the cumulative allocator counters and the
-	// number of live components after a batch solve.
-	AllocSample(t Time, s AllocStats, liveComponents int)
-}
-
 // SetDifferentialCheck toggles the allocator self-check: after every
 // incremental batch solve, the global reference solver is run over the
 // whole active set and every flow's rate is asserted bitwise-identical.

@@ -264,10 +264,9 @@ func (fs *flowSet) processDirty() {
 	if debugRecompute {
 		fs.debugBatch()
 	}
-	if fs.e.tracer != nil {
-		if at, ok := fs.e.tracer.(AllocTracer); ok {
-			at.AllocSample(fs.e.now, fs.stats, len(fs.comps))
-		}
+	if tr := fs.e.tracer; tr != nil {
+		tr.Counter(fs.e.now, "alloc.components", int64(len(fs.comps)))
+		tr.Counter(fs.e.now, "alloc.flows_solved", fs.stats.FlowsSolved)
 	}
 }
 

@@ -146,11 +146,12 @@ type Engine struct {
 }
 
 // Tracer receives the engine's instrumentation stream: fluid-flow
-// start/finish and per-resource rate-change samples (the utilization
-// timeline), plus free-form instant events. The interface is defined here
-// so the engine stays free of higher-level dependencies; the canonical
-// implementation is internal/trace.Recorder. All callbacks run in
-// dispatcher or process context (serialized) at the current virtual time.
+// start/finish, per-resource rate-change samples (the utilization
+// timeline), named counter series, and free-form instant events. The
+// interface is defined here so the engine stays free of higher-level
+// dependencies; the canonical implementation is internal/trace.Recorder.
+// All callbacks run in dispatcher or process context (serialized) at the
+// current virtual time.
 type Tracer interface {
 	// FlowBegin reports a fluid transfer entering the active set.
 	FlowBegin(t Time, id int64, size float64, resources []*Resource)
@@ -162,6 +163,14 @@ type Tracer interface {
 	ResourceSample(t Time, r *Resource, rate float64)
 	// Instant reports a free-form instant event.
 	Instant(t Time, category, name string)
+	// Counter reports the value of a named series at t: after every
+	// dirty-batch solve the live component count (alloc.components) and
+	// cumulative flows solved (alloc.flows_solved); after every worker-pool
+	// batch its width, tasks and flows (solver.batch.*) and each worker
+	// slot's cumulative tasks (solver.w<N>.tasks). The solver-pool series
+	// describe host execution — task placement is work stealing — so they
+	// vary with the worker count and never feed byte-compared output.
+	Counter(t Time, name string, v int64)
 }
 
 // defaultWorkers is the process-wide worker default: UNIVISTOR_SIM_WORKERS
@@ -515,9 +524,12 @@ type flowSet struct {
 	// batches (see processDirty in components.go and parallel.go).
 	workerScratch []solveScratch
 	taskBufs      []taskBuf
-	nextBuf       []Time  // mergeNextCompletions scratch
-	workerTasks   []int64 // per-batch tasks-per-worker telemetry scratch
+	nextBuf       []Time // mergeNextCompletions scratch
 	pstats        ParallelStats
+	// Cumulative component tasks per worker slot and the name of each
+	// slot's solver.w<N>.tasks counter series.
+	workerTasks  []int64
+	workerSeries []string
 
 	// Reusable split() scratch.
 	ufParent []int32

@@ -18,6 +18,7 @@ package sim
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -46,19 +47,6 @@ type ParallelStats struct {
 
 // ParallelStats returns a snapshot of the worker-pool counters.
 func (e *Engine) ParallelStats() ParallelStats { return e.flows.pstats }
-
-// ParallelTracer is an optional extension of Tracer: implementations also
-// receive a telemetry sample after every batch the worker pool executed.
-// Like ParallelStats, these samples describe host execution (task-to-worker
-// assignment is work-stealing), so they are *not* deterministic across runs
-// or worker counts — recorders must keep them out of any byte-compared
-// simulation output. perWorker[i] is the number of component tasks worker i
-// ran in this batch; the slice is scratch reused by the engine, so
-// implementations must copy what they keep.
-type ParallelTracer interface {
-	Tracer
-	ParallelSample(t Time, workers, components, flows int, perWorker []int64)
-}
 
 // parallelDo runs items tasks on up to workers goroutines; the caller's
 // goroutine participates as worker 0 and the call returns only when every
@@ -195,11 +183,11 @@ func (fs *flowSet) solveBatch(solve []*component, residues []splitResidue) {
 		fs.taskBufs = make([]taskBuf, n)
 		copy(fs.taskBufs, old)
 	}
-	if len(fs.workerTasks) < w {
-		fs.workerTasks = make([]int64, w)
+	for len(fs.workerTasks) < w {
+		fs.workerSeries = append(fs.workerSeries, "solver.w"+strconv.Itoa(len(fs.workerTasks))+".tasks")
+		fs.workerTasks = append(fs.workerTasks, 0)
 	}
 	workerTasks := fs.workerTasks[:w]
-	clear(workerTasks)
 	// Pre-assign one solve generation per task so resState stamps do not
 	// depend on scheduling order.
 	base := fs.solveGen
@@ -236,8 +224,13 @@ func (fs *flowSet) solveBatch(solve []*component, residues []splitResidue) {
 	if anyDead {
 		fs.removeDead()
 	}
-	if pt, ok := fs.e.tracer.(ParallelTracer); ok {
-		pt.ParallelSample(fs.e.now, w, n, nflows, workerTasks)
+	if tr := fs.e.tracer; tr != nil {
+		tr.Counter(fs.e.now, "solver.batch.workers", int64(w))
+		tr.Counter(fs.e.now, "solver.batch.components", int64(n))
+		tr.Counter(fs.e.now, "solver.batch.flows", int64(nflows))
+		for i, k := range workerTasks {
+			tr.Counter(fs.e.now, fs.workerSeries[i], k)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -40,12 +41,15 @@ func makeParScenario(seed int64, clusters, flowsPer int) parScenario {
 	return sc
 }
 
-// run executes the scenario with the given worker cap and returns every
-// flow's completion time, the final clock, and the pool counters.
-func (sc parScenario) run(t *testing.T, workers int) ([]Time, Time, ParallelStats) {
+// run executes the scenario traced, with the given worker cap, and returns
+// every flow's completion time, the final clock, the pool counters, and the
+// last value of each counter series.
+func (sc parScenario) run(t *testing.T, workers int) ([]Time, Time, ParallelStats, map[string]int64) {
 	t.Helper()
 	e := NewEngine()
 	e.SetWorkers(workers)
+	tr := &utilSampler{}
+	e.SetTracer(tr)
 	rs := make([][3]*Resource, len(sc.caps))
 	var all []*Resource
 	for c, caps := range sc.caps {
@@ -87,20 +91,21 @@ func (sc parScenario) run(t *testing.T, workers int) ([]Time, Time, ParallelStat
 		e.RecomputeResources(all...)
 	})
 	end := e.Run()
-	return completed, end, e.ParallelStats()
+	return completed, end, e.ParallelStats(), tr.counters
 }
 
 // The worker pool must be invisible in the results: a scenario wide enough
 // to fan out (more flows than parallelMinFlows, spread over many
 // components) completes every flow at exactly the same time — bit-for-bit
 // — at any worker count, and the pool must actually have run (Batches > 0)
-// when more than one worker is available.
+// when more than one worker is available. The allocator series match too,
+// and the per-worker task series account for every pooled component task.
 func TestParallelWorkersObservationallyIdentical(t *testing.T) {
 	const clusters = 6
 	flowsPer := parallelMinFlows/clusters + 40
 	sc := makeParScenario(7, clusters, flowsPer)
 
-	serial, serialEnd, serialPS := sc.run(t, 1)
+	serial, serialEnd, serialPS, serialCounters := sc.run(t, 1)
 	if serialPS.Batches != 0 {
 		t.Fatalf("workers=1 used the pool: %+v", serialPS)
 	}
@@ -114,7 +119,7 @@ func TestParallelWorkersObservationallyIdentical(t *testing.T) {
 		workerCounts = []int{2, 3, 8}
 	}
 	for _, w := range workerCounts {
-		par, parEnd, ps := sc.run(t, w)
+		par, parEnd, ps, counters := sc.run(t, w)
 		if parEnd != serialEnd {
 			t.Fatalf("workers=%d: final clock %v != serial %v", w, parEnd, serialEnd)
 		}
@@ -130,6 +135,18 @@ func TestParallelWorkersObservationallyIdentical(t *testing.T) {
 		}
 		if ps.MaxWorkers > w {
 			t.Fatalf("workers=%d: pool used %d workers", w, ps.MaxWorkers)
+		}
+		for _, name := range []string{"alloc.components", "alloc.flows_solved"} {
+			if counters[name] != serialCounters[name] {
+				t.Fatalf("workers=%d: %s = %d, serial %d", w, name, counters[name], serialCounters[name])
+			}
+		}
+		tasks := int64(0)
+		for i := 0; i < ps.MaxWorkers; i++ {
+			tasks += counters["solver.w"+strconv.Itoa(i)+".tasks"]
+		}
+		if tasks != ps.Components {
+			t.Fatalf("workers=%d: solver.w<N>.tasks sum to %d, pool ran %d component tasks", w, tasks, ps.Components)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package trace
 // Chrome trace-event JSON export. The emitted file loads directly in
 // Perfetto (ui.perfetto.dev) and chrome://tracing: simulated processes
 // appear as threads of one process (ranks as threads), fluid transfers as
-// async spans, and resources as counter tracks plotting allocated
-// bandwidth. Virtual times are exported in microseconds, the format's
-// native unit.
+// async spans, resources as counter tracks plotting allocated bandwidth,
+// and named counter series as one counter track each. Virtual times are
+// exported in microseconds, the format's native unit.
 
 import (
 	"encoding/json"
@@ -16,16 +16,14 @@ import (
 	"sort"
 )
 
-// Process ids of the exported trace: tracks (ranks), resource counters,
-// and fluid flows render as three Perfetto process groups.
+// Process ids of the exported trace: tracks (ranks), resource timelines,
+// fluid flows and named counter series render as four Perfetto process
+// groups.
 const (
 	pidTracks    = 1
 	pidResources = 2
 	pidFlows     = 3
-	pidAllocator = 4
-	pidSolver    = 5
-	pidMetaPlane = 6
-	pidCAS       = 7
+	pidCounters  = 4
 )
 
 // chromeEvent is one entry of the trace-event array.
@@ -52,7 +50,8 @@ type chromeFile struct {
 func usec(t float64) float64 { return t * 1e6 }
 
 // chromeEvents flattens the recording into trace-event entries, in a
-// deterministic order: metadata, then per-track events, flows, counters.
+// deterministic order: metadata, then per-track events, flows, resource
+// timelines, and counter series in registration order.
 func (r *Recorder) chromeEvents() []chromeEvent {
 	var out []chromeEvent
 	meta := func(pid int, name string) {
@@ -62,18 +61,7 @@ func (r *Recorder) chromeEvents() []chromeEvent {
 	meta(pidTracks, "ranks")
 	meta(pidResources, "resources")
 	meta(pidFlows, "flows")
-	if len(r.allocSamples) > 0 {
-		meta(pidAllocator, "allocator")
-	}
-	if len(r.parallelSamples) > 0 {
-		meta(pidSolver, "solver-pool")
-	}
-	if len(r.metaSamples) > 0 || len(r.leaseSamples) > 0 {
-		meta(pidMetaPlane, "metaplane")
-	}
-	if len(r.casSamples) > 0 {
-		meta(pidCAS, "cas")
-	}
+	meta(pidCounters, "counters")
 	for i, tr := range r.tracks {
 		out = append(out, chromeEvent{Name: "thread_name", Ph: "M", Pid: pidTracks,
 			Tid: i + 1, Args: map[string]any{"name": tr.name}})
@@ -112,80 +100,19 @@ func (r *Recorder) chromeEvents() []chromeEvent {
 		e.Ts = usec(float64(end))
 		out = append(out, b, e)
 	}
-	for _, res := range r.counterOrder {
-		c := r.counters[res]
+	for _, res := range r.timelineOrder {
+		c := r.timelines[res]
 		for _, s := range c.samples {
 			out = append(out, chromeEvent{Name: c.name, Ph: "C",
 				Ts: usec(float64(s.t)), Pid: pidResources, Tid: 1,
 				Args: map[string]any{"bytes_per_sec": s.rate}})
 		}
 	}
-	for _, s := range r.allocSamples {
-		out = append(out, chromeEvent{Name: "alloc.components", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidAllocator, Tid: 1,
-			Args: map[string]any{"live": s.live}})
-		out = append(out, chromeEvent{Name: "alloc.flows_solved", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidAllocator, Tid: 1,
-			Args: map[string]any{"cumulative": s.stats.FlowsSolved}})
-	}
-	// Metadata-plane telemetry: one cumulative ops counter per shard. Absent
-	// entirely in single-ring runs, so legacy exports are unchanged.
-	for _, s := range r.metaSamples {
-		for i, shard := range s.shards {
-			out = append(out, chromeEvent{Name: fmt.Sprintf("meta.shard%d.ops", shard), Ph: "C",
-				Ts: usec(float64(s.t)), Pid: pidMetaPlane, Tid: 1,
-				Args: map[string]any{"cumulative": s.ops[i]}})
-		}
-	}
-	// Lease/split telemetry: cumulative grant, follower-read, and migration
-	// counters on a second metaplane thread. Absent entirely with
-	// leader-only reads and no splits, so legacy exports are unchanged.
-	for _, s := range r.leaseSamples {
-		args := []struct {
-			name string
-			v    int64
-		}{
-			{"meta.lease_grants", s.grants},
-			{"meta.follower_reads", s.follower},
-			{"meta.forwarded_reads", s.forwarded},
-			{"meta.split_records", s.splitRecords},
-		}
-		for _, a := range args {
-			out = append(out, chromeEvent{Name: a.name, Ph: "C",
-				Ts: usec(float64(s.t)), Pid: pidMetaPlane, Tid: 2,
-				Args: map[string]any{"cumulative": a.v}})
-		}
-	}
-	// Content-addressed store telemetry: cumulative logical vs physical
-	// flush bytes and the dead bytes awaiting GC. Absent entirely without
-	// dedup, so legacy exports are unchanged.
-	for _, s := range r.casSamples {
-		out = append(out, chromeEvent{Name: "cas.logical_bytes", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidCAS, Tid: 1,
-			Args: map[string]any{"cumulative": s.logical}})
-		out = append(out, chromeEvent{Name: "cas.physical_bytes", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidCAS, Tid: 1,
-			Args: map[string]any{"cumulative": s.physical}})
-		out = append(out, chromeEvent{Name: "cas.dead_bytes", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidCAS, Tid: 1,
-			Args: map[string]any{"pending": s.dead}})
-	}
-	// Worker-pool telemetry: the batch fan-out timeline plus one cumulative
-	// task counter per worker slot. Absent entirely in serial runs, so
-	// serial exports are unchanged.
-	cum := make([]int64, 0, 8)
-	for _, s := range r.parallelSamples {
-		out = append(out, chromeEvent{Name: "solver.batch", Ph: "C",
-			Ts: usec(float64(s.t)), Pid: pidSolver, Tid: 1,
-			Args: map[string]any{"workers": s.workers, "components": s.components, "flows": s.flows}})
-		for i, n := range s.perWorker {
-			for len(cum) <= i {
-				cum = append(cum, 0)
-			}
-			cum[i] += n
-			out = append(out, chromeEvent{Name: fmt.Sprintf("solver.w%d.tasks", i), Ph: "C",
-				Ts: usec(float64(s.t)), Pid: pidSolver, Tid: 1,
-				Args: map[string]any{"cumulative": cum[i]}})
+	for _, sr := range r.series {
+		for _, pt := range sr.points {
+			out = append(out, chromeEvent{Name: sr.name, Ph: "C",
+				Ts: usec(float64(pt.t)), Pid: pidCounters, Tid: 1,
+				Args: map[string]any{"value": pt.v}})
 		}
 	}
 	return out
@@ -226,8 +153,10 @@ type CheckReport struct {
 	Spans int
 	// Categories lists the distinct span/instant categories, sorted.
 	Categories []string
-	// CounterTracks is the number of distinct counter ("C") names.
-	CounterTracks int
+	// Resources lists the distinct resource-timeline counter tracks, sorted.
+	Resources []string
+	// Counters lists the distinct named-series counter tracks, sorted.
+	Counters []string
 	// Flows is the number of async begin events.
 	Flows int
 }
@@ -247,7 +176,7 @@ func ValidateChrome(data []byte) (*CheckReport, error) {
 	}
 	rep := &CheckReport{Events: len(f.TraceEvents)}
 	cats := map[string]bool{}
-	counters := map[string]bool{}
+	resources, counters := map[string]bool{}, map[string]bool{}
 	for i, ev := range f.TraceEvents {
 		if ev.Name == "" {
 			return nil, fmt.Errorf("trace: event %d has no name", i)
@@ -278,16 +207,28 @@ func ValidateChrome(data []byte) (*CheckReport, error) {
 				return nil, fmt.Errorf("trace: async end %d (%s) has no id", i, ev.Name)
 			}
 		case "C":
-			counters[ev.Name] = true
+			if ev.Pid == pidResources {
+				resources[ev.Name] = true
+			} else {
+				counters[ev.Name] = true
+			}
 		case "M":
 		default:
 			return nil, fmt.Errorf("trace: event %d (%s) has unknown phase %q", i, ev.Name, ev.Ph)
 		}
 	}
-	for c := range cats {
-		rep.Categories = append(rep.Categories, c)
-	}
-	sort.Strings(rep.Categories)
-	rep.CounterTracks = len(counters)
+	rep.Categories = sortedKeys(cats)
+	rep.Resources = sortedKeys(resources)
+	rep.Counters = sortedKeys(counters)
 	return rep, nil
+}
+
+// sortedKeys returns a set's members in ascending order.
+func sortedKeys(set map[string]bool) []string {
+	var out []string
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

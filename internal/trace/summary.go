@@ -1,15 +1,14 @@
 package trace
 
 // Compact recording summaries: per-category span counts and virtual-time
-// duration percentiles, plus per-resource busy fractions — the at-a-glance
-// block univistor-sim embeds in its JSON output and univistor-trace prints.
+// duration percentiles, per-resource busy fractions, and the final and peak
+// value of every counter series — the at-a-glance block univistor-sim
+// embeds in its JSON output and univistor-trace prints.
 
 import (
 	"fmt"
 	"io"
 	"sort"
-
-	"univistor/internal/sim"
 )
 
 // CategorySummary aggregates the spans of one category.
@@ -57,65 +56,18 @@ type Summary struct {
 	Instants int `json:"instants"`
 	// Flows is the number of fluid transfers recorded.
 	Flows int `json:"flows"`
-	// Alloc digests the allocator-counter timeline; nil when the engine
-	// recorded no allocator samples.
-	Alloc *AllocSummary `json:"alloc,omitempty"`
-	// Parallel digests the worker-pool timeline; nil when every batch ran
-	// serially. Host-execution telemetry: not comparable across runs or
-	// worker counts (see sim.ParallelTracer).
-	Parallel *ParallelSummary `json:"parallel,omitempty"`
-	// Meta digests the metadata-plane per-shard op timeline; nil when the
-	// run used the legacy single ring.
-	Meta *MetaPlaneSummary `json:"metaplane,omitempty"`
+	// Counters digests every counter series, in registration order.
+	Counters []CounterSummary `json:"counters,omitempty"`
 }
 
-// AllocSummary is the allocator block of a recording's digest: the final
-// cumulative counters plus the sampled component high-water mark.
-type AllocSummary struct {
-	sim.AllocStats
-	// Samples is the number of dirty-batch samples on the timeline.
+// CounterSummary digests one counter series.
+type CounterSummary struct {
+	Name string `json:"name"`
+	// Samples is the number of points on the series.
 	Samples int `json:"samples"`
-	// FinalComponents is the live component count at the last sample.
-	FinalComponents int `json:"final_components"`
-}
-
-// ParallelSummary is the worker-pool block of a recording's digest.
-type ParallelSummary struct {
-	// Batches is the number of dirty batches solved on the worker pool.
-	Batches int `json:"batches"`
-	// Components and Flows total the work those batches carried.
-	Components int64 `json:"components"`
-	Flows      int64 `json:"flows"`
-	// MaxWorkers is the widest fan-out any batch used.
-	MaxWorkers int `json:"max_workers"`
-	// TasksPerWorker is the cumulative component-task count per worker
-	// slot (slot 0 is the dispatcher goroutine).
-	TasksPerWorker []int64 `json:"tasks_per_worker"`
-	// MeanUtilization estimates worker-slot occupancy: per batch, the
-	// fraction of slots that would be busy if every component cost the
-	// same, averaged over batches.
-	MeanUtilization float64 `json:"mean_utilization"`
-}
-
-// MetaPlaneSummary is the metadata-plane block of a recording's digest:
-// the final cumulative op counts per shard.
-type MetaPlaneSummary struct {
-	// Samples is the number of charged plane ops on the timeline.
-	Samples int `json:"samples"`
-	// Shards and OpsPerShard are parallel: shard ids (ascending) and the
-	// cumulative ops each served, from the last sample.
-	Shards      []int   `json:"shards"`
-	OpsPerShard []int64 `json:"ops_per_shard"`
-	// TotalOps sums OpsPerShard.
-	TotalOps int64 `json:"total_ops"`
-	// LeaseSamples counts points on the lease/split timeline; the fields
-	// below are the final cumulative values. All zero when the run used
-	// leader-only reads and never split a shard.
-	LeaseSamples   int   `json:"lease_samples,omitempty"`
-	LeaseGrants    int64 `json:"lease_grants,omitempty"`
-	FollowerReads  int64 `json:"follower_reads,omitempty"`
-	ForwardedReads int64 `json:"forwarded_reads,omitempty"`
-	SplitRecords   int64 `json:"split_records,omitempty"`
+	// Final and Peak are the last and the largest recorded value.
+	Final int64 `json:"final"`
+	Peak  int64 `json:"peak"`
 }
 
 // percentile returns the q-quantile (0 ≤ q ≤ 1) of sorted values by linear
@@ -195,8 +147,8 @@ func (r *Recorder) Summarize(maxResources int) *Summary {
 	sort.Slice(s.Spans, func(i, j int) bool { return s.Spans[i].Category < s.Spans[j].Category })
 
 	end := float64(r.maxTime)
-	for _, res := range r.counterOrder {
-		c := r.counters[res]
+	for _, res := range r.timelineOrder {
+		c := r.timelines[res]
 		rs := ResourceSummary{Name: c.name, CapacityBps: c.capacity, Samples: len(c.samples)}
 		if end > 0 {
 			busy, util := 0.0, 0.0
@@ -228,53 +180,13 @@ func (r *Recorder) Summarize(maxResources int) *Summary {
 	if maxResources > 0 && len(s.Resources) > maxResources {
 		s.Resources = s.Resources[:maxResources]
 	}
-	if n := len(r.allocSamples); n > 0 {
-		last := r.allocSamples[n-1]
-		s.Alloc = &AllocSummary{AllocStats: last.stats, Samples: n, FinalComponents: last.live}
-	}
-	if n := len(r.parallelSamples); n > 0 {
-		ps := &ParallelSummary{
-			Batches:        n,
-			TasksPerWorker: append([]int64(nil), r.workerTasks...),
+	for _, sr := range r.series {
+		n := len(sr.points) // ≥ 1: a series registers with its first sample
+		cs := CounterSummary{Name: sr.name, Samples: n, Final: sr.points[n-1].v, Peak: sr.points[0].v}
+		for _, pt := range sr.points {
+			cs.Peak = max(cs.Peak, pt.v)
 		}
-		util := 0.0
-		for _, smp := range r.parallelSamples {
-			ps.Components += int64(smp.components)
-			ps.Flows += int64(smp.flows)
-			if smp.workers > ps.MaxWorkers {
-				ps.MaxWorkers = smp.workers
-			}
-			// Slots busy in the last wave of an equal-cost schedule.
-			waves := (smp.components + smp.workers - 1) / smp.workers
-			if waves > 0 {
-				util += float64(smp.components) / float64(waves*smp.workers)
-			}
-		}
-		ps.MeanUtilization = util / float64(n)
-		s.Parallel = ps
-	}
-	if n := len(r.metaSamples); n > 0 {
-		last := r.metaSamples[n-1]
-		ms := &MetaPlaneSummary{
-			Samples:     n,
-			Shards:      append([]int(nil), last.shards...),
-			OpsPerShard: append([]int64(nil), last.ops...),
-		}
-		for _, ops := range ms.OpsPerShard {
-			ms.TotalOps += ops
-		}
-		s.Meta = ms
-	}
-	if n := len(r.leaseSamples); n > 0 {
-		if s.Meta == nil {
-			s.Meta = &MetaPlaneSummary{}
-		}
-		last := r.leaseSamples[n-1]
-		s.Meta.LeaseSamples = n
-		s.Meta.LeaseGrants = last.grants
-		s.Meta.FollowerReads = last.follower
-		s.Meta.ForwardedReads = last.forwarded
-		s.Meta.SplitRecords = last.splitRecords
+		s.Counters = append(s.Counters, cs)
 	}
 	return s
 }
@@ -299,23 +211,10 @@ func (s *Summary) Format(w io.Writer) {
 				r.Name, r.CapacityBps, r.BusyFraction, r.MeanUtilization, r.Samples)
 		}
 	}
-	if s.Alloc != nil {
-		a := s.Alloc
-		fmt.Fprintf(w, "allocator: %d batches, %d component solves (%d flows), %d merges, %d splits, peak %d components, %d parked\n",
-			a.Recomputes, a.ComponentsSolved, a.FlowsSolved, a.Merges, a.Splits, a.PeakComponents, a.ParkedFlows)
-	}
-	if s.Parallel != nil {
-		p := s.Parallel
-		fmt.Fprintf(w, "solver pool: %d parallel batches (%d components, %d flows), max %d workers, %.0f%% slot utilization, tasks/worker %v\n",
-			p.Batches, p.Components, p.Flows, p.MaxWorkers, p.MeanUtilization*100, p.TasksPerWorker)
-	}
-	if s.Meta != nil {
-		m := s.Meta
-		fmt.Fprintf(w, "metaplane: %d charged ops across %d shards, ops/shard %v\n",
-			m.TotalOps, len(m.Shards), m.OpsPerShard)
-		if m.LeaseSamples > 0 {
-			fmt.Fprintf(w, "metaplane leases: %d grants, %d follower reads (%d forwarded), %d split records migrated\n",
-				m.LeaseGrants, m.FollowerReads, m.ForwardedReads, m.SplitRecords)
+	if len(s.Counters) > 0 {
+		fmt.Fprintf(w, "%-28s %8s %14s %14s\n", "counter", "samples", "final", "peak")
+		for _, c := range s.Counters {
+			fmt.Fprintf(w, "%-28s %8d %14d %14d\n", c.Name, c.Samples, c.Final, c.Peak)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package trace is the structured event-tracing and telemetry subsystem:
 // typed spans and instant events keyed by virtual sim.Time, per-process
-// append-only buffers, fluid-flow async events, and per-resource rate
-// samples (utilization timelines). Recordings export to Chrome
-// trace-event JSON (loadable in Perfetto, see export.go) and to a compact
-// summary with per-category duration percentiles and per-resource busy
-// fractions (see summary.go).
+// append-only buffers, fluid-flow async events, per-resource rate samples
+// (utilization timelines), and named counter series. Recordings export to
+// Chrome trace-event JSON (loadable in Perfetto, see export.go) and to a
+// compact summary with per-category duration percentiles, per-resource
+// busy fractions, and each series' final and peak value (see summary.go).
 //
 // The recorder is designed so that *disabled tracing costs one nil check*:
 // every method on a nil *Recorder returns immediately without touching its
@@ -94,58 +94,23 @@ type sample struct {
 	rate float64 // bytes/s allocated across the resource at t
 }
 
-// counter is one resource's rate timeline.
-type counter struct {
+// timeline is one resource's rate timeline.
+type timeline struct {
 	name     string
 	capacity float64
 	samples  []sample
 }
 
-// allocSample is one point of the allocator-counter timeline: the
-// engine's cumulative AllocStats and the live component count after a
-// dirty-batch solve.
-type allocSample struct {
-	t     sim.Time
-	stats sim.AllocStats
-	live  int
+// point is one sample of a named counter series.
+type point struct {
+	t sim.Time
+	v int64
 }
 
-// metaSample is one point of the metadata-plane timeline: the cumulative
-// per-shard op counts after a charged plane operation.
-type metaSample struct {
-	t      sim.Time
-	shards []int
-	ops    []int64
-}
-
-// leaseSample is one point of the metadata plane's lease/split timeline:
-// cumulative lease grants, follower-served and leader-forwarded reads,
-// and migrated split records.
-type leaseSample struct {
-	t                                         sim.Time
-	grants, follower, forwarded, splitRecords int64
-}
-
-// casSample is one point of the content-addressed store's timeline: the
-// cumulative logical bytes presented to flush versus the physical bytes
-// actually moved, plus the dead bytes awaiting GC at that instant.
-type casSample struct {
-	t        sim.Time
-	logical  int64
-	physical int64
-	dead     int64
-}
-
-// parallelSample is one point of the worker-pool timeline: the fan-out
-// width and work of one parallel batch. These are host-execution
-// telemetry — task placement is work-stealing — so the timeline is not
-// deterministic across runs and never feeds byte-compared output.
-type parallelSample struct {
-	t          sim.Time
-	workers    int
-	components int
-	flows      int
-	perWorker  []int64 // tasks each worker slot ran in this batch
+// series is one named counter time series (see Recorder.Counter).
+type series struct {
+	name   string
+	points []point
 }
 
 // Recorder accumulates a simulation's trace. The zero value is not usable;
@@ -158,38 +123,26 @@ type Recorder struct {
 	flows   []flowSpan
 	flowIdx map[int64]int32 // open flow id -> index into flows
 
-	counters     map[*sim.Resource]*counter
-	counterOrder []*sim.Resource // registration order, for deterministic export
+	timelines     map[*sim.Resource]*timeline
+	timelineOrder []*sim.Resource // registration order, for deterministic export
 
-	allocSamples []allocSample // allocator-counter timeline (sim.AllocTracer)
-
-	metaSamples []metaSample // metadata-plane per-shard op timeline
-
-	leaseSamples []leaseSample // metadata-plane lease/split timeline
-
-	casSamples []casSample // CAS logical-vs-physical byte timeline
-
-	// Worker-pool telemetry (sim.ParallelTracer): the batch timeline and
-	// cumulative tasks per worker slot.
-	parallelSamples []parallelSample
-	workerTasks     []int64
+	series    []series         // named counter series, in registration order
+	seriesIdx map[string]int32 // series name -> index into series
 
 	maxTime sim.Time // latest event time seen; clamps still-open spans
 }
 
-// The recorder implements the engine's extended tracing hooks.
-var (
-	_ sim.AllocTracer    = (*Recorder)(nil)
-	_ sim.ParallelTracer = (*Recorder)(nil)
-)
+// The recorder is the engine's tracing sink.
+var _ sim.Tracer = (*Recorder)(nil)
 
 // New returns an empty enabled recorder.
 func New() *Recorder {
 	return &Recorder{
-		byProc:   map[int64]int32{},
-		byName:   map[string]int32{},
-		flowIdx:  map[int64]int32{},
-		counters: map[*sim.Resource]*counter{},
+		byProc:    map[int64]int32{},
+		byName:    map[string]int32{},
+		flowIdx:   map[int64]int32{},
+		timelines: map[*sim.Resource]*timeline{},
+		seriesIdx: map[string]int32{},
 	}
 }
 
@@ -337,11 +290,11 @@ func (r *Recorder) ResourceSample(t sim.Time, res *sim.Resource, rate float64) {
 	if r == nil {
 		return
 	}
-	c := r.counters[res]
+	c := r.timelines[res]
 	if c == nil {
-		c = &counter{name: res.Name, capacity: res.Capacity}
-		r.counters[res] = c
-		r.counterOrder = append(r.counterOrder, res)
+		c = &timeline{name: res.Name, capacity: res.Capacity}
+		r.timelines[res] = c
+		r.timelineOrder = append(r.timelineOrder, res)
 	}
 	r.note(t)
 	// Same-instant recomputes supersede each other: keep the last value.
@@ -352,99 +305,35 @@ func (r *Recorder) ResourceSample(t sim.Time, res *sim.Resource, rate float64) {
 	c.samples = append(c.samples, sample{t: t, rate: rate})
 }
 
-// AllocSample records the engine's cumulative allocator counters after a
-// dirty-batch solve (sim.AllocTracer hook). The timeline exports as a
-// counter track (components over time) and digests into the summary's
-// allocator block.
-func (r *Recorder) AllocSample(t sim.Time, s sim.AllocStats, liveComponents int) {
-	if r == nil {
-		return
+// Counter records the value of the named series at time t — the one way
+// every layer records a counter (allocator components, per-shard
+// metadata ops, lease counts, dedup bytes, solver-pool tasks). Series
+// export in registration order as Perfetto counter tracks and digest into
+// the summary's counters block. A sample at the same virtual instant as
+// the series' previous one replaces it. Hot callers pass a name they
+// built once, never one formatted per sample.
+func (r *Recorder) Counter(t sim.Time, name string, v int64) {
+	if r != nil {
+		r.counter(t, name, v)
 	}
-	r.note(t)
-	// Same-instant batches supersede each other: keep the last state.
-	if n := len(r.allocSamples); n > 0 && r.allocSamples[n-1].t == t {
-		r.allocSamples[n-1] = allocSample{t: t, stats: s, live: liveComponents}
-		return
-	}
-	r.allocSamples = append(r.allocSamples, allocSample{t: t, stats: s, live: liveComponents})
 }
 
-// MetaSample records the metadata plane's cumulative per-shard op counts
-// after a charged plane operation (the metaplane.Sampler hook). shards and
-// ops are parallel slices ordered by shard id; both are caller scratch and
-// are copied, not retained.
-func (r *Recorder) MetaSample(t sim.Time, shards []int, ops []int64) {
-	if r == nil {
-		return
+// counter is Counter's body, kept out of line so that the disabled
+// recorder's nil check inlines at every call site.
+func (r *Recorder) counter(t sim.Time, name string, v int64) {
+	i, ok := r.seriesIdx[name]
+	if !ok {
+		i = int32(len(r.series))
+		r.series = append(r.series, series{name: name})
+		r.seriesIdx[name] = i
 	}
 	r.note(t)
-	// Same-instant ops supersede each other: keep the last state.
-	if n := len(r.metaSamples); n > 0 && r.metaSamples[n-1].t == t {
-		r.metaSamples[n-1].shards = append(r.metaSamples[n-1].shards[:0], shards...)
-		r.metaSamples[n-1].ops = append(r.metaSamples[n-1].ops[:0], ops...)
+	s := &r.series[i]
+	if n := len(s.points); n > 0 && s.points[n-1].t == t {
+		s.points[n-1].v = v
 		return
 	}
-	r.metaSamples = append(r.metaSamples, metaSample{
-		t:      t,
-		shards: append([]int(nil), shards...),
-		ops:    append([]int64(nil), ops...),
-	})
-}
-
-// LeaseSample records the metadata plane's cumulative lease and split
-// counters after a follower read, forwarded read, or migration batch (the
-// metaplane.LeaseSampler hook).
-func (r *Recorder) LeaseSample(t sim.Time, grants, followerReads, forwardedReads, splitRecords int64) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	s := leaseSample{t: t, grants: grants, follower: followerReads,
-		forwarded: forwardedReads, splitRecords: splitRecords}
-	// Same-instant updates supersede each other: keep the last state.
-	if n := len(r.leaseSamples); n > 0 && r.leaseSamples[n-1].t == t {
-		r.leaseSamples[n-1] = s
-		return
-	}
-	r.leaseSamples = append(r.leaseSamples, s)
-}
-
-// CASSample records the content-addressed store's cumulative logical and
-// physical flush bytes plus the dead bytes pending GC — the
-// logical-vs-physical counter track of the dedup layer.
-func (r *Recorder) CASSample(t sim.Time, logical, physical, dead int64) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	// Same-instant updates supersede each other: keep the last state.
-	if n := len(r.casSamples); n > 0 && r.casSamples[n-1].t == t {
-		r.casSamples[n-1] = casSample{t: t, logical: logical, physical: physical, dead: dead}
-		return
-	}
-	r.casSamples = append(r.casSamples, casSample{t: t, logical: logical, physical: physical, dead: dead})
-}
-
-// ParallelSample records one worker-pool batch (sim.ParallelTracer hook):
-// its fan-out width, task and flow counts, and the per-worker task split.
-// perWorker is engine scratch and is accumulated, not retained.
-func (r *Recorder) ParallelSample(t sim.Time, workers, components, flows int, perWorker []int64) {
-	if r == nil {
-		return
-	}
-	r.note(t)
-	r.parallelSamples = append(r.parallelSamples, parallelSample{
-		t: t, workers: workers, components: components, flows: flows,
-		perWorker: append([]int64(nil), perWorker...),
-	})
-	if len(r.workerTasks) < len(perWorker) {
-		grown := make([]int64, len(perWorker))
-		copy(grown, r.workerTasks)
-		r.workerTasks = grown
-	}
-	for i, n := range perWorker {
-		r.workerTasks[i] += n
-	}
+	s.points = append(s.points, point{t: t, v: v})
 }
 
 // Events returns the total number of recorded track events (spans and

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,8 +60,11 @@ func TestRecorderSpansAndInstants(t *testing.T) {
 	if rep.Flows != 2 {
 		t.Errorf("flows = %d, want 2", rep.Flows)
 	}
-	if rep.CounterTracks != 4 {
-		t.Errorf("counter tracks = %d, want 4 (nic, disk, alloc.components, alloc.flows_solved)", rep.CounterTracks)
+	if got := strings.Join(rep.Resources, ","); got != "disk,nic" {
+		t.Errorf("resource tracks = %s, want disk,nic", got)
+	}
+	if got := strings.Join(rep.Counters, ","); got != "alloc.components,alloc.flows_solved" {
+		t.Errorf("counter series = %s, want alloc.components,alloc.flows_solved", got)
 	}
 	wantCats := []string{"flush", "mpi", "write"}
 	if strings.Join(rep.Categories, ",") != strings.Join(wantCats, ",") {
@@ -82,6 +86,7 @@ func TestDisabledRecorder(t *testing.T) {
 	rec.FlowBegin(0, 1, 100, nil)
 	rec.FlowEnd(1, 1)
 	rec.ResourceSample(0, nil, 5)
+	rec.Counter(0, "c", 1)
 	if rec.Events() != 0 || rec.Flows() != 0 {
 		t.Fatal("disabled recorder recorded something")
 	}
@@ -104,6 +109,7 @@ func TestDisabledRecorderZeroAllocs(t *testing.T) {
 		rec.ResourceSample(0, nil, 1e9)
 		rec.FlowEnd(1, 7)
 		rec.Instant(1, "sim", "tick")
+		rec.Counter(1, "alloc.components", 3)
 		sp.End(2)
 	})
 	if allocs != 0 {
@@ -195,34 +201,81 @@ func TestSummarize(t *testing.T) {
 	if !strings.Contains(buf.String(), "write") || !strings.Contains(buf.String(), "disk") {
 		t.Errorf("formatted summary missing expected rows:\n%s", buf.String())
 	}
-	if s.Alloc == nil {
-		t.Fatal("summary missing allocator block")
+	if len(s.Counters) != 2 || s.Counters[0].Name != "alloc.components" {
+		t.Fatalf("counters = %+v, want alloc.components then alloc.flows_solved", s.Counters)
 	}
-	if s.Alloc.ComponentsSolved == 0 || s.Alloc.Samples == 0 || s.Alloc.PeakComponents == 0 {
-		t.Errorf("allocator block empty: %+v", s.Alloc)
+	if c := s.Counters[0]; c.Samples == 0 || c.Peak == 0 || c.Final != 0 {
+		t.Errorf("alloc.components = %+v, want samples, a nonzero peak and 0 live at the end", c)
 	}
-	if !strings.Contains(buf.String(), "allocator:") {
-		t.Errorf("formatted summary missing allocator line:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "alloc.flows_solved") {
+		t.Errorf("formatted summary missing counter rows:\n%s", buf.String())
 	}
 }
 
-// The recorder implements sim.AllocTracer: every dirty-batch solve lands
-// one allocator sample, and same-instant batches supersede each other.
+// Every dirty-batch solve lands one allocator sample per series, and
+// same-instant batches supersede each other.
 func TestAllocSampleTimeline(t *testing.T) {
 	rec := New()
-	runScenario(rec)
-	if len(rec.allocSamples) == 0 {
+	e := sim.NewEngine()
+	e.SetTracer(rec)
+	r := sim.NewResource("disk", 40)
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *sim.Proc) {
+			p.Sleep(float64(i))
+			p.Transfer(20, r)
+		})
+	}
+	e.Run()
+	sr := rec.series[rec.seriesIdx["alloc.flows_solved"]]
+	if len(sr.points) == 0 {
 		t.Fatal("no allocator samples recorded")
 	}
 	var prev sim.Time = -1
-	for _, s := range rec.allocSamples {
-		if s.t <= prev {
-			t.Fatalf("allocator samples not strictly increasing in time: %v after %v", s.t, prev)
+	for _, pt := range sr.points {
+		if pt.t <= prev {
+			t.Fatalf("allocator samples not strictly increasing in time: %v after %v", pt.t, prev)
 		}
-		prev = s.t
+		prev = pt.t
 	}
-	last := rec.allocSamples[len(rec.allocSamples)-1]
-	if last.stats.Recomputes == 0 || last.stats.FlowsSolved == 0 {
-		t.Errorf("final allocator sample has empty counters: %+v", last.stats)
+	if got, want := sr.points[len(sr.points)-1].v, e.AllocStats().FlowsSolved; got != want {
+		t.Errorf("final alloc.flows_solved = %d, want the engine's %d", got, want)
+	}
+}
+
+// TestCounterSeries pins the series rules: a same-instant sample replaces
+// the previous one, series export and summarize in registration order,
+// and the summary reports each series' final and peak value.
+func TestCounterSeries(t *testing.T) {
+	rec := New()
+	rec.Counter(1, "b", 5)
+	rec.Counter(1, "b", 9) // same instant: replaces 5
+	rec.Counter(2, "a", 3)
+	rec.Counter(3, "b", 4)
+	rec.Counter(3, "a", 7)
+	rec.Counter(3, "a", 6) // same instant: replaces 7
+	s := rec.Summarize(0)
+	want := []CounterSummary{
+		{Name: "b", Samples: 2, Final: 4, Peak: 9},
+		{Name: "a", Samples: 2, Final: 6, Peak: 6},
+	}
+	if len(s.Counters) != len(want) {
+		t.Fatalf("counters = %+v, want %+v", s.Counters, want)
+	}
+	for i := range want {
+		if s.Counters[i] != want[i] {
+			t.Errorf("counter %d = %+v, want %+v", i, s.Counters[i], want[i])
+		}
+	}
+	if s.VirtualSeconds != 3 {
+		t.Errorf("virtual seconds = %v, want 3 (counter samples advance the end of time)", s.VirtualSeconds)
+	}
+	var got []string
+	for _, ev := range rec.chromeEvents() {
+		if ev.Ph == "C" {
+			got = append(got, fmt.Sprintf("%s@%g=%v", ev.Name, ev.Ts, ev.Args["value"]))
+		}
+	}
+	if g, w := strings.Join(got, " "), "b@1e+06=9 b@3e+06=4 a@2e+06=3 a@3e+06=6"; g != w {
+		t.Errorf("exported counter events = %s, want %s", g, w)
 	}
 }
