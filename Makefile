@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck check bench chaos-smoke
+.PHONY: all build vet test race race-diffcheck single-p check bench chaos-smoke
 
 all: check
 
@@ -16,8 +16,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full CI gate: compile, static checks, race-enabled tests, chaos gates.
-check: build vet race chaos-smoke
+# The full CI gate: compile, static checks, race-enabled tests, the
+# single-P run, chaos gates.
+check: build vet race single-p chaos-smoke
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.
@@ -34,3 +35,8 @@ bench:
 # allocator on the storage system's real resource paths.
 race-diffcheck:
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...
+
+# Process coroutines on one P while the solver pool still fans out to four
+# workers: the scheduling shape the race job does not force.
+single-p:
+	GOMAXPROCS=1 UNIVISTOR_SIM_WORKERS=4 $(GO) test ./internal/sim/... ./internal/core/... ./cmd/univistor-sim

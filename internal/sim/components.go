@@ -509,7 +509,7 @@ func (fs *flowSet) completeAll(gen int64) {
 			e.tracer.FlowEnd(e.now, f.traceID)
 		}
 		if f.p != nil {
-			f.p.resume()
+			f.p.Resume()
 		}
 		if f.done != nil {
 			e.At(e.now, f.done)

@@ -10,6 +10,10 @@
 // concurrently and ties are broken by event sequence number, simulations are
 // fully deterministic.
 //
+// Each process is an iter.Pull coroutine run from Run's goroutine, so a
+// panic in a process comes out of Run. proc.go, the one file that needs
+// go1.23, says so in a build constraint while go.mod stays at 1.22.
+//
 // Batch solves of the flow allocator may fan out across a worker pool (see
 // SetWorkers); the parallel sections only touch state private to one
 // connected component and their results are merged in a deterministic order
@@ -131,10 +135,8 @@ type Engine struct {
 	events eventHeap
 	seq    int64
 
-	idle chan struct{} // signalled by a proc when it parks or exits
-
 	procSeq  int64
-	parked   int // procs currently parked (alive but blocked)
+	parked   int // procs alive but waiting for a resume
 	flows    flowSet
 	flowSeq  int64 // trace ids for flows (assigned only when tracing)
 	tracer   Tracer
@@ -192,7 +194,7 @@ func workersConfig(v string) int {
 // (overridable via UNIVISTOR_SIM_WORKERS or SetWorkers) — results are
 // identical at any worker count.
 func NewEngine() *Engine {
-	e := &Engine{idle: make(chan struct{}), workers: defaultWorkers}
+	e := &Engine{workers: defaultWorkers}
 	e.flows.e = e
 	if os.Getenv("UNIVISTOR_SIM_DIFFCHECK") != "" {
 		e.flows.diffCheck = true
@@ -245,105 +247,13 @@ func (e *Engine) at(t Time, ev event) {
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 
-// Proc is a simulated process: a goroutine whose blocking operations are
-// mediated by the engine.
-type Proc struct {
-	e    *Engine
-	id   int64
-	name string
-	wake chan struct{}
-	dead bool
-}
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the engine-unique process id.
-func (p *Proc) ID() int64 { return p.id }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.e.now }
-
-// Go spawns a new simulated process running fn. The process starts at the
-// current virtual time, after the caller blocks or returns. Go may be called
-// before Run or from inside a running process.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	e.procSeq++
-	p := &Proc{e: e, id: e.procSeq, name: name, wake: make(chan struct{})}
-	e.At(e.now, func() {
-		go func() {
-			defer func() {
-				p.dead = true
-				e.idle <- struct{}{}
-			}()
-			<-p.wake
-			fn(p)
-		}()
-		p.wake <- struct{}{}
-		<-e.idle
-	})
-	return p
-}
-
-// park blocks the calling process until the dispatcher resumes it. Every
-// park must be paired with exactly one prior or future resume/resumeAt.
-func (p *Proc) park() {
-	p.e.parked++
-	p.e.idle <- struct{}{}
-	<-p.wake
-}
-
-// resume schedules the parked process to continue at the current virtual
-// time. It must only be called from dispatcher or process context (both are
-// serialized, so no locking is needed).
-func (p *Proc) resume() { p.resumeAt(p.e.now) }
-
-// resumeAt schedules the parked process to continue at absolute time t.
-// The continuation is a typed event, not a closure, so parking and
-// resuming allocate nothing in steady state.
-func (p *Proc) resumeAt(t Time) {
-	p.e.at(t, event{kind: evResume, proc: p})
-}
-
-// Park blocks the process until some other process or event callback calls
-// Resume. It is the building block for external synchronization primitives;
-// every Park must be matched by exactly one Resume.
-func (p *Proc) Park() { p.park() }
-
-// Resume schedules a parked process to continue at the current virtual
-// time. Calling Resume on a process that is not parked (or twice for one
-// Park) corrupts the scheduler; external primitives must track waiters.
-func (p *Proc) Resume() { p.resume() }
-
-// Sleep suspends the process for d seconds of virtual time. A non-positive d
-// returns immediately without yielding.
-func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		return
-	}
-	p.resumeAt(p.e.now + Time(d))
-	p.park()
-}
-
-// Yield lets every other event scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() {
-	p.resumeAt(p.e.now)
-	p.park()
-}
-
 // dispatch executes one popped event in dispatcher context.
 func (e *Engine) dispatch(ev *event) {
 	switch ev.kind {
 	case evFn:
 		ev.fn()
 	case evResume:
-		e.parked--
-		ev.proc.wake <- struct{}{}
-		<-e.idle
+		ev.proc.step()
 	case evComplete:
 		e.flows.completeAll(ev.gen)
 	case evBatch:
@@ -359,7 +269,7 @@ func (e *Engine) dispatch(ev *event) {
 		if f.pending == 0 {
 			p := f.p
 			e.flows.freeFanout(f)
-			p.resume()
+			p.Resume()
 		}
 	}
 }
@@ -615,7 +525,7 @@ func (p *Proc) Transfer(size float64, resources ...*Resource) {
 		e.flows.traceFlowStart(f, size)
 	}
 	e.flows.add(f)
-	p.park()
+	p.Park()
 }
 
 // StartTransfer starts a transfer that invokes done on completion without
@@ -679,7 +589,7 @@ func (p *Proc) TransferAll(flows []Flow) {
 		}
 		e.flows.add(f)
 	}
-	p.park()
+	p.Park()
 }
 
 // RecomputeFlows re-runs the max-min allocation across every component,

@@ -104,7 +104,7 @@ func (p *Proc) TransferGroup(g *FlowGroup, size float64, resources ...*Resource)
 		e.flows.traceFlowStart(f, size)
 	}
 	e.flows.add(f)
-	p.park()
+	p.Park()
 }
 
 // StartTransferGroup is the non-blocking form of TransferGroup: the flow

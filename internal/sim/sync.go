@@ -26,9 +26,7 @@ func (m *Mailbox) Len() int { return len(m.queue) }
 func (m *Mailbox) Send(v any) {
 	m.queue = append(m.queue, v)
 	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w.resume()
+		popFront(&m.waiters).Resume()
 	}
 }
 
@@ -36,11 +34,9 @@ func (m *Mailbox) Send(v any) {
 func (m *Mailbox) Recv(p *Proc) any {
 	for len(m.queue) == 0 {
 		m.waiters = append(m.waiters, p)
-		p.park()
+		p.Park()
 	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v
+	return popFront(&m.queue)
 }
 
 // TryRecv dequeues the oldest message without blocking. It returns false if
@@ -49,9 +45,20 @@ func (m *Mailbox) TryRecv() (any, bool) {
 	if len(m.queue) == 0 {
 		return nil, false
 	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v, true
+	return popFront(&m.queue), true
+}
+
+// popFront removes and returns the head of a FIFO slice. Taking the last
+// element rewinds onto the backing array, so a queue that drains between
+// uses never reallocates.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	clear(s[:1])
+	if *q = s[1:]; len(s) == 1 {
+		*q = s[:0]
+	}
+	return v
 }
 
 // WaitGroup counts outstanding pieces of simulated work, like sync.WaitGroup
@@ -70,7 +77,7 @@ func (wg *WaitGroup) Add(delta int) {
 	}
 	if wg.count == 0 {
 		for _, w := range wg.waiters {
-			w.resume()
+			w.Resume()
 		}
 		wg.waiters = nil
 	}
@@ -83,7 +90,7 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.count > 0 {
 		wg.waiters = append(wg.waiters, p)
-		p.park()
+		p.Park()
 	}
 }
 
@@ -101,7 +108,7 @@ func NewSemaphore(n int) *Semaphore { return &Semaphore{available: n} }
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.available == 0 {
 		s.waiters = append(s.waiters, p)
-		p.park()
+		p.Park()
 	}
 	s.available--
 }
@@ -110,9 +117,7 @@ func (s *Semaphore) Acquire(p *Proc) {
 func (s *Semaphore) Release() {
 	s.available++
 	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.resume()
+		popFront(&s.waiters).Resume()
 	}
 }
 
@@ -140,7 +145,7 @@ func (b *Barrier) Wait(p *Proc) {
 		b.arrived = 0
 		b.round++
 		for _, w := range b.waiters {
-			w.resume()
+			w.Resume()
 		}
 		b.waiters = nil
 		return
@@ -148,7 +153,7 @@ func (b *Barrier) Wait(p *Proc) {
 	round := b.round
 	b.waiters = append(b.waiters, p)
 	for b.round == round {
-		p.park()
+		p.Park()
 	}
 }
 
@@ -166,7 +171,7 @@ func (ev *Event) Set() {
 	}
 	ev.set = true
 	for _, w := range ev.waiters {
-		w.resume()
+		w.Resume()
 	}
 	ev.waiters = nil
 }
@@ -178,7 +183,7 @@ func (ev *Event) IsSet() bool { return ev.set }
 func (ev *Event) Wait(p *Proc) {
 	for !ev.set {
 		ev.waiters = append(ev.waiters, p)
-		p.park()
+		p.Park()
 	}
 }
 
