@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck single-p check bench chaos-smoke
+.PHONY: all build vet test race race-diffcheck check bench chaos-smoke
 
 all: check
 
@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -16,9 +17,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full CI gate: compile, static checks, race-enabled tests, the
-# single-P run, chaos gates.
-check: build vet race single-p chaos-smoke
+# The full CI gate: compile, static checks, race-enabled tests, chaos
+# gates.
+check: build vet race chaos-smoke
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.
@@ -31,12 +32,7 @@ bench:
 	$(GO) run ./cmd/univibench -quick -all
 
 # Race-enabled sim, chaos and core tests with the differential-check oracle
-# armed, so the concurrent solver is exercised against the reference
+# armed, so the incremental solver is checked against the reference
 # allocator on the storage system's real resource paths.
 race-diffcheck:
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...
-
-# Process coroutines on one P while the solver pool still fans out to four
-# workers: the scheduling shape the race job does not force.
-single-p:
-	GOMAXPROCS=1 UNIVISTOR_SIM_WORKERS=4 $(GO) test ./internal/sim/... ./internal/core/... ./cmd/univistor-sim

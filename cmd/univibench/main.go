@@ -30,7 +30,6 @@ func main() {
 		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) of each run to this path (last run wins)")
 		smoke   = flag.Bool("chaos-smoke", false, "run every figure with fault injection armed and sweep all invariants; exit 1 on any violation")
 		spec    = flag.String("chaos-spec", "", "chaos spec for -chaos-smoke (default: the built-in non-destructive schedule)")
-		workers = flag.Int("workers", 0, "solver worker pool size per engine (0 = runtime.NumCPU(); results are byte-identical at any value)")
 	)
 	flag.Parse()
 
@@ -61,7 +60,6 @@ func main() {
 	o.Verbose = *verbose
 	o.Progress = os.Stderr
 	o.TracePath = *traceTo
-	o.Workers = *workers
 
 	switch {
 	case *smoke:

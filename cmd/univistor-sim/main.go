@@ -123,9 +123,19 @@ func main() {
 		gwSeed  = flag.Int64("gw-seed", 1, "gateway: workload seed")
 		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) to this path")
 		chaosIn = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
-		workers = flag.Int("workers", 0, "solver worker pool size (0 = runtime.NumCPU(), also settable via UNIVISTOR_SIM_WORKERS; results are byte-identical at any value)")
 	)
 	flag.Parse()
+	for _, sz := range []struct {
+		name string
+		v    int64
+	}{{"-procs", int64(*procs)}, {"-ranks-per-node", int64(*perNode)}, {"-mb", *mb}, {"-seg-mb", *segMB}} {
+		if sz.v < 1 {
+			fatal("%s must be at least 1, got %d", sz.name, sz.v)
+		}
+	}
+	if !(*ckptChange >= 0 && *ckptChange <= 1) { // also rejects NaN
+		fatal("-ckpt-change must lie in [0, 1], got %v", *ckptChange)
+	}
 	if *metaReplicas > 1 && *metaShards == 0 {
 		fatal("-meta-replicas requires -meta-shards")
 	}
@@ -177,9 +187,6 @@ func main() {
 	}
 
 	e := sim.NewEngine()
-	if *workers > 0 {
-		e.SetWorkers(*workers)
-	}
 	policy := schedule.InterferenceAware
 	if *noIA {
 		policy = schedule.CFS

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -96,13 +97,43 @@ func TestDebugDiagnosticsDoNotCorruptJSON(t *testing.T) {
 	}
 }
 
+// Sizes that would divide by zero, crash the launcher or produce a
+// meaningless report are refused up front: exit 1 with a univistor-sim:
+// message, never a panic.
+func TestBadSizesRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildSim(t)
+	for _, args := range []string{
+		"-procs 0",
+		"-ranks-per-node 0",
+		"-mb -4",
+		"-ckpt 2 -seg-mb 0",
+		"-ckpt-change 1.5",
+		"-ckpt-change -0.1",
+		"-ckpt-change NaN",
+	} {
+		t.Run(args, func(t *testing.T) {
+			cmd := exec.Command(bin, strings.Fields(args)...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("want exit 1, got %v\nstderr:\n%s", err, stderr.String())
+			}
+			if msg := stderr.String(); !strings.HasPrefix(msg, "univistor-sim: ") || strings.Contains(msg, "panic") {
+				t.Errorf("want a univistor-sim: message and no panic, got:\n%s", msg)
+			}
+		})
+	}
+}
+
 // reportRow is one pinned univistor-sim invocation.
 type reportRow struct {
 	name string
 	args string
-	// workers additionally runs the row at -workers 2 and requires the
-	// same report as at -workers 1.
-	workers bool
 }
 
 // goldenRows are the chaos gates over the sharded metadata plane, three
@@ -130,13 +161,13 @@ func goldenRows() []reportRow {
 			reportRow{name: fmt.Sprintf("meta-seed%d", seed), args: fmt.Sprintf(
 				"-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -read -meta-shards 3 -meta-replicas 3 "+
 					"-chaos seed=%d,check=0.2,horizon=3,metacrash=0@0.05+0.4,metacrash=1@0.1,metacrash=2@0.15+0.5", seed)},
-			reportRow{name: fmt.Sprintf("dedup-seed%d", seed), workers: true, args: fmt.Sprintf(
+			reportRow{name: fmt.Sprintf("dedup-seed%d", seed), args: fmt.Sprintf(
 				"-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -dedup -ckpt 5 -ckpt-retain 2 -meta-shards 3 -meta-replicas 3 "+
 					"-chaos seed=%d,check=0.2,horizon=3,metacrash=0@6.5,metacrash=1@8.2,crash=1@15.045", seed)},
 			reportRow{name: fmt.Sprintf("gateway-seed%d", seed), args: fmt.Sprintf(
 				"-gateway -tenants 32 -qos -zipf 1.4 -gw-arrival 12 -gw-seconds 2 -gw-seed %d -meta-shards 3 -meta-replicas 3 "+
 					"-chaos seed=%d,check=0.2,horizon=4,metacrash=0@0.4+0.5,metacrash=1@0.8", seed, seed)},
-			reportRow{name: fmt.Sprintf("split-seed%d", seed), workers: true, args: fmt.Sprintf(
+			reportRow{name: fmt.Sprintf("split-seed%d", seed), args: fmt.Sprintf(
 				"-gateway -tenants 16 -gw-arrival 400 -gw-seconds 0.6 -gw-kb 8 "+
 					"-meta-shards 3 -meta-replicas 3 -meta-follower-reads -meta-split 1@0.2 "+
 					"-chaos seed=%d,check=0.1,horizon=0.7,metacrash=1@0.25", seed)},
@@ -144,7 +175,7 @@ func goldenRows() []reportRow {
 	}
 	return append(rows,
 		reportRow{name: "ring-micro", args: "-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -read -flush"},
-		reportRow{name: "ring-dedup", workers: true, args: "-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -dedup -ckpt 5 -ckpt-retain 2 " +
+		reportRow{name: "ring-dedup", args: "-procs 16 -ranks-per-node 8 -mb 16 -seg-mb 4 -dedup -ckpt 5 -ckpt-retain 2 " +
 			"-chaos seed=1,check=0.2,horizon=3,metacrash=0@6.5,metacrash=1@8.2,crash=1@15.045"},
 		reportRow{name: "ring-gateway", args: "-gateway -tenants 32 -qos -zipf 1.4 -gw-arrival 12 -gw-seconds 2 -gw-seed 1 " +
 			"-chaos seed=1,check=0.2,horizon=4,metacrash=0@0.4+0.5,metacrash=1@0.8"},
@@ -154,10 +185,10 @@ func goldenRows() []reportRow {
 // runReport runs univistor-sim with a trace export and returns its stdout
 // and the exported trace, failing the test on a non-zero exit (which
 // includes any invariant violation under -chaos).
-func runReport(t *testing.T, bin, args string, workers int) (report, traceJSON []byte) {
+func runReport(t *testing.T, bin, args string) (report, traceJSON []byte) {
 	t.Helper()
 	tracePath := filepath.Join(t.TempDir(), "t.json")
-	argv := append(strings.Fields(args), "-trace", tracePath, "-workers", fmt.Sprint(workers))
+	argv := append(strings.Fields(args), "-trace", tracePath)
 	cmd := exec.Command(bin, argv...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
@@ -223,13 +254,8 @@ func TestGoldenReports(t *testing.T) {
 	got := make([]string, len(rows))
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			out, traceJSON := runReport(t, bin, row.args, 1)
+			out, traceJSON := runReport(t, bin, row.args)
 			checkTraceCounters(t, out, traceJSON)
-			if row.workers {
-				if out2, _ := runReport(t, bin, row.args, 2); !bytes.Equal(out, out2) {
-					t.Errorf("report differs between -workers 1 and -workers 2")
-				}
-			}
 			got[i] = fmt.Sprintf("%x", sha256.Sum256(out))
 			if !*update && got[i] != want[row.name] {
 				t.Errorf("report digest %s, golden %s", got[i], want[row.name])

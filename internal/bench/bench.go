@@ -58,11 +58,6 @@ type Options struct {
 	// ChaosReport, when set alongside Chaos, observes each completed
 	// stack's chaos report (the -chaos-smoke collector).
 	ChaosReport func(chaos.Report)
-	// Workers, when positive, caps the engine's solver worker pool on
-	// every stack the sweep builds (sim.Engine.SetWorkers). 0 keeps the
-	// engine default (NumCPU / UNIVISTOR_SIM_WORKERS). Figure output is
-	// byte-identical at every worker count.
-	Workers int
 }
 
 // DefaultOptions reproduces the paper's sweep.
@@ -246,9 +241,6 @@ type variant struct {
 func buildStack(v variant, procs int, o Options) *stack {
 	tc := clusterFor(procs, o, v.topo)
 	e := sim.NewEngine()
-	if o.Workers > 0 {
-		e.SetWorkers(o.Workers)
-	}
 	w := mpi.NewWorld(e, topology.New(e, tc), v.policy)
 	st := &stack{E: e, W: w}
 	if o.TracePath != "" {

@@ -409,6 +409,20 @@ func (h fastHeap) update(i int, share float64) {
 	}
 }
 
+// solveScratch is allocateFast's reusable state: the touched-set,
+// share-heap and re-key buffers plus the parked-flow count the caller
+// folds into the stats.
+type solveScratch struct {
+	touched []*Resource
+	heap    fastHeap
+	pend    []*resState
+	parked  int64
+	// pruned counts resources kept out of the share heap as non-binding,
+	// cumulatively. It is a host-side diagnostic for tests, not a
+	// simulation result, so it is not part of AllocStats.
+	pruned int64
+}
+
 // allocateFast is the allocator's solver: identical arithmetic and
 // bottleneck ordering to allocateRef, but the per-resource solve state is
 // reached through Resource.state instead of a map, and the share heap is
@@ -419,13 +433,10 @@ func (h fastHeap) update(i int, share float64) {
 // the heap members it touched once (see the file comment for why both
 // are exact).
 //
-// It is a method on solveScratch, not flowSet, so that parallel batches
-// can run one solve per worker with disjoint scratch: all mutable state is
-// either in the scratch, in the gen-stamped resStates of the component's
-// own resources, or in the component's own flows. gen must be unique per
-// solve (pre-assigned sequentially for parallel tasks, so results do not
-// depend on worker interleaving). Parked-flow visits are counted in
-// sc.parked for the caller to merge into the stats deterministically.
+// All mutable state is in the scratch, in the gen-stamped resStates of
+// the flows' resources, or in the flows themselves; gen must be unique per
+// solve. Parked-flow visits are counted in sc.parked for the caller to
+// fold into the stats.
 func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 	touched := sc.touched[:0]
 	ensure := func(r *Resource) *resState {

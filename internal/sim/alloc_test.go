@@ -149,13 +149,7 @@ func randomScenario(r *rand.Rand) scenario {
 
 // prunedResources totals the non-binding resources the engine's solver
 // scratch has kept out of the share heap.
-func prunedResources(e *Engine) int64 {
-	var n int64
-	for i := range e.flows.workerScratch {
-		n += e.flows.workerScratch[i].pruned
-	}
-	return n
-}
+func prunedResources(e *Engine) int64 { return e.flows.solve.pruned }
 
 // run executes the scenario with the differential check on or off and
 // returns each flow's completion time (exactly as computed), the final

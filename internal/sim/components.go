@@ -7,21 +7,17 @@
 // (union-find over the component's flows) after completions may have
 // disconnected it.
 //
-// Components are also the unit of parallelism: a dirty batch is split into
-// one task per component and fanned out across the worker pool (see
-// parallel.go). Each task touches only flows and resources owned by its
-// component, and every shared side effect — tracer samples, allocator
-// counters, the live-component list — is buffered per task and merged in
-// task order at the batch barrier, so results are byte-identical at any
-// worker count.
+// Components are solved one after another on the dispatcher goroutine, in
+// dirty-queue order. The paper's workloads couple most flows through one
+// shared fabric, so a batch is usually one large component, and splitting
+// the batch across goroutines would buy nothing.
 //
 // Completion events are sharded per component: each component's flow list
 // is its own completion queue, scanned for the earliest finish time, and
 // the per-component heads are merged into the single global completion
 // event at the batch boundary (ties broken by component creation order —
 // the merged minimum is a pure min over identical operands, so event times
-// are bitwise-identical to the historical global O(active) scan, which the
-// per-component scans now parallelize).
+// are bitwise-identical to the historical global O(active) scan).
 
 package sim
 
@@ -199,31 +195,16 @@ func (fs *flowSet) markCompDirty(c *component) {
 	fs.e.at(fs.e.now, event{kind: evBatch})
 }
 
-// splitResidue defers the close-out of resources a split left unclaimed
-// until after the split's parts have been solved (solving is what
-// re-claims them); afterTask anchors the close-out to the last part so
-// tracer samples keep the serial ordering.
-type splitResidue struct {
-	afterTask int
-	res       []*Resource
-}
-
 // processDirty solves every queued dirty component: splitting ones whose
 // completions may have disconnected them, water-filling each, and pruning
-// resource ownership. The water-filling fans out across the worker pool
-// when the batch is large enough (see solveBatch). Runs the differential
-// check and tracer sample once per batch. The caller (runPending)
-// reschedules the global completion event afterwards.
+// resource ownership. Runs the differential check and tracer sample once
+// per batch. The caller (runPending) reschedules the global completion
+// event afterwards.
 func (fs *flowSet) processDirty() {
 	if len(fs.dirtyComps) == 0 {
 		return
 	}
 	fs.stats.Recomputes++
-	// Phase 1 (serial): lazy split checks; build the solve list. Splits
-	// mutate the live-component list and id sequence, so they stay on the
-	// dispatcher goroutine.
-	solve := fs.solveList[:0]
-	var residues []splitResidue
 	for i := 0; i < len(fs.dirtyComps); i++ {
 		c := fs.dirtyComps[i]
 		if c.dead || !c.dirty {
@@ -235,10 +216,17 @@ func (fs *flowSet) processDirty() {
 				c.needSplit = false
 			} else if len(c.flows)*2 <= c.splitCheckAt {
 				c.needSplit = false
-				parts, oldRes := fs.split(c)
-				if parts != nil {
-					solve = append(solve, parts...)
-					residues = append(residues, splitResidue{afterTask: len(solve) - 1, res: oldRes})
+				if parts, oldRes := fs.split(c); parts != nil {
+					for _, p := range parts {
+						fs.solveComponent(p)
+					}
+					// Resources no part re-claimed belonged only to
+					// finished flows.
+					for _, r := range oldRes {
+						if r.comp == nil {
+							fs.closeResource(r)
+						}
+					}
 					continue
 				}
 				// Still connected: solve jointly below.
@@ -246,14 +234,8 @@ func (fs *flowSet) processDirty() {
 			// Deferred: solve jointly (bitwise-identical) and re-check
 			// once the component has halved.
 		}
-		solve = append(solve, c)
+		fs.solveComponent(c)
 	}
-	// Phase 2: water-fill the solve list — concurrently when worthwhile,
-	// with per-task side effects merged back in task order (phase 3
-	// inside solveBatch). Resources no part of a split claimed belonged
-	// only to finished flows and are closed after that split's parts.
-	fs.solveBatch(solve, residues)
-	fs.solveList = solve[:0]
 	fs.dirtyComps = fs.dirtyComps[:0]
 	if n := len(fs.comps); n > fs.stats.PeakComponents {
 		fs.stats.PeakComponents = n
@@ -354,10 +336,10 @@ func (fs *flowSet) split(c *component) (parts []*component, oldRes []*Resource) 
 	return parts, oldRes
 }
 
-// solveComponent water-fills one component on the dispatcher goroutine
-// and refreshes resource ownership and rate caches — the serial path of
-// solveBatch. A drained component (no flows left) is retired: its
-// resources are closed out and it is removed from the live list.
+// solveComponent water-fills one component and refreshes resource
+// ownership and rate caches. A drained component (no flows left) is
+// retired: its resources are closed out and it is removed from the live
+// list.
 func (fs *flowSet) solveComponent(c *component) {
 	if len(c.flows) == 0 {
 		for _, r := range c.resources {
@@ -374,7 +356,7 @@ func (fs *flowSet) solveComponent(c *component) {
 	fs.stats.FlowsSolved += int64(len(c.flows))
 	fs.solveGen++
 	gen := fs.solveGen
-	sc := fs.serialScratch()
+	sc := &fs.solve
 	touched := sc.allocateFast(c.flows, gen)
 	fs.stats.ParkedFlows += sc.parked
 	sc.parked = 0
@@ -415,20 +397,13 @@ func (fs *flowSet) compNextCompletion(c *component) Time {
 // merging the per-component completion-queue heads (ties broken by
 // component creation order). min over floats is grouping-independent, so
 // the merged time is bitwise-identical to the historical global O(active)
-// scan — and the per-component scans run on the worker pool when the
-// active set is large. Every batch bumps the generation, superseding the
-// previous event.
+// scan. Every batch bumps the generation, superseding the previous event.
 func (fs *flowSet) scheduleCompletion() {
 	fs.gen++
-	var bestT Time
-	if w := fs.e.workers; w > 1 && len(fs.active) >= parallelMinFlows && len(fs.comps) > 1 {
-		bestT = fs.mergeNextCompletions(w)
-	} else {
-		bestT = Infinity
-		for _, c := range fs.comps {
-			if t := fs.compNextCompletion(c); t < bestT {
-				bestT = t
-			}
+	bestT := Infinity
+	for _, c := range fs.comps {
+		if t := fs.compNextCompletion(c); t < bestT {
+			bestT = t
 		}
 	}
 	if bestT == Infinity {

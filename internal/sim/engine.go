@@ -14,11 +14,10 @@
 // panic in a process comes out of Run. proc.go, the one file that needs
 // go1.23, says so in a build constraint while go.mod stays at 1.22.
 //
-// Batch solves of the flow allocator may fan out across a worker pool (see
-// SetWorkers); the parallel sections only touch state private to one
-// connected component and their results are merged in a deterministic order
-// at the batch boundary, so simulations stay byte-identical at any worker
-// count or GOMAXPROCS.
+// The flow allocator runs on the same goroutine: between events it
+// re-solves the dirty connected components one after another, advances the
+// active flows and schedules the next completion, so no engine state is
+// ever touched by two goroutines.
 //
 // Processes must not block on ordinary Go primitives; all waiting must go
 // through the engine so that virtual time can advance.
@@ -29,7 +28,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -141,10 +139,6 @@ type Engine struct {
 	flowSeq  int64 // trace ids for flows (assigned only when tracing)
 	tracer   Tracer
 	finished bool
-
-	// workers caps the solver fan-out for dirty-component batches; 1 keeps
-	// the engine fully serial (see SetWorkers).
-	workers int
 }
 
 // Tracer receives the engine's instrumentation stream: fluid-flow
@@ -167,34 +161,16 @@ type Tracer interface {
 	Instant(t Time, category, name string)
 	// Counter reports the value of a named series at t: after every
 	// dirty-batch solve the live component count (alloc.components) and
-	// cumulative flows solved (alloc.flows_solved); after every worker-pool
-	// batch its width, tasks and flows (solver.batch.*) and each worker
-	// slot's cumulative tasks (solver.w<N>.tasks). The solver-pool series
-	// describe host execution — task placement is work stealing — so they
-	// vary with the worker count and never feed byte-compared output.
+	// cumulative flows solved (alloc.flows_solved).
 	Counter(t Time, name string, v int64)
-}
-
-// defaultWorkers is the process-wide worker default: UNIVISTOR_SIM_WORKERS
-// when set to a positive integer, otherwise the machine's CPU count.
-var defaultWorkers = workersConfig(os.Getenv("UNIVISTOR_SIM_WORKERS"))
-
-func workersConfig(v string) int {
-	if n, err := strconv.Atoi(v); err == nil && n > 0 {
-		return n
-	}
-	return numCPU()
 }
 
 // NewEngine returns an empty simulation at virtual time zero. The
 // allocator re-solves only the dirty connected components of the active
 // flow set; UNIVISTOR_SIM_DIFFCHECK enables the differential self-check
 // against the global reference solver (see SetDifferentialCheck).
-// Dirty-component batches are solved on up to runtime.NumCPU() workers
-// (overridable via UNIVISTOR_SIM_WORKERS or SetWorkers) — results are
-// identical at any worker count.
 func NewEngine() *Engine {
-	e := &Engine{workers: defaultWorkers}
+	e := &Engine{}
 	e.flows.e = e
 	if os.Getenv("UNIVISTOR_SIM_DIFFCHECK") != "" {
 		e.flows.diffCheck = true
@@ -205,20 +181,16 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// SetWorkers sets the maximum number of OS-level workers used to solve
-// dirty connected components concurrently at batch boundaries. n <= 1
-// keeps the solver fully serial. The simulation result is byte-identical
-// at every worker count; workers only change how fast the host produces
-// it. May be called at any point between batches.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
+// SetWorkers does nothing. The allocator once had a solver worker pool;
+// the host benchmark under benchmark/ still calls this and ParallelStats,
+// and ROADMAP lists dropping those calls and then these shims.
+func (e *Engine) SetWorkers(int) {}
 
-// Workers returns the configured solver worker cap.
-func (e *Engine) Workers() int { return e.workers }
+// ParallelStats is the remnant of the removed solver worker pool's counters.
+type ParallelStats struct{ Batches int64 }
+
+// ParallelStats returns the zero value: no batch runs on a worker pool.
+func (e *Engine) ParallelStats() ParallelStats { return ParallelStats{} }
 
 // SetTracer attaches the instrumentation sink. Passing nil disables
 // tracing; a disabled engine pays one nil check per potential event.
@@ -416,7 +388,6 @@ type flowSet struct {
 	comps       []*component // live components, creation order
 	dirtyComps  []*component
 	compScratch []*component // add() dedup scratch
-	solveList   []*component // processDirty scratch: components to water-fill
 
 	// Free lists for the hot-path structs; a flow (and its fan-out, if
 	// any) returns to the pool the instant it finishes.
@@ -428,18 +399,8 @@ type flowSet struct {
 	scratch  map[*Resource]*resState // reference-path states
 	touched  []*Resource
 	heapBuf  shareHeap
-	solveGen int64 // stamps resStates per solve
-
-	// Per-worker solver scratch and per-task sample buffers for parallel
-	// batches (see processDirty in components.go and parallel.go).
-	workerScratch []solveScratch
-	taskBufs      []taskBuf
-	nextBuf       []Time // mergeNextCompletions scratch
-	pstats        ParallelStats
-	// Cumulative component tasks per worker slot and the name of each
-	// slot's solver.w<N>.tasks counter series.
-	workerTasks  []int64
-	workerSeries []string
+	solveGen int64        // stamps resStates per solve
+	solve    solveScratch // allocateFast's buffers and counters
 
 	// Reusable split() scratch.
 	ufParent []int32
@@ -487,20 +448,12 @@ func (fs *flowSet) traceFlowStart(f *flow, size float64) {
 }
 
 // advance progresses all active flows to time t at their current rates.
-// Large active sets are chunked across the worker pool — each flow's
-// update touches only that flow, so the result is independent of the
-// chunking.
 func (fs *flowSet) advance(t Time) {
-	dt := float64(t - fs.last)
-	if dt > 0 {
-		if w := fs.e.workers; w > 1 && len(fs.active) >= parallelMinFlows {
-			fs.advanceParallel(dt, w)
-		} else {
-			for _, f := range fs.active {
-				f.remaining -= f.rate * dt
-				if f.remaining < 0 {
-					f.remaining = 0
-				}
+	if dt := float64(t - fs.last); dt > 0 {
+		for _, f := range fs.active {
+			f.remaining -= f.rate * dt
+			if f.remaining < 0 {
+				f.remaining = 0
 			}
 		}
 	}

@@ -455,28 +455,20 @@ func TestEqualFlowsFinishTogetherProperty(t *testing.T) {
 }
 
 // utilSampler records the last ResourceSample of each resource, so tests
-// can compare the recorded timeline against Utilization, and the last value
-// of each counter series.
+// can compare the recorded timeline against Utilization.
 type utilSampler struct {
-	last     map[*Resource]float64
-	counters map[string]int64
+	last map[*Resource]float64
 }
 
 func (s *utilSampler) FlowBegin(Time, int64, float64, []*Resource) {}
 func (s *utilSampler) FlowEnd(Time, int64)                         {}
 func (s *utilSampler) Instant(Time, string, string)                {}
+func (s *utilSampler) Counter(Time, string, int64)                 {}
 func (s *utilSampler) ResourceSample(_ Time, r *Resource, rate float64) {
 	if s.last == nil {
 		s.last = map[*Resource]float64{}
 	}
 	s.last[r] = rate
-}
-
-func (s *utilSampler) Counter(_ Time, name string, v int64) {
-	if s.counters == nil {
-		s.counters = map[string]int64{}
-	}
-	s.counters[name] = v
 }
 
 func TestUtilizationCountsRepeatCrossingOnce(t *testing.T) {

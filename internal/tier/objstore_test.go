@@ -239,8 +239,8 @@ func TestPromotionFromObjectTierBookkeeping(t *testing.T) {
 		if n, err := f.Delete(0, 2*mib); err != nil || n != 1 {
 			t.Errorf("delete = %d,%v, want 1 segment", n, err)
 		}
-		f.ReadAt(2*mib, 2*mib)           // heat 1: shared object read
-		f.ReadAt(2*mib, 2*mib)           // heat 2: promoted to DRAM
+		f.ReadAt(2*mib, 2*mib)            // heat 1: shared object read
+		f.ReadAt(2*mib, 2*mib)            // heat 2: promoted to DRAM
 		got, err = f.ReadAt(2*mib, 2*mib) // served locally now
 		if err != nil {
 			t.Errorf("post-promotion read: %v", err)
