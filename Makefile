@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck check bench chaos-smoke
+.PHONY: all build vet test race race-diffcheck check bench chaos-smoke examples
 
 all: check
 
@@ -18,13 +18,19 @@ race:
 	$(GO) test -race ./...
 
 # The full CI gate: compile, static checks, race-enabled tests, chaos
-# gates.
-check: build vet race chaos-smoke
+# gates, and every example program.
+check: build vet race chaos-smoke examples
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.
 chaos-smoke:
 	$(GO) run -race ./cmd/univibench -chaos-smoke -quick
+
+# Every facade-level example program must run to completion.
+examples:
+	for ex in quickstart tiering vpic workflow resilience; do \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 # Quick paper-figure sweep (simulated results). Host performance is
 # measured by `bash benchmark/run.sh` (see benchmark/README.md).

@@ -10,27 +10,22 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"univistor/internal/bb"
+	"univistor/internal/bench"
 	"univistor/internal/castore"
 	"univistor/internal/chaos"
 	"univistor/internal/core"
-	"univistor/internal/dataelevator"
 	"univistor/internal/gateway"
-	"univistor/internal/lustre"
 	"univistor/internal/meta"
 	"univistor/internal/metaplane"
 	"univistor/internal/mpi"
-	"univistor/internal/mpiio"
 	"univistor/internal/schedule"
 	"univistor/internal/sim"
-	"univistor/internal/topology"
 	"univistor/internal/trace"
 	"univistor/internal/workloads"
 )
@@ -136,159 +131,106 @@ func main() {
 	if !(*ckptChange >= 0 && *ckptChange <= 1) { // also rejects NaN
 		fatal("-ckpt-change must lie in [0, 1], got %v", *ckptChange)
 	}
-	if *metaReplicas > 1 && *metaShards == 0 {
-		fatal("-meta-replicas requires -meta-shards")
+	// Flags that would silently do nothing are refused; flag.Visit sees
+	// only the flags set on the command line.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	requires := func(ok bool, need string, names ...string) {
+		for _, name := range names {
+			if !ok && set[name] {
+				fatal("-%s requires %s", name, need)
+			}
+		}
 	}
-	if *metaFollowerReads && *metaShards == 0 {
-		fatal("-meta-follower-reads requires -meta-shards")
-	}
-	if *metaLease > 0 && !*metaFollowerReads {
-		fatal("-meta-lease requires -meta-follower-reads")
-	}
+	requires(*driver == "univistor", "-driver univistor", "tiers", "no-coc", "no-adpt", "meta-shards",
+		"meta-replicas", "meta-follower-reads", "meta-lease", "meta-split", "dedup", "dedup-block-mb",
+		"gateway", "chaos")
+	requires(*gwMode, "-gateway", "tenants", "zipf", "qos", "gw-ops", "gw-arrival", "gw-seconds", "gw-kb", "gw-seed")
+	requires(*ckptSteps > 0, "-ckpt", "ckpt-change", "ckpt-retain", "ckpt-seed")
+	requires(*metaShards > 0, "-meta-shards", "meta-replicas", "meta-follower-reads", "meta-split")
+	requires(*metaFollowerReads, "-meta-follower-reads", "meta-lease")
+	requires(*dedup, "-dedup", "dedup-block-mb")
 	var splitSched []splitEvent
 	if *metaSplit != "" {
-		if *metaShards == 0 || *driver != "univistor" {
-			fatal("-meta-split requires -meta-shards and -driver univistor")
-		}
 		var err error
 		splitSched, err = parseSplitSchedule(*metaSplit)
 		if err != nil {
 			fatal("%v", err)
 		}
 	}
-	if *dedup && *driver != "univistor" {
-		fatal("-dedup requires -driver univistor")
-	}
-	if *dedupBlockMB > 0 && !*dedup {
-		fatal("-dedup-block-mb requires -dedup")
-	}
 	if *ckptSteps > 0 && *doRead {
 		fatal("-read is not supported with -ckpt (the checkpoint kernel is write-only)")
-	}
-	if *gwMode && *driver != "univistor" {
-		fatal("-gateway requires -driver univistor")
-	}
-	if !*gwMode && (*qos || *gwOps > 0 || *gwRate > 0 || *gwSecs > 0 || *gwKiB > 0) {
-		fatal("-qos and -gw-* flags require -gateway")
 	}
 	if *gwMode && (*ckptSteps > 0 || *doRead || *doFlush) {
 		fatal("-gateway drives its own workload; drop -ckpt/-read/-flush")
 	}
 
-	tc := topology.Cori()
-	nodes := (*procs + *perNode - 1) / *perNode
-	if nodes < 1 {
-		nodes = 1
-	}
-	tc.Nodes = nodes
-	tc.BBNodes = nodes / 2
-	if tc.BBNodes < 2 {
-		tc.BBNodes = 2
-	}
-
-	e := sim.NewEngine()
 	policy := schedule.InterferenceAware
 	if *noIA {
 		policy = schedule.CFS
 	}
-	w := mpi.NewWorld(e, topology.New(e, tc), policy)
-	var rec *trace.Recorder
-	if *traceTo != "" {
-		rec = trace.New()
-		w.SetTrace(rec)
+	cc := core.DefaultConfig()
+	cc.InterferenceAware = !*noIA
+	cc.CollectiveOpenClose = !*noCOC
+	cc.AdaptiveStriping = !*noADPT
+	cc.FlushOnClose = *doFlush
+	cc.MetaShards = *metaShards
+	if *metaShards > 0 {
+		cc.MetaReplicas = *metaReplicas
+		cc.MetaFollowerReads = *metaFollowerReads
+		cc.MetaLeaseTime = *metaLease
 	}
-
-	var env *mpiio.Env
-	var uv *mpiio.UniviStorDriver
-	var de *dataelevator.Driver
-	var harness *chaos.Harness
-	switch *driver {
-	case "univistor":
-		cc := core.DefaultConfig()
-		cc.InterferenceAware = !*noIA
-		cc.CollectiveOpenClose = !*noCOC
-		cc.AdaptiveStriping = !*noADPT
-		cc.FlushOnClose = *doFlush
-		cc.MetaShards = *metaShards
-		if *metaShards > 0 {
-			cc.MetaReplicas = *metaReplicas
-			cc.MetaFollowerReads = *metaFollowerReads
-			cc.MetaLeaseTime = *metaLease
+	if *dedup {
+		cc.Dedup = true
+		blockMB := *dedupBlockMB
+		if blockMB <= 0 {
+			blockMB = *segMB
 		}
-		if *dedup {
-			cc.Dedup = true
-			blockMB := *dedupBlockMB
-			if blockMB <= 0 {
-				blockMB = *segMB
-			}
-			cc.DedupBlockBytes = blockMB << 20
+		cc.DedupBlockBytes = blockMB << 20
+	}
+	cc.CacheTiers = nil
+	for _, tok := range strings.Split(*tiers, ",") {
+		switch strings.TrimSpace(tok) {
+		case "dram":
+			cc.CacheTiers = append(cc.CacheTiers, meta.TierDRAM)
+		case "ssd":
+			cc.CacheTiers = append(cc.CacheTiers, meta.TierLocalSSD)
+		case "bb":
+			cc.CacheTiers = append(cc.CacheTiers, meta.TierBB)
+		case "object":
+			cc.CacheTiers = append(cc.CacheTiers, meta.TierObject)
+		case "":
+		default:
+			fatal("unknown tier %q", tok)
 		}
-		cc.CacheTiers = nil
-		for _, tok := range strings.Split(*tiers, ",") {
-			switch strings.TrimSpace(tok) {
-			case "dram":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierDRAM)
-			case "ssd":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierLocalSSD)
-			case "bb":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierBB)
-			case "object":
-				cc.CacheTiers = append(cc.CacheTiers, meta.TierObject)
-			case "":
-			default:
-				fatal("unknown tier %q", tok)
-			}
-		}
-		sys, err := core.NewSystem(w, cc)
-		if err != nil {
-			fatal("%v", err)
-		}
-		uv = mpiio.NewUniviStorDriver(sys)
-		env = mustEnv("univistor", uv)
-		if *chaosIn != "" {
-			spec, err := chaos.Parse(*chaosIn)
-			if err != nil {
-				fatal("%v", err)
-			}
-			harness = chaos.Arm(sys, spec)
-		}
-		// The -meta-split schedule: at each event's time run its splits
-		// back-to-back (a split refuses to start while the previous one is
-		// still migrating, so the scheduler polls for completion).
-		for _, se := range splitSched {
-			se := se
-			e.Go("meta-split-sched", func(p *sim.Proc) {
-				p.Sleep(se.at)
-				for i := 0; i < se.n; i++ {
-					for {
-						if _, ok := sys.MetaSplit(); ok {
-							break
-						}
-						p.Sleep(1e-4)
+	}
+	tc := bench.CoriCluster(*procs, *perNode)
+	st, err := bench.NewStack(tc, *driver, policy, cc, *chaosIn, *traceTo)
+	if err != nil {
+		fatal("%v", err)
+	}
+	// The -meta-split schedule: at each event's time run its splits
+	// back-to-back (a split refuses to start while the previous one is
+	// still migrating, so the scheduler polls for completion).
+	for _, se := range splitSched {
+		sys := st.UV.Sys
+		st.E.Go("meta-split-sched", func(p *sim.Proc) {
+			p.Sleep(se.at)
+			for i := 0; i < se.n; i++ {
+				for {
+					if _, ok := sys.MetaSplit(); ok {
+						break
 					}
-					for {
-						if _, active := sys.Plane().Splitting(); !active {
-							break
-						}
-						p.Sleep(1e-4)
-					}
+					p.Sleep(1e-4)
 				}
-			})
-		}
-	case "dataelevator":
-		bbs, err := bb.New(w.Cluster)
-		if err != nil {
-			fatal("%v", err)
-		}
-		de, err = dataelevator.New(w, bbs, lustre.NewFS(w.Cluster), dataelevator.DefaultConfig())
-		if err != nil {
-			fatal("%v", err)
-		}
-		env = mustEnv("dataelevator", de)
-	case "lustre":
-		env = mustEnv("lustre", mpiio.NewLustreDriver(lustre.NewFS(w.Cluster), tc.SharedFileEff))
-	default:
-		fatal("unknown driver %q", *driver)
+				for {
+					if _, active := sys.Plane().Splitting(); !active {
+						break
+					}
+					p.Sleep(1e-4)
+				}
+			}
+		})
 	}
 
 	if *gwMode {
@@ -311,18 +253,18 @@ func main() {
 		if *gwSecs > 0 {
 			gcfg.DurationSeconds = *gwSecs
 		}
-		g, err := gateway.Start(uv.Sys, gcfg)
+		g, err := gateway.Start(st.UV.Sys, gcfg)
 		if err != nil {
 			fatal("%v", err)
 		}
-		if harness != nil {
+		if st.Chaos != nil {
 			// The chaos sweep also patrols the gateway's admission-state
 			// invariants while faults are landing.
-			harness.AddInvariant(g.CheckInvariants)
+			st.Chaos.AddInvariant(g.CheckInvariants)
 		}
-		end := e.Run()
-		if d := e.Deadlocked(); d != 0 {
-			fatal("%d simulated processes deadlocked", d)
+		end, err := st.Run(nil)
+		if err != nil {
+			fatal("%v", err)
 		}
 		if err := g.Err(); err != nil {
 			fatal("gateway: %v", err)
@@ -332,67 +274,20 @@ func main() {
 		}
 		rep := g.Report()
 		report(Output{
-			Driver: *driver, Procs: gcfg.Tenants, Nodes: nodes,
+			Driver: *driver, Procs: gcfg.Tenants, Nodes: tc.Nodes,
 			VirtualEnd: float64(end),
 			Gateway:    &rep,
-		}, e, uv, harness, rec, *traceTo)
+		}, st)
 		return
 	}
 
-	cfg := workloads.MicroConfig{
-		BytesPerRank: *mb << 20,
-		SegmentBytes: *segMB << 20,
-		FileName:     "sim.h5",
-	}
-	var maxWrite, maxRead sim.Time
-	readLost := 0
-	appMain := func(r *mpi.Rank) {
-		ws, err := workloads.MicroWrite(r, env, cfg)
-		if err != nil {
-			fatal("write: %v", err)
-		}
-		if ws.Total() > maxWrite {
-			maxWrite = ws.Total()
-		}
-		r.Barrier()
-		if *doFlush || *doRead {
-			if uv != nil {
-				uv.Sys.WaitFlush(r.P, cfg.FileName)
-			}
-			if de != nil {
-				de.WaitFlush(r.P, cfg.FileName)
-			}
-			r.Barrier()
-		}
-		if *doRead {
-			rs, err := workloads.MicroRead(r, env, cfg)
-			switch {
-			case err == nil:
-				if rs.Total() > maxRead {
-					maxRead = rs.Total()
-				}
-			case harness != nil && errors.Is(err, core.ErrDataLost):
-				// Under chaos, losing unflushed/unreplicated data to an
-				// injected crash is a legitimate outcome; wrong bytes or
-				// any other error is not.
-				readLost++
-			default:
-				fatal("read: %v", err)
-			}
-		}
-		if uv != nil {
-			uv.Disconnect(r)
-		}
-	}
+	out := Output{Driver: *driver, Procs: *procs, Nodes: tc.Nodes, BytesPerRank: *mb << 20}
+	var end sim.Time
 	if *ckptSteps > 0 {
 		// The checkpoint kernel: segments sized to the write call, each
 		// step's flush triggered explicitly inside the kernel.
-		segs := int(*mb / *segMB)
-		if segs < 1 {
-			segs = 1
-		}
 		ccfg := workloads.CheckpointConfig{
-			SegmentsPerRank: segs,
+			SegmentsPerRank: max(1, int(*mb / *segMB)),
 			SegmentBytes:    *segMB << 20,
 			TimeSteps:       *ckptSteps,
 			ChangeRate:      *ckptChange,
@@ -400,73 +295,58 @@ func main() {
 			Seed:            *ckptSeed,
 			Retention:       *ckptRetain,
 		}
-		appMain = func(r *mpi.Rank) {
-			st, err := workloads.RunCheckpoint(r, env, ccfg)
+		var maxIO sim.Time
+		app := st.W.Launch("app", *procs, func(r *mpi.Rank) {
+			cs, err := workloads.RunCheckpoint(r, st.Env, ccfg)
 			if err != nil {
 				fatal("checkpoint: %v", err)
 			}
-			if st.TotalIO > maxWrite {
-				maxWrite = st.TotalIO
+			maxIO = max(maxIO, cs.TotalIO)
+			st.Disconnect(r)
+		}, mpi.LaunchOpts{RanksPerNode: *perNode})
+		if end, err = st.Run(app.Wait); err != nil {
+			fatal("%v", err)
+		}
+		out.WriteSecs = float64(maxIO)
+	} else {
+		cfg := workloads.MicroConfig{BytesPerRank: *mb << 20, SegmentBytes: *segMB << 20, FileName: "sim.h5"}
+		m, err := st.Micro(*procs, *perNode, cfg, *doRead, *doFlush)
+		if err != nil {
+			fatal("%v", err)
+		}
+		end = m.End
+		out.WriteSecs = float64(m.Write)
+		out.ReadSecs = float64(m.Read)
+		out.ReadLostRanks = m.ReadLost
+		if *doFlush {
+			if bytes, start, endF, ok := st.FlushStats(cfg.FileName); ok && endF > start {
+				out.FlushSecs = float64(endF - start)
+				out.FlushGiBs = float64(bytes) / float64(endF-start) / gib
 			}
-			if uv != nil {
-				uv.Disconnect(r)
-			}
 		}
 	}
-	app := w.Launch("app", *procs, appMain, mpi.LaunchOpts{RanksPerNode: *perNode})
-	e.Go("janitor", func(p *sim.Proc) {
-		app.Wait(p)
-		if uv != nil {
-			uv.Sys.Shutdown()
-		}
-	})
-	end := e.Run()
-	if d := e.Deadlocked(); d != 0 {
-		fatal("%d simulated processes deadlocked", d)
+	out.VirtualEnd = float64(end)
+	total := float64(*procs) * float64(out.BytesPerRank)
+	if out.WriteSecs > 0 {
+		out.WriteGiBs = total / out.WriteSecs / gib
 	}
-
-	const gib = float64(1 << 30)
-	total := float64(*procs) * float64(cfg.BytesPerRank)
-	out := Output{
-		Driver: *driver, Procs: *procs, Nodes: nodes,
-		BytesPerRank:  cfg.BytesPerRank,
-		WriteSecs:     float64(maxWrite),
-		VirtualEnd:    float64(end),
-		ReadLostRanks: readLost,
+	if out.ReadSecs > 0 {
+		out.ReadGiBs = total / out.ReadSecs / gib
 	}
-	if maxWrite > 0 {
-		out.WriteGiBs = total / float64(maxWrite) / gib
-	}
-	if maxRead > 0 {
-		out.ReadSecs = float64(maxRead)
-		out.ReadGiBs = total / float64(maxRead) / gib
-	}
-	if *doFlush {
-		var bytes int64
-		var start, endF sim.Time
-		var ok bool
-		if uv != nil {
-			bytes, start, endF, ok = uv.Sys.FlushStats(cfg.FileName)
-		} else if de != nil {
-			bytes, start, endF, ok = de.FlushStats(cfg.FileName)
-		}
-		if ok && endF > start {
-			out.FlushSecs = float64(endF - start)
-			out.FlushGiBs = float64(bytes) / float64(endF-start) / gib
-		}
-	}
-	report(out, e, uv, harness, rec, *traceTo)
+	report(out, st)
 }
+
+const gib = float64(1 << 30)
 
 // report completes out with the counter snapshots every run carries — the
 // core, dedup, metadata and plane counters (univistor driver only), the
 // allocator counters, the chaos report and the trace summary — writes the
 // trace file, and prints the JSON document. It exits 1 when the chaos
 // sweep found invariant violations.
-func report(out Output, e *sim.Engine, uv *mpiio.UniviStorDriver, harness *chaos.Harness, rec *trace.Recorder, traceTo string) {
-	if uv != nil {
-		st := uv.Sys.Stats()
-		out.Stats = &st
+func report(out Output, st *bench.Stack) {
+	if uv := st.UV; uv != nil {
+		cs := uv.Sys.Stats()
+		out.Stats = &cs
 		out.CAS = uv.Sys.CASStats()
 		d := uv.Sys.MetaOpDetail()
 		out.MetaOps = &d
@@ -475,17 +355,15 @@ func report(out Output, e *sim.Engine, uv *mpiio.UniviStorDriver, harness *chaos
 			out.MetaPlane = &pst
 		}
 	}
-	as := e.AllocStats()
+	as := st.E.AllocStats()
 	out.Alloc = &as
-	if harness != nil {
-		rep := harness.Finish()
-		out.Chaos = &rep
+	rep, err := st.Finish()
+	if err != nil {
+		fatal("%v", err)
 	}
-	if rec != nil {
-		if err := rec.ExportChromeFile(traceTo); err != nil {
-			fatal("writing trace: %v", err)
-		}
-		out.TraceSummary = rec.Summarize(8)
+	out.Chaos = rep
+	if st.Rec != nil {
+		out.TraceSummary = st.Rec.Summarize(8)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -529,14 +407,6 @@ func parseSplitSchedule(s string) ([]splitEvent, error) {
 		return nil, fmt.Errorf("-meta-split: empty schedule")
 	}
 	return out, nil
-}
-
-func mustEnv(name string, d mpiio.Driver) *mpiio.Env {
-	env, err := mpiio.NewEnv(name, d)
-	if err != nil {
-		fatal("%v", err)
-	}
-	return env
 }
 
 func fatal(format string, args ...any) {

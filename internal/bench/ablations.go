@@ -14,10 +14,12 @@ import (
 // dummy-server correction matters.
 func AblationStriping(o Options) *Result {
 	mk := func(name, policy string) variant {
-		return uvVariant(name, tiersDRAM, func(c *core.Config) {
+		v := uvVariant(name, tiersDRAM, func(c *core.Config) {
 			c.FlushOnClose = true
 			c.FlushStripingOverride = policy
 		})
+		v.topo = func(tc *topology.Config) { tc.OSTs = 6 }
+		return v
 	}
 	variants := []variant{
 		mk("adaptive", "adaptive"),
@@ -26,17 +28,7 @@ func AblationStriping(o Options) *Result {
 	}
 	res := &Result{ID: "abl-striping", Title: "Flush striping policy ablation (6 OSTs)",
 		Metric: "aggregate flush rate (GiB/s)"}
-	shrinkOSTs := func(tc *topology.Config) { tc.OSTs = 6 }
-	for _, v := range variants {
-		v.topo = shrinkOSTs
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{measureFlush: true})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.flushRate})
-			o.progress("abl-striping %s procs=%d rate=%.2f GiB/s", v.name, procs, out.flushRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, variants, flushRate)
 	return res
 }
 
@@ -53,15 +45,7 @@ func AblationLocationAwareRead(o Options) *Result {
 	variants := []variant{mk("location-aware", true), mk("via-server", false)}
 	res := &Result{ID: "abl-laread", Title: "Location-aware read service ablation",
 		Metric: "aggregate read rate (GiB/s)"}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{doRead: true})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.readRate})
-			o.progress("abl-laread %s procs=%d rate=%.2f GiB/s", v.name, procs, out.readRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, variants, readRate)
 	return res
 }
 
@@ -87,15 +71,7 @@ func AblationCentralMetadata(o Options) *Result {
 	variants := []variant{mk("distributed", false), mk("central", true)}
 	res := &Result{ID: "abl-centralmeta", Title: "Distributed vs centralized metadata ablation",
 		Metric: "aggregate write rate (GiB/s)"}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.writeRate})
-			o.progress("abl-centralmeta %s procs=%d rate=%.2f GiB/s", v.name, procs, out.writeRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, variants, writeRate)
 	return res
 }
 
@@ -105,20 +81,14 @@ func AblationCentralMetadata(o Options) *Result {
 func AblationServersPerNode(o Options) *Result {
 	res := &Result{ID: "abl-servers", Title: "UniviStor servers per node ablation",
 		Metric: "aggregate write rate (GiB/s)"}
+	var variants []variant
 	for _, spn := range []int{1, 2, 4} {
-		spn := spn
-		v := uvVariant("", tiersDRAM, func(c *core.Config) {
+		variants = append(variants, uvVariant(fmt.Sprintf("%d/node", spn), tiersDRAM, func(c *core.Config) {
 			c.ServersPerNode = spn
 			c.FlushOnClose = false
-		})
-		s := Series{Name: fmt.Sprintf("%d/node", spn)}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.writeRate})
-			o.progress("abl-servers %d procs=%d rate=%.2f GiB/s", spn, procs, out.writeRate)
-		}
-		res.Series = append(res.Series, s)
+		}))
 	}
+	microSweep(res, o, variants, writeRate)
 	return res
 }
 
@@ -136,25 +106,19 @@ func AblationSegmentSize(o Options) *Result {
 		if seg <= 0 {
 			continue
 		}
-		oo := o
-		oo.SegmentBytes = seg
-		v := uvVariant("", tiersDRAM, func(c *core.Config) {
+		name := fmt.Sprintf("%dMiB", seg>>20)
+		if seg < 1<<20 {
+			name = fmt.Sprintf("%dKiB", seg>>10)
+		}
+		v := uvVariant(name, tiersDRAM, func(c *core.Config) {
 			c.FlushOnClose = false
 			// Same loaded-server regime as the metadata ablation: tiny
 			// segments saturate the per-op service path.
 			c.MetaOpTime = 2e-5
 		})
-		name := fmt.Sprintf("%dMiB", seg>>20)
-		if seg < 1<<20 {
-			name = fmt.Sprintf("%dKiB", seg>>10)
-		}
-		s := Series{Name: name}
-		for _, procs := range oo.Scales {
-			out := runMicro(v, procs, oo, microRun{})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.writeRate})
-			o.progress("abl-segsize %d procs=%d rate=%.2f GiB/s", seg>>20, procs, out.writeRate)
-		}
-		res.Series = append(res.Series, s)
+		oo := o
+		oo.SegmentBytes = seg
+		microSweep(res, oo, []variant{v}, writeRate)
 	}
 	return res
 }

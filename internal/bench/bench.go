@@ -3,6 +3,8 @@
 // DESIGN.md. Each figure runner sweeps the process count, builds a fresh
 // simulated cluster per data point, executes the workload through the
 // appropriate driver stack, and reports the same series the paper plots.
+// Stack is the one harness that builds and runs a simulated stack;
+// cmd/univistor-sim runs its experiments through it too.
 package bench
 
 import (
@@ -10,18 +12,13 @@ import (
 	"io"
 	"sort"
 
-	"univistor/internal/bb"
 	"univistor/internal/chaos"
 	"univistor/internal/core"
-	"univistor/internal/dataelevator"
-	"univistor/internal/lustre"
 	"univistor/internal/meta"
-	"univistor/internal/mpi"
-	"univistor/internal/mpiio"
 	"univistor/internal/schedule"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
-	"univistor/internal/trace"
+	"univistor/internal/workloads"
 )
 
 // GiB converts to the units the paper plots.
@@ -181,26 +178,15 @@ func (r *Result) SpeedupOver(a, b string) []Point {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster and stack construction.
+// Figure stacks and sweeps.
 
-// clusterFor sizes a Cori-flavoured cluster for the given client count.
+// clusterFor sizes the cluster of one figure data point: CoriCluster, with
+// the DRAM tier sized to the paper's premise that the 5-step workload just
+// fits and the 10-step workload overflows roughly halfway (§III-C). At
+// paper scale (256 MiB/rank, 32 ranks, 10 steps) this lands on the Cori
+// preset's 48 GB cache share.
 func clusterFor(procs int, o Options, mutate func(*topology.Config)) topology.Config {
-	tc := topology.Cori()
-	nodes := (procs + o.RanksPerNode - 1) / o.RanksPerNode
-	if nodes < 1 {
-		nodes = 1
-	}
-	tc.Nodes = nodes
-	// The BB allocation scales with the job, as DataWarp grants do; keep
-	// at least a pair of BB nodes so striping is meaningful.
-	tc.BBNodes = nodes / 2
-	if tc.BBNodes < 2 {
-		tc.BBNodes = 2
-	}
-	// Size the DRAM tier to the paper's premise: the 5-step workload just
-	// fits, the 10-step workload overflows roughly halfway (§III-C). At
-	// paper scale (256 MiB/rank, 32 ranks, 10 steps) this lands on the
-	// Cori preset's 48 GB cache share.
+	tc := CoriCluster(procs, o.RanksPerNode)
 	steps := float64(o.TimeSteps10)
 	if steps <= 0 {
 		steps = 10
@@ -212,22 +198,6 @@ func clusterFor(procs int, o Options, mutate func(*topology.Config)) topology.Co
 	return tc
 }
 
-// stack is one fully built simulation stack.
-type stack struct {
-	E   *sim.Engine
-	W   *mpi.World
-	Env *mpiio.Env
-	UV  *mpiio.UniviStorDriver // nil unless driver == univistor
-	DE  *dataelevator.Driver   // nil unless driver == dataelevator
-	LU  *mpiio.LustreDriver    // nil unless driver == lustre
-
-	Rec      *trace.Recorder // nil unless Options.TracePath is set
-	TraceOut string          // export destination for Rec
-
-	Chaos   *chaos.Harness // nil unless Options.Chaos is set (UV stacks only)
-	onChaos func(chaos.Report)
-}
-
 // variant describes one configuration under test.
 type variant struct {
 	name   string
@@ -235,113 +205,107 @@ type variant struct {
 	policy schedule.Policy
 	topo   func(*topology.Config)
 	core   func(*core.Config)
-	de     func(*dataelevator.Config)
 }
 
-func buildStack(v variant, procs int, o Options) *stack {
-	tc := clusterFor(procs, o, v.topo)
-	e := sim.NewEngine()
-	w := mpi.NewWorld(e, topology.New(e, tc), v.policy)
-	st := &stack{E: e, W: w}
-	if o.TracePath != "" {
-		st.Rec = trace.New()
-		st.TraceOut = o.TracePath
-		w.SetTrace(st.Rec)
+// stack builds the variant's stack for one data point, with the sweep's
+// chaos spec and trace path.
+func (v variant) stack(procs int, o Options) *Stack {
+	cc := core.DefaultConfig()
+	cc.InterferenceAware = v.policy == schedule.InterferenceAware
+	if v.core != nil {
+		v.core(&cc)
 	}
-	switch v.driver {
-	case "univistor":
-		cc := core.DefaultConfig()
-		cc.InterferenceAware = v.policy == schedule.InterferenceAware
-		if v.core != nil {
-			v.core(&cc)
-		}
-		sys, err := core.NewSystem(w, cc)
-		if err != nil {
-			panic(fmt.Sprintf("bench: univistor system: %v", err))
-		}
-		st.UV = mpiio.NewUniviStorDriver(sys)
-		st.Env, err = mpiio.NewEnv("univistor", st.UV)
-		if err != nil {
-			panic(err)
-		}
-		if o.Chaos != "" {
-			spec, err := chaos.Parse(o.Chaos)
-			if err != nil {
-				panic(fmt.Sprintf("bench: chaos spec: %v", err))
-			}
-			st.Chaos = chaos.Arm(sys, spec)
-			st.onChaos = o.ChaosReport
-		}
-	case "dataelevator":
-		bbs, err := bb.New(w.Cluster)
-		if err != nil {
-			panic(fmt.Sprintf("bench: DE needs BB nodes: %v", err))
-		}
-		dc := dataelevator.DefaultConfig()
-		if v.de != nil {
-			v.de(&dc)
-		}
-		st.DE, err = dataelevator.New(w, bbs, lustre.NewFS(w.Cluster), dc)
-		if err != nil {
-			panic(err)
-		}
-		st.Env, err = mpiio.NewEnv("dataelevator", st.DE)
-		if err != nil {
-			panic(err)
-		}
-	case "lustre":
-		st.LU = mpiio.NewLustreDriver(lustre.NewFS(w.Cluster), tc.SharedFileEff)
-		var err error
-		st.Env, err = mpiio.NewEnv("lustre", st.LU)
-		if err != nil {
-			panic(err)
-		}
-	default:
-		panic(fmt.Sprintf("bench: unknown driver %q", v.driver))
+	st, err := NewStack(clusterFor(procs, o, v.topo), v.driver, v.policy, cc, o.Chaos, o.TracePath)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s stack: %v", v.driver, err))
 	}
 	return st
 }
 
-// finish runs the engine to completion, shutting UniviStor servers down
-// after the given jobs exit, and panics on deadlock (a harness bug).
-func (st *stack) finish(jobs ...*mpi.Comm) {
-	st.E.Go("janitor", func(p *sim.Proc) {
-		for _, j := range jobs {
-			j.Wait(p)
+// run runs st to completion behind a janitor waiting on wait (see
+// Stack.Run) and finishes it; an error is a harness bug.
+func (st *Stack) run(o Options, wait func(*sim.Proc)) {
+	if _, err := st.Run(wait); err != nil {
+		panic("bench: " + err.Error())
+	}
+	st.finish(o)
+}
+
+// finish finishes a completed run and hands the chaos report to
+// o.ChaosReport. Every completed run of a sweep overwrites the trace file.
+func (st *Stack) finish(o Options) {
+	rep, err := st.Finish()
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	if rep != nil && o.ChaosReport != nil {
+		o.ChaosReport(*rep)
+	}
+}
+
+// sweep appends one series per variant to res, with one point per scale of
+// o measured by point, and reports each point as progress; format prints
+// the point's value, e.g. "rate=%.2f GiB/s".
+func sweep(res *Result, o Options, variants []variant, format string, point func(v variant, procs int) float64) {
+	for _, v := range variants {
+		s := Series{Name: v.name}
+		for _, procs := range o.Scales {
+			val := point(v, procs)
+			s.Points = append(s.Points, Point{Procs: procs, Value: val})
+			o.progress("%s %s procs=%d "+format, res.ID, v.name, procs, val)
 		}
-		if st.UV != nil {
-			st.UV.Sys.Shutdown()
-		}
+		res.Series = append(res.Series, s)
+	}
+}
+
+// microRate selects the rate a micro-benchmark figure plots.
+type microRate int
+
+const (
+	writeRate microRate = iota
+	readRate
+	flushRate
+)
+
+// microSweep sweeps variants over the micro-benchmark and plots rate.
+func microSweep(res *Result, o Options, variants []variant, rate microRate) {
+	sweep(res, o, variants, "rate=%.2f GiB/s", func(v variant, procs int) float64 {
+		return runMicro(v, procs, o, rate)
 	})
-	st.drain()
 }
 
-// drain runs the engine to completion without installing a janitor — for
-// front-ends (the gateway) that manage system shutdown themselves — and
-// performs the same post-run bookkeeping as finish.
-func (st *stack) drain() {
-	st.E.Run()
-	if d := st.E.Deadlocked(); d != 0 {
-		panic(fmt.Sprintf("bench: %d processes deadlocked", d))
+// runMicro executes the §III-B micro-benchmark for one variant at one
+// scale and returns the aggregate rate in GiB/s: total bytes over the
+// slowest rank's write or read time, or the server-side flush's bytes over
+// its window.
+func runMicro(v variant, procs int, o Options, rate microRate) float64 {
+	st := v.stack(procs, o)
+	cfg := workloads.MicroConfig{
+		BytesPerRank: o.BytesPerRank,
+		SegmentBytes: o.SegmentBytes,
+		FileName:     "micro.h5",
 	}
-	if st.Chaos != nil {
-		rep := st.Chaos.Finish()
-		if st.onChaos != nil {
-			st.onChaos(rep)
+	m, err := st.Micro(procs, o.RanksPerNode, cfg, rate == readRate, rate == flushRate)
+	if err != nil {
+		panic(fmt.Sprintf("bench: micro: %v", err))
+	}
+	st.finish(o)
+	total := float64(procs) * float64(o.BytesPerRank)
+	t := m.Write
+	switch rate {
+	case readRate:
+		t = m.Read
+	case flushRate:
+		bytes, start, end, ok := st.FlushStats(cfg.FileName)
+		if !ok || end <= start {
+			return 0
 		}
+		total, t = float64(bytes), end-start
 	}
-	st.exportTrace()
-}
-
-// exportTrace writes the run's Chrome trace to Options.TracePath (a no-op
-// without a recorder). Every completed run of a sweep overwrites the file.
-func (st *stack) exportTrace() {
-	if st.Rec == nil || st.TraceOut == "" {
-		return
+	if t <= 0 {
+		return 0
 	}
-	if err := st.Rec.ExportChromeFile(st.TraceOut); err != nil {
-		panic(fmt.Sprintf("bench: exporting trace: %v", err))
-	}
+	return total / float64(t) / GiB
 }
 
 // uvVariant builds a UniviStor variant caching on the given tiers with all

@@ -6,7 +6,7 @@ package bench
 // logical bytes the application persisted, the physical bytes the dedup
 // flush actually moved (the off run moves the full logical volume), and
 // each run's virtual end-to-end time. Deterministic: same options, same
-// bytes, at any worker count.
+// bytes.
 
 import (
 	"fmt"
@@ -51,7 +51,7 @@ func FigDedup(o Options) *Result {
 					c.DedupBlockBytes = o.SegmentBytes
 				}
 			})
-			st := buildStack(v, procs, o)
+			st := v.stack(procs, o)
 			// No compute phase: back-to-back checkpoints keep the flush
 			// pipeline on the critical path, so the end-to-end series
 			// shows the dedup speedup instead of idle compute time.
@@ -66,9 +66,9 @@ func FigDedup(o Options) *Result {
 				if _, err := workloads.RunCheckpoint(r, st.Env, cfg); err != nil {
 					panic(fmt.Sprintf("bench: figdedup checkpoint: %v", err))
 				}
-				st.UV.Disconnect(r)
+				st.Disconnect(r)
 			}, mpi.LaunchOpts{RanksPerNode: o.RanksPerNode})
-			st.finish(app)
+			st.run(o, app.Wait)
 			s := st.UV.Sys.Stats()
 			if dedup {
 				logical = s.BytesFlushed

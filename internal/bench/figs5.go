@@ -35,15 +35,7 @@ func fig5Variants() []variant {
 func Fig5a(o Options) *Result {
 	res := &Result{ID: "fig5a", Title: "Write to distributed DRAM with IA/COC on/off",
 		Metric: "aggregate write rate (GiB/s)"}
-	for _, v := range fig5Variants() {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.writeRate})
-			o.progress("fig5a %s procs=%d rate=%.2f GiB/s", v.name, procs, out.writeRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, fig5Variants(), writeRate)
 	return res
 }
 
@@ -52,15 +44,7 @@ func Fig5a(o Options) *Result {
 func Fig5b(o Options) *Result {
 	res := &Result{ID: "fig5b", Title: "Read from distributed DRAM with IA/COC on/off",
 		Metric: "aggregate read rate (GiB/s)"}
-	for _, v := range fig5Variants() {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{doRead: true})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.readRate})
-			o.progress("fig5b %s procs=%d rate=%.2f GiB/s", v.name, procs, out.readRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, fig5Variants(), readRate)
 	return res
 }
 
@@ -88,14 +72,6 @@ func Fig5c(o Options) *Result {
 	}
 	res := &Result{ID: "fig5c", Title: "Flush DRAM→Lustre with IA/ADPT on/off",
 		Metric: "aggregate flush rate (GiB/s)"}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{measureFlush: true})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.flushRate})
-			o.progress("fig5c %s procs=%d rate=%.2f GiB/s", v.name, procs, out.flushRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, variants, flushRate)
 	return res
 }

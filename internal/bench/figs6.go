@@ -24,15 +24,7 @@ func fig6Variants(flush bool) []variant {
 func Fig6a(o Options) *Result {
 	res := &Result{ID: "fig6a", Title: "Write: UniviStor vs Data Elevator vs Lustre",
 		Metric: "aggregate write rate (GiB/s)"}
-	for _, v := range fig6Variants(false) {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.writeRate})
-			o.progress("fig6a %s procs=%d rate=%.2f GiB/s", v.name, procs, out.writeRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, fig6Variants(false), writeRate)
 	return res
 }
 
@@ -41,15 +33,7 @@ func Fig6a(o Options) *Result {
 func Fig6b(o Options) *Result {
 	res := &Result{ID: "fig6b", Title: "Read: UniviStor vs Data Elevator vs Lustre",
 		Metric: "aggregate read rate (GiB/s)"}
-	for _, v := range fig6Variants(false) {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{doRead: true})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.readRate})
-			o.progress("fig6b %s procs=%d rate=%.2f GiB/s", v.name, procs, out.readRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, fig6Variants(false), readRate)
 	return res
 }
 
@@ -58,14 +42,6 @@ func Fig6b(o Options) *Result {
 func Fig6c(o Options) *Result {
 	res := &Result{ID: "fig6c", Title: "Flush to Lustre: UniviStor vs Data Elevator",
 		Metric: "aggregate flush rate (GiB/s)"}
-	for _, v := range fig6Variants(true) {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			out := runMicro(v, procs, o, microRun{measureFlush: true})
-			s.Points = append(s.Points, Point{Procs: procs, Value: out.flushRate})
-			o.progress("fig6c %s procs=%d rate=%.2f GiB/s", v.name, procs, out.flushRate)
-		}
-		res.Series = append(res.Series, s)
-	}
+	microSweep(res, o, fig6Variants(true), flushRate)
 	return res
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"univistor/internal/core"
 	"univistor/internal/mpi"
@@ -32,7 +33,7 @@ func uvStepLogs(o Options) func(*core.Config) {
 // "total I/O time": the slowest rank's accumulated open+write+close time
 // plus the tail of the last step's flush beyond its close (§III-C).
 func runVPIC(v variant, procs int, o Options, steps int) float64 {
-	st := buildStack(v, procs, o)
+	st := v.stack(procs, o)
 	cfg := vpicConfig(o, steps)
 	var maxIO, lastClose, flushTail sim.Time
 
@@ -41,38 +42,20 @@ func runVPIC(v variant, procs int, o Options, steps int) float64 {
 		if err != nil {
 			panic(fmt.Sprintf("bench: vpic: %v", err))
 		}
-		if stats.TotalIO > maxIO {
-			maxIO = stats.TotalIO
-		}
-		if stats.LastClose > lastClose {
-			lastClose = stats.LastClose
-		}
+		maxIO = max(maxIO, stats.TotalIO)
+		lastClose = max(lastClose, stats.LastClose)
 		r.Barrier()
 		lastFile := cfg.StepFile(steps - 1)
-		if st.UV != nil {
-			st.UV.Sys.WaitFlush(r.P, lastFile)
-		}
-		if st.DE != nil {
-			st.DE.WaitFlush(r.P, lastFile)
-		}
+		st.WaitFlush(r.P, lastFile)
 		r.Barrier()
 		if r.Rank() == 0 {
-			var end sim.Time
-			var ok bool
-			if st.UV != nil {
-				_, _, end, ok = st.UV.Sys.FlushStats(lastFile)
-			} else if st.DE != nil {
-				_, _, end, ok = st.DE.FlushStats(lastFile)
-			}
-			if ok && end > lastClose {
+			if _, _, end, ok := st.FlushStats(lastFile); ok && end > lastClose {
 				flushTail = end - lastClose
 			}
 		}
-		if st.UV != nil {
-			st.UV.Disconnect(r)
-		}
+		st.Disconnect(r)
 	}, mpi.LaunchOpts{RanksPerNode: o.RanksPerNode})
-	st.finish(app)
+	st.run(o, app.Wait)
 	return float64(maxIO + flushTail)
 }
 
@@ -87,15 +70,9 @@ func Fig7(o Options) *Result {
 	}
 	res := &Result{ID: "fig7", Title: "Total I/O time of 5-time-step VPIC-IO",
 		Metric: "total I/O time (s)"}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			t := runVPIC(v, procs, o, o.TimeSteps5)
-			s.Points = append(s.Points, Point{Procs: procs, Value: t})
-			o.progress("fig7 %s procs=%d time=%.2f s", v.name, procs, t)
-		}
-		res.Series = append(res.Series, s)
-	}
+	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+		return runVPIC(v, procs, o, o.TimeSteps5)
+	})
 	return res
 }
 
@@ -110,15 +87,9 @@ func Fig8(o Options) *Result {
 	}
 	res := &Result{ID: "fig8", Title: "Total I/O time of 10-time-step VPIC-IO across layer combinations",
 		Metric: "total I/O time (s)"}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			t := runVPIC(v, procs, o, o.TimeSteps10)
-			s.Points = append(s.Points, Point{Procs: procs, Value: t})
-			o.progress("fig8 %s procs=%d time=%.2f s", v.name, procs, t)
-		}
-		res.Series = append(res.Series, s)
-	}
+	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+		return runVPIC(v, procs, o, o.TimeSteps10)
+	})
 	return res
 }
 
@@ -128,7 +99,7 @@ func Fig8(o Options) *Result {
 // applications run concurrently under UniviStor's workflow management; in
 // nonoverlap mode the analysis starts only after the producer exits.
 func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float64 {
-	st := buildStack(v, procs, o)
+	st := v.stack(procs, o)
 	writers := procs / 2
 	readers := procs - writers
 	perNode := o.RanksPerNode / 2
@@ -151,29 +122,25 @@ func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float
 		if _, err := workloads.RunVPIC(r, st.Env, cfg); err != nil {
 			panic(fmt.Sprintf("bench: workflow vpic: %v", err))
 		}
-		if st.UV != nil {
-			st.UV.Disconnect(r)
-		}
+		st.Disconnect(r)
 	}
 	bdcatsMain := func(r *mpi.Rank) {
 		if _, err := workloads.RunBDCATS(r, st.Env, bdcfg); err != nil {
 			panic(fmt.Sprintf("bench: workflow bdcats: %v", err))
 		}
-		if r.Now() > elapsed {
-			elapsed = r.Now()
-		}
-		if st.UV != nil {
-			st.UV.Disconnect(r)
-		}
+		elapsed = max(elapsed, r.Now())
+		st.Disconnect(r)
 	}
 
 	opts := mpi.LaunchOpts{RanksPerNode: perNode, Nodes: nodes}
+	vpic := st.W.Launch("vpic", writers, vpicMain, opts)
 	if overlap {
-		vpic := st.W.Launch("vpic", writers, vpicMain, opts)
 		bd := st.W.Launch("bdcats", readers, bdcatsMain, opts)
-		st.finish(vpic, bd)
+		st.run(o, func(p *sim.Proc) {
+			vpic.Wait(p)
+			bd.Wait(p)
+		})
 	} else {
-		vpic := st.W.Launch("vpic", writers, vpicMain, opts)
 		var bd *mpi.Comm
 		gate := &sim.Event{}
 		st.E.Go("sequencer", func(p *sim.Proc) {
@@ -181,18 +148,10 @@ func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float
 			bd = st.W.Launch("bdcats", readers, bdcatsMain, opts)
 			gate.Set()
 		})
-		st.E.Go("janitor", func(p *sim.Proc) {
+		st.run(o, func(p *sim.Proc) {
 			gate.Wait(p)
 			bd.Wait(p)
-			if st.UV != nil {
-				st.UV.Sys.Shutdown()
-			}
 		})
-		st.E.Run()
-		if d := st.E.Deadlocked(); d != 0 {
-			panic(fmt.Sprintf("bench: %d processes deadlocked", d))
-		}
-		st.exportTrace()
 	}
 	return float64(elapsed)
 }
@@ -210,30 +169,20 @@ func Fig9(o Options) *Result {
 	de := variant{name: "DataElevator", driver: "dataelevator", policy: schedule.CFS}
 	lus := variant{name: "Lustre", driver: "lustre", policy: schedule.CFS}
 
+	as := func(v variant, name string) variant {
+		v.name = name
+		return v
+	}
+	variants := []variant{
+		as(uvDRAM, "UV/DRAM Overlap"), as(uvDRAM, "UV/DRAM Nonoverlap"),
+		as(uvBB, "UV/BB Overlap"), as(uvBB, "UV/BB Nonoverlap"),
+		de, lus,
+	}
 	res := &Result{ID: "fig9", Title: "5-step VPIC→BD-CATS workflow time",
 		Metric: "elapsed time (s)"}
-	type entry struct {
-		name    string
-		v       variant
-		overlap bool
-	}
-	entries := []entry{
-		{"UV/DRAM Overlap", uvDRAM, true},
-		{"UV/DRAM Nonoverlap", uvDRAM, false},
-		{"UV/BB Overlap", uvBB, true},
-		{"UV/BB Nonoverlap", uvBB, false},
-		{"DataElevator", de, false},
-		{"Lustre", lus, false},
-	}
-	for _, en := range entries {
-		s := Series{Name: en.name}
-		for _, procs := range o.Scales {
-			t := runWorkflow(en.v, procs, o, o.TimeSteps5, en.overlap)
-			s.Points = append(s.Points, Point{Procs: procs, Value: t})
-			o.progress("fig9 %s procs=%d time=%.2f s", en.name, procs, t)
-		}
-		res.Series = append(res.Series, s)
-	}
+	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+		return runWorkflow(v, procs, o, o.TimeSteps5, strings.HasSuffix(v.name, " Overlap"))
+	})
 	return res
 }
 
@@ -251,14 +200,8 @@ func Fig10(o Options) *Result {
 	}
 	res := &Result{ID: "fig10", Title: "10-step workflow time across layer combinations",
 		Metric: "elapsed time (s)"}
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			t := runWorkflow(v, procs, o, o.TimeSteps10, true)
-			s.Points = append(s.Points, Point{Procs: procs, Value: t})
-			o.progress("fig10 %s procs=%d time=%.2f s", v.name, procs, t)
-		}
-		res.Series = append(res.Series, s)
-	}
+	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+		return runWorkflow(v, procs, o, o.TimeSteps10, true)
+	})
 	return res
 }

@@ -10,8 +10,7 @@ package bench
 // decays as load grows; with QoS the token buckets shape everyone to the
 // sustained rate (inflating the shaped tenants' measured tails — the
 // price of enforcement) and the byte quota clips the heavy tenants, so
-// fairness holds. Deterministic: same options, same report, at any
-// worker count.
+// fairness holds. Deterministic: same options, same report.
 
 import (
 	"fmt"
@@ -47,7 +46,7 @@ func FigTail(o Options) *Result {
 	for _, rate := range figtailRates() {
 		var reps [2]gateway.Report
 		for i, qos := range []bool{false, true} {
-			st := buildStack(uvVariant("", tiersDRAM, nil), figtailTenants, o)
+			st := uvVariant("", tiersDRAM, nil).stack(figtailTenants, o)
 			gcfg := gateway.DefaultConfig()
 			gcfg.Tenants = figtailTenants
 			gcfg.OpBytes = 1 << 20
@@ -67,8 +66,8 @@ func FigTail(o Options) *Result {
 			if err != nil {
 				panic(fmt.Sprintf("bench: figtail gateway: %v", err))
 			}
-			// The gateway installs its own janitor; drain without one.
-			st.drain()
+			// The gateway installs its own janitor; run without one.
+			st.run(o, nil)
 			if err := g.Err(); err != nil {
 				panic(fmt.Sprintf("bench: figtail run: %v", err))
 			}

@@ -15,8 +15,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenQuickFigures pins the printed table of every quick-scale figure
 // — the -all set plus the four feature figures runnable by id — as one
-// SHA-256 digest per figure. The simulation is deterministic at any worker
-// count, so a changed digest is a real change in simulated behaviour.
+// SHA-256 digest per figure. The simulation is deterministic, so a changed
+// digest is a real change in simulated behaviour.
 // Regenerate with: go test ./internal/bench -run Golden -update
 func TestGoldenQuickFigures(t *testing.T) {
 	if testing.Short() {

@@ -43,8 +43,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"os"
-	"strconv"
 )
 
 // AllocStats are cumulative allocator counters, exposed for benchmarks,
@@ -86,40 +84,6 @@ func (e *Engine) AllocStats() AllocStats { return e.flows.stats }
 // ActiveComponents returns the number of live connected components in the
 // flow partition.
 func (e *Engine) ActiveComponents() int { return len(e.flows.comps) }
-
-// debugRecompute enables allocator diagnostics on stderr (never stdout:
-// cmd/univistor-sim encodes its JSON result to stdout, and diagnostics
-// interleaved there corrupt it). Set via UNIVISTOR_SIM_DEBUG; a positive
-// integer value is the print cadence in batches, any other non-empty
-// value uses the default of 500.
-var debugRecompute, debugEvery = recomputeDebugConfig(os.Getenv("UNIVISTOR_SIM_DEBUG"))
-
-func recomputeDebugConfig(v string) (bool, int64) {
-	if v == "" {
-		return false, 0
-	}
-	if n, err := strconv.Atoi(v); err == nil && n > 0 {
-		return true, int64(n)
-	}
-	return true, 500
-}
-
-// SetRecomputeDebug overrides the UNIVISTOR_SIM_DEBUG configuration:
-// every n dirty-batch solves a summary line is printed to stderr; n <= 0
-// disables the diagnostics. It affects all engines in the process.
-func SetRecomputeDebug(every int) {
-	debugRecompute = every > 0
-	debugEvery = int64(every)
-}
-
-func (fs *flowSet) debugBatch() {
-	if fs.stats.Recomputes%debugEvery != 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "[sim] recompute #%d t=%.4f active=%d comps=%d solved=%d merges=%d splits=%d parked=%d\n",
-		fs.stats.Recomputes, float64(fs.e.now), len(fs.active), len(fs.comps),
-		fs.stats.FlowsSolved, fs.stats.Merges, fs.stats.Splits, fs.stats.ParkedFlows)
-}
 
 // shareEntry is a lazy-heap entry for the water-filling allocator.
 type shareEntry struct {

@@ -1,12 +1,8 @@
 package sim
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 )
 
@@ -355,37 +351,5 @@ func TestDifferentialCheckCountsBatches(t *testing.T) {
 	}
 	if s.Recomputes == 0 || s.ComponentsSolved == 0 {
 		t.Fatalf("allocator counters empty: %+v", s)
-	}
-}
-
-// Recompute diagnostics must go to stderr, never stdout — stdout carries
-// machine-readable output (cmd/univistor-sim encodes JSON there).
-func TestRecomputeDebugGoesToStderr(t *testing.T) {
-	SetRecomputeDebug(1)
-	defer SetRecomputeDebug(0)
-
-	oldOut, oldErr := os.Stdout, os.Stderr
-	outR, outW, _ := os.Pipe()
-	errR, errW, _ := os.Pipe()
-	os.Stdout, os.Stderr = outW, errW
-
-	e := NewEngine()
-	r := NewResource("disk", 100)
-	e.Go("w1", func(p *Proc) { p.Transfer(200, r) })
-	e.Go("w2", func(p *Proc) { p.Transfer(400, r) })
-	e.Run()
-
-	outW.Close()
-	errW.Close()
-	os.Stdout, os.Stderr = oldOut, oldErr
-	var stdout, stderr bytes.Buffer
-	io.Copy(&stdout, outR)
-	io.Copy(&stderr, errR)
-
-	if stdout.Len() != 0 {
-		t.Errorf("recompute diagnostics leaked to stdout: %q", stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "[sim] recompute #") {
-		t.Errorf("stderr missing recompute diagnostics, got: %q", stderr.String())
 	}
 }

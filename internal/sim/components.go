@@ -243,9 +243,6 @@ func (fs *flowSet) processDirty() {
 	if fs.diffCheck {
 		fs.verifyIncremental()
 	}
-	if debugRecompute {
-		fs.debugBatch()
-	}
 	if tr := fs.e.tracer; tr != nil {
 		tr.Counter(fs.e.now, "alloc.components", int64(len(fs.comps)))
 		tr.Counter(fs.e.now, "alloc.flows_solved", fs.stats.FlowsSolved)

@@ -3,13 +3,9 @@ package trace
 // Compact recording summaries: per-category span counts and virtual-time
 // duration percentiles, per-resource busy fractions, and the final and peak
 // value of every counter series — the at-a-glance block univistor-sim
-// embeds in its JSON output and univistor-trace prints.
+// embeds in its JSON output.
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // CategorySummary aggregates the spans of one category.
 type CategorySummary struct {
@@ -189,32 +185,4 @@ func (r *Recorder) Summarize(maxResources int) *Summary {
 		s.Counters = append(s.Counters, cs)
 	}
 	return s
-}
-
-// Format writes the summary as aligned human-readable tables.
-func (s *Summary) Format(w io.Writer) {
-	fmt.Fprintf(w, "trace summary: %.6f virtual seconds, %d flows, %d instants\n",
-		s.VirtualSeconds, s.Flows, s.Instants)
-	if len(s.Spans) > 0 {
-		fmt.Fprintf(w, "%-14s %8s %12s %12s %12s %12s %12s %12s\n",
-			"category", "spans", "total(s)", "p50(s)", "p95(s)", "p99(s)", "p999(s)", "max(s)")
-		for _, c := range s.Spans {
-			fmt.Fprintf(w, "%-14s %8d %12.6f %12.6f %12.6f %12.6f %12.6f %12.6f\n",
-				c.Category, c.Count, c.TotalSeconds, c.P50, c.P95, c.P99, c.P999, c.MaxSeconds)
-		}
-	}
-	if len(s.Resources) > 0 {
-		fmt.Fprintf(w, "%-28s %14s %8s %8s %8s\n",
-			"resource", "cap(B/s)", "busy", "util", "samples")
-		for _, r := range s.Resources {
-			fmt.Fprintf(w, "%-28s %14.3g %8.3f %8.3f %8d\n",
-				r.Name, r.CapacityBps, r.BusyFraction, r.MeanUtilization, r.Samples)
-		}
-	}
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(w, "%-28s %8s %14s %14s\n", "counter", "samples", "final", "peak")
-		for _, c := range s.Counters {
-			fmt.Fprintf(w, "%-28s %8d %14d %14d\n", c.Name, c.Samples, c.Final, c.Peak)
-		}
-	}
 }

@@ -196,19 +196,11 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("disk utilization %v < nic %v; disk is the bottleneck",
 			disk.MeanUtilization, nic.MeanUtilization)
 	}
-	var buf bytes.Buffer
-	s.Format(&buf)
-	if !strings.Contains(buf.String(), "write") || !strings.Contains(buf.String(), "disk") {
-		t.Errorf("formatted summary missing expected rows:\n%s", buf.String())
-	}
 	if len(s.Counters) != 2 || s.Counters[0].Name != "alloc.components" {
 		t.Fatalf("counters = %+v, want alloc.components then alloc.flows_solved", s.Counters)
 	}
 	if c := s.Counters[0]; c.Samples == 0 || c.Peak == 0 || c.Final != 0 {
 		t.Errorf("alloc.components = %+v, want samples, a nonzero peak and 0 live at the end", c)
-	}
-	if !strings.Contains(buf.String(), "alloc.flows_solved") {
-		t.Errorf("formatted summary missing counter rows:\n%s", buf.String())
 	}
 }
 
