@@ -28,7 +28,7 @@ func main() {
 		bbCap   = flag.Int64("bb", 6, "VA mode: BB log capacity (units)")
 		servers = flag.Int("servers", 512, "striping mode: flushing servers (C_servers)")
 		osts    = flag.Int("osts", 248, "striping mode: storage units (C_max_units)")
-		alpha   = flag.Int("alpha", 8, "striping mode: α (units that saturate one server)")
+		alpha   = flag.Int("alpha", striping.DefaultAlpha, "striping mode: α (units that saturate one server)")
 		file    = flag.String("file", "128GiB", "striping mode: flush file size")
 		maxStr  = flag.String("maxstripe", "1GiB", "striping mode: S_max")
 	)
@@ -85,12 +85,15 @@ func explainVA(dram, ssd, bb int64) {
 func explainStriping(p striping.Params) {
 	fmt.Printf("Inputs: C_servers=%d  C_max_units=%d  α=%d  S_file=%d  S_max=%d\n\n",
 		p.Servers, p.MaxUnits, p.Alpha, p.FileSize, p.MaxStripe)
-	adaptive, err := striping.Adaptive(p)
-	if err != nil {
-		fatal("%v", err)
+	var plans []striping.Plan
+	for _, policy := range striping.Policies {
+		pl, err := striping.ForPolicy(policy, p)
+		if err != nil {
+			fatal("%v", err)
+		}
+		plans = append(plans, pl)
 	}
-	eq5, _ := striping.Eq5(p)
-	all, _ := striping.StripeAll(p, 1<<20)
+	adaptive := plans[0]
 
 	if p.Servers < p.MaxUnits {
 		fmt.Printf("Regime: servers < units (case 1, Eqs. 2–4)\n")
@@ -104,7 +107,7 @@ func explainStriping(p striping.Params) {
 	fmt.Printf("  S_stripe = %d   C_stripe = %d\n\n", adaptive.StripeSize, adaptive.StripeCount)
 
 	fmt.Printf("%-12s %-14s %-14s\n", "policy", "stripe size", "imbalance (max/mean OST load)")
-	for _, pl := range []striping.Plan{adaptive, eq5, all} {
+	for _, pl := range plans {
 		fmt.Printf("%-12s %-14d %.4f\n", pl.Policy, pl.StripeSize, pl.Imbalance(p.MaxUnits))
 	}
 }

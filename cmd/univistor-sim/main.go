@@ -24,7 +24,6 @@ import (
 	"univistor/internal/meta"
 	"univistor/internal/metaplane"
 	"univistor/internal/mpi"
-	"univistor/internal/schedule"
 	"univistor/internal/sim"
 	"univistor/internal/trace"
 	"univistor/internal/workloads"
@@ -83,7 +82,7 @@ func main() {
 		doFlush    = flag.Bool("flush", false, "flush to the PFS and report flush rate")
 		noIA       = flag.Bool("no-ia", false, "disable interference-aware scheduling")
 		noCOC      = flag.Bool("no-coc", false, "disable collective open/close")
-		noADPT     = flag.Bool("no-adpt", false, "disable adaptive striping")
+		noADPT     = flag.Bool("no-adpt", false, "flush with the conventional stripe-all layout instead of adaptive striping")
 		metaShards = flag.Int("meta-shards", 0,
 			"run the metadata service as this many replicated shards (0 = legacy single ring; univistor driver only)")
 		metaReplicas = flag.Int("meta-replicas", 1,
@@ -142,7 +141,7 @@ func main() {
 			}
 		}
 	}
-	requires(*driver == "univistor", "-driver univistor", "tiers", "no-coc", "no-adpt", "meta-shards",
+	requires(*driver == "univistor", "-driver univistor", "tiers", "no-ia", "no-coc", "no-adpt", "meta-shards",
 		"meta-replicas", "meta-follower-reads", "meta-lease", "meta-split", "dedup", "dedup-block-mb",
 		"gateway", "chaos")
 	requires(*gwMode, "-gateway", "tenants", "zipf", "qos", "gw-ops", "gw-arrival", "gw-seconds", "gw-kb", "gw-seed")
@@ -165,14 +164,12 @@ func main() {
 		fatal("-gateway drives its own workload; drop -ckpt/-read/-flush")
 	}
 
-	policy := schedule.InterferenceAware
-	if *noIA {
-		policy = schedule.CFS
-	}
 	cc := core.DefaultConfig()
 	cc.InterferenceAware = !*noIA
 	cc.CollectiveOpenClose = !*noCOC
-	cc.AdaptiveStriping = !*noADPT
+	if *noADPT {
+		cc.FlushStriping = "stripe-all"
+	}
 	cc.FlushOnClose = *doFlush
 	cc.MetaShards = *metaShards
 	if *metaShards > 0 {
@@ -205,7 +202,7 @@ func main() {
 		}
 	}
 	tc := bench.CoriCluster(*procs, *perNode)
-	st, err := bench.NewStack(tc, *driver, policy, cc, *chaosIn, *traceTo)
+	st, err := bench.NewStack(tc, *driver, cc, *chaosIn, *traceTo)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -84,6 +84,7 @@ func TestBadSizesRejected(t *testing.T) {
 		"-driver lustre -chaos seed=1",
 		"-driver lustre -meta-shards 2",
 		"-driver dataelevator -tiers dram",
+		"-driver lustre -no-ia",
 		"-driver lustre -no-coc",
 		"-driver dataelevator -no-adpt",
 		"-tenants 8",

@@ -16,7 +16,7 @@ func AblationStriping(o Options) *Result {
 	mk := func(name, policy string) variant {
 		v := uvVariant(name, tiersDRAM, func(c *core.Config) {
 			c.FlushOnClose = true
-			c.FlushStripingOverride = policy
+			c.FlushStriping = policy
 		})
 		v.topo = func(tc *topology.Config) { tc.OSTs = 6 }
 		return v

@@ -15,7 +15,6 @@ import (
 	"univistor/internal/chaos"
 	"univistor/internal/core"
 	"univistor/internal/meta"
-	"univistor/internal/schedule"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
 	"univistor/internal/workloads"
@@ -202,7 +201,6 @@ func clusterFor(procs int, o Options, mutate func(*topology.Config)) topology.Co
 type variant struct {
 	name   string
 	driver string // "univistor", "dataelevator", "lustre"
-	policy schedule.Policy
 	topo   func(*topology.Config)
 	core   func(*core.Config)
 }
@@ -211,11 +209,10 @@ type variant struct {
 // chaos spec and trace path.
 func (v variant) stack(procs int, o Options) *Stack {
 	cc := core.DefaultConfig()
-	cc.InterferenceAware = v.policy == schedule.InterferenceAware
 	if v.core != nil {
 		v.core(&cc)
 	}
-	st, err := NewStack(clusterFor(procs, o, v.topo), v.driver, v.policy, cc, o.Chaos, o.TracePath)
+	st, err := NewStack(clusterFor(procs, o, v.topo), v.driver, cc, o.Chaos, o.TracePath)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s stack: %v", v.driver, err))
 	}
@@ -314,7 +311,6 @@ func uvVariant(name string, tiers []meta.Tier, extra func(*core.Config)) variant
 	return variant{
 		name:   name,
 		driver: "univistor",
-		policy: schedule.InterferenceAware,
 		core: func(c *core.Config) {
 			c.CacheTiers = tiers
 			if extra != nil {

@@ -75,7 +75,7 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 		Seed:      1234,
 		Costs: metaplane.Costs{
 			NetLatency: tc.NetLatency,
-			ShmLatency: cc.ShmLatency,
+			ShmLatency: core.ShmLatency,
 			OpTime:     cc.MetaOpTime,
 			ApplyTime:  cc.MetaOpTime / 2,
 		},

@@ -1,26 +1,17 @@
 package bench
 
-import (
-	"univistor/internal/core"
-	"univistor/internal/schedule"
-)
+import "univistor/internal/core"
 
 // fig5Variants are the optimization on/off combinations of Fig. 5a/5b:
 // writes/reads to the distributed DRAM space with Interference-Aware
 // scheduling (IA) and Collective Open/Close (COC) toggled.
 func fig5Variants() []variant {
 	mk := func(name string, ia, coc bool) variant {
-		pol := schedule.InterferenceAware
-		if !ia {
-			pol = schedule.CFS
-		}
-		v := uvVariant(name, tiersDRAM, func(c *core.Config) {
+		return uvVariant(name, tiersDRAM, func(c *core.Config) {
 			c.InterferenceAware = ia
 			c.CollectiveOpenClose = coc
 			c.FlushOnClose = false
 		})
-		v.policy = pol
-		return v
 	}
 	return []variant{
 		mk("IA+COC", true, true),
@@ -52,23 +43,17 @@ func Fig5b(o Options) *Result {
 // to Lustre with Interference-Aware scheduling (IA) and ADaPTive striping
 // (ADPT) toggled.
 func Fig5c(o Options) *Result {
-	mk := func(name string, ia, adpt bool) variant {
-		pol := schedule.InterferenceAware
-		if !ia {
-			pol = schedule.CFS
-		}
-		v := uvVariant(name, tiersDRAM, func(c *core.Config) {
+	mk := func(name string, ia bool, layout string) variant {
+		return uvVariant(name, tiersDRAM, func(c *core.Config) {
 			c.InterferenceAware = ia
-			c.AdaptiveStriping = adpt
+			c.FlushStriping = layout
 			c.FlushOnClose = true
 		})
-		v.policy = pol
-		return v
 	}
 	variants := []variant{
-		mk("IA+ADPT", true, true),
-		mk("noIA", false, true),
-		mk("noADPT", true, false),
+		mk("IA+ADPT", true, "adaptive"),
+		mk("noIA", false, "adaptive"),
+		mk("noADPT", true, "stripe-all"),
 	}
 	res := &Result{ID: "fig5c", Title: "Flush DRAM→Lustre with IA/ADPT on/off",
 		Metric: "aggregate flush rate (GiB/s)"}

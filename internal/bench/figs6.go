@@ -2,7 +2,6 @@ package bench
 
 import (
 	"univistor/internal/core"
-	"univistor/internal/schedule"
 )
 
 // fig6Variants are the four systems of Fig. 6: UniviStor caching on DRAM,
@@ -11,8 +10,8 @@ import (
 func fig6Variants(flush bool) []variant {
 	uvDRAM := uvVariant("UniviStor/DRAM", tiersDRAM, func(c *core.Config) { c.FlushOnClose = flush })
 	uvBB := uvVariant("UniviStor/BB", tiersBB, func(c *core.Config) { c.FlushOnClose = flush })
-	de := variant{name: "DataElevator", driver: "dataelevator", policy: schedule.CFS}
-	lus := variant{name: "Lustre", driver: "lustre", policy: schedule.CFS}
+	de := variant{name: "DataElevator", driver: "dataelevator"}
+	lus := variant{name: "Lustre", driver: "lustre"}
 	if flush {
 		return []variant{uvDRAM, uvBB, de}
 	}

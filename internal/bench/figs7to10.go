@@ -6,7 +6,6 @@ import (
 
 	"univistor/internal/core"
 	"univistor/internal/mpi"
-	"univistor/internal/schedule"
 	"univistor/internal/sim"
 	"univistor/internal/workloads"
 )
@@ -65,8 +64,8 @@ func Fig7(o Options) *Result {
 	variants := []variant{
 		uvVariant("UniviStor/DRAM", tiersDRAM, uvStepLogs(o)),
 		uvVariant("UniviStor/BB", tiersBB, uvStepLogs(o)),
-		{name: "DataElevator", driver: "dataelevator", policy: schedule.CFS},
-		{name: "Lustre", driver: "lustre", policy: schedule.CFS},
+		{name: "DataElevator", driver: "dataelevator"},
+		{name: "Lustre", driver: "lustre"},
 	}
 	res := &Result{ID: "fig7", Title: "Total I/O time of 5-time-step VPIC-IO",
 		Metric: "total I/O time (s)"}
@@ -166,8 +165,8 @@ func Fig9(o Options) *Result {
 	}
 	uvDRAM := uvVariant("UV/DRAM", tiersDRAM, wfLogs)
 	uvBB := uvVariant("UV/BB", tiersBB, wfLogs)
-	de := variant{name: "DataElevator", driver: "dataelevator", policy: schedule.CFS}
-	lus := variant{name: "Lustre", driver: "lustre", policy: schedule.CFS}
+	de := variant{name: "DataElevator", driver: "dataelevator"}
+	lus := variant{name: "Lustre", driver: "lustre"}
 
 	as := func(v variant, name string) variant {
 		v.name = name

@@ -93,7 +93,7 @@ func newStormPlane(shards int, leased bool) *metaplane.Plane {
 		SplitBatchRecords: 64,
 		Costs: metaplane.Costs{
 			NetLatency: tc.NetLatency,
-			ShmLatency: cc.ShmLatency,
+			ShmLatency: core.ShmLatency,
 			OpTime:     cc.MetaOpTime,
 			ApplyTime:  cc.MetaOpTime / 2,
 		},

@@ -49,12 +49,21 @@ func CoriCluster(procs, ranksPerNode int) topology.Config {
 	return tc
 }
 
-// NewStack builds a stack on a cluster of shape tc, with ranks scheduled by
-// policy and I/O going through driver: "univistor", "dataelevator" or
-// "lustre". cc configures the UniviStor system, and chaosSpec, a chaos.Parse
-// spec, is armed on it when non-empty; the other drivers ignore both. A
-// non-empty tracePath attaches a trace recorder that Finish exports there.
-func NewStack(tc topology.Config, driver string, policy schedule.Policy, cc core.Config, chaosSpec, tracePath string) (*Stack, error) {
+// NewStack builds a stack on a cluster of shape tc, with I/O going through
+// driver: "univistor", "dataelevator" or "lustre". cc configures the
+// UniviStor system, and chaosSpec, a chaos.Parse spec, is armed on it when
+// non-empty; the other drivers ignore both. Ranks are placed
+// interference-aware when the driver is univistor and cc.InterferenceAware
+// is set, and by the OS default (CFS) otherwise. A non-empty tracePath
+// attaches a trace recorder that Finish exports there.
+func NewStack(tc topology.Config, driver string, cc core.Config, chaosSpec, tracePath string) (*Stack, error) {
+	if err := tc.Validate(); err != nil {
+		return nil, err
+	}
+	policy := schedule.CFS
+	if driver == "univistor" && cc.InterferenceAware {
+		policy = schedule.InterferenceAware
+	}
 	e := sim.NewEngine()
 	w := mpi.NewWorld(e, topology.New(e, tc), policy)
 	s := &Stack{E: e, W: w, shutdown: func() {}, tracePath: tracePath}

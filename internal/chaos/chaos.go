@@ -319,26 +319,3 @@ func (h *Harness) Finish() Report {
 		Violations: append([]string{}, h.violations...),
 	}
 }
-
-// Summary renders the report as one line.
-func (r Report) Summary() string {
-	status := "all invariants held"
-	if n := len(r.Violations); n > 0 {
-		status = fmt.Sprintf("%d invariant violation(s)", n)
-	}
-	return fmt.Sprintf("chaos[%s]: %d fault(s), %d sweep(s), %s",
-		r.Spec, len(r.Faults), r.Checks, status)
-}
-
-// Lines renders the full report for human output: the summary, then each
-// fault and violation indented.
-func (r Report) Lines() []string {
-	out := []string{r.Summary()}
-	for _, f := range r.Faults {
-		out = append(out, "  fault: "+f)
-	}
-	for _, v := range r.Violations {
-		out = append(out, "  VIOLATION: "+v)
-	}
-	return out
-}

@@ -9,9 +9,30 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"univistor/internal/meta"
+	"univistor/internal/striping"
 	"univistor/internal/tier"
+)
+
+// Costs of the modeled server runtime that no deployment varies.
+const (
+	// ShmLatency is the client↔co-located-server shared-memory handoff
+	// latency per operation.
+	ShmLatency = 2e-6
+
+	// openOpTime is the server time to serve one file open/close request —
+	// attribute handling, permission checks, registry updates — the
+	// operation COC collapses from all-ranks-to-one into root-plus-
+	// broadcast. Much heavier than a record op.
+	openOpTime = 8e-5
+
+	// stripeAllLockEff is the extent-lock efficiency of the shared flush
+	// file under the conventional stripe-all layout (the adaptive and Eq. 5
+	// flushes write stripe-aligned disjoint ranges and pay no lock
+	// penalty).
+	stripeAllLockEff = 0.5
 )
 
 // Config selects UniviStor's deployment shape and optimizations. Every
@@ -28,14 +49,6 @@ type Config struct {
 	// first, e.g. {TierDRAM, TierBB}. The PFS is always the final spill
 	// destination and never needs listing.
 	CacheTiers []meta.Tier
-
-	// DRAMLogFraction is the fraction of a node's DRAM-tier capacity the
-	// per-process memory-mapped logs may use in aggregate (c in c/p).
-	DRAMLogFraction float64
-
-	// BBLogFraction is the analogous fraction of the job's burst-buffer
-	// allocation.
-	BBLogFraction float64
 
 	// DRAMLogBytes, when positive, fixes each per-process DRAM log's size
 	// instead of the c/p default — the paper's "size of the file is
@@ -65,38 +78,21 @@ type Config struct {
 	// (segment record insert/lookup).
 	MetaOpTime float64
 
-	// OpenOpTime is the server time to serve one file open/close request —
-	// attribute handling, permission checks, registry updates — the
-	// operation COC collapses from all-ranks-to-one into root-plus-
-	// broadcast. Much heavier than a record op.
-	OpenOpTime float64
-
-	// ShmLatency is the client↔co-located-server shared-memory handoff
-	// latency per operation.
-	ShmLatency float64
-
 	// CollectiveOpenClose enables the COC optimization (§II-F): only the
 	// root performs the open/close metadata operation and broadcasts the
 	// result; disabled, every rank contacts the file's home server.
 	CollectiveOpenClose bool
 
-	// InterferenceAware enables the flush-time client migration of §II-C
-	// (the placement half of IA is the scheduler policy chosen when the
-	// world is built; keep the two in sync).
+	// InterferenceAware enables IA (§II-C): NUMA- and state-aware
+	// placement of the application's ranks, and client migration while
+	// servers flush. bench.NewStack places ranks by it.
 	InterferenceAware bool
 
-	// AdaptiveStriping enables Eqs. 2–6 for server-side flush; disabled,
-	// the flush uses the conventional stripe-all layout.
-	AdaptiveStriping bool
-
-	// Alpha is α of Eq. 2: the OST count saturating one flushing server.
-	Alpha int
-
-	// FlushStripingOverride forces a specific flush layout for ablation
-	// studies: "adaptive" (Eqs. 2–6), "eq5" (one OST per server,
-	// round-robin, no dummy-server correction — the straggler baseline),
-	// or "stripe-all". Empty follows AdaptiveStriping.
-	FlushStripingOverride string
+	// FlushStriping is the server-side flush layout, one of
+	// striping.Policies: "adaptive" (Eqs. 2–6, ADPT), "eq5" (one OST per
+	// server, round-robin, no dummy-server correction — the straggler
+	// baseline) or "stripe-all" (the conventional layout).
+	FlushStriping string
 
 	// LocationAwareRead enables the direct local/BB read paths of §II-B4;
 	// disabled, every read hops through the co-located server and remote
@@ -142,11 +138,6 @@ type Config struct {
 	// Requires MetaFollowerReads.
 	MetaLeaseTime float64
 
-	// StripeAllLockEff is the extent-lock efficiency of the shared flush
-	// file under the conventional stripe-all layout (adaptive flush writes
-	// stripe-aligned disjoint ranges and pays no lock penalty).
-	StripeAllLockEff float64
-
 	// ReplicateVolatile mirrors DRAM/local-SSD segments to the buddy node
 	// at write time, so node failure does not lose unflushed data — the
 	// resilience extension from the paper's future work (§V).
@@ -186,21 +177,15 @@ func DefaultConfig() Config {
 	return Config{
 		ServersPerNode:      2,
 		CacheTiers:          []meta.Tier{meta.TierDRAM, meta.TierBB},
-		DRAMLogFraction:     0.8,
-		BBLogFraction:       0.9,
 		ChunkSize:           8 << 20,
 		MetaRangeSize:       64 << 20,
 		MetaOpTime:          3e-6,
-		OpenOpTime:          8e-5,
-		ShmLatency:          2e-6,
 		CollectiveOpenClose: true,
 		InterferenceAware:   true,
-		AdaptiveStriping:    true,
-		Alpha:               8,
+		FlushStriping:       "adaptive",
 		LocationAwareRead:   true,
 		FlushOnClose:        true,
 		Workflow:            false,
-		StripeAllLockEff:    0.5,
 		ReplicateVolatile:   false,
 		ProactivePlacement:  false,
 		PromoteAfterReads:   2,
@@ -216,21 +201,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ChunkSize must be positive, got %d", c.ChunkSize)
 	case c.MetaRangeSize <= 0:
 		return fmt.Errorf("core: MetaRangeSize must be positive, got %d", c.MetaRangeSize)
-	case c.DRAMLogFraction < 0 || c.DRAMLogFraction > 1:
-		return fmt.Errorf("core: DRAMLogFraction must be in [0,1], got %v", c.DRAMLogFraction)
-	case c.BBLogFraction < 0 || c.BBLogFraction > 1:
-		return fmt.Errorf("core: BBLogFraction must be in [0,1], got %v", c.BBLogFraction)
-	case c.Alpha <= 0:
-		return fmt.Errorf("core: Alpha must be positive, got %d", c.Alpha)
-	case c.MetaOpTime < 0 || c.ShmLatency < 0 || c.OpenOpTime < 0:
-		return fmt.Errorf("core: latencies must be non-negative")
-	case c.StripeAllLockEff <= 0 || c.StripeAllLockEff > 1:
-		return fmt.Errorf("core: StripeAllLockEff must be in (0,1], got %v", c.StripeAllLockEff)
-	}
-	switch c.FlushStripingOverride {
-	case "", "adaptive", "eq5", "stripe-all":
-	default:
-		return fmt.Errorf("core: unknown FlushStripingOverride %q", c.FlushStripingOverride)
+	case c.MetaOpTime < 0:
+		return fmt.Errorf("core: MetaOpTime must be non-negative, got %v", c.MetaOpTime)
+	case !slices.Contains(striping.Policies, c.FlushStriping):
+		return fmt.Errorf("core: FlushStriping must be one of %v, got %q", striping.Policies, c.FlushStriping)
 	}
 	switch {
 	case c.MetaShards < 0:
@@ -275,13 +249,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (c Config) cachesTier(t meta.Tier) bool {
-	for _, ct := range c.CacheTiers {
-		if ct == t {
-			return true
-		}
-	}
-	return false
 }

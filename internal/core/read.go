@@ -42,7 +42,7 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 	la := sys.Cfg.LocationAwareRead
 	if !la {
 		// Request goes through the co-located server.
-		p.Sleep(sys.Cfg.ShmLatency)
+		p.Sleep(ShmLatency)
 	}
 
 	// 1. Local shared metadata buffer: free lookups for local segments.

@@ -64,9 +64,6 @@ func (sys *System) FailNode(node int) {
 	}
 }
 
-// NodeFailed reports whether the node's volatile storage is gone.
-func (sys *System) NodeFailed(node int) bool { return sys.failedNodes[node] }
-
 // Buddy returns the node holding node n's replicas (fault injectors use it
 // to aim double failures at a replica pair).
 func (sys *System) Buddy(n int) int { return sys.buddyNode(n) }

@@ -189,12 +189,10 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		PFS:     sys.PFS,
 		Trace:   w.Trace,
 		Cfg: tier.Params{
-			ChunkSize:       cfg.ChunkSize,
-			DRAMLogFraction: cfg.DRAMLogFraction,
-			DRAMLogBytes:    cfg.DRAMLogBytes,
-			BBLogFraction:   cfg.BBLogFraction,
-			BBLogBytes:      cfg.BBLogBytes,
-			TierLogBytes:    cfg.TierLogBytes,
+			ChunkSize:    cfg.ChunkSize,
+			DRAMLogBytes: cfg.DRAMLogBytes,
+			BBLogBytes:   cfg.BBLogBytes,
+			TierLogBytes: cfg.TierLogBytes,
 		},
 	})
 	if err != nil {
@@ -241,7 +239,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 			LeaseTime:     cfg.MetaLeaseTime,
 			Costs: metaplane.Costs{
 				NetLatency: w.Cluster.Cfg.NetLatency,
-				ShmLatency: cfg.ShmLatency,
+				ShmLatency: ShmLatency,
 				OpTime:     cfg.MetaOpTime,
 				ApplyTime:  cfg.MetaOpTime / 2,
 			},
@@ -258,7 +256,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		pl.Mover = func(p *sim.Proc, from, to int, bytes int64) {
 			path := w.Cluster.NetPath(from, to)
 			if path == nil {
-				p.Sleep(cfg.ShmLatency)
+				p.Sleep(ShmLatency)
 				return
 			}
 			p.Sleep(w.Cluster.Cfg.NetLatency)
@@ -381,14 +379,14 @@ func (sys *System) homeServer(name string) *Server {
 func (sys *System) chargeOpenOp(p *sim.Proc, fromNode int, srv *Server) {
 	sys.stats.OpenOps++
 	sp := sys.W.Trace.Begin(p, trace.CatMeta, "open-op")
-	sys.chargeOp(p, fromNode, srv, sys.Cfg.OpenOpTime)
+	sys.chargeOp(p, fromNode, srv, openOpTime)
 	sp.End(p.Now())
 }
 
 func (sys *System) chargeOp(p *sim.Proc, fromNode int, srv *Server, opTime float64) {
 	lat := sys.W.Cluster.Cfg.NetLatency
 	if srv.Node == fromNode {
-		lat = sys.Cfg.ShmLatency
+		lat = ShmLatency
 	}
 	// Serialized service: the request arrives after the transport latency,
 	// waits for the server's queue to drain, then holds the server for
@@ -440,48 +438,23 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 
 	total := fs.cachedTotal
 	cfg := sys.W.Cluster.Cfg
-	policy := "stripe-all"
-	if sys.Cfg.AdaptiveStriping {
-		policy = "adaptive"
+	plan, err := striping.ForPolicy(sys.Cfg.FlushStriping, striping.Params{
+		MaxUnits:  sys.PFS.OSTCount(),
+		Servers:   len(flushers),
+		Alpha:     striping.DefaultAlpha,
+		FileSize:  total,
+		MaxStripe: cfg.MaxStripeSize,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("core: striping plan: %v", err))
 	}
-	if sys.Cfg.FlushStripingOverride != "" {
-		policy = sys.Cfg.FlushStripingOverride
-	}
-	var spec lustre.StripeSpec
+	// The conventional layout pays extent-lock contention on the shared
+	// flush file.
 	lockEff := 1.0
-	switch policy {
-	case "adaptive":
-		plan, err := striping.Adaptive(striping.Params{
-			MaxUnits:  sys.PFS.OSTCount(),
-			Servers:   len(flushers),
-			Alpha:     sys.Cfg.Alpha,
-			FileSize:  total,
-			MaxStripe: cfg.MaxStripeSize,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("core: striping plan: %v", err))
-		}
-		spec = lustre.StripeSpec{Size: plan.StripeSize, Count: plan.StripeCount, StartOST: 0}
-	case "eq5":
-		// Eq. 5 without the dummy-server correction: each server's range
-		// is one stripe, assigned to OSTs round-robin; when the server
-		// count is not a multiple of the OST count, the overloaded OSTs
-		// straggle.
-		stripe := (total + int64(len(flushers)) - 1) / int64(len(flushers))
-		if stripe < 1 {
-			stripe = 1
-		}
-		count := len(flushers)
-		if count > sys.PFS.OSTCount() {
-			count = sys.PFS.OSTCount()
-		}
-		spec = lustre.StripeSpec{Size: stripe, Count: count, StartOST: 0}
-	case "stripe-all":
-		// Conventional layout: default stripe size across every OST, with
-		// extent-lock contention on the shared flush file.
-		spec = lustre.StripeSpec{Size: 1 << 20, Count: sys.PFS.OSTCount(), StartOST: 0}
-		lockEff = sys.Cfg.StripeAllLockEff
+	if plan.Policy == "stripe-all" {
+		lockEff = stripeAllLockEff
 	}
+	spec := lustre.StripeSpec{Size: plan.StripeSize, Count: plan.StripeCount, StartOST: 0}
 	pfsFile, err := sys.PFS.Create("flush:"+fs.name, spec, lockEff)
 	if err != nil {
 		panic(fmt.Sprintf("core: creating flush file: %v", err))

@@ -40,7 +40,7 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 	defer func() { sp.End(p.Now()) }()
 
 	// Hand the request to the co-located server over shared memory.
-	p.Sleep(sys.Cfg.ShmLatency)
+	p.Sleep(ShmLatency)
 
 	va, placed, err := cf.ls.Append(size, nil, sys.chain.Limit())
 	if err != nil {

@@ -136,6 +136,3 @@ func (m *Map) Covered(off, size int64) bool {
 	}
 	return cur >= end
 }
-
-// Clear drops all extents.
-func (m *Map) Clear() { m.exts = nil }

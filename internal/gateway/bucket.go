@@ -98,8 +98,5 @@ func (b *TokenBucket) Tokens(now sim.Time) float64 {
 	return tokens
 }
 
-// Rate returns the refill rate in bytes/s.
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
 // Burst returns the bucket capacity in bytes.
 func (b *TokenBucket) Burst() float64 { return b.burst }

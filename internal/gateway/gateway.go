@@ -28,23 +28,43 @@ import (
 	"univistor/internal/trace"
 )
 
+// The shape of every tenant's workload.
+const (
+	// objectsPerTenant and segmentsPerObject bound each tenant's object
+	// namespace: ops target one of objectsPerTenant objects, each a file
+	// of up to segmentsPerObject segments of OpBytes.
+	objectsPerTenant  = 4
+	segmentsPerObject = 4
+
+	// writeFrac and readFrac split the op mix; the remainder is stat.
+	writeFrac = 0.4
+	readFrac  = 0.4
+
+	// burstPhases and burstFactor shape the diurnal load curve: the run
+	// is divided into burstPhases windows and the arrival rate (open
+	// loop) or think rate (closed loop) is modulated sinusoidally so the
+	// peak-to-trough ratio is burstFactor.
+	burstPhases = 4
+	burstFactor = 3.0
+
+	// ingressBps is the shared gateway ingress capacity every tenant's
+	// payloads cross under QoS — the resource max-min fairness is decided
+	// on.
+	ingressBps = 1 << 30
+
+	// statCostBytes is the admission cost of a stat op (metadata only, no
+	// payload).
+	statCostBytes = 4 << 10
+)
+
 // Config shapes a gateway run.
 type Config struct {
 	// Tenants is the number of simulated tenants. Each tenant runs as its
 	// own single-rank application (so its opens/closes are private, not
 	// collective across tenants), placed round-robin across nodes.
 	Tenants int
-	// ObjectsPerTenant and SegmentsPerObject bound each tenant's object
-	// namespace: ops target one of ObjectsPerTenant objects, each a file
-	// of up to SegmentsPerObject segments of OpBytes.
-	ObjectsPerTenant  int
-	SegmentsPerObject int
 	// OpBytes is the payload of one write or read operation.
 	OpBytes int64
-
-	// WriteFrac and ReadFrac split the op mix; the remainder is stat.
-	WriteFrac float64
-	ReadFrac  float64
 
 	// OpsPerTenant selects the closed loop: each tenant issues exactly
 	// this many ops, separated by exponential think time with mean
@@ -57,13 +77,6 @@ type Config struct {
 	// slower than arrival inflates the tail without bound.
 	ArrivalRate     float64
 	DurationSeconds float64
-
-	// BurstPhases and BurstFactor shape the diurnal load curve: the run
-	// is divided into BurstPhases windows and the arrival rate (open
-	// loop) or think rate (closed loop) is modulated sinusoidally so the
-	// peak-to-trough ratio is BurstFactor. BurstPhases 0 disables.
-	BurstPhases int
-	BurstFactor float64
 
 	// ZipfS is the Zipf skew of object popularity within a tenant
 	// (s > 1; anything else means uniform).
@@ -92,12 +105,6 @@ type Config struct {
 	// TenantQuotaBytes is a hard cumulative admission quota per tenant
 	// (0 = unlimited). Ops beyond it are rejected, not shaped.
 	TenantQuotaBytes int64
-	// IngressBps is the shared gateway ingress capacity every tenant's
-	// payloads cross — the resource max-min fairness is decided on.
-	IngressBps float64
-	// StatCostBytes is the admission cost of a stat op (metadata only, no
-	// payload).
-	StatCostBytes int64
 
 	// Seed drives every tenant's op mix, think times, and object picks;
 	// tenant streams are derived by splitmix64 so runs are deterministic
@@ -108,22 +115,14 @@ type Config struct {
 // DefaultConfig returns a moderate mixed-load gateway setup.
 func DefaultConfig() Config {
 	return Config{
-		Tenants:           64,
-		ObjectsPerTenant:  4,
-		SegmentsPerObject: 4,
-		OpBytes:           256 << 10,
-		WriteFrac:         0.4,
-		ReadFrac:          0.4,
-		OpsPerTenant:      20,
-		ThinkSeconds:      0.2,
-		BurstPhases:       4,
-		BurstFactor:       3,
-		ZipfS:             1.2,
-		TenantRateBps:     8 << 20,
-		TenantBurstBytes:  1 << 20,
-		TenantPeakBps:     32 << 20,
-		IngressBps:        1 << 30,
-		StatCostBytes:     4 << 10,
+		Tenants:          64,
+		OpBytes:          256 << 10,
+		OpsPerTenant:     20,
+		ThinkSeconds:     0.2,
+		ZipfS:            1.2,
+		TenantRateBps:    8 << 20,
+		TenantBurstBytes: 1 << 20,
+		TenantPeakBps:    32 << 20,
 	}
 }
 
@@ -132,20 +131,14 @@ func (c Config) Validate() error {
 	switch {
 	case c.Tenants <= 0:
 		return fmt.Errorf("gateway: Tenants must be positive, got %d", c.Tenants)
-	case c.ObjectsPerTenant <= 0 || c.SegmentsPerObject <= 0:
-		return fmt.Errorf("gateway: ObjectsPerTenant and SegmentsPerObject must be positive")
 	case c.OpBytes <= 0:
 		return fmt.Errorf("gateway: OpBytes must be positive, got %d", c.OpBytes)
-	case c.WriteFrac < 0 || c.ReadFrac < 0 || c.WriteFrac+c.ReadFrac > 1:
-		return fmt.Errorf("gateway: op mix fractions must be non-negative and sum to at most 1")
 	case c.ArrivalRate < 0:
 		return fmt.Errorf("gateway: ArrivalRate must be non-negative, got %v", c.ArrivalRate)
 	case c.ArrivalRate > 0 && c.DurationSeconds <= 0:
 		return fmt.Errorf("gateway: open loop needs DurationSeconds > 0")
 	case c.ArrivalRate == 0 && c.OpsPerTenant <= 0:
 		return fmt.Errorf("gateway: closed loop needs OpsPerTenant > 0")
-	case c.BurstPhases < 0 || (c.BurstPhases > 0 && c.BurstFactor < 1):
-		return fmt.Errorf("gateway: BurstFactor must be >= 1 when BurstPhases is set")
 	case c.HeavyFrac < 0 || c.HeavyFrac > 1:
 		return fmt.Errorf("gateway: HeavyFrac must be in [0, 1], got %v", c.HeavyFrac)
 	case c.HeavyFrac > 0 && c.HeavyFactor < 1:
@@ -156,14 +149,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gateway: TenantPeakBps must be non-negative")
 	case c.QoS && c.TenantPeakBps > 0 && c.TenantPeakBps <= c.TenantRateBps:
 		return fmt.Errorf("gateway: TenantPeakBps %v must exceed TenantRateBps %v, or service always outlasts refill and the bucket never shapes", c.TenantPeakBps, c.TenantRateBps)
-	case c.QoS && c.IngressBps <= 0:
-		return fmt.Errorf("gateway: QoS needs positive IngressBps")
-	case c.QoS && (c.TenantBurstBytes < float64(c.OpBytes) || c.TenantBurstBytes < float64(c.StatCostBytes)):
-		return fmt.Errorf("gateway: TenantBurstBytes %v is below the per-op admission cost (OpBytes %d, StatCostBytes %d) — the bucket rejects any cost above its capacity, so such ops can never be admitted", c.TenantBurstBytes, c.OpBytes, c.StatCostBytes)
+	case c.QoS && (c.TenantBurstBytes < float64(c.OpBytes) || c.TenantBurstBytes < statCostBytes):
+		return fmt.Errorf("gateway: TenantBurstBytes %v is below the per-op admission cost (OpBytes %d, stat %d) — the bucket rejects any cost above its capacity, so such ops can never be admitted", c.TenantBurstBytes, c.OpBytes, statCostBytes)
 	case c.TenantQuotaBytes < 0:
 		return fmt.Errorf("gateway: TenantQuotaBytes must be non-negative")
-	case c.StatCostBytes < 0:
-		return fmt.Errorf("gateway: StatCostBytes must be non-negative")
 	}
 	return nil
 }
@@ -185,7 +174,7 @@ func (k opKind) String() string { return [...]string{"write", "read", "stat"}[k]
 type objState struct {
 	name    string
 	wf, rf  *core.ClientFile
-	written int // segments written so far, capped at SegmentsPerObject
+	written int // segments written so far, capped at segmentsPerObject
 }
 
 // tenant is one tenant's runtime state.
@@ -255,7 +244,7 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 			cfg.TenantPeakBps = 4 * cfg.TenantRateBps
 			g.cfg = cfg
 		}
-		g.ingress = sim.NewResource("gw-ingress", cfg.IngressBps)
+		g.ingress = sim.NewResource("gw-ingress", ingressBps)
 	}
 	nodes := len(sys.W.Cluster.Nodes)
 	heavy := int(cfg.HeavyFrac*float64(cfg.Tenants) + 0.5)
@@ -264,14 +253,14 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 		if i < heavy {
 			t.load = cfg.HeavyFactor
 		}
-		if cfg.ZipfS > 1 && cfg.ObjectsPerTenant > 1 {
-			t.zipf = rand.NewZipf(t.rng, cfg.ZipfS, 1, uint64(cfg.ObjectsPerTenant-1))
+		if cfg.ZipfS > 1 {
+			t.zipf = rand.NewZipf(t.rng, cfg.ZipfS, 1, objectsPerTenant-1)
 		}
 		if cfg.QoS {
 			t.bucket = NewTokenBucket(cfg.TenantRateBps, cfg.TenantBurstBytes, e.Now())
 			t.group = e.NewFlowGroup(fmt.Sprintf("tenant:%04d", i), cfg.TenantPeakBps)
 		}
-		t.objects = make([]objState, cfg.ObjectsPerTenant)
+		t.objects = make([]objState, objectsPerTenant)
 		for o := range t.objects {
 			t.objects[o].name = fmt.Sprintf("gw/t%04d/o%03d", i, o)
 		}
@@ -291,14 +280,10 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 }
 
 // burstMul is the diurnal load multiplier at time frac ∈ [0, 1) of the
-// run: sinusoidal with peak-to-trough ratio BurstFactor, mean 1.
-func (g *Gateway) burstMul(frac float64) float64 {
-	c := g.cfg
-	if c.BurstPhases <= 0 || c.BurstFactor <= 1 {
-		return 1
-	}
-	a := (c.BurstFactor - 1) / (c.BurstFactor + 1)
-	return 1 + a*math.Sin(2*math.Pi*float64(c.BurstPhases)*frac)
+// run: sinusoidal with peak-to-trough ratio burstFactor, mean 1.
+func burstMul(frac float64) float64 {
+	const a = (burstFactor - 1) / (burstFactor + 1)
+	return 1 + a*math.Sin(2*math.Pi*burstPhases*frac)
 }
 
 // runTenant is one tenant's main: the open- or closed-loop op stream,
@@ -321,7 +306,7 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 		// arrival.
 		next := 0.0
 		for {
-			mul := g.burstMul(next / cfg.DurationSeconds)
+			mul := burstMul(next / cfg.DurationSeconds)
 			next += t.rng.ExpFloat64() / (cfg.ArrivalRate * mul * t.load)
 			if next >= cfg.DurationSeconds {
 				break
@@ -342,7 +327,7 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 	} else {
 		for op := 0; op < cfg.OpsPerTenant; op++ {
 			if cfg.ThinkSeconds > 0 {
-				mul := g.burstMul(float64(op) / float64(cfg.OpsPerTenant))
+				mul := burstMul(float64(op) / float64(cfg.OpsPerTenant))
 				r.P.Sleep(t.rng.ExpFloat64() * cfg.ThinkSeconds / (mul * t.load))
 			}
 			start := r.Now()
@@ -373,14 +358,11 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 }
 
 // pickObject draws an object index from the tenant's popularity curve.
-func (t *tenant) pickObject(n int) int {
+func (t *tenant) pickObject() int {
 	if t.zipf != nil {
 		return int(t.zipf.Uint64())
 	}
-	if n == 1 {
-		return 0
-	}
-	return t.rng.Intn(n)
+	return t.rng.Intn(objectsPerTenant)
 }
 
 // doOp issues one operation: draw the kind and object, pass admission,
@@ -391,14 +373,14 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 	cfg := g.cfg
 	u := t.rng.Float64()
 	switch {
-	case u < cfg.WriteFrac:
+	case u < writeFrac:
 		kind = opWrite
-	case u < cfg.WriteFrac+cfg.ReadFrac:
+	case u < writeFrac+readFrac:
 		kind = opRead
 	default:
 		kind = opStat
 	}
-	obj := &t.objects[t.pickObject(len(t.objects))]
+	obj := &t.objects[t.pickObject()]
 	if kind == opRead && obj.written == 0 {
 		// Nothing to read yet: the op degrades to a stat of the same
 		// object (what a real client's failed GET precheck would do).
@@ -406,7 +388,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 	}
 	cost := float64(cfg.OpBytes)
 	if kind == opStat {
-		cost = float64(cfg.StatCostBytes)
+		cost = statCostBytes
 	}
 
 	t.issued++
@@ -444,13 +426,13 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 			r.P.TransferGroup(t.group, cost, g.ingress)
 		}
 		seg := obj.written
-		if seg >= cfg.SegmentsPerObject {
-			seg = t.rng.Intn(cfg.SegmentsPerObject) // overwrite a rotated slot
+		if seg >= segmentsPerObject {
+			seg = t.rng.Intn(segmentsPerObject) // overwrite a rotated slot
 		}
 		if err = obj.wf.WriteAt(int64(seg)*cfg.OpBytes, cfg.OpBytes, nil); err != nil {
 			return kind, false, err
 		}
-		if obj.written < cfg.SegmentsPerObject {
+		if obj.written < segmentsPerObject {
 			obj.written++
 		}
 		t.deliveredBytes += cfg.OpBytes

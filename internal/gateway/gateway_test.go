@@ -230,8 +230,8 @@ func TestConfigValidateQoSEdges(t *testing.T) {
 	}
 
 	cfg = base()
-	cfg.TenantBurstBytes = float64(cfg.StatCostBytes) - 1
-	cfg.OpBytes = cfg.StatCostBytes - 1 // keep OpBytes admissible
+	cfg.TenantBurstBytes = statCostBytes - 1
+	cfg.OpBytes = statCostBytes - 1 // keep OpBytes admissible
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("TenantBurstBytes below StatCostBytes passed validation")
 	}

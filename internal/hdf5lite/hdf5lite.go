@@ -129,13 +129,6 @@ func (h *File) OpenDataset(name string) (*Dataset, error) {
 	return nil, fmt.Errorf("hdf5lite: no dataset %q", name)
 }
 
-// Datasets returns the dataset table.
-func (h *File) Datasets() []DatasetInfo {
-	out := make([]DatasetInfo, len(h.table))
-	copy(out, h.table)
-	return out
-}
-
 // writeMeta persists the dataset table into the metadata region. Without
 // the collective optimization every rank encodes and writes the region
 // (all-to-one traffic at the region's home); with it, only the root does —

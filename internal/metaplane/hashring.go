@@ -20,11 +20,11 @@ import (
 	"univistor/internal/meta"
 )
 
-// DefaultVirtualNodes is the number of ring positions each shard owns.
+// virtualNodes is the number of ring positions each shard owns.
 // More virtual nodes smooth the key distribution at the cost of a larger
 // lookup table; 64 keeps the imbalance across 8 shards under a few
 // percent.
-const DefaultVirtualNodes = 64
+const virtualNodes = 64
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle and
 // the shard owning the arc that ends there.
@@ -38,18 +38,13 @@ type ringPoint struct {
 // function of (shard id, virtual-node index), so two rings built from the
 // same membership are identical — no RNG, no insertion-order dependence.
 type HashRing struct {
-	vnodes int
 	points []ringPoint
 	shards map[int]bool
 }
 
-// NewHashRing builds a ring of the given shard ids with vnodes virtual
-// nodes per shard (DefaultVirtualNodes when vnodes <= 0).
-func NewHashRing(shardIDs []int, vnodes int) *HashRing {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	r := &HashRing{vnodes: vnodes, shards: map[int]bool{}}
+// NewHashRing builds a ring of the given shard ids.
+func NewHashRing(shardIDs []int) *HashRing {
+	r := &HashRing{shards: map[int]bool{}}
 	for _, id := range shardIDs {
 		r.AddShard(id)
 	}
@@ -83,7 +78,7 @@ func (r *HashRing) AddShard(id int) {
 		return
 	}
 	r.shards[id] = true
-	for j := 0; j < r.vnodes; j++ {
+	for j := 0; j < virtualNodes; j++ {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(id, j), shard: id})
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -96,7 +91,7 @@ func (r *HashRing) AddShard(id int) {
 
 // Clone returns an independent deep copy of the ring.
 func (r *HashRing) Clone() *HashRing {
-	c := &HashRing{vnodes: r.vnodes, shards: make(map[int]bool, len(r.shards))}
+	c := &HashRing{shards: make(map[int]bool, len(r.shards))}
 	for id := range r.shards {
 		c.shards[id] = true
 	}

@@ -53,8 +53,8 @@ func rec(fid meta.FileID, off, size int64) meta.Record {
 // --- hash ring -------------------------------------------------------------
 
 func TestHashRingDeterministicAndBalanced(t *testing.T) {
-	a := NewHashRing([]int{0, 1, 2, 3}, 0)
-	b := NewHashRing([]int{3, 1, 0, 2}, 0) // insertion order must not matter
+	a := NewHashRing([]int{0, 1, 2, 3})
+	b := NewHashRing([]int{3, 1, 0, 2}) // insertion order must not matter
 	counts := map[int]int{}
 	const keys = 4096
 	for i := 0; i < keys; i++ {
@@ -77,7 +77,7 @@ func TestHashRingDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestHashRingRemovalOnlyMovesRemovedShardKeys(t *testing.T) {
-	r := NewHashRing([]int{0, 1, 2, 3}, 0)
+	r := NewHashRing([]int{0, 1, 2, 3})
 	before := map[uint64]int{}
 	for i := 0; i < 2048; i++ {
 		h := KeyHash(1, int64(i))

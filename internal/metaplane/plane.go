@@ -15,9 +15,9 @@ import (
 // replica compacts its log into a snapshot.
 const DefaultSnapshotEvery = 256
 
-// DefaultRecordBytes is the modeled wire size of one metadata record in a
+// recordBytes is the modeled wire size of one metadata record in a
 // split-migration batch.
-const DefaultRecordBytes = 256
+const recordBytes = 256
 
 // DefaultSplitBatchRecords is the number of records one split-migration
 // batch carries.
@@ -50,9 +50,6 @@ type Config struct {
 	// the largest single record a Covering query can resolve.
 	RangeSize int64
 
-	// VirtualNodes per shard on the hash ring (DefaultVirtualNodes if 0).
-	VirtualNodes int
-
 	// SnapshotEvery is the retained-log-length compaction threshold
 	// (DefaultSnapshotEvery if 0).
 	SnapshotEvery int
@@ -69,10 +66,6 @@ type Config struct {
 	// LeaseTime is the follower lease duration in virtual seconds — the
 	// staleness bound of a leased read (DefaultLeaseTime if 0).
 	LeaseTime float64
-
-	// RecordBytes is the modeled wire size of one record in a split
-	// migration batch (DefaultRecordBytes if 0).
-	RecordBytes int64
 
 	// SplitBatchRecords is the record count per split-migration batch
 	// (DefaultSplitBatchRecords if 0).
@@ -96,8 +89,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("metaplane: costs must be non-negative")
 	case c.LeaseTime < 0:
 		return fmt.Errorf("metaplane: LeaseTime must be non-negative, got %g", c.LeaseTime)
-	case c.RecordBytes < 0:
-		return fmt.Errorf("metaplane: RecordBytes must be non-negative, got %d", c.RecordBytes)
 	case c.SplitBatchRecords < 0:
 		return fmt.Errorf("metaplane: SplitBatchRecords must be non-negative, got %d", c.SplitBatchRecords)
 	}
@@ -160,7 +151,7 @@ func New(cfg Config) (*Plane, error) {
 	}
 	pl := &Plane{
 		cfg:    cfg,
-		ring:   NewHashRing(nil, cfg.VirtualNodes),
+		ring:   NewHashRing(nil),
 		groups: map[int]*group{},
 	}
 	for i := 0; i < cfg.Shards; i++ {

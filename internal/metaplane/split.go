@@ -139,10 +139,6 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 	if batchRecs <= 0 {
 		batchRecs = DefaultSplitBatchRecords
 	}
-	recBytes := pl.cfg.RecordBytes
-	if recBytes <= 0 {
-		recBytes = DefaultRecordBytes
-	}
 	for _, a := range s.arcs {
 		src := pl.groups[a.from]
 		// The arc's transfer window opens: leases on both ends are revoked
@@ -167,7 +163,7 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 				end = len(recs)
 			}
 			batch := recs[start:end]
-			pl.chargeBatch(p, src, target, len(batch), recBytes)
+			pl.chargeBatch(p, src, target, len(batch))
 			for _, rec := range batch {
 				if a.dirty[rec.Key()] {
 					continue // a newer mirrored mutation already landed
@@ -175,7 +171,7 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 				pl.adminApply(target, OpPut, rec)
 			}
 			pl.splitRecords += int64(len(batch))
-			pl.splitBytes += int64(len(batch)) * recBytes
+			pl.splitBytes += int64(len(batch)) * recordBytes
 			pl.Trace.Counter(p.Now(), "meta.split_records", pl.splitRecords)
 		}
 
@@ -206,7 +202,7 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 // chargeBatch charges one migration batch's cost: a serialized read-out
 // slot on the source leader, the wire transfer (a real allocator flow when
 // a Mover is installed), and a serialized apply slot on the target leader.
-func (pl *Plane) chargeBatch(p *sim.Proc, src, dst *group, n int, recBytes int64) {
+func (pl *Plane) chargeBatch(p *sim.Proc, src, dst *group, n int) {
 	c := pl.cfg.Costs
 	sl, dl := src.lead(), dst.lead()
 	t0 := p.Now()
@@ -215,7 +211,7 @@ func (pl *Plane) chargeBatch(p *sim.Proc, src, dst *group, n int, recBytes int64
 	}
 	if sl.node != dl.node {
 		if pl.Mover != nil {
-			pl.Mover(p, sl.node, dl.node, int64(n)*recBytes)
+			pl.Mover(p, sl.node, dl.node, int64(n)*recordBytes)
 		} else {
 			p.Sleep(c.NetLatency)
 		}

@@ -77,9 +77,6 @@ type ProcHandle struct {
 // on.
 func (h *ProcHandle) Core() int { return h.core.Index }
 
-// SocketIndex returns the NUMA socket the process currently runs on.
-func (h *ProcHandle) SocketIndex() int { return h.socket.Index }
-
 // MemPath returns the resources a memory-bandwidth-bound operation by this
 // process crosses: its private core share and the socket memory port. The
 // slice is cached (transfers are path-hot: every write/read/flush leg takes

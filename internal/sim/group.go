@@ -54,9 +54,6 @@ func (g *FlowGroup) Name() string { return g.name }
 // composing paths by hand).
 func (g *FlowGroup) Resource() *Resource { return g.cap }
 
-// RateCap returns the current aggregate rate cap in bytes/s.
-func (g *FlowGroup) RateCap() float64 { return g.cap.Capacity }
-
 // SetRateCap changes the group's aggregate rate cap and re-solves the
 // affected component. Panics on a non-positive cap (park a group by
 // degrading, not zeroing, like any other resource).

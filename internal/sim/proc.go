@@ -92,10 +92,3 @@ func (p *Proc) Sleep(d Duration) {
 	p.resumeAt(p.e.now + Time(d))
 	p.Park()
 }
-
-// Yield lets every other event scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() {
-	p.resumeAt(p.e.now)
-	p.Park()
-}

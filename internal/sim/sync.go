@@ -39,15 +39,6 @@ func (m *Mailbox) Recv(p *Proc) any {
 	return popFront(&m.queue)
 }
 
-// TryRecv dequeues the oldest message without blocking. It returns false if
-// the mailbox is empty.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	return popFront(&m.queue), true
-}
-
 // popFront removes and returns the head of a FIFO slice. Taking the last
 // element rewinds onto the backing array, so a queue that drains between
 // uses never reallocates.
@@ -175,9 +166,6 @@ func (ev *Event) Set() {
 	}
 	ev.waiters = nil
 }
-
-// IsSet reports whether the event has fired.
-func (ev *Event) IsSet() bool { return ev.set }
 
 // Wait blocks p until the event is set.
 func (ev *Event) Wait(p *Proc) {

@@ -20,6 +20,14 @@ package striping
 
 import "fmt"
 
+// DefaultAlpha is α of Eq. 2 for the modeled servers: the OST count that
+// saturates one flushing server's write bandwidth.
+const DefaultAlpha = 8
+
+// DefaultStripeSize is the system default stripe size the stripe-all
+// layout writes with.
+const DefaultStripeSize = 1 << 20
+
 // Params are the inputs to a striping decision.
 type Params struct {
 	MaxUnits  int   // C_max_units: OSTs available
@@ -176,19 +184,17 @@ func Adaptive(p Params) (Plan, error) {
 	return plan, nil
 }
 
-// Eq5 is the uncorrected baseline of Eq. 5: one OST per server, assigned
-// round-robin, stripe size S_file / C_servers. When Servers is not a
-// multiple of MaxUnits, some OSTs carry an extra server and straggle.
+// Eq5 is the uncorrected baseline of Eq. 5: each server's range is one
+// stripe of ceil(S_file / C_servers) bytes, assigned to OSTs round-robin
+// over min(C_servers, C_max_units) units. When Servers is not a multiple
+// of MaxUnits, some OSTs carry an extra server and straggle.
 func Eq5(p Params) (Plan, error) {
 	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
-	stripe := p.FileSize / int64(p.Servers)
-	if stripe < 1 {
-		stripe = 1
-	}
+	stripe := (p.FileSize + int64(p.Servers) - 1) / int64(p.Servers)
 	plan := Plan{Policy: "eq5", PerServer: 1, StripeSize: stripe,
-		StripeCount: p.MaxUnits, DumServers: p.Servers}
+		StripeCount: min(p.Servers, p.MaxUnits), DumServers: p.Servers}
 	for s := 0; s < p.Servers; s++ {
 		plan.Assignments = append(plan.Assignments, Assignment{
 			Server: s, Bytes: serverBytes(p.FileSize, p.Servers, s),
@@ -207,7 +213,7 @@ func StripeAll(p Params, defaultStripe int64) (Plan, error) {
 		return Plan{}, err
 	}
 	if defaultStripe <= 0 {
-		defaultStripe = 1 << 20
+		defaultStripe = DefaultStripeSize
 	}
 	all := make([]int, p.MaxUnits)
 	for i := range all {
@@ -222,6 +228,23 @@ func StripeAll(p Params, defaultStripe int64) (Plan, error) {
 		})
 	}
 	return plan, nil
+}
+
+// Policies are the flush layouts ForPolicy accepts: the adaptive plan and
+// its two baselines.
+var Policies = []string{"adaptive", "eq5", "stripe-all"}
+
+// ForPolicy computes the plan of the named flush layout, one of Policies.
+func ForPolicy(policy string, p Params) (Plan, error) {
+	switch policy {
+	case "adaptive":
+		return Adaptive(p)
+	case "eq5":
+		return Eq5(p)
+	case "stripe-all":
+		return StripeAll(p, DefaultStripeSize)
+	}
+	return Plan{}, fmt.Errorf("striping: unknown policy %q", policy)
 }
 
 // serverBytes splits FileSize as evenly as possible: the first

@@ -124,6 +124,19 @@ func TestEq5EvenWhenDivisible(t *testing.T) {
 	}
 }
 
+// Eq. 5 gives each server one stripe of ceil(S_file/C_servers) bytes over
+// min(C_servers, C_max_units) OSTs: the layout the flush creates.
+func TestEq5Layout(t *testing.T) {
+	p := Params{MaxUnits: 6, Servers: 4, Alpha: 8, FileSize: 10, MaxStripe: 1 << 30}
+	plan, err := ForPolicy("eq5", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.StripeSize != 3 || plan.StripeCount != 4 {
+		t.Errorf("Eq.5 layout = stripe %d × %d OSTs, want 3 × 4", plan.StripeSize, plan.StripeCount)
+	}
+}
+
 func TestStripeAllTouchesEveryOST(t *testing.T) {
 	p := Params{MaxUnits: 8, Servers: 2, Alpha: 8, FileSize: 1 << 20, MaxStripe: 1 << 30}
 	plan, err := StripeAll(p, 1<<16)
@@ -144,6 +157,10 @@ func TestValidation(t *testing.T) {
 		{MaxUnits: 1, Servers: 1, Alpha: 0, FileSize: 1, MaxStripe: 1},
 		{MaxUnits: 1, Servers: 1, Alpha: 1, FileSize: 0, MaxStripe: 1},
 		{MaxUnits: 1, Servers: 1, Alpha: 1, FileSize: 1, MaxStripe: 0},
+	}
+	ok := Params{MaxUnits: 1, Servers: 1, Alpha: 1, FileSize: 1, MaxStripe: 1}
+	if _, err := ForPolicy("stripe-none", ok); err == nil {
+		t.Error("ForPolicy accepted an unknown policy")
 	}
 	for i, p := range bad {
 		if _, err := Adaptive(p); err == nil {

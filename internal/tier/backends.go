@@ -111,7 +111,7 @@ func (b *dramBackend) Provision(req ProvisionReq) (int64, error) {
 	}
 	want := b.env.Cfg.logBytes(meta.TierDRAM, b.env.Cfg.DRAMLogBytes)
 	if want <= 0 {
-		want = int64(float64(node.DRAM.Free()) * b.env.Cfg.DRAMLogFraction / float64(p))
+		want = int64(float64(node.DRAM.Free()) * dramLogFraction / float64(p))
 	}
 	if free := node.DRAM.Free(); want > free {
 		want = free // shrink rather than fail; the log spills sooner
@@ -244,7 +244,7 @@ func (b *bbBackend) Provision(req ProvisionReq) (int64, error) {
 	}
 	want := b.env.Cfg.logBytes(meta.TierBB, b.env.Cfg.BBLogBytes)
 	if want <= 0 {
-		want = int64(float64(b.env.BB.FreeBytes()) * b.env.Cfg.BBLogFraction / float64(p))
+		want = int64(float64(b.env.BB.FreeBytes()) * bbLogFraction / float64(p))
 	}
 	if free := b.env.BB.FreeBytes() / p; want > free {
 		want = free

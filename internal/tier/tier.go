@@ -54,6 +54,14 @@ const (
 	Shared
 )
 
+// The shares of a pool the per-process logs may claim in aggregate (c in
+// the paper's c/p) when no fixed log size is configured: of the node's
+// DRAM tier, and of the job's burst-buffer allocation.
+const (
+	dramLogFraction = 0.8
+	bbLogFraction   = 0.9
+)
+
 // Params is the tier-relevant slice of the system configuration. Backends
 // that need a knob beyond these use TierLogBytes (the generic per-tier log
 // size override) or hold their own defaults — new tiers must not require
@@ -63,14 +71,12 @@ type Params struct {
 	// rounded down to multiples of it.
 	ChunkSize int64
 
-	// DRAMLogFraction / DRAMLogBytes size the per-process DRAM logs
-	// (fraction of the node pool, or a fixed byte count when positive).
-	DRAMLogFraction float64
-	DRAMLogBytes    int64
+	// DRAMLogBytes, when positive, fixes each per-process DRAM log's size
+	// instead of the dramLogFraction share of the node pool.
+	DRAMLogBytes int64
 
-	// BBLogFraction / BBLogBytes are the burst-buffer analogues.
-	BBLogFraction float64
-	BBLogBytes    int64
+	// BBLogBytes is the burst-buffer analogue (bbLogFraction).
+	BBLogBytes int64
 
 	// TierLogBytes, when a tier maps to a positive value, fixes that
 	// tier's per-process log size — the generic override future tiers use

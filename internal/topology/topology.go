@@ -51,7 +51,6 @@ type Config struct {
 	SharedFileEff  float64 // fraction of striped bandwidth a contended shared file retains
 	SharedWriterBW float64 // bytes/s one process can push into a contended shared file (extent-lock serialization)
 	PFSClientBW    float64 // bytes/s per compute node through the Lustre client stack (LNET/RPC)
-	AlphaSaturate  int     // α in Eq. 2: OSTs that saturate one flushing server
 
 	// Scheduling model.
 	CtxSwitchEff float64 // per extra process stacked on a core, multiplicative efficiency
@@ -95,7 +94,6 @@ func Cori() Config {
 		SharedFileEff:  0.30,
 		SharedWriterBW: 55 << 20, // ≈3.5 GB/s at 64 contended writers, matching measured shared-file h5 rates
 		PFSClientBW:    2.5 * GB,
-		AlphaSaturate:  8,
 
 		CtxSwitchEff: 0.85,
 	}

@@ -28,7 +28,6 @@ import (
 	"univistor/internal/core"
 	"univistor/internal/mpi"
 	"univistor/internal/mpiio"
-	"univistor/internal/schedule"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
 )
@@ -41,9 +40,6 @@ type Options struct {
 	// Service configures UniviStor itself (servers per node, cache tiers,
 	// optimizations). Zero value uses core.DefaultConfig.
 	Service core.Config
-	// InterferenceAware selects the placement policy; it is kept in sync
-	// with Service.InterferenceAware.
-	InterferenceAware bool
 }
 
 // Defaults returns the evaluation configuration: a 16-node Cori slice, two
@@ -52,7 +48,7 @@ func Defaults() Options {
 	m := topology.Cori()
 	m.Nodes = 16
 	m.BBNodes = 8
-	return Options{Machine: m, Service: core.DefaultConfig(), InterferenceAware: true}
+	return Options{Machine: m, Service: core.DefaultConfig()}
 }
 
 // Cluster is a running UniviStor deployment on a simulated machine.
@@ -63,9 +59,13 @@ type Cluster struct {
 	Driver  *mpiio.UniviStorDriver
 	Env     *mpiio.Env
 	Machine *topology.Cluster
+
+	stack *bench.Stack
 }
 
 // New builds the simulated machine and launches the UniviStor servers.
+// Ranks are placed interference-aware when Service.InterferenceAware is
+// set.
 func New(opts Options) (*Cluster, error) {
 	if opts.Machine.Nodes == 0 {
 		opts.Machine = Defaults().Machine
@@ -73,27 +73,12 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Service.ServersPerNode == 0 {
 		opts.Service = core.DefaultConfig()
 	}
-	opts.Service.InterferenceAware = opts.InterferenceAware
-	if err := opts.Machine.Validate(); err != nil {
-		return nil, err
-	}
-	e := sim.NewEngine()
-	machine := topology.New(e, opts.Machine)
-	policy := schedule.CFS
-	if opts.InterferenceAware {
-		policy = schedule.InterferenceAware
-	}
-	w := mpi.NewWorld(e, machine, policy)
-	sys, err := core.NewSystem(w, opts.Service)
+	st, err := bench.NewStack(opts.Machine, "univistor", opts.Service, "", "")
 	if err != nil {
 		return nil, err
 	}
-	drv := mpiio.NewUniviStorDriver(sys)
-	env, err := mpiio.NewEnv("univistor", drv)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{Engine: e, World: w, System: sys, Driver: drv, Env: env, Machine: machine}, nil
+	return &Cluster{Engine: st.E, World: st.W, System: st.UV.Sys, Driver: st.UV, Env: st.Env,
+		Machine: st.W.Cluster, stack: st}, nil
 }
 
 // App is the per-rank context handed to application code.
@@ -176,15 +161,13 @@ func WithNodes(nodes ...int) LaunchOption {
 // UniviStor servers down and drains remaining events. It returns the final
 // virtual time and an error if any simulated process deadlocked.
 func (c *Cluster) Run(jobs ...*Job) (float64, error) {
-	c.Engine.Go("univistor-teardown", func(p *sim.Proc) {
+	end, err := c.stack.Run(func(p *sim.Proc) {
 		for _, j := range jobs {
 			j.Wait(p)
 		}
-		c.System.Shutdown()
 	})
-	end := c.Engine.Run()
-	if d := c.Engine.Deadlocked(); d != 0 {
-		return float64(end), fmt.Errorf("univistor: %d simulated processes deadlocked", d)
+	if err != nil {
+		return float64(end), fmt.Errorf("univistor: %w", err)
 	}
 	return float64(end), nil
 }
@@ -211,9 +194,6 @@ type BenchOptions = bench.Options
 // BenchResult re-exports a regenerated figure.
 type BenchResult = bench.Result
 
-// DefaultBench returns the paper-scale sweep (64…8192 processes).
-func DefaultBench() BenchOptions { return bench.DefaultOptions() }
-
 // QuickBench returns a laptop-scale smoke sweep.
 func QuickBench() BenchOptions { return bench.QuickOptions() }
 
@@ -228,6 +208,3 @@ func RunFigure(id string, o BenchOptions) (*BenchResult, error) {
 	}
 	return f(o), nil
 }
-
-// RunAllFigures regenerates every figure and ablation in paper order.
-func RunAllFigures(o BenchOptions) []*BenchResult { return bench.All(o) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"univistor/internal/core"
 	"univistor/internal/meta"
 	"univistor/internal/topology"
 )
@@ -76,10 +77,15 @@ func TestFacadeValidation(t *testing.T) {
 	if _, err := New(o); err == nil {
 		t.Error("invalid machine accepted")
 	}
-	o = smallOpts()
-	o.Service.Alpha = -1
-	if _, err := New(o); err == nil {
-		t.Error("invalid service config accepted")
+	for _, bad := range []func(*core.Config){
+		func(c *core.Config) { c.ChunkSize = -1 },
+		func(c *core.Config) { c.FlushStriping = "stripe-some" },
+	} {
+		o = smallOpts()
+		bad(&o.Service)
+		if _, err := New(o); err == nil {
+			t.Errorf("invalid service config accepted: %+v", o.Service)
+		}
 	}
 }
 
