@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck check bench chaos-smoke examples
+.PHONY: all build vet test race race-diffcheck trace-smoke check bench chaos-smoke examples benchmark-test
 
 all: check
 
@@ -17,9 +17,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full CI gate: compile, static checks, race-enabled tests, chaos
-# gates, and every example program.
-check: build vet race chaos-smoke examples
+# The full CI gate, one target per CI step: compile, static checks,
+# race-enabled tests, the solver diffcheck, the trace smoke, every example
+# program, the chaos gates and the benchmark module's own checks.
+check: build vet race race-diffcheck trace-smoke examples chaos-smoke benchmark-test
+
+# Export a figure trace and a counter-rich feature trace, then validate
+# both.
+trace-smoke:
+	$(GO) run ./cmd/univibench -quick -fig fig6a -trace /tmp/t.json > /dev/null
+	$(GO) run ./cmd/univistor-sim -meta-shards 2 -meta-replicas 3 -meta-follower-reads -meta-split 1@1 \
+		-dedup -ckpt 3 -trace /tmp/counters.json > /dev/null
+	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json
+
+# The benchmark harness is its own module: vet and test it there.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.

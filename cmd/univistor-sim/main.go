@@ -108,7 +108,7 @@ func main() {
 			"drive the system through the multi-tenant QoS gateway instead of the micro workload (univistor driver only)")
 		tenants = flag.Int("tenants", 64, "gateway: simulated tenant count")
 		zipfS   = flag.Float64("zipf", 1.2, "gateway: Zipf skew of object popularity (>1)")
-		qos     = flag.Bool("qos", false, "gateway: enable per-tenant token-bucket admission, byte quotas and flow-group rate caps")
+		qos     = flag.Bool("qos", false, "gateway: enable per-tenant token-bucket admission, byte quotas and rate caps")
 		gwOps   = flag.Int("gw-ops", 0, "gateway: closed-loop ops per tenant (0 = gateway default)")
 		gwRate  = flag.Float64("gw-arrival", 0,
 			"gateway: open-loop arrivals per tenant per virtual second (>0 switches from closed to open loop)")

@@ -99,7 +99,7 @@ func NewStack(tc topology.Config, driver string, cc core.Config, chaosSpec, trac
 		}
 		d = s.de
 	case "lustre":
-		d = mpiio.NewLustreDriver(lustre.NewFS(w.Cluster), tc.SharedFileEff)
+		d = mpiio.NewLustreDriver(lustre.NewFS(w.Cluster))
 	default:
 		return nil, fmt.Errorf("unknown driver %q", driver)
 	}

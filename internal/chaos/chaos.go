@@ -303,9 +303,6 @@ func (h *Harness) sweep(stage string) {
 	}
 }
 
-// Checks reports the number of invariant sweeps performed so far.
-func (h *Harness) Checks() int { return h.checks }
-
 // Finish runs the end-of-run sweep (once) and returns the report.
 func (h *Harness) Finish() Report {
 	if !h.finished {

@@ -13,7 +13,6 @@ import (
 
 	"univistor/internal/meta"
 	"univistor/internal/striping"
-	"univistor/internal/tier"
 )
 
 // Costs of the modeled server runtime that no deployment varies.
@@ -61,9 +60,9 @@ type Config struct {
 	BBLogBytes int64
 
 	// TierLogBytes, when a tier maps to a positive value, fixes that
-	// tier's per-process log size — the generic override newly registered
-	// tiers (e.g. the object store) use instead of dedicated fields. For
-	// DRAM and BB it takes precedence over the legacy fields above.
+	// tier's per-process log size — the generic override newer tiers (e.g.
+	// the object store) use instead of dedicated fields. For DRAM and BB it
+	// takes precedence over the legacy fields above.
 	TierLogBytes map[meta.Tier]int64
 
 	// ChunkSize is the log-chunk granularity in bytes.
@@ -235,8 +234,8 @@ func (c Config) Validate() error {
 		if t == meta.TierPFS {
 			return fmt.Errorf("core: TierPFS is the implicit final destination, not a cache tier")
 		}
-		if !tier.Registered(t) {
-			return fmt.Errorf("core: no tier backend registered for cache tier %s", t)
+		if t < 0 || int(t) >= meta.NumTiers {
+			return fmt.Errorf("core: cache tier %s is out of range", t)
 		}
 		if seen[t] {
 			return fmt.Errorf("core: duplicate cache tier %s", t)

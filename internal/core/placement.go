@@ -52,7 +52,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 	if bk := sys.chain.Backend(oldTier); bk == nil || !bk.Shared() {
 		return // only segments on shared slow tiers are promoted
 	}
-	newAddr, ok := dlog.Append(rec.Size, nil)
+	newAddr, ok := dlog.Append(rec.Size)
 	if !ok {
 		return
 	}

@@ -69,7 +69,7 @@ func (sys *System) Stats() Stats {
 
 // MarshalJSON renders the snapshot with per-tier byte counts keyed by tier
 // name instead of positional arrays, so JSON consumers do not depend on the
-// numeric tier order (which may grow as backends are registered).
+// numeric tier order (which may grow as backends are added).
 func (s Stats) MarshalJSON() ([]byte, error) {
 	written := map[string]int64{}
 	for t, b := range s.BytesWritten {

@@ -8,10 +8,10 @@
 // op budget with think time). Object popularity within a tenant is
 // Zipf-distributed. With QoS enabled, every operation passes per-tenant
 // admission — a deterministic virtual-time token bucket plus an optional
-// hard byte quota — and every data payload crosses the tenant's flow
-// group: a rate-cap resource shared with the gateway ingress link, so
-// fairness between tenants is enforced by the same incremental max-min
-// allocator that shares every other resource in the simulation. With QoS
+// hard byte quota — and every data payload crosses the tenant's rate-cap
+// resource and the shared gateway ingress link, so fairness between
+// tenants is enforced by the same incremental max-min allocator that
+// shares every other resource in the simulation. With QoS
 // off the gateway is a pure pass-through and the core behaves exactly as
 // if driven directly.
 package gateway
@@ -89,14 +89,14 @@ type Config struct {
 	HeavyFrac   float64
 	HeavyFactor float64
 
-	// QoS enables admission control and per-tenant flow groups.
+	// QoS enables admission control and per-tenant rate caps.
 	QoS bool
 	// TenantRateBps and TenantBurstBytes parameterize each tenant's token
 	// bucket: the sustained admission rate and the burst absorbed above
 	// it.
 	TenantRateBps    float64
 	TenantBurstBytes float64
-	// TenantPeakBps caps the tenant's flow group — the instantaneous rate
+	// TenantPeakBps is the tenant's rate cap — the instantaneous rate
 	// ceiling its admitted payloads may move at (the burst drain rate).
 	// 0 derives 4× TenantRateBps. A non-zero peak must be above
 	// TenantRateBps (Validate enforces it) or the bucket never shapes —
@@ -184,7 +184,7 @@ type tenant struct {
 	rng     *rand.Rand
 	zipf    *rand.Zipf
 	bucket  *TokenBucket
-	group   *sim.FlowGroup
+	cap     *sim.Resource // QoS rate cap every payload crosses; nil with QoS off
 	objects []objState
 
 	issued    int64 // ops whose admission decision started
@@ -258,7 +258,7 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 		}
 		if cfg.QoS {
 			t.bucket = NewTokenBucket(cfg.TenantRateBps, cfg.TenantBurstBytes, e.Now())
-			t.group = e.NewFlowGroup(fmt.Sprintf("tenant:%04d", i), cfg.TenantPeakBps)
+			t.cap = sim.NewResource(fmt.Sprintf("tenant:%04d", i), cfg.TenantPeakBps)
 		}
 		t.objects = make([]objState, objectsPerTenant)
 		for o := range t.objects {
@@ -366,7 +366,7 @@ func (t *tenant) pickObject() int {
 }
 
 // doOp issues one operation: draw the kind and object, pass admission,
-// move the payload under the tenant's flow group, drive the core. lat
+// move the payload across the tenant's rate cap, drive the core. lat
 // reports whether the op completed and should be counted in the latency
 // ledger (rejected ops are not).
 func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat bool, err error) {
@@ -423,7 +423,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 		if cfg.QoS {
 			// Payload crosses the tenant's rate cap and the shared
 			// ingress before landing in the tier chain.
-			r.P.TransferGroup(t.group, cost, g.ingress)
+			r.P.Transfer(cost, g.ingress, t.cap)
 		}
 		seg := obj.written
 		if seg >= segmentsPerObject {
@@ -448,7 +448,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 		}
 		if cfg.QoS {
 			// Egress: the response payload crosses the same cap.
-			r.P.TransferGroup(t.group, cost, g.ingress)
+			r.P.Transfer(cost, g.ingress, t.cap)
 		}
 		t.deliveredBytes += cfg.OpBytes
 	case opStat:
@@ -487,17 +487,10 @@ func (g *Gateway) CheckInvariants() []string {
 					t.id, tok, t.bucket.Burst()))
 			}
 		}
-		if t.group != nil {
-			st := t.group.Stats()
-			if st.DeliveredBytes > float64(t.admittedBytes)+1e-6 {
-				out = append(out, fmt.Sprintf(
-					"gateway tenant %d: group delivered %.6g bytes exceeds admitted %d",
-					t.id, st.DeliveredBytes, t.admittedBytes))
-			}
-			if t.group.InFlight() < 0 {
-				out = append(out, fmt.Sprintf(
-					"gateway tenant %d: negative in-flight group transfers", t.id))
-			}
+		if t.deliveredBytes > t.admittedBytes {
+			out = append(out, fmt.Sprintf(
+				"gateway tenant %d: delivered %d bytes exceeds admitted %d",
+				t.id, t.deliveredBytes, t.admittedBytes))
 		}
 	}
 	return out

@@ -203,9 +203,26 @@ func TestGatewayOffAddsNoResources(t *testing.T) {
 		t.Fatal("pass-through gateway created an ingress resource")
 	}
 	for _, tn := range g.tenants {
-		if tn.group != nil || tn.bucket != nil {
+		if tn.cap != nil || tn.bucket != nil {
 			t.Fatal("pass-through gateway created admission state")
 		}
+	}
+}
+
+// Delivered bytes never exceed admitted bytes, with QoS on or off: a
+// pass-through run is checked as strictly as a shaped one.
+func TestCheckInvariantsDeliveredWithinAdmittedQoSOff(t *testing.T) {
+	sys := testSystem(t)
+	cfg := smallConfig()
+	cfg.QoS = false
+	g, _ := run(t, sys, cfg)
+	tn := g.tenants[0]
+	if tn.deliveredBytes == 0 {
+		t.Fatal("tenant 0 delivered nothing; the check below would be vacuous")
+	}
+	tn.deliveredBytes = tn.admittedBytes + 1
+	if viol := g.CheckInvariants(); len(viol) != 1 {
+		t.Fatalf("delivered > admitted on a QoS-off run gave violations %v, want exactly one", viol)
 	}
 }
 

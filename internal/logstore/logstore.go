@@ -11,8 +11,9 @@
 // physical chunks. This keeps the VA scheme of §II-B2 intact across chunk
 // reuse.
 //
-// Payloads are optional: functional tests store real bytes; at benchmark
-// scale logs account sizes only.
+// Logs track sizes and addresses only. Payload bytes live in the owning
+// file's authoritative extent map (core's fileState.content), which serves
+// every read.
 package logstore
 
 import (
@@ -24,7 +25,6 @@ import (
 
 // Log is one process's log file on one storage tier.
 type Log struct {
-	tier      meta.Tier
 	owner     int // producing client process (global rank)
 	chunkSize int64
 	capacity  int64 // bytes; multiple of chunkSize
@@ -35,14 +35,12 @@ type Log struct {
 	freeSlots  map[int64]bool // punched logical slots available for reuse
 	nextChunk  int            // next never-used physical chunk ID
 	liveBytes  int64
-
-	data map[int][]byte // physical chunk ID -> payload bytes (nil entries when size-only)
 }
 
 // NewLog creates a log of the given capacity with chunkSize-byte chunks.
 // Capacity is rounded down to a whole number of chunks; a capacity smaller
 // than one chunk yields a log that rejects every append.
-func NewLog(tier meta.Tier, owner int, capacity, chunkSize int64) *Log {
+func NewLog(owner int, capacity, chunkSize int64) *Log {
 	if chunkSize <= 0 {
 		panic(fmt.Sprintf("logstore: chunk size must be positive, got %d", chunkSize))
 	}
@@ -51,18 +49,13 @@ func NewLog(tier meta.Tier, owner int, capacity, chunkSize int64) *Log {
 	}
 	capacity -= capacity % chunkSize
 	return &Log{
-		tier:       tier,
 		owner:      owner,
 		chunkSize:  chunkSize,
 		capacity:   capacity,
 		chunkTable: map[int64]int{},
 		freeSlots:  map[int64]bool{},
-		data:       map[int][]byte{},
 	}
 }
-
-// Tier returns the tier the log lives on.
-func (l *Log) Tier() meta.Tier { return l.tier }
 
 // Owner returns the producing process's global rank.
 func (l *Log) Owner() int { return l.owner }
@@ -137,47 +130,29 @@ func (l *Log) reserveLogical(size int64) (int64, bool) {
 	return 0, false
 }
 
-// Append writes size bytes (optionally carrying payload) at the log head
-// and returns the segment's physical address A within the log. It returns
-// ok=false, reserving nothing, when the log lacks space — the caller then
-// spills to the next tier.
-func (l *Log) Append(size int64, payload []byte) (addr int64, ok bool) {
+// Append reserves size bytes at the log head and returns the segment's
+// physical address A within the log. It returns ok=false, reserving
+// nothing, when the log lacks space — the caller then spills to the next
+// tier.
+func (l *Log) Append(size int64) (addr int64, ok bool) {
 	if size <= 0 {
 		return 0, false
-	}
-	if payload != nil && int64(len(payload)) != size {
-		panic(fmt.Sprintf("logstore: payload length %d != size %d", len(payload), size))
 	}
 	addr, ok = l.reserveLogical(size)
 	if !ok {
 		return 0, false
 	}
-	// Walk the logical range chunk by chunk, allocating physical chunks on
-	// first touch and copying payload bytes when present.
-	for written := int64(0); written < size; {
-		slot := (addr + written) / l.chunkSize
-		inChunk := (addr + written) % l.chunkSize
-		phys, have := l.chunkTable[slot]
-		if !have {
-			phys = l.allocChunk()
-			if phys < 0 {
-				panic("logstore: chunk allocation failed after capacity check")
-			}
-			l.chunkTable[slot] = phys
+	// Back every logical slot the segment touches with a physical chunk,
+	// allocating on first touch.
+	for slot := addr / l.chunkSize; slot <= (addr+size-1)/l.chunkSize; slot++ {
+		if _, have := l.chunkTable[slot]; have {
+			continue
 		}
-		n := l.chunkSize - inChunk
-		if n > size-written {
-			n = size - written
+		phys := l.allocChunk()
+		if phys < 0 {
+			panic("logstore: chunk allocation failed after capacity check")
 		}
-		if payload != nil {
-			buf := l.data[phys]
-			if buf == nil {
-				buf = make([]byte, l.chunkSize)
-				l.data[phys] = buf
-			}
-			copy(buf[inChunk:inChunk+n], payload[written:written+n])
-		}
-		written += n
+		l.chunkTable[slot] = phys
 	}
 	l.liveBytes += size
 	return addr, true
@@ -198,53 +173,15 @@ func (l *Log) allocChunk() int {
 	return id
 }
 
-// ReadAt copies size bytes starting at physical address addr into a new
-// buffer. It returns nil when the log is size-only (no payloads stored).
-// Reading outside the log's fixed capacity is a bug in the caller and
-// panics (recycled slots make sub-capacity addresses valid even past the
-// pristine cursor).
-func (l *Log) ReadAt(addr, size int64) []byte {
-	if addr < 0 || size < 0 || addr+size > l.capacity {
-		panic(fmt.Sprintf("logstore: read [%d,%d) beyond capacity %d", addr, addr+size, l.capacity))
-	}
-	if size == 0 {
-		return []byte{}
-	}
-	out := make([]byte, size)
-	any := false
-	for read := int64(0); read < size; {
-		slot := (addr + read) / l.chunkSize
-		inChunk := (addr + read) % l.chunkSize
-		n := l.chunkSize - inChunk
-		if n > size-read {
-			n = size - read
-		}
-		phys, have := l.chunkTable[slot]
-		if have {
-			if buf := l.data[phys]; buf != nil {
-				copy(out[read:read+n], buf[inChunk:inChunk+n])
-				any = true
-			}
-		}
-		read += n
-	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
 // Punch releases the chunk backing logical slot, pushing its physical chunk
 // onto the free stack for reuse. Punching an unallocated slot is a no-op.
-// The logical slot's bytes become unreadable; the address space is not
-// compacted (log-structured semantics).
+// The address space is not compacted (log-structured semantics).
 func (l *Log) Punch(slot int64) {
 	phys, have := l.chunkTable[slot]
 	if !have {
 		return
 	}
 	delete(l.chunkTable, slot)
-	delete(l.data, phys)
 	l.freeStack = append(l.freeStack, phys)
 	l.freeSlots[slot] = true
 	// Live-byte accounting: a punched chunk's bytes are dead.
@@ -303,7 +240,7 @@ func NewLogSet(owner int, caps [meta.NumTiers]int64, chunkSize int64) (*LogSet, 
 		if meta.Tier(t) == meta.TierPFS {
 			c = pfsCap - pfsCap%chunkSize
 		}
-		ls.logs[t] = NewLog(meta.Tier(t), owner, c, chunkSize)
+		ls.logs[t] = NewLog(owner, c, chunkSize)
 	}
 	return ls, nil
 }
@@ -317,12 +254,12 @@ func (ls *LogSet) Log(t meta.Tier) *Log { return ls.logs[t] }
 // Append places size bytes on the fastest tier with room at or below limit
 // (the destination tier set by the application, typically TierPFS) and
 // returns the segment's VA and the tier chosen.
-func (ls *LogSet) Append(size int64, payload []byte, limit meta.Tier) (va int64, tier meta.Tier, err error) {
+func (ls *LogSet) Append(size int64, limit meta.Tier) (va int64, tier meta.Tier, err error) {
 	for t := 0; t <= int(limit); t++ {
 		if meta.Tier(t) != meta.TierPFS && ls.space.Cap(meta.Tier(t)) == 0 {
 			continue
 		}
-		addr, ok := ls.logs[t].Append(size, payload)
+		addr, ok := ls.logs[t].Append(size)
 		if !ok {
 			continue
 		}
@@ -333,14 +270,4 @@ func (ls *LogSet) Append(size int64, payload []byte, limit meta.Tier) (va int64,
 		return va, meta.Tier(t), nil
 	}
 	return 0, 0, fmt.Errorf("logstore: proc %d: no tier ≤ %s can hold %d bytes", ls.owner, limit, size)
-}
-
-// ReadVA resolves a VA to its tier and reads size bytes from the backing
-// log.
-func (ls *LogSet) ReadVA(va, size int64) ([]byte, meta.Tier, error) {
-	tier, addr, err := ls.space.Decode(va)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ls.logs[tier].ReadAt(addr, size), tier, nil
 }

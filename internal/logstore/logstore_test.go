@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,27 +8,11 @@ import (
 	"univistor/internal/meta"
 )
 
-func TestAppendReadRoundTrip(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 1024, 64)
-	payload := []byte("hello, log-structured world")
-	addr, ok := l.Append(int64(len(payload)), payload)
-	if !ok {
-		t.Fatal("append failed")
-	}
-	if addr != 0 {
-		t.Errorf("first append at %d, want 0", addr)
-	}
-	got := l.ReadAt(addr, int64(len(payload)))
-	if !bytes.Equal(got, payload) {
-		t.Errorf("read %q, want %q", got, payload)
-	}
-}
-
 func TestAppendsAreContiguous(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 1024, 64)
+	l := NewLog(0, 1024, 64)
 	var addrs []int64
 	for i := 0; i < 5; i++ {
-		a, ok := l.Append(100, nil)
+		a, ok := l.Append(100)
 		if !ok {
 			t.Fatalf("append %d failed", i)
 		}
@@ -43,17 +26,9 @@ func TestAppendsAreContiguous(t *testing.T) {
 }
 
 func TestAppendSpansChunks(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 4096, 16)
-	payload := make([]byte, 100)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	addr, ok := l.Append(100, payload)
-	if !ok {
+	l := NewLog(0, 4096, 16)
+	if _, ok := l.Append(100); !ok {
 		t.Fatal("append failed")
-	}
-	if got := l.ReadAt(addr, 100); !bytes.Equal(got, payload) {
-		t.Error("spanning read mismatch")
 	}
 	if l.Slots() != 7 { // ceil(100/16)
 		t.Errorf("allocated %d chunks, want 7", l.Slots())
@@ -61,15 +36,15 @@ func TestAppendSpansChunks(t *testing.T) {
 }
 
 func TestCapacityExhaustionTriggersSpill(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10) // exactly 100 bytes
-	if _, ok := l.Append(60, nil); !ok {
+	l := NewLog(0, 100, 10) // exactly 100 bytes
+	if _, ok := l.Append(60); !ok {
 		t.Fatal("first append failed")
 	}
-	if _, ok := l.Append(50, nil); ok {
+	if _, ok := l.Append(50); ok {
 		t.Fatal("append beyond capacity succeeded")
 	}
 	// The failed append reserved nothing: 40 bytes still fit.
-	if _, ok := l.Append(40, nil); !ok {
+	if _, ok := l.Append(40); !ok {
 		t.Error("append of exact remainder failed")
 	}
 	if l.Free() != 0 {
@@ -78,15 +53,15 @@ func TestCapacityExhaustionTriggersSpill(t *testing.T) {
 }
 
 func TestCapacityRoundedToChunks(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 105, 10)
+	l := NewLog(0, 105, 10)
 	if l.Capacity() != 100 {
 		t.Errorf("capacity = %d, want 100 (rounded down)", l.Capacity())
 	}
 }
 
 func TestFreeChunkStackLIFOReuse(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10)
-	l.Append(100, nil) // fills chunks 0..9
+	l := NewLog(0, 100, 10)
+	l.Append(100) // fills chunks 0..9
 	if l.FreeChunks() != 0 {
 		t.Fatalf("free stack = %d, want 0", l.FreeChunks())
 	}
@@ -98,11 +73,11 @@ func TestFreeChunkStackLIFOReuse(t *testing.T) {
 	// Pristine space is exhausted (cursor at capacity), so new appends
 	// reuse the punched logical slots, lowest run first: slot 3, then 7.
 	// Addresses stay below the capacity, keeping Eq. 1's VA bound intact.
-	a1, ok := l.Append(10, nil)
+	a1, ok := l.Append(10)
 	if !ok {
 		t.Fatal("append after punch failed")
 	}
-	a2, ok := l.Append(10, nil)
+	a2, ok := l.Append(10)
 	if !ok {
 		t.Fatal("second append after punch failed")
 	}
@@ -112,23 +87,23 @@ func TestFreeChunkStackLIFOReuse(t *testing.T) {
 	if a1 >= l.Capacity() || a2 >= l.Capacity() {
 		t.Error("reused address escaped the log capacity")
 	}
-	if _, ok := l.Append(10, nil); ok {
+	if _, ok := l.Append(10); ok {
 		t.Error("append with no free space succeeded")
 	}
 }
 
 func TestMultiChunkReuseNeedsContiguousRun(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10)
-	l.Append(100, nil)
+	l := NewLog(0, 100, 10)
+	l.Append(100)
 	// Punch non-adjacent slots: a 20-byte append (2 slots) must fail.
 	l.Punch(2)
 	l.Punch(5)
-	if _, ok := l.Append(20, nil); ok {
+	if _, ok := l.Append(20); ok {
 		t.Fatal("append found a contiguous run where none exists")
 	}
 	// Punch slot 3: now 2,3 form a run.
 	l.Punch(3)
-	addr, ok := l.Append(20, nil)
+	addr, ok := l.Append(20)
 	if !ok {
 		t.Fatal("append failed despite contiguous run")
 	}
@@ -138,52 +113,34 @@ func TestMultiChunkReuseNeedsContiguousRun(t *testing.T) {
 }
 
 func TestPunchUnallocatedSlotIsNoop(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10)
+	l := NewLog(0, 100, 10)
 	l.Punch(5)
 	if l.FreeChunks() != 0 {
 		t.Error("punching an unallocated slot pushed to the free stack")
 	}
 }
 
-func TestPunchedDataUnreadableButOthersSurvive(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10)
-	l.Append(10, []byte("aaaaaaaaaa"))
-	l.Append(10, []byte("bbbbbbbbbb"))
+func TestPunchKeepsOtherSlotsLive(t *testing.T) {
+	l := NewLog(0, 100, 10)
+	l.Append(10)
+	l.Append(10)
 	l.Punch(0)
-	if got := l.ReadAt(10, 10); !bytes.Equal(got, []byte("bbbbbbbbbb")) {
-		t.Errorf("surviving chunk corrupted: %q", got)
+	if l.Slots() != 1 || l.Used() != 10 {
+		t.Errorf("after punching slot 0: %d slots, %d live bytes, want 1 and 10", l.Slots(), l.Used())
 	}
-}
-
-func TestReadBeyondCapacityPanics(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10)
-	l.Append(10, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("read past capacity did not panic")
-		}
-	}()
-	l.ReadAt(95, 10)
-}
-
-func TestSizeOnlyLogReturnsNilReads(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 100, 10)
-	addr, _ := l.Append(20, nil)
-	if got := l.ReadAt(addr, 20); got != nil {
-		t.Errorf("size-only read = %v, want nil", got)
+	if _, have := l.chunkTable[1]; !have {
+		t.Error("punching slot 0 released slot 1")
 	}
 }
 
 // Property: arbitrary interleavings of appends and punches never
-// double-allocate a physical chunk and never corrupt surviving payloads.
+// double-allocate a physical chunk and never unback a slot of a segment
+// that no punch touched.
 func TestLogChunkInvariantProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewLog(meta.TierDRAM, 0, 64*16, 16)
-		type seg struct {
-			addr int64
-			data []byte
-		}
+		l := NewLog(0, 64*16, 16)
+		type seg struct{ addr, size int64 }
 		var live []seg
 		punched := map[int64]bool{}
 		for op := 0; op < 200; op++ {
@@ -192,9 +149,7 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 				if size > l.Free() {
 					size = l.Free()
 				}
-				data := make([]byte, size)
-				rng.Read(data)
-				addr, ok := l.Append(size, data)
+				addr, ok := l.Append(size)
 				if !ok {
 					// Free bytes exist but no contiguous reusable run —
 					// a legitimate refusal under slot recycling.
@@ -203,7 +158,7 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 				if addr < 0 || addr+size > l.Capacity() {
 					return false // address escaped the fixed-size log
 				}
-				live = append(live, seg{addr, data})
+				live = append(live, seg{addr, size})
 			} else if len(live) > 0 {
 				// Punch a random allocated slot.
 				slot := int64(rng.Intn(int(l.Cursor()/16 + 1)))
@@ -219,19 +174,20 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 				seen[phys] = true
 			}
 		}
-		// Verify all fully-unpunched segments read back intact.
+		// Every slot of a segment that no punch touched is still backed.
 		for _, s := range live {
+			first, last := s.addr/16, (s.addr+s.size-1)/16
 			touchesPunched := false
-			for slot := s.addr / 16; slot <= (s.addr+int64(len(s.data))-1)/16; slot++ {
-				if punched[slot] {
-					touchesPunched = true
-				}
+			for slot := first; slot <= last; slot++ {
+				touchesPunched = touchesPunched || punched[slot]
 			}
 			if touchesPunched {
 				continue
 			}
-			if got := l.ReadAt(s.addr, int64(len(s.data))); !bytes.Equal(got, s.data) {
-				return false
+			for slot := first; slot <= last; slot++ {
+				if _, have := l.chunkTable[slot]; !have {
+					return false
+				}
 			}
 		}
 		return true
@@ -241,19 +197,26 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 	}
 }
 
-// A punched slot's chunk can be re-filled by a later append occupying a new
-// logical slot; re-reading the NEW slot must see the new data even though it
-// shares the physical chunk with the old, punched slot.
+// A punched slot's chunk is re-filled by a later append: the new segment
+// gets the recycled physical chunk, and no two live slots share a chunk.
 func TestChunkRecyclingDoesNotAliasOldData(t *testing.T) {
-	l := NewLog(meta.TierDRAM, 0, 20, 10) // two chunks
-	l.Append(20, []byte("aaaaaaaaaabbbbbbbbbb"))
+	l := NewLog(0, 20, 10) // two chunks
+	l.Append(20)
+	recycled := l.chunkTable[0]
 	l.Punch(0)
-	addr, ok := l.Append(10, []byte("cccccccccc"))
+	addr, ok := l.Append(10)
 	if !ok {
 		t.Fatal("recycled append failed")
 	}
-	if got := l.ReadAt(addr, 10); !bytes.Equal(got, []byte("cccccccccc")) {
-		t.Errorf("recycled chunk read = %q", got)
+	if addr != 0 || l.chunkTable[0] != recycled || l.FreeChunks() != 0 {
+		t.Errorf("recycled append at %d on chunk %d (free %d), want 0 on chunk %d (free 0)",
+			addr, l.chunkTable[0], l.FreeChunks(), recycled)
+	}
+	if l.chunkTable[0] == l.chunkTable[1] {
+		t.Error("two live slots share one physical chunk")
+	}
+	if l.Used() != 20 {
+		t.Errorf("live bytes = %d, want 20", l.Used())
 	}
 }
 
@@ -265,7 +228,7 @@ func TestLogSetSpillWalk(t *testing.T) {
 	// 30 bytes fit in DRAM; the next 40 spill to BB; then PFS.
 	tiers := []meta.Tier{}
 	for i := 0; i < 9; i++ {
-		_, tier, err := ls.Append(10, nil, meta.TierPFS)
+		_, tier, err := ls.Append(10, meta.TierPFS)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -290,7 +253,7 @@ func TestLogSetVAMatchesPaperLayout(t *testing.T) {
 	}
 	var vas []int64
 	for i := 0; i < 6; i++ {
-		va, _, err := ls.Append(10, nil, meta.TierPFS)
+		va, _, err := ls.Append(10, meta.TierPFS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,38 +277,19 @@ func TestLogSetRespectsLimitTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls.Append(10, nil, meta.TierDRAM)
-	if _, _, err := ls.Append(10, nil, meta.TierDRAM); err == nil {
+	ls.Append(10, meta.TierDRAM)
+	if _, _, err := ls.Append(10, meta.TierDRAM); err == nil {
 		t.Error("append beyond DRAM with limit=DRAM succeeded")
 	}
-	if _, tier, err := ls.Append(10, nil, meta.TierBB); err != nil || tier != meta.TierBB {
+	if _, tier, err := ls.Append(10, meta.TierBB); err != nil || tier != meta.TierBB {
 		t.Errorf("append with limit=BB: tier=%s err=%v", tier, err)
 	}
 }
 
-func TestLogSetReadVA(t *testing.T) {
-	ls, err := NewLogSet(0, [meta.NumTiers]int64{20, 0, 20, 0}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls.Append(20, []byte("ddddddddddrrrrrrrrrr"), meta.TierPFS)
-	va, tier, err := ls.Append(10, []byte("bbbbbbbbbb"), meta.TierPFS)
-	if err != nil || tier != meta.TierBB {
-		t.Fatalf("spill append: tier=%s err=%v", tier, err)
-	}
-	got, gotTier, err := ls.ReadVA(va, 10)
-	if err != nil || gotTier != meta.TierBB {
-		t.Fatalf("ReadVA: tier=%s err=%v", gotTier, err)
-	}
-	if !bytes.Equal(got, []byte("bbbbbbbbbb")) {
-		t.Errorf("ReadVA = %q", got)
-	}
-}
-
-// Property: random segment sizes written through a LogSet always read back
-// identical bytes from whichever tier they landed on — for any chain
-// shape: a random subset of the cache tiers gets capacity (2–5 tiers
-// total, counting the always-present unbounded PFS terminal).
+// Property: every VA a LogSet hands out decodes back to the tier the append
+// reported, inside that tier's capacity, and no two segments overlap — for
+// any chain shape: a random subset of the cache tiers gets capacity (2–5
+// tiers total, counting the always-present unbounded PFS terminal).
 func TestLogSetRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -358,25 +302,25 @@ func TestLogSetRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		type seg struct {
-			va   int64
-			data []byte
-		}
+		type seg struct{ va, size int64 }
 		var segs []seg
 		for i := 0; i < 30; i++ {
 			size := int64(rng.Intn(60) + 1)
-			data := make([]byte, size)
-			rng.Read(data)
-			va, _, err := ls.Append(size, data, meta.TierPFS)
+			va, placed, err := ls.Append(size, meta.TierPFS)
 			if err != nil {
 				return false // PFS is unbounded; appends must not fail
 			}
-			segs = append(segs, seg{va, data})
-		}
-		for _, s := range segs {
-			got, _, err := ls.ReadVA(s.va, int64(len(s.data)))
-			if err != nil || !bytes.Equal(got, s.data) {
+			tier, addr, err := ls.Space().Decode(va)
+			if err != nil || tier != placed || addr+size > ls.Log(tier).Capacity() {
 				return false
+			}
+			segs = append(segs, seg{va, size})
+		}
+		for i, a := range segs {
+			for _, b := range segs[i+1:] {
+				if a.va < b.va+b.size && b.va < a.va+a.size {
+					return false
+				}
 			}
 		}
 		return true

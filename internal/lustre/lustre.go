@@ -53,6 +53,9 @@ func NewFS(c *topology.Cluster) *FS {
 // OSTCount returns the number of OSTs (C_max_units in Eq. 2).
 func (fs *FS) OSTCount() int { return len(fs.cluster.OSTs) }
 
+// Cluster returns the cluster the file system runs on.
+func (fs *FS) Cluster() *topology.Cluster { return fs.cluster }
+
 // File is one PFS file with a fixed stripe layout.
 type File struct {
 	fs   *FS

@@ -12,14 +12,14 @@ import (
 // fields Stats() never read, so plane-wide totals silently went backwards
 // after any membership change. TotalOps (live + retired) must be monotone.
 func TestStatsRetiredTotalsMonotoneAcrossRemoval(t *testing.T) {
-	cfg := testConfig(2, 3)
+	cfg := testConfig(3, 3)
 	pl := mustPlane(t, cfg)
 	drive(t, func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			pl.Put(p, 0, rec(meta.FileID(i%3+1), int64(i)*256, 256))
 		}
 	})
-	newID := pl.AddShard()
+	const newID = 2
 	before := pl.Stats()
 	if before.TotalOps == 0 {
 		t.Fatalf("no ops recorded before removal")

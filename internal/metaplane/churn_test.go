@@ -11,7 +11,7 @@ import (
 )
 
 // Membership-churn property test: 25 seeded op sequences interleave
-// Put/Delete/Stat/CoveringLocal with AddShard/StartSplit/RemoveShard
+// Put/Delete/Stat/CoveringLocal with StartSplit/RemoveShard
 // against an exact in-memory oracle. After every step the plane must
 // agree with the oracle on record existence and values, answer coverings
 // exactly, and sweep CheckInvariants clean — including while a split is
@@ -73,9 +73,7 @@ func TestMembershipChurnAgainstOracle(t *testing.T) {
 							break // membership is frozen mid-split
 						}
 						switch m := rng.Intn(3); {
-						case m == 0 && pl.Shards() < 6:
-							pl.AddShard()
-						case m == 1 && splitsStarted < 3:
+						case m < 2 && splitsStarted < 6:
 							if _, err := pl.StartSplit(e); err != nil {
 								t.Fatalf("op %d: StartSplit: %v", i, err)
 							}

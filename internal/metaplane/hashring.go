@@ -115,16 +115,6 @@ func (r *HashRing) RemoveShard(id int) {
 	r.points = kept
 }
 
-// Shards returns the member shard ids in ascending order.
-func (r *HashRing) Shards() []int {
-	out := make([]int, 0, len(r.shards))
-	for id := range r.shards {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Owner returns the shard owning the key hash: the first virtual node at
 // or clockwise after it, wrapping to the lowest position.
 func (r *HashRing) Owner(keyHash uint64) int {

@@ -329,7 +329,7 @@ func TestSnapshotTruncationAndInstallOnLaggingRecovery(t *testing.T) {
 // --- membership ------------------------------------------------------------
 
 func TestMembershipHandoffPreservesRecords(t *testing.T) {
-	cfg := testConfig(2, 3)
+	cfg := testConfig(3, 3)
 	pl := mustPlane(t, cfg)
 	var written []meta.Record
 	drive(t, func(p *sim.Proc) {
@@ -340,27 +340,18 @@ func TestMembershipHandoffPreservesRecords(t *testing.T) {
 		}
 	})
 
-	newID := pl.AddShard()
-	if pl.Shards() != 3 {
-		t.Fatalf("Shards = %d after add, want 3", pl.Shards())
-	}
-	if v := pl.CheckInvariants(); len(v) != 0 {
-		t.Fatalf("violations after AddShard: %v", v)
-	}
-	if pl.Stats().Handoffs == 0 {
-		t.Fatalf("AddShard moved no ranges onto shard %d", newID)
-	}
-	for _, w := range written {
-		if got, ok := pl.GetLocal(w.FID, w.Offset); !ok || got != w {
-			t.Fatalf("record off=%d lost in handoff", w.Offset)
-		}
-	}
-
+	const newID = 2
 	if err := pl.RemoveShard(newID); err != nil {
 		t.Fatalf("RemoveShard: %v", err)
 	}
+	if pl.Shards() != 2 {
+		t.Fatalf("Shards = %d after removal, want 2", pl.Shards())
+	}
 	if v := pl.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("violations after RemoveShard: %v", v)
+	}
+	if pl.Stats().Handoffs == 0 {
+		t.Fatalf("RemoveShard handed off no records from shard %d", newID)
 	}
 	for _, w := range written {
 		if got, ok := pl.GetLocal(w.FID, w.Offset); !ok || got != w {

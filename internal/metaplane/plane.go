@@ -155,22 +155,15 @@ func New(cfg Config) (*Plane, error) {
 		groups: map[int]*group{},
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		pl.addGroup()
+		pl.ring.AddShard(pl.newGroup().id)
 	}
 	return pl, nil
 }
 
-// addGroup mints the next shard id, builds its replication group, and adds
-// it to the hash ring. Replica k of shard s lives on node (s*R+k) mod N.
-func (pl *Plane) addGroup() *group {
-	g := pl.newGroup()
-	pl.ring.AddShard(g.id)
-	return g
-}
-
 // newGroup mints the next shard id and builds its replication group
 // without touching the hash ring — an online split keeps the new shard
-// off the ring until its arcs finish migrating.
+// off the ring until its arcs finish migrating. Replica k of shard s lives
+// on node (s*R+k) mod N.
 func (pl *Plane) newGroup() *group {
 	id := pl.nextShard
 	pl.nextShard++
@@ -196,9 +189,6 @@ func (pl *Plane) Shards() int { return len(pl.order) }
 
 // ShardIDs returns the active shard ids, ascending.
 func (pl *Plane) ShardIDs() []int { return append([]int(nil), pl.order...) }
-
-// Replicas returns the per-shard replica count.
-func (pl *Plane) Replicas() int { return pl.cfg.Replicas }
 
 // ShardFor returns the shard owning the record range containing (fid,
 // offset), split-aware: mid-split, arcs route to their current owner.
@@ -477,20 +467,6 @@ func (pl *Plane) Recover(shard, replicaIdx int) bool {
 // ---------------------------------------------------------------------------
 // Membership change.
 
-// AddShard mints a new shard, adds it to the hash ring, and hands off the
-// record ranges the consistent hash now assigns to it — instantaneously,
-// as an administrative sweep (StartSplit is the online, charged variant).
-// Returns the new shard id; panics while a split is migrating (membership
-// must quiesce around a split).
-func (pl *Plane) AddShard() int {
-	if pl.split != nil {
-		panic(fmt.Sprintf("metaplane: AddShard during active split (target shard %d)", pl.split.target))
-	}
-	g := pl.addGroup()
-	pl.rebalance()
-	return g.id
-}
-
 // RemoveShard retires a shard: its virtual nodes leave the hash ring and
 // every record it held is handed off to the new owners. The last shard
 // cannot be removed, and membership is frozen while a split is migrating.
@@ -524,26 +500,6 @@ func (pl *Plane) RemoveShard(id int) error {
 	}
 	pl.order = kept
 	return nil
-}
-
-// rebalance moves every record whose consistent-hash owner changed (after
-// an AddShard) to its new shard, through both groups' WALs so the ledgers
-// and logs stay coherent.
-func (pl *Plane) rebalance() {
-	for _, id := range pl.order {
-		g := pl.groups[id]
-		var moved []meta.Record
-		for _, rec := range g.lead().store.All() {
-			if pl.ShardFor(rec.FID, rec.Offset) != id {
-				moved = append(moved, rec)
-			}
-		}
-		for _, rec := range moved {
-			pl.adminApply(g, OpDelete, meta.Record{FID: rec.FID, Offset: rec.Offset})
-			pl.adminApply(pl.groups[pl.ShardFor(rec.FID, rec.Offset)], OpPut, rec)
-			pl.handoffs++
-		}
-	}
 }
 
 // adminApply commits one mutation through a group's WAL without charging

@@ -1,11 +1,10 @@
 package metaplane
 
-// Online shard splitting. AddShard rebalances instantaneously as an
-// administrative sweep; StartSplit is the production path: it mints a new
-// shard and migrates every hash-circle arc the post-split ring assigns to
-// it as *charged* work — batch by batch, serialized on both leaders'
-// service queues and shipped across the fabric as a real flow in the
-// max-min allocator (via Plane.Mover) — while the plane keeps serving.
+// Online shard splitting. StartSplit is the one way to add a shard: it
+// mints a new shard and migrates every hash-circle arc the post-split ring
+// assigns to it as *charged* work — batch by batch, serialized on both
+// leaders' service queues and shipped across the fabric as a real flow in
+// the max-min allocator (via Plane.Mover) — while the plane keeps serving.
 //
 // Routing during the transfer is arc-granular. Each arc is in one of
 // three phases:

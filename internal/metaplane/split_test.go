@@ -147,14 +147,9 @@ func TestSplitFreezesMembership(t *testing.T) {
 		if err := pl.RemoveShard(0); err == nil {
 			t.Errorf("RemoveShard mid-split should refuse")
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddShard mid-split should panic")
-				}
-			}()
-			pl.AddShard()
-		}()
+		if _, err := pl.StartSplit(e); err == nil {
+			t.Errorf("a second StartSplit mid-split should refuse")
+		}
 	})
 	e.Run()
 	if v := pl.CheckInvariants(); len(v) != 0 {

@@ -156,7 +156,7 @@ func (w *World) Launch(name string, n int, main func(*Rank), opts LaunchOpts) *C
 		node := nodes[(i/perNode)%len(nodes)]
 		r := &Rank{comm: c, rank: i, node: node}
 		r.H = w.Sched.Place(node, name, i)
-		r.mbox = sim.NewMailbox(w.E, fmt.Sprintf("%s[%d]", name, i))
+		r.mbox = sim.NewMailbox(w.E)
 		c.ranks = append(c.ranks, r)
 	}
 	for _, r := range c.ranks {

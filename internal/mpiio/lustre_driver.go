@@ -7,23 +7,20 @@ import (
 	"univistor/internal/lustre"
 	"univistor/internal/mpi"
 	"univistor/internal/sim"
+	"univistor/internal/topology"
 )
 
 // LustreDriver is the conventional path: applications write one shared file
 // straight to the disk-based PFS, paying extent-lock contention and disk
 // bandwidth on every access. It is the "Lustre" baseline of the evaluation.
+// Shared files are striped wide (all OSTs, 1 MiB stripes), the usual tuning
+// for large shared checkpoints.
 type LustreDriver struct {
 	FS *lustre.FS
-	// Stripe is the layout for newly created shared files; zero value uses
-	// a wide default (all OSTs, 1 MiB stripes), the usual tuning for large
-	// shared checkpoints.
-	Stripe lustre.StripeSpec
-	// LockEff is the shared-file extent-lock efficiency (the topology
-	// config's SharedFileEff belongs here).
-	LockEff float64
-	// WriterBW is the per-process throughput ceiling on a contended
-	// shared file (the topology config's SharedWriterBW).
-	WriterBW float64
+	// cfg is the cluster config of FS. Its SharedFileEff is the shared-file
+	// extent-lock efficiency and its SharedWriterBW the per-process
+	// throughput ceiling on a contended shared file.
+	cfg *topology.Config
 
 	files map[string]*lustreShared
 }
@@ -40,8 +37,12 @@ type lustreShared struct {
 	readerPorts map[int]*sim.Resource
 }
 
+// contended reports whether shared files pay per-process extent-lock
+// serialization (a lock efficiency of 1 means no contention).
+func (d *LustreDriver) contended() bool { return d.cfg.SharedFileEff < 1 }
+
 func (sh *lustreShared) writerPort(d *LustreDriver, rank int) *sim.Resource {
-	if d.LockEff <= 0 || d.LockEff >= 1 {
+	if !d.contended() {
 		return nil
 	}
 	if sh.writerPorts == nil {
@@ -49,14 +50,14 @@ func (sh *lustreShared) writerPort(d *LustreDriver, rank int) *sim.Resource {
 	}
 	p, ok := sh.writerPorts[rank]
 	if !ok {
-		p = sim.NewResource(fmt.Sprintf("lwr:%s/%d", sh.f.Name(), rank), d.WriterBW)
+		p = sim.NewResource(fmt.Sprintf("lwr:%s/%d", sh.f.Name(), rank), d.cfg.SharedWriterBW)
 		sh.writerPorts[rank] = p
 	}
 	return p
 }
 
 func (sh *lustreShared) readerPort(d *LustreDriver, rank int) *sim.Resource {
-	if d.LockEff <= 0 || d.LockEff >= 1 {
+	if !d.contended() {
 		return nil
 	}
 	if sh.readerPorts == nil {
@@ -64,17 +65,16 @@ func (sh *lustreShared) readerPort(d *LustreDriver, rank int) *sim.Resource {
 	}
 	p, ok := sh.readerPorts[rank]
 	if !ok {
-		p = sim.NewResource(fmt.Sprintf("lrd:%s/%d", sh.f.Name(), rank), 4*d.WriterBW)
+		p = sim.NewResource(fmt.Sprintf("lrd:%s/%d", sh.f.Name(), rank), 4*d.cfg.SharedWriterBW)
 		sh.readerPorts[rank] = p
 	}
 	return p
 }
 
-// NewLustreDriver returns the baseline driver over the PFS model. The
-// per-writer serialization bandwidth defaults to 55 MiB/s (override via
-// the WriterBW field).
-func NewLustreDriver(fs *lustre.FS, lockEff float64) *LustreDriver {
-	return &LustreDriver{FS: fs, LockEff: lockEff, WriterBW: 55 << 20, files: map[string]*lustreShared{}}
+// NewLustreDriver returns the baseline driver over the PFS model. Its
+// contention model comes from the cluster config of fs.
+func NewLustreDriver(fs *lustre.FS) *LustreDriver {
+	return &LustreDriver{FS: fs, cfg: &fs.Cluster().Cfg, files: map[string]*lustreShared{}}
 }
 
 // Name returns "lustre".
@@ -90,11 +90,8 @@ func (d *LustreDriver) Open(r *mpi.Rank, name string, mode Mode) (File, error) {
 		if mode == ReadOnly {
 			return nil, fmt.Errorf("lustre driver: file %q does not exist", name)
 		}
-		spec := d.Stripe
-		if spec.Size == 0 {
-			spec = lustre.StripeSpec{Size: 1 << 20, Count: d.FS.OSTCount(), StartOST: lustre.AutoStart}
-		}
-		f, err := d.FS.Create(name, spec, d.LockEff)
+		spec := lustre.StripeSpec{Size: 1 << 20, Count: d.FS.OSTCount(), StartOST: lustre.AutoStart}
+		f, err := d.FS.Create(name, spec, d.cfg.SharedFileEff)
 		if err != nil {
 			return nil, err
 		}

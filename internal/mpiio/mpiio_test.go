@@ -48,7 +48,7 @@ func univistorEnv(t *testing.T, w *mpi.World) (*Env, *UniviStorDriver) {
 func TestEnvValidation(t *testing.T) {
 	w := testWorld(t)
 	fs := lustre.NewFS(w.Cluster)
-	d := NewLustreDriver(fs, 0.3)
+	d := NewLustreDriver(fs)
 	if _, err := NewEnv("missing", d); err == nil {
 		t.Error("NewEnv accepted an unregistered fstype")
 	}
@@ -112,7 +112,7 @@ func TestUniviStorDriverRoundTrip(t *testing.T) {
 
 func TestLustreDriverRoundTripAndModes(t *testing.T) {
 	w := testWorld(t)
-	d := NewLustreDriver(lustre.NewFS(w.Cluster), 0.3)
+	d := NewLustreDriver(lustre.NewFS(w.Cluster))
 	env, _ := NewEnv("lustre", d)
 	payload := bytes.Repeat([]byte("L"), int(1*mib))
 	var got []byte
@@ -188,11 +188,49 @@ func TestLustreSharedSlowerThanUniviStorDRAM(t *testing.T) {
 		return env, drv.Sys.Shutdown
 	})
 	lus := elapsed(func(w *mpi.World) (*Env, func()) {
-		d := NewLustreDriver(lustre.NewFS(w.Cluster), w.Cluster.Cfg.SharedFileEff)
+		d := NewLustreDriver(lustre.NewFS(w.Cluster))
 		env, _ := NewEnv("lustre", d)
 		return env, nil
 	})
 	if uv >= lus {
 		t.Errorf("UniviStor/DRAM write %v not faster than Lustre %v", uv, lus)
+	}
+}
+
+// The Lustre driver takes its contention model from the cluster config:
+// halving SharedWriterBW slows a contended shared-file write.
+func TestLustreWriterBWFromClusterConfig(t *testing.T) {
+	elapsed := func(writerBW float64) sim.Time {
+		tc := topology.Cori()
+		tc.Nodes = 2
+		tc.CoresPerNode = 8
+		tc.OSTs = 8
+		tc.SharedWriterBW = writerBW
+		e := sim.NewEngine()
+		w := mpi.NewWorld(e, topology.New(e, tc), schedule.CFS)
+		env, _ := NewEnv("lustre", NewLustreDriver(lustre.NewFS(w.Cluster)))
+		var dur sim.Time
+		w.Launch("app", 4, func(r *mpi.Rank) {
+			f, err := env.Open(r, "shared", WriteOnly)
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			start := r.Now()
+			if err := f.WriteAt(int64(r.Rank())*8*mib, 8*mib, nil); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			if d := r.Now() - start; d > dur {
+				dur = d
+			}
+			f.Close()
+		}, mpi.LaunchOpts{RanksPerNode: 2})
+		e.Run()
+		return dur
+	}
+	base := topology.Cori().SharedWriterBW
+	full, half := elapsed(base), elapsed(base/2)
+	if half <= full {
+		t.Errorf("write took %v at SharedWriterBW/2, %v at the default: want longer", half, full)
 	}
 }

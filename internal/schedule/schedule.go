@@ -130,9 +130,6 @@ func New(c *topology.Cluster, policy Policy) *Scheduler {
 	return s
 }
 
-// Policy returns the placement policy in use.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Place pins a new process of the named program onto a core of the node and
 // returns its handle. Processes start runnable.
 func (s *Scheduler) Place(nodeID int, program string, rank int) *ProcHandle {

@@ -473,10 +473,6 @@ func (fs *flowSet) completeAll(gen int64) {
 		c.needSplit = true
 	}
 	for _, f := range finished {
-		if f.group != nil {
-			f.group.completed++
-			f.group.delivered += f.size
-		}
 		if e.tracer != nil && f.traceID != 0 {
 			e.tracer.FlowEnd(e.now, f.traceID)
 		}

@@ -351,10 +351,6 @@ type flow struct {
 	seq     int64      // insertion order; fixes allocation iteration order
 	comp    *component // owning component; nil once the flow finishes
 	refRate float64    // differential-mode shadow rate (reference solver)
-	// size and group carry per-tenant accounting for grouped transfers
-	// (see group.go); both stay zero on plain flows.
-	size  float64
-	group *FlowGroup
 	// parked marks a flow crossing a zero-capacity (degraded-to-outage)
 	// resource: its rate is held at 0 and it is excluded from allocation
 	// until a recompute sees the capacity restored.

@@ -141,6 +141,36 @@ func TestMaxMinAsymmetricShares(t *testing.T) {
 	}
 }
 
+// Per-tenant rate caps are plain resources on each flow's path: two loose
+// caps split the shared link max-min fairly, and a tight cap gets exactly
+// its ceiling while the slack flows to the others.
+func TestRateCapsShareLinkMaxMin(t *testing.T) {
+	e := NewEngine()
+	link := NewResource("link", 100)
+	caps := map[string]*Resource{
+		"a": NewResource("tenant:a", 1000),
+		"b": NewResource("tenant:b", 1000),
+		"c": NewResource("tenant:c", 10),
+	}
+	ends := map[string]Time{}
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		e.Go(name, func(p *Proc) {
+			p.Transfer(90, link, caps[name])
+			ends[name] = p.Now()
+		})
+	}
+	e.Run()
+	// c runs at its 10 B/s cap for 9 s; a and b split the remaining
+	// 90 B/s, so each moves 90 B in 2 s.
+	if !almostEqual(float64(ends["a"]), 2, 1e-6) || !almostEqual(float64(ends["b"]), 2, 1e-6) {
+		t.Errorf("loosely capped flows finished at %v/%v, want 2 each", ends["a"], ends["b"])
+	}
+	if !almostEqual(float64(ends["c"]), 9, 1e-6) {
+		t.Errorf("tightly capped flow finished at %v, want 9", ends["c"])
+	}
+}
+
 func TestStartTransferCallback(t *testing.T) {
 	e := NewEngine()
 	r := NewResource("disk", 10)
@@ -165,7 +195,7 @@ func TestZeroSizeTransferCompletesInstantly(t *testing.T) {
 
 func TestMailboxFIFOAndBlocking(t *testing.T) {
 	e := NewEngine()
-	m := NewMailbox(e, "mb")
+	m := NewMailbox(e)
 	var got []int
 	var recvAt []Time
 	e.Go("recv", func(p *Proc) {
@@ -191,7 +221,7 @@ func TestMailboxFIFOAndBlocking(t *testing.T) {
 
 func TestMailboxMultipleWaitersServedInOrder(t *testing.T) {
 	e := NewEngine()
-	m := NewMailbox(e, "mb")
+	m := NewMailbox(e)
 	var order []string
 	e.Go("r1", func(p *Proc) { m.Recv(p); order = append(order, "r1") })
 	e.Go("r2", func(p *Proc) { m.Recv(p); order = append(order, "r2") })
@@ -208,7 +238,7 @@ func TestMailboxMultipleWaitersServedInOrder(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	m := NewMailbox(e, "never")
+	m := NewMailbox(e)
 	e.Go("stuck", func(p *Proc) { m.Recv(p) })
 	e.Run()
 	if e.Deadlocked() != 1 {

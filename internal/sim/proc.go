@@ -26,9 +26,6 @@ func (p *Proc) Name() string { return p.name }
 // ID returns the engine-unique process id.
 func (p *Proc) ID() int64 { return p.id }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 

@@ -74,7 +74,7 @@ func TestRunUntilResumesParkedProc(t *testing.T) {
 // sender sleeps one unit and sends, the receiver blocks in Recv. Each round
 // is two resumes; *resumes counts them as they happen.
 func pingPong(e *Engine, rounds int, resumes *int) {
-	m := NewMailbox(e, "ping")
+	m := NewMailbox(e)
 	e.Go("sender", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
 			p.Sleep(1)

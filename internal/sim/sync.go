@@ -5,21 +5,14 @@ package sim
 // available. Multiple receivers are served in the order they blocked.
 type Mailbox struct {
 	e       *Engine
-	name    string
 	queue   []any
 	waiters []*Proc
 }
 
 // NewMailbox returns an empty mailbox bound to the engine.
-func NewMailbox(e *Engine, name string) *Mailbox {
-	return &Mailbox{e: e, name: name}
+func NewMailbox(e *Engine) *Mailbox {
+	return &Mailbox{e: e}
 }
-
-// Name returns the mailbox name.
-func (m *Mailbox) Name() string { return m.name }
-
-// Len returns the number of queued, undelivered messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
 
 // Send enqueues v and wakes the oldest waiting receiver, if any. It may be
 // called from process or dispatcher context.

@@ -14,13 +14,6 @@ import (
 	"univistor/internal/trace"
 )
 
-func init() {
-	Register(meta.TierDRAM, newDRAM)
-	Register(meta.TierLocalSSD, newLocalSSD)
-	Register(meta.TierBB, newBB)
-	Register(meta.TierPFS, newPFS)
-}
-
 // nodeLocalRead is the shared read path of the private node-local tiers
 // (DRAM, local SSD): direct on the producer's node, one server round-trip
 // plus the network otherwise, with the extra relay through the reader's
@@ -301,7 +294,7 @@ func (b *bbBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Res
 
 type pfsBackend struct{ env *Env }
 
-func newPFS(env *Env) (Backend, error) { return &pfsBackend{env}, nil }
+func newPFS(env *Env) Backend { return &pfsBackend{env} }
 
 func (b *pfsBackend) Tier() meta.Tier { return meta.TierPFS }
 func (b *pfsBackend) Shared() bool    { return true }

@@ -88,32 +88,12 @@ func TestChainBuildTerminalOnly(t *testing.T) {
 	}
 }
 
+// Only the cache tiers of the factories table build; an out-of-range tier
+// and the PFS terminal are rejected.
 func TestChainBuildUnregisteredTier(t *testing.T) {
-	if _, err := Build([]meta.Tier{meta.Tier(9)}, &Env{}); err == nil {
-		t.Error("Build must reject an unregistered tier")
+	for _, bad := range []meta.Tier{meta.Tier(9), -1, meta.TierPFS} {
+		if _, err := Build([]meta.Tier{bad}, &Env{}); err == nil {
+			t.Errorf("Build accepted cache tier %s", bad)
+		}
 	}
-}
-
-func TestRegisteredCacheTiers(t *testing.T) {
-	got := RegisteredCacheTiers()
-	want := []meta.Tier{meta.TierDRAM, meta.TierLocalSSD, meta.TierBB, meta.TierObject}
-	if !equalTiers(got, want) {
-		t.Errorf("RegisteredCacheTiers = %v, want %v", got, want)
-	}
-	if Registered(meta.TierPFS) != true {
-		t.Error("the terminal must be registered")
-	}
-}
-
-func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate", func() { Register(meta.TierDRAM, newDRAM) })
-	mustPanic("nil factory", func() { Register(meta.Tier(7), nil) })
 }

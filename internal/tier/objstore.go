@@ -6,8 +6,9 @@ package tier
 // gateway round-trip, high aggregate bandwidth from parallel gateways).
 //
 // This file is the extensibility proof of the Backend abstraction: nothing
-// under internal/core mentions TierObject. Registering here and listing
-// meta.TierObject in Config.CacheTiers is all it takes to deploy the tier.
+// under internal/core mentions TierObject. Its entry in the factories table
+// and meta.TierObject in Config.CacheTiers are all it takes to deploy the
+// tier.
 
 import (
 	"fmt"
@@ -16,10 +17,6 @@ import (
 	"univistor/internal/sim"
 	"univistor/internal/topology"
 )
-
-func init() {
-	Register(meta.TierObject, newObjStore)
-}
 
 const (
 	// objGateways S3-style gateway endpoints front the store; each client

@@ -5,8 +5,8 @@
 // volatile, durable) so the core write/read/flush/placement paths can
 // iterate an ordered Chain instead of switching on meta.Tier constants.
 //
-// Adding a storage layer is a registration, not a cross-cutting edit:
-// implement Backend, call Register from an init function, and list the
+// Adding a storage layer is one table entry, not a cross-cutting edit:
+// implement Backend, add its factory to the factories table, and list the
 // tier in Config.CacheTiers. See objstore.go for a complete example.
 package tier
 
@@ -196,39 +196,14 @@ type Backend interface {
 // burst-buffer allocation) and the chain drops it rather than failing.
 type Factory func(env *Env) (Backend, error)
 
-var registry = map[meta.Tier]Factory{}
-
-// Register installs a tier's factory. Typically called from an init
-// function of the file defining the backend. Registering a tier twice
-// panics: one implementation owns each layer.
-func Register(t meta.Tier, f Factory) {
-	if f == nil {
-		panic(fmt.Sprintf("tier: nil factory for %s", t))
-	}
-	if _, dup := registry[t]; dup {
-		panic(fmt.Sprintf("tier: duplicate registration for %s", t))
-	}
-	registry[t] = f
-}
-
-// Registered reports whether a backend factory exists for the tier, so
-// configuration validation can reject unknown tiers up front.
-func Registered(t meta.Tier) bool {
-	_, ok := registry[t]
-	return ok
-}
-
-// RegisteredCacheTiers returns the registered non-terminal tiers in spill
-// order — the set a configuration may list in CacheTiers.
-func RegisteredCacheTiers() []meta.Tier {
-	var out []meta.Tier
-	for t := range registry {
-		if t != meta.TierPFS {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// factories builds every cache tier's backend, indexed by tier. The PFS
+// terminal has no entry: Build always appends it, and it is never a cache
+// tier.
+var factories = [meta.NumTiers]Factory{
+	meta.TierDRAM:     newDRAM,
+	meta.TierLocalSSD: newLocalSSD,
+	meta.TierBB:       newBB,
+	meta.TierObject:   newObjStore,
 }
 
 // Chain is a deployment's ordered storage hierarchy: the configured cache
@@ -243,15 +218,15 @@ type Chain struct {
 
 // Build constructs the chain for the configured cache tiers. Tiers whose
 // factory reports unavailability are dropped (recorded, not fatal); the
-// PFS terminal is always appended. Unregistered tiers are an error.
+// PFS terminal is always appended. A tier with no factory (out of range,
+// or the terminal itself) is an error.
 func Build(cacheTiers []meta.Tier, env *Env) (*Chain, error) {
 	ch := &Chain{}
 	for _, t := range cacheTiers {
-		f, ok := registry[t]
-		if !ok {
-			return nil, fmt.Errorf("tier: no backend registered for cache tier %s", t)
+		if t < 0 || int(t) >= meta.NumTiers || factories[t] == nil {
+			return nil, fmt.Errorf("tier: %s is not a cache tier", t)
 		}
-		b, err := f(env)
+		b, err := factories[t](env)
 		if err != nil {
 			return nil, fmt.Errorf("tier: building %s backend: %w", t, err)
 		}
@@ -266,17 +241,7 @@ func Build(cacheTiers []meta.Tier, env *Env) (*Chain, error) {
 		ch.backends = append(ch.backends, b)
 		ch.cacheTiers = append(ch.cacheTiers, t)
 	}
-	tf, ok := registry[meta.TierPFS]
-	if !ok {
-		return nil, fmt.Errorf("tier: no terminal backend registered for %s", meta.TierPFS)
-	}
-	term, err := tf(env)
-	if err != nil {
-		return nil, fmt.Errorf("tier: building terminal backend: %w", err)
-	}
-	if term == nil {
-		return nil, fmt.Errorf("tier: terminal %s backend unavailable", meta.TierPFS)
-	}
+	term := newPFS(env)
 	ch.byTier[term.Tier()] = term
 	ch.backends = append(ch.backends, term)
 	sort.Slice(ch.backends, func(i, j int) bool {

@@ -35,12 +35,11 @@ type Config struct {
 	NetLatency float64 // seconds, per message one-way
 
 	// Shared burst buffer.
-	BBNodes         int
-	BBCapPerNode    int64
-	BBBWPerNode     float64
-	BBLatency       float64 // seconds per BB operation
-	BBStripeSize    int64   // DataWarp-style stripe granularity
-	BBSharedFileEff float64 // fraction of striped BB bandwidth a contended shared file retains
+	BBNodes      int
+	BBCapPerNode int64
+	BBBWPerNode  float64
+	BBLatency    float64 // seconds per BB operation
+	BBStripeSize int64   // DataWarp-style stripe granularity
 
 	// Parallel file system (Lustre-like).
 	OSTs           int
@@ -79,12 +78,11 @@ func Cori() Config {
 		FabricBW:   10 * TB,
 		NetLatency: 2e-6,
 
-		BBNodes:         64, // BB allocation granted to the job
-		BBCapPerNode:    6 * TB,
-		BBBWPerNode:     5.7 * GB, // DataWarp node: ~6.5 GB/s raw, ~5.7 sustained
-		BBLatency:       1e-4,
-		BBStripeSize:    8 << 20,
-		BBSharedFileEff: 0.45,
+		BBNodes:      64, // BB allocation granted to the job
+		BBCapPerNode: 6 * TB,
+		BBBWPerNode:  5.7 * GB, // DataWarp node: ~6.5 GB/s raw, ~5.7 sustained
+		BBLatency:    1e-4,
+		BBStripeSize: 8 << 20,
 
 		OSTs:           248,
 		OSTBW:          1.1 * GB,
@@ -116,8 +114,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topology: BBNodes must be non-negative, got %d", c.BBNodes)
 	case c.SharedFileEff <= 0 || c.SharedFileEff > 1:
 		return fmt.Errorf("topology: SharedFileEff must be in (0,1], got %v", c.SharedFileEff)
-	case c.BBNodes > 0 && (c.BBSharedFileEff <= 0 || c.BBSharedFileEff > 1):
-		return fmt.Errorf("topology: BBSharedFileEff must be in (0,1], got %v", c.BBSharedFileEff)
 	case c.BBNodes > 0 && c.BBStripeSize <= 0:
 		return fmt.Errorf("topology: BBStripeSize must be positive, got %d", c.BBStripeSize)
 	case c.SharedWriterBW <= 0:

@@ -50,8 +50,6 @@ const (
 	CatChaos Category = "chaos"
 	// CatGateway: multi-tenant gateway operations (admission, tenant ops).
 	CatGateway Category = "gateway"
-	// CatSim: engine-level instant events (sim.Tracer.Instant).
-	CatSim Category = "sim"
 )
 
 // TierCategory returns the category of a storage layer, e.g. "tier:DRAM".

@@ -80,6 +80,10 @@ func TestFacadeValidation(t *testing.T) {
 	for _, bad := range []func(*core.Config){
 		func(c *core.Config) { c.ChunkSize = -1 },
 		func(c *core.Config) { c.FlushStriping = "stripe-some" },
+		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.TierPFS} },
+		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.Tier(meta.NumTiers)} },
+		func(c *core.Config) { c.CacheTiers = []meta.Tier{-1} },
+		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierDRAM} },
 	} {
 		o = smallOpts()
 		bad(&o.Service)
