@@ -39,13 +39,14 @@ benchmark-test:
 chaos-smoke:
 	$(GO) run -race ./cmd/univibench -chaos-smoke -quick
 
-# Every facade-level example program, and both univistor-explain modes,
-# must run to completion.
+# Every facade-level example program, and both univistor-explain modes
+# (striping in both regimes), must run to completion.
 examples:
 	for ex in quickstart tiering vpic workflow resilience; do \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
 	$(GO) run ./cmd/univistor-explain -mode striping > /dev/null
+	$(GO) run ./cmd/univistor-explain -mode striping -servers 4 -file 64GiB > /dev/null
 	$(GO) run ./cmd/univistor-explain -mode va > /dev/null
 
 # Quick paper-figure sweep (simulated results). Host performance is

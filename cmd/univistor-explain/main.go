@@ -108,7 +108,7 @@ func explainStriping(p striping.Params) {
 
 	fmt.Printf("%-12s %-14s %-14s\n", "policy", "stripe size", "imbalance (max/mean OST load)")
 	for _, pl := range plans {
-		fmt.Printf("%-12s %-14d %.4f\n", pl.Policy, pl.StripeSize, pl.Imbalance(p.MaxUnits))
+		fmt.Printf("%-12s %-14d %.4f\n", pl.Policy, pl.StripeSize, pl.Imbalance())
 	}
 }
 

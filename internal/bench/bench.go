@@ -152,30 +152,6 @@ func seriesValue(s Series, procs int) (float64, bool) {
 	return 0, false
 }
 
-// SpeedupOver returns, per process count, series a's value divided by
-// series b's (used by EXPERIMENTS.md to report paper-vs-measured ratios).
-func (r *Result) SpeedupOver(a, b string) []Point {
-	var sa, sb *Series
-	for i := range r.Series {
-		if r.Series[i].Name == a {
-			sa = &r.Series[i]
-		}
-		if r.Series[i].Name == b {
-			sb = &r.Series[i]
-		}
-	}
-	if sa == nil || sb == nil {
-		return nil
-	}
-	var out []Point
-	for _, p := range sa.Points {
-		if v, ok := seriesValue(*sb, p.Procs); ok && v != 0 {
-			out = append(out, Point{Procs: p.Procs, Value: p.Value / v})
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Figure stacks and sweeps.
 

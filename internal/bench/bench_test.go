@@ -166,16 +166,12 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
-func TestResultPrintAndSpeedup(t *testing.T) {
+func TestResultPrint(t *testing.T) {
 	r := &Result{ID: "figX", Title: "test", Metric: "u",
 		Series: []Series{
 			{Name: "a", Points: []Point{{16, 10}, {32, 20}}},
 			{Name: "b", Points: []Point{{16, 5}, {32, 4}}},
 		}}
-	sp := r.SpeedupOver("a", "b")
-	if len(sp) != 2 || sp[0].Value != 2 || sp[1].Value != 5 {
-		t.Errorf("SpeedupOver = %+v", sp)
-	}
 	var sb testWriter
 	r.Print(&sb)
 	if len(sb) == 0 {

@@ -73,12 +73,7 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 		Nodes:     nodes,
 		RangeSize: rangeSize,
 		Seed:      1234,
-		Costs: metaplane.Costs{
-			NetLatency: tc.NetLatency,
-			ShmLatency: core.ShmLatency,
-			OpTime:     cc.MetaOpTime,
-			ApplyTime:  cc.MetaOpTime / 2,
-		},
+		Costs:     cc.MetaCosts(tc.NetLatency),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: figmeta plane: %v", err))

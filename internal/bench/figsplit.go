@@ -91,12 +91,7 @@ func newStormPlane(shards int, leased bool) *metaplane.Plane {
 		// Small batches so the split's transfer windows interleave with
 		// the storm instead of one long freeze.
 		SplitBatchRecords: 64,
-		Costs: metaplane.Costs{
-			NetLatency: tc.NetLatency,
-			ShmLatency: core.ShmLatency,
-			OpTime:     cc.MetaOpTime,
-			ApplyTime:  cc.MetaOpTime / 2,
-		},
+		Costs:             cc.MetaCosts(tc.NetLatency),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: figsplit plane: %v", err))

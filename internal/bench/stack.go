@@ -93,7 +93,7 @@ func NewStack(tc topology.Config, driver string, cc core.Config, chaosSpec, trac
 		if err != nil {
 			return nil, err
 		}
-		s.de, err = dataelevator.New(w, bbs, lustre.NewFS(w.Cluster), dataelevator.DefaultConfig())
+		s.de, err = dataelevator.New(w, bbs, lustre.NewFS(w.Cluster))
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"univistor/internal/meta"
+	"univistor/internal/metaplane"
 	"univistor/internal/striping"
 )
 
@@ -188,6 +189,18 @@ func DefaultConfig() Config {
 		ReplicateVolatile:   false,
 		ProactivePlacement:  false,
 		PromoteAfterReads:   2,
+	}
+}
+
+// MetaCosts derives the metadata plane's costs from the fabric's network
+// latency and MetaOpTime: a follower applies a shipped entry in half the
+// leader's per-record time.
+func (c Config) MetaCosts(netLatency float64) metaplane.Costs {
+	return metaplane.Costs{
+		NetLatency: netLatency,
+		ShmLatency: ShmLatency,
+		OpTime:     c.MetaOpTime,
+		ApplyTime:  c.MetaOpTime / 2,
 	}
 }
 

@@ -122,7 +122,7 @@ func (cf *ClientFile) fetchSegment(p *sim.Proc, rec meta.Record, off, size int64
 		defer cf.trackHeat(p, rec, producer, t)
 	}
 
-	if sys.volatile(t) && sys.failedNodes[prodNode] {
+	if sys.chain.Backend(t).Volatile() && sys.failedNodes[prodNode] {
 		return cf.fetchFromReplicaOrPFS(p, producer, rec, lo, bytes)
 	}
 

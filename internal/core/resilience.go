@@ -132,13 +132,3 @@ func (cf *ClientFile) fetchFromReplicaOrPFS(p *sim.Proc, producer *ClientFile, r
 	sys.servedReadBytes += bytes
 	return nil
 }
-
-// volatile reports whether segments on the tier die with their node,
-// asking the tier's backend; tiers outside the chain fall back to the
-// static taxonomy.
-func (sys *System) volatile(t meta.Tier) bool {
-	if b := sys.chain.Backend(t); b != nil {
-		return b.Volatile()
-	}
-	return !t.Shared()
-}

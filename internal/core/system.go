@@ -237,12 +237,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 			Seed:          424242,
 			FollowerReads: cfg.MetaFollowerReads,
 			LeaseTime:     cfg.MetaLeaseTime,
-			Costs: metaplane.Costs{
-				NetLatency: w.Cluster.Cfg.NetLatency,
-				ShmLatency: ShmLatency,
-				OpTime:     cfg.MetaOpTime,
-				ApplyTime:  cfg.MetaOpTime / 2,
-			},
+			Costs:         cfg.MetaCosts(w.Cluster.Cfg.NetLatency),
 		})
 		if err != nil {
 			return nil, err
@@ -501,14 +496,8 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 	}
 
 	// Each flusher gets a contiguous, even range of the flush file.
-	per := total / int64(len(flushers))
-	rem := total % int64(len(flushers))
-	off := int64(0)
 	for i, idx := range flushers {
-		length := per
-		if int64(i) < rem {
-			length++
-		}
+		off, length := striping.ServerRange(total, len(flushers), i)
 		req := &flushReq{fs: fs, rangeOff: off, rangeLen: length,
 			tierBytes: fs.cached[idx], physFrac: physFrac, done: fs.flushEv}
 		// Record where each of this server's segments lands inside its
@@ -528,7 +517,6 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 			fs.flushOff[rec.Offset] = p0
 			pos += rec.Size
 		}
-		off += length
 		srv := sys.servers[idx]
 		// The trigger costs one small message per server.
 		p.Sleep(cfg.NetLatency)

@@ -67,7 +67,7 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 	}); err != nil {
 		return err
 	}
-	if sys.Cfg.ReplicateVolatile && sys.volatile(placed) {
+	if sys.Cfg.ReplicateVolatile && sys.chain.Backend(placed).Volatile() {
 		sys.replicate(p, c, size)
 	}
 

@@ -22,30 +22,25 @@ import (
 	"univistor/internal/mpi"
 	"univistor/internal/mpiio"
 	"univistor/internal/sim"
+	"univistor/internal/striping"
 )
 
-// Config shapes the Data Elevator deployment.
-type Config struct {
-	// ServersPerNode is the number of DE flusher processes per compute
+// The Data Elevator deployment of the evaluation.
+const (
+	// serversPerNode is the number of DE flusher processes per compute
 	// node (the evaluation matches UniviStor's 2).
-	ServersPerNode int
-	// BBLockEff is the extent-contention efficiency of the shared file on
+	serversPerNode = 2
+	// bbLockEff is the extent-contention efficiency of the shared file on
 	// the burst buffer.
-	BBLockEff float64
-	// FlushLockEff is the extent-lock efficiency of the flush writes to
+	bbLockEff = 0.75
+	// flushLockEff is the extent-lock efficiency of the flush writes to
 	// the shared PFS file (DE flushes stripe-all without alignment).
-	FlushLockEff float64
-}
-
-// DefaultConfig mirrors the evaluation setup.
-func DefaultConfig() Config {
-	return Config{ServersPerNode: 2, BBLockEff: 0.75, FlushLockEff: 0.5}
-}
+	flushLockEff = 0.5
+)
 
 // Driver is the Data Elevator ADIO driver.
 type Driver struct {
 	W   *mpi.World
-	Cfg Config
 	BB  *bb.System
 	PFS *lustre.FS
 
@@ -54,18 +49,12 @@ type Driver struct {
 }
 
 // New builds the driver over the job's BB allocation and the PFS.
-func New(w *mpi.World, bbs *bb.System, pfs *lustre.FS, cfg Config) (*Driver, error) {
-	if cfg.ServersPerNode <= 0 {
-		return nil, fmt.Errorf("dataelevator: ServersPerNode must be positive, got %d", cfg.ServersPerNode)
-	}
-	if cfg.BBLockEff <= 0 || cfg.BBLockEff > 1 || cfg.FlushLockEff <= 0 || cfg.FlushLockEff > 1 {
-		return nil, fmt.Errorf("dataelevator: lock efficiencies must be in (0,1]")
-	}
+func New(w *mpi.World, bbs *bb.System, pfs *lustre.FS) (*Driver, error) {
 	if bbs == nil {
 		return nil, fmt.Errorf("dataelevator: requires a burst-buffer allocation")
 	}
 	return &Driver{
-		W: w, Cfg: cfg, BB: bbs, PFS: pfs,
+		W: w, BB: bbs, PFS: pfs,
 		bbAgg: sim.NewResource("de-bb-agg", bbs.AggregateBW()),
 		files: map[string]*deFile{},
 	}, nil
@@ -97,7 +86,7 @@ func (d *Driver) Open(r *mpi.Rank, name string, mode mpiio.Mode) (mpiio.File, er
 		if mode == mpiio.ReadOnly {
 			return nil, fmt.Errorf("dataelevator: file %q does not exist", name)
 		}
-		f = &deFile{name: name, bbf: d.BB.Create("de:"+name, d.Cfg.BBLockEff)}
+		f = &deFile{name: name, bbf: d.BB.Create("de:"+name, bbLockEff)}
 		d.files[name] = f
 	}
 	return &deHandle{d: d, f: f, r: r, mode: mode}, nil
@@ -160,7 +149,7 @@ func (h *deHandle) Close() error {
 	return nil
 }
 
-// triggerFlush starts the DE server-side flush: ServersPerNode flusher
+// triggerFlush starts the DE server-side flush: serversPerNode flusher
 // processes per compute node, each writing a contiguous range of the cached
 // file to a shared stripe-all PFS file (no adaptive striping, no
 // interference-aware scheduling).
@@ -171,23 +160,15 @@ func (d *Driver) triggerFlush(p *sim.Proc, f *deFile) {
 	f.flushing = true
 	f.flushStart = p.Now()
 	spec := lustre.StripeSpec{Size: 1 << 20, Count: d.PFS.OSTCount(), StartOST: 0}
-	pfsFile, err := d.PFS.Create("deflush:"+f.name, spec, d.Cfg.FlushLockEff)
+	pfsFile, err := d.PFS.Create("deflush:"+f.name, spec, flushLockEff)
 	if err != nil {
 		panic(fmt.Sprintf("dataelevator: flush file: %v", err))
 	}
-	nServers := len(d.W.Cluster.Nodes) * d.Cfg.ServersPerNode
-	per := f.size / int64(nServers)
-	rem := f.size % int64(nServers)
+	nServers := len(d.W.Cluster.Nodes) * serversPerNode
 	remaining := nServers
-	off := int64(0)
 	for i := 0; i < nServers; i++ {
-		length := per
-		if int64(i) < rem {
-			length++
-		}
-		node := i / d.Cfg.ServersPerNode
-		rangeOff := off
-		off += length
+		rangeOff, length := striping.ServerRange(f.size, nServers, i)
+		node := i / serversPerNode
 		if length == 0 {
 			remaining--
 			continue

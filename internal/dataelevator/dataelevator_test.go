@@ -30,7 +30,7 @@ func testSetup(t *testing.T) (*mpi.World, *Driver) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(w, bbs, lustre.NewFS(w.Cluster), DefaultConfig())
+	d, err := New(w, bbs, lustre.NewFS(w.Cluster))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +39,7 @@ func testSetup(t *testing.T) (*mpi.World, *Driver) {
 
 func TestConfigValidation(t *testing.T) {
 	w, _ := testSetup(t)
-	bbs, _ := bb.New(w.Cluster)
-	pfs := lustre.NewFS(w.Cluster)
-	bad := []Config{
-		{ServersPerNode: 0, BBLockEff: 0.5, FlushLockEff: 0.5},
-		{ServersPerNode: 1, BBLockEff: 0, FlushLockEff: 0.5},
-		{ServersPerNode: 1, BBLockEff: 0.5, FlushLockEff: 2},
-	}
-	for i, cfg := range bad {
-		if _, err := New(w, bbs, pfs, cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-	if _, err := New(w, nil, pfs, DefaultConfig()); err == nil {
+	if _, err := New(w, nil, lustre.NewFS(w.Cluster)); err == nil {
 		t.Error("nil BB accepted")
 	}
 }
@@ -147,7 +135,7 @@ func TestReadServedFromBBCacheAfterFlush(t *testing.T) {
 }
 
 func TestSharedBBFileContentionVsPrivate(t *testing.T) {
-	// Many writers on DE's one shared BB file are capped by BBLockEff; the
+	// Many writers on DE's one shared BB file are capped by bbLockEff; the
 	// same aggregate traffic on private files is not. This is the
 	// UniviStor/BB-vs-DE mechanism, asserted at the driver level.
 	w, d := testSetup(t)
@@ -167,7 +155,7 @@ func TestSharedBBFileContentionVsPrivate(t *testing.T) {
 	// Reference: raw BB bandwidth for the same aggregate (128 MiB over
 	// 2 × 1... here 2 × 5.7 GB/s locked at 45%).
 	agg := float64(w.Cluster.Cfg.BBNodes) * w.Cluster.Cfg.BBBWPerNode
-	lockCap := DefaultConfig().BBLockEff * agg
+	lockCap := bbLockEff * agg
 	minTime := float64(128*mib) / lockCap
 	if float64(deDur) < minTime*0.9 {
 		t.Errorf("DE write %v s faster than its lock cap permits (≥ %v s)", deDur, minTime)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"univistor/internal/sim"
+	"univistor/internal/striping"
 	"univistor/internal/topology"
 )
 
@@ -34,9 +35,6 @@ type StripeSpec struct {
 
 // AutoStart requests allocator-chosen stripe placement.
 const AutoStart = -1
-
-// DefaultStripe mirrors a typical site default: 1 MiB stripes on one OST.
-func DefaultStripe() StripeSpec { return StripeSpec{Size: 1 << 20, Count: 1, StartOST: AutoStart} }
 
 // FS is one mounted Lustre file system.
 type FS struct {
@@ -114,8 +112,8 @@ func (fs *FS) Remove(name string) {
 }
 
 func (f *File) release() {
-	for _, part := range f.ostParts(0, f.size) {
-		f.fs.cluster.OSTs[part.ost].Cap.Release(part.size)
+	for _, part := range f.layout().Parts(0, f.size) {
+		f.fs.cluster.OSTs[part.Unit].Cap.Release(part.Size)
 	}
 	f.size = 0
 }
@@ -129,58 +127,9 @@ func (f *File) Spec() StripeSpec { return f.spec }
 // Size returns the file's high-water mark in bytes.
 func (f *File) Size() int64 { return f.size }
 
-type ostPart struct {
-	ost  int
-	size int64
-}
-
-// ostParts distributes the byte range [off, off+size) over the file's
-// stripes and returns exact per-OST byte counts. Exactness matters: the
-// adaptive-striping flush relies on stripe-aligned server ranges producing
-// perfectly balanced OST loads, which an even-split approximation would
-// destroy. Ranges spanning many passes over the stripe set collapse to an
-// (asymptotically exact) even split.
-func (f *File) ostParts(off, size int64) []ostPart {
-	if size <= 0 {
-		return nil
-	}
-	s := f.spec
-	first := off / s.Size
-	last := (off + size - 1) / s.Size
-	nStripes := last - first + 1
-	if nStripes > 4*int64(s.Count) {
-		per := size / int64(s.Count)
-		rem := size - per*int64(s.Count)
-		parts := make([]ostPart, 0, s.Count)
-		for i := 0; i < s.Count; i++ {
-			ost := (s.StartOST + i) % f.fs.OSTCount()
-			sz := per
-			if int64(i) < rem {
-				sz++
-			}
-			parts = append(parts, ostPart{ost: ost, size: sz})
-		}
-		return parts
-	}
-	idx := map[int]int{}
-	var parts []ostPart
-	for st := first; st <= last; st++ {
-		lo, hi := st*s.Size, (st+1)*s.Size
-		if lo < off {
-			lo = off
-		}
-		if hi > off+size {
-			hi = off + size
-		}
-		ost := (s.StartOST + int(st%int64(s.Count))) % f.fs.OSTCount()
-		if i, ok := idx[ost]; ok {
-			parts[i].size += hi - lo
-		} else {
-			idx[ost] = len(parts)
-			parts = append(parts, ostPart{ost: ost, size: hi - lo})
-		}
-	}
-	return parts
+// layout maps the file's stripes onto the file system's OSTs.
+func (f *File) layout() striping.Layout {
+	return striping.Layout{Size: f.spec.Size, Count: f.spec.Count, Start: f.spec.StartOST, Units: f.fs.OSTCount()}
 }
 
 // Write models one write call of [off, off+size) from a client on the given
@@ -194,40 +143,37 @@ func (f *File) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resou
 	// Grow capacity accounting for bytes beyond the high-water mark.
 	if end := off + size; end > f.size {
 		grown := end - f.size
-		for _, part := range f.ostPartsOfGrowth(f.size, grown) {
-			if !f.fs.cluster.OSTs[part.ost].Cap.Alloc(part.size) {
-				return fmt.Errorf("lustre: OST %d out of space writing %s", part.ost, f.name)
+		for _, part := range f.layout().Parts(f.size, grown) {
+			if !f.fs.cluster.OSTs[part.Unit].Cap.Alloc(part.Size) {
+				return fmt.Errorf("lustre: OST %d out of space writing %s", part.Unit, f.name)
 			}
 		}
 		f.size = end
 	}
-	parts := f.ostParts(off, size)
+	parts := f.layout().Parts(off, size)
 	// One RPC round per OST contacted: the synchronization overhead that
 	// makes needlessly wide striping expensive (§II-D case 1).
 	p.Sleep(f.fs.cluster.Cfg.PFSLatency * float64(len(parts)))
 	flows := make([]sim.Flow, 0, len(parts))
 	for _, part := range parts {
-		path := f.path(node, part.ost, f.writeLock, extra)
-		flows = append(flows, sim.Flow{Size: float64(part.size), Path: path})
+		path := f.path(node, part.Unit, f.writeLock, extra)
+		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
 	}
 	p.TransferAll(flows)
 	return nil
 }
-
-// ostPartsOfGrowth is ostParts for the capacity-growth range.
-func (f *File) ostPartsOfGrowth(off, size int64) []ostPart { return f.ostParts(off, size) }
 
 // Read models one read call of [off, off+size) into a client on the node.
 func (f *File) Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) {
 	if size <= 0 {
 		return
 	}
-	parts := f.ostParts(off, size)
+	parts := f.layout().Parts(off, size)
 	p.Sleep(f.fs.cluster.Cfg.PFSLatency * float64(len(parts)))
 	flows := make([]sim.Flow, 0, len(parts))
 	for _, part := range parts {
-		path := f.path(node, part.ost, f.readLock, extra)
-		flows = append(flows, sim.Flow{Size: float64(part.size), Path: path})
+		path := f.path(node, part.Unit, f.readLock, extra)
+		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
 	}
 	p.TransferAll(flows)
 }
@@ -245,14 +191,14 @@ func (f *File) path(node, ost int, lock *sim.Resource, extra []*sim.Resource) []
 }
 
 // TouchedOSTs returns the distinct OSTs the byte range maps to, in stripe
-// order — used by tests and the striping ablation.
+// order.
 func (f *File) TouchedOSTs(off, size int64) []int {
 	var out []int
 	seen := map[int]bool{}
-	for _, part := range f.ostParts(off, size) {
-		if !seen[part.ost] {
-			seen[part.ost] = true
-			out = append(out, part.ost)
+	for _, part := range f.layout().Parts(off, size) {
+		if !seen[part.Unit] {
+			seen[part.Unit] = true
+			out = append(out, part.Unit)
 		}
 	}
 	return out

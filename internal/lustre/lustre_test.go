@@ -37,7 +37,7 @@ func TestCreateValidatesSpec(t *testing.T) {
 	if _, err := fs.Create("a", StripeSpec{Size: 1 << 20, Count: 1, StartOST: 9}, 1); err == nil {
 		t.Error("start OST out of range accepted")
 	}
-	if _, err := fs.Create("a", DefaultStripe(), 1); err != nil {
+	if _, err := fs.Create("a", StripeSpec{Size: 1 << 20, Count: 1, StartOST: AutoStart}, 1); err != nil {
 		t.Errorf("default stripe rejected: %v", err)
 	}
 }

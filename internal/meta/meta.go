@@ -56,12 +56,6 @@ func (t Tier) String() string {
 	}
 }
 
-// Shared reports whether logs on this tier are globally visible to every
-// compute node (true for the shared burst buffer, the object store, and
-// the PFS) or visible only on their host node (DRAM, local SSD).
-// Location-aware reads exploit this distinction (§II-B4).
-func (t Tier) Shared() bool { return t == TierBB || t == TierObject || t == TierPFS }
-
 // AddressSpace is one process's per-tier log capacities, fixing the VA
 // layout for that process's segments. The PFS (last tier) is treated as
 // unbounded: every VA at or beyond its base decodes to it.
@@ -174,31 +168,4 @@ func (p Partitioner) ServerFor(offset int64) int {
 		panic(fmt.Sprintf("meta: negative offset %d", offset))
 	}
 	return int((offset / p.RangeSize) % int64(p.Servers))
-}
-
-// Split cuts the byte range [offset, offset+size) at partition boundaries
-// and returns the sub-ranges together with their owning servers, in offset
-// order. Every byte belongs to exactly one sub-range.
-func (p Partitioner) Split(offset, size int64) []RangePart {
-	if size <= 0 {
-		return nil
-	}
-	var out []RangePart
-	for cur := offset; cur < offset+size; {
-		rangeEnd := (cur/p.RangeSize + 1) * p.RangeSize
-		end := offset + size
-		if rangeEnd < end {
-			end = rangeEnd
-		}
-		out = append(out, RangePart{Offset: cur, Size: end - cur, Server: p.ServerFor(cur)})
-		cur = end
-	}
-	return out
-}
-
-// RangePart is one partition-aligned piece of a byte range.
-type RangePart struct {
-	Offset int64
-	Size   int64
-	Server int
 }

@@ -115,15 +115,6 @@ func TestVARoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestTierShared(t *testing.T) {
-	if TierDRAM.Shared() || TierLocalSSD.Shared() {
-		t.Error("node-local tiers reported as shared")
-	}
-	if !TierBB.Shared() || !TierObject.Shared() || !TierPFS.Shared() {
-		t.Error("BB/Object/PFS not reported as shared")
-	}
-}
-
 // Guard: every tier in [0, NumTiers) has a dedicated name in String(), and
 // out-of-range values fall back to "tier(N)". A future tier addition that
 // bumps the enum but forgets the String() switch trips this immediately.
@@ -160,64 +151,5 @@ func TestPartitionerRoundRobin(t *testing.T) {
 	p2 := NewPartitioner(4, 2)
 	if p2.ServerFor(8) != 0 || p2.ServerFor(12) != 1 {
 		t.Error("round-robin wrap incorrect")
-	}
-}
-
-func TestSplitCoversRangeExactly(t *testing.T) {
-	p := NewPartitioner(10, 3)
-	parts := p.Split(5, 22) // [5,27) crosses boundaries at 10, 20
-	if len(parts) != 3 {
-		t.Fatalf("got %d parts, want 3: %v", len(parts), parts)
-	}
-	wantOff := []int64{5, 10, 20}
-	wantSize := []int64{5, 10, 7}
-	for i, part := range parts {
-		if part.Offset != wantOff[i] || part.Size != wantSize[i] {
-			t.Errorf("part %d = %+v, want off %d size %d", i, part, wantOff[i], wantSize[i])
-		}
-		if part.Server != p.ServerFor(part.Offset) {
-			t.Errorf("part %d server mismatch", i)
-		}
-	}
-}
-
-// Property: Split partitions [offset, offset+size) with no gaps, no
-// overlaps, and correct server assignment.
-func TestSplitProperty(t *testing.T) {
-	prop := func(offRaw, sizeRaw uint32, rsRaw, nsRaw uint8) bool {
-		rangeSize := int64(rsRaw)%100 + 1
-		servers := int(nsRaw)%8 + 1
-		offset := int64(offRaw % 10000)
-		size := int64(sizeRaw%5000) + 1
-		p := NewPartitioner(rangeSize, servers)
-		parts := p.Split(offset, size)
-		cur := offset
-		for _, part := range parts {
-			if part.Offset != cur || part.Size <= 0 {
-				return false
-			}
-			if part.Size > rangeSize {
-				return false
-			}
-			if part.Server != p.ServerFor(part.Offset) {
-				return false
-			}
-			// A part never crosses a partition boundary.
-			if part.Offset/rangeSize != (part.Offset+part.Size-1)/rangeSize {
-				return false
-			}
-			cur += part.Size
-		}
-		return cur == offset+size
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitZeroSize(t *testing.T) {
-	p := NewPartitioner(10, 2)
-	if parts := p.Split(5, 0); parts != nil {
-		t.Errorf("Split with zero size = %v, want nil", parts)
 	}
 }

@@ -1,13 +1,11 @@
 // Package mpi provides a simulated MPI-like runtime on the discrete-event
 // engine: parallel jobs whose ranks are simulated processes placed on
-// cluster nodes, with point-to-point messaging over the modelled
-// interconnect and tree-modelled collectives.
+// cluster nodes, a per-rank inbox, and tree-modelled collectives.
 //
 // This substitutes for the MPICH runtime the paper's UniviStor client and
-// server are built on. The interfaces mirror the MPI operations UniviStor
-// actually uses — point-to-point sends between clients and servers,
-// Barrier/Bcast for collective open/close, and job launch/teardown hooks
-// standing in for MPI_Init/MPI_Finalize connection management.
+// server are built on. It carries only what the stack calls: job launch,
+// Barrier/Bcast for collective open/close, and the server inbox
+// (Deliver/Recv) that carries flush and shutdown requests.
 package mpi
 
 import (
@@ -27,8 +25,8 @@ type World struct {
 	Cluster *topology.Cluster
 	Sched   *schedule.Scheduler
 
-	// Trace, when non-nil, records spans for collectives, sends, and
-	// blocking receives (and is the recorder the rest of the stack — core,
+	// Trace, when non-nil, records spans for collectives and blocking
+	// receives (and is the recorder the rest of the stack — core,
 	// tier — picks up from here). Attach it with SetTrace before launching
 	// jobs; nil costs one check per operation.
 	Trace *trace.Recorder
@@ -50,11 +48,9 @@ func NewWorld(e *sim.Engine, c *topology.Cluster, policy schedule.Policy) *World
 	return &World{E: e, Cluster: c, Sched: schedule.New(c, policy)}
 }
 
-// Msg is a point-to-point message.
+// Msg is one message of a rank's inbox.
 type Msg struct {
-	Src     int
 	Tag     string
-	Size    int64
 	Payload any
 }
 
@@ -66,7 +62,6 @@ type Rank struct {
 	P    *sim.Proc
 	H    *schedule.ProcHandle
 	mbox *sim.Mailbox
-	held []Msg // messages deferred by a filtered receive
 }
 
 // Rank returns the process's rank within its communicator.
@@ -94,18 +89,11 @@ type Comm struct {
 	ranks   []*Rank
 	barrier *sim.Barrier
 	done    sim.WaitGroup
-	onExit  []func(*Rank)
 	exited  int
-	commState
-}
 
-// commState carries scratch values used by in-flight collectives.
-type commState struct {
-	bcastVal    any
-	gatherVals  []any
-	reduceVal   float64
-	reducePhase int
-	resetCount  int
+	// Scratch of the in-flight Bcast.
+	bcastVal   any
+	resetCount int
 }
 
 // Name returns the job name the communicator was launched with.
@@ -124,9 +112,6 @@ type LaunchOpts struct {
 	// Nodes lists the node IDs to use, in fill order. Empty means nodes
 	// 0..ceil(n/RanksPerNode)-1.
 	Nodes []int
-	// OnExit hooks run (in the rank's process context) after main returns,
-	// standing in for MPI_Finalize-time actions.
-	OnExit []func(*Rank)
 }
 
 // Launch starts a parallel job of n ranks running main, placing ranks
@@ -150,7 +135,7 @@ func (w *World) Launch(name string, n int, main func(*Rank), opts LaunchOpts) *C
 			nodes = append(nodes, i)
 		}
 	}
-	c := &Comm{world: w, name: name, barrier: sim.NewBarrier(n), onExit: opts.OnExit}
+	c := &Comm{world: w, name: name, barrier: sim.NewBarrier(n)}
 	c.done.Add(n)
 	for i := 0; i < n; i++ {
 		node := nodes[(i/perNode)%len(nodes)]
@@ -164,9 +149,6 @@ func (w *World) Launch(name string, n int, main func(*Rank), opts LaunchOpts) *C
 		w.E.Go(fmt.Sprintf("%s[%d]", name, r.rank), func(p *sim.Proc) {
 			r.P = p
 			main(r)
-			for _, hook := range c.onExit {
-				hook(r)
-			}
 			r.H.SetRunnable(false)
 			c.exited++
 			c.done.Done()
@@ -182,65 +164,18 @@ func (c *Comm) Wait(p *sim.Proc) { c.done.Wait(p) }
 func (c *Comm) Done() bool { return c.exited == len(c.ranks) }
 
 // ---------------------------------------------------------------------------
-// Point-to-point.
+// Inbox.
 
-// Send transfers a message of the given size to rank dst of the same
-// communicator, blocking the sender for the network latency plus the
-// bandwidth-shared transfer time.
-func (r *Rank) Send(dst int, tag string, size int64, payload any) {
-	r.SendTo(r.comm.ranks[dst], tag, size, payload)
-}
-
-// SendTo is Send across communicators (client→server traffic).
-func (r *Rank) SendTo(dst *Rank, tag string, size int64, payload any) {
-	w := r.comm.world
-	sp := w.Trace.Begin(r.P, trace.CatMPI, "send")
-	r.P.Sleep(w.Cluster.Cfg.NetLatency)
-	path := w.Cluster.NetPath(r.node, dst.node)
-	if len(path) > 0 && size > 0 {
-		r.P.Transfer(float64(size), path...)
-	}
-	dst.mbox.Send(Msg{Src: r.rank, Tag: tag, Size: size, Payload: payload})
-	sp.End(r.P.Now())
-}
-
-// Recv blocks until any message arrives and returns it, preferring messages
-// deferred by earlier filtered receives.
+// Recv blocks until a message arrives in the rank's inbox and returns it.
 func (r *Rank) Recv() Msg {
-	if len(r.held) > 0 {
-		m := r.held[0]
-		r.held = r.held[1:]
-		return m
-	}
 	sp := r.comm.world.Trace.Begin(r.P, trace.CatMPI, "recv")
 	m := r.mbox.Recv(r.P).(Msg)
 	sp.End(r.P.Now())
 	return m
 }
 
-// RecvTag blocks until a message with the given tag arrives, holding back
-// (not discarding) other messages.
-func (r *Rank) RecvTag(tag string) Msg {
-	for i, m := range r.held {
-		if m.Tag == tag {
-			r.held = append(r.held[:i], r.held[i+1:]...)
-			return m
-		}
-	}
-	sp := r.comm.world.Trace.Begin(r.P, trace.CatMPI, "recv")
-	for {
-		m := r.mbox.Recv(r.P).(Msg)
-		if m.Tag == tag {
-			sp.End(r.P.Now())
-			return m
-		}
-		r.held = append(r.held, m)
-	}
-}
-
 // Deliver injects a message into the rank's inbox without modelling any
-// transfer cost. It is the escape hatch for co-located shared-memory
-// delivery and for test fixtures.
+// transfer cost; the caller charges whatever the delivery costs.
 func (r *Rank) Deliver(m Msg) { r.mbox.Send(m) }
 
 // ---------------------------------------------------------------------------
@@ -273,9 +208,9 @@ func (r *Rank) Barrier() {
 // Bcast models broadcasting size bytes from root to all ranks; payload is
 // returned on every rank (the root passes it, others pass nil).
 //
-// All collectives snapshot their result immediately after the barrier
-// releases (before sleeping the tree cost): once a rank sleeps, a faster
-// rank may already be contributing to the next collective round.
+// Bcast snapshots its result immediately after the barrier releases
+// (before sleeping the tree cost): once a rank sleeps, a faster rank may
+// already be contributing to the next collective round.
 func (r *Rank) Bcast(root int, size int64, payload any) any {
 	c := r.comm
 	sp := c.world.Trace.Begin(r.P, trace.CatMPI, "bcast")
@@ -290,46 +225,6 @@ func (r *Rank) Bcast(root int, size int64, payload any) any {
 	return out
 }
 
-// Gather models gathering size bytes from every rank to root. It returns,
-// on the root only, the slice of contributed payloads in rank order; other
-// ranks get nil.
-func (r *Rank) Gather(root int, size int64, payload any) []any {
-	c := r.comm
-	sp := c.world.Trace.Begin(r.P, trace.CatMPI, "gather")
-	defer func() { sp.End(r.P.Now()) }()
-	if c.gatherVals == nil {
-		c.gatherVals = make([]any, len(c.ranks))
-	}
-	c.gatherVals[r.rank] = payload
-	c.barrier.Wait(r.P)
-	var out []any
-	if r.rank == root {
-		out = make([]any, len(c.gatherVals))
-		copy(out, c.gatherVals)
-	}
-	c.collectiveDone()
-	r.P.Sleep(c.treeCost(size))
-	return out
-}
-
-// AllreduceMax models an allreduce of one float64 with the max operation.
-func (r *Rank) AllreduceMax(v float64) float64 {
-	c := r.comm
-	sp := c.world.Trace.Begin(r.P, trace.CatMPI, "allreduce-max")
-	if c.reducePhase == 0 {
-		c.reduceVal = v
-		c.reducePhase = 1
-	} else if v > c.reduceVal {
-		c.reduceVal = v
-	}
-	c.barrier.Wait(r.P)
-	out := c.reduceVal
-	c.collectiveDone()
-	r.P.Sleep(c.treeCost(8))
-	sp.End(r.P.Now())
-	return out
-}
-
 // collectiveDone resets per-round collective state once every rank has
 // snapshotted its result. It runs in the release window right after the
 // barrier, before any rank can start the next collective.
@@ -337,8 +232,6 @@ func (c *Comm) collectiveDone() {
 	c.resetCount++
 	if c.resetCount == len(c.ranks) {
 		c.resetCount = 0
-		c.reducePhase = 0
-		c.gatherVals = nil
 		c.bcastVal = nil
 	}
 }

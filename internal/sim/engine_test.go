@@ -268,31 +268,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(2)
-	inside, maxInside := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(1)
-			inside--
-			s.Release()
-		})
-	}
-	e.Run()
-	if maxInside != 2 {
-		t.Errorf("max concurrency %d, want 2", maxInside)
-	}
-	if e.Now() != 3 {
-		t.Errorf("6 unit jobs at width 2 finished at %v, want 3", e.Now())
-	}
-}
-
 func TestBarrierReusable(t *testing.T) {
 	e := NewEngine()
 	b := NewBarrier(3)

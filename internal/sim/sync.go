@@ -78,33 +78,6 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	}
 }
 
-// Semaphore is a counting semaphore for simulated processes, useful to model
-// bounded service concurrency (queue depth, lock tables, ...).
-type Semaphore struct {
-	available int
-	waiters   []*Proc
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{available: n} }
-
-// Acquire takes one permit, blocking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.available == 0 {
-		s.waiters = append(s.waiters, p)
-		p.Park()
-	}
-	s.available--
-}
-
-// Release returns one permit and wakes the oldest waiter, if any.
-func (s *Semaphore) Release() {
-	s.available++
-	if len(s.waiters) > 0 {
-		popFront(&s.waiters).Resume()
-	}
-}
-
 // Barrier blocks a fixed-size group of processes until all have arrived.
 // It is reusable: after release it resets for the next round.
 type Barrier struct {

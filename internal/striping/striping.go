@@ -16,6 +16,11 @@
 //     server count C_dum = ceil(C_servers / C_max_units) × C_max_units
 //     (Eq. 6) shrinks the stripe size so the surplus load spreads across all
 //     OSTs.
+//
+// A plan fixes only the stripe size and count. Where the bytes land is one
+// model: each flusher writes its ServerRange of the file, and Layout.Parts
+// maps that range onto units. The lustre model charges the same Parts, so
+// a plan's LoadPerOST and Imbalance are what the simulated flush sees.
 package striping
 
 import "fmt"
@@ -53,18 +58,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Assignment is one flushing server's share of the work: Bytes of the file
-// written across the OSTs list with the given stripe size. OSTBytes, when
-// non-nil, gives the exact byte count landing on each OST (parallel to
-// OSTs); otherwise bytes split evenly.
-type Assignment struct {
-	Server     int
-	Bytes      int64
-	OSTs       []int
-	OSTBytes   []int64
-	StripeSize int64
-}
-
 // Plan is a complete striping decision.
 type Plan struct {
 	Policy      string
@@ -72,7 +65,8 @@ type Plan struct {
 	StripeSize  int64 // S_stripe
 	StripeCount int   // C_stripe
 	DumServers  int   // C_dum_servers (adaptive case 2; Servers otherwise)
-	Assignments []Assignment
+
+	in Params // the inputs the plan was computed for
 }
 
 // PerServerUnits computes Eq. 2.
@@ -115,73 +109,19 @@ func Adaptive(p Params) (Plan, error) {
 		if count < 1 {
 			count = 1
 		}
-		plan := Plan{Policy: "adaptive", PerServer: per, StripeSize: stripe,
-			StripeCount: count, DumServers: p.Servers}
-		for s := 0; s < p.Servers; s++ {
-			osts := make([]int, per)
-			for i := range osts {
-				osts[i] = (s*per + i) % p.MaxUnits
-			}
-			plan.Assignments = append(plan.Assignments, Assignment{
-				Server: s, Bytes: serverBytes(p.FileSize, p.Servers, s),
-				OSTs: osts, StripeSize: stripe,
-			})
-		}
-		return plan, nil
+		return Plan{Policy: "adaptive", PerServer: per, StripeSize: stripe,
+			StripeCount: count, DumServers: p.Servers, in: p}, nil
 	}
-	// Case 2: overlap servers, balanced via C_dum (Eqs. 5–6).
+	// Case 2: overlap servers, balanced via C_dum (Eqs. 5–6). The smaller
+	// stripe makes each server's range cover dum/servers stripes, so the
+	// surplus spreads over every OST.
 	dum := DumServers(p.Servers, p.MaxUnits)
 	stripe := p.FileSize / int64(dum)
 	if stripe < 1 {
 		stripe = 1
 	}
-	plan := Plan{Policy: "adaptive", PerServer: 1, StripeSize: stripe,
-		StripeCount: p.MaxUnits, DumServers: dum}
-	// With the smaller stripe, each server's contiguous range covers
-	// dum/servers stripes on average; assign each server the OSTs its range
-	// actually touches under global round-robin stripe placement.
-	// Server ranges are contiguous halves of the file; stripes are placed
-	// round-robin over OSTs globally, so each server writes the exact
-	// overlap of its range with each stripe.
-	cur := int64(0)
-	for s := 0; s < p.Servers; s++ {
-		bytes := serverBytes(p.FileSize, p.Servers, s)
-		if bytes == 0 {
-			// A file smaller than the server count leaves trailing servers
-			// with nothing to write; give them an explicit empty (not nil)
-			// assignment so consumers can range without special-casing.
-			plan.Assignments = append(plan.Assignments, Assignment{
-				Server: s, OSTs: []int{}, OSTBytes: []int64{}, StripeSize: stripe,
-			})
-			continue
-		}
-		start, end := cur, cur+bytes
-		cur = end
-		var osts []int
-		var ostBytes []int64
-		idx := map[int]int{}
-		for st := start / stripe; st*stripe < end; st++ {
-			o := int(st % int64(p.MaxUnits))
-			lo, hi := st*stripe, (st+1)*stripe
-			if lo < start {
-				lo = start
-			}
-			if hi > end {
-				hi = end
-			}
-			if i, ok := idx[o]; ok {
-				ostBytes[i] += hi - lo
-			} else {
-				idx[o] = len(osts)
-				osts = append(osts, o)
-				ostBytes = append(ostBytes, hi-lo)
-			}
-		}
-		plan.Assignments = append(plan.Assignments, Assignment{
-			Server: s, Bytes: bytes, OSTs: osts, OSTBytes: ostBytes, StripeSize: stripe,
-		})
-	}
-	return plan, nil
+	return Plan{Policy: "adaptive", PerServer: 1, StripeSize: stripe,
+		StripeCount: p.MaxUnits, DumServers: dum, in: p}, nil
 }
 
 // Eq5 is the uncorrected baseline of Eq. 5: each server's range is one
@@ -193,15 +133,8 @@ func Eq5(p Params) (Plan, error) {
 		return Plan{}, err
 	}
 	stripe := (p.FileSize + int64(p.Servers) - 1) / int64(p.Servers)
-	plan := Plan{Policy: "eq5", PerServer: 1, StripeSize: stripe,
-		StripeCount: min(p.Servers, p.MaxUnits), DumServers: p.Servers}
-	for s := 0; s < p.Servers; s++ {
-		plan.Assignments = append(plan.Assignments, Assignment{
-			Server: s, Bytes: serverBytes(p.FileSize, p.Servers, s),
-			OSTs: []int{s % p.MaxUnits}, StripeSize: stripe,
-		})
-	}
-	return plan, nil
+	return Plan{Policy: "eq5", PerServer: 1, StripeSize: stripe,
+		StripeCount: min(p.Servers, p.MaxUnits), DumServers: p.Servers, in: p}, nil
 }
 
 // StripeAll is the conventional baseline: every server writes its range
@@ -215,19 +148,8 @@ func StripeAll(p Params, defaultStripe int64) (Plan, error) {
 	if defaultStripe <= 0 {
 		defaultStripe = DefaultStripeSize
 	}
-	all := make([]int, p.MaxUnits)
-	for i := range all {
-		all[i] = i
-	}
-	plan := Plan{Policy: "stripe-all", PerServer: p.MaxUnits,
-		StripeSize: defaultStripe, StripeCount: p.MaxUnits, DumServers: p.Servers}
-	for s := 0; s < p.Servers; s++ {
-		plan.Assignments = append(plan.Assignments, Assignment{
-			Server: s, Bytes: serverBytes(p.FileSize, p.Servers, s),
-			OSTs: all, StripeSize: defaultStripe,
-		})
-	}
-	return plan, nil
+	return Plan{Policy: "stripe-all", PerServer: p.MaxUnits,
+		StripeSize: defaultStripe, StripeCount: p.MaxUnits, DumServers: p.Servers, in: p}, nil
 }
 
 // Policies are the flush layouts ForPolicy accepts: the adaptive plan and
@@ -247,45 +169,105 @@ func ForPolicy(policy string, p Params) (Plan, error) {
 	return Plan{}, fmt.Errorf("striping: unknown policy %q", policy)
 }
 
-// serverBytes splits FileSize as evenly as possible: the first
-// FileSize mod Servers servers carry one extra byte.
-func serverBytes(fileSize int64, servers, s int) int64 {
-	base := fileSize / int64(servers)
-	if int64(s) < fileSize%int64(servers) {
-		return base + 1
+// ServerRange returns server s's contiguous range [off, off+size) of a
+// file split evenly over servers flushers: the first fileSize mod servers
+// servers carry one extra byte.
+func ServerRange(fileSize int64, servers, s int) (off, size int64) {
+	base, rem := fileSize/int64(servers), fileSize%int64(servers)
+	off = int64(s)*base + min(int64(s), rem)
+	size = base
+	if int64(s) < rem {
+		size++
 	}
-	return base
+	return off, size
 }
 
-// LoadPerOST returns how many bytes land on each OST under the plan — the
-// balance metric the dummy-server correction improves.
-func (pl Plan) LoadPerOST(maxUnits int) []int64 {
-	load := make([]int64, maxUnits)
-	for _, a := range pl.Assignments {
-		if a.Bytes == 0 || len(a.OSTs) == 0 {
-			continue // zero-byte server: nothing lands anywhere
-		}
-		if a.OSTBytes != nil {
-			for i, o := range a.OSTs {
-				load[o] += a.OSTBytes[i]
-			}
-			continue
-		}
-		per := a.Bytes / int64(len(a.OSTs))
-		rem := a.Bytes - per*int64(len(a.OSTs))
-		for i, o := range a.OSTs {
-			load[o] += per
+// Layout places a file's stripes on a PFS of Units storage units: stripe i
+// lands on unit (Start + i mod Count) mod Units.
+type Layout struct {
+	Size  int64 // bytes per stripe
+	Count int   // units the file is striped across
+	Start int   // unit of stripe 0
+	Units int   // units in the file system
+}
+
+// Part is the share of a byte range that lands on one unit.
+type Part struct {
+	Unit int
+	Size int64
+}
+
+// Parts distributes the byte range [off, off+size) over the layout's
+// stripes and returns exact per-unit byte counts, in stripe order.
+// Exactness matters: the adaptive-striping flush relies on stripe-aligned
+// server ranges producing perfectly balanced unit loads, which an
+// even-split approximation would destroy. Ranges spanning more than four
+// passes over the stripe set collapse to an (asymptotically exact) even
+// split.
+func (l Layout) Parts(off, size int64) []Part {
+	if size <= 0 {
+		return nil
+	}
+	first := off / l.Size
+	last := (off + size - 1) / l.Size
+	nStripes := last - first + 1
+	if nStripes > 4*int64(l.Count) {
+		per := size / int64(l.Count)
+		rem := size - per*int64(l.Count)
+		parts := make([]Part, 0, l.Count)
+		for i := 0; i < l.Count; i++ {
+			sz := per
 			if int64(i) < rem {
-				load[o]++
+				sz++
 			}
+			parts = append(parts, Part{Unit: (l.Start + i) % l.Units, Size: sz})
+		}
+		return parts
+	}
+	idx := map[int]int{}
+	var parts []Part
+	for st := first; st <= last; st++ {
+		lo, hi := st*l.Size, (st+1)*l.Size
+		if lo < off {
+			lo = off
+		}
+		if hi > off+size {
+			hi = off + size
+		}
+		unit := (l.Start + int(st%int64(l.Count))) % l.Units
+		if i, ok := idx[unit]; ok {
+			parts[i].Size += hi - lo
+		} else {
+			idx[unit] = len(parts)
+			parts = append(parts, Part{Unit: unit, Size: hi - lo})
+		}
+	}
+	return parts
+}
+
+// Layout returns the layout the flush creates its file with: the plan's
+// stripe size and count, starting at unit 0.
+func (pl Plan) Layout() Layout {
+	return Layout{Size: pl.StripeSize, Count: pl.StripeCount, Units: pl.in.MaxUnits}
+}
+
+// LoadPerOST returns how many bytes land on each OST when every server
+// writes its ServerRange through the plan's Layout — the balance metric the
+// dummy-server correction improves.
+func (pl Plan) LoadPerOST() []int64 {
+	load := make([]int64, pl.in.MaxUnits)
+	l := pl.Layout()
+	for s := 0; s < pl.in.Servers; s++ {
+		for _, part := range l.Parts(ServerRange(pl.in.FileSize, pl.in.Servers, s)) {
+			load[part.Unit] += part.Size
 		}
 	}
 	return load
 }
 
 // Imbalance returns max/mean of per-OST load (1.0 = perfectly balanced).
-func (pl Plan) Imbalance(maxUnits int) float64 {
-	load := pl.LoadPerOST(maxUnits)
+func (pl Plan) Imbalance() float64 {
+	load := pl.LoadPerOST()
 	var max, sum int64
 	for _, l := range load {
 		if l > max {
@@ -296,6 +278,6 @@ func (pl Plan) Imbalance(maxUnits int) float64 {
 	if sum == 0 {
 		return 1
 	}
-	mean := float64(sum) / float64(maxUnits)
+	mean := float64(sum) / float64(len(load))
 	return float64(max) / mean
 }

@@ -48,12 +48,13 @@ func TestAdaptiveCase1DistinctOSTSets(t *testing.T) {
 		t.Errorf("PerServer = %d, want 4", plan.PerServer)
 	}
 	seen := map[int]int{}
-	for _, a := range plan.Assignments {
-		if len(a.OSTs) != 4 {
-			t.Errorf("server %d has %d OSTs, want 4", a.Server, len(a.OSTs))
+	for s := 0; s < p.Servers; s++ {
+		parts := plan.Layout().Parts(ServerRange(p.FileSize, p.Servers, s))
+		if len(parts) != 4 {
+			t.Errorf("server %d has %d OSTs, want 4", s, len(parts))
 		}
-		for _, o := range a.OSTs {
-			seen[o]++
+		for _, part := range parts {
+			seen[part.Unit]++
 		}
 	}
 	// Distinct sets: every OST used exactly once.
@@ -104,7 +105,7 @@ func TestAdaptiveCase2BalancesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ia, i5 := adaptive.Imbalance(p.MaxUnits), eq5.Imbalance(p.MaxUnits)
+	ia, i5 := adaptive.Imbalance(), eq5.Imbalance()
 	if ia >= i5 {
 		t.Errorf("adaptive imbalance %v not better than Eq.5 %v", ia, i5)
 	}
@@ -119,7 +120,7 @@ func TestAdaptiveCase2BalancesLoad(t *testing.T) {
 func TestEq5EvenWhenDivisible(t *testing.T) {
 	p := Params{MaxUnits: 8, Servers: 16, Alpha: 8, FileSize: 16 << 20, MaxStripe: 1 << 30}
 	eq5, _ := Eq5(p)
-	if imb := eq5.Imbalance(p.MaxUnits); imb != 1.0 {
+	if imb := eq5.Imbalance(); imb != 1.0 {
 		t.Errorf("Eq.5 imbalance %v with divisible counts, want 1.0", imb)
 	}
 }
@@ -143,9 +144,9 @@ func TestStripeAllTouchesEveryOST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range plan.Assignments {
-		if len(a.OSTs) != 8 {
-			t.Errorf("server %d touches %d OSTs, want all 8", a.Server, len(a.OSTs))
+	for s := 0; s < p.Servers; s++ {
+		if parts := plan.Layout().Parts(ServerRange(p.FileSize, p.Servers, s)); len(parts) != 8 {
+			t.Errorf("server %d touches %d OSTs, want all 8", s, len(parts))
 		}
 	}
 }
@@ -175,9 +176,9 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// Property: every plan's assignments cover exactly FileSize bytes, every
-// assignment has at least one OST in range, and adaptive case-1 plans never
-// exceed α OSTs per server.
+// Property: the server ranges mapped through every plan's layout cover
+// exactly FileSize bytes, every server with bytes lands on at least one OST
+// in range, and adaptive case-1 plans never exceed α OSTs per server.
 func TestPlanInvariantsProperty(t *testing.T) {
 	prop := func(unitsRaw, serversRaw uint8, sizeRaw uint32) bool {
 		p := Params{
@@ -195,24 +196,26 @@ func TestPlanInvariantsProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
+			if plan.StripeSize <= 0 {
+				return false
+			}
 			var total int64
-			for _, a := range plan.Assignments {
-				total += a.Bytes
-				// Zero-byte servers (FileSize < Servers) legitimately hold an
-				// empty OST set; any server with bytes must have targets.
-				if a.Bytes > 0 && len(a.OSTs) == 0 {
+			for s := 0; s < p.Servers; s++ {
+				_, bytes := ServerRange(p.FileSize, p.Servers, s)
+				parts := plan.Layout().Parts(ServerRange(p.FileSize, p.Servers, s))
+				// Zero-byte servers (FileSize < Servers) legitimately land
+				// nowhere; any server with bytes must have targets.
+				if bytes > 0 && len(parts) == 0 {
 					return false
 				}
-				if len(a.OSTs) > p.MaxUnits {
+				if len(parts) > p.MaxUnits {
 					return false
 				}
-				for _, o := range a.OSTs {
-					if o < 0 || o >= p.MaxUnits {
+				for _, part := range parts {
+					if part.Unit < 0 || part.Unit >= p.MaxUnits {
 						return false
 					}
-				}
-				if a.StripeSize <= 0 {
-					return false
+					total += part.Size
 				}
 			}
 			if total != p.FileSize {
@@ -229,8 +232,8 @@ func TestPlanInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Tiny files — fewer bytes than flushing servers — used to give trailing
-// servers a nil OST set, and LoadPerOST divided by len(OSTs) == 0.
+// Tiny files — fewer bytes than flushing servers — leave trailing servers
+// an empty range, which must land nowhere rather than panic.
 func TestTinyFilePlansDoNotPanic(t *testing.T) {
 	for _, servers := range []int{2, 7, 64, 128} {
 		for _, size := range []int64{1, 2, int64(servers) - 1} {
@@ -247,19 +250,16 @@ func TestTinyFilePlansDoNotPanic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("servers=%d size=%d: %v", servers, size, err)
 				}
-				load := plan.LoadPerOST(p.MaxUnits) // must not panic
-				var sum, assigned int64
+				load := plan.LoadPerOST() // must not panic
+				var sum int64
 				for _, l := range load {
 					sum += l
 				}
-				for _, a := range plan.Assignments {
-					assigned += a.Bytes
+				if sum != size {
+					t.Errorf("%s servers=%d size=%d: load sum %d, want %d",
+						plan.Policy, servers, size, sum, size)
 				}
-				if sum != size || assigned != size {
-					t.Errorf("%s servers=%d size=%d: load sum %d, assigned %d, want %d",
-						plan.Policy, servers, size, sum, assigned, size)
-				}
-				_ = plan.Imbalance(p.MaxUnits)
+				_ = plan.Imbalance()
 			}
 		}
 	}
@@ -277,7 +277,7 @@ func TestTinyFileProperty(t *testing.T) {
 			return false
 		}
 		var sum int64
-		for _, l := range plan.LoadPerOST(p.MaxUnits) {
+		for _, l := range plan.LoadPerOST() {
 			if l < 0 {
 				return false
 			}
@@ -308,9 +308,88 @@ func TestAdaptiveNeverWorseThanEq5Property(t *testing.T) {
 		// Allow a small tolerance: stripe-boundary fragments can leave the
 		// adaptive plan a hair above perfectly balanced while divisible Eq.5
 		// configurations are exactly 1.0.
-		return a.Imbalance(units) <= e.Imbalance(units)+0.05
+		return a.Imbalance() <= e.Imbalance()+0.05
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The flush charges OST load through Layout.Parts, so the plans' load
+// metric must follow it where a per-server OST list would not: an S_max-
+// capped adaptive stripe that fills only 64 of 248 OSTs, and stripe-all
+// ranges that each cover eight consecutive 1 MiB stripes.
+func TestImbalanceFollowsFlushPlacement(t *testing.T) {
+	adaptive, err := Adaptive(Params{MaxUnits: 248, Servers: 4, Alpha: 8,
+		FileSize: 64 << 30, MaxStripe: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := 0
+	for _, l := range adaptive.LoadPerOST() {
+		if l > 0 {
+			used++
+			if l != 1<<30 {
+				t.Errorf("adaptive OST load %d, want 1 GiB", l)
+			}
+		}
+	}
+	if used != 64 {
+		t.Errorf("adaptive uses %d OSTs, want 64", used)
+	}
+	if imb := adaptive.Imbalance(); imb != 3.875 {
+		t.Errorf("adaptive imbalance %v, want 3.875 (248/64)", imb)
+	}
+	all, err := StripeAll(Params{MaxUnits: 248, Servers: 128, Alpha: 8,
+		FileSize: 1 << 30, MaxStripe: 1 << 30}, DefaultStripeSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1024 stripes over 248 OSTs: 32 OSTs carry a fifth stripe.
+	if imb := all.Imbalance(); imb != 1.2109375 {
+		t.Errorf("stripe-all imbalance %v, want 1.2109375 (5×248/1024)", imb)
+	}
+}
+
+func TestServerRangeTilesFile(t *testing.T) {
+	for _, tc := range []struct {
+		size    int64
+		servers int
+	}{{10, 3}, {2, 5}, {1 << 30, 7}, {12, 4}} {
+		next := int64(0)
+		for s := 0; s < tc.servers; s++ {
+			off, n := ServerRange(tc.size, tc.servers, s)
+			if off != next {
+				t.Errorf("size %d/%d servers: server %d starts at %d, want %d", tc.size, tc.servers, s, off, next)
+			}
+			if lo := tc.size / int64(tc.servers); n != lo && n != lo+1 {
+				t.Errorf("size %d/%d servers: server %d gets %d bytes", tc.size, tc.servers, s, n)
+			}
+			next = off + n
+		}
+		if next != tc.size {
+			t.Errorf("size %d/%d servers: ranges end at %d", tc.size, tc.servers, next)
+		}
+	}
+}
+
+func TestLayoutPartsCollapseToEvenSplit(t *testing.T) {
+	l := Layout{Size: 10, Count: 3, Start: 7, Units: 8}
+	// 13 stripes > 4 passes over 3 units: an even split from the start unit.
+	parts := l.Parts(0, 130)
+	want := []Part{{7, 44}, {0, 43}, {1, 43}}
+	if len(parts) != len(want) {
+		t.Fatalf("Parts = %v, want %v", parts, want)
+	}
+	for i := range want {
+		if parts[i] != want[i] {
+			t.Errorf("Parts = %v, want %v", parts, want)
+		}
+	}
+	// Within four passes the split is exact: 12 stripes, 4 per unit.
+	for _, part := range l.Parts(0, 120) {
+		if part.Size != 40 {
+			t.Errorf("exact Parts = %v, want 40 bytes each", l.Parts(0, 120))
+		}
 	}
 }

@@ -97,3 +97,23 @@ func TestChainBuildUnregisteredTier(t *testing.T) {
 		}
 	}
 }
+
+// Every backend states its visibility: node-local tiers die with their
+// node, shared tiers survive it, and only the PFS terminal is durable.
+func TestBackendVisibility(t *testing.T) {
+	for _, tc := range []struct {
+		b                         Backend
+		shared, volatile, durable bool
+	}{
+		{&dramBackend{}, false, true, false},
+		{&ssdBackend{}, false, true, false},
+		{&bbBackend{}, true, false, false},
+		{&objStore{}, true, false, false},
+		{&pfsBackend{}, true, false, true},
+	} {
+		if tc.b.Shared() != tc.shared || tc.b.Volatile() != tc.volatile || tc.b.Durable() != tc.durable {
+			t.Errorf("%s: shared/volatile/durable = %v/%v/%v, want %v/%v/%v", tc.b.Tier(),
+				tc.b.Shared(), tc.b.Volatile(), tc.b.Durable(), tc.shared, tc.volatile, tc.durable)
+		}
+	}
+}

@@ -143,7 +143,6 @@ func (m *Manager) ReleaseWrite(p *sim.Proc, file string) {
 // AcquireRead blocks p while the file is being written — or has never been
 // written at all, the incomplete-data hazard of §II-E — then marks it
 // READING. Multiple reader applications may hold the file concurrently.
-// Files that pre-exist the workflow must be announced with MarkExisting.
 func (m *Manager) AcquireRead(p *sim.Proc, file string) {
 	p.Sleep(m.opLatency)
 	e := m.entryFor(file)
@@ -152,16 +151,6 @@ func (m *Manager) AcquireRead(p *sim.Proc, file string) {
 	}
 	e.readers++
 	e.last = Reading
-}
-
-// MarkExisting records that the file already holds complete data (it was
-// produced outside this workflow), so readers need not wait for a writer.
-func (m *Manager) MarkExisting(file string) {
-	e := m.entryFor(file)
-	if e.last == Idle {
-		e.last = WriteDone
-		m.wake(e)
-	}
 }
 
 // ReleaseRead decrements the reader count; the last reader marks READ_DONE.

@@ -30,39 +30,50 @@ func TestReaderWaitsForWriter(t *testing.T) {
 	}
 }
 
+// seedWrite starts a writer that produces the file at t=0, so readers
+// arriving later find complete data.
+func seedWrite(e *sim.Engine, m *Manager, file string) {
+	e.Go("seed", func(p *sim.Proc) {
+		m.AcquireWrite(p, file)
+		m.ReleaseWrite(p, file)
+	})
+}
+
 func TestWriterWaitsForReaders(t *testing.T) {
 	e := sim.NewEngine()
 	m := NewManager(0)
-	m.MarkExisting("f")
+	seedWrite(e, m, "f")
 	var writeAt sim.Time = -1
 	for i := 0; i < 2; i++ {
 		d := float64(3 + i)
 		e.Go("reader", func(p *sim.Proc) {
+			p.Sleep(1)
 			m.AcquireRead(p, "f")
 			p.Sleep(d)
 			m.ReleaseRead(p, "f")
 		})
 	}
 	e.Go("writer", func(p *sim.Proc) {
-		p.Sleep(1)
+		p.Sleep(2)
 		m.AcquireWrite(p, "f")
 		writeAt = p.Now()
 		m.ReleaseWrite(p, "f")
 	})
 	e.Run()
-	// Both readers hold the file until t=4 (the slower one).
-	if writeAt != 4 {
-		t.Errorf("writer acquired at %v, want 4 (after last reader)", writeAt)
+	// Both readers hold the file from t=1 until t=5 (the slower one).
+	if writeAt != 5 {
+		t.Errorf("writer acquired at %v, want 5 (after last reader)", writeAt)
 	}
 }
 
 func TestConcurrentReadersShare(t *testing.T) {
 	e := sim.NewEngine()
 	m := NewManager(0)
-	m.MarkExisting("f") // pre-existing data: readers need not wait
+	seedWrite(e, m, "f")
 	var acquired []sim.Time
 	for i := 0; i < 3; i++ {
 		e.Go("reader", func(p *sim.Proc) {
+			p.Sleep(1)
 			m.AcquireRead(p, "f")
 			acquired = append(acquired, p.Now())
 			p.Sleep(10)
@@ -74,7 +85,7 @@ func TestConcurrentReadersShare(t *testing.T) {
 		t.Fatalf("%d readers acquired", len(acquired))
 	}
 	for _, at := range acquired {
-		if at != 0 {
+		if at != 1 {
 			t.Errorf("reader blocked until %v; readers must share", at)
 		}
 	}

@@ -184,27 +184,3 @@ func (c *Cluster) FlushStats(name string) (bytes int64, seconds float64, ok bool
 
 // FileSize returns a file's logical size.
 func (c *Cluster) FileSize(name string) (int64, bool) { return c.System.FileSize(name) }
-
-// ---------------------------------------------------------------------------
-// Benchmark façade: regenerate the paper's figures.
-
-// BenchOptions re-exports the benchmark sweep options.
-type BenchOptions = bench.Options
-
-// BenchResult re-exports a regenerated figure.
-type BenchResult = bench.Result
-
-// QuickBench returns a laptop-scale smoke sweep.
-func QuickBench() BenchOptions { return bench.QuickOptions() }
-
-// Figures lists every regenerable figure and ablation id.
-func Figures() []string { return bench.IDs() }
-
-// RunFigure regenerates one figure ("fig5a" … "fig10", "abl-…").
-func RunFigure(id string, o BenchOptions) (*BenchResult, error) {
-	f, ok := bench.ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("univistor: unknown figure %q (have %v)", id, bench.IDs())
-	}
-	return f(o), nil
-}

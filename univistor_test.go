@@ -104,24 +104,6 @@ func TestFacadeDefaultsAreRunnable(t *testing.T) {
 	}
 }
 
-func TestRunFigureDispatch(t *testing.T) {
-	if _, err := RunFigure("nope", QuickBench()); err == nil {
-		t.Error("unknown figure accepted")
-	}
-	o := QuickBench()
-	o.Scales = []int{8}
-	r, err := RunFigure("fig5a", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "fig5a" || len(r.Series) == 0 {
-		t.Errorf("unexpected result %+v", r)
-	}
-	if len(Figures()) < 10 {
-		t.Errorf("Figures() lists %d entries", len(Figures()))
-	}
-}
-
 func TestTwoJobsSharingData(t *testing.T) {
 	o := smallOpts()
 	o.Service.Workflow = true
@@ -159,8 +141,5 @@ func TestCoriPresetTiers(t *testing.T) {
 	cfg := topology.Cori()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if !meta.TierBB.Shared() {
-		t.Error("BB tier must be shared")
 	}
 }
