@@ -56,6 +56,9 @@ bench:
 
 # Race-enabled sim, chaos and core tests with the differential-check oracle
 # armed, so the incremental solver is checked against the reference
-# allocator on the storage system's real resource paths.
+# allocator on the storage system's real resource paths. The paper-figure
+# sweeps then run armed without -race: their scheduler changes memory-port
+# capacities, the second capacity-mutation site besides chaos.
 race-diffcheck:
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...
+	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test ./internal/bench/...

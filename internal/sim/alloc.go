@@ -13,6 +13,23 @@
 // The fast solver (allocateFast) does less work than the reference for the
 // same result:
 //
+//   - Set-up costs what changed since the last solve, not every crossing.
+//     Each resource keeps its crossing list (resState.flows) across
+//     solves: add appends the new flow, which keeps seq order, and
+//     completeAll compacts each resource a finished flow crossed, once per
+//     batch. That is the list the reference builds afresh, minus parked
+//     flows, which the freezes skip because their rate is already 0. Each
+//     flow caches its path facts when it starts (pathFacts: parked, the
+//     two smallest capacities, the share floor), and each resource its
+//     live crossing count and Σ bound(f,r). These are functions of the
+//     lists and of the capacities only. A list change marks its resource
+//     stale, and a capacity change must be followed by RecomputeFlows or
+//     RecomputeResources (the contract on Resource.Capacity), which bumps
+//     the flow set's capacity generation and so marks every cached fact
+//     stale. A solve re-derives only stale facts, with the reference's
+//     arithmetic in the reference's order, so every cached value is
+//     bitwise what a fresh walk would give; the differential check
+//     asserts exactly that before it compares rates.
 //   - Non-binding resources never enter the share heap. Every flow's rate
 //     is at most bound(f,r) = max(the smallest capacity on its path other
 //     than this crossing of r, 1e-12 × the largest capacity on its path):
@@ -26,16 +43,20 @@
 //     it is never popped, so the other pops are unchanged. The smallest
 //     capacity on a path has a bound of at least itself and always stays,
 //     so every unassigned flow keeps a heap resource. Pruned resources
-//     keep their flow lists and nflows: rate caches and tracer samples do
-//     not change. In fabric-coupled components (one wide fabric, DRAM
-//     ports, memory sockets) most resources are of this kind.
+//     keep their crossing lists: rate caches and tracer samples do not
+//     change. In fabric-coupled components (one wide fabric, DRAM ports,
+//     memory sockets) most resources are of this kind.
 //   - A bottleneck's freezes collect the heap members they touch and
 //     re-key each once afterwards, not once per crossing. The remCap
 //     subtractions still run per crossing in the same order, so the keys
-//     after the loop are the ones per-crossing re-keying would leave.
+//     after the loop are the ones per-crossing re-keying would leave. A
+//     member the freezes drained (no unassigned crossing left) leaves the
+//     heap then; the reference would pop its stale entry later and skip
+//     it, so the pops it acts on are the same.
 //   - The heap is 4-ary. Because (share, resource id) is a strict total
 //     order, the heap pops the same minimum whatever its shape, so neither
-//     the deferred re-keys nor the arity change the pop sequence.
+//     the deferred re-keys, the removals nor the arity change the pop
+//     sequence.
 
 package sim
 
@@ -43,6 +64,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // AllocStats are cumulative allocator counters, exposed for benchmarks,
@@ -111,52 +133,46 @@ func (h *shareHeap) Pop() any {
 	return e
 }
 
-// resState is the per-resource working state of one allocation round. The
-// structs are reused across rounds (gen-stamped) to keep the allocator
-// allocation-free in steady state. The fast path reaches them through
-// Resource.state; the reference path keeps its own map so the two
-// implementations stay independent.
-type resState struct {
+// refState is the reference solver's per-resource working state, kept in
+// its own map so the oracle shares no solver state with allocateFast.
+type refState struct {
 	remCap float64
 	remCnt int
 	ver    int
+	gen    int64 // refSolver.gen of the solve that last reset it
 	flows  []*flow
-	gen    int64
-	// Lazy-rebuild (split) scratch: the component-local flow index that
-	// first touched this resource, stamped per split attempt.
-	splitGen int64
-	splitIdx int32
-	// heapPos is the resource's slot in the fast path's indexed share
-	// heap, or -1 when not enqueued.
-	heapPos int32
-	// pend marks a heap member already queued for re-keying after the
-	// current bottleneck's freezes (fast path).
-	pend bool
-	// bound is Σ bound(f,r) over the resource's crossings: a cap on the
-	// rate its flows can ever be allocated (fast path, see allocateFast).
-	bound float64
+}
+
+// refSolver holds allocateRef's reusable buffers; gen stamps its states
+// per solve.
+type refSolver struct {
+	states  map[*Resource]*refState
+	touched []*Resource
+	heap    shareHeap
+	gen     int64
 }
 
 // allocateRef is the reference max-min fair (water-filling) solver — the
 // historical global implementation, kept verbatim (map-keyed resource
-// states, container/heap) as the independent oracle of the differential
-// check. Flows must be in ascending flow.seq order. Bottleneck selection
-// uses a lazy min-heap of fair shares, so a solve costs O(E log R) in the
-// total flow-resource degree E of the set. Flows crossing a zero-capacity
-// resource are held at rate 0 and excluded from the water-fill. Rates
-// land in flow.refRate; no engine state is disturbed.
-func (fs *flowSet) allocateRef(flows []*flow) {
-	if fs.scratch == nil {
-		fs.scratch = make(map[*Resource]*resState, 64)
+// states, container/heap, every path fact re-derived per solve) as the
+// independent oracle of the differential check. Flows must be in
+// ascending flow.seq order. Bottleneck selection uses a lazy min-heap of
+// fair shares, so a solve costs O(E log R) in the total flow-resource
+// degree E of the set. Flows crossing a zero-capacity resource are held at
+// rate 0 and excluded from the water-fill. Rates land in flow.refRate; no
+// engine state is disturbed.
+func (rs *refSolver) allocateRef(flows []*flow) {
+	if rs.states == nil {
+		rs.states = make(map[*Resource]*refState, 64)
 	}
-	fs.solveGen++
-	gen := fs.solveGen
-	states := fs.scratch
-	touched := fs.touched[:0]
-	ensure := func(r *Resource) *resState {
+	rs.gen++
+	gen := rs.gen
+	states := rs.states
+	touched := rs.touched[:0]
+	ensure := func(r *Resource) *refState {
 		st := states[r]
 		if st == nil {
-			st = &resState{}
+			st = &refState{}
 			states[r] = st
 		}
 		if st.gen != gen {
@@ -190,8 +206,8 @@ func (fs *flowSet) allocateRef(flows []*flow) {
 			st.flows = append(st.flows, f)
 		}
 	}
-	fs.touched = touched
-	h := fs.heapBuf[:0]
+	rs.touched = touched
+	h := rs.heap[:0]
 	for _, r := range touched {
 		st := states[r]
 		if st.remCnt > 0 {
@@ -199,7 +215,7 @@ func (fs *flowSet) allocateRef(flows []*flow) {
 		}
 	}
 	heap.Init(&h)
-	defer func() { fs.heapBuf = h[:0] }()
+	defer func() { rs.heap = h[:0] }()
 	for unassigned > 0 && h.Len() > 0 {
 		e := heap.Pop(&h).(shareEntry)
 		st := states[e.res]
@@ -236,18 +252,100 @@ func (fs *flowSet) allocateRef(flows []*flow) {
 	}
 }
 
-// cacheRates stores the post-solve allocated rate of every touched
+// resState is a resource's solver state, embedded in its Resource. The
+// crossing list and the live count and bound derived from it persist
+// across solves; the rest is per-solve and per-split scratch.
+type resState struct {
+	// flows lists the active flows crossing the resource, once per
+	// crossing, in ascending flow.seq order: add appends, and completeAll
+	// compacts once per batch. A flow crossing the resource several times
+	// appears consecutively.
+	flows []*flow
+	// live counts the crossings of unparked flows, and bound is Σ
+	// bound(f,r) over them (see allocateFast). Both hold while !stale and
+	// capGen is the flow set's capacity generation.
+	live   int
+	bound  float64
+	capGen int64
+	// cap is Capacity as of capGen, taken when the resource is claimed or
+	// the generation moves. The differential check compares it with
+	// Capacity to catch a mutation that skipped RecomputeFlows and
+	// RecomputeResources.
+	cap   float64
+	stale bool // the crossing list changed since live and bound were set
+	// fresh marks a resource claimed since its component's last solve
+	// (see settleResources); compact marks one queued in completeAll.
+	fresh, compact bool
+
+	// Water-fill state of the current solve. heapPos is the resource's
+	// slot in the share heap, or -1 when not enqueued; pend marks a heap
+	// member already queued for re-keying after the current bottleneck's
+	// freezes.
+	pend    bool
+	heapPos int32
+	remCap  float64
+	remCnt  int
+
+	// Lazy-rebuild (split) scratch: the component-local flow index that
+	// first touched this resource, stamped per split attempt.
+	splitIdx int32
+	splitGen int64
+}
+
+// pathFacts caches what the solver reads of the flow's path: whether it
+// crosses a zero-capacity resource, its two smallest capacities (with
+// multiplicity) and its share floor, 1e-12 × the largest. add derives
+// them, and a solve re-derives them once the capacity generation moves.
+func (f *flow) pathFacts(gen int64) {
+	parked := false
+	min1, min2, maxCap := math.Inf(1), math.Inf(1), 0.0
+	for _, r := range f.resources {
+		c := r.Capacity
+		if c <= 0 {
+			parked = true
+			break
+		}
+		if c < min1 {
+			min1, min2 = c, min1
+		} else if c < min2 {
+			min2 = c
+		}
+		if c > maxCap {
+			maxCap = c
+		}
+	}
+	f.parked, f.min1, f.min2, f.floor, f.factsGen = parked, min1, min2, maxCap*1e-12, gen
+}
+
+// crossingBound derives the live crossing count and Σ bound(f,r) from r's
+// crossing list and its flows' path facts, in list order.
+func crossingBound(r *Resource) (live int, bound float64) {
+	for _, f := range r.st.flows {
+		if f.parked {
+			continue
+		}
+		live++
+		b := f.min1
+		if r.Capacity == f.min1 {
+			b = f.min2 // this crossing is (one of) the path's smallest
+		}
+		bound += max(b, f.floor)
+	}
+	return live, bound
+}
+
+// cacheRates stores the post-solve allocated rate of every given
 // resource on the resource itself (the cache Utilization reads). A flow
 // whose path crosses the same resource several times appears consecutively
-// in the state's flow list and is counted once. With a tracer attached,
-// the same values are reported as ResourceSamples, so Utilization and the
+// in the crossing list and is counted once. With a tracer attached, the
+// same values are reported as ResourceSamples, so Utilization and the
 // recorded timeline always agree.
-func (fs *flowSet) cacheRates(touched []*Resource) {
+func (fs *flowSet) cacheRates(resources []*Resource) {
 	e := fs.e
-	for _, r := range touched {
+	for _, r := range resources {
 		used := 0.0
 		var prev *flow
-		for _, f := range r.state.flows {
+		for _, f := range r.st.flows {
 			if f == prev {
 				continue // repeat crossing of the same flow
 			}
@@ -265,12 +363,11 @@ func (fs *flowSet) cacheRates(touched []*Resource) {
 
 // fastEntry is one slot of the fast path's indexed share heap. The
 // resource id is copied inline so tie-breaks never chase the resource
-// pointer, and the state pointer lets moves maintain heapPos directly.
+// pointer.
 type fastEntry struct {
 	share float64
 	id    int64
 	res   *Resource
-	st    *resState
 }
 
 // before is the share order: (share, resource id), a strict total order
@@ -316,11 +413,11 @@ func (h fastHeap) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].st.heapPos = int32(i)
+		h[i].res.st.heapPos = int32(i)
 		i = p
 	}
 	h[i] = x
-	x.st.heapPos = int32(i)
+	x.res.st.heapPos = int32(i)
 }
 
 func (h fastHeap) down(i int) {
@@ -342,24 +439,35 @@ func (h fastHeap) down(i int) {
 			break
 		}
 		h[i] = h[m]
-		h[i].st.heapPos = int32(i)
+		h[i].res.st.heapPos = int32(i)
 		i = m
 	}
 	h[i] = x
-	x.st.heapPos = int32(i)
+	x.res.st.heapPos = int32(i)
 }
 
 func (h *fastHeap) pop() fastEntry {
+	top := (*h)[0]
+	h.remove(0)
+	return top
+}
+
+// remove deletes the entry at position i: the last entry fills its slot
+// and moves up or down to restore heap order.
+func (h *fastHeap) remove(i int) {
 	hh := *h
-	top := hh[0]
-	top.st.heapPos = -1
+	hh[i].res.st.heapPos = -1
 	n := len(hh) - 1
 	*h = hh[:n]
-	if n > 0 {
-		hh[0] = hh[n]
-		hh[:n].down(0)
+	if i == n {
+		return
 	}
-	return top
+	hh[i] = hh[n]
+	if i > 0 && hh[i].before(&hh[(i-1)/fastHeapArity]) {
+		hh[:n].up(i)
+	} else {
+		hh[:n].down(i)
+	}
 }
 
 // update re-keys the entry at position i and restores heap order.
@@ -373,14 +481,13 @@ func (h fastHeap) update(i int, share float64) {
 	}
 }
 
-// solveScratch is allocateFast's reusable state: the touched-set,
-// share-heap and re-key buffers plus the parked-flow count the caller
-// folds into the stats.
+// solveScratch is allocateFast's reusable state: the share-heap and
+// re-key buffers plus the parked-flow count the caller folds into the
+// stats.
 type solveScratch struct {
-	touched []*Resource
-	heap    fastHeap
-	pend    []*resState
-	parked  int64
+	heap   fastHeap
+	pend   []*resState
+	parked int64
 	// pruned counts resources kept out of the share heap as non-binding,
 	// cumulatively. It is a host-side diagnostic for tests, not a
 	// simulation result, so it is not part of AllocStats.
@@ -389,119 +496,76 @@ type solveScratch struct {
 
 // allocateFast is the allocator's solver: identical arithmetic and
 // bottleneck ordering to allocateRef, but the per-resource solve state is
-// reached through Resource.state instead of a map, and the share heap is
-// monomorphic — together removing hashing and per-push boxing from the
-// hot loop. The differential mode cross-checks its output against
+// embedded in the Resource instead of kept in a map, and the share heap
+// is monomorphic — together removing hashing and per-push boxing from
+// the hot loop. The differential mode cross-checks its output against
 // allocateRef bitwise. It also skips the work that cannot change a rate:
-// non-binding resources stay out of the heap, and each bottleneck re-keys
-// the heap members it touched once (see the file comment for why both
-// are exact).
+// set-up re-derives only the path facts and bounds whose inputs changed,
+// non-binding resources stay out of the heap, each bottleneck re-keys the
+// heap members it touched once, and drained members leave the heap at
+// once (see the file comment for why each is exact).
 //
-// All mutable state is in the scratch, in the gen-stamped resStates of
-// the flows' resources, or in the flows themselves; gen must be unique per
-// solve. Parked-flow visits are counted in sc.parked for the caller to
-// fold into the stats.
-func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
-	touched := sc.touched[:0]
-	ensure := func(r *Resource) *resState {
-		st := r.state
-		if st == nil {
-			st = &resState{}
-			r.state = st
-		}
-		if st.gen != gen {
-			st.gen = gen
-			st.remCap = r.Capacity
-			st.remCnt = 0
-			st.bound = 0
-			st.heapPos = -1
-			st.flows = st.flows[:0]
-			touched = append(touched, r)
-		}
-		return st
-	}
+// resources must be exactly the resources flows cross, each once, with
+// their crossing lists current; gen is the flow set's capacity
+// generation. Parked-flow visits are counted in sc.parked for the caller
+// to fold into the stats.
+func (sc *solveScratch) allocateFast(flows []*flow, resources []*Resource, gen int64) {
 	unassigned := 0
 	for _, f := range flows {
-		// One pass over the path: the parked check plus the two smallest
-		// capacities (with multiplicity) and the largest, for the bounds.
-		parked := false
-		min1, min2, maxCap := math.Inf(1), math.Inf(1), 0.0
-		for _, r := range f.resources {
-			c := r.Capacity
-			if c <= 0 {
-				parked = true
-				break
-			}
-			if c < min1 {
-				min1, min2 = c, min1
-			} else if c < min2 {
-				min2 = c
-			}
-			if c > maxCap {
-				maxCap = c
-			}
+		if f.factsGen != gen {
+			f.pathFacts(gen)
 		}
-		if parked {
+		if f.parked {
 			f.rate = 0
-			f.parked = true
 			sc.parked++
-			for _, r := range f.resources {
-				ensure(r)
-			}
 			continue
 		}
-		f.parked = false
 		f.rate = -1 // unassigned
 		unassigned++
-		floor := maxCap * 1e-12
-		for _, r := range f.resources {
-			st := ensure(r)
-			st.remCnt++
-			st.flows = append(st.flows, f)
-			b := min1
-			if r.Capacity == min1 {
-				b = min2 // this crossing is (one of) the path's smallest
-			}
-			st.bound += max(b, floor)
-		}
 	}
-	sc.touched = touched
 	h := sc.heap[:0]
-	for _, r := range touched {
-		st := r.state
-		r.nflows = st.remCnt
-		if st.remCnt == 0 {
+	for _, r := range resources {
+		st := &r.st
+		if st.capGen != gen {
+			st.capGen = gen
+			st.cap = r.Capacity
+			st.stale = true
+		}
+		if st.stale {
+			st.live, st.bound = crossingBound(r)
+			st.stale = false
+		}
+		st.heapPos = -1
+		if st.live == 0 {
 			continue
 		}
 		if r.Capacity > st.bound*(1+1e-9) {
 			sc.pruned++
 			continue
 		}
+		st.remCap = r.Capacity
+		st.remCnt = st.live
 		st.heapPos = int32(len(h))
-		h = append(h, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r, st: st})
+		h = append(h, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r})
 	}
 	h.init()
 	pend := sc.pend[:0]
 	for unassigned > 0 && len(h) > 0 {
 		e := h.pop()
-		st := e.st
-		if st.remCnt == 0 {
-			continue // drained by an earlier bottleneck's freezes
-		}
 		share := e.share
 		if min := e.res.Capacity * 1e-12; share < min {
 			share = min
 		}
-		for _, f := range st.flows {
+		for _, f := range e.res.st.flows {
 			if f.rate >= 0 {
 				continue
 			}
 			f.rate = share
 			unassigned--
 			for _, r := range f.resources {
-				ost := r.state
+				ost := &r.st
 				if ost.heapPos < 0 {
-					continue // pruned or already popped: never read again
+					continue // pruned or already out of the heap: never read again
 				}
 				ost.remCap -= share
 				if ost.remCap < 0 {
@@ -518,35 +582,100 @@ func (sc *solveScratch) allocateFast(flows []*flow, gen int64) []*Resource {
 			ost.pend = false
 			if ost.remCnt > 0 {
 				h.update(int(ost.heapPos), ost.remCap/float64(ost.remCnt))
+			} else {
+				h.remove(int(ost.heapPos)) // drained: every crossing is frozen
 			}
 		}
 		pend = pend[:0]
 	}
 	sc.heap, sc.pend = h[:0], pend
-	return touched
 }
 
 // verifyIncremental is the differential mode: after an incremental batch
-// it re-solves the entire active set with the global reference solver
-// (into flow.refRate) and asserts every rate is bitwise-identical to the
-// incremental result. A mismatch is a bug in the partition maintenance;
-// it panics with the diverging flow.
+// it checks the state the solver keeps across solves (verifyCaches), then
+// re-solves the entire active set with the global reference solver (into
+// flow.refRate) and asserts every rate is bitwise-identical to the
+// incremental result. A mismatch is a bug in the partition or cache
+// maintenance; it panics with the diverging flow or resource.
 func (fs *flowSet) verifyIncremental() {
+	fs.verifyCaches()
 	if len(fs.active) == 0 {
 		fs.stats.DiffChecks++
 		return
 	}
-	fs.allocateRef(fs.active)
+	fs.ref.allocateRef(fs.active)
 	for _, f := range fs.active {
 		if f.refRate != f.rate {
-			names := make([]string, 0, len(f.resources))
-			for _, r := range f.resources {
-				names = append(names, r.Name)
-			}
 			panic(fmt.Sprintf(
 				"sim: differential allocator check failed at t=%v: flow seq=%d remaining=%g path=%v: incremental rate %v != global reference %v",
-				float64(fs.e.now), f.seq, f.remaining, names, f.rate, f.refRate))
+				float64(fs.e.now), f.seq, f.remaining, pathNames(f), f.rate, f.refRate))
 		}
 	}
 	fs.stats.DiffChecks++
+}
+
+// verifyCaches asserts that what the solver caches across solves equals
+// a fresh derivation. For every live resource whose state is of the
+// current capacity generation, Capacity must not have moved since (the
+// mutate-then-recompute contract of Resource.Capacity); every current
+// flow's path facts must equal a fresh walk of its path; every live
+// resource's crossing list must be exactly the active flows crossing it,
+// in seq order; and every current live count and bound must equal a
+// fresh recompute.
+func (fs *flowSet) verifyCaches() {
+	gen := fs.capGen
+	for _, c := range fs.comps {
+		for _, r := range c.resources {
+			if r.st.capGen == gen && r.Capacity != r.st.cap {
+				panic(fmt.Sprintf(
+					"sim: resource %q capacity changed from %v to %v at t=%v without RecomputeFlows or RecomputeResources",
+					r.Name, r.st.cap, r.Capacity, float64(fs.e.now)))
+			}
+		}
+	}
+	crossings := make(map[*Resource][]*flow)
+	for _, f := range fs.active {
+		if f.factsGen == gen {
+			walk := flow{resources: f.resources}
+			walk.pathFacts(gen)
+			if walk.parked != f.parked || walk.min1 != f.min1 || walk.min2 != f.min2 || walk.floor != f.floor {
+				panic(fmt.Sprintf(
+					"sim: cached path facts of flow seq=%d path=%v (parked=%v min=%v,%v floor=%v) != a fresh walk (parked=%v min=%v,%v floor=%v)",
+					f.seq, pathNames(f), f.parked, f.min1, f.min2, f.floor, walk.parked, walk.min1, walk.min2, walk.floor))
+			}
+		}
+		for _, r := range f.resources {
+			crossings[r] = append(crossings[r], f)
+		}
+	}
+	for _, c := range fs.comps {
+		for _, r := range c.resources {
+			st := &r.st
+			want, ok := crossings[r]
+			delete(crossings, r) // a second listing of r then fails below
+			if r.comp != c || !ok || !slices.Equal(st.flows, want) {
+				panic(fmt.Sprintf("sim: resource %q: crossing list of %d flows (owned by its component: %v) != the %d active crossings",
+					r.Name, len(st.flows), r.comp == c, len(want)))
+			}
+			if st.stale || st.capGen != gen {
+				continue
+			}
+			if n, b := crossingBound(r); n != st.live || b != st.bound {
+				panic(fmt.Sprintf("sim: resource %q: cached live count %d and bound %v != recomputed %d and %v",
+					r.Name, st.live, st.bound, n, b))
+			}
+		}
+	}
+	for r := range crossings {
+		panic(fmt.Sprintf("sim: resource %q is crossed by an active flow but owned by no component", r.Name))
+	}
+}
+
+// pathNames lists the names of the resources on f's path.
+func pathNames(f *flow) []string {
+	names := make([]string, 0, len(f.resources))
+	for _, r := range f.resources {
+		names = append(names, r.Name)
+	}
+	return names
 }

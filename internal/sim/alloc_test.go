@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -351,5 +352,48 @@ func TestDifferentialCheckCountsBatches(t *testing.T) {
 	}
 	if s.Recomputes == 0 || s.ComponentsSolved == 0 {
 		t.Fatalf("allocator counters empty: %+v", s)
+	}
+}
+
+// Capacity follows a mutate-then-recompute contract: the solver caches
+// facts derived from it, so a change without RecomputeFlows or
+// RecomputeResources would leave them stale. Under the differential check
+// the next solve must panic and name the mutated resource, here on a
+// solve that an unrelated flow start triggers.
+func TestCapacityChangeWithoutRecomputePanics(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	narrowed := NewResource("narrowed", 100)
+	shared := NewResource("shared", 100)
+	e.StartTransfer(1000, nil, narrowed, shared)
+	e.At(1, func() {
+		narrowed.Capacity = 50
+		e.StartTransfer(100, nil, shared)
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `resource "narrowed" capacity changed`) {
+			t.Fatalf("panic = %q, want one naming the mutated resource", msg)
+		}
+	}()
+	e.Run()
+}
+
+// The contract binds only while flows cross the resource: a resource no
+// active flow crosses may change capacity without a recompute, and the
+// next flow over it runs at the new capacity with the oracle quiet.
+func TestCapacityChangeOnIdleResourceNeedsNoRecompute(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	r := NewResource("idle", 100)
+	var done Time
+	e.StartTransfer(100, nil, r) // finishes at t=1
+	e.At(2, func() {
+		r.Capacity = 50
+		e.StartTransfer(100, func() { done = e.Now() }, r)
+	})
+	e.Run()
+	if done != 4 {
+		t.Errorf("flow over the idle-changed resource finished at t=%v, want 4", float64(done))
 	}
 }

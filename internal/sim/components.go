@@ -21,7 +21,11 @@
 
 package sim
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // component is one connected set of active flows and the resources they
 // cross.
@@ -31,8 +35,9 @@ type component struct {
 	// order — the same relative order the global solver would visit them,
 	// which keeps per-component solving bitwise-identical to it.
 	flows []*flow
-	// resources currently owned by this component (r.comp == c); rebuilt
-	// from the touched set on every solve.
+	// resources owned by this component (r.comp == c), each once: add
+	// and merge append, and a solve drops those whose last crossing
+	// retired (settleResources).
 	resources []*Resource
 	dirty     bool // queued in flowSet.dirtyComps
 	// needSplit marks that flows finished since the last solve, so the
@@ -53,11 +58,13 @@ type component struct {
 
 // add inserts a started flow into the active set and the partition:
 // the components reachable through the flow's resources are unioned (the
-// flow may bridge several), unowned resources are claimed, and the target
-// component is queued for a same-instant batch solve.
+// flow may bridge several), the flow joins each resource's crossing list,
+// unowned resources are claimed, and the target component is queued for
+// a same-instant batch solve.
 func (fs *flowSet) add(f *flow) {
 	fs.flowSeq++
 	f.seq = fs.flowSeq
+	f.pathFacts(fs.capGen)
 	fs.active = append(fs.active, f)
 
 	found := fs.compScratch[:0]
@@ -88,9 +95,14 @@ func (fs *flowSet) add(f *flow) {
 	}
 	f.comp = target
 	for _, r := range f.resources {
+		st := &r.st
+		st.flows = append(st.flows, f) // f.seq is the maximum: stays sorted
+		st.stale = true
 		if r.comp == nil {
 			r.comp = target
 			target.resources = append(target.resources, r)
+			st.fresh = true
+			st.capGen = 0 // take Capacity afresh: no cached fact depends on it
 		}
 	}
 	fs.markCompDirty(target)
@@ -216,16 +228,9 @@ func (fs *flowSet) processDirty() {
 				c.needSplit = false
 			} else if len(c.flows)*2 <= c.splitCheckAt {
 				c.needSplit = false
-				if parts, oldRes := fs.split(c); parts != nil {
+				if parts := fs.split(c); parts != nil {
 					for _, p := range parts {
 						fs.solveComponent(p)
-					}
-					// Resources no part re-claimed belonged only to
-					// finished flows.
-					for _, r := range oldRes {
-						if r.comp == nil {
-							fs.closeResource(r)
-						}
 					}
 					continue
 				}
@@ -252,10 +257,11 @@ func (fs *flowSet) processDirty() {
 // split re-partitions c after completions: union-find over its remaining
 // flows, keyed by shared resources. When the flows are still one
 // component, nil is returned and c is kept as-is (the subsequent solve
-// prunes stale resources). Otherwise c dies and its parts become fresh
-// components; the caller must solve every part and close resources left
-// unclaimed. Runs in O(E α(F)) for component degree E.
-func (fs *flowSet) split(c *component) (parts []*component, oldRes []*Resource) {
+// drops resources whose flows all finished). Otherwise c dies, its parts
+// become fresh components that claim their resources, and the resources
+// left unclaimed are closed; the caller must solve every part. Runs in
+// O(E α(F)) for component degree E.
+func (fs *flowSet) split(c *component) (parts []*component) {
 	n := len(c.flows)
 	parent := fs.ufParent[:0]
 	for i := 0; i < n; i++ {
@@ -276,11 +282,7 @@ func (fs *flowSet) split(c *component) (parts []*component, oldRes []*Resource) 
 	sgen := fs.splitGen
 	for i, f := range c.flows {
 		for _, r := range f.resources {
-			st := r.state
-			if st == nil {
-				st = &resState{}
-				r.state = st
-			}
+			st := &r.st
 			if st.splitGen != sgen {
 				st.splitGen = sgen
 				st.splitIdx = int32(i)
@@ -300,7 +302,7 @@ func (fs *flowSet) split(c *component) (parts []*component, oldRes []*Resource) 
 	}
 	if groups == 1 {
 		c.splitCheckAt = len(c.flows)
-		return nil, nil
+		return nil
 	}
 	fs.stats.Splits++
 	// Build the parts in first-flow order so component ids and solve order
@@ -318,19 +320,28 @@ func (fs *flowSet) split(c *component) (parts []*component, oldRes []*Resource) 
 		g.flows = append(g.flows, f) // ascending i preserves seq order
 		f.comp = g
 	}
+	// Each part claims its resources in the order a walk of its flows
+	// first meets them.
 	for _, g := range parts {
 		g.splitCheckAt = len(g.flows)
+		for _, f := range g.flows {
+			for _, r := range f.resources {
+				if r.comp != g {
+					r.comp = g
+					g.resources = append(g.resources, r)
+				}
+			}
+		}
 	}
 	for _, r := range c.resources {
 		if r.comp == c {
-			r.comp = nil // re-claimed by each part's solve
+			fs.closeResource(r) // crossed only by finished flows
 		}
 	}
-	oldRes = c.resources
 	c.dead = true
 	fs.removeDead()
 	fs.comps = append(fs.comps, parts...)
-	return parts, oldRes
+	return parts
 }
 
 // solveComponent water-fills one component and refreshes resource
@@ -351,26 +362,50 @@ func (fs *flowSet) solveComponent(c *component) {
 	}
 	fs.stats.ComponentsSolved++
 	fs.stats.FlowsSolved += int64(len(c.flows))
-	fs.solveGen++
-	gen := fs.solveGen
+	fs.settleResources(c)
 	sc := &fs.solve
-	touched := sc.allocateFast(c.flows, gen)
+	sc.allocateFast(c.flows, c.resources, fs.capGen)
 	fs.stats.ParkedFlows += sc.parked
 	sc.parked = 0
-	for _, r := range touched {
-		r.comp = c
-	}
-	// Resources the solve no longer touched belonged only to finished
-	// flows: zero their caches and release them.
+	fs.cacheRates(c.resources)
+}
+
+// settleResources closes c's resources whose last crossing flow retired
+// and moves those claimed since c's last solve to the end of the list,
+// ordered by first crossing: the lowest-seq flow crossing each, then the
+// position on its path. That is the order in which a walk of c's flows
+// first meets them, so a tracer registers new resources in the same
+// order as when every solve re-derived the resource set by such a walk.
+// The order of the other resources decides nothing: each one's rate,
+// samples and heap key are its own.
+func (fs *flowSet) settleResources(c *component) {
+	kept := c.resources[:0]
+	fresh := fs.resBuf[:0]
 	for _, r := range c.resources {
-		if r.comp == c {
-			if st := r.state; st == nil || st.gen != gen {
-				fs.closeResource(r)
-			}
+		switch {
+		case len(r.st.flows) == 0:
+			fs.closeResource(r)
+		case r.st.fresh:
+			r.st.fresh = false
+			fresh = append(fresh, r)
+		default:
+			kept = append(kept, r)
 		}
 	}
-	c.resources = append(c.resources[:0], touched...)
-	fs.cacheRates(touched)
+	slices.SortFunc(fresh, byFirstCrossing)
+	c.resources = append(kept, fresh...)
+	fs.resBuf = fresh[:0]
+}
+
+// byFirstCrossing orders resources by the seq of the first flow in their
+// crossing lists, then by the position of their first crossing on that
+// flow's path.
+func byFirstCrossing(a, b *Resource) int {
+	fa, fb := a.st.flows[0], b.st.flows[0]
+	if fa != fb {
+		return cmp.Compare(fa.seq, fb.seq)
+	}
+	return cmp.Compare(slices.Index(fa.resources, a), slices.Index(fa.resources, b))
 }
 
 // compNextCompletion scans one component's flow list — its completion
@@ -472,6 +507,30 @@ func (fs *flowSet) completeAll(gen int64) {
 		c.flows = keptF
 		c.needSplit = true
 	}
+	// Compact the crossing list of every resource a finished flow crossed,
+	// once per batch.
+	crossed := fs.resBuf[:0]
+	for _, f := range finished {
+		for _, r := range f.resources {
+			if !r.st.compact {
+				r.st.compact = true
+				crossed = append(crossed, r)
+			}
+		}
+	}
+	for _, r := range crossed {
+		st := &r.st
+		st.compact = false
+		keptF := st.flows[:0]
+		for _, f := range st.flows {
+			if f.comp != nil {
+				keptF = append(keptF, f)
+			}
+		}
+		st.flows = keptF
+		st.stale = true
+	}
+	fs.resBuf = crossed[:0]
 	for _, f := range finished {
 		if e.tracer != nil && f.traceID != 0 {
 			e.tracer.FlowEnd(e.now, f.traceID)
@@ -501,7 +560,6 @@ func (fs *flowSet) completeAll(gen int64) {
 // closing zero-rate sample.
 func (fs *flowSet) closeResource(r *Resource) {
 	r.comp = nil
-	r.nflows = 0
 	r.alloc = 0
 	if fs.e.tracer != nil {
 		fs.e.tracer.ResourceSample(fs.e.now, r, 0)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // A component must actually split when completions disconnect it, and the
 // surviving parts must be re-solved with their own capacity: two hub
@@ -59,6 +62,33 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 	}
 	if got := e.ActiveComponents(); got != 0 {
 		t.Errorf("after drain: %d live components, want 0", got)
+	}
+}
+
+// A tracer registers resources in the order of their first samples, and
+// that order must be the one in which a walk of the component's flows (in
+// seq order, each path in order) first meets them, even when a merge
+// lists the resources otherwise. Here x (flow 1) and y (flows 2 and 3)
+// start as two components; flow 4 bridges them, and the merge keeps the
+// larger y, listing its resource before x's.
+func TestNewResourcesSampledInFirstCrossingOrder(t *testing.T) {
+	e := NewEngine()
+	s := &utilSampler{}
+	e.SetTracer(s)
+	x := NewResource("x", 100)
+	y := NewResource("y", 100)
+	z := NewResource("z", 100)
+	e.StartTransfer(100, nil, x)
+	e.StartTransfer(100, nil, y)
+	e.StartTransfer(100, nil, y)
+	e.StartTransfer(100, nil, z, y, x)
+	e.Run()
+	var got []string
+	for _, r := range s.order {
+		got = append(got, r.Name)
+	}
+	if want := "x y z"; strings.Join(got, " ") != want {
+		t.Errorf("first-sample order %v, want %s", got, want)
 	}
 }
 
@@ -136,10 +166,26 @@ func fabricEngine() (*Engine, []*Resource) {
 	return e, all
 }
 
+// startChurn starts a chain of short flows on fabricEngine's component —
+// each one's completion starts the next over the same remote-read path —
+// and returns a step that runs the engine through the next completion
+// instant: one flow finishes, one starts, and the component is re-solved
+// once, with no capacity change. That is the regime the workloads run.
+func startChurn(e *Engine, all []*Resource) (step func()) {
+	port := NewResource("memport", 7<<30)
+	path := []*Resource{port, all[3], all[1], all[0], all[5]} // socket, NIC, fabric, next NIC
+	var next func()
+	next = func() { e.StartTransfer(64<<20, next, path...) }
+	next()
+	e.RunUntil(e.Now()) // fold the start batch
+	return func() { e.RunUntil(e.events.peek().t) }
+}
+
 // The steady-state batch hot path must not allocate: once the engine's
 // scratch buffers have grown, a full dirty-batch solve runs
 // allocation-free, both for 512 flows over four small components and for
-// one fabric-coupled component of 1536 flows. This is the regression bound
+// one fabric-coupled component of 1536 flows, and so does the churn step
+// in which one flow finishes and one starts. This is the regression bound
 // for the pooled-scratch refactor; the previous implementation allocated
 // hundreds of objects per batch (scratch maps, share-heap nodes, sample
 // closures).
@@ -159,6 +205,15 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 			t.Errorf("batch solve of %d flows in %d components allocates %.1f objects/op, want ≤2",
 				e.ActiveFlows(), e.ActiveComponents(), allocs)
 		}
+	}
+	e, all := fabricEngine()
+	step := startChurn(e, all)
+	solves := e.AllocStats().ComponentsSolved
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("churn step allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := e.AllocStats().ComponentsSolved - solves; n != 51 {
+		t.Errorf("51 churn steps solved %d components, want one each", n)
 	}
 }
 
@@ -190,5 +245,19 @@ func BenchmarkSolveFabricComponent(b *testing.B) {
 			r.Capacity *= 0.999
 		}
 		e.RecomputeResources(all...)
+	}
+}
+
+// BenchmarkSolveFabricChurn measures the churn step on fabricEngine's
+// component: one flow finishes and one starts, then one re-solve with no
+// capacity change, so the solver's cached path facts and bounds stay
+// valid everywhere but on the resources the two flows cross.
+func BenchmarkSolveFabricChurn(b *testing.B) {
+	e, all := fabricEngine()
+	step := startChurn(e, all)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

@@ -172,6 +172,7 @@ type Tracer interface {
 func NewEngine() *Engine {
 	e := &Engine{}
 	e.flows.e = e
+	e.flows.capGen = 1
 	if os.Getenv("UNIVISTOR_SIM_DIFFCHECK") != "" {
 		e.flows.diffCheck = true
 	}
@@ -297,11 +298,15 @@ func (e *Engine) Deadlocked() int {
 // network link, a storage target). Concurrent flows crossing a resource share
 // its capacity max-min fairly.
 type Resource struct {
-	Name     string
-	Capacity float64 // bytes per second
+	Name string
+	// Capacity is in bytes per second. The solver caches facts derived
+	// from it, so a change while flows cross the resource takes effect
+	// only through RecomputeFlows or RecomputeResources, which must follow
+	// the mutation before the engine runs on; the differential check
+	// panics, naming the resource, when one is missing.
+	Capacity float64
 
-	id     int64 // creation order; deterministic tie-breaking
-	nflows int   // active flows crossing this resource (maintained by flowSet)
+	id int64 // creation order; deterministic tie-breaking
 	// alloc is the allocated rate across this resource after the most
 	// recent recompute, with each flow counted once even when its path
 	// crosses the resource several times (maintained by flowSet; the same
@@ -310,9 +315,9 @@ type Resource struct {
 	// comp is the connected component currently owning this resource, nil
 	// while no active flow crosses it (maintained by flowSet).
 	comp *component
-	// state is the fast solver's per-resource working state, gen-stamped
-	// per solve and lazily allocated (see allocateFast).
-	state *resState
+	// st is the solver's state for this resource: its crossing list and
+	// the facts derived from it persist across solves (see allocateFast).
+	st resState
 }
 
 var resourceSeq atomic.Int64
@@ -351,10 +356,17 @@ type flow struct {
 	seq     int64      // insertion order; fixes allocation iteration order
 	comp    *component // owning component; nil once the flow finishes
 	refRate float64    // differential-mode shadow rate (reference solver)
-	// parked marks a flow crossing a zero-capacity (degraded-to-outage)
-	// resource: its rate is held at 0 and it is excluded from allocation
-	// until a recompute sees the capacity restored.
-	parked bool
+
+	// Path facts (see pathFacts), valid while factsGen is the flow set's
+	// capacity generation. parked marks a flow crossing a zero-capacity
+	// (degraded-to-outage) resource: its rate is held at 0 and it is
+	// excluded from allocation until a recompute sees the capacity
+	// restored. min1 and min2 are the path's two smallest capacities (with
+	// multiplicity) and floor is 1e-12 × its largest, for the bounds.
+	parked     bool
+	min1, min2 float64
+	floor      float64
+	factsGen   int64
 }
 
 // fanout tracks one TransferAll call: the count of in-flight pieces and
@@ -380,6 +392,11 @@ type flowSet struct {
 	gen     int64 // invalidates stale flow-completion events
 	flowSeq int64 // flow insertion order
 	compSeq int64 // component ids, for deterministic merge tie-breaks
+	// capGen is the capacity generation: RecomputeFlows and a non-empty
+	// RecomputeResources bump it, which marks every cached path fact and
+	// resource bound stale. It starts at 1, so a zero stamp is never
+	// current.
+	capGen int64
 
 	comps       []*component // live components, creation order
 	dirtyComps  []*component
@@ -389,14 +406,11 @@ type flowSet struct {
 	// any) returns to the pool the instant it finishes.
 	flowPool []*flow
 	fanPool  []*fanout
-	finBuf   []*flow // completeAll scratch
+	finBuf   []*flow     // completeAll scratch
+	resBuf   []*Resource // completeAll and settleResources scratch
 
-	// Reusable allocation scratch (see allocateRef / allocateFast).
-	scratch  map[*Resource]*resState // reference-path states
-	touched  []*Resource
-	heapBuf  shareHeap
-	solveGen int64        // stamps resStates per solve
-	solve    solveScratch // allocateFast's buffers and counters
+	solve solveScratch // allocateFast's buffers and counters
+	ref   refSolver    // the differential check's reference solver
 
 	// Reusable split() scratch.
 	ufParent []int32
@@ -547,6 +561,7 @@ func (p *Proc) TransferAll(flows []Flow) {
 // targeted RecomputeResources) for the change to take effect.
 func (e *Engine) RecomputeFlows() {
 	fs := &e.flows
+	fs.capGen++
 	for _, c := range fs.comps {
 		fs.queueDirty(c)
 	}
@@ -560,6 +575,9 @@ func (e *Engine) RecomputeFlows() {
 // Any recompute already queued for this instant is folded into the batch.
 func (e *Engine) RecomputeResources(rs ...*Resource) {
 	fs := &e.flows
+	if len(rs) > 0 {
+		fs.capGen++
+	}
 	for _, r := range rs {
 		if c := r.comp; c != nil && !c.dead {
 			fs.queueDirty(c)

@@ -460,9 +460,11 @@ func TestEqualFlowsFinishTogetherProperty(t *testing.T) {
 }
 
 // utilSampler records the last ResourceSample of each resource, so tests
-// can compare the recorded timeline against Utilization.
+// can compare the recorded timeline against Utilization, and the order in
+// which resources were first sampled.
 type utilSampler struct {
-	last map[*Resource]float64
+	last  map[*Resource]float64
+	order []*Resource
 }
 
 func (s *utilSampler) FlowBegin(Time, int64, float64, []*Resource) {}
@@ -472,6 +474,9 @@ func (s *utilSampler) Counter(Time, string, int64)                 {}
 func (s *utilSampler) ResourceSample(_ Time, r *Resource, rate float64) {
 	if s.last == nil {
 		s.last = map[*Resource]float64{}
+	}
+	if _, seen := s.last[r]; !seen {
+		s.order = append(s.order, r)
 	}
 	s.last[r] = rate
 }
