@@ -58,7 +58,10 @@ bench:
 # armed, so the incremental solver is checked against the reference
 # allocator on the storage system's real resource paths. The paper-figure
 # sweeps then run armed without -race: their scheduler changes memory-port
-# capacities, the second capacity-mutation site besides chaos.
+# capacities, the second capacity-mutation site besides chaos. Last, every
+# figure workload runs armed under the chaos schedule, whose capacity
+# degradations reach the solver through RecomputeResources.
 race-diffcheck:
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test ./internal/bench/...
+	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) run ./cmd/univibench -chaos-smoke -quick > /dev/null

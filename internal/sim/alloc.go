@@ -23,8 +23,8 @@
 //     two smallest capacities, the share floor), and each resource its
 //     live crossing count and Σ bound(f,r). These are functions of the
 //     lists and of the capacities only. A list change marks its resource
-//     stale, and a capacity change must be followed by RecomputeFlows or
-//     RecomputeResources (the contract on Resource.Capacity), which bumps
+//     stale, and a capacity change must be followed by RecomputeResources
+//     naming the resource (the contract on Resource.Capacity), which bumps
 //     the flow set's capacity generation and so marks every cached fact
 //     stale. A solve re-derives only stale facts, with the reference's
 //     arithmetic in the reference's order, so every cached value is
@@ -71,7 +71,7 @@ import (
 // tracing, and tests.
 type AllocStats struct {
 	// Recomputes counts dirty-batch solves (deferred same-instant batches
-	// plus explicit RecomputeFlows/RecomputeResources calls that had work).
+	// plus explicit RecomputeResources calls that had work).
 	Recomputes int64 `json:"recompute_batches"`
 	// ComponentsSolved counts individual component water-filling solves.
 	ComponentsSolved int64 `json:"components_solved"`
@@ -80,7 +80,9 @@ type AllocStats struct {
 	FlowsSolved int64 `json:"flows_solved"`
 	// Merges counts component unions caused by a new flow bridging them.
 	Merges int64 `json:"merges"`
-	// Splits counts lazy partition rebuilds that produced >1 component.
+	// Splits is always 0: components only merge (see components.go). The
+	// field stays because the host benchmark reports it and the pinned
+	// golden reports carry its "splits" key.
 	Splits int64 `json:"splits"`
 	// ParkedFlows counts solve visits that found a flow crossing a
 	// zero-capacity resource and held its rate at 0.
@@ -102,10 +104,6 @@ func (e *Engine) SetDifferentialCheck(on bool) { e.flows.diffCheck = on }
 
 // AllocStats returns a snapshot of the cumulative allocator counters.
 func (e *Engine) AllocStats() AllocStats { return e.flows.stats }
-
-// ActiveComponents returns the number of live connected components in the
-// flow partition.
-func (e *Engine) ActiveComponents() int { return len(e.flows.comps) }
 
 // shareEntry is a lazy-heap entry for the water-filling allocator.
 type shareEntry struct {
@@ -254,7 +252,7 @@ func (rs *refSolver) allocateRef(flows []*flow) {
 
 // resState is a resource's solver state, embedded in its Resource. The
 // crossing list and the live count and bound derived from it persist
-// across solves; the rest is per-solve and per-split scratch.
+// across solves; the rest is per-solve scratch.
 type resState struct {
 	// flows lists the active flows crossing the resource, once per
 	// crossing, in ascending flow.seq order: add appends, and completeAll
@@ -269,8 +267,7 @@ type resState struct {
 	capGen int64
 	// cap is Capacity as of capGen, taken when the resource is claimed or
 	// the generation moves. The differential check compares it with
-	// Capacity to catch a mutation that skipped RecomputeFlows and
-	// RecomputeResources.
+	// Capacity to catch a mutation that skipped RecomputeResources.
 	cap   float64
 	stale bool // the crossing list changed since live and bound were set
 	// fresh marks a resource claimed since its component's last solve
@@ -285,11 +282,6 @@ type resState struct {
 	heapPos int32
 	remCap  float64
 	remCnt  int
-
-	// Lazy-rebuild (split) scratch: the component-local flow index that
-	// first touched this resource, stamped per split attempt.
-	splitIdx int32
-	splitGen int64
 }
 
 // pathFacts caches what the solver reads of the flow's path: whether it
@@ -628,7 +620,7 @@ func (fs *flowSet) verifyCaches() {
 		for _, r := range c.resources {
 			if r.st.capGen == gen && r.Capacity != r.st.cap {
 				panic(fmt.Sprintf(
-					"sim: resource %q capacity changed from %v to %v at t=%v without RecomputeFlows or RecomputeResources",
+					"sim: resource %q capacity changed from %v to %v at t=%v without RecomputeResources",
 					r.Name, r.st.cap, r.Capacity, float64(fs.e.now)))
 			}
 		}

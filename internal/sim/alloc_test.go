@@ -27,8 +27,8 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 		if u := disk.Utilization(); u != 0 || math.IsNaN(u) {
 			t.Errorf("Utilization of zero-capacity resource = %v, want 0", u)
 		}
-		if n := e.ActiveFlows(); n != 1 {
-			t.Errorf("parked flow vanished: ActiveFlows = %d", n)
+		if n := len(e.flows.active); n != 1 {
+			t.Errorf("parked flow vanished: %d active flows", n)
 		}
 		if s := e.AllocStats(); s.ParkedFlows == 0 {
 			t.Error("AllocStats.ParkedFlows = 0, want > 0")
@@ -356,10 +356,10 @@ func TestDifferentialCheckCountsBatches(t *testing.T) {
 }
 
 // Capacity follows a mutate-then-recompute contract: the solver caches
-// facts derived from it, so a change without RecomputeFlows or
-// RecomputeResources would leave them stale. Under the differential check
-// the next solve must panic and name the mutated resource, here on a
-// solve that an unrelated flow start triggers.
+// facts derived from it, so a change without RecomputeResources would
+// leave them stale. Under the differential check the next solve must
+// panic and name the mutated resource, here on a solve that an unrelated
+// flow start triggers.
 func TestCapacityChangeWithoutRecomputePanics(t *testing.T) {
 	e := NewEngine()
 	e.SetDifferentialCheck(true)

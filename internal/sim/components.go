@@ -2,22 +2,19 @@
 // connected when they share a Resource (directly or transitively); under
 // max-min water-filling, a flow transition or capacity change in one
 // component cannot change any rate in a disjoint component, so only dirty
-// components are re-solved. The partition is maintained incrementally:
-// components are unioned when a new flow bridges them, and rebuilt lazily
-// (union-find over the component's flows) after completions may have
-// disconnected it.
+// components are re-solved. The partition follows one rule: a starting
+// flow merges every component it bridges, and a component lives until its
+// last flow finishes. Completions never split a component. One that has
+// come apart is still solved as one water-fill, which gives bitwise the
+// same rates as solving its parts (their resource states never interact),
+// and the differential check asserts exactly that against the global
+// solve. A resource whose last crossing retired is closed at the next
+// solve (settleResources).
 //
 // Components are solved one after another on the dispatcher goroutine, in
 // dirty-queue order. The paper's workloads couple most flows through one
 // shared fabric, so a batch is usually one large component, and splitting
 // the batch across goroutines would buy nothing.
-//
-// Completion events are sharded per component: each component's flow list
-// is its own completion queue, scanned for the earliest finish time, and
-// the per-component heads are merged into the single global completion
-// event at the batch boundary (ties broken by component creation order —
-// the merged minimum is a pure min over identical operands, so event times
-// are bitwise-identical to the historical global O(active) scan).
 
 package sim
 
@@ -40,20 +37,8 @@ type component struct {
 	// retired (settleResources).
 	resources []*Resource
 	dirty     bool // queued in flowSet.dirtyComps
-	// needSplit marks that flows finished since the last solve, so the
-	// component may have disconnected and should be re-partitioned.
-	// Splitting is pure optimization — water-filling a disconnected
-	// component jointly produces bitwise-identical rates to solving its
-	// parts (their resource states never interact) — so the rebuild is
-	// deferred until the component has halved since the last check
-	// (splitCheckAt) rather than paying union-find on every completion.
-	needSplit bool
-	// splitCheckAt is the flow-count high-water mark since the last
-	// partition check; a rebuild is attempted when the component shrinks
-	// to half of it.
-	splitCheckAt int
-	dead         bool // merged away or drained; skip everywhere
-	visit        bool // add()/completeAll dedup scratch
+	dead      bool // merged away or drained; skip everywhere
+	visit     bool // add()/completeAll dedup scratch
 }
 
 // add inserts a started flow into the active set and the partition:
@@ -90,9 +75,6 @@ func (fs *flowSet) add(f *flow) {
 	}
 	fs.compScratch = found[:0]
 	target.flows = append(target.flows, f) // f.seq is the maximum: stays sorted
-	if n := len(target.flows); n > target.splitCheckAt {
-		target.splitCheckAt = n
-	}
 	f.comp = target
 	for _, r := range f.resources {
 		st := &r.st
@@ -128,17 +110,11 @@ func (fs *flowSet) merge(cs []*component) *component {
 			f.comp = target
 		}
 		for _, r := range c.resources {
-			if r.comp == c {
-				r.comp = target
-				target.resources = append(target.resources, r)
-			}
+			r.comp = target
 		}
-		target.needSplit = target.needSplit || c.needSplit
+		target.resources = append(target.resources, c.resources...)
 		c.dead = true
 		c.dirty = false
-	}
-	if n := len(target.flows); n > target.splitCheckAt {
-		target.splitCheckAt = n
 	}
 	fs.removeDead()
 	return target
@@ -186,7 +162,7 @@ func (fs *flowSet) removeDead() {
 }
 
 // queueDirty marks c for the next batch solve without scheduling the
-// deferred event (RecomputeFlows/RecomputeResources solve synchronously).
+// deferred event (RecomputeResources solves synchronously).
 func (fs *flowSet) queueDirty(c *component) {
 	if c.dirty || c.dead {
 		return
@@ -207,11 +183,10 @@ func (fs *flowSet) markCompDirty(c *component) {
 	fs.e.at(fs.e.now, event{kind: evBatch})
 }
 
-// processDirty solves every queued dirty component: splitting ones whose
-// completions may have disconnected them, water-filling each, and pruning
-// resource ownership. Runs the differential check and tracer sample once
-// per batch. The caller (runPending) reschedules the global completion
-// event afterwards.
+// processDirty water-fills every queued dirty component, closing the
+// resources whose last crossing retired. Runs the differential check and
+// tracer sample once per batch. The caller (runPending) reschedules the
+// global completion event afterwards.
 func (fs *flowSet) processDirty() {
 	if len(fs.dirtyComps) == 0 {
 		return
@@ -223,22 +198,6 @@ func (fs *flowSet) processDirty() {
 			continue
 		}
 		c.dirty = false
-		if c.needSplit {
-			if len(c.flows) <= 1 {
-				c.needSplit = false
-			} else if len(c.flows)*2 <= c.splitCheckAt {
-				c.needSplit = false
-				if parts := fs.split(c); parts != nil {
-					for _, p := range parts {
-						fs.solveComponent(p)
-					}
-					continue
-				}
-				// Still connected: solve jointly below.
-			}
-			// Deferred: solve jointly (bitwise-identical) and re-check
-			// once the component has halved.
-		}
 		fs.solveComponent(c)
 	}
 	fs.dirtyComps = fs.dirtyComps[:0]
@@ -254,96 +213,6 @@ func (fs *flowSet) processDirty() {
 	}
 }
 
-// split re-partitions c after completions: union-find over its remaining
-// flows, keyed by shared resources. When the flows are still one
-// component, nil is returned and c is kept as-is (the subsequent solve
-// drops resources whose flows all finished). Otherwise c dies, its parts
-// become fresh components that claim their resources, and the resources
-// left unclaimed are closed; the caller must solve every part. Runs in
-// O(E α(F)) for component degree E.
-func (fs *flowSet) split(c *component) (parts []*component) {
-	n := len(c.flows)
-	parent := fs.ufParent[:0]
-	for i := 0; i < n; i++ {
-		parent = append(parent, int32(i))
-	}
-	fs.ufParent = parent
-	find := func(i int32) int32 {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]] // path halving
-			i = parent[i]
-		}
-		return i
-	}
-	// Union each flow with the first flow that touched each of its
-	// resources; the representative index lives in the resource's solve
-	// state (scratch fields stamped per attempt), so no map is needed.
-	fs.splitGen++
-	sgen := fs.splitGen
-	for i, f := range c.flows {
-		for _, r := range f.resources {
-			st := &r.st
-			if st.splitGen != sgen {
-				st.splitGen = sgen
-				st.splitIdx = int32(i)
-				continue
-			}
-			ri, rj := find(int32(i)), find(st.splitIdx)
-			if ri != rj {
-				parent[ri] = rj
-			}
-		}
-	}
-	groups := 0
-	for i := int32(0); i < int32(n); i++ {
-		if find(i) == i {
-			groups++
-		}
-	}
-	if groups == 1 {
-		c.splitCheckAt = len(c.flows)
-		return nil
-	}
-	fs.stats.Splits++
-	// Build the parts in first-flow order so component ids and solve order
-	// stay deterministic.
-	byRoot := make(map[int32]*component, groups)
-	for i, f := range c.flows {
-		root := find(int32(i))
-		g := byRoot[root]
-		if g == nil {
-			fs.compSeq++
-			g = &component{id: fs.compSeq}
-			byRoot[root] = g
-			parts = append(parts, g)
-		}
-		g.flows = append(g.flows, f) // ascending i preserves seq order
-		f.comp = g
-	}
-	// Each part claims its resources in the order a walk of its flows
-	// first meets them.
-	for _, g := range parts {
-		g.splitCheckAt = len(g.flows)
-		for _, f := range g.flows {
-			for _, r := range f.resources {
-				if r.comp != g {
-					r.comp = g
-					g.resources = append(g.resources, r)
-				}
-			}
-		}
-	}
-	for _, r := range c.resources {
-		if r.comp == c {
-			fs.closeResource(r) // crossed only by finished flows
-		}
-	}
-	c.dead = true
-	fs.removeDead()
-	fs.comps = append(fs.comps, parts...)
-	return parts
-}
-
 // solveComponent water-fills one component and refreshes resource
 // ownership and rate caches. A drained component (no flows left) is
 // retired: its resources are closed out and it is removed from the live
@@ -351,9 +220,7 @@ func (fs *flowSet) split(c *component) (parts []*component) {
 func (fs *flowSet) solveComponent(c *component) {
 	if len(c.flows) == 0 {
 		for _, r := range c.resources {
-			if r.comp == c {
-				fs.closeResource(r)
-			}
+			fs.closeResource(r)
 		}
 		c.resources = c.resources[:0]
 		c.dead = true
@@ -408,33 +275,18 @@ func byFirstCrossing(a, b *Resource) int {
 	return cmp.Compare(slices.Index(fa.resources, a), slices.Index(fa.resources, b))
 }
 
-// compNextCompletion scans one component's flow list — its completion
-// queue — for the earliest finish time, exactly the per-flow arithmetic
-// of the historical global scan.
-func (fs *flowSet) compNextCompletion(c *component) Time {
-	best := Infinity
-	now := fs.e.now
-	for _, f := range c.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := now + Time(f.remaining/f.rate); t < best {
-			best = t
-		}
-	}
-	return best
-}
-
-// scheduleCompletion reschedules the single global completion event by
-// merging the per-component completion-queue heads (ties broken by
-// component creation order). min over floats is grouping-independent, so
-// the merged time is bitwise-identical to the historical global O(active)
-// scan. Every batch bumps the generation, superseding the previous event.
+// scheduleCompletion reschedules the single global completion event at
+// the earliest finish time over the active flows. Every batch bumps the
+// generation, superseding the previous event.
 func (fs *flowSet) scheduleCompletion() {
 	fs.gen++
 	bestT := Infinity
-	for _, c := range fs.comps {
-		if t := fs.compNextCompletion(c); t < bestT {
+	now := fs.e.now
+	for _, f := range fs.active {
+		if f.rate <= 0 {
+			continue
+		}
+		if t := now + Time(f.remaining/f.rate); t < bestT {
 			bestT = t
 		}
 	}
@@ -456,8 +308,8 @@ func (fs *flowSet) scheduleCompletion() {
 // completeAll finishes every flow whose remaining bytes have drained.
 // Stale events (from a superseded rate assignment) are ignored via the
 // generation counter; finished flows are spliced out of their components,
-// which are queued for a split check and re-solve, and recycled into the
-// flow pool once their completion side effects are scheduled.
+// which are queued for a re-solve, and recycled into the flow pool once
+// their completion side effects are scheduled.
 func (fs *flowSet) completeAll(gen int64) {
 	if gen != fs.gen || fs.dirty {
 		// Stale, or a batch for this instant is already queued and will
@@ -485,8 +337,7 @@ func (fs *flowSet) completeAll(gen int64) {
 		return
 	}
 	// Partition maintenance: splice finished flows out of their
-	// components; survivors' rates change and the components may have
-	// disconnected.
+	// components, whose survivors' rates change.
 	affected := fs.compScratch[:0]
 	for _, f := range finished {
 		c := f.comp
@@ -505,7 +356,6 @@ func (fs *flowSet) completeAll(gen int64) {
 			}
 		}
 		c.flows = keptF
-		c.needSplit = true
 	}
 	// Compact the crossing list of every resource a finished flow crossed,
 	// once per batch.

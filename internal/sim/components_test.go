@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// A component must actually split when completions disconnect it, and the
-// surviving parts must be re-solved with their own capacity: two hub
-// resources joined by short-lived bridge flows, whose completion severs
-// the component and frees each side's bandwidth for its remaining flows.
-// Every rate in this topology is exactly representable, so completion
-// times are asserted with exact float equality.
+// Components only merge: two hub resources joined by short-lived bridge
+// flows stay one component after the bridges finish, and solving it as one
+// water-fill still frees each side's bandwidth for its remaining flows,
+// exactly as solving the two sides apart would. Every rate in this
+// topology is exactly representable, so completion times are asserted
+// with exact float equality.
 func TestComponentSplitRestoresRates(t *testing.T) {
 	e := NewEngine()
 	a := NewResource("a", 120)
@@ -29,24 +29,24 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 		}
 	})
 	// All four bridges complete together at t=5 (100 bytes at rate 20),
-	// shrinking the 7-flow component past the lazy split threshold; the
-	// split leaves {f1,f2} on a and {f3} on b.
+	// leaving {f1,f2} on a and {f3} on b in one component that no flow
+	// connects any more.
 	e.At(50, func() {
 		if bridgesDone != 4 {
 			t.Errorf("at t=50: %d bridges done, want 4", bridgesDone)
 		}
-		if got := e.ActiveComponents(); got != 2 {
-			t.Errorf("at t=50: %d components, want 2 after the split", got)
+		if got := len(e.flows.comps); got != 1 {
+			t.Errorf("at t=50: %d components, want 1 (components only merge)", got)
 		}
 		s := e.AllocStats()
-		if s.Splits == 0 {
-			t.Error("at t=50: AllocStats.Splits = 0, want a recorded split")
+		if s.Splits != 0 {
+			t.Errorf("at t=50: AllocStats.Splits = %d, want 0", s.Splits)
 		}
 		if s.Merges == 0 {
 			t.Error("at t=50: AllocStats.Merges = 0, want bridge-driven merges")
 		}
-		// Post-split each side re-fills its own capacity: f1 and f2 share
-		// a at 60 each, f3 gets all of b.
+		// The joint solve re-fills each side's own capacity: f1 and f2
+		// share a at 60 each, f3 gets all of b.
 		if a.alloc != 120 || b.alloc != 120 {
 			t.Errorf("at t=50: alloc a=%v b=%v, want 120/120", a.alloc, b.alloc)
 		}
@@ -55,12 +55,12 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 	// f1/f2: 100 bytes by t=5, then 9900 at rate 60 → t=170.
 	// f3: 200 bytes by t=5, then 12000 at rate 120 → t=105.
 	if t1 != 170 || t2 != 170 {
-		t.Errorf("a-side completions t1=%v t2=%v, want 170 (rate 60 after split)", t1, t2)
+		t.Errorf("a-side completions t1=%v t2=%v, want 170 (rate 60 after the bridges)", t1, t2)
 	}
 	if t3 != 105 {
-		t.Errorf("b-side completion t3=%v, want 105 (rate 120 after split)", t3)
+		t.Errorf("b-side completion t3=%v, want 105 (rate 120 after the bridges)", t3)
 	}
-	if got := e.ActiveComponents(); got != 0 {
+	if got := len(e.flows.comps); got != 0 {
 		t.Errorf("after drain: %d live components, want 0", got)
 	}
 }
@@ -110,7 +110,7 @@ func steadyEngine() (*Engine, []*Resource) {
 			}
 		}
 	}
-	e.RecomputeFlows() // fold the pending start batch; grows all scratch
+	e.RecomputeResources() // fold the pending start batch; grows all scratch
 	return e, all
 }
 
@@ -162,7 +162,7 @@ func fabricEngine() (*Engine, []*Resource) {
 			}
 		}
 	}
-	e.RecomputeFlows() // fold the pending start batch; grows all scratch
+	e.RecomputeResources() // fold the pending start batch; grows all scratch
 	return e, all
 }
 
@@ -203,7 +203,7 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 		})
 		if allocs > 2 {
 			t.Errorf("batch solve of %d flows in %d components allocates %.1f objects/op, want ≤2",
-				e.ActiveFlows(), e.ActiveComponents(), allocs)
+				len(e.flows.active), len(e.flows.comps), allocs)
 		}
 	}
 	e, all := fabricEngine()

@@ -301,9 +301,9 @@ type Resource struct {
 	Name string
 	// Capacity is in bytes per second. The solver caches facts derived
 	// from it, so a change while flows cross the resource takes effect
-	// only through RecomputeFlows or RecomputeResources, which must follow
-	// the mutation before the engine runs on; the differential check
-	// panics, naming the resource, when one is missing.
+	// only through RecomputeResources naming it, which must follow the
+	// mutation before the engine runs on; the differential check panics,
+	// naming the resource, when the call is missing.
 	Capacity float64
 
 	id int64 // creation order; deterministic tie-breaking
@@ -392,10 +392,9 @@ type flowSet struct {
 	gen     int64 // invalidates stale flow-completion events
 	flowSeq int64 // flow insertion order
 	compSeq int64 // component ids, for deterministic merge tie-breaks
-	// capGen is the capacity generation: RecomputeFlows and a non-empty
-	// RecomputeResources bump it, which marks every cached path fact and
-	// resource bound stale. It starts at 1, so a zero stamp is never
-	// current.
+	// capGen is the capacity generation: a non-empty RecomputeResources
+	// bumps it, which marks every cached path fact and resource bound
+	// stale. It starts at 1, so a zero stamp is never current.
 	capGen int64
 
 	comps       []*component // live components, creation order
@@ -411,10 +410,6 @@ type flowSet struct {
 
 	solve solveScratch // allocateFast's buffers and counters
 	ref   refSolver    // the differential check's reference solver
-
-	// Reusable split() scratch.
-	ufParent []int32
-	splitGen int64 // stamps resState split scratch per attempt
 }
 
 // newFlow takes a flow from the pool (or allocates the pool's first use).
@@ -511,9 +506,6 @@ func (e *Engine) StartTransfer(size float64, done func(), resources ...*Resource
 	e.flows.add(f)
 }
 
-// ActiveFlows returns the number of in-flight fluid transfers.
-func (e *Engine) ActiveFlows() int { return len(e.flows.active) }
-
 // Flow describes one piece of a parallel transfer for TransferAll.
 type Flow struct {
 	Size float64
@@ -555,31 +547,21 @@ func (p *Proc) TransferAll(flows []Flow) {
 	p.Park()
 }
 
-// RecomputeFlows re-runs the max-min allocation across every component,
-// picking up any external change to resource capacities. Callers that
-// mutate Resource.Capacity while flows are active must call this (or the
-// targeted RecomputeResources) for the change to take effect.
-func (e *Engine) RecomputeFlows() {
-	fs := &e.flows
-	fs.capGen++
-	for _, c := range fs.comps {
-		fs.queueDirty(c)
-	}
-	fs.runPending()
-}
-
-// RecomputeResources is the targeted form of RecomputeFlows: after mutating
-// the capacities of rs, only the components whose flows actually cross one
-// of rs are re-solved — rates elsewhere are provably unchanged under
-// max-min fairness. Resources not crossed by any active flow are skipped.
-// Any recompute already queued for this instant is folded into the batch.
+// RecomputeResources re-runs the max-min allocation after the capacities
+// of rs changed: only the components whose flows cross one of rs are
+// re-solved — rates elsewhere are provably unchanged under max-min
+// fairness. Resources not crossed by any active flow are skipped. Callers
+// that mutate Resource.Capacity while flows cross the resource must call
+// this for the change to take effect. Any recompute already queued for
+// this instant is folded into the batch, so a call with no resources
+// solves just that pending batch.
 func (e *Engine) RecomputeResources(rs ...*Resource) {
 	fs := &e.flows
 	if len(rs) > 0 {
 		fs.capGen++
 	}
 	for _, r := range rs {
-		if c := r.comp; c != nil && !c.dead {
+		if c := r.comp; c != nil {
 			fs.queueDirty(c)
 		}
 	}

@@ -558,8 +558,8 @@ func TestCheckFlowConservation(t *testing.T) {
 		if v := e.CheckFlowConservation(1e-6); len(v) == 0 {
 			t.Error("expected a violation after capacity cut without recompute")
 		}
-		// RecomputeFlows restores conservation under the new capacity.
-		e.RecomputeFlows()
+		// RecomputeResources restores conservation under the new capacity.
+		e.RecomputeResources(a)
 		if v := e.CheckFlowConservation(1e-6); len(v) != 0 {
 			t.Errorf("violations after recompute: %v", v)
 		}

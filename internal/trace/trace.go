@@ -9,9 +9,9 @@
 // The recorder is designed so that *disabled tracing costs one nil check*:
 // every method on a nil *Recorder returns immediately without touching its
 // arguments, so instrumentation sites pass a possibly-nil recorder and
-// never branch themselves. The simulation engine serializes all process
-// execution (handoffs synchronize through channels), so event appends need
-// no locks; buffers are plain slices grown in the emitting track.
+// never branch themselves. The simulation engine runs every process as a
+// coroutine on the goroutine that calls Run, so event appends need no
+// locks; buffers are plain slices grown in the emitting track.
 package trace
 
 import (

@@ -23,6 +23,7 @@ package univistor
 
 import (
 	"fmt"
+	"reflect"
 
 	"univistor/internal/bench"
 	"univistor/internal/core"
@@ -34,11 +35,12 @@ import (
 
 // Options configures a Cluster.
 type Options struct {
-	// Machine describes the simulated hardware. Zero value uses the Cori
-	// preset scaled by Nodes.
+	// Machine describes the simulated hardware. The zero value uses
+	// Defaults().Machine; any other value must pass its Validate.
 	Machine topology.Config
 	// Service configures UniviStor itself (servers per node, cache tiers,
-	// optimizations). Zero value uses core.DefaultConfig.
+	// optimizations). The zero value uses core.DefaultConfig; any other
+	// value must pass its Validate.
 	Service core.Config
 }
 
@@ -67,10 +69,10 @@ type Cluster struct {
 // Ranks are placed interference-aware when Service.InterferenceAware is
 // set.
 func New(opts Options) (*Cluster, error) {
-	if opts.Machine.Nodes == 0 {
+	if reflect.ValueOf(opts.Machine).IsZero() {
 		opts.Machine = Defaults().Machine
 	}
-	if opts.Service.ServersPerNode == 0 {
+	if reflect.ValueOf(opts.Service).IsZero() {
 		opts.Service = core.DefaultConfig()
 	}
 	st, err := bench.NewStack(opts.Machine, "univistor", opts.Service, "", "")

@@ -72,12 +72,20 @@ func TestFacadeWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestFacadeValidation(t *testing.T) {
-	o := smallOpts()
-	o.Machine.CoresPerNode = 7 // not divisible by 2 sockets
-	if _, err := New(o); err == nil {
-		t.Error("invalid machine accepted")
+	// Only the zero value stands for the defaults: a partly set config is
+	// validated, not replaced.
+	for _, bad := range []func(*topology.Config){
+		func(m *topology.Config) { m.CoresPerNode = 7 }, // not divisible by 2 sockets
+		func(m *topology.Config) { m.Nodes = 0 },
+	} {
+		o := smallOpts()
+		bad(&o.Machine)
+		if _, err := New(o); err == nil {
+			t.Errorf("invalid machine accepted: %+v", o.Machine)
+		}
 	}
 	for _, bad := range []func(*core.Config){
+		func(c *core.Config) { c.ServersPerNode = 0 },
 		func(c *core.Config) { c.ChunkSize = -1 },
 		func(c *core.Config) { c.FlushStriping = "stripe-some" },
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.TierPFS} },
@@ -85,7 +93,7 @@ func TestFacadeValidation(t *testing.T) {
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{-1} },
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierDRAM} },
 	} {
-		o = smallOpts()
+		o := smallOpts()
 		bad(&o.Service)
 		if _, err := New(o); err == nil {
 			t.Errorf("invalid service config accepted: %+v", o.Service)
