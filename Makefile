@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck trace-smoke check bench chaos-smoke examples benchmark-test
+.PHONY: all build vet test race race-diffcheck trace-smoke check bench bench-smoke chaos-smoke examples benchmark-test
 
 all: check
 
@@ -19,8 +19,9 @@ race:
 
 # The full CI gate, one target per CI step: compile, static checks,
 # race-enabled tests, the solver diffcheck, the trace smoke, every example
-# program, the chaos gates and the benchmark module's own checks.
-check: build vet race race-diffcheck trace-smoke examples chaos-smoke benchmark-test
+# program, the chaos gates, one iteration of each solver benchmark and the
+# benchmark module's own checks.
+check: build vet race race-diffcheck trace-smoke examples chaos-smoke bench-smoke benchmark-test
 
 # Export a figure trace and a counter-rich feature trace, then validate
 # both.
@@ -29,6 +30,11 @@ trace-smoke:
 	$(GO) run ./cmd/univistor-sim -meta-shards 2 -meta-replicas 3 -meta-follower-reads -meta-split 1@1 \
 		-dedup -ckpt 3 -trace /tmp/counters.json > /dev/null
 	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json
+
+# Run each internal/sim benchmark once, so the solver benchmarks that
+# performance changes quote keep building and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

@@ -30,6 +30,11 @@
 //     arithmetic in the reference's order, so every cached value is
 //     bitwise what a fresh walk would give; the differential check
 //     asserts exactly that before it compares rates.
+//   - Set-up is one pass: admitting the component's resources to the heap
+//     also closes those whose last crossing retired and sets aside those
+//     claimed since the last solve, to be admitted and appended in
+//     first-crossing order (see byFirstCrossing).
+//   - Rate samples are summed only for a tracer: nothing else reads them.
 //   - Non-binding resources never enter the share heap. Every flow's rate
 //     is at most bound(f,r) = max(the smallest capacity on its path other
 //     than this crossing of r, 1e-12 × the largest capacity on its path):
@@ -43,9 +48,9 @@
 //     it is never popped, so the other pops are unchanged. The smallest
 //     capacity on a path has a bound of at least itself and always stays,
 //     so every unassigned flow keeps a heap resource. Pruned resources
-//     keep their crossing lists: rate caches and tracer samples do not
-//     change. In fabric-coupled components (one wide fabric, DRAM ports,
-//     memory sockets) most resources are of this kind.
+//     keep their crossing lists, so tracer samples do not change. In
+//     fabric-coupled components (one wide fabric, DRAM ports, memory
+//     sockets) most resources are of this kind.
 //   - A bottleneck's freezes collect the heap members they touch and
 //     re-key each once afterwards, not once per crossing. The remCap
 //     subtractions still run per crossing in the same order, so the keys
@@ -53,10 +58,10 @@
 //     member the freezes drained (no unassigned crossing left) leaves the
 //     heap then; the reference would pop its stale entry later and skip
 //     it, so the pops it acts on are the same.
-//   - The heap is 4-ary. Because (share, resource id) is a strict total
-//     order, the heap pops the same minimum whatever its shape, so neither
-//     the deferred re-keys, the removals nor the arity change the pop
-//     sequence.
+//   - The heap is 4-ary, and removals (pops included) run bottom-up.
+//     Because (share, resource id) is a strict total order, the heap pops
+//     the same minimum whatever its shape, so neither the deferred
+//     re-keys, the removals nor the arity change the pop sequence.
 
 package sim
 
@@ -271,7 +276,7 @@ type resState struct {
 	cap   float64
 	stale bool // the crossing list changed since live and bound were set
 	// fresh marks a resource claimed since its component's last solve
-	// (see settleResources); compact marks one queued in completeAll.
+	// (see allocateFast); compact marks one queued in completeAll.
 	fresh, compact bool
 
 	// Water-fill state of the current solve. heapPos is the resource's
@@ -326,14 +331,12 @@ func crossingBound(r *Resource) (live int, bound float64) {
 	return live, bound
 }
 
-// cacheRates stores the post-solve allocated rate of every given
-// resource on the resource itself (the cache Utilization reads). A flow
-// whose path crosses the same resource several times appears consecutively
-// in the crossing list and is counted once. With a tracer attached, the
-// same values are reported as ResourceSamples, so Utilization and the
-// recorded timeline always agree.
-func (fs *flowSet) cacheRates(resources []*Resource) {
-	e := fs.e
+// sampleRates reports the post-solve allocated rate of every given
+// resource to the tracer as a ResourceSample. A flow whose path crosses
+// the same resource several times appears consecutively in the crossing
+// list and is counted once. Nothing in the simulation reads these rates,
+// so the walk runs only with a tracer attached.
+func (fs *flowSet) sampleRates(tr Tracer, resources []*Resource) {
 	for _, r := range resources {
 		used := 0.0
 		var prev *flow
@@ -346,10 +349,7 @@ func (fs *flowSet) cacheRates(resources []*Resource) {
 				used += f.rate
 			}
 		}
-		r.alloc = used
-		if e.tracer != nil {
-			e.tracer.ResourceSample(e.now, r, used)
-		}
+		tr.ResourceSample(fs.e.now, r, used)
 	}
 }
 
@@ -413,12 +413,21 @@ func (h fastHeap) up(i int) {
 }
 
 func (h fastHeap) down(i int) {
-	n := len(h)
 	x := h[i]
+	i = h.sink(i, &x)
+	h[i] = x
+	x.res.st.heapPos = int32(i)
+}
+
+// sink walks the hole at i down along the smaller children while they
+// order before x (all the way to a leaf when x is nil), shifting each up
+// one level, and returns the hole's final slot.
+func (h fastHeap) sink(i int, x *fastEntry) int {
+	n := len(h)
 	for {
 		c := fastHeapArity*i + 1
 		if c >= n {
-			break
+			return i
 		}
 		m := c
 		end := min(c+fastHeapArity, n)
@@ -427,15 +436,13 @@ func (h fastHeap) down(i int) {
 				m = j
 			}
 		}
-		if !h[m].before(&x) {
-			break
+		if x != nil && !h[m].before(x) {
+			return i
 		}
 		h[i] = h[m]
 		h[i].res.st.heapPos = int32(i)
 		i = m
 	}
-	h[i] = x
-	x.res.st.heapPos = int32(i)
 }
 
 func (h *fastHeap) pop() fastEntry {
@@ -444,22 +451,21 @@ func (h *fastHeap) pop() fastEntry {
 	return top
 }
 
-// remove deletes the entry at position i: the last entry fills its slot
-// and moves up or down to restore heap order.
+// remove deletes the entry at position i bottom-up: the hole sinks to a
+// leaf, and the last entry fills it and moves up. The last entry usually
+// belongs near the bottom, so this skips comparing it on the way down.
 func (h *fastHeap) remove(i int) {
 	hh := *h
 	hh[i].res.st.heapPos = -1
 	n := len(hh) - 1
+	last := hh[n]
 	*h = hh[:n]
 	if i == n {
 		return
 	}
-	hh[i] = hh[n]
-	if i > 0 && hh[i].before(&hh[(i-1)/fastHeapArity]) {
-		hh[:n].up(i)
-	} else {
-		hh[:n].down(i)
-	}
+	i = hh[:n].sink(i, nil)
+	hh[i] = last
+	hh[:n].up(i)
 }
 
 // update re-keys the entry at position i and restores heap order.
@@ -474,19 +480,45 @@ func (h fastHeap) update(i int, share float64) {
 }
 
 // solveScratch is allocateFast's reusable state: the share-heap and
-// re-key buffers plus the parked-flow count the caller folds into the
-// stats.
+// re-key buffers.
 type solveScratch struct {
-	heap   fastHeap
-	pend   []*resState
-	parked int64
+	heap fastHeap
+	pend []*resState
 	// pruned counts resources kept out of the share heap as non-binding,
 	// cumulatively. It is a host-side diagnostic for tests, not a
 	// simulation result, so it is not part of AllocStats.
 	pruned int64
 }
 
-// allocateFast is the allocator's solver: identical arithmetic and
+// admit brings r's live crossing count and bound up to date for capacity
+// generation gen and enqueues r in the share heap, unless no unparked
+// flow crosses it or it is non-binding.
+func (sc *solveScratch) admit(r *Resource, gen int64) {
+	st := &r.st
+	if st.capGen != gen {
+		st.capGen = gen
+		st.cap = r.Capacity
+		st.stale = true
+	}
+	if st.stale {
+		st.live, st.bound = crossingBound(r)
+		st.stale = false
+	}
+	st.heapPos = -1
+	if st.live == 0 {
+		return
+	}
+	if r.Capacity > st.bound*(1+1e-9) {
+		sc.pruned++
+		return
+	}
+	st.remCap = r.Capacity
+	st.remCnt = st.live
+	st.heapPos = int32(len(sc.heap))
+	sc.heap = append(sc.heap, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r})
+}
+
+// allocateFast water-fills component c: identical arithmetic and
 // bottleneck ordering to allocateRef, but the per-resource solve state is
 // embedded in the Resource instead of kept in a map, and the share heap
 // is monomorphic — together removing hashing and per-push boxing from
@@ -495,51 +527,46 @@ type solveScratch struct {
 // set-up re-derives only the path facts and bounds whose inputs changed,
 // non-binding resources stay out of the heap, each bottleneck re-keys the
 // heap members it touched once, and drained members leave the heap at
-// once (see the file comment for why each is exact).
-//
-// resources must be exactly the resources flows cross, each once, with
-// their crossing lists current; gen is the flow set's capacity
-// generation. Parked-flow visits are counted in sc.parked for the caller
-// to fold into the stats.
-func (sc *solveScratch) allocateFast(flows []*flow, resources []*Resource, gen int64) {
+// once (see the file comment for why each is exact). Its set-up pass
+// also settles c.resources. Every crossing list must be current.
+func (fs *flowSet) allocateFast(c *component) {
+	sc := &fs.solve
+	gen := fs.capGen
 	unassigned := 0
-	for _, f := range flows {
+	for _, f := range c.flows {
 		if f.factsGen != gen {
 			f.pathFacts(gen)
 		}
 		if f.parked {
 			f.rate = 0
-			sc.parked++
+			fs.stats.ParkedFlows++
 			continue
 		}
 		f.rate = -1 // unassigned
 		unassigned++
 	}
-	h := sc.heap[:0]
-	for _, r := range resources {
-		st := &r.st
-		if st.capGen != gen {
-			st.capGen = gen
-			st.cap = r.Capacity
-			st.stale = true
+	sc.heap = sc.heap[:0]
+	kept := c.resources[:0]
+	fresh := fs.resBuf[:0]
+	for _, r := range c.resources {
+		switch {
+		case len(r.st.flows) == 0:
+			fs.closeResource(r)
+		case r.st.fresh:
+			r.st.fresh = false
+			fresh = append(fresh, r)
+		default:
+			kept = append(kept, r)
+			sc.admit(r, gen)
 		}
-		if st.stale {
-			st.live, st.bound = crossingBound(r)
-			st.stale = false
-		}
-		st.heapPos = -1
-		if st.live == 0 {
-			continue
-		}
-		if r.Capacity > st.bound*(1+1e-9) {
-			sc.pruned++
-			continue
-		}
-		st.remCap = r.Capacity
-		st.remCnt = st.live
-		st.heapPos = int32(len(h))
-		h = append(h, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r})
 	}
+	slices.SortFunc(fresh, byFirstCrossing)
+	for _, r := range fresh {
+		sc.admit(r, gen)
+	}
+	c.resources = append(kept, fresh...)
+	fs.resBuf = fresh[:0]
+	h := sc.heap
 	h.init()
 	pend := sc.pend[:0]
 	for unassigned > 0 && len(h) > 0 {

@@ -9,9 +9,12 @@ import (
 
 // A resource degraded to zero capacity must park its flows (rate 0, no
 // progress, no stall-forever busy loop) and resume them when a recompute
-// sees the capacity restored; Utilization must report 0, not NaN.
+// sees the capacity restored; the resource's sampled rate must be 0, not
+// NaN.
 func TestDegradeToZeroParksAndResumes(t *testing.T) {
 	e := NewEngine()
+	s := &utilSampler{}
+	e.SetTracer(s)
 	nic := NewResource("nic", 100)
 	disk := NewResource("disk", 100)
 	var done Time
@@ -24,8 +27,8 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 		e.RecomputeResources(disk)
 	})
 	e.At(5, func() {
-		if u := disk.Utilization(); u != 0 || math.IsNaN(u) {
-			t.Errorf("Utilization of zero-capacity resource = %v, want 0", u)
+		if u := s.last[disk]; u != 0 || math.IsNaN(u) {
+			t.Errorf("ResourceSample of zero-capacity resource = %v, want 0", u)
 		}
 		if n := len(e.flows.active); n != 1 {
 			t.Errorf("parked flow vanished: %d active flows", n)
@@ -46,8 +49,8 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 	if want := Time(18); math.Abs(float64(done-want)) > 1e-6 {
 		t.Errorf("completion at t=%v, want %v", done, want)
 	}
-	if u := disk.Utilization(); u != 0 {
-		t.Errorf("idle Utilization = %v, want 0", u)
+	if u := s.last[disk]; u != 0 {
+		t.Errorf("idle ResourceSample = %v, want 0", u)
 	}
 }
 
@@ -149,13 +152,17 @@ func randomScenario(r *rand.Rand) scenario {
 func prunedResources(e *Engine) int64 { return e.flows.solve.pruned }
 
 // run executes the scenario with the differential check on or off and
-// returns each flow's completion time (exactly as computed), the final
-// clock, the number of differential checks that passed, and the number of
-// resources the solver pruned as non-binding.
-func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64, int64) {
+// the given tracer attached (nil for none), and returns each flow's
+// completion time (exactly as computed), the final clock, the allocator
+// counters, and the number of resources the solver pruned as
+// non-binding.
+func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocStats, int64) {
 	t.Helper()
 	e := NewEngine()
 	e.SetDifferentialCheck(diff)
+	if tr != nil {
+		e.SetTracer(tr)
+	}
 	rs := make([]*Resource, len(sc.caps))
 	for i, c := range sc.caps {
 		rs[i] = NewResource("r", c)
@@ -190,7 +197,7 @@ func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64, int64) {
 		e.RecomputeResources(rs...)
 	})
 	end := e.Run()
-	return completed, end, e.AllocStats().DiffChecks, prunedResources(e)
+	return completed, end, e.AllocStats(), prunedResources(e)
 }
 
 // The incremental component-based allocator must match the global
@@ -198,9 +205,11 @@ func (sc scenario) run(t *testing.T, diff bool) ([]Time, Time, int64, int64) {
 // capacity changes and outages: every trial runs with the differential
 // check armed (which panics on the first diverging rate), and the checked
 // run's completion times must equal an unchecked run's exactly, so the
-// oracle cannot perturb the simulation it verifies. The scenarios' wide
-// fabric must make the solver prune non-binding resources, so the oracle
-// covers that path too.
+// oracle cannot perturb the simulation it verifies. A tracer only
+// observes: the rate samples are summed only when one is attached, so a
+// traced checked run must give bitwise the checked run's completion times
+// and allocator counters. The scenarios' wide fabric must make the solver
+// prune non-binding resources, so the oracle covers that path too.
 func TestAllocEquivalenceRandomized(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -210,22 +219,30 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(1000 + trial)))
 		sc := randomScenario(r)
-		checked, checkedEnd, checks, n := sc.run(t, true)
-		plain, plainEnd, _, _ := sc.run(t, false)
+		checked, checkedEnd, stats, n := sc.run(t, true, nil)
+		plain, plainEnd, _, _ := sc.run(t, false, nil)
+		s := &utilSampler{}
+		traced, tracedEnd, tracedStats, _ := sc.run(t, true, s)
 		pruned += n
-		if checks == 0 {
+		if stats.DiffChecks == 0 {
 			t.Fatalf("trial %d: differential check armed but never ran", trial)
 		}
-		if checkedEnd != plainEnd {
-			t.Fatalf("trial %d: final clock %v (checked) != %v (unchecked)", trial, checkedEnd, plainEnd)
+		if len(s.order) == 0 {
+			t.Fatalf("trial %d: the tracer recorded no resource sample", trial)
+		}
+		if checkedEnd != plainEnd || checkedEnd != tracedEnd {
+			t.Fatalf("trial %d: final clock %v (checked) != %v (unchecked) or %v (traced)", trial, checkedEnd, plainEnd, tracedEnd)
+		}
+		if tracedStats != stats {
+			t.Fatalf("trial %d: traced run's allocator counters %+v != untraced %+v", trial, tracedStats, stats)
 		}
 		for i := range checked {
 			if checked[i] == -1 || plain[i] == -1 {
 				t.Fatalf("trial %d: flow %d never completed (checked=%v unchecked=%v)", trial, i, checked[i], plain[i])
 			}
-			if checked[i] != plain[i] {
-				t.Fatalf("trial %d: flow %d completion %v (checked) != %v (unchecked)",
-					trial, i, float64(checked[i]), float64(plain[i]))
+			if checked[i] != plain[i] || checked[i] != traced[i] {
+				t.Fatalf("trial %d: flow %d completion %v (checked) != %v (unchecked) or %v (traced)",
+					trial, i, float64(checked[i]), float64(plain[i]), float64(traced[i]))
 			}
 		}
 	}
@@ -319,8 +336,8 @@ func TestNonBindingPruning(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, _, checks, pruned := tc.sc.run(t, true)
-			if checks == 0 {
+			got, _, stats, pruned := tc.sc.run(t, true, nil)
+			if stats.DiffChecks == 0 {
 				t.Fatal("differential check armed but never ran")
 			}
 			for i, w := range tc.want {

@@ -9,7 +9,7 @@
 // same rates as solving its parts (their resource states never interact),
 // and the differential check asserts exactly that against the global
 // solve. A resource whose last crossing retired is closed at the next
-// solve (settleResources).
+// solve (see allocateFast).
 //
 // Components are solved one after another on the dispatcher goroutine, in
 // dirty-queue order. The paper's workloads couple most flows through one
@@ -34,7 +34,7 @@ type component struct {
 	flows []*flow
 	// resources owned by this component (r.comp == c), each once: add
 	// and merge append, and a solve drops those whose last crossing
-	// retired (settleResources).
+	// retired (see allocateFast).
 	resources []*Resource
 	dirty     bool // queued in flowSet.dirtyComps
 	dead      bool // merged away or drained; skip everywhere
@@ -213,8 +213,8 @@ func (fs *flowSet) processDirty() {
 	}
 }
 
-// solveComponent water-fills one component and refreshes resource
-// ownership and rate caches. A drained component (no flows left) is
+// solveComponent water-fills one component and, with a tracer attached,
+// samples its resources' rates. A drained component (no flows left) is
 // retired: its resources are closed out and it is removed from the live
 // list.
 func (fs *flowSet) solveComponent(c *component) {
@@ -229,44 +229,20 @@ func (fs *flowSet) solveComponent(c *component) {
 	}
 	fs.stats.ComponentsSolved++
 	fs.stats.FlowsSolved += int64(len(c.flows))
-	fs.settleResources(c)
-	sc := &fs.solve
-	sc.allocateFast(c.flows, c.resources, fs.capGen)
-	fs.stats.ParkedFlows += sc.parked
-	sc.parked = 0
-	fs.cacheRates(c.resources)
-}
-
-// settleResources closes c's resources whose last crossing flow retired
-// and moves those claimed since c's last solve to the end of the list,
-// ordered by first crossing: the lowest-seq flow crossing each, then the
-// position on its path. That is the order in which a walk of c's flows
-// first meets them, so a tracer registers new resources in the same
-// order as when every solve re-derived the resource set by such a walk.
-// The order of the other resources decides nothing: each one's rate,
-// samples and heap key are its own.
-func (fs *flowSet) settleResources(c *component) {
-	kept := c.resources[:0]
-	fresh := fs.resBuf[:0]
-	for _, r := range c.resources {
-		switch {
-		case len(r.st.flows) == 0:
-			fs.closeResource(r)
-		case r.st.fresh:
-			r.st.fresh = false
-			fresh = append(fresh, r)
-		default:
-			kept = append(kept, r)
-		}
+	fs.allocateFast(c)
+	if tr := fs.e.tracer; tr != nil {
+		fs.sampleRates(tr, c.resources)
 	}
-	slices.SortFunc(fresh, byFirstCrossing)
-	c.resources = append(kept, fresh...)
-	fs.resBuf = fresh[:0]
 }
 
 // byFirstCrossing orders resources by the seq of the first flow in their
 // crossing lists, then by the position of their first crossing on that
-// flow's path.
+// flow's path. That is the order in which a walk of a component's flows
+// first meets them, so sorting the resources a component claimed since
+// its last solve this way and appending them makes a tracer register new
+// resources in the same order as when every solve re-derived the
+// resource set by such a walk. The order of the other resources decides
+// nothing: each one's rate, samples and heap key are its own.
 func byFirstCrossing(a, b *Resource) int {
 	fa, fb := a.st.flows[0], b.st.flows[0]
 	if fa != fb {
@@ -406,11 +382,10 @@ func (fs *flowSet) completeAll(gen int64) {
 }
 
 // closeResource releases a resource whose last crossing flow retired:
-// ownership and caches are cleared, and with a tracer attached it gets a
-// closing zero-rate sample.
+// its ownership is cleared, and with a tracer attached it gets a closing
+// zero-rate sample.
 func (fs *flowSet) closeResource(r *Resource) {
 	r.comp = nil
-	r.alloc = 0
 	if fs.e.tracer != nil {
 		fs.e.tracer.ResourceSample(fs.e.now, r, 0)
 	}

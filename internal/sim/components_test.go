@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,8 @@ import (
 // with exact float equality.
 func TestComponentSplitRestoresRates(t *testing.T) {
 	e := NewEngine()
+	s := &utilSampler{}
+	e.SetTracer(s)
 	a := NewResource("a", 120)
 	b := NewResource("b", 120)
 	var t1, t2, t3 Time
@@ -38,17 +41,17 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 		if got := len(e.flows.comps); got != 1 {
 			t.Errorf("at t=50: %d components, want 1 (components only merge)", got)
 		}
-		s := e.AllocStats()
-		if s.Splits != 0 {
-			t.Errorf("at t=50: AllocStats.Splits = %d, want 0", s.Splits)
+		st := e.AllocStats()
+		if st.Splits != 0 {
+			t.Errorf("at t=50: AllocStats.Splits = %d, want 0", st.Splits)
 		}
-		if s.Merges == 0 {
+		if st.Merges == 0 {
 			t.Error("at t=50: AllocStats.Merges = 0, want bridge-driven merges")
 		}
 		// The joint solve re-fills each side's own capacity: f1 and f2
 		// share a at 60 each, f3 gets all of b.
-		if a.alloc != 120 || b.alloc != 120 {
-			t.Errorf("at t=50: alloc a=%v b=%v, want 120/120", a.alloc, b.alloc)
+		if s.last[a] != 120 || s.last[b] != 120 {
+			t.Errorf("at t=50: sampled rate a=%v b=%v, want 120/120", s.last[a], s.last[b])
 		}
 	})
 	e.Run()
@@ -166,29 +169,43 @@ func fabricEngine() (*Engine, []*Resource) {
 	return e, all
 }
 
-// startChurn starts a chain of short flows on fabricEngine's component —
-// each one's completion starts the next over the same remote-read path —
-// and returns a step that runs the engine through the next completion
-// instant: one flow finishes, one starts, and the component is re-solved
-// once, with no capacity change. That is the regime the workloads run.
-func startChurn(e *Engine, all []*Resource) (step func()) {
-	port := NewResource("memport", 7<<30)
-	path := []*Resource{port, all[3], all[1], all[0], all[5]} // socket, NIC, fabric, next NIC
+// startChurn starts a chain of short flows on fabricEngine's component,
+// each one's completion starting the next on the following path of paths
+// (cyclically), and returns a step that runs the engine through the next
+// completion instant: one flow finishes, one starts, and the component is
+// re-solved once, with no capacity change. That is the regime the
+// workloads run.
+func startChurn(e *Engine, paths ...[]*Resource) (step func()) {
+	k := 0
 	var next func()
-	next = func() { e.StartTransfer(64<<20, next, path...) }
+	next = func() {
+		path := paths[k%len(paths)]
+		k++
+		e.StartTransfer(64<<20, next, path...)
+	}
 	next()
 	e.RunUntil(e.Now()) // fold the start batch
 	return func() { e.RunUntil(e.events.peek().t) }
+}
+
+// remoteRead is a remote-read path on fabricEngine's resources all, through
+// the given resources of its own and then a socket port, a NIC, the fabric
+// and the next node's NIC.
+func remoteRead(all []*Resource, own ...*Resource) []*Resource {
+	return slices.Concat(own, []*Resource{all[3], all[1], all[0], all[5]})
 }
 
 // The steady-state batch hot path must not allocate: once the engine's
 // scratch buffers have grown, a full dirty-batch solve runs
 // allocation-free, both for 512 flows over four small components and for
 // one fabric-coupled component of 1536 flows, and so does the churn step
-// in which one flow finishes and one starts. This is the regression bound
-// for the pooled-scratch refactor; the previous implementation allocated
-// hundreds of objects per batch (scratch maps, share-heap nodes, sample
-// closures).
+// in which one flow finishes and one starts. So does a churn step whose
+// starting flow bridges two resources no flow crossed into the component
+// while the finished flow's own two drain: one solve then both claims and
+// closes resources, and sorts the claimed ones. This is the regression
+// bound for the pooled-scratch refactor; the previous implementation
+// allocated hundreds of objects per batch (scratch maps, share-heap nodes,
+// sample closures).
 func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -207,13 +224,35 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 		}
 	}
 	e, all := fabricEngine()
-	step := startChurn(e, all)
+	step := startChurn(e, remoteRead(all, NewResource("memport", 7<<30)))
 	solves := e.AllocStats().ComponentsSolved
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("churn step allocates %.1f objects/op, want 0", allocs)
 	}
 	if n := e.AllocStats().ComponentsSolved - solves; n != 51 {
 		t.Errorf("51 churn steps solved %d components, want one each", n)
+	}
+
+	e, all = fabricEngine()
+	own := [2][]*Resource{
+		{NewResource("memport", 7<<30), NewResource("buf", 9<<30)},
+		{NewResource("memport", 7<<30), NewResource("buf", 9<<30)},
+	}
+	step = startChurn(e, remoteRead(all, own[0]...), remoteRead(all, own[1]...))
+	solves = e.AllocStats().ComponentsSolved
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("claiming churn step allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := e.AllocStats().ComponentsSolved - solves; n != 51 {
+		t.Errorf("51 claiming churn steps solved %d components, want one each", n)
+	}
+	// After 51 steps the chain's flow runs on own[1]; own[0] was closed.
+	for i, pair := range own {
+		for _, r := range pair {
+			if owned := r.comp != nil; owned != (i == 1) {
+				t.Errorf("%s of path %d owned=%v after 51 steps, want %v", r.Name, i, owned, i == 1)
+			}
+		}
 	}
 }
 
@@ -254,7 +293,7 @@ func BenchmarkSolveFabricComponent(b *testing.B) {
 // valid everywhere but on the resources the two flows cross.
 func BenchmarkSolveFabricChurn(b *testing.B) {
 	e, all := fabricEngine()
-	step := startChurn(e, all)
+	step := startChurn(e, remoteRead(all, NewResource("memport", 7<<30)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

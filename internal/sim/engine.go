@@ -307,11 +307,6 @@ type Resource struct {
 	Capacity float64
 
 	id int64 // creation order; deterministic tie-breaking
-	// alloc is the allocated rate across this resource after the most
-	// recent recompute, with each flow counted once even when its path
-	// crosses the resource several times (maintained by flowSet; the same
-	// value ResourceSample reports).
-	alloc float64
 	// comp is the connected component currently owning this resource, nil
 	// while no active flow crosses it (maintained by flowSet).
 	comp *component
@@ -328,20 +323,6 @@ func NewResource(name string, capacity float64) *Resource {
 		panic(fmt.Sprintf("sim: resource %q capacity must be positive, got %v", name, capacity))
 	}
 	return &Resource{Name: name, Capacity: capacity, id: resourceSeq.Add(1)}
-}
-
-// Utilization returns the fraction of capacity currently allocated, in
-// [0, 1]. It reflects the most recent rate computation: the allocator
-// caches the per-resource rate on every recompute, so this is O(1) and
-// counts each flow once even when its path crosses the resource more
-// than once — the same value ResourceSample reports. A resource degraded
-// to zero capacity reports 0 (its flows are parked, nothing is allocated)
-// rather than NaN.
-func (r *Resource) Utilization() float64 {
-	if r.Capacity <= 0 {
-		return 0
-	}
-	return r.alloc / r.Capacity
 }
 
 type flow struct {
@@ -406,7 +387,7 @@ type flowSet struct {
 	flowPool []*flow
 	fanPool  []*fanout
 	finBuf   []*flow     // completeAll scratch
-	resBuf   []*Resource // completeAll and settleResources scratch
+	resBuf   []*Resource // completeAll and allocateFast scratch
 
 	solve solveScratch // allocateFast's buffers and counters
 	ref   refSolver    // the differential check's reference solver

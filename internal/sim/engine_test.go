@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -459,9 +460,9 @@ func TestEqualFlowsFinishTogetherProperty(t *testing.T) {
 	}
 }
 
-// utilSampler records the last ResourceSample of each resource, so tests
-// can compare the recorded timeline against Utilization, and the order in
-// which resources were first sampled.
+// utilSampler records the last ResourceSample of each resource, the
+// allocated rate across it, and the order in which resources were first
+// sampled.
 type utilSampler struct {
 	last  map[*Resource]float64
 	order []*Resource
@@ -481,33 +482,34 @@ func (s *utilSampler) ResourceSample(_ Time, r *Resource, rate float64) {
 	s.last[r] = rate
 }
 
+// utilization is r's last sampled rate as a fraction of its capacity.
+func (s *utilSampler) utilization(r *Resource) float64 { return s.last[r] / r.Capacity }
+
 func TestUtilizationCountsRepeatCrossingOnce(t *testing.T) {
 	// A flow whose path crosses the same resource twice is charged two
 	// capacity shares by the allocator (it really moves its bytes through
-	// the resource twice), but the flow itself runs at one rate.
-	// Utilization must report that rate once — matching ResourceSample —
-	// not once per crossing.
+	// the resource twice), but the flow itself runs at one rate. The
+	// resource's sample must report that rate once, not once per crossing.
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
 	r := NewResource("loop", 100)
 	var mid float64
 	e.Go("w", func(p *Proc) { p.Transfer(500, r, r) })
-	e.After(1, func() { mid = r.Utilization() })
+	e.After(1, func() { mid = s.utilization(r) })
 	e.Run()
 	// Two crossings of a 100 B/s resource: the allocator grants 50 B/s.
 	if !almostEqual(mid, 0.5, 1e-9) {
-		t.Errorf("mid-flow Utilization = %v, want 0.5 (one count of the 50 B/s rate)", mid)
+		t.Errorf("mid-flow utilization = %v, want 0.5 (one count of the 50 B/s rate)", mid)
 	}
-	if got := s.last[r]; !almostEqual(got, 0, 1e-9) {
+	if got := s.last[r]; got != 0 {
 		t.Errorf("final ResourceSample = %v, want 0 after completion", got)
-	}
-	if u := r.Utilization(); u != 0 {
-		t.Errorf("Utilization after completion = %v, want 0", u)
 	}
 }
 
 func TestUtilizationMatchesResourceSample(t *testing.T) {
+	// A resource's sample is the sum of the rates of the flows crossing
+	// it: nic binds w1 at 100 B/s and disk gives w2 the other 300.
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
@@ -517,9 +519,14 @@ func TestUtilizationMatchesResourceSample(t *testing.T) {
 	e.Go("w2", func(p *Proc) { p.Transfer(1000, disk) })
 	e.After(1, func() {
 		for _, r := range []*Resource{nic, disk} {
-			want := s.last[r] / r.Capacity
-			if got := r.Utilization(); !almostEqual(got, want, 1e-9) {
-				t.Errorf("Utilization(%s) = %v, want %v (last ResourceSample)", r.Name, got, want)
+			want := 0.0
+			for _, f := range e.flows.active {
+				if slices.Contains(f.resources, r) {
+					want += f.rate
+				}
+			}
+			if got := s.last[r]; got != want || got != r.Capacity {
+				t.Errorf("ResourceSample(%s) = %v, want the crossing flows' %v = its capacity %v", r.Name, got, want, r.Capacity)
 			}
 		}
 	})
@@ -528,16 +535,18 @@ func TestUtilizationMatchesResourceSample(t *testing.T) {
 
 func TestUtilizationZeroAfterFlowsDrain(t *testing.T) {
 	e := NewEngine()
+	s := &utilSampler{}
+	e.SetTracer(s)
 	r := NewResource("disk", 100)
 	e.Go("w", func(p *Proc) { p.Transfer(100, r) })
 	var during float64
-	e.After(0.5, func() { during = r.Utilization() })
+	e.After(0.5, func() { during = s.utilization(r) })
 	e.Run()
 	if !almostEqual(during, 1.0, 1e-9) {
-		t.Errorf("Utilization during single flow = %v, want 1.0", during)
+		t.Errorf("utilization during single flow = %v, want 1.0", during)
 	}
-	if u := r.Utilization(); u != 0 {
-		t.Errorf("Utilization after drain = %v, want 0", u)
+	if got := s.last[r]; got != 0 {
+		t.Errorf("ResourceSample after drain = %v, want 0", got)
 	}
 }
 
