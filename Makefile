@@ -31,10 +31,11 @@ trace-smoke:
 		-dedup -ckpt 3 -trace /tmp/counters.json > /dev/null
 	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json
 
-# Run each internal/sim benchmark once, so the solver benchmarks that
-# performance changes quote keep building and running.
+# Run each internal/sim and internal/kvstore benchmark once, so the solver
+# and metadata-store benchmarks that performance changes quote keep
+# building and running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/kvstore
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

@@ -72,7 +72,6 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 		Replicas:  replicas,
 		Nodes:     nodes,
 		RangeSize: rangeSize,
-		Seed:      1234,
 		Costs:     cc.MetaCosts(tc.NetLatency),
 	})
 	if err != nil {

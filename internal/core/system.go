@@ -234,7 +234,6 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 			Replicas:      replicas,
 			Nodes:         nNodes,
 			RangeSize:     cfg.MetaRangeSize,
-			Seed:          424242,
 			FollowerReads: cfg.MetaFollowerReads,
 			LeaseTime:     cfg.MetaLeaseTime,
 			Costs:         cfg.MetaCosts(w.Cluster.Cfg.NetLatency),
@@ -275,7 +274,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		}
 	}
 	for n := 0; n < nNodes; n++ {
-		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore(int64(7000+n)))
+		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore())
 	}
 	sys.nodeFlushCount = make([]int, nNodes)
 	sys.nodeAppCount = map[string][]int{}

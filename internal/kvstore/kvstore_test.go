@@ -1,8 +1,9 @@
 package kvstore
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,7 @@ func rec(fid meta.FileID, off, size int64, proc int) meta.Record {
 }
 
 func TestStorePutGetDelete(t *testing.T) {
-	s := NewStore(1)
+	s := NewStore()
 	s.Put(rec(1, 100, 10, 7))
 	got, ok := s.Get(meta.Key{FID: 1, Offset: 100})
 	if !ok || got.Proc != 7 {
@@ -41,7 +42,7 @@ func TestStorePutGetDelete(t *testing.T) {
 }
 
 func TestStoreOrderedScanAndFloor(t *testing.T) {
-	s := NewStore(2)
+	s := NewStore()
 	for _, off := range []int64{50, 10, 30, 20, 40} {
 		s.Put(rec(1, off, 5, 0))
 	}
@@ -69,7 +70,7 @@ func TestStoreOrderedScanAndFloor(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	s := NewStore(3)
+	s := NewStore()
 	for off := int64(0); off < 100; off += 10 {
 		s.Put(rec(1, off, 10, 0))
 	}
@@ -83,56 +84,226 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
-// Property: a store agrees with a reference map+sort model under random
-// put/get/delete/scan sequences.
-func TestStoreMatchesReferenceModel(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(seed)
-		ref := map[meta.Key]meta.Record{}
-		for i := 0; i < 300; i++ {
-			off := int64(rng.Intn(100))
-			key := meta.Key{FID: 1, Offset: off}
-			switch rng.Intn(3) {
-			case 0:
-				r := rec(1, off, int64(rng.Intn(10)+1), rng.Intn(50))
-				s.Put(r)
-				ref[key] = r
-			case 1:
-				got, ok := s.Get(key)
-				want, wok := ref[key]
-				if ok != wok || (ok && got != want) {
-					return false
-				}
-			case 2:
-				if s.Delete(key) != (func() bool { _, ok := ref[key]; return ok })() {
-					return false
-				}
-				delete(ref, key)
-			}
-		}
-		if s.Len() != len(ref) {
-			return false
-		}
-		// Full scan order equals sorted reference keys.
-		var want []int64
-		for k := range ref {
-			want = append(want, k.Offset)
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		all := s.All()
-		if len(all) != len(want) {
-			return false
-		}
-		for i, r := range all {
-			if r.Offset != want[i] {
-				return false
-			}
-		}
-		return true
+// checkBlocks walks the store's layout: every block is non-empty, holds at
+// most blockCap records in a backing array of blockCap+1 and is sorted;
+// firsts[i] is the key of blocks[i][0]; blocks are in key order; and the
+// block sizes add up to Len.
+func checkBlocks(s *Store) error {
+	if len(s.firsts) != len(s.blocks) {
+		return fmt.Errorf("%d firsts for %d blocks", len(s.firsts), len(s.blocks))
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	n := 0
+	for i, b := range s.blocks {
+		if len(b) == 0 || len(b) > blockCap {
+			return fmt.Errorf("block %d holds %d records, want 1..%d", i, len(b), blockCap)
+		}
+		if cap(b) != blockCap+1 {
+			return fmt.Errorf("block %d has cap %d, want %d: it was regrown", i, cap(b), blockCap+1)
+		}
+		if s.firsts[i] != b[0].Key() {
+			return fmt.Errorf("firsts[%d] = %v, block starts at %v", i, s.firsts[i], b[0].Key())
+		}
+		for j := 1; j < len(b); j++ {
+			if !b[j-1].Key().Less(b[j].Key()) {
+				return fmt.Errorf("block %d unsorted at %d: %v then %v", i, j, b[j-1].Key(), b[j].Key())
+			}
+		}
+		if i > 0 {
+			prev := s.blocks[i-1]
+			if !prev[len(prev)-1].Key().Less(b[0].Key()) {
+				return fmt.Errorf("block %d starts at %v, not after block %d's last key %v",
+					i, b[0].Key(), i-1, prev[len(prev)-1].Key())
+			}
+		}
+		n += len(b)
+	}
+	if n != s.Len() {
+		return fmt.Errorf("blocks hold %d records, Len = %d", n, s.Len())
+	}
+	return nil
+}
+
+// Property: a store agrees with a sorted reference slice under random
+// put/delete/get/floor/scan sequences over 3 files × 2,000 offsets: a
+// growth phase, then a delete-heavy phase that drains most of the store.
+// The block layout is walked every few operations.
+func TestStoreMatchesReferenceModel(t *testing.T) {
+	const (
+		fids     = 3
+		offsets  = 2000
+		growOps  = 12000
+		drainOps = 8000
+	)
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		var ref []meta.Record // sorted by key
+		search := func(key meta.Key) (int, bool) {
+			return slices.BinarySearchFunc(ref, key, func(r meta.Record, k meta.Key) int {
+				switch {
+				case r.Key().Less(k):
+					return -1
+				case k.Less(r.Key()):
+					return 1
+				}
+				return 0
+			})
+		}
+		// randKey draws a key, sometimes just outside the populated range.
+		randKey := func() meta.Key {
+			return meta.Key{FID: meta.FileID(rng.Intn(fids + 2)), Offset: int64(rng.Intn(offsets+2)) - 1}
+		}
+		for op := 0; op < growOps+drainOps; op++ {
+			fail := func(format string, args ...any) {
+				t.Fatalf("seed %d op %d: %s", seed, op, fmt.Sprintf(format, args...))
+			}
+			putPct, delPct := 55, 15
+			if op >= growOps {
+				putPct, delPct = 10, 70
+			}
+			key := meta.Key{FID: meta.FileID(rng.Intn(fids) + 1), Offset: int64(rng.Intn(offsets))}
+			switch c := rng.Intn(100); {
+			case c < putPct:
+				r := rec(key.FID, key.Offset, int64(rng.Intn(10)+1), rng.Intn(50))
+				s.Put(r)
+				if i, ok := search(key); ok {
+					ref[i] = r
+				} else {
+					ref = slices.Insert(ref, i, r)
+				}
+			case c < putPct+delPct:
+				// Mostly delete a stored key, so the drain phase drains.
+				if len(ref) > 0 && rng.Intn(4) != 0 {
+					key = ref[rng.Intn(len(ref))].Key()
+				}
+				i, ok := search(key)
+				if got := s.Delete(key); got != ok {
+					fail("Delete(%v) = %v, want %v", key, got, ok)
+				}
+				if ok {
+					ref = slices.Delete(ref, i, i+1)
+				}
+			case c < putPct+delPct+10:
+				got, ok := s.Get(key)
+				i, wok := search(key)
+				if ok != wok || (ok && got != ref[i]) {
+					fail("Get(%v) = %+v, %v", key, got, ok)
+				}
+			case c < putPct+delPct+20:
+				key = randKey()
+				got, ok := s.Floor(key)
+				i, exact := search(key)
+				if !exact {
+					i--
+				}
+				if ok != (i >= 0) || (ok && got != ref[i]) {
+					fail("Floor(%v) = %+v, %v", key, got, ok)
+				}
+			default:
+				lo, hi := randKey(), randKey()
+				var got []meta.Record
+				s.Scan(lo, hi, func(r meta.Record) bool {
+					got = append(got, r)
+					return true
+				})
+				i, _ := search(lo)
+				j, _ := search(hi)
+				want := ref[i:max(i, j)]
+				if !slices.Equal(got, want) {
+					fail("Scan(%v, %v) returned %d records, want %d", lo, hi, len(got), len(want))
+				}
+			}
+			if op%16 == 0 || op == growOps-1 {
+				if err := checkBlocks(s); err != nil {
+					fail("%v", err)
+				}
+			}
+		}
+		if err := checkBlocks(s); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if s.Len() != len(ref) || !slices.Equal(s.All(), ref) {
+			t.Fatalf("seed %d: All has %d records, want %d in key order", seed, s.Len(), len(ref))
+		}
+	}
+}
+
+// filledStore returns a store of n records of file 1 at offsets 0, 2, …,
+// 2(n-1), inserted in a seeded random order.
+func filledStore(n int) *Store {
+	s := NewStore()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		s.Put(rec(1, 2*int64(i), 2, i))
+	}
+	return s
+}
+
+// storeBenchRecords is the largest store a ckpt run builds.
+const storeBenchRecords = 4096
+
+func TestStoreReadsDoNotAllocate(t *testing.T) {
+	s := filledStore(storeBenchRecords)
+	key := meta.Key{FID: 1, Offset: 2000}
+	for name, fn := range map[string]func(){
+		"Get":   func() { s.Get(key) },
+		"Floor": func() { s.Floor(meta.Key{FID: 1, Offset: 2001}) },
+		"Scan": func() {
+			s.Scan(key, meta.Key{FID: 1, Offset: 2200}, func(meta.Record) bool { return true })
+		},
+		"Put replace": func() { s.Put(rec(1, 2000, 2, 7)) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkStorePut builds stores of storeBenchRecords records, one Put per
+// op in a random key order.
+func BenchmarkStorePut(b *testing.B) {
+	order := rand.New(rand.NewSource(1)).Perm(storeBenchRecords)
+	var s *Store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % storeBenchRecords
+		if k == 0 {
+			s = NewStore()
+		}
+		s.Put(rec(1, 2*int64(order[k]), 2, k))
+	}
+}
+
+// BenchmarkStoreFloor looks up offsets between the keys of a
+// storeBenchRecords-record store.
+func BenchmarkStoreFloor(b *testing.B) {
+	s := filledStore(storeBenchRecords)
+	order := rand.New(rand.NewSource(2)).Perm(storeBenchRecords)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		floorSink, _ = s.Floor(meta.Key{FID: 1, Offset: 2*int64(order[i%storeBenchRecords]) + 1})
+	}
+}
+
+// floorSink keeps BenchmarkStoreFloor's lookups from being optimized away.
+var floorSink meta.Record
+
+// BenchmarkStoreDelete drains storeBenchRecords-record stores, one Delete
+// per op in a random key order.
+func BenchmarkStoreDelete(b *testing.B) {
+	order := rand.New(rand.NewSource(3)).Perm(storeBenchRecords)
+	var s *Store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % storeBenchRecords
+		if k == 0 {
+			b.StopTimer()
+			s = filledStore(storeBenchRecords)
+			b.StartTimer()
+		}
+		s.Delete(meta.Key{FID: 1, Offset: 2 * int64(order[k])})
 	}
 }
 

@@ -21,7 +21,7 @@ type Ring struct {
 func NewRing(n int, rangeSize int64) *Ring {
 	r := &Ring{part: meta.NewPartitioner(rangeSize, n)}
 	for i := 0; i < n; i++ {
-		r.stores = append(r.stores, NewStore(int64(1000+i)))
+		r.stores = append(r.stores, NewStore())
 	}
 	return r
 }

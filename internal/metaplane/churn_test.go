@@ -22,7 +22,6 @@ func TestMembershipChurnAgainstOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			cfg := testConfig(2, int(seed%3)+1)
-			cfg.Seed = seed + 100
 			cfg.FollowerReads = seed%2 == 1
 			pl := mustPlane(t, cfg)
 			oracle := map[meta.Key]meta.Record{}

@@ -19,7 +19,6 @@ func testConfig(shards, replicas int) Config {
 		Nodes:    4,
 		// Small range so multi-partition coverings are easy to construct.
 		RangeSize: 1 << 10,
-		Seed:      42,
 		Costs: Costs{
 			NetLatency: 1e-5,
 			ShmLatency: 2e-6,
@@ -141,7 +140,7 @@ func TestWALAppendTruncateEntriesFrom(t *testing.T) {
 func TestPlaneMatchesSingleStore(t *testing.T) {
 	cfg := testConfig(4, 3)
 	pl := mustPlane(t, cfg)
-	oracle := kvstore.NewStore(7)
+	oracle := kvstore.NewStore()
 	rng := rand.New(rand.NewSource(11))
 
 	drive(t, func(p *sim.Proc) {
@@ -504,7 +503,6 @@ func TestSeededChaosScheduleDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			run := func() Stats {
 				cfg := testConfig(3, 3)
-				cfg.Seed = seed
 				pl := mustPlane(t, cfg)
 				rng := rand.New(rand.NewSource(seed))
 				drive(t, func(p *sim.Proc) {

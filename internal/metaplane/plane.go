@@ -54,9 +54,6 @@ type Config struct {
 	// (DefaultSnapshotEvery if 0).
 	SnapshotEvery int
 
-	// Seed derives the replica stores' skiplist seeds.
-	Seed int64
-
 	// FollowerReads lets Stat/Lookup be served by a follower holding a
 	// time-bounded lease from its leader (bounded staleness of LeaseTime on
 	// the virtual clock). Off (the default) keeps every read on the leader —
@@ -103,8 +100,7 @@ type Plane struct {
 	groups map[int]*group
 	order  []int // active shard ids, ascending
 
-	nextShard int   // next shard id to mint (monotonic across membership)
-	seedCtr   int64 // deterministic store-seed counter (snapshot installs)
+	nextShard int // next shard id to mint (monotonic across membership)
 
 	split *splitRun // active online split, nil otherwise
 
@@ -169,12 +165,11 @@ func (pl *Plane) newGroup() *group {
 	pl.nextShard++
 	g := &group{id: id, ledger: map[meta.Key]bool{}, opsSeries: fmt.Sprintf("meta.shard%d.ops", id)}
 	for k := 0; k < pl.cfg.Replicas; k++ {
-		pl.seedCtr++
 		g.replicas = append(g.replicas, &replica{
 			shard:      id,
 			idx:        k,
 			node:       (id*pl.cfg.Replicas + k) % pl.cfg.Nodes,
-			store:      kvstore.NewStore(pl.cfg.Seed + 9000 + pl.seedCtr),
+			store:      kvstore.NewStore(),
 			leaseEpoch: -1,
 		})
 	}
@@ -443,10 +438,9 @@ func (pl *Plane) Recover(shard, replicaIdx int) bool {
 	entries, retained := ld.log.entriesFrom(r.log.lastIndex() + 1)
 	if !retained {
 		// The leader compacted past this replica's log: ship a snapshot of
-		// the leader state (a fresh deterministic store) and restart the
-		// log at the snapshot index.
-		pl.seedCtr++
-		st := kvstore.NewStore(pl.cfg.Seed + 9000 + pl.seedCtr)
+		// the leader state (a fresh store) and restart the log at the
+		// snapshot index.
+		st := kvstore.NewStore()
 		for _, rec := range ld.store.All() {
 			st.Put(rec)
 		}
