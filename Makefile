@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-diffcheck trace-smoke check bench bench-smoke chaos-smoke examples benchmark-test
+.PHONY: all build vet test race race-diffcheck trace-smoke check bench bench-smoke chaos-smoke examples benchmark-test digests
 
 all: check
 
@@ -19,9 +19,9 @@ race:
 
 # The full CI gate, one target per CI step: compile, static checks,
 # race-enabled tests, the solver diffcheck, the trace smoke, every example
-# program, the chaos gates, one iteration of each solver benchmark and the
-# benchmark module's own checks.
-check: build vet race race-diffcheck trace-smoke examples chaos-smoke bench-smoke benchmark-test
+# program, the chaos gates, one iteration of each solver benchmark, the
+# benchmark module's own checks and the pinned benchmark workload digests.
+check: build vet race race-diffcheck trace-smoke examples chaos-smoke bench-smoke benchmark-test digests
 
 # Export a figure trace and a counter-rich feature trace, then validate
 # both.
@@ -40,6 +40,11 @@ bench-smoke:
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Run every benchmark workload at both pinned seeds (8 runs) and fail unless
+# each virtual-time outcome matches its digest in benchmark/digests.json.
+digests:
+	bash benchmark/run.sh -check
 
 # Every figure workload under seeded fault injection with all invariant
 # sweeps; exits non-zero on any violation.

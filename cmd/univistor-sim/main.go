@@ -145,6 +145,8 @@ func main() {
 		"meta-replicas", "meta-follower-reads", "meta-lease", "meta-split", "dedup", "dedup-block-mb",
 		"gateway", "chaos")
 	requires(*gwMode, "-gateway", "tenants", "zipf", "qos", "gw-ops", "gw-arrival", "gw-seconds", "gw-kb", "gw-seed")
+	requires(*gwRate > 0, "-gw-arrival", "gw-seconds")
+	requires(*gwRate <= 0, "a closed loop (no -gw-arrival)", "gw-ops")
 	requires(*ckptSteps > 0, "-ckpt", "ckpt-change", "ckpt-retain", "ckpt-seed")
 	requires(*metaShards > 0, "-meta-shards", "meta-replicas", "meta-follower-reads", "meta-split")
 	requires(*metaFollowerReads, "-meta-follower-reads", "meta-lease")

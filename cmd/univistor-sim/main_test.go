@@ -90,6 +90,8 @@ func TestBadSizesRejected(t *testing.T) {
 		"-tenants 8",
 		"-zipf 1.5",
 		"-gw-seed 2",
+		"-gateway -gw-arrival 10 -gw-ops 5",
+		"-gateway -gw-seconds 2",
 		"-ckpt-retain 2",
 		"-ckpt-change 0.2",
 		"-ckpt-seed 2",

@@ -76,7 +76,7 @@ func (s *System) Create(name string, lockEff float64) *File {
 
 // CreateReserved creates a BB file whose capacity was already charged to
 // the pool by the caller (e.g. a pre-sized per-process log). Writes do not
-// allocate, and Remove does not release.
+// allocate, and re-creating the name does not release.
 func (s *System) CreateReserved(name string, lockEff float64) *File {
 	f := s.Create(name, lockEff)
 	f.reserved = true
@@ -87,14 +87,6 @@ func (s *System) CreateReserved(name string, lockEff float64) *File {
 func (s *System) Open(name string) (*File, bool) {
 	f, ok := s.files[name]
 	return f, ok
-}
-
-// Remove deletes a BB file and releases its space.
-func (s *System) Remove(name string) {
-	if f, ok := s.files[name]; ok {
-		f.release()
-		delete(s.files, name)
-	}
 }
 
 func (f *File) release() {

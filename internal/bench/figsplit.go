@@ -166,7 +166,7 @@ func runSplitStorm(leased bool, opsPer int) [3]float64 {
 		p.Sleep(tc.NetLatency + float64(bytes)/(256<<20))
 	}
 	phase := 0
-	pl.SplitDone = func(int) { phase = 2 }
+	pl.SplitDone = func() { phase = 2 }
 	e := sim.NewEngine()
 	loaded := 0
 	stats := 0

@@ -59,7 +59,7 @@ func FigTail(o Options) *Result {
 			if qos {
 				// Quota = sustained rate × duration: what a well-behaved
 				// tenant could move; the 4× heavy tenants get clipped.
-				gcfg.TenantQuotaBytes = int64(gcfg.TenantRateBps * gcfg.DurationSeconds)
+				gcfg.TenantQuotaBytes = int64(gateway.TenantRateBps * gcfg.DurationSeconds)
 			}
 			gcfg.Seed = 1717
 			g, err := gateway.Start(st.UV.Sys, gcfg)

@@ -275,12 +275,9 @@ func (h *Harness) degrade(r *sim.Resource, frac float64, dur sim.Duration) {
 	}
 }
 
-// record logs one fault action to the report, the Explain log, and the
-// trace.
+// record logs one fault action to the report and the trace.
 func (h *Harness) record(what string) {
-	line := fmt.Sprintf("t=%s %s", ftoa(float64(h.e.Now())), what)
-	h.faults = append(h.faults, line)
-	h.sys.AddExplain("chaos: " + line)
+	h.faults = append(h.faults, fmt.Sprintf("t=%s %s", ftoa(float64(h.e.Now())), what))
 	h.tr.Instant(h.e.Now(), string(trace.CatChaos), what)
 }
 

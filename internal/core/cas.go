@@ -46,9 +46,6 @@ func (sys *System) setupCAS() error {
 		return fmt.Errorf("core: creating CAS GC file: %w", err)
 	}
 	sys.casGCFile = f
-	sys.explain = append(sys.explain, fmt.Sprintf(
-		"dedup: content-addressed block store, %d MiB blocks, %d MiB GC batches",
-		blockBytes>>20, sys.Cfg.DedupGCBatchBytes>>20))
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"univistor/internal/meta"
@@ -9,7 +8,7 @@ import (
 )
 
 // A configured cache tier whose backend is unavailable on the cluster is
-// dropped — loudly: the stat and the explain log both record it.
+// dropped — loudly: Stats.DroppedTiers records it.
 func TestDroppedTierRecordedInStats(t *testing.T) {
 	w, sys := testEnv(t, func(tc *topology.Config, cc *Config) {
 		tc.BBNodes = 0 // no burst-buffer allocation
@@ -22,10 +21,6 @@ func TestDroppedTierRecordedInStats(t *testing.T) {
 	}
 	if len(sys.Cfg.CacheTiers) != 1 || sys.Cfg.CacheTiers[0] != meta.TierDRAM {
 		t.Errorf("effective CacheTiers = %v, want [DRAM]", sys.Cfg.CacheTiers)
-	}
-	ex := sys.Explain()
-	if len(ex) != 1 || !strings.Contains(ex[0], "BB") {
-		t.Errorf("Explain() = %v, want one line naming the dropped BB tier", ex)
 	}
 	// The snapshot must not alias the live counter state.
 	st.DroppedTiers[0] = meta.TierDRAM
@@ -55,8 +50,5 @@ func TestNoDroppedTiersOnFullCluster(t *testing.T) {
 	_, sys := testEnv(t, nil)
 	if st := sys.Stats(); len(st.DroppedTiers) != 0 {
 		t.Errorf("DroppedTiers = %v, want none", st.DroppedTiers)
-	}
-	if ex := sys.Explain(); len(ex) != 0 {
-		t.Errorf("Explain() = %v, want empty", ex)
 	}
 }

@@ -19,8 +19,6 @@ package core
 // delete, repoint, stat) live in the implementations.
 
 import (
-	"fmt"
-
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
 	"univistor/internal/metaplane"
@@ -279,12 +277,8 @@ func (sys *System) MetaCrashLeader(shard int) (replica int, ok bool) {
 		return -1, false
 	}
 	replica, ok = sys.plane.CrashLeader(shard)
-	if ok {
-		sys.explain = append(sys.explain, fmt.Sprintf(
-			"metacrash: shard %d leader (replica %d) crashed; failed over", shard, replica))
-		if sys.InvariantCheck != nil {
-			sys.InvariantCheck("metacrash")
-		}
+	if ok && sys.InvariantCheck != nil {
+		sys.InvariantCheck("metacrash")
 	}
 	return replica, ok
 }
@@ -303,8 +297,6 @@ func (sys *System) MetaSplit() (shard int, ok bool) {
 	if err != nil {
 		return -1, false
 	}
-	sys.explain = append(sys.explain, fmt.Sprintf(
-		"metasplit: online split started into new shard %d", shard))
 	if sys.InvariantCheck != nil {
 		sys.InvariantCheck("metasplit")
 	}
@@ -318,12 +310,8 @@ func (sys *System) MetaRecover(shard, replica int) bool {
 		return false
 	}
 	ok := sys.plane.Recover(shard, replica)
-	if ok {
-		sys.explain = append(sys.explain, fmt.Sprintf(
-			"metarecover: shard %d replica %d recovered", shard, replica))
-		if sys.InvariantCheck != nil {
-			sys.InvariantCheck("metarecover")
-		}
+	if ok && sys.InvariantCheck != nil {
+		sys.InvariantCheck("metarecover")
 	}
 	return ok
 }

@@ -84,10 +84,6 @@ func (sys *System) StallServer(s int, until sim.Time) {
 // WriteAt calls — the trigger for write-count-scheduled fault injection.
 func (sys *System) SetWriteObserver(fn func(total int64)) { sys.onWrite = fn }
 
-// AddExplain appends a line to the deployment decision log (the chaos
-// injector records every fault it fires here).
-func (sys *System) AddExplain(line string) { sys.explain = append(sys.explain, line) }
-
 // fetchFromReplicaOrPFS serves the [lo, lo+bytes) portion of a volatile-tier
 // segment (rec) whose producer node failed: from the flushed PFS copy if one
 // exists, else from the buddy replica, else the data is lost. Either rescue

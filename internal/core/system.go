@@ -44,7 +44,6 @@ type System struct {
 	metaDetail MetaOpDetail
 	nodeMeta   []*kvstore.Store // per-node shared metadata buffer (§II-B4)
 	chain      *tier.Chain      // the ordered storage hierarchy, terminal last
-	explain    []string         // deployment decisions (dropped tiers, …)
 
 	files          map[string]*fileState
 	nextFID        meta.FileID
@@ -165,7 +164,7 @@ type reservation struct {
 // user starts before their applications). It returns an error on invalid
 // configuration; cache tiers whose backend is unavailable on the cluster
 // (e.g. BB caching without a burst-buffer allocation) are dropped and
-// recorded in Stats.DroppedTiers and the Explain log.
+// recorded in Stats.DroppedTiers.
 func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -202,11 +201,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 	// The surviving cache tiers are the deployment's effective config
 	// (the paper's UniviStor/DRAM mode runs without a BB allocation).
 	sys.Cfg.CacheTiers = chain.CacheTiers()
-	for _, t := range chain.Dropped() {
-		sys.stats.DroppedTiers = append(sys.stats.DroppedTiers, t)
-		sys.explain = append(sys.explain,
-			fmt.Sprintf("dropped cache tier %s: backend unavailable on this cluster", t))
-	}
+	sys.stats.DroppedTiers = append(sys.stats.DroppedTiers, chain.Dropped()...)
 	sys.WF = workflow.NewManager(w.Cluster.Cfg.PFSLatency)
 	if cfg.Dedup {
 		if err := sys.setupCAS(); err != nil {
@@ -256,22 +251,12 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 			p.Sleep(w.Cluster.Cfg.NetLatency)
 			p.Transfer(float64(bytes), path...)
 		}
-		pl.SplitDone = func(shard int) {
-			sys.explain = append(sys.explain, fmt.Sprintf(
-				"metasplit: shard %d migration complete; ring now %d shards",
-				shard, pl.Shards()))
+		pl.SplitDone = func() {
 			if sys.InvariantCheck != nil {
 				sys.InvariantCheck("metasplitdone")
 			}
 		}
 		pl.Trace = w.Trace
-		sys.explain = append(sys.explain, fmt.Sprintf(
-			"metadata plane: %d shards × %d replicas across %d nodes",
-			cfg.MetaShards, replicas, nNodes))
-		if cfg.MetaFollowerReads {
-			sys.explain = append(sys.explain,
-				"metadata plane: leased follower reads enabled")
-		}
 	}
 	for n := 0; n < nNodes; n++ {
 		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore())
@@ -613,15 +598,6 @@ func (s *Server) finishFlushPart(r *mpi.Rank, req *flushReq) {
 	if sys.InvariantCheck != nil {
 		sys.InvariantCheck("flush-complete")
 	}
-}
-
-// Explain returns the deployment decision log: human-readable lines
-// describing how the configuration was adapted to the cluster (e.g. cache
-// tiers dropped because their backend is unavailable).
-func (sys *System) Explain() []string {
-	out := make([]string, len(sys.explain))
-	copy(out, sys.explain)
-	return out
 }
 
 // Chain exposes the storage hierarchy (tests and tools).

@@ -42,7 +42,7 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 	// Hand the request to the co-located server over shared memory.
 	p.Sleep(ShmLatency)
 
-	va, placed, err := cf.ls.Append(size, sys.chain.Limit())
+	va, placed, err := cf.ls.Append(size)
 	if err != nil {
 		return err
 	}

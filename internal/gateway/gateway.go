@@ -55,6 +55,21 @@ const (
 	// statCostBytes is the admission cost of a stat op (metadata only, no
 	// payload).
 	statCostBytes = 4 << 10
+
+	// thinkSeconds is the mean exponential think time between a
+	// closed-loop tenant's ops.
+	thinkSeconds = 0.2
+
+	// TenantRateBps and tenantBurstBytes parameterize each tenant's token
+	// bucket under QoS: the sustained admission rate and the burst
+	// absorbed above it.
+	TenantRateBps    = 8 << 20
+	tenantBurstBytes = 1 << 20
+	// tenantPeakBps is each tenant's rate cap under QoS — the
+	// instantaneous rate ceiling its admitted payloads may move at (the
+	// burst drain rate). It must exceed TenantRateBps, or service always
+	// outlasts refill and the bucket never shapes.
+	tenantPeakBps = 32 << 20
 )
 
 // Config shapes a gateway run.
@@ -68,9 +83,8 @@ type Config struct {
 
 	// OpsPerTenant selects the closed loop: each tenant issues exactly
 	// this many ops, separated by exponential think time with mean
-	// ThinkSeconds. Ignored when ArrivalRate is set.
+	// thinkSeconds. Ignored when ArrivalRate is set.
 	OpsPerTenant int
-	ThinkSeconds float64
 	// ArrivalRate > 0 selects the open loop: each tenant draws Poisson
 	// arrivals at this mean rate (ops/s) over DurationSeconds of virtual
 	// time. Latency is measured from the *scheduled* arrival, so service
@@ -89,21 +103,11 @@ type Config struct {
 	HeavyFrac   float64
 	HeavyFactor float64
 
-	// QoS enables admission control and per-tenant rate caps.
+	// QoS enables admission control (a token bucket per tenant) and
+	// per-tenant rate caps.
 	QoS bool
-	// TenantRateBps and TenantBurstBytes parameterize each tenant's token
-	// bucket: the sustained admission rate and the burst absorbed above
-	// it.
-	TenantRateBps    float64
-	TenantBurstBytes float64
-	// TenantPeakBps is the tenant's rate cap — the instantaneous rate
-	// ceiling its admitted payloads may move at (the burst drain rate).
-	// 0 derives 4× TenantRateBps. A non-zero peak must be above
-	// TenantRateBps (Validate enforces it) or the bucket never shapes —
-	// service would always outlast the refill.
-	TenantPeakBps float64
 	// TenantQuotaBytes is a hard cumulative admission quota per tenant
-	// (0 = unlimited). Ops beyond it are rejected, not shaped.
+	// under QoS (0 = unlimited). Ops beyond it are rejected, not shaped.
 	TenantQuotaBytes int64
 
 	// Seed drives every tenant's op mix, think times, and object picks;
@@ -115,14 +119,10 @@ type Config struct {
 // DefaultConfig returns a moderate mixed-load gateway setup.
 func DefaultConfig() Config {
 	return Config{
-		Tenants:          64,
-		OpBytes:          256 << 10,
-		OpsPerTenant:     20,
-		ThinkSeconds:     0.2,
-		ZipfS:            1.2,
-		TenantRateBps:    8 << 20,
-		TenantBurstBytes: 1 << 20,
-		TenantPeakBps:    32 << 20,
+		Tenants:      64,
+		OpBytes:      256 << 10,
+		OpsPerTenant: 20,
+		ZipfS:        1.2,
 	}
 }
 
@@ -143,16 +143,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gateway: HeavyFrac must be in [0, 1], got %v", c.HeavyFrac)
 	case c.HeavyFrac > 0 && c.HeavyFactor < 1:
 		return fmt.Errorf("gateway: HeavyFactor must be >= 1 when HeavyFrac is set")
-	case c.QoS && (c.TenantRateBps <= 0 || c.TenantBurstBytes <= 0):
-		return fmt.Errorf("gateway: QoS needs positive TenantRateBps and TenantBurstBytes")
-	case c.QoS && c.TenantPeakBps < 0:
-		return fmt.Errorf("gateway: TenantPeakBps must be non-negative")
-	case c.QoS && c.TenantPeakBps > 0 && c.TenantPeakBps <= c.TenantRateBps:
-		return fmt.Errorf("gateway: TenantPeakBps %v must exceed TenantRateBps %v, or service always outlasts refill and the bucket never shapes", c.TenantPeakBps, c.TenantRateBps)
-	case c.QoS && (c.TenantBurstBytes < float64(c.OpBytes) || c.TenantBurstBytes < statCostBytes):
-		return fmt.Errorf("gateway: TenantBurstBytes %v is below the per-op admission cost (OpBytes %d, stat %d) — the bucket rejects any cost above its capacity, so such ops can never be admitted", c.TenantBurstBytes, c.OpBytes, statCostBytes)
+	case c.HeavyFrac == 0 && c.HeavyFactor != 0:
+		return fmt.Errorf("gateway: HeavyFactor %v without HeavyFrac marks no tenant heavy", c.HeavyFactor)
+	case c.QoS && c.OpBytes > tenantBurstBytes:
+		return fmt.Errorf("gateway: OpBytes %d exceeds the tenant burst %d — the bucket rejects any cost above its capacity, so such ops can never be admitted", c.OpBytes, tenantBurstBytes)
 	case c.TenantQuotaBytes < 0:
 		return fmt.Errorf("gateway: TenantQuotaBytes must be non-negative")
+	case c.TenantQuotaBytes > 0 && !c.QoS:
+		return fmt.Errorf("gateway: TenantQuotaBytes is only enforced by QoS admission; set QoS")
 	}
 	return nil
 }
@@ -240,10 +238,6 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 	g := &Gateway{cfg: cfg, sys: sys}
 	e := sys.W.E
 	if cfg.QoS {
-		if cfg.TenantPeakBps == 0 {
-			cfg.TenantPeakBps = 4 * cfg.TenantRateBps
-			g.cfg = cfg
-		}
 		g.ingress = sim.NewResource("gw-ingress", ingressBps)
 	}
 	nodes := len(sys.W.Cluster.Nodes)
@@ -257,8 +251,8 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 			t.zipf = rand.NewZipf(t.rng, cfg.ZipfS, 1, objectsPerTenant-1)
 		}
 		if cfg.QoS {
-			t.bucket = NewTokenBucket(cfg.TenantRateBps, cfg.TenantBurstBytes, e.Now())
-			t.cap = sim.NewResource(fmt.Sprintf("tenant:%04d", i), cfg.TenantPeakBps)
+			t.bucket = NewTokenBucket(TenantRateBps, tenantBurstBytes, e.Now())
+			t.cap = sim.NewResource(fmt.Sprintf("tenant:%04d", i), tenantPeakBps)
 		}
 		t.objects = make([]objState, objectsPerTenant)
 		for o := range t.objects {
@@ -326,10 +320,8 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 		}
 	} else {
 		for op := 0; op < cfg.OpsPerTenant; op++ {
-			if cfg.ThinkSeconds > 0 {
-				mul := burstMul(float64(op) / float64(cfg.OpsPerTenant))
-				r.P.Sleep(t.rng.ExpFloat64() * cfg.ThinkSeconds / (mul * t.load))
-			}
+			mul := burstMul(float64(op) / float64(cfg.OpsPerTenant))
+			r.P.Sleep(t.rng.ExpFloat64() * thinkSeconds / (mul * t.load))
 			start := r.Now()
 			kind, lat, err := g.doOp(r, c, t)
 			if err != nil {

@@ -42,7 +42,6 @@ func smallConfig() Config {
 	cfg.Tenants = 8
 	cfg.OpsPerTenant = 12
 	cfg.OpBytes = 1 * mib
-	cfg.ThinkSeconds = 0.05
 	cfg.Seed = 7
 	return cfg
 }
@@ -110,11 +109,9 @@ func TestGatewayClosedLoopPassThrough(t *testing.T) {
 func TestGatewayQoSShapesAndCaps(t *testing.T) {
 	sys := testSystem(t)
 	cfg := smallConfig()
+	// The burst is exactly one 1 MiB op: every data admission drains the
+	// bucket, so any op arriving before a full refill waits.
 	cfg.QoS = true
-	cfg.TenantRateBps = 4 << 20 // an op is 1 MiB
-	// Burst of exactly one op: every admission drains the bucket, so any
-	// op arriving before a full refill (think time ≪ cost/rate) waits.
-	cfg.TenantBurstBytes = 1 << 20
 	_, rep := run(t, sys, cfg)
 
 	if !rep.QoS {
@@ -226,10 +223,10 @@ func TestCheckInvariantsDeliveredWithinAdmittedQoSOff(t *testing.T) {
 	}
 }
 
-// Validate must reject QoS configs that would silently do nothing useful:
-// a burst below the per-op admission cost (every such op rejected, run
-// "succeeds" at ~100% rejects) and a peak at or below the sustained rate
-// (service always outlasts refill, so the bucket never shapes).
+// Validate must reject configs that would silently do nothing useful: an
+// op larger than the tenant burst (every such op rejected, the run
+// "succeeds" at ~100% rejects), a quota with QoS off (only QoS admission
+// enforces it), and a heavy factor with no heavy tenant.
 func TestConfigValidateQoSEdges(t *testing.T) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -241,40 +238,50 @@ func TestConfigValidateQoSEdges(t *testing.T) {
 	}
 
 	cfg := base()
-	cfg.TenantBurstBytes = float64(cfg.OpBytes) - 1
+	cfg.OpBytes = tenantBurstBytes + 1
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("TenantBurstBytes below OpBytes passed validation")
+		t.Fatal("OpBytes above the tenant burst passed validation")
 	}
-
-	cfg = base()
-	cfg.TenantBurstBytes = statCostBytes - 1
-	cfg.OpBytes = statCostBytes - 1 // keep OpBytes admissible
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("TenantBurstBytes below StatCostBytes passed validation")
-	}
-
-	cfg = base()
-	cfg.TenantPeakBps = cfg.TenantRateBps
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("TenantPeakBps == TenantRateBps passed validation")
-	}
-	cfg.TenantPeakBps = cfg.TenantRateBps / 2
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("TenantPeakBps below TenantRateBps passed validation")
-	}
-	// 0 means "derive 4x rate" and stays legal; so does an exact-cost burst.
-	cfg = base()
-	cfg.TenantPeakBps = 0
-	cfg.TenantBurstBytes = float64(cfg.OpBytes)
+	cfg.OpBytes = tenantBurstBytes
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("derived peak + exact-cost burst must validate, got %v", err)
+		t.Fatalf("an exact-burst op must validate, got %v", err)
 	}
-	// With QoS off none of the bucket constraints apply.
-	cfg = base()
+	// With QoS off the bucket does not apply.
+	cfg.OpBytes = tenantBurstBytes + 1
 	cfg.QoS = false
-	cfg.TenantBurstBytes = 1
-	cfg.TenantPeakBps = 1
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("QoS-off config must ignore bucket constraints, got %v", err)
+		t.Fatalf("QoS-off config must ignore the bucket, got %v", err)
+	}
+
+	cfg = base()
+	cfg.TenantQuotaBytes = 4 * mib
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a quota under QoS must validate, got %v", err)
+	}
+	cfg.QoS = false
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("TenantQuotaBytes with QoS off passed validation")
+	}
+
+	cfg = base()
+	cfg.HeavyFactor = 4
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("HeavyFactor with HeavyFrac 0 passed validation")
+	}
+	cfg.HeavyFrac = 0.25
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("HeavyFactor with HeavyFrac must validate, got %v", err)
+	}
+}
+
+// The token-bucket constants must stay admissible and shaping: a stat's
+// admission cost fits in the burst, and the peak drain rate exceeds the
+// sustained rate, or service always outlasts refill and nothing shapes.
+func TestTenantBucketConstants(t *testing.T) {
+	if tenantBurstBytes < statCostBytes {
+		t.Errorf("tenant burst %d below the stat admission cost %d", tenantBurstBytes, statCostBytes)
+	}
+	if tenantPeakBps <= TenantRateBps {
+		t.Errorf("tenant peak %d B/s does not exceed the sustained rate %d B/s", tenantPeakBps, TenantRateBps)
 	}
 }

@@ -251,11 +251,10 @@ func (ls *LogSet) Space() meta.AddressSpace { return ls.space }
 // Log returns the tier's log.
 func (ls *LogSet) Log(t meta.Tier) *Log { return ls.logs[t] }
 
-// Append places size bytes on the fastest tier with room at or below limit
-// (the destination tier set by the application, typically TierPFS) and
-// returns the segment's VA and the tier chosen.
-func (ls *LogSet) Append(size int64, limit meta.Tier) (va int64, tier meta.Tier, err error) {
-	for t := 0; t <= int(limit); t++ {
+// Append places size bytes on the fastest tier with room — the unbounded
+// PFS log last — and returns the segment's VA and the tier chosen.
+func (ls *LogSet) Append(size int64) (va int64, tier meta.Tier, err error) {
+	for t := 0; t < meta.NumTiers; t++ {
 		if meta.Tier(t) != meta.TierPFS && ls.space.Cap(meta.Tier(t)) == 0 {
 			continue
 		}
@@ -269,5 +268,5 @@ func (ls *LogSet) Append(size int64, limit meta.Tier) (va int64, tier meta.Tier,
 		}
 		return va, meta.Tier(t), nil
 	}
-	return 0, 0, fmt.Errorf("logstore: proc %d: no tier ≤ %s can hold %d bytes", ls.owner, limit, size)
+	return 0, 0, fmt.Errorf("logstore: proc %d: no tier can hold %d bytes", ls.owner, size)
 }

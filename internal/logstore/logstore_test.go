@@ -228,7 +228,7 @@ func TestLogSetSpillWalk(t *testing.T) {
 	// 30 bytes fit in DRAM; the next 40 spill to BB; then PFS.
 	tiers := []meta.Tier{}
 	for i := 0; i < 9; i++ {
-		_, tier, err := ls.Append(10, meta.TierPFS)
+		_, tier, err := ls.Append(10)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -253,7 +253,7 @@ func TestLogSetVAMatchesPaperLayout(t *testing.T) {
 	}
 	var vas []int64
 	for i := 0; i < 6; i++ {
-		va, _, err := ls.Append(10, meta.TierPFS)
+		va, _, err := ls.Append(10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,20 +269,6 @@ func TestLogSetVAMatchesPaperLayout(t *testing.T) {
 	tier, addr, err := ls.Space().Decode(30)
 	if err != nil || tier != meta.TierBB || addr != 10 {
 		t.Errorf("Decode(30) = (%s, %d, %v)", tier, addr, err)
-	}
-}
-
-func TestLogSetRespectsLimitTier(t *testing.T) {
-	ls, err := NewLogSet(0, [meta.NumTiers]int64{10, 0, 10, 0}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls.Append(10, meta.TierDRAM)
-	if _, _, err := ls.Append(10, meta.TierDRAM); err == nil {
-		t.Error("append beyond DRAM with limit=DRAM succeeded")
-	}
-	if _, tier, err := ls.Append(10, meta.TierBB); err != nil || tier != meta.TierBB {
-		t.Errorf("append with limit=BB: tier=%s err=%v", tier, err)
 	}
 }
 
@@ -306,7 +292,7 @@ func TestLogSetRoundTripProperty(t *testing.T) {
 		var segs []seg
 		for i := 0; i < 30; i++ {
 			size := int64(rng.Intn(60) + 1)
-			va, placed, err := ls.Append(size, meta.TierPFS)
+			va, placed, err := ls.Append(size)
 			if err != nil {
 				return false // PFS is unbounded; appends must not fail
 			}

@@ -103,14 +103,6 @@ func (fs *FS) Open(name string) (*File, bool) {
 	return f, ok
 }
 
-// Remove deletes a file, releasing its OST capacity.
-func (fs *FS) Remove(name string) {
-	if f, ok := fs.files[name]; ok {
-		f.release()
-		delete(fs.files, name)
-	}
-}
-
 func (f *File) release() {
 	for _, part := range f.layout().Parts(0, f.size) {
 		f.fs.cluster.OSTs[part.Unit].Cap.Release(part.Size)

@@ -212,7 +212,7 @@ func TestCapacityExhaustion(t *testing.T) {
 	}
 }
 
-func TestRemoveReleasesCapacity(t *testing.T) {
+func TestRecreateReleasesCapacity(t *testing.T) {
 	cfg := topology.Cori()
 	cfg.Nodes = 1
 	cfg.BBNodes = 1
@@ -229,9 +229,12 @@ func TestRemoveReleasesCapacity(t *testing.T) {
 	if used != 150 {
 		t.Fatalf("used = %d, want 150", used)
 	}
-	fs.Remove("f")
+	// Re-creating the name truncates the file and releases its capacity.
+	if _, err := fs.Create("f", StripeSpec{Size: 10, Count: 2, StartOST: 0}, 1); err != nil {
+		t.Fatal(err)
+	}
 	if c.OSTs[0].Cap.Used()+c.OSTs[1].Cap.Used() != 0 {
-		t.Error("capacity not released on remove")
+		t.Error("capacity not released on re-create")
 	}
 }
 

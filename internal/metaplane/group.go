@@ -107,7 +107,7 @@ func (g *group) lead() *replica { return g.replicas[g.leader] }
 // admin mutations: advance the commit index, apply on the leader, update
 // the shadow ledger, and compact any replica whose log crossed the
 // snapshot threshold.
-func (g *group) commitEntry(e Entry, snapshotEvery int) {
+func (g *group) commitEntry(e Entry) {
 	g.commit = e.Index
 	g.lead().applyTo(e.Index)
 	key := meta.Key{FID: e.Rec.FID, Offset: e.Rec.Offset}

@@ -3,8 +3,8 @@
 // hashing (virtual nodes, deterministic placement), and each shard is a
 // replication group — a leader and R-1 followers kept consistent by a
 // log-shipped WAL of metadata mutations, periodic snapshots with log
-// truncation, follower catch-up after a crash, and deterministic range
-// handoff on membership change. Every cost is charged on the simulation's
+// truncation, and follower catch-up after a crash. The one membership
+// change is an online split (split.go), which adds a shard. Every cost is charged on the simulation's
 // virtual clock, so runs with equal seeds and specs are byte-identical.
 //
 // The plane replaces the single logical kvstore.Ring of §II-B3 when
@@ -39,12 +39,11 @@ type ringPoint struct {
 // same membership are identical — no RNG, no insertion-order dependence.
 type HashRing struct {
 	points []ringPoint
-	shards map[int]bool
 }
 
-// NewHashRing builds a ring of the given shard ids.
+// NewHashRing builds a ring of the given distinct shard ids.
 func NewHashRing(shardIDs []int) *HashRing {
-	r := &HashRing{shards: map[int]bool{}}
+	r := &HashRing{}
 	for _, id := range shardIDs {
 		r.AddShard(id)
 	}
@@ -71,13 +70,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// AddShard inserts a shard's virtual nodes. Adding a present shard is a
-// no-op.
+// AddShard inserts the virtual nodes of a shard not yet on the ring.
 func (r *HashRing) AddShard(id int) {
-	if r.shards[id] {
-		return
-	}
-	r.shards[id] = true
 	for j := 0; j < virtualNodes; j++ {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(id, j), shard: id})
 	}
@@ -91,28 +85,7 @@ func (r *HashRing) AddShard(id int) {
 
 // Clone returns an independent deep copy of the ring.
 func (r *HashRing) Clone() *HashRing {
-	c := &HashRing{shards: make(map[int]bool, len(r.shards))}
-	for id := range r.shards {
-		c.shards[id] = true
-	}
-	c.points = append([]ringPoint(nil), r.points...)
-	return c
-}
-
-// RemoveShard removes a shard's virtual nodes. Removing an absent shard is
-// a no-op.
-func (r *HashRing) RemoveShard(id int) {
-	if !r.shards[id] {
-		return
-	}
-	delete(r.shards, id)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
+	return &HashRing{points: append([]ringPoint(nil), r.points...)}
 }
 
 // Owner returns the shard owning the key hash: the first virtual node at

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"univistor/internal/kvstore"
@@ -75,22 +76,26 @@ func TestHashRingDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
-func TestHashRingRemovalOnlyMovesRemovedShardKeys(t *testing.T) {
-	r := NewHashRing([]int{0, 1, 2, 3})
+func TestHashRingAddOnlyMovesKeysToNewShard(t *testing.T) {
+	r := NewHashRing([]int{0, 1, 2})
 	before := map[uint64]int{}
 	for i := 0; i < 2048; i++ {
 		h := KeyHash(1, int64(i))
 		before[h] = r.Owner(h)
 	}
-	r.RemoveShard(2)
+	r.AddShard(3)
+	moved := 0
 	for h, was := range before {
-		now := r.Owner(h)
-		if was != 2 && now != was {
-			t.Fatalf("key on shard %d moved to %d after removing shard 2", was, now)
+		switch now := r.Owner(h); now {
+		case was:
+		case 3:
+			moved++
+		default:
+			t.Fatalf("key on shard %d moved to %d, not to the added shard 3", was, now)
 		}
-		if was == 2 && now == 2 {
-			t.Fatalf("key still owned by removed shard 2")
-		}
+	}
+	if moved == 0 {
+		t.Fatalf("adding shard 3 moved no keys")
 	}
 }
 
@@ -229,7 +234,7 @@ func TestCrashFailoverLosesNoCommittedRecord(t *testing.T) {
 			pl.Put(p, i%cfg.Nodes, r)
 			written = append(written, r)
 			if i == 40 || i == 80 {
-				for _, shard := range pl.ShardIDs() {
+				for shard := 0; shard < pl.Shards(); shard++ {
 					if ridx, ok := pl.CrashLeader(shard); !ok {
 						t.Errorf("CrashLeader(%d) refused", shard)
 					} else if i == 40 {
@@ -265,9 +270,22 @@ func TestCrashFailoverLosesNoCommittedRecord(t *testing.T) {
 
 func TestCrashLeaderRefusals(t *testing.T) {
 	pl := mustPlane(t, testConfig(1, 2))
-	if _, ok := pl.CrashLeader(99); ok {
-		t.Fatalf("CrashLeader on unknown shard succeeded")
+	for _, shard := range []int{99, -1} {
+		if _, ok := pl.CrashLeader(shard); ok {
+			t.Fatalf("CrashLeader on unknown shard %d succeeded", shard)
+		}
+		if pl.Recover(shard, 0) {
+			t.Fatalf("Recover on unknown shard %d succeeded", shard)
+		}
 	}
+	drive(t, func(p *sim.Proc) {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "Lookup on unknown shard 99") {
+				t.Errorf("Lookup on unknown shard: panic %q, want the unknown-shard message", msg)
+			}
+		}()
+		pl.Lookup(p, 0, 99)
+	})
 	if _, ok := pl.CrashLeader(0); !ok {
 		t.Fatalf("first CrashLeader should succeed with 2 replicas")
 	}
@@ -282,9 +300,7 @@ func TestCrashLeaderRefusals(t *testing.T) {
 }
 
 func TestSnapshotTruncationAndInstallOnLaggingRecovery(t *testing.T) {
-	cfg := testConfig(1, 3)
-	cfg.SnapshotEvery = 16
-	pl := mustPlane(t, cfg)
+	pl := mustPlane(t, testConfig(1, 3))
 
 	var ridx int
 	drive(t, func(p *sim.Proc) {
@@ -295,13 +311,13 @@ func TestSnapshotTruncationAndInstallOnLaggingRecovery(t *testing.T) {
 		}
 		// Enough mutations for several compactions while the replica is down,
 		// so its log is far behind the leader's snapshot horizon.
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 3*snapshotEvery; i++ {
 			pl.Put(p, 0, rec(1, int64(i)*64, 64))
 		}
 	})
 	s := pl.Stats()
 	if s.PerShard[0].Snapshots == 0 {
-		t.Fatalf("no snapshot compaction after %d ops with SnapshotEvery=16", 100)
+		t.Fatalf("no snapshot compaction after %d ops", 3*snapshotEvery)
 	}
 	if s.PerShard[0].SnapIndex == 0 {
 		t.Fatalf("leader WAL never truncated")
@@ -322,47 +338,6 @@ func TestSnapshotTruncationAndInstallOnLaggingRecovery(t *testing.T) {
 	}
 	if v := pl.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("violations after failing over to recovered replica: %v", v)
-	}
-}
-
-// --- membership ------------------------------------------------------------
-
-func TestMembershipHandoffPreservesRecords(t *testing.T) {
-	cfg := testConfig(3, 3)
-	pl := mustPlane(t, cfg)
-	var written []meta.Record
-	drive(t, func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
-			r := rec(meta.FileID(i%4+1), int64(i)*128, 128)
-			pl.Put(p, 0, r)
-			written = append(written, r)
-		}
-	})
-
-	const newID = 2
-	if err := pl.RemoveShard(newID); err != nil {
-		t.Fatalf("RemoveShard: %v", err)
-	}
-	if pl.Shards() != 2 {
-		t.Fatalf("Shards = %d after removal, want 2", pl.Shards())
-	}
-	if v := pl.CheckInvariants(); len(v) != 0 {
-		t.Fatalf("violations after RemoveShard: %v", v)
-	}
-	if pl.Stats().Handoffs == 0 {
-		t.Fatalf("RemoveShard handed off no records from shard %d", newID)
-	}
-	for _, w := range written {
-		if got, ok := pl.GetLocal(w.FID, w.Offset); !ok || got != w {
-			t.Fatalf("record off=%d lost removing shard", w.Offset)
-		}
-	}
-	if err := pl.RemoveShard(newID); err == nil {
-		t.Fatalf("removing an absent shard should error")
-	}
-	pl1 := mustPlane(t, testConfig(1, 1))
-	if err := pl1.RemoveShard(0); err == nil {
-		t.Fatalf("removing the last shard should error")
 	}
 }
 
@@ -485,14 +460,6 @@ func TestStatsSnapshotShape(t *testing.T) {
 	}
 	if totOps != 64 || totRecs != 64 {
 		t.Fatalf("per-shard totals ops=%d recs=%d, want 64/64", totOps, totRecs)
-	}
-	for _, id := range pl.ShardIDs() {
-		if _, _, ok := pl.LeaderOf(id); !ok {
-			t.Fatalf("LeaderOf(%d) not found", id)
-		}
-	}
-	if _, _, ok := pl.LeaderOf(1234); ok {
-		t.Fatalf("LeaderOf(1234) should fail")
 	}
 }
 

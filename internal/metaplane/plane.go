@@ -11,9 +11,9 @@ import (
 	"univistor/internal/trace"
 )
 
-// DefaultSnapshotEvery is the retained-WAL-entry threshold at which a
-// replica compacts its log into a snapshot.
-const DefaultSnapshotEvery = 256
+// snapshotEvery is the retained-WAL-entry threshold at which a replica
+// compacts its log into a snapshot.
+const snapshotEvery = 256
 
 // recordBytes is the modeled wire size of one metadata record in a
 // split-migration batch.
@@ -49,10 +49,6 @@ type Config struct {
 	// the same granularity as the legacy partitioner, and like it bounds
 	// the largest single record a Covering query can resolve.
 	RangeSize int64
-
-	// SnapshotEvery is the retained-log-length compaction threshold
-	// (DefaultSnapshotEvery if 0).
-	SnapshotEvery int
 
 	// FollowerReads lets Stat/Lookup be served by a follower holding a
 	// time-bounded lease from its leader (bounded staleness of LeaseTime on
@@ -97,10 +93,9 @@ type Plane struct {
 	cfg  Config
 	ring *HashRing
 
-	groups map[int]*group
-	order  []int // active shard ids, ascending
-
-	nextShard int // next shard id to mint (monotonic across membership)
+	// groups holds every shard's replication group, indexed by shard id:
+	// shards are only ever added (New, StartSplit), so ids are dense.
+	groups []*group
 
 	split *splitRun // active online split, nil otherwise
 
@@ -118,13 +113,11 @@ type Plane struct {
 
 	// SplitDone, when set, is called (at the migrator's current virtual
 	// instant) after an online split finishes installing its ring.
-	SplitDone func(newShard int)
+	SplitDone func()
 
-	puts, deletes, lookups      int64
-	failovers, recoveries       int64
-	snapshotInstalls, handoffs  int64
-	retiredOps, retiredAppended int64
-	retiredSnapshots            int64
+	puts, deletes, lookups     int64
+	failovers, recoveries      int64
+	snapshotInstalls, handoffs int64
 
 	splits, splitRecords int64
 	splitBytes           int64
@@ -142,14 +135,7 @@ func New(cfg Config) (*Plane, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
-	pl := &Plane{
-		cfg:    cfg,
-		ring:   NewHashRing(nil),
-		groups: map[int]*group{},
-	}
+	pl := &Plane{cfg: cfg, ring: NewHashRing(nil)}
 	for i := 0; i < cfg.Shards; i++ {
 		pl.ring.AddShard(pl.newGroup().id)
 	}
@@ -161,8 +147,7 @@ func New(cfg Config) (*Plane, error) {
 // off the ring until its arcs finish migrating. Replica k of shard s lives
 // on node (s*R+k) mod N.
 func (pl *Plane) newGroup() *group {
-	id := pl.nextShard
-	pl.nextShard++
+	id := len(pl.groups)
 	g := &group{id: id, ledger: map[meta.Key]bool{}, opsSeries: fmt.Sprintf("meta.shard%d.ops", id)}
 	for k := 0; k < pl.cfg.Replicas; k++ {
 		g.replicas = append(g.replicas, &replica{
@@ -173,17 +158,22 @@ func (pl *Plane) newGroup() *group {
 			leaseEpoch: -1,
 		})
 	}
-	pl.groups[id] = g
-	pl.order = append(pl.order, id)
-	sort.Ints(pl.order)
+	pl.groups = append(pl.groups, g)
 	return g
 }
 
-// Shards returns the active shard count.
-func (pl *Plane) Shards() int { return len(pl.order) }
+// group returns the replication group of a shard id that arrived from
+// outside the plane, or ok=false when no such shard exists.
+func (pl *Plane) group(shard int) (g *group, ok bool) {
+	if shard < 0 || shard >= len(pl.groups) {
+		return nil, false
+	}
+	return pl.groups[shard], true
+}
 
-// ShardIDs returns the active shard ids, ascending.
-func (pl *Plane) ShardIDs() []int { return append([]int(nil), pl.order...) }
+// Shards returns the shard count, a split's target included; shard ids
+// are 0 … Shards()-1.
+func (pl *Plane) Shards() int { return len(pl.groups) }
 
 // ShardFor returns the shard owning the record range containing (fid,
 // offset), split-aware: mid-split, arcs route to their current owner.
@@ -206,15 +196,6 @@ func (pl *Plane) owner(h uint64) int {
 		}
 	}
 	return pl.ring.Owner(h)
-}
-
-// LeaderOf reports shard's current leader replica index and its node.
-func (pl *Plane) LeaderOf(shard int) (replicaIdx, node int, ok bool) {
-	g, found := pl.groups[shard]
-	if !found {
-		return 0, 0, false
-	}
-	return g.leader, g.lead().node, true
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +266,7 @@ func (pl *Plane) Stat(p *sim.Proc, fromNode int, fid meta.FileID, offset int64) 
 // Lookup charges one read-side round trip against a shard — the read
 // path's per-contacted-shard cost after a cost-free CoveringLocal.
 func (pl *Plane) Lookup(p *sim.Proc, fromNode, shard int) {
-	g, ok := pl.groups[shard]
+	g, ok := pl.group(shard)
 	if !ok {
 		panic(fmt.Sprintf("metaplane: Lookup on unknown shard %d", shard))
 	}
@@ -328,7 +309,7 @@ func (pl *Plane) propose(p *sim.Proc, fromNode int, g *group, kind OpKind, rec m
 	}
 	respond := done + sim.Time(lat)
 
-	g.commitEntry(e, pl.cfg.SnapshotEvery)
+	g.commitEntry(e)
 	g.ops++
 	pl.Trace.Counter(respond, g.opsSeries, g.ops)
 	p.Sleep(float64(respond - t0))
@@ -384,8 +365,8 @@ func (pl *Plane) CoveringLocal(fid meta.FileID, offset, size int64) ([]meta.Reco
 // their source, so only records the target actually owns count.
 func (pl *Plane) Total() int {
 	n := 0
-	for _, id := range pl.order {
-		st := pl.groups[id].lead().store
+	for id, g := range pl.groups {
+		st := g.lead().store
 		if s := pl.split; s != nil && id == s.target {
 			for _, rec := range st.All() {
 				if pl.owner(KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)) == id {
@@ -407,7 +388,7 @@ func (pl *Plane) Total() int {
 // It refuses — returning ok=false — when the shard is unknown or fewer
 // than two replicas are alive (the last copy must not be lost).
 func (pl *Plane) CrashLeader(shard int) (crashedReplica int, ok bool) {
-	g, found := pl.groups[shard]
+	g, found := pl.group(shard)
 	if !found || len(g.alive()) < 2 {
 		return -1, false
 	}
@@ -425,7 +406,7 @@ func (pl *Plane) CrashLeader(shard int) (crashedReplica int, ok bool) {
 // leader: the WAL suffix when the leader still retains it, otherwise a
 // full snapshot install followed by the live suffix.
 func (pl *Plane) Recover(shard, replicaIdx int) bool {
-	g, found := pl.groups[shard]
+	g, found := pl.group(shard)
 	if !found || replicaIdx < 0 || replicaIdx >= len(g.replicas) {
 		return false
 	}
@@ -458,47 +439,9 @@ func (pl *Plane) Recover(shard, replicaIdx int) bool {
 	return true
 }
 
-// ---------------------------------------------------------------------------
-// Membership change.
-
-// RemoveShard retires a shard: its virtual nodes leave the hash ring and
-// every record it held is handed off to the new owners. The last shard
-// cannot be removed, and membership is frozen while a split is migrating.
-func (pl *Plane) RemoveShard(id int) error {
-	g, found := pl.groups[id]
-	if !found {
-		return fmt.Errorf("metaplane: shard %d is not a member", id)
-	}
-	if len(pl.order) == 1 {
-		return fmt.Errorf("metaplane: cannot remove the last shard")
-	}
-	if pl.split != nil {
-		return fmt.Errorf("metaplane: cannot remove shard %d during active split (target shard %d)",
-			id, pl.split.target)
-	}
-	pl.ring.RemoveShard(id)
-	for _, rec := range g.lead().store.All() {
-		target := pl.groups[pl.ShardFor(rec.FID, rec.Offset)]
-		pl.adminApply(target, OpPut, rec)
-		pl.handoffs++
-	}
-	pl.retiredOps += g.ops
-	pl.retiredAppended += g.appended
-	pl.retiredSnapshots += g.snapshots
-	delete(pl.groups, id)
-	kept := pl.order[:0]
-	for _, s := range pl.order {
-		if s != id {
-			kept = append(kept, s)
-		}
-	}
-	pl.order = kept
-	return nil
-}
-
 // adminApply commits one mutation through a group's WAL without charging
-// virtual time — membership surgery runs at administrative instants, not
-// on a client's clock.
+// virtual time — split migration lands and purges records at
+// administrative instants, not on a client's clock.
 func (pl *Plane) adminApply(g *group, kind OpKind, rec meta.Record) {
 	e := Entry{Index: g.lead().log.lastIndex() + 1, Kind: kind, Rec: rec}
 	g.lead().log.append(e)
@@ -510,7 +453,7 @@ func (pl *Plane) adminApply(g *group, kind OpKind, rec meta.Record) {
 		f.log.append(e)
 		g.appended++
 	}
-	g.commitEntry(e, pl.cfg.SnapshotEvery)
+	g.commitEntry(e)
 }
 
 // ---------------------------------------------------------------------------
@@ -533,8 +476,7 @@ func (pl *Plane) adminApply(g *group, kind OpKind, rec meta.Record) {
 // so a lost committed record is reported even while the leader is down.
 func (pl *Plane) CheckInvariants() []string {
 	var v []string
-	for _, id := range pl.order {
-		g := pl.groups[id]
+	for id, g := range pl.groups {
 		audit := g.lead()
 		if audit.crashed {
 			v = append(v, fmt.Sprintf("shard %d: leader replica %d is crashed", id, g.leader))
@@ -656,10 +598,9 @@ type ShardStat struct {
 	Records       int   `json:"records"`
 }
 
-// Stats is the plane-wide telemetry snapshot. Retired* carry the
-// cumulative counters of removed shards, so TotalOps (live per-shard ops +
-// retired ops) is monotone across membership changes instead of silently
-// dropping when a shard leaves.
+// Stats is the plane-wide telemetry snapshot. Shards are never removed,
+// so RetiredOps, RetiredAppended and RetiredSnapshots are always 0; they
+// stay as JSON keys because pinned report digests include them.
 type Stats struct {
 	Shards           int   `json:"shards"`
 	Replicas         int   `json:"replicas"`
@@ -690,7 +631,7 @@ type Stats struct {
 // Stats returns the current telemetry snapshot.
 func (pl *Plane) Stats() Stats {
 	s := Stats{
-		Shards:           len(pl.order),
+		Shards:           len(pl.groups),
 		Replicas:         pl.cfg.Replicas,
 		Puts:             pl.puts,
 		Deletes:          pl.deletes,
@@ -699,10 +640,6 @@ func (pl *Plane) Stats() Stats {
 		Recoveries:       pl.recoveries,
 		SnapshotInstalls: pl.snapshotInstalls,
 		Handoffs:         pl.handoffs,
-		RetiredOps:       pl.retiredOps,
-		RetiredAppended:  pl.retiredAppended,
-		RetiredSnapshots: pl.retiredSnapshots,
-		TotalOps:         pl.retiredOps,
 		Splits:           pl.splits,
 		SplitRecords:     pl.splitRecords,
 		SplitBytes:       pl.splitBytes,
@@ -712,11 +649,10 @@ func (pl *Plane) Stats() Stats {
 		FollowerReads:    pl.followerReads,
 		ForwardedReads:   pl.forwardedReads,
 	}
-	for _, id := range pl.order {
-		g := pl.groups[id]
+	for _, g := range pl.groups {
 		ld := g.lead()
 		s.PerShard = append(s.PerShard, ShardStat{
-			Shard:         id,
+			Shard:         g.id,
 			LeaderReplica: g.leader,
 			LeaderNode:    ld.node,
 			Ops:           g.ops,

@@ -194,7 +194,7 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 	pl.ring = s.newRing
 	pl.split = nil
 	if pl.SplitDone != nil {
-		pl.SplitDone(target.id)
+		pl.SplitDone()
 	}
 }
 

@@ -144,14 +144,50 @@ func TestSplitFreezesMembership(t *testing.T) {
 		if _, active := pl.Splitting(); !active {
 			t.Errorf("split finished too fast to observe")
 		}
-		if err := pl.RemoveShard(0); err == nil {
-			t.Errorf("RemoveShard mid-split should refuse")
-		}
 		if _, err := pl.StartSplit(e); err == nil {
 			t.Errorf("a second StartSplit mid-split should refuse")
 		}
 	})
 	e.Run()
+	if v := pl.CheckInvariants(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+}
+
+// Splits are the only membership change, so shard ids stay dense: each
+// split mints the next id, and a migrating target already counts.
+func TestSplitMintsDenseShardIDs(t *testing.T) {
+	pl := mustPlane(t, testConfig(3, 1))
+	e := sim.NewEngine()
+	e.Go("load", func(p *sim.Proc) {
+		for i := 0; i < 400; i++ {
+			pl.Put(p, 0, rec(1, int64(i)*512, 512))
+		}
+		for want := 3; want <= 4; want++ {
+			id, err := pl.StartSplit(e)
+			if err != nil || id != want {
+				t.Errorf("StartSplit = %d, %v; want shard %d", id, err, want)
+			}
+			p.Sleep(1e-6) // land inside the transfer
+			if _, active := pl.Splitting(); !active {
+				t.Errorf("split %d finished too fast to observe", want)
+			}
+			if got := pl.Shards(); got != want+1 {
+				t.Errorf("Shards() = %d mid-split, want %d", got, want+1)
+			}
+			for active := true; active; _, active = pl.Splitting() {
+				p.Sleep(1e-3)
+			}
+		}
+	})
+	e.Run()
+	var ids []int
+	for _, ps := range pl.Stats().PerShard {
+		ids = append(ids, ps.Shard)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("PerShard ids = %v, want %v", ids, want)
+	}
 	if v := pl.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}

@@ -40,7 +40,7 @@ func TestChainBuildOrderAndTerminal(t *testing.T) {
 	if !equalTiers(ch.CacheTiers(), []meta.Tier{meta.TierObject, meta.TierDRAM}) {
 		t.Errorf("CacheTiers = %v, want configuration order preserved", ch.CacheTiers())
 	}
-	if ch.Limit() != meta.TierPFS || !ch.Terminal().Durable() {
+	if ch.Terminal().Tier() != meta.TierPFS || !ch.Terminal().Durable() {
 		t.Errorf("terminal = %s (durable %v), want durable PFS",
 			ch.Terminal().Tier(), ch.Terminal().Durable())
 	}

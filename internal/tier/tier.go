@@ -265,10 +265,6 @@ func (ch *Chain) Backend(t meta.Tier) Backend {
 // Terminal returns the durable final backend (always present).
 func (ch *Chain) Terminal() Backend { return ch.backends[len(ch.backends)-1] }
 
-// Limit returns the slowest tier of the chain — the spill limit the DHP
-// append walk may fall through to.
-func (ch *Chain) Limit() meta.Tier { return ch.Terminal().Tier() }
-
 // FastestCache returns the first surviving cache tier in configuration
 // order; ok is false when the chain caches nothing (writes go straight to
 // the terminal and nothing counts as a spill).
