@@ -23,13 +23,15 @@ race:
 # benchmark module's own checks and the pinned benchmark workload digests.
 check: build vet race race-diffcheck trace-smoke examples chaos-smoke bench-smoke benchmark-test digests
 
-# Export a figure trace and a counter-rich feature trace, then validate
-# both.
+# Export a figure trace, a counter-rich feature trace and a run that spills
+# DRAM to the object tier, then validate all three.
 trace-smoke:
 	$(GO) run ./cmd/univibench -quick -fig fig6a -trace /tmp/t.json > /dev/null
 	$(GO) run ./cmd/univistor-sim -meta-shards 2 -meta-replicas 3 -meta-follower-reads -meta-split 1@1 \
 		-dedup -ckpt 3 -trace /tmp/counters.json > /dev/null
-	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json
+	$(GO) run ./cmd/univistor-sim -procs 16 -ranks-per-node 8 -mb 8192 -seg-mb 64 -tiers object,dram \
+		-read -flush -trace /tmp/tiers.json > /dev/null
+	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json /tmp/tiers.json
 
 # Run each internal/sim and internal/kvstore benchmark once, so the solver
 # and metadata-store benchmarks that performance changes quote keep

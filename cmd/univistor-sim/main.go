@@ -77,7 +77,7 @@ func main() {
 		mb         = flag.Int64("mb", 256, "MiB written per process")
 		segMB      = flag.Int64("seg-mb", 32, "MiB per write call")
 		driver     = flag.String("driver", "univistor", "univistor | dataelevator | lustre")
-		tiers      = flag.String("tiers", "dram,bb", "univistor cache tiers: dram,ssd,bb,object (empty = straight to PFS)")
+		tiers      = flag.String("tiers", "dram,bb", "univistor cache tiers, any of dram,ssd,bb,object in any order: writes fill them fastest first (empty = straight to PFS)")
 		doRead     = flag.Bool("read", false, "read the data back and report read rate")
 		doFlush    = flag.Bool("flush", false, "flush to the PFS and report flush rate")
 		noIA       = flag.Bool("no-ia", false, "disable interference-aware scheduling")

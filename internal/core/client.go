@@ -158,13 +158,10 @@ func (cf *ClientFile) setupLogs() error {
 
 	var caps [meta.NumTiers]int64
 	for _, bk := range sys.chain.Backends() {
-		if bk.Durable() {
+		if bk.Tier() == meta.TierPFS {
 			continue // the terminal is unbounded, not provisioned
 		}
-		got, err := bk.Provision(req)
-		if err != nil {
-			return err
-		}
+		got := bk.Provision(req)
 		caps[bk.Tier()] = got
 		if got > 0 {
 			rnode := node
@@ -182,15 +179,11 @@ func (cf *ClientFile) setupLogs() error {
 	}
 	cf.ls = ls
 	for _, bk := range sys.chain.Backends() {
-		dev, err := bk.Open(tier.OpenSpec{
+		cf.devs[bk.Tier()] = bk.Open(tier.OpenSpec{
 			FID:      int64(cf.fs.fid),
 			Owner:    c.globalID,
 			Capacity: caps[bk.Tier()],
 		})
-		if err != nil {
-			return err
-		}
-		cf.devs[bk.Tier()] = dev
 	}
 	return nil
 }

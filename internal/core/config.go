@@ -45,9 +45,10 @@ type Config struct {
 	// NUMA sockets).
 	ServersPerNode int
 
-	// CacheTiers lists the tiers UniviStor caches writes on, fastest
-	// first, e.g. {TierDRAM, TierBB}. The PFS is always the final spill
-	// destination and never needs listing.
+	// CacheTiers lists the tiers UniviStor caches writes on, e.g.
+	// {TierDRAM, TierBB}. The order does not matter: writes always fill
+	// the tiers fastest first (numeric tier order). The PFS is always the
+	// final spill destination and never needs listing.
 	CacheTiers []meta.Tier
 
 	// DRAMLogBytes, when positive, fixes each per-process DRAM log's size
@@ -63,7 +64,8 @@ type Config struct {
 	// TierLogBytes, when a tier maps to a positive value, fixes that
 	// tier's per-process log size — the generic override newer tiers (e.g.
 	// the object store) use instead of dedicated fields. For DRAM and BB it
-	// takes precedence over the legacy fields above.
+	// takes precedence over the legacy fields above. Keys must be cache
+	// tiers: the PFS terminal is never provisioned.
 	TierLogBytes map[meta.Tier]int64
 
 	// ChunkSize is the log-chunk granularity in bytes.
@@ -256,7 +258,12 @@ func (c Config) Validate() error {
 		seen[t] = true
 	}
 	for t, b := range c.TierLogBytes {
-		if b < 0 {
+		switch {
+		case t < 0 || int(t) >= meta.NumTiers:
+			return fmt.Errorf("core: TierLogBytes key %s is out of range", t)
+		case t == meta.TierPFS:
+			return fmt.Errorf("core: TierLogBytes[%s]: the PFS terminal is never provisioned", t)
+		case b < 0:
 			return fmt.Errorf("core: TierLogBytes[%s] must be non-negative, got %d", t, b)
 		}
 	}

@@ -140,7 +140,7 @@ func (sys *System) checkLogs() []string {
 		capByTier := map[meta.Tier]int64{}
 		for _, pf := range fs.sortedProcFiles() {
 			for _, bk := range sys.chain.Backends() {
-				if bk.Durable() {
+				if bk.Tier() == meta.TierPFS {
 					continue // the terminal is unbounded and unprovisioned
 				}
 				l := pf.ls.Log(bk.Tier())

@@ -70,6 +70,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 	prodNode := producer.c.rank.Node()
 	srvPort := producer.c.server.Rank.H.MemPort
 	if dev := producer.devs[oldTier]; dev != nil {
+		devSp := sys.W.Trace.Begin(p, tier.Cat(oldTier), "read-op")
 		dev.Read(p, &tier.ReadOp{
 			Addr:          oldAddr,
 			Size:          rec.Size,
@@ -78,6 +79,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 			LocationAware: true,
 			ReaderMemPort: srvPort,
 		})
+		devSp.End(p.Now())
 	}
 
 	// Recycle the old log's chunks that lie entirely inside the segment

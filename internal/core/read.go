@@ -122,7 +122,7 @@ func (cf *ClientFile) fetchSegment(p *sim.Proc, rec meta.Record, off, size int64
 		defer cf.trackHeat(p, rec, producer, t)
 	}
 
-	if sys.chain.Backend(t).Volatile() && sys.failedNodes[prodNode] {
+	if !sys.chain.Backend(t).Shared() && sys.failedNodes[prodNode] {
 		return cf.fetchFromReplicaOrPFS(p, producer, rec, lo, bytes)
 	}
 
@@ -131,6 +131,7 @@ func (cf *ClientFile) fetchSegment(p *sim.Proc, rec meta.Record, off, size int64
 		return fmt.Errorf("core: segment of %q on %s but producer %d has no device there",
 			fs.name, t, rec.Proc)
 	}
+	devSp := sys.W.Trace.Begin(p, tier.Cat(t), "read-op")
 	loc, err := dev.Read(p, &tier.ReadOp{
 		Addr:               addr,
 		Size:               bytes,
@@ -143,6 +144,7 @@ func (cf *ClientFile) fetchSegment(p *sim.Proc, rec meta.Record, off, size int64
 		ReaderSrvMemPath:   c.server.Rank.H.MemPath(),
 		ProducerSrvMemPath: prodServer.Rank.H.MemPath(),
 	})
+	devSp.End(p.Now())
 	if err != nil {
 		return fmt.Errorf("core: reading segment of %q: %w", fs.name, err)
 	}

@@ -51,8 +51,8 @@ type Stats struct {
 	// Promotions counts segments migrated to faster tiers by proactive
 	// placement.
 	Promotions int64
-	// Spills counts segments that could not be placed on the fastest
-	// configured tier.
+	// Spills counts segments that could not be placed on the first tier of
+	// the chain, in spill order.
 	Spills int64
 	// DroppedTiers lists configured cache tiers that were dropped at
 	// deployment because their backend is unavailable on the cluster

@@ -79,6 +79,22 @@ func TestStatsCounterPaths(t *testing.T) {
 			want: Stats{},
 		},
 		{
+			// Spills are counted against the spill order, not the order
+			// the configuration lists the tiers in.
+			name: "fits on fastest tier, tiers listed BB first",
+			cfg: func(tc *topology.Config, cc *Config) {
+				cc.FlushOnClose = false
+				cc.DRAMLogBytes = 2 * mib
+				cc.CacheTiers = []meta.Tier{meta.TierBB, meta.TierDRAM}
+			},
+			app: func(t *testing.T, sys *System, c *Client) {
+				f, _ := c.Open("f", WriteOnly)
+				mustWrite(t, f, 0, 1*mib)
+				f.Close()
+			},
+			want: Stats{},
+		},
+		{
 			name: "DRAM overflow spills to BB",
 			cfg: func(tc *topology.Config, cc *Config) {
 				cc.FlushOnClose = false

@@ -182,24 +182,27 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		}
 		sys.BB = bbs
 	}
+	tp := tier.Params{ChunkSize: cfg.ChunkSize}
+	tp.LogBytes[meta.TierDRAM] = cfg.DRAMLogBytes
+	tp.LogBytes[meta.TierBB] = cfg.BBLogBytes
+	for t, b := range cfg.TierLogBytes {
+		if b > 0 {
+			tp.LogBytes[t] = b // the generic override wins
+		}
+	}
 	chain, err := tier.Build(cfg.CacheTiers, &tier.Env{
 		Cluster: w.Cluster,
 		BB:      sys.BB,
 		PFS:     sys.PFS,
-		Trace:   w.Trace,
-		Cfg: tier.Params{
-			ChunkSize:    cfg.ChunkSize,
-			DRAMLogBytes: cfg.DRAMLogBytes,
-			BBLogBytes:   cfg.BBLogBytes,
-			TierLogBytes: cfg.TierLogBytes,
-		},
+		Cfg:     tp,
 	})
 	if err != nil {
 		return nil, err
 	}
 	sys.chain = chain
-	// The surviving cache tiers are the deployment's effective config
-	// (the paper's UniviStor/DRAM mode runs without a BB allocation).
+	// The surviving cache tiers, in spill order, are the deployment's
+	// effective config (the paper's UniviStor/DRAM mode runs without a BB
+	// allocation).
 	sys.Cfg.CacheTiers = chain.CacheTiers()
 	sys.stats.DroppedTiers = append(sys.stats.DroppedTiers, chain.Dropped()...)
 	sys.WF = workflow.NewManager(w.Cluster.Cfg.PFSLatency)
@@ -533,7 +536,7 @@ func (s *Server) doFlush(r *mpi.Rank, req *flushReq) {
 		if bytes > remaining {
 			bytes = remaining
 		}
-		if bk.Durable() {
+		if bk.Tier() == meta.TierPFS {
 			// Already persistent (spilled there); nothing to move.
 			remaining -= bytes
 			continue

@@ -57,17 +57,20 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 		return fmt.Errorf("core: segment of %q landed on %s but proc %d has no device there",
 			cf.fs.name, placed, c.globalID)
 	}
-	if err := dev.Write(p, &tier.WriteOp{
+	devSp := sys.W.Trace.Begin(p, tier.Cat(placed), "write-op")
+	err = dev.Write(p, &tier.WriteOp{
 		Node:          c.rank.Node(),
 		Addr:          addr,
 		Size:          size,
 		ClientMemPort: c.rank.H.MemPort,
 		ServerMemPort: c.server.Rank.H.MemPort,
 		ServerMemPath: c.server.Rank.H.MemPath(),
-	}); err != nil {
+	})
+	devSp.End(p.Now())
+	if err != nil {
 		return err
 	}
-	if sys.Cfg.ReplicateVolatile && sys.chain.Backend(placed).Volatile() {
+	if sys.Cfg.ReplicateVolatile && !sys.chain.Backend(placed).Shared() {
 		sys.replicate(p, c, size)
 	}
 
@@ -114,7 +117,7 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 	cf.fs.totalWritten += size
 	cf.written += size
 	sys.stats.BytesWritten[placed] += size
-	if fastest, ok := sys.chain.FastestCache(); ok && placed != fastest {
+	if placed != sys.chain.Backends()[0].Tier() {
 		sys.stats.Spills++
 	}
 	sys.writeOps++

@@ -26,8 +26,8 @@ type World struct {
 	Sched   *schedule.Scheduler
 
 	// Trace, when non-nil, records spans for collectives and blocking
-	// receives (and is the recorder the rest of the stack — core,
-	// tier — picks up from here). Attach it with SetTrace before launching
+	// receives (and is the recorder the rest of the stack — core — picks
+	// up from here). Attach it with SetTrace before launching
 	// jobs; nil costs one check per operation.
 	Trace *trace.Recorder
 }

@@ -11,7 +11,15 @@ import (
 	"univistor/internal/lustre"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
-	"univistor/internal/trace"
+)
+
+// The shares of a pool the per-process logs may claim in aggregate (c in
+// the paper's c/p) when no fixed log size is configured: of the node's
+// DRAM tier, of its local SSD, and of the job's burst-buffer allocation.
+const (
+	dramLogFraction = 0.8
+	ssdLogFraction  = 1.0
+	bbLogFraction   = 0.9
 )
 
 // nodeLocalRead is the shared read path of the private node-local tiers
@@ -48,15 +56,13 @@ func nodeLocalRead(env *Env, p *sim.Proc, op *ReadOp) (Locality, error) {
 // transfer: the co-located server relay (without the location-aware
 // service) and the reading process's memory port.
 func readExtras(op *ReadOp) []*sim.Resource {
-	var extra []*sim.Resource
-	if !op.LocationAware {
-		extra = append(extra, op.ReaderSrvMemPort)
+	if op.LocationAware {
+		return []*sim.Resource{op.ReaderMemPort}
 	}
-	extra = append(extra, op.ReaderMemPort)
-	return extra
+	return []*sim.Resource{op.ReaderSrvMemPort, op.ReaderMemPort}
 }
 
-// sharedFile is the device shape bb.File, lustre.File, and objLog share.
+// sharedFile is the device shape bb.File and objLog share.
 type sharedFile interface {
 	Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) error
 	Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource)
@@ -64,145 +70,79 @@ type sharedFile interface {
 
 // sharedDevice adapts a globally visible striped file to the Device
 // interface.
-type sharedDevice struct {
-	f   sharedFile
-	env *Env
-	cat trace.Category
-}
+type sharedDevice struct{ f sharedFile }
 
 func (d sharedDevice) Write(p *sim.Proc, op *WriteOp) error {
-	sp := d.env.Trace.Begin(p, d.cat, "write-op")
-	err := d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
-	sp.End(p.Now())
-	return err
+	return d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
 }
 
 func (d sharedDevice) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
-	sp := d.env.Trace.Begin(p, d.cat, "read-op")
 	d.f.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
-	sp.End(p.Now())
 	return Shared, nil
 }
 
 // ---------------------------------------------------------------------------
-// DRAM: node-local memory-mapped logs.
+// DRAM: node-local memory-mapped logs. The backend is every process's
+// device too: it holds no per-process state.
 
 type dramBackend struct{ env *Env }
 
-func newDRAM(env *Env) (Backend, error) { return &dramBackend{env}, nil }
+func newDRAM(env *Env) Backend { return &dramBackend{env} }
 
 func (b *dramBackend) Tier() meta.Tier { return meta.TierDRAM }
 func (b *dramBackend) Shared() bool    { return false }
-func (b *dramBackend) Volatile() bool  { return true }
-func (b *dramBackend) Durable() bool   { return false }
 
-func (b *dramBackend) Provision(req ProvisionReq) (int64, error) {
-	node := b.env.Cluster.Nodes[req.Node]
-	p := int64(req.ProcsOnNode)
-	if p < 1 {
-		p = 1
-	}
-	want := b.env.Cfg.logBytes(meta.TierDRAM, b.env.Cfg.DRAMLogBytes)
-	if want <= 0 {
-		want = int64(float64(node.DRAM.Free()) * dramLogFraction / float64(p))
-	}
-	if free := node.DRAM.Free(); want > free {
-		want = free // shrink rather than fail; the log spills sooner
-	}
-	want -= want % b.env.Cfg.ChunkSize
-	if want > 0 && node.DRAM.Alloc(want) {
-		return want, nil
-	}
-	return 0, nil
+func (b *dramBackend) Provision(req ProvisionReq) int64 {
+	return b.env.Cfg.provision(b.env.Cluster.Nodes[req.Node].DRAM, meta.TierDRAM, dramLogFraction, req.ProcsOnNode)
 }
 
-func (b *dramBackend) Open(OpenSpec) (Device, error) { return dramDevice{b.env}, nil }
+func (b *dramBackend) Open(OpenSpec) Device { return b }
 
 func (b *dramBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
 	return serverMemPath
 }
 
-type dramDevice struct{ env *Env }
-
-func (d dramDevice) Write(p *sim.Proc, op *WriteOp) error {
+func (b *dramBackend) Write(p *sim.Proc, op *WriteOp) error {
 	// Client buffer → shared-memory log: both the client's and the
 	// server's core ports plus the server's NUMA memory port.
-	sp := d.env.Trace.Begin(p, Cat(meta.TierDRAM), "write-op")
 	path := append([]*sim.Resource{op.ClientMemPort}, op.ServerMemPath...)
 	p.Transfer(float64(op.Size), path...)
-	sp.End(p.Now())
 	return nil
 }
 
-func (d dramDevice) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
-	sp := d.env.Trace.Begin(p, Cat(meta.TierDRAM), "read-op")
-	loc, err := nodeLocalRead(d.env, p, op)
-	sp.End(p.Now())
-	return loc, err
+func (b *dramBackend) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
+	return nodeLocalRead(b.env, p, op)
 }
 
 // ---------------------------------------------------------------------------
-// Local SSD: optional node-local NVRAM/SSD tier.
+// Local SSD: optional node-local NVRAM/SSD tier, its own device like DRAM.
+// A node without SSD capacity provisions no SSD log, so bytes reach the
+// SSD paths below only on nodes that have the SSDBW resource.
 
 type ssdBackend struct{ env *Env }
 
-func newLocalSSD(env *Env) (Backend, error) { return &ssdBackend{env}, nil }
+func newLocalSSD(env *Env) Backend { return &ssdBackend{env} }
 
 func (b *ssdBackend) Tier() meta.Tier { return meta.TierLocalSSD }
 func (b *ssdBackend) Shared() bool    { return false }
-func (b *ssdBackend) Volatile() bool  { return true }
-func (b *ssdBackend) Durable() bool   { return false }
 
-func (b *ssdBackend) Provision(req ProvisionReq) (int64, error) {
-	node := b.env.Cluster.Nodes[req.Node]
-	if node.SSD.Total() == 0 {
-		return 0, nil
-	}
-	p := int64(req.ProcsOnNode)
-	if p < 1 {
-		p = 1
-	}
-	want := node.SSD.Free() / p
-	if fixed := b.env.Cfg.logBytes(meta.TierLocalSSD, 0); fixed > 0 {
-		want = fixed
-	}
-	if free := node.SSD.Free(); want > free {
-		want = free
-	}
-	want -= want % b.env.Cfg.ChunkSize
-	if want > 0 && node.SSD.Alloc(want) {
-		return want, nil
-	}
-	return 0, nil
+func (b *ssdBackend) Provision(req ProvisionReq) int64 {
+	return b.env.Cfg.provision(b.env.Cluster.Nodes[req.Node].SSD, meta.TierLocalSSD, ssdLogFraction, req.ProcsOnNode)
 }
 
-func (b *ssdBackend) Open(OpenSpec) (Device, error) { return ssdDevice{b.env}, nil }
+func (b *ssdBackend) Open(OpenSpec) Device { return b }
 
 func (b *ssdBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
-	if ssd := b.env.Cluster.Nodes[node].SSDBW; ssd != nil {
-		return []*sim.Resource{ssd}
-	}
+	return []*sim.Resource{b.env.Cluster.Nodes[node].SSDBW}
+}
+
+func (b *ssdBackend) Write(p *sim.Proc, op *WriteOp) error {
+	p.Transfer(float64(op.Size), op.ClientMemPort, op.ServerMemPort, b.env.Cluster.Nodes[op.Node].SSDBW)
 	return nil
 }
 
-type ssdDevice struct{ env *Env }
-
-func (d ssdDevice) Write(p *sim.Proc, op *WriteOp) error {
-	sp := d.env.Trace.Begin(p, Cat(meta.TierLocalSSD), "write-op")
-	path := []*sim.Resource{op.ClientMemPort, op.ServerMemPort}
-	if ssd := d.env.Cluster.Nodes[op.Node].SSDBW; ssd != nil {
-		path = append(path, ssd)
-	}
-	p.Transfer(float64(op.Size), path...)
-	sp.End(p.Now())
-	return nil
-}
-
-func (d ssdDevice) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
-	sp := d.env.Trace.Begin(p, Cat(meta.TierLocalSSD), "read-op")
-	loc, err := nodeLocalRead(d.env, p, op)
-	sp.End(p.Now())
-	return loc, err
+func (b *ssdBackend) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
+	return nodeLocalRead(b.env, p, op)
 }
 
 // ---------------------------------------------------------------------------
@@ -213,39 +153,25 @@ type bbBackend struct {
 	readAgg *sim.Resource // aggregate BB read leg for flush pipelines
 }
 
-func newBB(env *Env) (Backend, error) {
+func newBB(env *Env) Backend {
 	if env.BB == nil {
 		// No burst-buffer allocation: the tier is unavailable (the
 		// paper's UniviStor/DRAM mode runs without one).
-		return nil, nil
+		return nil
 	}
 	return &bbBackend{
 		env:     env,
 		readAgg: sim.NewResource("bb-read-agg", env.BB.AggregateBW()),
-	}, nil
+	}
 }
 
 func (b *bbBackend) Tier() meta.Tier { return meta.TierBB }
 func (b *bbBackend) Shared() bool    { return true }
-func (b *bbBackend) Volatile() bool  { return false }
-func (b *bbBackend) Durable() bool   { return false }
 
-func (b *bbBackend) Provision(req ProvisionReq) (int64, error) {
-	p := int64(req.ProcsGlobal)
-	if p < 1 {
-		p = 1
-	}
-	want := b.env.Cfg.logBytes(meta.TierBB, b.env.Cfg.BBLogBytes)
-	if want <= 0 {
-		want = int64(float64(b.env.BB.FreeBytes()) * bbLogFraction / float64(p))
-	}
-	if free := b.env.BB.FreeBytes() / p; want > free {
-		want = free
-	}
-	want -= want % b.env.Cfg.ChunkSize
+func (b *bbBackend) Provision(req ProvisionReq) int64 {
+	want := b.env.Cfg.logShare(meta.TierBB, b.env.BB.FreeBytes(), bbLogFraction, req.ProcsGlobal, true)
 	got := b.reserve(want)
-	got -= got % b.env.Cfg.ChunkSize
-	return got, nil
+	return got - got%b.env.Cfg.ChunkSize
 }
 
 // reserve takes bytes from the BB pool, spread evenly across the service
@@ -273,14 +199,13 @@ func (b *bbBackend) reserve(bytes int64) int64 {
 	return got
 }
 
-func (b *bbBackend) Open(spec OpenSpec) (Device, error) {
+func (b *bbBackend) Open(spec OpenSpec) Device {
 	if spec.Capacity <= 0 {
-		return nil, nil
+		return nil
 	}
 	// The log's space was reserved from the BB pool by Provision; the
 	// file itself must not double-charge it.
-	f := b.env.BB.CreateReserved(fmt.Sprintf("uvlog/%d/%d", spec.FID, spec.Owner), 1)
-	return sharedDevice{f: f, env: b.env, cat: Cat(meta.TierBB)}, nil
+	return sharedDevice{b.env.BB.CreateReserved(fmt.Sprintf("uvlog/%d/%d", spec.FID, spec.Owner), 1)}
 }
 
 func (b *bbBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
@@ -298,15 +223,13 @@ func newPFS(env *Env) Backend { return &pfsBackend{env} }
 
 func (b *pfsBackend) Tier() meta.Tier { return meta.TierPFS }
 func (b *pfsBackend) Shared() bool    { return true }
-func (b *pfsBackend) Volatile() bool  { return false }
-func (b *pfsBackend) Durable() bool   { return true }
 
-func (b *pfsBackend) Provision(ProvisionReq) (int64, error) {
-	return 0, nil // unbounded terminal: the spill log grows on demand
+func (b *pfsBackend) Provision(ProvisionReq) int64 {
+	return 0 // unbounded terminal: the spill log grows on demand
 }
 
-func (b *pfsBackend) Open(spec OpenSpec) (Device, error) {
-	return &pfsDevice{env: b.env, fid: spec.FID, owner: spec.Owner}, nil
+func (b *pfsBackend) Open(spec OpenSpec) Device {
+	return &pfsDevice{env: b.env, fid: spec.FID, owner: spec.Owner}
 }
 
 func (b *pfsBackend) FlushLeg(int, []*sim.Resource) []*sim.Resource {
@@ -320,42 +243,23 @@ type pfsDevice struct {
 	file  *lustre.File
 }
 
-// spill lazily creates the per-process PFS log for spilled segments.
-func (d *pfsDevice) spill() (*lustre.File, error) {
-	if d.file != nil {
-		return d.file, nil
-	}
-	count := 4
-	if n := d.env.PFS.OSTCount(); count > n {
-		count = n
-	}
-	f, err := d.env.PFS.Create(
-		fmt.Sprintf("uvspill/%d/%d", d.fid, d.owner),
-		lustre.StripeSpec{Size: 1 << 20, Count: count, StartOST: lustre.AutoStart}, 1)
-	if err != nil {
-		return nil, err
-	}
-	d.file = f
-	return f, nil
-}
-
 func (d *pfsDevice) Write(p *sim.Proc, op *WriteOp) error {
-	f, err := d.spill()
-	if err != nil {
-		return err
+	if d.file == nil {
+		f, err := d.env.PFS.Create(
+			fmt.Sprintf("uvspill/%d/%d", d.fid, d.owner),
+			lustre.StripeSpec{Size: 1 << 20, Count: min(4, d.env.PFS.OSTCount()), StartOST: lustre.AutoStart}, 1)
+		if err != nil {
+			return err
+		}
+		d.file = f
 	}
-	sp := d.env.Trace.Begin(p, Cat(meta.TierPFS), "write-op")
-	err = f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
-	sp.End(p.Now())
-	return err
+	return d.file.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
 }
 
 func (d *pfsDevice) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
 	if d.file == nil {
 		return Shared, fmt.Errorf("tier: proc %d has no PFS spill log", d.owner)
 	}
-	sp := d.env.Trace.Begin(p, Cat(meta.TierPFS), "read-op")
 	d.file.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
-	sp.End(p.Now())
 	return Shared, nil
 }

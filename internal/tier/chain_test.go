@@ -27,7 +27,8 @@ func equalTiers(a, b []meta.Tier) bool {
 }
 
 // The chain sorts backends into spill order and always appends the PFS
-// terminal, regardless of configuration order.
+// terminal, regardless of configuration order; CacheTiers follows the same
+// order.
 func TestChainBuildOrderAndTerminal(t *testing.T) {
 	ch, err := Build([]meta.Tier{meta.TierObject, meta.TierDRAM}, &Env{})
 	if err != nil {
@@ -37,15 +38,8 @@ func TestChainBuildOrderAndTerminal(t *testing.T) {
 	if got := tiersOf(ch.Backends()); !equalTiers(got, want) {
 		t.Errorf("spill order = %v, want %v", got, want)
 	}
-	if !equalTiers(ch.CacheTiers(), []meta.Tier{meta.TierObject, meta.TierDRAM}) {
-		t.Errorf("CacheTiers = %v, want configuration order preserved", ch.CacheTiers())
-	}
-	if ch.Terminal().Tier() != meta.TierPFS || !ch.Terminal().Durable() {
-		t.Errorf("terminal = %s (durable %v), want durable PFS",
-			ch.Terminal().Tier(), ch.Terminal().Durable())
-	}
-	if f, ok := ch.FastestCache(); !ok || f != meta.TierObject {
-		t.Errorf("FastestCache = %s,%v, want first configured tier", f, ok)
+	if !equalTiers(ch.CacheTiers(), []meta.Tier{meta.TierDRAM, meta.TierObject}) {
+		t.Errorf("CacheTiers = %v, want spill order", ch.CacheTiers())
 	}
 	if len(ch.Dropped()) != 0 {
 		t.Errorf("Dropped = %v, want none", ch.Dropped())
@@ -74,7 +68,7 @@ func TestChainBuildDropsUnavailableBB(t *testing.T) {
 }
 
 // An empty cache configuration still yields a working chain: just the
-// terminal, and nothing counts as the fastest cache.
+// terminal, and no cache tiers.
 func TestChainBuildTerminalOnly(t *testing.T) {
 	ch, err := Build(nil, &Env{})
 	if err != nil {
@@ -83,37 +77,39 @@ func TestChainBuildTerminalOnly(t *testing.T) {
 	if got := tiersOf(ch.Backends()); !equalTiers(got, []meta.Tier{meta.TierPFS}) {
 		t.Errorf("backends = %v, want [PFS]", got)
 	}
-	if _, ok := ch.FastestCache(); ok {
-		t.Error("FastestCache must report ok=false with no cache tiers")
+	if ct := ch.CacheTiers(); len(ct) != 0 {
+		t.Errorf("CacheTiers = %v, want none", ct)
 	}
 }
 
-// Only the cache tiers of the factories table build; an out-of-range tier
-// and the PFS terminal are rejected.
+// Only the cache tiers of the factories table build, each once; an
+// out-of-range tier, the PFS terminal and a repeated tier are rejected.
 func TestChainBuildUnregisteredTier(t *testing.T) {
 	for _, bad := range []meta.Tier{meta.Tier(9), -1, meta.TierPFS} {
 		if _, err := Build([]meta.Tier{bad}, &Env{}); err == nil {
 			t.Errorf("Build accepted cache tier %s", bad)
 		}
 	}
+	if _, err := Build([]meta.Tier{meta.TierDRAM, meta.TierDRAM}, &Env{}); err == nil {
+		t.Error("Build accepted a repeated cache tier")
+	}
 }
 
 // Every backend states its visibility: node-local tiers die with their
-// node, shared tiers survive it, and only the PFS terminal is durable.
+// node, shared tiers survive it.
 func TestBackendVisibility(t *testing.T) {
 	for _, tc := range []struct {
-		b                         Backend
-		shared, volatile, durable bool
+		b      Backend
+		shared bool
 	}{
-		{&dramBackend{}, false, true, false},
-		{&ssdBackend{}, false, true, false},
-		{&bbBackend{}, true, false, false},
-		{&objStore{}, true, false, false},
-		{&pfsBackend{}, true, false, true},
+		{&dramBackend{}, false},
+		{&ssdBackend{}, false},
+		{&bbBackend{}, true},
+		{&objStore{}, true},
+		{&pfsBackend{}, true},
 	} {
-		if tc.b.Shared() != tc.shared || tc.b.Volatile() != tc.volatile || tc.b.Durable() != tc.durable {
-			t.Errorf("%s: shared/volatile/durable = %v/%v/%v, want %v/%v/%v", tc.b.Tier(),
-				tc.b.Shared(), tc.b.Volatile(), tc.b.Durable(), tc.shared, tc.volatile, tc.durable)
+		if tc.b.Shared() != tc.shared {
+			t.Errorf("%s: shared = %v, want %v", tc.b.Tier(), tc.b.Shared(), tc.shared)
 		}
 	}
 }

@@ -6,9 +6,10 @@ package tier
 // gateway round-trip, high aggregate bandwidth from parallel gateways).
 //
 // This file is the extensibility proof of the Backend abstraction: nothing
-// under internal/core mentions TierObject. Its entry in the factories table
-// and meta.TierObject in Config.CacheTiers are all it takes to deploy the
-// tier.
+// under internal/core mentions TierObject. The backend states its
+// visibility, sizes its logs with the shared c/p rule and moves bytes; core
+// traces them. Its entry in the factories table and meta.TierObject in
+// Config.CacheTiers are all it takes to deploy the tier.
 
 import (
 	"fmt"
@@ -45,7 +46,7 @@ type objStore struct {
 	pool     *topology.Capacity
 }
 
-func newObjStore(env *Env) (Backend, error) {
+func newObjStore(env *Env) Backend {
 	s := &objStore{
 		env:     env,
 		readAgg: sim.NewResource("obj-read-agg", float64(objGateways)*float64(objGatewayBW)),
@@ -54,41 +55,24 @@ func newObjStore(env *Env) (Backend, error) {
 	for i := 0; i < objGateways; i++ {
 		s.gateways = append(s.gateways, sim.NewResource(fmt.Sprintf("objgw[%d]", i), objGatewayBW))
 	}
-	return s, nil
+	return s
 }
 
 func (s *objStore) Tier() meta.Tier { return meta.TierObject }
 func (s *objStore) Shared() bool    { return true }
-func (s *objStore) Volatile() bool  { return false }
 
-// Durable is false: the store is provisioned per job here (a cache in
-// front of the PFS), so the flush pipeline still moves its bytes down.
-func (s *objStore) Durable() bool { return false }
-
-func (s *objStore) Provision(req ProvisionReq) (int64, error) {
-	p := int64(req.ProcsGlobal)
-	if p < 1 {
-		p = 1
-	}
-	want := s.env.Cfg.logBytes(meta.TierObject, 0)
-	if want <= 0 {
-		want = int64(float64(s.pool.Free()) * objLogFraction / float64(p))
-	}
-	if free := s.pool.Free(); want > free {
-		want = free
-	}
-	want -= want % s.env.Cfg.ChunkSize
-	if want > 0 && s.pool.Alloc(want) {
-		return want, nil
-	}
-	return 0, nil
+// Provision draws on the job's pool. The store is provisioned per job here
+// (a cache in front of the PFS), so the flush pipeline still moves its
+// bytes down.
+func (s *objStore) Provision(req ProvisionReq) int64 {
+	return s.env.Cfg.provision(s.pool, meta.TierObject, objLogFraction, req.ProcsGlobal)
 }
 
-func (s *objStore) Open(spec OpenSpec) (Device, error) {
+func (s *objStore) Open(spec OpenSpec) Device {
 	if spec.Capacity <= 0 {
-		return nil, nil
+		return nil
 	}
-	return sharedDevice{f: &objLog{store: s, owner: spec.Owner}, env: s.env, cat: Cat(meta.TierObject)}, nil
+	return sharedDevice{&objLog{store: s, owner: spec.Owner}}
 }
 
 func (s *objStore) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {

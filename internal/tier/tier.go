@@ -1,18 +1,19 @@
 // Package tier unifies the storage layers behind a pluggable Backend
 // interface: each tier (DRAM, local SSD, burst buffer, object store, PFS)
-// is an adapter that knows how to provision per-process log capacity, move
-// bytes against the simulated resources, and describe itself (shared,
-// volatile, durable) so the core write/read/flush/placement paths can
-// iterate an ordered Chain instead of switching on meta.Tier constants.
+// is an adapter that provisions per-process log capacity and moves bytes
+// against the simulated resources, so the core write/read/flush/placement
+// paths iterate an ordered Chain instead of switching on meta.Tier
+// constants. The chain has one order, the spill order (numeric tier
+// order), whatever order the configuration lists the tiers in. Devices only
+// move bytes; core records the per-tier trace spans around them.
 //
 // Adding a storage layer is one table entry, not a cross-cutting edit:
-// implement Backend, add its factory to the factories table, and list the
-// tier in Config.CacheTiers. See objstore.go for a complete example.
+// implement Backend, add its constructor to the factories table, and list
+// the tier in Config.CacheTiers. See objstore.go for a complete example.
 package tier
 
 import (
 	"fmt"
-	"sort"
 
 	"univistor/internal/bb"
 	"univistor/internal/lustre"
@@ -22,8 +23,8 @@ import (
 	"univistor/internal/trace"
 )
 
-// tierCats caches the per-tier trace categories ("tier:DRAM", …) so hot
-// device paths never build the string.
+// tierCats caches the per-tier trace categories so the traced device
+// calls never build the string.
 var tierCats = func() [meta.NumTiers]trace.Category {
 	var out [meta.NumTiers]trace.Category
 	for i := range out {
@@ -33,13 +34,7 @@ var tierCats = func() [meta.NumTiers]trace.Category {
 }()
 
 // Cat returns the trace category of a tier ("tier:DRAM", "tier:BB", …).
-// Out-of-range tiers build their fallback name on the fly.
-func Cat(t meta.Tier) trace.Category {
-	if t >= 0 && int(t) < meta.NumTiers {
-		return tierCats[t]
-	}
-	return trace.TierCategory(t.String())
-}
+func Cat(t meta.Tier) trace.Category { return tierCats[t] }
 
 // Locality classifies where a read was served from, so the caller can
 // account it without knowing the tier.
@@ -54,54 +49,55 @@ const (
 	Shared
 )
 
-// The shares of a pool the per-process logs may claim in aggregate (c in
-// the paper's c/p) when no fixed log size is configured: of the node's
-// DRAM tier, and of the job's burst-buffer allocation.
-const (
-	dramLogFraction = 0.8
-	bbLogFraction   = 0.9
-)
-
-// Params is the tier-relevant slice of the system configuration. Backends
-// that need a knob beyond these use TierLogBytes (the generic per-tier log
-// size override) or hold their own defaults — new tiers must not require
-// new core config fields.
+// Params is the tier-relevant slice of the system configuration. New tiers
+// size their logs through LogBytes or hold their own defaults — they must
+// not require new core config fields.
 type Params struct {
 	// ChunkSize is the log-chunk granularity; provisioned capacities are
 	// rounded down to multiples of it.
 	ChunkSize int64
 
-	// DRAMLogBytes, when positive, fixes each per-process DRAM log's size
-	// instead of the dramLogFraction share of the node pool.
-	DRAMLogBytes int64
-
-	// BBLogBytes is the burst-buffer analogue (bbLogFraction).
-	BBLogBytes int64
-
-	// TierLogBytes, when a tier maps to a positive value, fixes that
-	// tier's per-process log size — the generic override future tiers use
-	// instead of growing dedicated config fields.
-	TierLogBytes map[meta.Tier]int64
+	// LogBytes, where positive, fixes a tier's per-process log size
+	// instead of its c/p share of the pool.
+	LogBytes [meta.NumTiers]int64
 }
 
-// logBytes resolves the fixed log size for a tier: the generic override
-// wins, then the tier's legacy dedicated field (passed by its backend).
-func (p Params) logBytes(t meta.Tier, legacy int64) int64 {
-	if b := p.TierLogBytes[t]; b > 0 {
-		return b
+// logShare sizes one process's log on tier t by the paper's c/p rule
+// (§II-B1): LogBytes[t] when set, else frac of the pool's free bytes split
+// over procs processes. The size is capped at the free bytes (at the
+// per-process share of them with perProcCap) and rounded down to whole
+// chunks.
+func (c Params) logShare(t meta.Tier, free int64, frac float64, procs int, perProcCap bool) int64 {
+	p := max(int64(procs), 1)
+	want := c.LogBytes[t]
+	if want <= 0 {
+		want = int64(float64(free) * frac / float64(p))
 	}
-	return legacy
+	limit := free
+	if perProcCap {
+		limit = free / p
+	}
+	want = min(want, limit) // shrink rather than fail; the log spills sooner
+	return want - want%c.ChunkSize
 }
 
-// Env is everything a backend factory may draw on: the cluster's sim
-// resources, the shared device models, and the (possibly nil) trace
-// recorder devices emit per-operation spans on.
+// provision reserves one process's logShare from a capacity pool; 0 when
+// the share is empty or the pool cannot grant it.
+func (c Params) provision(pool *topology.Capacity, t meta.Tier, frac float64, procs int) int64 {
+	want := c.logShare(t, pool.Free(), frac, procs, false)
+	if want > 0 && pool.Alloc(want) {
+		return want
+	}
+	return 0
+}
+
+// Env is everything a backend constructor may draw on: the cluster's sim
+// resources and the shared device models.
 type Env struct {
 	Cluster *topology.Cluster
 	BB      *bb.System // nil when the job has no burst-buffer allocation
 	PFS     *lustre.FS
 	Cfg     Params
-	Trace   *trace.Recorder
 }
 
 // ProvisionReq asks a backend for one process's log capacity.
@@ -165,88 +161,75 @@ type Device interface {
 }
 
 // Backend is one storage layer: capacity accounting, device binding, and
-// the static properties the placement and flush paths dispatch on.
+// the visibility the placement and replication paths dispatch on. The PFS
+// terminal is the one durable layer; core recognises it by its tier.
 type Backend interface {
 	// Tier is the layer's position in the spill order.
 	Tier() meta.Tier
 	// Shared reports global visibility: any node reads the device
-	// directly, and segments survive their producer node's failure.
+	// directly, and segments survive their producer node's failure. A
+	// private (node-local) layer's segments die with their node.
 	Shared() bool
-	// Volatile reports that segments die with their producing node (the
-	// replication trigger).
-	Volatile() bool
-	// Durable reports the layer is the persistent terminal: spilled
-	// segments are already safe and the flush pipeline skips them.
-	Durable() bool
 	// Provision reserves one process's log capacity (chunk-aligned) from
 	// the backend's pool, shrinking to what is available; 0 means the
 	// process gets no log on this tier.
-	Provision(req ProvisionReq) (int64, error)
+	Provision(req ProvisionReq) int64
 	// Open binds a per-process log of the granted capacity to a Device.
-	// A nil Device (with nil error) means the tier holds nothing for this
-	// process and will never be dispatched to.
-	Open(spec OpenSpec) (Device, error)
+	// A nil Device means the tier holds nothing for this process and will
+	// never be dispatched to.
+	Open(spec OpenSpec) Device
 	// FlushLeg returns the read-side resources of the server flush
-	// pipeline for cached bytes on this tier (nil for durable tiers).
+	// pipeline for cached bytes on this tier (nil for the terminal).
 	FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource
 }
 
-// Factory builds a tier's backend for a deployment. Returning (nil, nil)
-// means the tier is unavailable on this cluster (e.g. BB caching without a
-// burst-buffer allocation) and the chain drops it rather than failing.
-type Factory func(env *Env) (Backend, error)
-
-// factories builds every cache tier's backend, indexed by tier. The PFS
-// terminal has no entry: Build always appends it, and it is never a cache
-// tier.
-var factories = [meta.NumTiers]Factory{
+// factories builds every cache tier's backend, indexed by tier. A nil
+// backend means the tier is unavailable on this cluster (e.g. BB caching
+// without a burst-buffer allocation) and the chain drops it rather than
+// failing. The PFS terminal has no entry: Build always appends it, and it
+// is never a cache tier.
+var factories = [meta.NumTiers]func(env *Env) Backend{
 	meta.TierDRAM:     newDRAM,
 	meta.TierLocalSSD: newLocalSSD,
 	meta.TierBB:       newBB,
 	meta.TierObject:   newObjStore,
 }
 
-// Chain is a deployment's ordered storage hierarchy: the configured cache
-// tiers that could be built on this cluster plus the durable terminal,
-// sorted in spill (numeric tier) order.
+// Chain is a deployment's storage hierarchy: the configured cache tiers
+// that could be built on this cluster plus the durable terminal, in spill
+// (numeric tier) order.
 type Chain struct {
-	backends   []Backend
-	byTier     [meta.NumTiers]Backend
-	cacheTiers []meta.Tier // surviving cache tiers, configuration order
-	dropped    []meta.Tier
+	backends []Backend
+	byTier   [meta.NumTiers]Backend
+	dropped  []meta.Tier
 }
 
 // Build constructs the chain for the configured cache tiers. Tiers whose
-// factory reports unavailability are dropped (recorded, not fatal); the
-// PFS terminal is always appended. A tier with no factory (out of range,
-// or the terminal itself) is an error.
+// backend is unavailable are dropped (recorded, not fatal); the PFS
+// terminal is always appended. A tier with no factory (out of range, or
+// the terminal itself) or listed twice is an error.
 func Build(cacheTiers []meta.Tier, env *Env) (*Chain, error) {
 	ch := &Chain{}
 	for _, t := range cacheTiers {
 		if t < 0 || int(t) >= meta.NumTiers || factories[t] == nil {
 			return nil, fmt.Errorf("tier: %s is not a cache tier", t)
 		}
-		b, err := factories[t](env)
-		if err != nil {
-			return nil, fmt.Errorf("tier: building %s backend: %w", t, err)
+		if ch.byTier[t] != nil {
+			return nil, fmt.Errorf("tier: duplicate backend for %s", t)
 		}
+		b := factories[t](env)
 		if b == nil {
 			ch.dropped = append(ch.dropped, t)
 			continue
 		}
-		if ch.byTier[b.Tier()] != nil {
-			return nil, fmt.Errorf("tier: duplicate backend for %s", b.Tier())
-		}
-		ch.byTier[b.Tier()] = b
-		ch.backends = append(ch.backends, b)
-		ch.cacheTiers = append(ch.cacheTiers, t)
+		ch.byTier[t] = b
 	}
-	term := newPFS(env)
-	ch.byTier[term.Tier()] = term
-	ch.backends = append(ch.backends, term)
-	sort.Slice(ch.backends, func(i, j int) bool {
-		return ch.backends[i].Tier() < ch.backends[j].Tier()
-	})
+	ch.byTier[meta.TierPFS] = newPFS(env) // the last tier: terminal last
+	for _, b := range ch.byTier {
+		if b != nil {
+			ch.backends = append(ch.backends, b)
+		}
+	}
 	return ch, nil
 }
 
@@ -262,21 +245,14 @@ func (ch *Chain) Backend(t meta.Tier) Backend {
 	return ch.byTier[t]
 }
 
-// Terminal returns the durable final backend (always present).
-func (ch *Chain) Terminal() Backend { return ch.backends[len(ch.backends)-1] }
-
-// FastestCache returns the first surviving cache tier in configuration
-// order; ok is false when the chain caches nothing (writes go straight to
-// the terminal and nothing counts as a spill).
-func (ch *Chain) FastestCache() (meta.Tier, bool) {
-	if len(ch.cacheTiers) == 0 {
-		return 0, false
+// CacheTiers returns the surviving cache tiers in spill order.
+func (ch *Chain) CacheTiers() []meta.Tier {
+	var out []meta.Tier
+	for _, b := range ch.backends[:len(ch.backends)-1] {
+		out = append(out, b.Tier())
 	}
-	return ch.cacheTiers[0], true
+	return out
 }
-
-// CacheTiers returns the surviving cache tiers in configuration order.
-func (ch *Chain) CacheTiers() []meta.Tier { return ch.cacheTiers }
 
 // Dropped returns the configured cache tiers that were unavailable on this
 // cluster, in configuration order.

@@ -92,6 +92,8 @@ func TestFacadeValidation(t *testing.T) {
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.Tier(meta.NumTiers)} },
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{-1} },
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierDRAM} },
+		func(c *core.Config) { c.TierLogBytes = map[meta.Tier]int64{meta.Tier(meta.NumTiers): 1 << 20} },
+		func(c *core.Config) { c.TierLogBytes = map[meta.Tier]int64{meta.TierPFS: 1 << 20} },
 	} {
 		o := smallOpts()
 		bad(&o.Service)
