@@ -53,11 +53,13 @@ digests:
 chaos-smoke:
 	$(GO) run -race ./cmd/univibench -chaos-smoke -quick
 
-# Every facade-level example program, and both univistor-explain modes
-# (striping in both regimes), must run to completion.
+# Every facade-level example program must run to completion and print
+# exactly its pinned stdout in examples/testdata; both univistor-explain
+# modes (striping in both regimes) must run to completion.
 examples:
 	for ex in quickstart tiering vpic workflow resilience; do \
-		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+		$(GO) run ./examples/$$ex > /tmp/example-$$ex.txt || exit 1; \
+		diff -u examples/testdata/$$ex.txt /tmp/example-$$ex.txt || exit 1; \
 	done
 	$(GO) run ./cmd/univistor-explain -mode striping > /dev/null
 	$(GO) run ./cmd/univistor-explain -mode striping -servers 4 -file 64GiB > /dev/null

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -89,8 +90,6 @@ func main() {
 			"replication factor per metadata shard (requires -meta-shards)")
 		metaFollowerReads = flag.Bool("meta-follower-reads", false,
 			"serve metadata Stat/Lookup from lease-holding followers (requires -meta-shards; wants -meta-replicas > 1)")
-		metaLease = flag.Float64("meta-lease", 0,
-			"follower-read lease duration in virtual seconds (0 = metaplane default; requires -meta-follower-reads)")
 		metaSplit = flag.String("meta-split", "",
 			"online shard-split schedule N@T[,N@T...]: at virtual time T run N back-to-back online splits (requires -meta-shards)")
 		dedup = flag.Bool("dedup", false,
@@ -142,14 +141,13 @@ func main() {
 		}
 	}
 	requires(*driver == "univistor", "-driver univistor", "tiers", "no-ia", "no-coc", "no-adpt", "meta-shards",
-		"meta-replicas", "meta-follower-reads", "meta-lease", "meta-split", "dedup", "dedup-block-mb",
+		"meta-replicas", "meta-follower-reads", "meta-split", "dedup", "dedup-block-mb",
 		"gateway", "chaos")
 	requires(*gwMode, "-gateway", "tenants", "zipf", "qos", "gw-ops", "gw-arrival", "gw-seconds", "gw-kb", "gw-seed")
 	requires(*gwRate > 0, "-gw-arrival", "gw-seconds")
 	requires(*gwRate <= 0, "a closed loop (no -gw-arrival)", "gw-ops")
 	requires(*ckptSteps > 0, "-ckpt", "ckpt-change", "ckpt-retain", "ckpt-seed")
 	requires(*metaShards > 0, "-meta-shards", "meta-replicas", "meta-follower-reads", "meta-split")
-	requires(*metaFollowerReads, "-meta-follower-reads", "meta-lease")
 	requires(*dedup, "-dedup", "dedup-block-mb")
 	var splitSched []splitEvent
 	if *metaSplit != "" {
@@ -177,7 +175,6 @@ func main() {
 	if *metaShards > 0 {
 		cc.MetaReplicas = *metaReplicas
 		cc.MetaFollowerReads = *metaFollowerReads
-		cc.MetaLeaseTime = *metaLease
 	}
 	if *dedup {
 		cc.Dedup = true
@@ -397,7 +394,7 @@ func parseSplitSchedule(s string) ([]splitEvent, error) {
 			return nil, fmt.Errorf("-meta-split token %q: bad split count %q", tok, nStr)
 		}
 		at, err := strconv.ParseFloat(atStr, 64)
-		if err != nil || at < 0 {
+		if err != nil || !(at >= 0) || math.IsInf(at, 1) {
 			return nil, fmt.Errorf("-meta-split token %q: bad time %q", tok, atStr)
 		}
 		out = append(out, splitEvent{n: n, at: at})

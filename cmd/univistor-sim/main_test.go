@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"univistor/internal/trace"
 )
@@ -95,18 +97,44 @@ func TestBadSizesRejected(t *testing.T) {
 		"-ckpt-retain 2",
 		"-ckpt-change 0.2",
 		"-ckpt-seed 2",
+		// Non-finite numbers are rejected before the run: the first three
+		// would never finish, the rest would run a nonsense schedule.
+		"-gateway -tenants 4 -gw-arrival Inf -gw-seconds 0.01",
+		"-gateway -tenants 4 -zipf Inf",
+		"-gateway -tenants 4 -gw-arrival 10 -gw-seconds Inf",
+		"-chaos seed=1,degrade=fabric:0.5@0.001+Inf",
+		"-chaos seed=1,crash=0@NaN",
+		"-chaos seed=1,check=NaN",
+		"-chaos seed=1,degrade=nic:0:NaN@0.1",
+		"-meta-shards 2 -meta-split 1@NaN",
 	} {
 		t.Run(args, func(t *testing.T) {
-			cmd := exec.Command(bin, strings.Fields(args)...)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, bin, strings.Fields(args)...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			err := cmd.Run()
+			if ctx.Err() != nil {
+				t.Fatalf("still running after 30s")
+			}
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 				t.Fatalf("want exit 1, got %v\nstderr:\n%s", err, stderr.String())
 			}
-			if msg := stderr.String(); !strings.HasPrefix(msg, "univistor-sim: ") || strings.Contains(msg, "panic") {
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "univistor-sim: ") || strings.Contains(msg, "panic") {
 				t.Errorf("want a univistor-sim: message and no panic, got:\n%s", msg)
+			}
+			// The message must name the input it rejects: one of the
+			// row's flags.
+			named := false
+			for _, f := range strings.Fields(args) {
+				isFlag := len(f) > 1 && f[0] == '-' && f[1] >= 'a' && f[1] <= 'z'
+				named = named || isFlag && strings.Contains(msg, f[1:])
+			}
+			if !named {
+				t.Errorf("message names none of the flags in %q:\n%s", args, msg)
 			}
 		})
 	}
@@ -198,7 +226,9 @@ func checkTraceCounters(t *testing.T, report, traceJSON []byte) {
 	if err != nil {
 		t.Fatalf("exported trace: %v", err)
 	}
-	var out Output
+	var out struct {
+		TraceSummary *trace.Summary `json:"trace_summary"`
+	}
 	if err := json.Unmarshal(report, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func runCrashScenario(t *testing.T, specStr string, flush bool) (Report, []crash
 	outcomes := make([]crashOutcome, 2)
 	app := w.Launch("app", 2, func(r *mpi.Rank) {
 		c := sys.Connect(r)
-		f, err := c.Open("f", core.WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("rank %d open: %v", r.Rank(), err)
 			return
@@ -77,7 +77,7 @@ func runCrashScenario(t *testing.T, specStr string, flush bool) (Report, []crash
 		r.Barrier()
 		r.Compute(1.0) // move past the injection window before reading
 		other := 1 - r.Rank()
-		rf, err := c.Open("f", core.ReadOnly)
+		rf, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("rank %d read open: %v", r.Rank(), err)
 			return
@@ -260,7 +260,7 @@ func runMetaCrashScenario(t *testing.T, specStr string, replicas int) (Report, [
 	outcomes := make([]crashOutcome, 2)
 	app := w.Launch("app", 2, func(r *mpi.Rank) {
 		c := sys.Connect(r)
-		f, err := c.Open("f", core.WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("rank %d open: %v", r.Rank(), err)
 			return
@@ -277,7 +277,7 @@ func runMetaCrashScenario(t *testing.T, specStr string, replicas int) (Report, [
 		r.Barrier()
 		r.Compute(1.0)
 		other := 1 - r.Rank()
-		rf, err := c.Open("f", core.ReadOnly)
+		rf, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("rank %d read open: %v", r.Rank(), err)
 			return

@@ -9,6 +9,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -254,11 +255,17 @@ func parseFloat(key, val string, hasVal bool) (float64, error) {
 	if !hasVal {
 		return 0, fmt.Errorf("chaos: %s needs a value", key)
 	}
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil || v < 0 {
+	v, ok := parseNonNeg(val)
+	if !ok {
 		return 0, fmt.Errorf("chaos: bad %s value %q", key, val)
 	}
 	return v, nil
+}
+
+// parseNonNeg reads a finite, non-negative number; NaN and ±Inf fail.
+func parseNonNeg(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && v >= 0 && !math.IsInf(v, 1)
 }
 
 // parseTargeted handles crash=NODE@T, crash=NODE@wN, buddy=NODE@T,
@@ -322,7 +329,7 @@ func parseDegrade(val string, hasVal bool) (Fault, error) {
 		// it to minDegradeFrac; make the user say what they mean.
 		return Fault{}, fmt.Errorf("chaos: degrade fraction 0 requests an outage, which degrade would silently clamp; use the %s fault kind (%s@T[+D]) instead", KindBBOutage, KindBBOutage)
 	}
-	if err != nil || frac <= 0 || frac > 1 {
+	if err != nil || !(frac > 0 && frac <= 1) { // also rejects NaN
 		return Fault{}, fmt.Errorf("chaos: degrade fraction %q outside (0, 1]", parts[len(parts)-1])
 	}
 	f.Frac = frac
@@ -354,8 +361,8 @@ func parseMetaSplit(when string) (Fault, error) {
 // parseWindow reads T or T+D.
 func parseWindow(s string, needDur bool) (sim.Time, sim.Duration, error) {
 	atStr, durStr, hasDur := strings.Cut(s, "+")
-	at, err := strconv.ParseFloat(atStr, 64)
-	if err != nil || at < 0 {
+	at, ok := parseNonNeg(atStr)
+	if !ok {
 		return 0, 0, fmt.Errorf("bad time %q", atStr)
 	}
 	if !hasDur {
@@ -364,8 +371,8 @@ func parseWindow(s string, needDur bool) (sim.Time, sim.Duration, error) {
 		}
 		return sim.Time(at), 0, nil
 	}
-	dur, err := strconv.ParseFloat(durStr, 64)
-	if err != nil || dur <= 0 {
+	dur, ok := parseNonNeg(durStr)
+	if !ok || dur == 0 {
 		return 0, 0, fmt.Errorf("bad duration %q", durStr)
 	}
 	return sim.Time(at), sim.Duration(dur), nil

@@ -99,6 +99,17 @@ func TestParseErrors(t *testing.T) {
 		"check=-1",
 		"metasplit@",      // missing time
 		"metasplit@1+0.5", // migration has no window
+		// Non-finite numbers.
+		"check=NaN",
+		"horizon=Inf",
+		"crash=0@NaN",
+		"crash=0@Inf",
+		"stall=0@1+Inf",
+		"degrade=nic:0:NaN@0.1",
+		"degrade=fabric:0.5@0.001+Inf",
+		"degrade=fabric:0.5@NaN",
+		"bboutage@1+NaN",
+		"metasplit@Inf",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

@@ -9,25 +9,6 @@ import (
 	"univistor/internal/tier"
 )
 
-// Mode is a file open mode. UniviStor, like the paper's workflow scheme,
-// distinguishes write-only producers from read-only consumers.
-type Mode int
-
-const (
-	// ReadOnly opens for reading.
-	ReadOnly Mode = iota
-	// WriteOnly opens for writing.
-	WriteOnly
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	if m == WriteOnly {
-		return "write"
-	}
-	return "read"
-}
-
 // Client is one application process's handle on UniviStor — the state the
 // client library keeps between MPI_Init and MPI_Finalize.
 type Client struct {
@@ -71,7 +52,7 @@ func (c *Client) Rank() *mpi.Rank { return c.rank }
 type ClientFile struct {
 	c    *Client
 	fs   *fileState
-	mode Mode
+	mode mpi.Mode
 
 	ls      *logstore.LogSet           // per-process per-tier logs (write mode)
 	devs    [meta.NumTiers]tier.Device // per-tier device backing each log
@@ -95,7 +76,7 @@ func (cf *ClientFile) FID() meta.FileID { return cf.fs.fid }
 // otherwise every rank performs the metadata operation. With workflow
 // management enabled, the root acquires the file's read/write lock before
 // the broadcast (§II-E).
-func (c *Client) Open(name string, mode Mode) (*ClientFile, error) {
+func (c *Client) Open(name string, mode mpi.Mode) (*ClientFile, error) {
 	sys := c.sys
 	home := sys.homeServer(name)
 	if sys.Cfg.CollectiveOpenClose {
@@ -116,12 +97,12 @@ func (c *Client) Open(name string, mode Mode) (*ClientFile, error) {
 		c.rank.Barrier()
 	}
 
-	fs, err := sys.fileByName(name, mode == WriteOnly)
+	fs, err := sys.fileByName(name, mode == mpi.WriteOnly)
 	if err != nil {
 		return nil, err
 	}
 	cf := &ClientFile{c: c, fs: fs, mode: mode}
-	if mode == WriteOnly {
+	if mode == mpi.WriteOnly {
 		fs.writers++
 		if err := cf.setupLogs(); err != nil {
 			return nil, err
@@ -133,8 +114,8 @@ func (c *Client) Open(name string, mode Mode) (*ClientFile, error) {
 	return cf, nil
 }
 
-func (c *Client) acquireLock(name string, mode Mode) {
-	if mode == WriteOnly {
+func (c *Client) acquireLock(name string, mode mpi.Mode) {
+	if mode == mpi.WriteOnly {
 		c.sys.WF.AcquireWrite(c.rank.P, name)
 	} else {
 		c.sys.WF.AcquireRead(c.rank.P, name)
@@ -197,7 +178,7 @@ func (cf *ClientFile) Flush() error {
 	if cf.closed {
 		return fmt.Errorf("core: flush on closed file %q", cf.fs.name)
 	}
-	if cf.mode != WriteOnly {
+	if cf.mode != mpi.WriteOnly {
 		return fmt.Errorf("core: flush on %q opened for %s", cf.fs.name, cf.mode)
 	}
 	c := cf.c
@@ -219,29 +200,25 @@ func (cf *ClientFile) Close() error {
 	cf.closed = true
 	c := cf.c
 	sys := c.sys
-	home := sys.homeServer(cf.fs.name)
-	if sys.Cfg.CollectiveOpenClose {
-		if c.rank.Rank() == 0 {
-			sys.chargeOpenOp(c.rank.P, c.rank.Node(), home)
-		}
-		c.rank.Barrier()
-	} else {
-		sys.chargeOpenOp(c.rank.P, c.rank.Node(), home)
-		c.rank.Barrier()
+	// With COC only the root contacts the home server; otherwise every rank
+	// does.
+	if !sys.Cfg.CollectiveOpenClose || c.rank.Rank() == 0 {
+		sys.chargeOpenOp(c.rank.P, c.rank.Node(), sys.homeServer(cf.fs.name))
 	}
+	c.rank.Barrier()
 	if c.rank.Rank() == 0 {
 		if sys.Cfg.Workflow {
-			if cf.mode == WriteOnly {
+			if cf.mode == mpi.WriteOnly {
 				sys.WF.ReleaseWrite(c.rank.P, cf.fs.name)
 			} else {
 				sys.WF.ReleaseRead(c.rank.P, cf.fs.name)
 			}
 		}
-		if cf.mode == WriteOnly && sys.Cfg.FlushOnClose {
+		if cf.mode == mpi.WriteOnly && sys.Cfg.FlushOnClose {
 			sys.triggerFlush(c.rank.P, cf.fs)
 		}
 	}
-	if cf.mode == WriteOnly {
+	if cf.mode == mpi.WriteOnly {
 		cf.fs.writers--
 	} else {
 		cf.fs.readers--

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"univistor/internal/meta"
@@ -135,11 +136,6 @@ type Config struct {
 	// Requires MetaShards > 0.
 	MetaFollowerReads bool
 
-	// MetaLeaseTime is the follower-read lease duration in virtual
-	// seconds (the staleness bound); zero uses the metaplane default.
-	// Requires MetaFollowerReads.
-	MetaLeaseTime float64
-
 	// ReplicateVolatile mirrors DRAM/local-SSD segments to the buddy node
 	// at write time, so node failure does not lose unflushed data — the
 	// resilience extension from the paper's future work (§V).
@@ -215,8 +211,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ChunkSize must be positive, got %d", c.ChunkSize)
 	case c.MetaRangeSize <= 0:
 		return fmt.Errorf("core: MetaRangeSize must be positive, got %d", c.MetaRangeSize)
-	case c.MetaOpTime < 0:
-		return fmt.Errorf("core: MetaOpTime must be non-negative, got %v", c.MetaOpTime)
+	case !(c.MetaOpTime >= 0) || math.IsInf(c.MetaOpTime, 1): // also rejects NaN
+		return fmt.Errorf("core: MetaOpTime must be finite and non-negative, got %v", c.MetaOpTime)
 	case !slices.Contains(striping.Policies, c.FlushStriping):
 		return fmt.Errorf("core: FlushStriping must be one of %v, got %q", striping.Policies, c.FlushStriping)
 	}
@@ -231,10 +227,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MetaReplicas requires MetaShards > 0")
 	case c.MetaShards == 0 && c.MetaFollowerReads:
 		return fmt.Errorf("core: MetaFollowerReads requires MetaShards > 0")
-	case c.MetaLeaseTime < 0:
-		return fmt.Errorf("core: MetaLeaseTime must be non-negative, got %v", c.MetaLeaseTime)
-	case c.MetaLeaseTime > 0 && !c.MetaFollowerReads:
-		return fmt.Errorf("core: MetaLeaseTime requires MetaFollowerReads")
 	}
 	switch {
 	case c.DedupBlockBytes < 0:

@@ -74,7 +74,7 @@ func TestWriteReadRoundTripSingleRank(t *testing.T) {
 	payload := bytes.Repeat([]byte("u"), int(2*mib))
 	var got []byte
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -85,7 +85,7 @@ func TestWriteReadRoundTripSingleRank(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		rf, err := c.Open("f", ReadOnly)
+		rf, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("open read: %v", err)
 			return
@@ -108,7 +108,7 @@ func TestCrossRankRead(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), int(1*mib))
 	var got []byte
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		if c.Rank().Rank() == 0 {
 			if err := f.WriteAt(0, 1*mib, payload); err != nil {
 				t.Errorf("write: %v", err)
@@ -138,7 +138,7 @@ func TestSpillAcrossTiers(t *testing.T) {
 	})
 	var tiers []meta.Tier
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		for i := int64(0); i < 12; i++ {
 			if err := f.WriteAt(i*mib, 1*mib, nil); err != nil {
 				t.Errorf("write %d: %v", i, err)
@@ -179,7 +179,7 @@ func TestReadBackAfterSpill(t *testing.T) {
 	}
 	var got []byte
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		for i := int64(0); i < 6; i++ {
 			if err := f.WriteAt(i*mib, 1*mib, payload[i*mib:(i+1)*mib]); err != nil {
 				t.Errorf("write: %v", err)
@@ -202,7 +202,7 @@ func TestFlushOnCloseCompletes(t *testing.T) {
 	var flushedBytes int64
 	var cachedAfter int64
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		off := int64(c.Rank().Rank()) * 4 * mib
 		if err := f.WriteAt(off, 4*mib, nil); err != nil {
 			t.Errorf("write: %v", err)
@@ -232,7 +232,7 @@ func TestFlushOnCloseCompletes(t *testing.T) {
 func TestFlushDisabledLeavesDataCached(t *testing.T) {
 	w, sys := testEnv(t, func(tc *topology.Config, cc *Config) { cc.FlushOnClose = false })
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 1*mib, nil)
 		f.Close()
 		if _, _, _, ok := sys.FlushStats("f"); ok {
@@ -250,11 +250,11 @@ func TestReadAfterFlushStillServedFromCache(t *testing.T) {
 	var got []byte
 	var readDuration sim.Time
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 1*mib, payload)
 		f.Close()
 		sys.WaitFlush(c.Rank().P, "f")
-		rf, _ := c.Open("f", ReadOnly)
+		rf, _ := c.Open("f", mpi.ReadOnly)
 		start := c.Rank().Now()
 		var err error
 		got, err = rf.ReadAt(0, 1*mib)
@@ -283,7 +283,7 @@ func TestCOCReducesOpenCost(t *testing.T) {
 		var dur sim.Time
 		runApp(t, w, sys, 8, 4, func(c *Client) {
 			start := c.Rank().Now()
-			f, err := c.Open("f", WriteOnly)
+			f, err := c.Open("f", mpi.WriteOnly)
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return
@@ -311,7 +311,7 @@ func TestLocationAwareReadFaster(t *testing.T) {
 		})
 		var dur sim.Time
 		runApp(t, w, sys, 4, 2, func(c *Client) {
-			f, _ := c.Open("f", WriteOnly)
+			f, _ := c.Open("f", mpi.WriteOnly)
 			off := int64(c.Rank().Rank()) * 4 * mib
 			f.WriteAt(off, 4*mib, nil)
 			c.Rank().Barrier()
@@ -343,7 +343,7 @@ func TestCentralMetadataSlowerAtScale(t *testing.T) {
 		})
 		var dur sim.Time
 		runApp(t, w, sys, 8, 4, func(c *Client) {
-			f, _ := c.Open("f", WriteOnly)
+			f, _ := c.Open("f", mpi.WriteOnly)
 			start := c.Rank().Now()
 			for i := int64(0); i < 4; i++ {
 				off := int64(c.Rank().Rank())*4*mib + i*mib
@@ -371,7 +371,7 @@ func TestWorkflowBlocksReaderUntilWriterCloses(t *testing.T) {
 	var writerClosed, readerOpened sim.Time
 	writer := w.Launch("writer", 1, func(r *mpi.Rank) {
 		c := sys.Connect(r)
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 4*mib, nil)
 		r.Compute(0.5)
 		f.Close()
@@ -380,7 +380,7 @@ func TestWorkflowBlocksReaderUntilWriterCloses(t *testing.T) {
 	}, mpi.LaunchOpts{RanksPerNode: 1})
 	reader := w.Launch("reader", 1, func(r *mpi.Rank) {
 		c := sys.Connect(r)
-		f, err := c.Open("f", ReadOnly)
+		f, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("reader open: %v", err)
 			return
@@ -409,7 +409,7 @@ func TestWorkflowBlocksReaderUntilWriterCloses(t *testing.T) {
 func TestWriteValidation(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		if err := f.WriteAt(0, 0, nil); err == nil {
 			t.Error("zero-size write accepted")
 		}
@@ -419,7 +419,7 @@ func TestWriteValidation(t *testing.T) {
 		if err := f.WriteAt(0, 64*mib, nil); err == nil {
 			t.Error("segment larger than MetaRangeSize accepted")
 		}
-		rf, err := c.Open("nonexistent", ReadOnly)
+		rf, err := c.Open("nonexistent", mpi.ReadOnly)
 		if err == nil {
 			t.Error("read-open of missing file succeeded")
 			rf.Close()
@@ -453,7 +453,7 @@ func TestDRAMCapacityReservedAndHeld(t *testing.T) {
 		cc.DRAMLogBytes = 8 * mib
 	})
 	runApp(t, w, sys, 2, 2, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(int64(c.Rank().Rank())*mib, 1*mib, nil)
 		f.Close()
 		sys.WaitFlush(c.Rank().P, "f")

@@ -20,6 +20,7 @@ import (
 
 	"univistor/internal/castore"
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/topology"
 )
 
@@ -307,7 +308,7 @@ func TestDedupPropertyRandomOps(t *testing.T) {
 				vers := [2][]uint64{make([]uint64, g.slots), make([]uint64, g.slots)}
 				var files [2]*ClientFile
 				for fi := range files {
-					f, err := c.Open(propFileName(fi), WriteOnly)
+					f, err := c.Open(propFileName(fi), mpi.WriteOnly)
 					if err != nil {
 						t.Errorf("seed %d rank %d: open: %v", seed, rank, err)
 						return
@@ -444,7 +445,7 @@ func TestDedupReadYourWrites(t *testing.T) {
 				live := [2][]bool{make([]bool, g.slots), make([]bool, g.slots)}
 				var files [2]*ClientFile
 				for fi := range files {
-					f, err := c.Open(propFileName(fi), WriteOnly)
+					f, err := c.Open(propFileName(fi), mpi.WriteOnly)
 					if err != nil {
 						t.Errorf("seed %d rank %d: open: %v", seed, rank, err)
 						return

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/topology"
 )
 
@@ -30,7 +31,7 @@ func TestDroppedTierRecordedInStats(t *testing.T) {
 
 	// The surviving hierarchy still works end to end.
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return

@@ -13,6 +13,7 @@ import (
 
 	"univistor/internal/castore"
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/topology"
 )
 
@@ -55,7 +56,7 @@ func TestDeleteOverwriteEdgeCases(t *testing.T) {
 			name:  "delete-never-flushed-segment",
 			chain: []meta.Tier{meta.TierDRAM},
 			run: func(t *testing.T, sys *System, c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -95,7 +96,7 @@ func TestDeleteOverwriteEdgeCases(t *testing.T) {
 			name:  "delete-flushed-segment-gc",
 			chain: []meta.Tier{meta.TierDRAM, meta.TierBB},
 			run: func(t *testing.T, sys *System, c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -128,7 +129,7 @@ func TestDeleteOverwriteEdgeCases(t *testing.T) {
 			name:  "overwrite-cached-segment",
 			chain: []meta.Tier{meta.TierDRAM},
 			run: func(t *testing.T, sys *System, c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -161,7 +162,7 @@ func TestDeleteOverwriteEdgeCases(t *testing.T) {
 				tc.LocalSSDBW = 4 << 30
 			},
 			run: func(t *testing.T, sys *System, c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -192,7 +193,7 @@ func TestDeleteOverwriteEdgeCases(t *testing.T) {
 			name:  "partial-range-delete",
 			chain: []meta.Tier{meta.TierDRAM, meta.TierBB},
 			run: func(t *testing.T, sys *System, c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -228,7 +229,7 @@ func TestDeleteOverwriteEdgeCases(t *testing.T) {
 				cc.DRAMLogBytes = 1 * mib // one segment, then spill
 			},
 			run: func(t *testing.T, sys *System, c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
 )
@@ -20,7 +21,7 @@ func TestNodeFailureLosesUnreplicatedData(t *testing.T) {
 	})
 	var readErr error
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		if c.Rank().Rank() == 0 {
 			f.WriteAt(0, 1*mib, nil) // DRAM on node 0
 		}
@@ -49,7 +50,7 @@ func TestReplicationSurvivesNodeFailure(t *testing.T) {
 	var got []byte
 	var readErr error
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		if c.Rank().Rank() == 0 {
 			f.WriteAt(0, 1*mib, payload)
 		}
@@ -78,7 +79,7 @@ func TestFlushedCopySurvivesNodeFailure(t *testing.T) {
 	})
 	var readErr error
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		if c.Rank().Rank() == 0 {
 			f.WriteAt(0, 1*mib, nil)
 		}
@@ -89,7 +90,7 @@ func TestFlushedCopySurvivesNodeFailure(t *testing.T) {
 			sys.FailNode(0)
 		}
 		c.Rank().Barrier()
-		rf, err := c.Open("f", ReadOnly) // collective
+		rf, err := c.Open("f", mpi.ReadOnly) // collective
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -111,7 +112,7 @@ func TestDoubleFailureLosesReplicatedData(t *testing.T) {
 	})
 	var readErr error
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		if c.Rank().Rank() == 0 {
 			f.WriteAt(0, 1*mib, nil)
 		}
@@ -140,7 +141,7 @@ func TestReplicationCostsTime(t *testing.T) {
 		})
 		var dur sim.Time
 		runApp(t, w, sys, 2, 1, func(c *Client) {
-			f, _ := c.Open("f", WriteOnly)
+			f, _ := c.Open("f", mpi.WriteOnly)
 			start := c.Rank().Now()
 			f.WriteAt(int64(c.Rank().Rank())*4*mib, 4*mib, nil)
 			if d := c.Rank().Now() - start; d > dur {
@@ -167,7 +168,7 @@ func TestProactivePromotionMovesHotSegmentToDRAM(t *testing.T) {
 	})
 	payload := bytes.Repeat([]byte("h"), int(1*mib))
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		// Fill DRAM (2 MiB), then one segment lands on BB.
 		f.WriteAt(0, 2*mib, nil)
 		f.WriteAt(2*mib, 1*mib, payload)
@@ -207,7 +208,7 @@ func TestProactivePromotionWithRoom(t *testing.T) {
 	})
 	payload := bytes.Repeat([]byte("p"), int(1*mib))
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		// 1 MiB to DRAM (leaving 1 MiB free), then force the next segment
 		// to BB by writing past the DRAM log's remaining space in one go.
 		f.WriteAt(0, 2*mib, nil)         // fills DRAM exactly
@@ -247,7 +248,7 @@ func TestPromotionSpeedsUpSubsequentReads(t *testing.T) {
 			cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 		})
 		runApp(t, w, sys, 1, 1, func(c *Client) {
-			f, _ := c.Open("f", WriteOnly)
+			f, _ := c.Open("f", mpi.WriteOnly)
 			f.WriteAt(0, 8*mib, nil) // fills DRAM
 			f.WriteAt(8*mib, 4*mib, nil)
 			// Free DRAM space so promotion can land.
@@ -280,7 +281,7 @@ func TestDeleteReclaimsSegments(t *testing.T) {
 		cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 	})
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		for i := int64(0); i < 4; i++ {
 			f.WriteAt(i*mib, 1*mib, nil)
 		}

@@ -20,7 +20,7 @@ func TestBBExhaustionSpillsToPFS(t *testing.T) {
 	})
 	var tiers []meta.Tier
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		for i := int64(0); i < 10; i++ {
 			if err := f.WriteAt(i*mib, 1*mib, nil); err != nil {
 				t.Errorf("write %d: %v", i, err)
@@ -54,10 +54,10 @@ func TestDRAMPoolSharedAcrossFiles(t *testing.T) {
 		cc.FlushOnClose = false
 	})
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f1, _ := c.Open("f1", WriteOnly)
+		f1, _ := c.Open("f1", mpi.WriteOnly)
 		f1.WriteAt(0, 4*mib, nil)
 		f1.Close()
-		f2, _ := c.Open("f2", WriteOnly)
+		f2, _ := c.Open("f2", mpi.WriteOnly)
 		// f2's DRAM log could only reserve 2 MiB: the third write spills.
 		for i := int64(0); i < 4; i++ {
 			if err := f2.WriteAt(i*mib, 1*mib, nil); err != nil {
@@ -85,11 +85,11 @@ func TestWriterBlockedWhileFlushInProgress(t *testing.T) {
 	})
 	var flushEnd, reopenAt sim.Time
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 8*mib, nil)
 		f.Close() // triggers flush; workflow marks FLUSHING
 		// Re-opening for write must wait for FLUSH_DONE.
-		f2, err := c.Open("f", WriteOnly)
+		f2, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -108,7 +108,7 @@ func TestServerShutdownAfterAllClientsExit(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	app := w.Launch("app", 2, func(r *mpi.Rank) {
 		c := sys.Connect(r)
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(int64(r.Rank())*mib, 1*mib, nil)
 		f.Close()
 		sys.WaitFlush(r.P, "f")
@@ -134,7 +134,7 @@ func TestFlushOfPFSTierDataIsInstant(t *testing.T) {
 		cc.CacheTiers = nil
 	})
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 4*mib, nil)
 		closeAt := c.Rank().Now()
 		f.Close()
@@ -153,7 +153,7 @@ func TestFlushOfPFSTierDataIsInstant(t *testing.T) {
 func TestReadOfUnwrittenRangeIsCheapAndEmpty(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 1*mib, nil)
 		start := c.Rank().Now()
 		data, err := f.ReadAt(10*mib, 1*mib) // hole
@@ -177,7 +177,7 @@ func TestConcurrentAppsIsolatedFiles(t *testing.T) {
 	mk := func(name string, nodes []int) *mpi.Comm {
 		return w.Launch(name, 2, func(r *mpi.Rank) {
 			c := sys.Connect(r)
-			f, err := c.Open("file-"+name, WriteOnly)
+			f, err := c.Open("file-"+name, mpi.WriteOnly)
 			if err != nil {
 				t.Errorf("%s open: %v", name, err)
 				return
@@ -216,12 +216,12 @@ func TestConcurrentAppsIsolatedFiles(t *testing.T) {
 func TestOpenReadOnlyMissingFileFailsCleanly(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		_, err := c.Open("ghost", ReadOnly)
+		_, err := c.Open("ghost", mpi.ReadOnly)
 		if err == nil {
 			t.Error("read-open of missing file succeeded")
 		}
 		// The failed open must not wedge subsequent collectives.
-		f, err := c.Open("real", WriteOnly)
+		f, err := c.Open("real", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open after failure: %v", err)
 			return

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/topology"
 )
 
@@ -19,7 +20,7 @@ func TestRepeatedFlushWaitFlushBlocks(t *testing.T) {
 		cc.FlushOnClose = false // flushes triggered by hand below
 	})
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -62,7 +63,7 @@ func TestDegradedReadServedFromFlushedCopy(t *testing.T) {
 	var got []byte
 	var readErr error
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		off := int64(c.Rank().Rank()) * 4 * mib
 		data := payload
 		if c.Rank().Rank() == 1 {
@@ -76,11 +77,11 @@ func TestDegradedReadServedFromFlushedCopy(t *testing.T) {
 		c.Rank().Barrier()
 		if c.Rank().Rank() == 1 {
 			sys.FailNode(0) // rank 0 produced [0, 4 MiB) on node 0
-			rf, _ := c.Open("f", ReadOnly)
+			rf, _ := c.Open("f", mpi.ReadOnly)
 			got, readErr = rf.ReadAt(0, 4*mib)
 			rf.Close()
 		} else {
-			rf, _ := c.Open("f", ReadOnly)
+			rf, _ := c.Open("f", mpi.ReadOnly)
 			rf.Close()
 		}
 	})
@@ -107,7 +108,7 @@ func TestDegradedReadLostWithoutCopy(t *testing.T) {
 	})
 	var readErr error
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		off := int64(c.Rank().Rank()) * 4 * mib
 		if err := f.WriteAt(off, 4*mib, nil); err != nil {
 			t.Errorf("write: %v", err)
@@ -116,11 +117,11 @@ func TestDegradedReadLostWithoutCopy(t *testing.T) {
 		c.Rank().Barrier()
 		if c.Rank().Rank() == 1 {
 			sys.FailNode(0)
-			rf, _ := c.Open("f", ReadOnly)
+			rf, _ := c.Open("f", mpi.ReadOnly)
 			_, readErr = rf.ReadAt(0, 4*mib)
 			rf.Close()
 		} else {
-			rf, _ := c.Open("f", ReadOnly)
+			rf, _ := c.Open("f", mpi.ReadOnly)
 			rf.Close()
 		}
 	})
@@ -138,7 +139,7 @@ func TestDegradedReadLostWithoutCopy(t *testing.T) {
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		off := int64(c.Rank().Rank()) * 4 * mib
 		if err := f.WriteAt(off, 4*mib, nil); err != nil {
 			t.Errorf("write: %v", err)

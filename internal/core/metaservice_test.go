@@ -27,7 +27,7 @@ func TestPlaneModeWriteReadRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("p"), int(2*mib))
 	var got []byte
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -39,7 +39,7 @@ func TestPlaneModeWriteReadRoundTrip(t *testing.T) {
 		f.Close()
 		c.Rank().Barrier()
 		// Open is collective: both ranks reopen, each reads the other's block.
-		rf, err := c.Open("f", ReadOnly)
+		rf, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("open read: %v", err)
 			return
@@ -92,7 +92,7 @@ func TestPlaneModeWriteReadRoundTrip(t *testing.T) {
 func TestPlaneModeDeleteAndRewrite(t *testing.T) {
 	w, sys := planeEnv(t, 2, 3)
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -182,7 +182,7 @@ func TestMetaServiceModes(t *testing.T) {
 			})
 			payload := bytes.Repeat([]byte("m"), int(1*mib))
 			runApp(t, w, sys, 2, 1, func(c *Client) {
-				f, err := c.Open("f", WriteOnly)
+				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Errorf("open: %v", err)
 					return
@@ -265,7 +265,7 @@ func TestPlaneModeFollowerReadsAndOnlineSplit(t *testing.T) {
 	payload := bytes.Repeat([]byte("q"), int(1*mib))
 	split := -1
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -285,7 +285,7 @@ func TestPlaneModeFollowerReadsAndOnlineSplit(t *testing.T) {
 				t.Errorf("MetaSplit refused with a healthy plane")
 			}
 		}
-		rf, err := c.Open("f", ReadOnly)
+		rf, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("open read: %v", err)
 			return
@@ -324,7 +324,7 @@ func TestPlaneModeFollowerReadsAndOnlineSplit(t *testing.T) {
 func TestLegacyModeMetaOpDetail(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, err := c.Open("f", WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -353,8 +353,6 @@ func TestConfigMetaValidation(t *testing.T) {
 		func(c *Config) { c.MetaShards = 2; c.CentralMetadata = true },
 		func(c *Config) { c.MetaReplicas = 3 },         // replicas without shards
 		func(c *Config) { c.MetaFollowerReads = true }, // follower reads without shards
-		func(c *Config) { c.MetaShards = 2; c.MetaLeaseTime = -1 },
-		func(c *Config) { c.MetaShards = 2; c.MetaLeaseTime = 0.01 }, // lease without follower reads
 	}
 	for i, mutate := range bad {
 		cc := DefaultConfig()
@@ -367,7 +365,6 @@ func TestConfigMetaValidation(t *testing.T) {
 	ok.MetaShards = 4
 	ok.MetaReplicas = 3
 	ok.MetaFollowerReads = true
-	ok.MetaLeaseTime = 0.02
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid plane config rejected: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/sim"
 	"univistor/internal/tier"
 	"univistor/internal/trace"
@@ -82,15 +83,8 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 		devSp.End(p.Now())
 	}
 
-	// Recycle the old log's chunks that lie entirely inside the segment
-	// (partially shared edge chunks stay live for their neighbours).
-	oldLog := producer.ls.Log(oldTier)
-	chunk := oldLog.ChunkSize()
-	firstFull := (oldAddr + chunk - 1) / chunk
-	lastFull := (oldAddr+rec.Size)/chunk - 1
-	for slot := firstFull; slot <= lastFull; slot++ {
-		oldLog.Punch(slot)
-	}
+	// Recycle the old log's chunks that lie entirely inside the segment.
+	producer.ls.Log(oldTier).PunchRange(oldAddr, rec.Size)
 
 	// Re-point the metadata at the promoted copy.
 	rec.VA = newVA
@@ -124,7 +118,7 @@ func (sys *System) Promotions(name string) int {
 // ID is pushed back to the stack"). Partially overlapping segments are left
 // untouched. It returns the number of segments removed.
 func (cf *ClientFile) Delete(off, size int64) (int, error) {
-	if cf.mode != WriteOnly {
+	if cf.mode != mpi.WriteOnly {
 		return 0, fmt.Errorf("core: delete on %q opened for %s", cf.fs.name, cf.mode)
 	}
 	if cf.closed {
@@ -146,13 +140,7 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 		if err != nil {
 			return removed, err
 		}
-		log := producer.ls.Log(tier)
-		chunk := log.ChunkSize()
-		firstFull := (addr + chunk - 1) / chunk
-		lastFull := (addr+rec.Size)/chunk - 1
-		for slot := firstFull; slot <= lastFull; slot++ {
-			log.Punch(slot)
-		}
+		producer.ls.Log(tier).PunchRange(addr, rec.Size)
 		sys.metaDelete(cf.c.rank.P, cf.c.rank.Node(), rec.FID, rec.Offset)
 		sys.nodeMeta[producer.c.rank.Node()].Delete(rec.Key())
 		// The deleted bytes leave the resolvable set, like an exact-key

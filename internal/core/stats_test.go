@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/topology"
 )
 
@@ -14,7 +15,7 @@ func TestStatsCountersTrackOperations(t *testing.T) {
 		cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 	})
 	runApp(t, w, sys, 2, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		base := int64(c.Rank().Rank()) * 8 * mib
 		for i := int64(0); i < 4; i++ {
 			if err := f.WriteAt(base+i*mib, 1*mib, nil); err != nil {
@@ -72,7 +73,7 @@ func TestStatsCounterPaths(t *testing.T) {
 				cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 			},
 			app: func(t *testing.T, sys *System, c *Client) {
-				f, _ := c.Open("f", WriteOnly)
+				f, _ := c.Open("f", mpi.WriteOnly)
 				mustWrite(t, f, 0, 1*mib)
 				f.Close()
 			},
@@ -88,7 +89,7 @@ func TestStatsCounterPaths(t *testing.T) {
 				cc.CacheTiers = []meta.Tier{meta.TierBB, meta.TierDRAM}
 			},
 			app: func(t *testing.T, sys *System, c *Client) {
-				f, _ := c.Open("f", WriteOnly)
+				f, _ := c.Open("f", mpi.WriteOnly)
 				mustWrite(t, f, 0, 1*mib)
 				f.Close()
 			},
@@ -102,7 +103,7 @@ func TestStatsCounterPaths(t *testing.T) {
 				cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 			},
 			app: func(t *testing.T, sys *System, c *Client) {
-				f, _ := c.Open("f", WriteOnly)
+				f, _ := c.Open("f", mpi.WriteOnly)
 				mustWrite(t, f, 0, 1*mib)     // fills the DRAM log
 				mustWrite(t, f, 1*mib, 1*mib) // overflows → BB
 				f.Close()
@@ -118,7 +119,7 @@ func TestStatsCounterPaths(t *testing.T) {
 				cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 			},
 			app: func(t *testing.T, sys *System, c *Client) {
-				f, _ := c.Open("f", WriteOnly)
+				f, _ := c.Open("f", mpi.WriteOnly)
 				mustWrite(t, f, 0, 1*mib)     // DRAM (volatile) → mirrored
 				mustWrite(t, f, 1*mib, 1*mib) // BB (shared) → not mirrored
 				f.Close()
@@ -135,7 +136,7 @@ func TestStatsCounterPaths(t *testing.T) {
 				cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 			},
 			app: func(t *testing.T, sys *System, c *Client) {
-				f, _ := c.Open("f", WriteOnly)
+				f, _ := c.Open("f", mpi.WriteOnly)
 				mustWrite(t, f, 0, 1*mib)     // fills the DRAM log
 				mustWrite(t, f, 1*mib, 1*mib) // spills to BB
 				// Free the DRAM chunk so the promotion has room, then heat
@@ -189,7 +190,7 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 	})
 	var snap Stats
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		mustWrite(t, f, 0, 1*mib)
 		snap = sys.Stats()
 		mustWrite(t, f, 1*mib, 1*mib) // after the snapshot
@@ -222,7 +223,7 @@ func TestStatsCountReplicationsAndPromotions(t *testing.T) {
 		cc.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierBB}
 	})
 	runApp(t, w, sys, 1, 1, func(c *Client) {
-		f, _ := c.Open("f", WriteOnly)
+		f, _ := c.Open("f", mpi.WriteOnly)
 		f.WriteAt(0, 1*mib, nil)     // DRAM → replicated
 		f.WriteAt(1*mib, 2*mib, nil) // doesn't fit remaining DRAM → BB
 		// Heat the BB segment; DRAM has 1 MiB free but the segment is

@@ -233,7 +233,6 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 			Nodes:         nNodes,
 			RangeSize:     cfg.MetaRangeSize,
 			FollowerReads: cfg.MetaFollowerReads,
-			LeaseTime:     cfg.MetaLeaseTime,
 			Costs:         cfg.MetaCosts(w.Cluster.Cfg.NetLatency),
 		})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"univistor/internal/castore"
 	"univistor/internal/meta"
+	"univistor/internal/mpi"
 	"univistor/internal/tier"
 	"univistor/internal/trace"
 )
@@ -15,7 +16,7 @@ import (
 // per-process log with room, spilling tier by tier (§II-B1), with its
 // metadata record inserted into the distributed metadata service (§II-B3).
 func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
-	if cf.mode != WriteOnly {
+	if cf.mode != mpi.WriteOnly {
 		return fmt.Errorf("core: write to %q opened for %s", cf.fs.name, cf.mode)
 	}
 	if cf.closed {

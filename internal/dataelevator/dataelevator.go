@@ -78,12 +78,12 @@ type deFile struct {
 
 // Open is the collective open. Write mode creates the shared cache file on
 // the burst buffer.
-func (d *Driver) Open(r *mpi.Rank, name string, mode mpiio.Mode) (mpiio.File, error) {
+func (d *Driver) Open(r *mpi.Rank, name string, mode mpi.Mode) (mpiio.File, error) {
 	r.P.Sleep(d.W.Cluster.Cfg.BBLatency)
 	r.Barrier()
 	f, ok := d.files[name]
 	if !ok {
-		if mode == mpiio.ReadOnly {
+		if mode == mpi.ReadOnly {
 			return nil, fmt.Errorf("dataelevator: file %q does not exist", name)
 		}
 		f = &deFile{name: name, bbf: d.BB.Create("de:"+name, bbLockEff)}
@@ -96,14 +96,14 @@ type deHandle struct {
 	d      *Driver
 	f      *deFile
 	r      *mpi.Rank
-	mode   mpiio.Mode
+	mode   mpi.Mode
 	closed bool
 }
 
 func (h *deHandle) Name() string { return h.f.name }
 
 func (h *deHandle) WriteAt(off, size int64, data []byte) error {
-	if h.closed || h.mode != mpiio.WriteOnly {
+	if h.closed || h.mode != mpi.WriteOnly {
 		return fmt.Errorf("dataelevator: invalid write on %q", h.f.name)
 	}
 	if size <= 0 {
@@ -143,7 +143,7 @@ func (h *deHandle) Close() error {
 	h.closed = true
 	h.r.P.Sleep(h.d.W.Cluster.Cfg.BBLatency)
 	h.r.Barrier()
-	if h.r.Rank() == 0 && h.mode == mpiio.WriteOnly {
+	if h.r.Rank() == 0 && h.mode == mpi.WriteOnly {
 		h.d.triggerFlush(h.r.P, h.f)
 	}
 	return nil

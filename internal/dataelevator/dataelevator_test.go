@@ -50,7 +50,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("d"), int(1*mib))
 	var got []byte
 	w.Launch("app", 2, func(r *mpi.Rank) {
-		f, err := env.Open(r, "f", mpiio.WriteOnly)
+		f, err := env.Open(r, "f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -60,7 +60,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 		f.Close()
-		rf, err := env.Open(r, "f", mpiio.ReadOnly)
+		rf, err := env.Open(r, "f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -81,7 +81,7 @@ func TestFlushRunsAsynchronouslyAfterClose(t *testing.T) {
 	env, _ := mpiio.NewEnv("dataelevator", d)
 	var closeAt, flushEnd sim.Time
 	w.Launch("app", 2, func(r *mpi.Rank) {
-		f, _ := env.Open(r, "f", mpiio.WriteOnly)
+		f, _ := env.Open(r, "f", mpi.WriteOnly)
 		f.WriteAt(int64(r.Rank())*16*mib, 16*mib, nil)
 		f.Close()
 		if r.Rank() == 0 {
@@ -117,11 +117,11 @@ func TestReadServedFromBBCacheAfterFlush(t *testing.T) {
 	env, _ := mpiio.NewEnv("dataelevator", d)
 	var readDur sim.Time
 	w.Launch("app", 1, func(r *mpi.Rank) {
-		f, _ := env.Open(r, "f", mpiio.WriteOnly)
+		f, _ := env.Open(r, "f", mpi.WriteOnly)
 		f.WriteAt(0, 4*mib, nil)
 		f.Close()
 		d.WaitFlush(r.P, "f")
-		rf, _ := env.Open(r, "f", mpiio.ReadOnly)
+		rf, _ := env.Open(r, "f", mpi.ReadOnly)
 		start := r.Now()
 		rf.ReadAt(0, 4*mib)
 		readDur = r.Now() - start
@@ -142,7 +142,7 @@ func TestSharedBBFileContentionVsPrivate(t *testing.T) {
 	env, _ := mpiio.NewEnv("dataelevator", d)
 	var deDur sim.Time
 	w.Launch("app", 4, func(r *mpi.Rank) {
-		f, _ := env.Open(r, "f", mpiio.WriteOnly)
+		f, _ := env.Open(r, "f", mpi.WriteOnly)
 		start := r.Now()
 		f.WriteAt(int64(r.Rank())*32*mib, 32*mib, nil)
 		if dd := r.Now() - start; dd > deDur {
@@ -166,7 +166,7 @@ func TestZeroSizeFlushCompletes(t *testing.T) {
 	w, d := testSetup(t)
 	env, _ := mpiio.NewEnv("dataelevator", d)
 	w.Launch("app", 1, func(r *mpi.Rank) {
-		f, _ := env.Open(r, "f", mpiio.WriteOnly)
+		f, _ := env.Open(r, "f", mpi.WriteOnly)
 		f.Close() // nothing written
 		d.WaitFlush(r.P, "f")
 	}, mpi.LaunchOpts{RanksPerNode: 1})

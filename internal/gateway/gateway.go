@@ -111,7 +111,7 @@ type Config struct {
 	TenantQuotaBytes int64
 
 	// Seed drives every tenant's op mix, think times, and object picks;
-	// tenant streams are derived by splitmix64 so runs are deterministic
+	// tenant streams are derived by sim.StreamSeed so runs are deterministic
 	// and tenants decorrelated.
 	Seed int64
 }
@@ -133,14 +133,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gateway: Tenants must be positive, got %d", c.Tenants)
 	case c.OpBytes <= 0:
 		return fmt.Errorf("gateway: OpBytes must be positive, got %d", c.OpBytes)
-	case c.ArrivalRate < 0:
-		return fmt.Errorf("gateway: ArrivalRate must be non-negative, got %v", c.ArrivalRate)
+	case !finite(c.ArrivalRate) || c.ArrivalRate < 0:
+		return fmt.Errorf("gateway: ArrivalRate must be finite and non-negative, got %v", c.ArrivalRate)
+	case !finite(c.DurationSeconds):
+		return fmt.Errorf("gateway: DurationSeconds must be finite, got %v", c.DurationSeconds)
 	case c.ArrivalRate > 0 && c.DurationSeconds <= 0:
 		return fmt.Errorf("gateway: open loop needs DurationSeconds > 0")
 	case c.ArrivalRate == 0 && c.OpsPerTenant <= 0:
 		return fmt.Errorf("gateway: closed loop needs OpsPerTenant > 0")
-	case c.HeavyFrac < 0 || c.HeavyFrac > 1:
+	case !finite(c.ZipfS):
+		return fmt.Errorf("gateway: ZipfS must be finite, got %v", c.ZipfS)
+	case !(c.HeavyFrac >= 0 && c.HeavyFrac <= 1): // also rejects NaN
 		return fmt.Errorf("gateway: HeavyFrac must be in [0, 1], got %v", c.HeavyFrac)
+	case !finite(c.HeavyFactor):
+		return fmt.Errorf("gateway: HeavyFactor must be finite, got %v", c.HeavyFactor)
 	case c.HeavyFrac > 0 && c.HeavyFactor < 1:
 		return fmt.Errorf("gateway: HeavyFactor must be >= 1 when HeavyFrac is set")
 	case c.HeavyFrac == 0 && c.HeavyFactor != 0:
@@ -154,6 +160,8 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // opKind indexes the per-kind latency ledgers.
 type opKind int
@@ -208,24 +216,6 @@ type Gateway struct {
 	runErr  error
 }
 
-// splitmix64 is the splitmix64 finalizer (the seeding construction the
-// checkpoint kernel and the metaplane hash ring use).
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// tenantSeed derives tenant t's RNG stream from the run seed: finalize
-// the seed, then derive the per-tenant stream from the mixed state.
-func tenantSeed(seed int64, t int) int64 {
-	const golden = 0x9E3779B97F4A7C15
-	return int64(splitmix64(splitmix64(uint64(seed)) + uint64(t)*golden))
-}
-
 // Start validates the config, creates the per-tenant admission state, and
 // launches every tenant application plus a janitor that shuts the system
 // down when the last tenant exits. The caller runs the engine (after
@@ -243,7 +233,7 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 	nodes := len(sys.W.Cluster.Nodes)
 	heavy := int(cfg.HeavyFrac*float64(cfg.Tenants) + 0.5)
 	for i := 0; i < cfg.Tenants; i++ {
-		t := &tenant{id: i, load: 1, rng: rand.New(rand.NewSource(tenantSeed(cfg.Seed, i)))}
+		t := &tenant{id: i, load: 1, rng: rand.New(rand.NewSource(sim.StreamSeed(cfg.Seed, i)))}
 		if i < heavy {
 			t.load = cfg.HeavyFactor
 		}
@@ -408,7 +398,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 	switch kind {
 	case opWrite:
 		if obj.wf == nil {
-			if obj.wf, err = c.Open(obj.name, core.WriteOnly); err != nil {
+			if obj.wf, err = c.Open(obj.name, mpi.WriteOnly); err != nil {
 				return kind, false, err
 			}
 		}
@@ -430,7 +420,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 		t.deliveredBytes += cfg.OpBytes
 	case opRead:
 		if obj.rf == nil {
-			if obj.rf, err = c.Open(obj.name, core.ReadOnly); err != nil {
+			if obj.rf, err = c.Open(obj.name, mpi.ReadOnly); err != nil {
 				return kind, false, err
 			}
 		}

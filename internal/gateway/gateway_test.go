@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"univistor/internal/core"
@@ -271,6 +272,27 @@ func TestConfigValidateQoSEdges(t *testing.T) {
 	cfg.HeavyFrac = 0.25
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("HeavyFactor with HeavyFrac must validate, got %v", err)
+	}
+
+	// Non-finite numbers never validate: an infinite arrival rate, run
+	// length or skew would hang the run, and NaN slips past every < check.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*Config){
+		"ArrivalRate Inf":     func(c *Config) { c.ArrivalRate, c.DurationSeconds, c.OpsPerTenant = inf, 0.01, 0 },
+		"ArrivalRate NaN":     func(c *Config) { c.ArrivalRate = nan },
+		"DurationSeconds Inf": func(c *Config) { c.ArrivalRate, c.DurationSeconds, c.OpsPerTenant = 10, inf, 0 },
+		"DurationSeconds NaN": func(c *Config) { c.ArrivalRate, c.DurationSeconds, c.OpsPerTenant = 10, nan, 0 },
+		"ZipfS Inf":           func(c *Config) { c.ZipfS = inf },
+		"ZipfS NaN":           func(c *Config) { c.ZipfS = nan },
+		"HeavyFrac NaN":       func(c *Config) { c.HeavyFrac = nan },
+		"HeavyFactor Inf":     func(c *Config) { c.HeavyFrac, c.HeavyFactor = 0.25, inf },
+		"HeavyFactor NaN":     func(c *Config) { c.HeavyFrac, c.HeavyFactor = 0.25, nan },
+	} {
+		cfg := base()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s passed validation", name)
+		}
 	}
 }
 

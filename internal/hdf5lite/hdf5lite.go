@@ -40,7 +40,7 @@ type File struct {
 	f          mpiio.File
 	r          *mpi.Rank
 	collective bool
-	mode       mpiio.Mode
+	mode       mpi.Mode
 	table      []DatasetInfo
 	nextOff    int64
 	dirty      bool
@@ -57,13 +57,13 @@ type File struct {
 // set, only the root performs metadata-region I/O and broadcasts the table;
 // otherwise every rank reads/writes the metadata region itself.
 func Create(r *mpi.Rank, f mpiio.File, collective bool) *File {
-	return &File{f: f, r: r, collective: collective, mode: mpiio.WriteOnly, nextOff: MetaRegionSize}
+	return &File{f: f, r: r, collective: collective, mode: mpi.WriteOnly, nextOff: MetaRegionSize}
 }
 
 // Open loads the dataset table of an existing container from a read-mode
 // MPI file.
 func Open(r *mpi.Rank, f mpiio.File, collective bool) (*File, error) {
-	h := &File{f: f, r: r, collective: collective, mode: mpiio.ReadOnly}
+	h := &File{f: f, r: r, collective: collective, mode: mpi.ReadOnly}
 	var raw []byte
 	if collective {
 		if r.Rank() == 0 {
@@ -95,7 +95,7 @@ func Open(r *mpi.Rank, f mpiio.File, collective bool) (*File, error) {
 // returns its handle. Collective: all ranks must call with the same
 // arguments.
 func (h *File) CreateDataset(name string, elemSize, count int64) (*Dataset, error) {
-	if h.mode != mpiio.WriteOnly {
+	if h.mode != mpi.WriteOnly {
 		return nil, fmt.Errorf("hdf5lite: CreateDataset on read-only file")
 	}
 	if elemSize <= 0 || count <= 0 {
@@ -158,7 +158,7 @@ func (h *File) Close() error {
 		return fmt.Errorf("hdf5lite: double close")
 	}
 	h.closed = true
-	if h.mode == mpiio.WriteOnly && h.dirty {
+	if h.mode == mpi.WriteOnly && h.dirty {
 		if err := h.writeMeta(); err != nil {
 			return err
 		}

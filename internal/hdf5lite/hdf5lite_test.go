@@ -209,7 +209,7 @@ func TestContainerOverUniviStor(t *testing.T) {
 	var got []byte
 	want := bytes.Repeat([]byte{7}, elemsPerRank*8)
 	app := w.Launch("app", 2, func(r *mpi.Rank) {
-		f, err := env.Open(r, "sim.h5", mpiio.WriteOnly)
+		f, err := env.Open(r, "sim.h5", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -234,7 +234,7 @@ func TestContainerOverUniviStor(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 
-		rf, err := env.Open(r, "sim.h5", mpiio.ReadOnly)
+		rf, err := env.Open(r, "sim.h5", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return

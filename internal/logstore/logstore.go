@@ -198,6 +198,15 @@ func (l *Log) Punch(slot int64) {
 	}
 }
 
+// PunchRange releases every chunk lying entirely inside the log range
+// [addr, addr+size): the chunks of a deleted or migrated segment. Edge
+// chunks the range only partly covers stay live for their neighbours.
+func (l *Log) PunchRange(addr, size int64) {
+	for slot := (addr + l.chunkSize - 1) / l.chunkSize; slot < (addr+size)/l.chunkSize; slot++ {
+		l.Punch(slot)
+	}
+}
+
 // Slots returns the number of logical chunk slots currently backed by a
 // physical chunk.
 func (l *Log) Slots() int { return len(l.chunkTable) }

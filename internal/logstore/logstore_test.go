@@ -315,3 +315,22 @@ func TestLogSetRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPunchRangeKeepsEdgeChunks pins the reclaim rule of deletes and
+// promotions: only chunks lying entirely inside the range are released.
+func TestPunchRangeKeepsEdgeChunks(t *testing.T) {
+	l := NewLog(0, 100, 10)
+	l.Append(100)
+	l.PunchRange(15, 30) // [15, 45): chunks 2 and 3 whole, 1 and 4 partial
+	if l.FreeChunks() != 2 || l.Slots() != 8 {
+		t.Fatalf("free = %d, slots = %d; want 2 and 8", l.FreeChunks(), l.Slots())
+	}
+	l.PunchRange(51, 8) // inside chunk 5 only: nothing whole
+	if l.FreeChunks() != 2 {
+		t.Errorf("free = %d after a sub-chunk range, want 2", l.FreeChunks())
+	}
+	l.PunchRange(60, 40) // chunks 6..9 exactly
+	if l.FreeChunks() != 6 {
+		t.Errorf("free = %d after an aligned range, want 6", l.FreeChunks())
+	}
+}

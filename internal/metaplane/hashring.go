@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"univistor/internal/meta"
+	"univistor/internal/sim"
 )
 
 // virtualNodes is the number of ring positions each shard owns.
@@ -56,18 +57,7 @@ func NewHashRing(shardIDs []int) *HashRing {
 func vnodeHash(shard, j int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "metaplane/shard/%d/vnode/%d", shard, j)
-	return mix64(h.Sum64())
-}
-
-// mix64 is the splitmix64 finalizer: a cheap bijective avalanche over the
-// 64-bit space.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.Mix64(h.Sum64())
 }
 
 // AddShard inserts the virtual nodes of a shard not yet on the ring.
@@ -111,7 +101,7 @@ func KeyHash(fid meta.FileID, rangeIdx int64) uint64 {
 	putUint64(buf[0:8], uint64(fid))
 	putUint64(buf[8:16], uint64(rangeIdx))
 	h.Write(buf[:])
-	return mix64(h.Sum64())
+	return sim.Mix64(h.Sum64())
 }
 
 func putUint64(b []byte, v uint64) {

@@ -3,13 +3,17 @@ package metaplane
 // Leased follower reads. With Config.FollowerReads, Stat/Lookup round-
 // robin across a shard's alive replicas instead of serializing on the
 // leader. A follower may serve only while it holds a time-bounded lease
-// from its leader: the lease pins the group epoch and expires LeaseTime
+// from its leader: the lease pins the group epoch and expires leaseTime
 // after the grant on the virtual clock, so a read is never staler than
-// LeaseTime. Leases are revoked — by bumping the group epoch — when the
+// leaseTime. Leases are revoked — by bumping the group epoch — when the
 // leader crashes and whenever a split arc's transfer window opens on the
 // group; during such a window (frozen) no new lease is granted and reads
 // forward to the leader.
 import "univistor/internal/sim"
+
+// leaseTime is the follower read lease duration (and therefore the
+// staleness bound) on the virtual clock, in seconds.
+const leaseTime = 0.01
 
 // revokeLeases invalidates every outstanding lease on g by bumping the
 // group epoch.
@@ -64,10 +68,6 @@ func (pl *Plane) chargeReadAny(p *sim.Proc, fromNode int, g *group) (sim.Time, *
 // leader's queue — when the lease would be invalid at service time.
 func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *replica) (sim.Time, *replica) {
 	c := pl.cfg.Costs
-	leaseT := pl.cfg.LeaseTime
-	if leaseT <= 0 {
-		leaseT = DefaultLeaseTime
-	}
 	t0 := p.Now()
 	lat := c.NetLatency
 	if f.node == fromNode {
@@ -86,7 +86,7 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 		}
 		granted := ld.ops.Serve(start+sim.Time(hop), c.OpTime) + sim.Time(hop)
 		f.leaseEpoch = g.epoch
-		f.leaseExpiry = granted + sim.Time(leaseT)
+		f.leaseExpiry = granted + sim.Time(leaseTime)
 		pl.leaseGrants++
 		pl.Trace.Counter(granted, "meta.lease_grants", pl.leaseGrants)
 		if granted > start {

@@ -23,10 +23,6 @@ const recordBytes = 256
 // batch carries.
 const DefaultSplitBatchRecords = 512
 
-// DefaultLeaseTime is the follower read lease duration (and therefore the
-// staleness bound) on the virtual clock, in seconds.
-const DefaultLeaseTime = 0.01
-
 // Costs are the analytic service parameters of one metadata operation,
 // mirroring the core servers' M/D/1-style model.
 type Costs struct {
@@ -51,14 +47,10 @@ type Config struct {
 	RangeSize int64
 
 	// FollowerReads lets Stat/Lookup be served by a follower holding a
-	// time-bounded lease from its leader (bounded staleness of LeaseTime on
+	// time-bounded lease from its leader (bounded staleness of leaseTime on
 	// the virtual clock). Off (the default) keeps every read on the leader —
 	// byte-identical to the pre-lease plane.
 	FollowerReads bool
-
-	// LeaseTime is the follower lease duration in virtual seconds — the
-	// staleness bound of a leased read (DefaultLeaseTime if 0).
-	LeaseTime float64
 
 	// SplitBatchRecords is the record count per split-migration batch
 	// (DefaultSplitBatchRecords if 0).
@@ -80,8 +72,6 @@ func (c Config) validate() error {
 	case c.Costs.NetLatency < 0 || c.Costs.ShmLatency < 0 ||
 		c.Costs.OpTime < 0 || c.Costs.ApplyTime < 0:
 		return fmt.Errorf("metaplane: costs must be non-negative")
-	case c.LeaseTime < 0:
-		return fmt.Errorf("metaplane: LeaseTime must be non-negative, got %g", c.LeaseTime)
 	case c.SplitBatchRecords < 0:
 		return fmt.Errorf("metaplane: SplitBatchRecords must be non-negative, got %d", c.SplitBatchRecords)
 	}

@@ -4,8 +4,9 @@
 //
 // This substitutes for the MPICH runtime the paper's UniviStor client and
 // server are built on. It carries only what the stack calls: job launch,
-// Barrier/Bcast for collective open/close, and the server inbox
-// (Deliver/Recv) that carries flush and shutdown requests.
+// Barrier/Bcast for collective open/close, the open mode every file layer
+// shares, and the server inbox (Deliver/Recv) that carries flush and
+// shutdown requests.
 package mpi
 
 import (
@@ -46,6 +47,25 @@ func (w *World) SetTrace(rec *trace.Recorder) {
 // NewWorld creates a world over the cluster with the given placement policy.
 func NewWorld(e *sim.Engine, c *topology.Cluster, policy schedule.Policy) *World {
 	return &World{E: e, Cluster: c, Sched: schedule.New(c, policy)}
+}
+
+// Mode is the access mode of a collective file open, the one mode type
+// from the MPI-IO layer down to UniviStor's client library.
+type Mode int
+
+const (
+	// ReadOnly opens for reading (MPI_MODE_RDONLY).
+	ReadOnly Mode = iota
+	// WriteOnly opens for writing (MPI_MODE_WRONLY | MPI_MODE_CREATE).
+	WriteOnly
+)
+
+// String returns the mode name.
+func (m Mode) String() string {
+	if m == WriteOnly {
+		return "write"
+	}
+	return "read"
 }
 
 // Msg is one message of a rank's inbox.

@@ -81,13 +81,13 @@ func NewLustreDriver(fs *lustre.FS) *LustreDriver {
 func (d *LustreDriver) Name() string { return "lustre" }
 
 // Open is the collective open: an MDS round-trip per rank plus a barrier.
-func (d *LustreDriver) Open(r *mpi.Rank, name string, mode Mode) (File, error) {
+func (d *LustreDriver) Open(r *mpi.Rank, name string, mode mpi.Mode) (File, error) {
 	cfg := r.World().Cluster.Cfg
 	r.P.Sleep(cfg.PFSLatency) // MDS RPC
 	r.Barrier()
 	sh, ok := d.files[name]
 	if !ok {
-		if mode == ReadOnly {
+		if mode == mpi.ReadOnly {
 			return nil, fmt.Errorf("lustre driver: file %q does not exist", name)
 		}
 		spec := lustre.StripeSpec{Size: 1 << 20, Count: d.FS.OSTCount(), StartOST: lustre.AutoStart}
@@ -106,7 +106,7 @@ type lustreFile struct {
 	d      *LustreDriver
 	sh     *lustreShared
 	r      *mpi.Rank
-	mode   Mode
+	mode   mpi.Mode
 	closed bool
 }
 
@@ -116,7 +116,7 @@ func (f *lustreFile) WriteAt(off, size int64, data []byte) error {
 	if f.closed {
 		return fmt.Errorf("lustre driver: write to closed file")
 	}
-	if f.mode != WriteOnly {
+	if f.mode != mpi.WriteOnly {
 		return fmt.Errorf("lustre driver: file opened read-only")
 	}
 	if size <= 0 {

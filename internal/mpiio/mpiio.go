@@ -2,8 +2,10 @@
 // (paper §II-F): applications perform collective opens and independent
 // reads/writes against a File abstraction, while a Driver supplies the
 // file-system behaviour underneath. UniviStor, plain Lustre, and Data
-// Elevator are drivers; selecting one via Env.FSType mirrors setting
-// ROMIO_FSTYPE_FORCE.
+// Elevator are drivers; a job's Env holds the one driver it runs on, as
+// ROMIO_FSTYPE_FORCE picks one per job. The UniviStor driver hands out
+// core's client file itself, so an MPI-IO call reaches the client library
+// with no layer in between.
 package mpiio
 
 import (
@@ -11,24 +13,6 @@ import (
 
 	"univistor/internal/mpi"
 )
-
-// Mode is the file access mode of a collective open.
-type Mode int
-
-const (
-	// ReadOnly opens for reading (MPI_MODE_RDONLY).
-	ReadOnly Mode = iota
-	// WriteOnly opens for writing (MPI_MODE_WRONLY | MPI_MODE_CREATE).
-	WriteOnly
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	if m == WriteOnly {
-		return "write"
-	}
-	return "read"
-}
 
 // File is an open MPI file handle. WriteAt/ReadAt are independent
 // operations; Close is collective.
@@ -81,35 +65,25 @@ func WriteTagged(f File, off, size int64, data []byte, tag uint64) error {
 // the application must call it with identical arguments.
 type Driver interface {
 	Name() string
-	Open(r *mpi.Rank, name string, mode Mode) (File, error)
+	Open(r *mpi.Rank, name string, mode mpi.Mode) (File, error)
 }
 
-// Env selects the driver per job, mimicking the ROMIO_FSTYPE_FORCE
-// environment flag.
+// Env is a job's MPI-IO environment: the one driver its files open
+// through, named like the ROMIO_FSTYPE_FORCE value that selects it.
 type Env struct {
-	FSType  string
-	drivers map[string]Driver
+	d Driver
 }
 
-// NewEnv returns an environment with the given drivers registered.
-func NewEnv(fstype string, drivers ...Driver) (*Env, error) {
-	e := &Env{FSType: fstype, drivers: map[string]Driver{}}
-	for _, d := range drivers {
-		if _, dup := e.drivers[d.Name()]; dup {
-			return nil, fmt.Errorf("mpiio: duplicate driver %q", d.Name())
-		}
-		e.drivers[d.Name()] = d
+// NewEnv returns an environment running on d, which must be the driver
+// named fstype.
+func NewEnv(fstype string, d Driver) (*Env, error) {
+	if d.Name() != fstype {
+		return nil, fmt.Errorf("mpiio: driver %q is not %q", d.Name(), fstype)
 	}
-	if _, ok := e.drivers[fstype]; !ok {
-		return nil, fmt.Errorf("mpiio: no driver %q registered", fstype)
-	}
-	return e, nil
+	return &Env{d: d}, nil
 }
 
-// Driver returns the selected driver.
-func (e *Env) Driver() Driver { return e.drivers[e.FSType] }
-
-// Open is the collective MPI_File_open through the selected driver.
-func (e *Env) Open(r *mpi.Rank, name string, mode Mode) (File, error) {
-	return e.drivers[e.FSType].Open(r, name, mode)
+// Open is the collective MPI_File_open through the environment's driver.
+func (e *Env) Open(r *mpi.Rank, name string, mode mpi.Mode) (File, error) {
+	return e.d.Open(r, name, mode)
 }

@@ -50,17 +50,10 @@ func TestEnvValidation(t *testing.T) {
 	fs := lustre.NewFS(w.Cluster)
 	d := NewLustreDriver(fs)
 	if _, err := NewEnv("missing", d); err == nil {
-		t.Error("NewEnv accepted an unregistered fstype")
+		t.Error("NewEnv accepted a driver not named by fstype")
 	}
-	if _, err := NewEnv("lustre", d, d); err == nil {
-		t.Error("NewEnv accepted duplicate drivers")
-	}
-	env, err := NewEnv("lustre", d)
-	if err != nil {
+	if _, err := NewEnv("lustre", d); err != nil {
 		t.Fatal(err)
-	}
-	if env.Driver().Name() != "lustre" {
-		t.Errorf("selected driver %q", env.Driver().Name())
 	}
 }
 
@@ -70,7 +63,7 @@ func TestUniviStorDriverRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("m"), int(1*mib))
 	var got []byte
 	app := w.Launch("app", 2, func(r *mpi.Rank) {
-		f, err := env.Open(r, "data.h5", WriteOnly)
+		f, err := env.Open(r, "data.h5", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -82,7 +75,7 @@ func TestUniviStorDriverRoundTrip(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		rf, err := env.Open(r, "data.h5", ReadOnly)
+		rf, err := env.Open(r, "data.h5", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -110,6 +103,25 @@ func TestUniviStorDriverRoundTrip(t *testing.T) {
 	}
 }
 
+// A failed UniviStor open returns an untyped nil File: a nil
+// *core.ClientFile inside the interface would compare non-nil.
+func TestUniviStorOpenErrorReturnsNilFile(t *testing.T) {
+	w := testWorld(t)
+	env, drv := univistorEnv(t, w)
+	app := w.Launch("app", 1, func(r *mpi.Rank) {
+		f, err := env.Open(r, "absent", mpi.ReadOnly)
+		if err == nil || f != nil {
+			t.Errorf("open of a missing file = (%v, %v), want (nil, error)", f, err)
+		}
+		drv.Disconnect(r)
+	}, mpi.LaunchOpts{RanksPerNode: 1})
+	w.E.Go("janitor", func(p *sim.Proc) {
+		app.Wait(p)
+		drv.Sys.Shutdown()
+	})
+	w.E.Run()
+}
+
 func TestLustreDriverRoundTripAndModes(t *testing.T) {
 	w := testWorld(t)
 	d := NewLustreDriver(lustre.NewFS(w.Cluster))
@@ -117,11 +129,11 @@ func TestLustreDriverRoundTripAndModes(t *testing.T) {
 	payload := bytes.Repeat([]byte("L"), int(1*mib))
 	var got []byte
 	w.Launch("app", 2, func(r *mpi.Rank) {
-		if _, err := env.Open(r, "absent", ReadOnly); err == nil {
+		if _, err := env.Open(r, "absent", mpi.ReadOnly); err == nil {
 			t.Error("read-open of missing file succeeded")
 		}
 		r.Barrier()
-		f, err := env.Open(r, "shared", WriteOnly)
+		f, err := env.Open(r, "shared", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -134,7 +146,7 @@ func TestLustreDriverRoundTripAndModes(t *testing.T) {
 			t.Errorf("read on write handle should work through lustre: %v", err)
 		}
 		f.Close()
-		rf, _ := env.Open(r, "shared", ReadOnly)
+		rf, _ := env.Open(r, "shared", mpi.ReadOnly)
 		if err := rf.WriteAt(0, 1, []byte{0}); err == nil {
 			t.Error("write on read-only handle succeeded")
 		}
@@ -157,7 +169,7 @@ func TestLustreSharedSlowerThanUniviStorDRAM(t *testing.T) {
 		env, cleanup := build(w)
 		var dur sim.Time
 		app := w.Launch("app", 4, func(r *mpi.Rank) {
-			f, err := env.Open(r, "f", WriteOnly)
+			f, err := env.Open(r, "f", mpi.WriteOnly)
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return
@@ -211,7 +223,7 @@ func TestLustreWriterBWFromClusterConfig(t *testing.T) {
 		env, _ := NewEnv("lustre", NewLustreDriver(lustre.NewFS(w.Cluster)))
 		var dur sim.Time
 		w.Launch("app", 4, func(r *mpi.Rank) {
-			f, err := env.Open(r, "shared", WriteOnly)
+			f, err := env.Open(r, "shared", mpi.WriteOnly)
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return

@@ -21,17 +21,6 @@ func NewUniviStorDriver(sys *core.System) *UniviStorDriver {
 // Name returns "univistor".
 func (d *UniviStorDriver) Name() string { return "univistor" }
 
-// ClientFor returns (connecting on first use) the rank's UniviStor client —
-// the MPI_Init-time connection of the paper's connection-management module.
-func (d *UniviStorDriver) ClientFor(r *mpi.Rank) *core.Client {
-	c, ok := d.clients[r]
-	if !ok {
-		c = d.Sys.Connect(r)
-		d.clients[r] = c
-	}
-	return c
-}
-
 // Disconnect detaches a rank (the MPI_Finalize hook). Harmless if the rank
 // never connected.
 func (d *UniviStorDriver) Disconnect(r *mpi.Rank) {
@@ -41,51 +30,25 @@ func (d *UniviStorDriver) Disconnect(r *mpi.Rank) {
 	}
 }
 
-// Open is the collective open through UniviStor.
-func (d *UniviStorDriver) Open(r *mpi.Rank, name string, mode Mode) (File, error) {
-	cmode := core.ReadOnly
-	if mode == WriteOnly {
-		cmode = core.WriteOnly
+// Open is the collective open through UniviStor. A rank's first open
+// connects its client (the MPI_Init-time connection of the paper's
+// connection-management module); the file handle is core's client file.
+func (d *UniviStorDriver) Open(r *mpi.Rank, name string, mode mpi.Mode) (File, error) {
+	c, ok := d.clients[r]
+	if !ok {
+		c = d.Sys.Connect(r)
+		d.clients[r] = c
 	}
-	cf, err := d.ClientFor(r).Open(name, cmode)
+	cf, err := c.Open(name, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &univistorFile{cf: cf}, nil
+	return cf, nil
 }
-
-type univistorFile struct {
-	cf *core.ClientFile
-}
-
-func (f *univistorFile) Name() string { return f.cf.Name() }
-
-func (f *univistorFile) WriteAt(off, size int64, data []byte) error {
-	return f.cf.WriteAt(off, size, data)
-}
-
-func (f *univistorFile) ReadAt(off, size int64) ([]byte, error) {
-	return f.cf.ReadAt(off, size)
-}
-
-func (f *univistorFile) Close() error { return f.cf.Close() }
-
-// Delete reclaims whole segments inside the range (see core.ClientFile).
-func (f *univistorFile) Delete(off, size int64) (int, error) {
-	return f.cf.Delete(off, size)
-}
-
-// WriteAtTagged forwards the content tag to the dedup fingerprint (see
-// core.ClientFile.WriteAtTagged).
-func (f *univistorFile) WriteAtTagged(off, size int64, data []byte, tag uint64) error {
-	return f.cf.WriteAtTagged(off, size, data, tag)
-}
-
-// Flush triggers the asynchronous server-side flush without closing.
-func (f *univistorFile) Flush() error { return f.cf.Flush() }
 
 var (
-	_ Deleter = (*univistorFile)(nil)
-	_ Tagger  = (*univistorFile)(nil)
-	_ Flusher = (*univistorFile)(nil)
+	_ File    = (*core.ClientFile)(nil)
+	_ Deleter = (*core.ClientFile)(nil)
+	_ Tagger  = (*core.ClientFile)(nil)
+	_ Flusher = (*core.ClientFile)(nil)
 )

@@ -95,7 +95,7 @@ func TestObjectStoreTierEndToEnd(t *testing.T) {
 	rand.New(rand.NewSource(7)).Read(payload)
 	var got []byte
 	runApp(t, w, sys, 1, 1, func(c *core.Client) {
-		f, err := c.Open("f", core.WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -111,7 +111,7 @@ func TestObjectStoreTierEndToEnd(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		rf, err := c.Open("f", core.ReadOnly)
+		rf, err := c.Open("f", mpi.ReadOnly)
 		if err != nil {
 			t.Errorf("open read: %v", err)
 			return
@@ -181,7 +181,7 @@ func TestChainRoundTripProperty(t *testing.T) {
 		}
 		ok := true
 		runApp(t, w, sys, 1, 1, func(c *core.Client) {
-			f, err := c.Open("f", core.WriteOnly)
+			f, err := c.Open("f", mpi.WriteOnly)
 			if err != nil {
 				ok = false
 				return
@@ -230,7 +230,7 @@ func TestPromotionFromObjectTierBookkeeping(t *testing.T) {
 	var got []byte
 	var cachedAfterPromote int64
 	runApp(t, w, sys, 1, 1, func(c *core.Client) {
-		f, err := c.Open("f", core.WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -289,7 +289,7 @@ func TestDeviceSpansPerTier(t *testing.T) {
 	w.SetTrace(rec)
 	const segs = 10
 	runApp(t, w, sys, 1, 1, func(c *core.Client) {
-		f, err := c.Open("f", core.WriteOnly)
+		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return

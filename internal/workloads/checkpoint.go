@@ -73,30 +73,6 @@ type CheckpointStats struct {
 	FilesRetired int
 }
 
-// splitmix64 is the splitmix64 finalizer — the same bit-mixing
-// construction internal/metaplane/hashring.go uses for ring points.
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// rankSeed derives one rank's RNG seed from the kernel seed. The obvious
-// additive form `Seed + rank*GOLDEN` is collision-prone: (S, r) and
-// (S+GOLDEN, r-1) land on the same seed and so produce identical mutation
-// streams — and mixing only the combined sum keeps exactly that collision
-// family, since the mix is injective. Instead the kernel seed is finalized
-// first and the rank stream derived from the mixed value (the splitmix64
-// generator structure: state = mix(seed), k-th stream = mix(state + k·γ)),
-// so shifting the seed by γ no longer aliases adjacent ranks.
-func rankSeed(seed int64, rank int) int64 {
-	const golden = 0x9E3779B97F4A7C15
-	return int64(splitmix64(splitmix64(uint64(seed)) + uint64(rank)*golden))
-}
-
 // segTag derives the 64-bit content identity of one segment version: equal
 // (rank, segment, version) triples — and only those — stand for equal
 // bytes, so an unchanged segment rewritten in the next step's file dedups
@@ -120,7 +96,7 @@ func RunCheckpoint(r *mpi.Rank, env *mpiio.Env, cfg CheckpointConfig) (Checkpoin
 		return st, fmt.Errorf("checkpoint: TimeSteps, SegmentsPerRank, SegmentBytes must be positive")
 	}
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(rankSeed(cfg.Seed, r.Rank())))
+	rng := rand.New(rand.NewSource(sim.StreamSeed(cfg.Seed, r.Rank())))
 	versions := make([]uint64, cfg.SegmentsPerRank)
 	base := int64(r.Rank()) * cfg.BytesPerRankStep()
 	open := map[int]mpiio.File{}
@@ -140,7 +116,7 @@ func RunCheckpoint(r *mpi.Rank, env *mpiio.Env, cfg CheckpointConfig) (Checkpoin
 		}
 
 		t0 := r.Now()
-		f, err := env.Open(r, cfg.StepFile(step), mpiio.WriteOnly)
+		f, err := env.Open(r, cfg.StepFile(step), mpi.WriteOnly)
 		if err != nil {
 			return st, fmt.Errorf("checkpoint step %d open: %w", step, err)
 		}

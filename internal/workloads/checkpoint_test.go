@@ -141,37 +141,6 @@ func TestCheckpointRetentionGC(t *testing.T) {
 	}
 }
 
-// TestCheckpointRankSeedDeterminism pins the (seed, rank) → RNG-stream map.
-// The additive derivation this replaced collided: (S, r) and (S+γ, r−1)
-// produced the same seed, so adjacent ranks of "different" experiments
-// mutated identical segment sets. The splitmix64 mixing must keep equal
-// inputs equal and break exactly that collision family.
-func TestCheckpointRankSeedDeterminism(t *testing.T) {
-	const golden = int64(-0x61C8864680B583EB) // 0x9E3779B97F4A7C15 as int64
-	if rankSeed(42, 3) != rankSeed(42, 3) {
-		t.Fatal("rankSeed not deterministic")
-	}
-	seeds := map[int64][2]int{}
-	for _, S := range []int64{0, 1, 42, -7, golden} {
-		for rank := 0; rank < 64; rank++ {
-			s := rankSeed(S, rank)
-			if prev, dup := seeds[s]; dup {
-				t.Fatalf("rankSeed collision: (S=%d, r=%d) and (S=%d, r=%d) → %d",
-					S, rank, prev[0], prev[1], s)
-			}
-			seeds[s] = [2]int{int(S), rank}
-		}
-	}
-	// The specific collision family of the additive formula.
-	for rank := 1; rank < 32; rank++ {
-		a := rankSeed(100, rank)
-		b := rankSeed(100+golden, rank-1)
-		if a == b {
-			t.Fatalf("additive collision survived: (100, %d) == (100+γ, %d)", rank, rank-1)
-		}
-	}
-}
-
 // TestCheckpointDedupOffStillRuns pins the kernel to the legacy path:
 // with dedup disabled the tagged writes degrade to plain writes and the
 // physical counters stay zero.

@@ -51,7 +51,7 @@ func MicroWrite(r *mpi.Rank, env *mpiio.Env, cfg MicroConfig) (MicroStats, error
 	cfg.defaults()
 	var st MicroStats
 	t0 := r.Now()
-	f, err := env.Open(r, cfg.FileName, mpiio.WriteOnly)
+	f, err := env.Open(r, cfg.FileName, mpi.WriteOnly)
 	if err != nil {
 		return st, fmt.Errorf("micro write open: %w", err)
 	}
@@ -87,7 +87,7 @@ func MicroRead(r *mpi.Rank, env *mpiio.Env, cfg MicroConfig) (MicroStats, error)
 	cfg.defaults()
 	var st MicroStats
 	t0 := r.Now()
-	f, err := env.Open(r, cfg.FileName, mpiio.ReadOnly)
+	f, err := env.Open(r, cfg.FileName, mpi.ReadOnly)
 	if err != nil {
 		return st, fmt.Errorf("micro read open: %w", err)
 	}
@@ -180,7 +180,7 @@ func RunVPIC(r *mpi.Rank, env *mpiio.Env, cfg VPICConfig) (VPICStats, error) {
 	totalParticles := cfg.ParticlesPerRank * int64(r.Size())
 	for step := 0; step < cfg.TimeSteps; step++ {
 		t0 := r.Now()
-		f, err := env.Open(r, cfg.StepFile(step), mpiio.WriteOnly)
+		f, err := env.Open(r, cfg.StepFile(step), mpi.WriteOnly)
 		if err != nil {
 			return st, fmt.Errorf("vpic step %d open: %w", step, err)
 		}
@@ -248,7 +248,7 @@ func RunBDCATS(r *mpi.Rank, env *mpiio.Env, cfg BDCATSConfig) (BDCATSStats, erro
 	}
 	for step := 0; step < cfg.VPIC.TimeSteps; step++ {
 		t0 := r.Now()
-		f, err := env.Open(r, cfg.VPIC.StepFile(step), mpiio.ReadOnly)
+		f, err := env.Open(r, cfg.VPIC.StepFile(step), mpi.ReadOnly)
 		if err != nil {
 			return st, fmt.Errorf("bdcats step %d open: %w", step, err)
 		}

@@ -116,12 +116,12 @@ type File = mpiio.File
 // Create opens a file for writing through UniviStor (collective: every
 // rank of the job must call it with the same name).
 func (a *App) Create(name string) (File, error) {
-	return a.c.Env.Open(a.r, name, mpiio.WriteOnly)
+	return a.c.Env.Open(a.r, name, mpi.WriteOnly)
 }
 
 // Open opens an existing file for reading (collective).
 func (a *App) Open(name string) (File, error) {
-	return a.c.Env.Open(a.r, name, mpiio.ReadOnly)
+	return a.c.Env.Open(a.r, name, mpi.ReadOnly)
 }
 
 // WaitFlush blocks until the named file's pending server-side flush

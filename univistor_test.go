@@ -2,6 +2,7 @@ package univistor
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"univistor/internal/core"
@@ -94,6 +95,8 @@ func TestFacadeValidation(t *testing.T) {
 		func(c *core.Config) { c.CacheTiers = []meta.Tier{meta.TierDRAM, meta.TierDRAM} },
 		func(c *core.Config) { c.TierLogBytes = map[meta.Tier]int64{meta.Tier(meta.NumTiers): 1 << 20} },
 		func(c *core.Config) { c.TierLogBytes = map[meta.Tier]int64{meta.TierPFS: 1 << 20} },
+		func(c *core.Config) { c.MetaOpTime = math.NaN() },
+		func(c *core.Config) { c.MetaOpTime = math.Inf(1) },
 	} {
 		o := smallOpts()
 		bad(&o.Service)
