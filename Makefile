@@ -27,7 +27,7 @@ check: build vet race race-diffcheck trace-smoke examples chaos-smoke bench-smok
 # DRAM to the object tier, then validate all three.
 trace-smoke:
 	$(GO) run ./cmd/univibench -quick -fig fig6a -trace /tmp/t.json > /dev/null
-	$(GO) run ./cmd/univistor-sim -meta-shards 2 -meta-replicas 3 -meta-follower-reads -meta-split 1@1 \
+	$(GO) run ./cmd/univistor-sim -meta-shards 2 -meta-replicas 3 -meta-follower-reads -chaos metasplit@1 \
 		-dedup -ckpt 3 -trace /tmp/counters.json > /dev/null
 	$(GO) run ./cmd/univistor-sim -procs 16 -ranks-per-node 8 -mb 8192 -seg-mb 64 -tiers object,dram \
 		-read -flush -trace /tmp/tiers.json > /dev/null

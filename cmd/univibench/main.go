@@ -70,8 +70,9 @@ func main() {
 		}
 		bad := 0
 		for _, r := range results {
+			faults, sweeps, violations := r.Totals()
 			fmt.Printf("%-8s stacks=%d faults=%d sweeps=%d violations=%d\n",
-				r.Fig, len(r.Reports), r.Faults(), r.Checks(), r.Violations())
+				r.Fig, len(r.Reports), faults, sweeps, violations)
 			for _, rep := range r.Reports {
 				for _, v := range rep.Violations {
 					fmt.Printf("  VIOLATION [%s]: %s\n", rep.Spec, v)

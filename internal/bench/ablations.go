@@ -123,42 +123,59 @@ func AblationSegmentSize(o Options) *Result {
 	return res
 }
 
-// All runs every figure and ablation in paper order.
+// figKind sorts the runnable figures: the paper's own (Figs. 5–10), the
+// design-choice ablations, and the feature figures, which run by id only
+// so that -all output stays byte-identical with earlier releases.
+type figKind int
+
+const (
+	paperFig figKind = iota
+	ablationFig
+	featureFig
+)
+
+// figures is the one table of runnable figures, in paper order.
+var figures = []struct {
+	id   string
+	run  func(Options) *Result
+	kind figKind
+}{
+	{"fig5a", Fig5a, paperFig}, {"fig5b", Fig5b, paperFig}, {"fig5c", Fig5c, paperFig},
+	{"fig6a", Fig6a, paperFig}, {"fig6b", Fig6b, paperFig}, {"fig6c", Fig6c, paperFig},
+	{"fig7", Fig7, paperFig}, {"fig8", Fig8, paperFig}, {"fig9", Fig9, paperFig}, {"fig10", Fig10, paperFig},
+	{"abl-striping", AblationStriping, ablationFig}, {"abl-laread", AblationLocationAwareRead, ablationFig},
+	{"abl-centralmeta", AblationCentralMetadata, ablationFig}, {"abl-servers", AblationServersPerNode, ablationFig},
+	{"abl-segsize", AblationSegmentSize, ablationFig},
+	{"figmeta", FigMeta, featureFig}, {"figdedup", FigDedup, featureFig},
+	{"figtail", FigTail, featureFig}, {"figsplit", FigSplit, featureFig},
+}
+
+// All runs every paper figure and ablation in paper order.
 func All(o Options) []*Result {
-	return []*Result{
-		Fig5a(o), Fig5b(o), Fig5c(o),
-		Fig6a(o), Fig6b(o), Fig6c(o),
-		Fig7(o), Fig8(o), Fig9(o), Fig10(o),
-		AblationStriping(o), AblationLocationAwareRead(o),
-		AblationCentralMetadata(o), AblationServersPerNode(o), AblationSegmentSize(o),
+	var out []*Result
+	for _, f := range figures {
+		if f.kind != featureFig {
+			out = append(out, f.run(o))
+		}
 	}
+	return out
 }
 
 // ByID returns the named figure runner (e.g. "fig5a", "abl-striping").
 func ByID(id string) (func(Options) *Result, bool) {
-	m := map[string]func(Options) *Result{
-		"fig5a": Fig5a, "fig5b": Fig5b, "fig5c": Fig5c,
-		"fig6a": Fig6a, "fig6b": Fig6b, "fig6c": Fig6c,
-		"fig7": Fig7, "fig8": Fig8, "fig9": Fig9, "fig10": Fig10,
-		"abl-striping": AblationStriping, "abl-laread": AblationLocationAwareRead,
-		"abl-centralmeta": AblationCentralMetadata, "abl-servers": AblationServersPerNode,
-		"abl-segsize": AblationSegmentSize,
-		// figmeta, figdedup, figtail and figsplit are runnable by id but
-		// deliberately not part of All(): -all output stays byte-identical
-		// with earlier releases.
-		"figmeta":  FigMeta,
-		"figdedup": FigDedup,
-		"figtail":  FigTail,
-		"figsplit": FigSplit,
+	for _, f := range figures {
+		if f.id == id {
+			return f.run, true
+		}
 	}
-	f, ok := m[id]
-	return f, ok
+	return nil, false
 }
 
-// IDs lists every runnable figure/ablation id in paper order.
+// IDs lists every runnable figure id in paper order.
 func IDs() []string {
-	return []string{"fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c",
-		"fig7", "fig8", "fig9", "fig10",
-		"abl-striping", "abl-laread", "abl-centralmeta", "abl-servers", "abl-segsize",
-		"figmeta", "figdedup", "figtail", "figsplit"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }

@@ -5,11 +5,7 @@ package bench
 // gate that the resilience paths and the bookkeeping they touch stay
 // consistent under faults.
 
-import (
-	"fmt"
-
-	"univistor/internal/chaos"
-)
+import "univistor/internal/chaos"
 
 // DefaultSmokeSpec is the schedule -chaos-smoke arms when none is given:
 // non-destructive faults only (stalls and degradations — crashes would
@@ -24,42 +20,18 @@ type SmokeResult struct {
 	Reports []chaos.Report
 }
 
-// Violations counts invariant violations across the figure's stacks.
-func (s SmokeResult) Violations() int {
-	n := 0
+// Totals sums the figure's stacks: injected faults, invariant sweeps and
+// invariant violations.
+func (s SmokeResult) Totals() (faults, sweeps, violations int) {
 	for _, r := range s.Reports {
-		n += len(r.Violations)
+		faults += len(r.Faults)
+		sweeps += r.Checks
+		violations += len(r.Violations)
 	}
-	return n
+	return faults, sweeps, violations
 }
 
-// Faults counts injected faults across the figure's stacks.
-func (s SmokeResult) Faults() int {
-	n := 0
-	for _, r := range s.Reports {
-		n += len(r.Faults)
-	}
-	return n
-}
-
-// Checks counts invariant sweeps across the figure's stacks.
-func (s SmokeResult) Checks() int {
-	n := 0
-	for _, r := range s.Reports {
-		n += r.Checks
-	}
-	return n
-}
-
-// smokeFigs are the figure workloads the smoke covers (the paper figures;
-// ablations rebuild the same stacks under different configs and add little
-// fault-path coverage for their cost).
-func smokeFigs() []string {
-	return []string{"fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c",
-		"fig7", "fig8", "fig9", "fig10"}
-}
-
-// ChaosSmoke runs every figure workload with the chaos schedule armed and
+// ChaosSmoke runs every paper figure with the chaos schedule armed and
 // returns the per-figure reports. The figure results themselves are
 // discarded — the smoke's output is whether every invariant held on every
 // stack of every workload.
@@ -72,16 +44,18 @@ func ChaosSmoke(o Options, spec string) ([]SmokeResult, error) {
 	}
 	o.Chaos = spec
 	var out []SmokeResult
-	for _, id := range smokeFigs() {
-		fn, ok := ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown smoke figure %q", id)
+	// The smoke covers the paper figures; ablations rebuild the same
+	// stacks under different configs and add little fault-path coverage
+	// for their cost.
+	for _, f := range figures {
+		if f.kind != paperFig {
+			continue
 		}
 		var reports []chaos.Report
 		o.ChaosReport = func(r chaos.Report) { reports = append(reports, r) }
-		o.progress("chaos-smoke %s", id)
-		fn(o)
-		out = append(out, SmokeResult{Fig: id, Reports: reports})
+		o.progress("chaos-smoke %s", f.id)
+		f.run(o)
+		out = append(out, SmokeResult{Fig: f.id, Reports: reports})
 	}
 	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"univistor/internal/core"
-	"univistor/internal/mpi"
 	"univistor/internal/workloads"
 )
 
@@ -32,10 +31,7 @@ func FigDedup(o Options) *Result {
 	if steps <= 0 {
 		steps = 10
 	}
-	segs := int(o.BytesPerRank / o.SegmentBytes)
-	if segs < 1 {
-		segs = 1
-	}
+	segs := max(1, int(o.BytesPerRank/o.SegmentBytes))
 	sLog := Series{Name: "logical GiB"}
 	sPhys := Series{Name: "physical GiB dedup"}
 	sOff := Series{Name: "end-to-end s off"}
@@ -44,7 +40,6 @@ func FigDedup(o Options) *Result {
 		var logical, physical int64
 		var offSecs, onSecs float64
 		for _, dedup := range []bool{false, true} {
-			dedup := dedup
 			v := uvVariant("", tiersDRAM, func(c *core.Config) {
 				if dedup {
 					c.Dedup = true
@@ -62,20 +57,18 @@ func FigDedup(o Options) *Result {
 				ChangeRate:      figDedupChangeRate,
 				Seed:            4242,
 			}
-			app := st.W.Launch("ckpt", procs, func(r *mpi.Rank) {
-				if _, err := workloads.RunCheckpoint(r, st.Env, cfg); err != nil {
-					panic(fmt.Sprintf("bench: figdedup checkpoint: %v", err))
-				}
-				st.Disconnect(r)
-			}, mpi.LaunchOpts{RanksPerNode: o.RanksPerNode})
-			st.run(o, app.Wait)
+			ck, err := st.Checkpoint(procs, o.RanksPerNode, cfg)
+			if err != nil {
+				panic(fmt.Sprintf("bench: figdedup checkpoint: %v", err))
+			}
+			st.finish(o)
 			s := st.UV.Sys.Stats()
 			if dedup {
 				logical = s.BytesFlushed
 				physical = s.BytesFlushedPhysical
-				onSecs = float64(st.E.Now())
+				onSecs = float64(ck.End)
 			} else {
-				offSecs = float64(st.E.Now())
+				offSecs = float64(ck.End)
 			}
 		}
 		sLog.Points = append(sLog.Points, Point{Procs: procs, Value: float64(logical) / GiB})

@@ -28,6 +28,14 @@ func uvStepLogs(o Options) func(*core.Config) {
 	}
 }
 
+// uvWorkflowLogs is uvStepLogs with the workflow manager of §II-E on.
+func uvWorkflowLogs(o Options) func(*core.Config) {
+	return func(c *core.Config) {
+		uvStepLogs(o)(c)
+		c.Workflow = true
+	}
+}
+
 // runVPIC executes the checkpointing workload and returns the paper's
 // "total I/O time": the slowest rank's accumulated open+write+close time
 // plus the tail of the last step's flush beyond its close (§III-C).
@@ -101,10 +109,7 @@ func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float
 	st := v.stack(procs, o)
 	writers := procs / 2
 	readers := procs - writers
-	perNode := o.RanksPerNode / 2
-	if perNode < 1 {
-		perNode = 1
-	}
+	perNode := max(1, o.RanksPerNode/2)
 	nodes := make([]int, len(st.W.Cluster.Nodes))
 	for i := range nodes {
 		nodes[i] = i
@@ -159,12 +164,8 @@ func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float
 // UniviStor runs in overlap (concurrent, coordinated) and nonoverlap modes
 // on DRAM and BB; Data Elevator and Lustre run nonoverlap.
 func Fig9(o Options) *Result {
-	wfLogs := func(c *core.Config) {
-		uvStepLogs(o)(c)
-		c.Workflow = true
-	}
-	uvDRAM := uvVariant("UV/DRAM", tiersDRAM, wfLogs)
-	uvBB := uvVariant("UV/BB", tiersBB, wfLogs)
+	uvDRAM := uvVariant("UV/DRAM", tiersDRAM, uvWorkflowLogs(o))
+	uvBB := uvVariant("UV/BB", tiersBB, uvWorkflowLogs(o))
 	de := variant{name: "DataElevator", driver: "dataelevator"}
 	lus := variant{name: "Lustre", driver: "lustre"}
 
@@ -188,14 +189,10 @@ func Fig9(o Options) *Result {
 // Fig10 regenerates Fig. 10: the 10-step workflow (data exceeds DRAM)
 // under different UniviStor layer combinations, overlap mode.
 func Fig10(o Options) *Result {
-	wfLogs := func(c *core.Config) {
-		uvStepLogs(o)(c)
-		c.Workflow = true
-	}
 	variants := []variant{
-		uvVariant("UV/(DRAM+BB)", tiersBoth, wfLogs),
-		uvVariant("UV/(BB)", tiersBB, wfLogs),
-		uvVariant("UV/(Disk)", tiersNone, wfLogs),
+		uvVariant("UV/(DRAM+BB)", tiersBoth, uvWorkflowLogs(o)),
+		uvVariant("UV/(BB)", tiersBB, uvWorkflowLogs(o)),
+		uvVariant("UV/(Disk)", tiersNone, uvWorkflowLogs(o)),
 	}
 	res := &Result{ID: "fig10", Title: "10-step workflow time across layer combinations",
 		Metric: "elapsed time (s)"}

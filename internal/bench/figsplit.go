@@ -105,16 +105,28 @@ func stormKey(k uint64) (meta.FileID, int64) {
 	return fid, off
 }
 
-// preloadStorm pays one client's slice of the key population into the
-// plane, then spin-waits (on the virtual clock) for the other clients.
-func preloadStorm(p *sim.Proc, pl *metaplane.Plane, c, clients int, loaded *int) {
-	for k := c; k < splitStormKeys; k += clients {
-		fid, off := stormKey(uint64(k))
-		pl.Put(p, c%8, meta.Record{FID: fid, Offset: off, Size: 1 << 20, Proc: c, VA: off})
-	}
-	*loaded++
-	for *loaded < clients {
-		p.Sleep(1e-4)
+// runStorm launches `clients` storm processes on e. Each pays its slice of
+// the key population into pl, spin-waits (on the virtual clock) for the
+// other clients, and then issues opsPer Zipf-drawn stats through stat.
+func runStorm(e *sim.Engine, pl *metaplane.Plane, clients, opsPer int,
+	stat func(p *sim.Proc, c int, fid meta.FileID, off int64)) {
+	loaded := 0
+	for c := 0; c < clients; c++ {
+		e.Go(fmt.Sprintf("storm-%d", c), func(p *sim.Proc) {
+			for k := c; k < splitStormKeys; k += clients {
+				fid, off := stormKey(uint64(k))
+				pl.Put(p, c%8, meta.Record{FID: fid, Offset: off, Size: 1 << 20, Proc: c, VA: off})
+			}
+			loaded++
+			for loaded < clients {
+				p.Sleep(1e-4)
+			}
+			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(9000+c))), 1.2, 1, splitStormKeys-1)
+			for i := 0; i < opsPer; i++ {
+				fid, off := stormKey(zipf.Uint64())
+				stat(p, c, fid, off)
+			}
+		})
 	}
 }
 
@@ -125,27 +137,16 @@ func preloadStorm(p *sim.Proc, pl *metaplane.Plane, c, clients int, loaded *int)
 func runLeaseStorm(clients int, leased bool, opsPer int) float64 {
 	pl := newStormPlane(1, leased)
 	e := sim.NewEngine()
-	loaded := 0
 	var start, end sim.Time
 	stats := 0
-	for c := 0; c < clients; c++ {
-		c := c
-		e.Go(fmt.Sprintf("storm-%d", c), func(p *sim.Proc) {
-			preloadStorm(p, pl, c, clients, &loaded)
-			if start == 0 || p.Now() < start {
-				start = p.Now()
-			}
-			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(9000+c))), 1.2, 1, splitStormKeys-1)
-			for i := 0; i < opsPer; i++ {
-				fid, off := stormKey(zipf.Uint64())
-				pl.Stat(p, c%8, fid, off)
-				stats++
-			}
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
-	}
+	runStorm(e, pl, clients, opsPer, func(p *sim.Proc, c int, fid meta.FileID, off int64) {
+		if start == 0 || p.Now() < start {
+			start = p.Now()
+		}
+		pl.Stat(p, c%8, fid, off)
+		stats++
+		end = max(end, p.Now())
+	})
 	e.Run()
 	if end <= start {
 		return 0
@@ -168,26 +169,18 @@ func runSplitStorm(leased bool, opsPer int) [3]float64 {
 	phase := 0
 	pl.SplitDone = func() { phase = 2 }
 	e := sim.NewEngine()
-	loaded := 0
 	stats := 0
 	var lats [3][]float64
-	for c := 0; c < clients; c++ {
-		c := c
-		e.Go(fmt.Sprintf("storm-%d", c), func(p *sim.Proc) {
-			preloadStorm(p, pl, c, clients, &loaded)
-			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(9000+c))), 1.2, 1, splitStormKeys-1)
-			for i := 0; i < opsPer; i++ {
-				fid, off := stormKey(zipf.Uint64())
-				ph := phase // classify by the phase at the issue instant
-				t0 := p.Now()
-				pl.Stat(p, c%8, fid, off)
-				lats[ph] = append(lats[ph], float64(p.Now()-t0))
-				stats++
-			}
-		})
-	}
+	runStorm(e, pl, clients, opsPer, func(p *sim.Proc, c int, fid meta.FileID, off int64) {
+		ph := phase // classify by the phase at the issue instant
+		t0 := p.Now()
+		pl.Stat(p, c%8, fid, off)
+		lats[ph] = append(lats[ph], float64(p.Now()-t0))
+		stats++
+	})
 	e.Go("split-controller", func(p *sim.Proc) {
-		for loaded < clients || 4*stats < clients*opsPer {
+		// No stat is served before every client has preloaded.
+		for 4*stats < clients*opsPer {
 			p.Sleep(1e-4)
 		}
 		if _, err := pl.StartSplit(e); err != nil {

@@ -62,19 +62,12 @@ func FigTail(o Options) *Result {
 				gcfg.TenantQuotaBytes = int64(gateway.TenantRateBps * gcfg.DurationSeconds)
 			}
 			gcfg.Seed = 1717
-			g, err := gateway.Start(st.UV.Sys, gcfg)
+			rep, _, err := st.Gateway(gcfg)
 			if err != nil {
-				panic(fmt.Sprintf("bench: figtail gateway: %v", err))
+				panic(fmt.Sprintf("bench: figtail: %v", err))
 			}
-			// The gateway installs its own janitor; run without one.
-			st.run(o, nil)
-			if err := g.Err(); err != nil {
-				panic(fmt.Sprintf("bench: figtail run: %v", err))
-			}
-			if viol := g.CheckInvariants(); len(viol) > 0 {
-				panic(fmt.Sprintf("bench: figtail invariants: %v", viol))
-			}
-			reps[i] = g.Report()
+			st.finish(o)
+			reps[i] = rep
 		}
 		off, on := reps[0], reps[1]
 		sP99Off.Points = append(sP99Off.Points, Point{Procs: rate, Value: off.Write.P99 * 1e3})

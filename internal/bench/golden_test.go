@@ -14,7 +14,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenQuickFigures pins the printed table of every quick-scale figure
-// — the -all set plus the four feature figures runnable by id — as one
+// in the figure table — the -all set plus the feature figures — as one
 // SHA-256 digest per figure. The simulation is deterministic, so a changed
 // digest is a real change in simulated behaviour.
 // Regenerate with: go test ./internal/bench -run Golden -update
@@ -23,10 +23,9 @@ func TestGoldenQuickFigures(t *testing.T) {
 		t.Skip("runs every quick figure sweep")
 	}
 	o := QuickOptions()
-	results := All(o)
-	results = append(results, FigMeta(o), FigDedup(o), FigTail(o), FigSplit(o))
 	var got strings.Builder
-	for _, r := range results {
+	for _, f := range figures {
+		r := f.run(o)
 		var buf bytes.Buffer
 		r.Print(&buf)
 		fmt.Fprintf(&got, "%s %x\n", r.ID, sha256.Sum256(buf.Bytes()))

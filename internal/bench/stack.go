@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"strings"
 
 	"univistor/internal/bb"
 	"univistor/internal/chaos"
 	"univistor/internal/core"
 	"univistor/internal/dataelevator"
+	"univistor/internal/gateway"
 	"univistor/internal/lustre"
 	"univistor/internal/mpi"
 	"univistor/internal/mpiio"
@@ -22,7 +24,8 @@ import (
 // Stack is one fully built simulation stack: an engine, an MPI world on the
 // simulated cluster, and one ADIO driver behind an MPI-IO environment.
 // NewStack is the one place that builds a stack; Run and Finish are the one
-// way to run it. WaitFlush, FlushStats and Disconnect are the only code that
+// way to run it, and Micro, Checkpoint and Gateway are the one runner of
+// each kernel. WaitFlush, FlushStats and Disconnect are the only code that
 // asks which driver is underneath.
 type Stack struct {
 	E   *sim.Engine
@@ -225,4 +228,61 @@ func (s *Stack) Micro(procs, ranksPerNode int, cfg workloads.MicroConfig, read, 
 	end, err := s.Run(app.Wait)
 	res.End = end
 	return res, cmp.Or(firstErr, err)
+}
+
+// CheckpointResult is what one checkpoint-kernel run measured.
+type CheckpointResult struct {
+	TotalIO sim.Time // the slowest rank's I/O time over every step
+	End     sim.Time // virtual end of the run
+}
+
+// Checkpoint runs the dedup checkpoint kernel to completion (see Run); the
+// caller finishes the stack. procs ranks, ranksPerNode to a node, each run
+// workloads.RunCheckpoint with cfg and then disconnect. As in Micro, the
+// first rank error wins over the run's own.
+func (s *Stack) Checkpoint(procs, ranksPerNode int, cfg workloads.CheckpointConfig) (CheckpointResult, error) {
+	var res CheckpointResult
+	var firstErr error
+	app := s.W.Launch("app", procs, func(r *mpi.Rank) {
+		cs, err := workloads.RunCheckpoint(r, s.Env, cfg)
+		if err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			return
+		}
+		res.TotalIO = max(res.TotalIO, cs.TotalIO)
+		s.Disconnect(r)
+	}, mpi.LaunchOpts{RanksPerNode: ranksPerNode})
+	end, err := s.Run(app.Wait)
+	res.End = end
+	return res, cmp.Or(firstErr, err)
+}
+
+// Gateway drives the UniviStor system through the multi-tenant QoS gateway
+// to completion and returns its report and the virtual end time; the
+// caller finishes the stack. Under chaos the harness also sweeps the
+// gateway's admission invariants. A gateway run error or an invariant the
+// gateway breaks is returned as an error.
+func (s *Stack) Gateway(cfg gateway.Config) (gateway.Report, sim.Time, error) {
+	if s.UV == nil {
+		return gateway.Report{}, 0, errors.New("the gateway requires the univistor driver")
+	}
+	g, err := gateway.Start(s.UV.Sys, cfg)
+	if err != nil {
+		return gateway.Report{}, 0, err
+	}
+	if s.Chaos != nil {
+		s.Chaos.AddInvariant(g.CheckInvariants)
+	}
+	// The gateway installs its own janitor; run without one.
+	end, err := s.Run(nil)
+	if err != nil {
+		return gateway.Report{}, end, err
+	}
+	if err := g.Err(); err != nil {
+		return gateway.Report{}, end, fmt.Errorf("gateway: %w", err)
+	}
+	if viol := g.CheckInvariants(); len(viol) > 0 {
+		return gateway.Report{}, end, fmt.Errorf("gateway invariants violated:\n  %s", strings.Join(viol, "\n  "))
+	}
+	return g.Report(), end, nil
 }

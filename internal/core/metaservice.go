@@ -283,10 +283,10 @@ func (sys *System) MetaCrashLeader(shard int) (replica int, ok bool) {
 	return replica, ok
 }
 
-// MetaSplit starts an online metadata shard split (chaos `metasplit` and
-// the -meta-split schedule): a new shard is minted and the hash-circle
-// arcs the post-split ring assigns to it migrate as charged batches —
-// real flows in the allocator — while the plane keeps serving. Returns
+// MetaSplit starts an online metadata shard split (chaos `metasplit@T`
+// is the one way to schedule one): a new shard is minted and the
+// hash-circle arcs the post-split ring assigns to it migrate as charged
+// batches — real flows in the allocator — while the plane keeps serving. Returns
 // the new shard id. ok is false when no plane is configured or another
 // split is still migrating.
 func (sys *System) MetaSplit() (shard int, ok bool) {

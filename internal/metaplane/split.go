@@ -127,7 +127,7 @@ func (pl *Plane) StartSplit(e *sim.Engine) (int, error) {
 	}
 	pl.split = s
 	pl.splits++
-	e.Go("meta-split", func(p *sim.Proc) { pl.runSplit(p, s, g) })
+	e.Go("shard-split", func(p *sim.Proc) { pl.runSplit(p, s, g) })
 	return g.id, nil
 }
 

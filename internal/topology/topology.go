@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"univistor/internal/sim"
 )
@@ -98,6 +99,9 @@ func Cori() Config {
 }
 
 // Validate reports a descriptive error for inconsistent configurations.
+// Every bandwidth in use must be finite and positive, every latency finite
+// and non-negative, every byte capacity non-negative and each efficiency
+// in (0,1]; NaN fails them all.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
@@ -106,22 +110,43 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topology: CoresPerNode must be positive, got %d", c.CoresPerNode)
 	case c.SocketsPerNode <= 0 || c.CoresPerNode%c.SocketsPerNode != 0:
 		return fmt.Errorf("topology: %d cores not divisible across %d sockets", c.CoresPerNode, c.SocketsPerNode)
-	case c.DRAMBWSocket <= 0 || c.NICBW <= 0 || c.FabricBW <= 0:
-		return fmt.Errorf("topology: bandwidths must be positive")
-	case c.OSTs <= 0 || c.OSTBW <= 0:
-		return fmt.Errorf("topology: need at least one OST with positive bandwidth")
+	case c.OSTs <= 0:
+		return fmt.Errorf("topology: need at least one OST, got %d", c.OSTs)
 	case c.BBNodes < 0:
 		return fmt.Errorf("topology: BBNodes must be non-negative, got %d", c.BBNodes)
-	case c.SharedFileEff <= 0 || c.SharedFileEff > 1:
-		return fmt.Errorf("topology: SharedFileEff must be in (0,1], got %v", c.SharedFileEff)
 	case c.BBNodes > 0 && c.BBStripeSize <= 0:
 		return fmt.Errorf("topology: BBStripeSize must be positive, got %d", c.BBStripeSize)
-	case c.SharedWriterBW <= 0:
-		return fmt.Errorf("topology: SharedWriterBW must be positive, got %v", c.SharedWriterBW)
-	case c.PFSClientBW <= 0:
-		return fmt.Errorf("topology: PFSClientBW must be positive, got %v", c.PFSClientBW)
-	case c.CtxSwitchEff <= 0 || c.CtxSwitchEff > 1:
-		return fmt.Errorf("topology: CtxSwitchEff must be in (0,1], got %v", c.CtxSwitchEff)
+	case c.DRAMPerNode < 0 || c.LocalSSDPerNode < 0 || c.BBCapPerNode < 0 || c.OSTCapacity < 0:
+		return fmt.Errorf("topology: byte capacities must be non-negative")
+	}
+	type field struct {
+		name string
+		v    float64
+	}
+	bws := []field{{"DRAMBWSocket", c.DRAMBWSocket}, {"CorePeakBW", c.CorePeakBW}, {"NICBW", c.NICBW},
+		{"FabricBW", c.FabricBW}, {"OSTBW", c.OSTBW}, {"SharedWriterBW", c.SharedWriterBW}, {"PFSClientBW", c.PFSClientBW}}
+	if c.LocalSSDPerNode > 0 {
+		bws = append(bws, field{"LocalSSDBW", c.LocalSSDBW})
+	}
+	if c.BBNodes > 0 {
+		bws = append(bws, field{"BBBWPerNode", c.BBBWPerNode})
+	}
+	for _, rule := range []struct {
+		want   string
+		ok     func(float64) bool
+		fields []field
+	}{
+		{"finite and positive", func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }, bws},
+		{"finite and non-negative", func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) },
+			[]field{{"NetLatency", c.NetLatency}, {"BBLatency", c.BBLatency}, {"PFSLatency", c.PFSLatency}}},
+		{"in (0,1]", func(v float64) bool { return v > 0 && v <= 1 },
+			[]field{{"SharedFileEff", c.SharedFileEff}, {"CtxSwitchEff", c.CtxSwitchEff}}},
+	} {
+		for _, f := range rule.fields {
+			if !rule.ok(f.v) { // NaN fails every rule
+				return fmt.Errorf("topology: %s must be %s, got %v", f.name, rule.want, f.v)
+			}
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"shared-file eff over 1", func(c *Config) { c.SharedFileEff = 1.5 }},
 		{"ctx-switch eff zero", func(c *Config) { c.CtxSwitchEff = 0 }},
 		{"zero nic bw", func(c *Config) { c.NICBW = 0 }},
+		{"NaN shared-file eff", func(c *Config) { c.SharedFileEff = math.NaN() }},
+		{"infinite PFS latency", func(c *Config) { c.PFSLatency = math.Inf(1) }},
+		{"negative BB latency", func(c *Config) { c.BBLatency = -1 }},
+		{"local SSD without bandwidth", func(c *Config) { c.LocalSSDPerNode = 1 << 30 }},
+		{"negative OST capacity", func(c *Config) { c.OSTCapacity = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := Cori()

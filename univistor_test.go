@@ -3,6 +3,7 @@ package univistor
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"univistor/internal/core"
@@ -78,11 +79,21 @@ func TestFacadeValidation(t *testing.T) {
 	for _, bad := range []func(*topology.Config){
 		func(m *topology.Config) { m.CoresPerNode = 7 }, // not divisible by 2 sockets
 		func(m *topology.Config) { m.Nodes = 0 },
+		// Non-finite and out-of-range machine numbers: each used to pass
+		// New, and the zero bandwidths then panicked inside Launch.
+		func(m *topology.Config) { m.NICBW = math.NaN() },
+		func(m *topology.Config) { m.DRAMBWSocket = math.NaN() },
+		func(m *topology.Config) { m.CtxSwitchEff = math.NaN() },
+		func(m *topology.Config) { m.OSTBW = math.Inf(1) },
+		func(m *topology.Config) { m.NetLatency = math.NaN() },
+		func(m *topology.Config) { m.NetLatency = -1 },
+		func(m *topology.Config) { m.CorePeakBW = 0 },
+		func(m *topology.Config) { m.BBBWPerNode = 0 },
 	} {
 		o := smallOpts()
 		bad(&o.Machine)
-		if _, err := New(o); err == nil {
-			t.Errorf("invalid machine accepted: %+v", o.Machine)
+		if _, err := New(o); err == nil || !strings.HasPrefix(err.Error(), "topology: ") {
+			t.Errorf("invalid machine not rejected with a topology: error (got %v): %+v", err, o.Machine)
 		}
 	}
 	for _, bad := range []func(*core.Config){
