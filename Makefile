@@ -76,7 +76,9 @@ bench:
 # sweeps then run armed without -race: their scheduler changes memory-port
 # capacities, the second capacity-mutation site besides chaos. Last, every
 # figure workload runs armed under the chaos schedule, whose capacity
-# degradations reach the solver through RecomputeResources.
+# degradations reach the solver through RecomputeResources. The bench step
+# also regenerates the committed results/ rows up to 128 ranks with the
+# oracle armed (TestResultsReproduce).
 race-diffcheck:
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test ./internal/bench/...

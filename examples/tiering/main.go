@@ -50,12 +50,11 @@ func main() {
 		log.Fatalf("simulation: %v", err)
 	}
 
-	// Walk the metadata ring and decode each segment's virtual address.
+	// Walk the file's metadata records and decode each segment's virtual
+	// address.
 	fmt.Printf("segment placement for big.dat (%d × %d MiB):\n", segments, segBytes>>20)
 	counts := map[meta.Tier]int{}
-	size, _ := cluster.FileSize("big.dat")
-	recs, _ := cluster.System.Ring().Covering(1, 0, size)
-	for _, rec := range recs {
+	for _, rec := range cluster.System.Segments("big.dat") {
 		// All segments came from one producer; its address space lives on
 		// the client file handle the system retains.
 		tier := tierOf(cluster, rec)

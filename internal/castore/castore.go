@@ -83,14 +83,9 @@ type Store struct {
 	pending      []uint64
 	pendingBytes int64
 
-	liveBytes     int64
-	refBytes      int64
-	internedBytes int64
-	dedupedBytes  int64
-	freedBytes    int64
-	dedupHits     int64
-	gcBatches     int64
-	gcBlocks      int64
+	// stats holds the cumulative counters; Stats fills in Blocks and
+	// DeadBytes.
+	stats Stats
 }
 
 // New returns an empty store chunking at blockBytes granularity.
@@ -168,9 +163,9 @@ func (s *Store) intern(hash uint64, size int64) int64 {
 	b, ok := s.blocks[hash]
 	if !ok {
 		s.blocks[hash] = &block{size: size, refs: 1}
-		s.liveBytes += size
-		s.refBytes += size
-		s.internedBytes += size
+		s.stats.LiveBytes += size
+		s.stats.RefBytes += size
+		s.stats.InternedBytes += size
 		return size
 	}
 	if b.size != size {
@@ -183,14 +178,14 @@ func (s *Store) intern(hash uint64, size int64) int64 {
 		b.dead = false
 		b.refs = 1
 		s.pendingBytes -= size
-		s.liveBytes += size
-		s.refBytes += size
+		s.stats.LiveBytes += size
+		s.stats.RefBytes += size
 	} else {
 		b.refs++
-		s.refBytes += size
+		s.stats.RefBytes += size
 	}
-	s.dedupHits++
-	s.dedupedBytes += size
+	s.stats.DedupHits++
+	s.stats.DedupedBytes += size
 	return 0
 }
 
@@ -204,7 +199,7 @@ func (s *Store) release(hash uint64) {
 		panic(fmt.Sprintf("castore: double free of block %x", hash))
 	}
 	b.refs--
-	s.refBytes -= b.size
+	s.stats.RefBytes -= b.size
 	if b.refs > 0 {
 		return
 	}
@@ -212,7 +207,7 @@ func (s *Store) release(hash uint64) {
 		panic(fmt.Sprintf("castore: block %x refcount went negative", hash))
 	}
 	b.dead = true
-	s.liveBytes -= b.size
+	s.stats.LiveBytes -= b.size
 	s.pendingBytes += b.size
 	if !b.queued {
 		b.queued = true
@@ -245,13 +240,13 @@ func (s *Store) CollectBatch(maxBytes int64) (blocks int, bytes int64) {
 		}
 		delete(s.blocks, hash)
 		s.pendingBytes -= b.size
-		s.freedBytes += b.size
-		s.gcBlocks++
+		s.stats.FreedBytes += b.size
+		s.stats.GCBlocks++
 		blocks++
 		bytes += b.size
 	}
 	if blocks > 0 {
-		s.gcBatches++
+		s.stats.GCBatches++
 	}
 	return blocks, bytes
 }
@@ -292,18 +287,10 @@ func (s *Store) Forget(file string) {
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Blocks:        len(s.blocks),
-		LiveBytes:     s.liveBytes,
-		RefBytes:      s.refBytes,
-		DeadBytes:     s.pendingBytes,
-		InternedBytes: s.internedBytes,
-		DedupedBytes:  s.dedupedBytes,
-		FreedBytes:    s.freedBytes,
-		DedupHits:     s.dedupHits,
-		GCBatches:     s.gcBatches,
-		GCBlocks:      s.gcBlocks,
-	}
+	st := s.stats
+	st.Blocks = len(s.blocks)
+	st.DeadBytes = s.pendingBytes
+	return st
 }
 
 // CheckInvariants recomputes every conservation property from the raw maps
@@ -373,20 +360,20 @@ func (s *Store) CheckInvariants() []string {
 			refBytes += b.refs * b.size
 		}
 	}
-	if live != s.liveBytes {
-		out = append(out, fmt.Sprintf("cas: live bytes counter %d != recomputed %d", s.liveBytes, live))
+	if live != s.stats.LiveBytes {
+		out = append(out, fmt.Sprintf("cas: live bytes counter %d != recomputed %d", s.stats.LiveBytes, live))
 	}
-	if refBytes != s.refBytes {
+	if refBytes != s.stats.RefBytes {
 		out = append(out, fmt.Sprintf(
-			"cas: refcount×size %d != live logical extent bytes counter %d", refBytes, s.refBytes))
+			"cas: refcount×size %d != live logical extent bytes counter %d", refBytes, s.stats.RefBytes))
 	}
 	if dead != s.pendingBytes {
 		out = append(out, fmt.Sprintf("cas: dead bytes counter %d != recomputed %d", s.pendingBytes, dead))
 	}
-	if s.internedBytes != s.liveBytes+s.pendingBytes+s.freedBytes {
+	if s.stats.InternedBytes != s.stats.LiveBytes+s.pendingBytes+s.stats.FreedBytes {
 		out = append(out, fmt.Sprintf(
 			"cas: conservation broken — interned %d != live %d + dead %d + freed %d",
-			s.internedBytes, s.liveBytes, s.pendingBytes, s.freedBytes))
+			s.stats.InternedBytes, s.stats.LiveBytes, s.pendingBytes, s.stats.FreedBytes))
 	}
 	sort.Strings(out)
 	return out

@@ -54,10 +54,9 @@ type ClientFile struct {
 	fs   *fileState
 	mode mpi.Mode
 
-	ls      *logstore.LogSet           // per-process per-tier logs (write mode)
-	devs    [meta.NumTiers]tier.Device // per-tier device backing each log
-	written int64
-	closed  bool
+	ls     *logstore.LogSet           // per-process per-tier logs (write mode)
+	devs   [meta.NumTiers]tier.Device // per-tier device backing each log
+	closed bool
 
 	// writeTag carries WriteAtTagged's content tag into the wrapped WriteAt
 	// call (dedup fingerprinting for size-only payloads).
@@ -103,13 +102,10 @@ func (c *Client) Open(name string, mode mpi.Mode) (*ClientFile, error) {
 	}
 	cf := &ClientFile{c: c, fs: fs, mode: mode}
 	if mode == mpi.WriteOnly {
-		fs.writers++
 		if err := cf.setupLogs(); err != nil {
 			return nil, err
 		}
 		fs.procFiles[c.globalID] = cf
-	} else {
-		fs.readers++
 	}
 	return cf, nil
 }
@@ -217,11 +213,6 @@ func (cf *ClientFile) Close() error {
 		if cf.mode == mpi.WriteOnly && sys.Cfg.FlushOnClose {
 			sys.triggerFlush(c.rank.P, cf.fs)
 		}
-	}
-	if cf.mode == mpi.WriteOnly {
-		cf.fs.writers--
-	} else {
-		cf.fs.readers--
 	}
 	return nil
 }

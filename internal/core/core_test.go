@@ -146,7 +146,7 @@ func TestSpillAcrossTiers(t *testing.T) {
 		}
 		f.Close()
 		// Inspect the tier of each segment via the metadata ring.
-		recs, _ := sys.Ring().Covering(f.FID(), 0, 12*mib)
+		recs := sys.metaCoveringFree(f.FID(), 0, 12*mib)
 		for _, rec := range recs {
 			tier, _, err := sys.files["f"].procFiles[rec.Proc].ls.Space().Decode(rec.VA)
 			if err != nil {

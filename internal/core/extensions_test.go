@@ -173,7 +173,7 @@ func TestProactivePromotionMovesHotSegmentToDRAM(t *testing.T) {
 		f.WriteAt(0, 2*mib, nil)
 		f.WriteAt(2*mib, 1*mib, payload)
 		tierOf := func() meta.Tier {
-			recs, _ := sys.Ring().Covering(f.FID(), 2*mib, 1*mib)
+			recs := sys.metaCoveringFree(f.FID(), 2*mib, 1*mib)
 			if len(recs) != 1 {
 				t.Fatalf("expected 1 record, got %d", len(recs))
 			}
@@ -193,7 +193,7 @@ func TestProactivePromotionMovesHotSegmentToDRAM(t *testing.T) {
 		if sys.Heat("f", 2*mib) < 2 {
 			t.Errorf("heat = %d, want ≥ 2", sys.Heat("f", 2*mib))
 		}
-		t.Logf("promotions so far: %d", sys.Promotions("f"))
+		t.Logf("promotions so far: %d", sys.Stats().Promotions)
 	})
 }
 
@@ -215,19 +215,19 @@ func TestProactivePromotionWithRoom(t *testing.T) {
 		f.WriteAt(2*mib, 1*mib, payload) // BB
 		// Two reads promote it into... DRAM is full. Instead verify via a
 		// file whose DRAM log has slack: punch the scenario directly.
-		recs, _ := sys.Ring().Covering(f.FID(), 2*mib, 1*mib)
+		recs := sys.metaCoveringFree(f.FID(), 2*mib, 1*mib)
 		producer := sys.files["f"].procFiles[recs[0].Proc]
 		// Free a DRAM chunk so promotion has room.
 		producer.ls.Log(meta.TierDRAM).Punch(0)
 		f.ReadAt(2*mib, 1*mib)
 		f.ReadAt(2*mib, 1*mib)
-		recs, _ = sys.Ring().Covering(f.FID(), 2*mib, 1*mib)
+		recs = sys.metaCoveringFree(f.FID(), 2*mib, 1*mib)
 		tier, _, _ := producer.ls.Space().Decode(recs[0].VA)
 		if tier != meta.TierDRAM {
 			t.Errorf("hot segment on %s after threshold reads, want DRAM", tier)
 		}
-		if sys.Promotions("f") != 1 {
-			t.Errorf("promotions = %d, want 1", sys.Promotions("f"))
+		if sys.Stats().Promotions != 1 {
+			t.Errorf("promotions = %d, want 1", sys.Stats().Promotions)
 		}
 		// Data still correct after migration.
 		got, err := f.ReadAt(2*mib, 1*mib)
@@ -252,7 +252,7 @@ func TestPromotionSpeedsUpSubsequentReads(t *testing.T) {
 			f.WriteAt(0, 8*mib, nil) // fills DRAM
 			f.WriteAt(8*mib, 4*mib, nil)
 			// Free DRAM space so promotion can land.
-			recs, _ := sys.Ring().Covering(f.FID(), 8*mib, 4*mib)
+			recs := sys.metaCoveringFree(f.FID(), 8*mib, 4*mib)
 			producer := sys.files["f"].procFiles[recs[0].Proc]
 			for slot := int64(0); slot < 6; slot++ {
 				producer.ls.Log(meta.TierDRAM).Punch(slot)
@@ -300,7 +300,7 @@ func TestDeleteReclaimsSegments(t *testing.T) {
 		if sys.CachedBytes("f") != 2*mib {
 			t.Errorf("cached = %d after delete, want %d", sys.CachedBytes("f"), 2*mib)
 		}
-		recs, _ := sys.Ring().Covering(f.FID(), 0, 4*mib)
+		recs := sys.metaCoveringFree(f.FID(), 0, 4*mib)
 		if len(recs) != 2 {
 			t.Errorf("%d records remain, want 2", len(recs))
 		}
@@ -308,7 +308,7 @@ func TestDeleteReclaimsSegments(t *testing.T) {
 		if err := f.WriteAt(4*mib, 2*mib, nil); err != nil {
 			t.Errorf("write into reclaimed space: %v", err)
 		}
-		recs, _ = sys.Ring().Covering(f.FID(), 4*mib, 2*mib)
+		recs = sys.metaCoveringFree(f.FID(), 4*mib, 2*mib)
 		if len(recs) != 1 {
 			t.Fatalf("reclaim write not recorded")
 		}

@@ -27,7 +27,7 @@ func TestBBExhaustionSpillsToPFS(t *testing.T) {
 			}
 		}
 		f.Close()
-		recs, _ := sys.Ring().Covering(f.FID(), 0, 10*mib)
+		recs := sys.metaCoveringFree(f.FID(), 0, 10*mib)
 		for _, rec := range recs {
 			tier, _, _ := sys.files["f"].procFiles[rec.Proc].ls.Space().Decode(rec.VA)
 			tiers = append(tiers, tier)
@@ -65,7 +65,7 @@ func TestDRAMPoolSharedAcrossFiles(t *testing.T) {
 			}
 		}
 		f2.Close()
-		recs, _ := sys.Ring().Covering(f2.FID(), 0, 4*mib)
+		recs := sys.metaCoveringFree(f2.FID(), 0, 4*mib)
 		sawBB := false
 		for _, rec := range recs {
 			tier, _, _ := sys.files["f2"].procFiles[rec.Proc].ls.Space().Decode(rec.VA)
@@ -208,8 +208,8 @@ func TestConcurrentAppsIsolatedFiles(t *testing.T) {
 			t.Errorf("%s size = %d, %v", name, size, ok)
 		}
 	}
-	if err := sys.Ring().Validate(); err != nil {
-		t.Errorf("metadata ring corrupted: %v", err)
+	if v := sys.meta.checkInvariants(); len(v) != 0 {
+		t.Errorf("metadata ring corrupted: %v", v)
 	}
 }
 

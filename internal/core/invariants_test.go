@@ -179,14 +179,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		func() { fs.totalWritten += 7 },
 		func() { fs.totalWritten -= 7 })
 
-	recs, _ := sys.ring.Covering(fs.fid, 0, fs.logicalSize)
+	ring := sys.meta.(*ringMeta).ring
+	recs := sys.metaCoveringFree(fs.fid, 0, fs.logicalSize)
 	if len(recs) == 0 {
 		t.Fatal("no metadata records to corrupt")
 	}
 	lost := recs[0]
 	expect("dropped metadata record", "records lost",
-		func() { sys.ring.Delete(fs.fid, lost.Offset) },
-		func() { sys.ring.Put(lost) })
+		func() { ring.Delete(fs.fid, lost.Offset) },
+		func() { ring.Put(lost) })
 
 	expect("stats counter drift", "BytesWritten",
 		func() { sys.stats.BytesWritten[meta.TierDRAM] += 3 },

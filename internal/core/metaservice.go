@@ -187,7 +187,13 @@ func (m *ringMeta) stat(p *sim.Proc, fromNode int, name string, _ meta.FileID) {
 	m.charge(p, fromNode, m.sys.homeServer(name))
 }
 
-func (m *ringMeta) checkInvariants() []string { return nil }
+// checkInvariants audits the ring's own record placement.
+func (m *ringMeta) checkInvariants() []string {
+	if err := m.ring.Validate(); err != nil {
+		return []string{err.Error()}
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // planeMeta: the sharded, replicated metadata plane. Every charged op is

@@ -130,7 +130,8 @@ func TestPlaneModeDeleteAndRewrite(t *testing.T) {
 // and pins the per-mode counters exactly. The modes differ on purpose:
 // the ring charges one round trip per range delete and re-points for
 // free, while the plane commits every deleted record and counts a
-// re-point as a put.
+// re-point as a put. Both modes must end up holding the same records,
+// which Segments reads back in offset order.
 func TestMetaServiceModes(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -138,7 +139,7 @@ func TestMetaServiceModes(t *testing.T) {
 		want           MetaOpDetail
 		wantMetaOps    int64
 		wantPlanePuts  int64
-		wantPromotions int
+		wantPromotions int64
 	}{
 		// Per rank: 4 puts (3 writes + 1 rewrite), 1 delete, 2 lookups of
 		// the other rank's range, 1 stat, 1 promotion. Each rank's range
@@ -165,6 +166,7 @@ func TestMetaServiceModes(t *testing.T) {
 			wantPromotions: 2,
 		},
 	}
+	segments := map[string][]meta.Record{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w, sys := testEnv(t, func(_ *topology.Config, cc *Config) {
@@ -219,9 +221,10 @@ func TestMetaServiceModes(t *testing.T) {
 			if v := sys.CheckInvariants(); len(v) != 0 {
 				t.Errorf("invariant violations: %v", v)
 			}
-			if got := sys.Promotions("f"); got != tc.wantPromotions {
+			if got := sys.Stats().Promotions; got != tc.wantPromotions {
 				t.Errorf("promotions = %d, want %d", got, tc.wantPromotions)
 			}
+			segments[tc.name] = sys.Segments("f")
 			d := sys.MetaOpDetail()
 			if !reflect.DeepEqual(d, tc.want) {
 				t.Errorf("MetaOpDetail = %+v, want %+v", d, tc.want)
@@ -230,21 +233,25 @@ func TestMetaServiceModes(t *testing.T) {
 				t.Errorf("Stats.MetaOps = %d, want %d", got, tc.wantMetaOps)
 			}
 			if tc.shards == 0 {
-				if sys.Plane() != nil || sys.Ring() == nil {
-					t.Fatal("ring mode must have a ring and no plane")
+				if sys.Plane() != nil {
+					t.Fatal("ring mode must have no plane")
 				}
 				if ridx, ok := sys.MetaCrashLeader(0); ok || ridx != -1 {
 					t.Errorf("MetaCrashLeader without a plane = (%d, %v), want (-1, false)", ridx, ok)
 				}
 				return
 			}
-			if sys.Ring() != nil || sys.Plane() == nil {
-				t.Fatal("plane mode must have a plane and no ring")
+			if sys.Plane() == nil {
+				t.Fatal("plane mode must have a plane")
 			}
 			if got := sys.Plane().Stats().Puts; got != tc.wantPlanePuts {
 				t.Errorf("plane puts = %d, want %d", got, tc.wantPlanePuts)
 			}
 		})
+	}
+	ring, plane := segments["ring"], segments["plane-2x3"]
+	if len(ring) != 4 || !reflect.DeepEqual(ring, plane) {
+		t.Errorf("Segments differ between modes:\nring  %+v\nplane %+v", ring, plane)
 	}
 }
 

@@ -98,18 +98,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 			byTier[meta.TierDRAM] += rec.Size
 		}
 	}
-	fs.promotions++
 	sys.stats.Promotions++
-}
-
-// Promotions reports how many segments proactive placement has migrated to
-// faster tiers for the named file.
-func (sys *System) Promotions(name string) int {
-	fs, ok := sys.files[name]
-	if !ok {
-		return 0
-	}
-	return fs.promotions
 }
 
 // Delete removes the segments lying entirely inside [off, off+size): their

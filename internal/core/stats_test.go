@@ -141,7 +141,7 @@ func TestStatsCounterPaths(t *testing.T) {
 				mustWrite(t, f, 1*mib, 1*mib) // spills to BB
 				// Free the DRAM chunk so the promotion has room, then heat
 				// the BB segment past the threshold.
-				recs, _ := sys.Ring().Covering(f.FID(), 1*mib, 1*mib)
+				recs := sys.metaCoveringFree(f.FID(), 1*mib, 1*mib)
 				if len(recs) == 0 {
 					t.Fatal("no record for the spilled segment")
 				}
@@ -228,7 +228,7 @@ func TestStatsCountReplicationsAndPromotions(t *testing.T) {
 		f.WriteAt(1*mib, 2*mib, nil) // doesn't fit remaining DRAM → BB
 		// Heat the BB segment; DRAM has 1 MiB free but the segment is
 		// 2 MiB → promotion is attempted and skipped, then make room.
-		recs, _ := sys.Ring().Covering(f.FID(), 1*mib, 2*mib)
+		recs := sys.metaCoveringFree(f.FID(), 1*mib, 2*mib)
 		producer := sys.files["f"].procFiles[recs[0].Proc]
 		producer.ls.Log(meta.TierDRAM).Punch(0)
 		f.ReadAt(1*mib, 2*mib)

@@ -35,11 +35,9 @@ type System struct {
 	serverComm *mpi.Comm
 	// meta is the metadata service every client path goes through: the
 	// single logical ring, or the sharded replicated plane when
-	// Cfg.MetaShards > 0. ring and plane are its store, exactly one of them
-	// non-nil, kept for the Ring/Plane accessors and the plane-only fault
-	// entry points.
+	// Cfg.MetaShards > 0. plane is the plane's store (nil in ring mode),
+	// kept for the Plane accessor and the plane-only fault entry points.
 	meta       metaService
-	ring       *kvstore.Ring
 	plane      *metaplane.Plane
 	metaDetail MetaOpDetail
 	nodeMeta   []*kvstore.Store // per-node shared metadata buffer (§II-B4)
@@ -99,9 +97,6 @@ type fileState struct {
 	logicalSize int64
 	content     extent.Map // authoritative payload bytes (empty in size-only runs)
 
-	writers int
-	readers int
-
 	// cached[serverGlobalIdx][tier] = bytes that server must flush.
 	cached      map[int]map[meta.Tier]int64
 	cachedTotal int64
@@ -129,9 +124,8 @@ type fileState struct {
 	reservations []reservation
 
 	// heat counts reads per segment (keyed by logical offset) for the
-	// proactive-placement extension; promotions counts migrations done.
-	heat       map[int64]int
-	promotions int
+	// proactive-placement extension.
+	heat map[int64]int
 
 	// segTags maps a segment (by logical offset) to its content tag: the
 	// payload's hash when real bytes were written, or the caller-supplied
@@ -219,8 +213,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		if cfg.CentralMetadata {
 			ringServers = 1
 		}
-		sys.ring = kvstore.NewRing(ringServers, cfg.MetaRangeSize)
-		sys.meta = &ringMeta{sys: sys, ring: sys.ring}
+		sys.meta = &ringMeta{sys: sys, ring: kvstore.NewRing(ringServers, cfg.MetaRangeSize)}
 	} else {
 		replicas := cfg.MetaReplicas
 		if replicas <= 0 {
@@ -293,9 +286,15 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 // Servers returns the number of server processes.
 func (sys *System) Servers() int { return len(sys.servers) }
 
-// Ring exposes the distributed metadata ring (tests and tools); nil in
-// plane mode.
-func (sys *System) Ring() *kvstore.Ring { return sys.ring }
+// Segments returns the named file's metadata records in offset order,
+// in either metadata mode, without charging time or counting an op.
+func (sys *System) Segments(name string) []meta.Record {
+	fs, ok := sys.files[name]
+	if !ok {
+		return nil
+	}
+	return sys.metaCoveringFree(fs.fid, 0, fs.logicalSize)
+}
 
 // run is a server's main loop: idle until a flush request or shutdown
 // arrives. With interference-aware scheduling the server parks quietly on

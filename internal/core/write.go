@@ -116,7 +116,6 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 	byTier[placed] += size
 	cf.fs.cachedTotal += size
 	cf.fs.totalWritten += size
-	cf.written += size
 	sys.stats.BytesWritten[placed] += size
 	if placed != sys.chain.Backends()[0].Tier() {
 		sys.stats.Spills++

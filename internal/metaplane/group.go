@@ -77,7 +77,6 @@ type group struct {
 	// cumulative telemetry; opsSeries names the ops counter series
 	ops       int64
 	opsSeries string
-	appended  int64
 	snapshots int64
 
 	// Lease fencing: a lease is valid only while its epoch matches. The
@@ -140,8 +139,7 @@ func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
 		}
 		applied := f.ops.Serve(tAppend+sim.Time(c.NetLatency), c.ApplyTime)
 		f.log.append(e)
-		f.applied = max64i(f.applied, f.log.snapIndex)
-		g.appended++
+		f.applied = max(f.applied, f.log.snapIndex)
 		acks = append(acks, applied+sim.Time(c.NetLatency))
 	}
 	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
@@ -153,12 +151,7 @@ func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
 // suffix into its store. The caller must ensure at least one replica is
 // alive.
 func (g *group) electLeader() {
-	best := -1
-	for _, i := range g.alive() {
-		if best < 0 || g.replicas[i].log.lastIndex() > g.replicas[best].log.lastIndex() {
-			best = i
-		}
-	}
+	best := g.longest()
 	if best < 0 {
 		panic(fmt.Sprintf("metaplane: shard %d: no alive replica to elect", g.id))
 	}
@@ -170,9 +163,14 @@ func (g *group) electLeader() {
 	g.commit = ld.log.lastIndex()
 }
 
-func max64i(a, b int64) int64 {
-	if a > b {
-		return a
+// longest returns the alive replica with the longest log (ties to the
+// lowest index), or -1 when every replica is crashed.
+func (g *group) longest() int {
+	best := -1
+	for _, i := range g.alive() {
+		if best < 0 || g.replicas[i].log.lastIndex() > g.replicas[best].log.lastIndex() {
+			best = i
+		}
 	}
-	return b
+	return best
 }

@@ -13,6 +13,7 @@
 package metaplane
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -98,14 +99,8 @@ func (r *HashRing) Owner(keyHash uint64) int {
 func KeyHash(fid meta.FileID, rangeIdx int64) uint64 {
 	h := fnv.New64a()
 	var buf [16]byte
-	putUint64(buf[0:8], uint64(fid))
-	putUint64(buf[8:16], uint64(rangeIdx))
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(fid))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(rangeIdx))
 	h.Write(buf[:])
 	return sim.Mix64(h.Sum64())
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

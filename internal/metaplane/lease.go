@@ -20,7 +20,7 @@ const leaseTime = 0.01
 func (pl *Plane) revokeLeases(g *group) {
 	for i, r := range g.replicas {
 		if i != g.leader && r.leaseEpoch == g.epoch {
-			pl.leaseRevocations++
+			pl.stats.LeaseRevocations++
 		}
 	}
 	g.epoch++
@@ -56,8 +56,8 @@ func (pl *Plane) chargeReadAny(p *sim.Proc, fromNode int, g *group) (sim.Time, *
 	if g.frozen > 0 {
 		// An arc transfer window is open: leases are revoked, ownership is
 		// in flight — forward to the leader.
-		pl.forwardedReads++
-		pl.Trace.Counter(p.Now(), "meta.forwarded_reads", pl.forwardedReads)
+		pl.stats.ForwardedReads++
+		pl.Trace.Counter(p.Now(), "meta.forwarded_reads", pl.stats.ForwardedReads)
 		return pl.chargeRead(p, fromNode, g), g.lead()
 	}
 	return pl.chargeFollowerRead(p, fromNode, g, r)
@@ -69,10 +69,7 @@ func (pl *Plane) chargeReadAny(p *sim.Proc, fromNode int, g *group) (sim.Time, *
 func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *replica) (sim.Time, *replica) {
 	c := pl.cfg.Costs
 	t0 := p.Now()
-	lat := c.NetLatency
-	if f.node == fromNode {
-		lat = c.ShmLatency
-	}
+	lat := c.hop(f.node, fromNode)
 	// The earliest service start on f's queue; booked below, once any
 	// renewal has pushed it back.
 	start := max(t0+sim.Time(lat), f.ops.Free)
@@ -80,15 +77,12 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 		// Renew. The grant lands at start + 2·hop + OpTime > start, so the
 		// renewed lease is always valid at the (pushed-back) service time.
 		ld := g.lead()
-		hop := c.NetLatency
-		if ld.node == f.node {
-			hop = c.ShmLatency
-		}
+		hop := c.hop(ld.node, f.node)
 		granted := ld.ops.Serve(start+sim.Time(hop), c.OpTime) + sim.Time(hop)
 		f.leaseEpoch = g.epoch
 		f.leaseExpiry = granted + sim.Time(leaseTime)
-		pl.leaseGrants++
-		pl.Trace.Counter(granted, "meta.lease_grants", pl.leaseGrants)
+		pl.stats.LeaseGrants++
+		pl.Trace.Counter(granted, "meta.lease_grants", pl.stats.LeaseGrants)
 		if granted > start {
 			start = granted
 		}
@@ -102,8 +96,8 @@ func (pl *Plane) chargeFollowerRead(p *sim.Proc, fromNode int, g *group, f *repl
 	f.applyTo(f.log.lastIndex())
 	respond := f.ops.Serve(start, c.OpTime) + sim.Time(lat)
 	g.ops++
-	pl.followerReads++
+	pl.stats.FollowerReads++
 	pl.Trace.Counter(respond, g.opsSeries, g.ops)
-	pl.Trace.Counter(respond, "meta.follower_reads", pl.followerReads)
+	pl.Trace.Counter(respond, "meta.follower_reads", pl.stats.FollowerReads)
 	return respond - t0, f
 }

@@ -35,6 +35,15 @@ type Costs struct {
 	ApplyTime float64
 }
 
+// hop is the one-way transport latency between two nodes: shared memory
+// when they are the same node, the network otherwise.
+func (c Costs) hop(a, b int) float64 {
+	if a == b {
+		return c.ShmLatency
+	}
+	return c.NetLatency
+}
+
 // Config shapes a metadata plane.
 type Config struct {
 	Shards   int // initial shard (replication group) count
@@ -105,18 +114,10 @@ type Plane struct {
 	// instant) after an online split finishes installing its ring.
 	SplitDone func()
 
-	puts, deletes, lookups     int64
-	failovers, recoveries      int64
-	snapshotInstalls, handoffs int64
-
-	splits, splitRecords int64
-	splitBytes           int64
-	doubleApplies        int64
-	leaseGrants          int64
-	leaseRevocations     int64
-	followerReads        int64
-	forwardedReads       int64
-	staleServes          int64 // must stay 0: serves on an expired/revoked lease
+	// stats holds the cumulative counters; Stats fills in the derived
+	// fields (Shards, Replicas, TotalOps, PerShard).
+	stats       Stats
+	staleServes int64 // must stay 0: serves on an expired/revoked lease
 }
 
 // New builds a plane of cfg.Shards replication groups, each with
@@ -168,7 +169,12 @@ func (pl *Plane) Shards() int { return len(pl.groups) }
 // ShardFor returns the shard owning the record range containing (fid,
 // offset), split-aware: mid-split, arcs route to their current owner.
 func (pl *Plane) ShardFor(fid meta.FileID, offset int64) int {
-	return pl.owner(KeyHash(fid, offset/pl.cfg.RangeSize))
+	return pl.owner(pl.keyHash(fid, offset))
+}
+
+// keyHash hashes the partition range containing (fid, offset).
+func (pl *Plane) keyHash(fid meta.FileID, offset int64) uint64 {
+	return KeyHash(fid, offset/pl.cfg.RangeSize)
 }
 
 // owner resolves a key hash to its current owning shard. With no split
@@ -194,26 +200,26 @@ func (pl *Plane) owner(h uint64) int {
 // Put replicates a record insert through its shard's group and returns the
 // shard id. The caller sleeps until the op commits.
 func (pl *Plane) Put(p *sim.Proc, fromNode int, rec meta.Record) int {
-	h := KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)
+	h := pl.keyHash(rec.FID, rec.Offset)
 	shard := pl.owner(h)
 	// Mirror before propose sleeps: the mutation's state lands at the call
 	// instant, and the arc may hand over while the reply is in flight.
 	pl.mirror(h, OpPut, rec)
 	pl.propose(p, fromNode, pl.groups[shard], OpPut, rec)
-	pl.puts++
+	pl.stats.Puts++
 	return shard
 }
 
 // Delete replicates removal of the record keyed exactly by (fid, offset),
 // reporting whether it existed, and returns the shard id.
 func (pl *Plane) Delete(p *sim.Proc, fromNode int, fid meta.FileID, offset int64) (existed bool, shard int) {
-	h := KeyHash(fid, offset/pl.cfg.RangeSize)
+	h := pl.keyHash(fid, offset)
 	shard = pl.owner(h)
 	g := pl.groups[shard]
 	_, existed = g.lead().store.Get(meta.Key{FID: fid, Offset: offset})
 	pl.mirror(h, OpDelete, meta.Record{FID: fid, Offset: offset})
 	pl.propose(p, fromNode, g, OpDelete, meta.Record{FID: fid, Offset: offset})
-	pl.deletes++
+	pl.stats.Deletes++
 	return existed, shard
 }
 
@@ -235,7 +241,7 @@ func (pl *Plane) mirror(h uint64, kind OpKind, rec meta.Record) {
 	}
 	pl.adminApply(pl.groups[s.target], kind, rec)
 	a.dirty[meta.Key{FID: rec.FID, Offset: rec.Offset}] = true
-	pl.doubleApplies++
+	pl.stats.DoubleApplies++
 }
 
 // Stat is a charged exact-key lookup at the owning shard: on the leader,
@@ -248,7 +254,7 @@ func (pl *Plane) Stat(p *sim.Proc, fromNode int, fid meta.FileID, offset int64) 
 	g := pl.groups[shard]
 	d, r := pl.chargeReadAny(p, fromNode, g)
 	rec, ok := r.store.Get(meta.Key{FID: fid, Offset: offset})
-	pl.lookups++
+	pl.stats.Lookups++
 	p.Sleep(float64(d))
 	return rec, ok
 }
@@ -261,7 +267,7 @@ func (pl *Plane) Lookup(p *sim.Proc, fromNode, shard int) {
 		panic(fmt.Sprintf("metaplane: Lookup on unknown shard %d", shard))
 	}
 	d, _ := pl.chargeReadAny(p, fromNode, g)
-	pl.lookups++
+	pl.stats.Lookups++
 	p.Sleep(float64(d))
 }
 
@@ -277,15 +283,11 @@ func (pl *Plane) propose(p *sim.Proc, fromNode int, g *group, kind OpKind, rec m
 	t0 := p.Now()
 	ld := g.lead()
 	c := pl.cfg.Costs
-	lat := c.NetLatency
-	if ld.node == fromNode {
-		lat = c.ShmLatency
-	}
+	lat := c.hop(ld.node, fromNode)
 	tAppend := ld.ops.Serve(t0+sim.Time(lat), c.OpTime)
 
 	e := Entry{Index: ld.log.lastIndex() + 1, Kind: kind, Rec: rec}
 	ld.log.append(e)
-	g.appended++
 	acks := g.ship(e, tAppend, c)
 
 	// Majority of the full replica set = leader + ⌊R/2⌋ follower acks.
@@ -312,10 +314,7 @@ func (pl *Plane) chargeRead(p *sim.Proc, fromNode int, g *group) sim.Time {
 	t0 := p.Now()
 	ld := g.lead()
 	c := pl.cfg.Costs
-	lat := c.NetLatency
-	if ld.node == fromNode {
-		lat = c.ShmLatency
-	}
+	lat := c.hop(ld.node, fromNode)
 	respond := ld.ops.Serve(t0+sim.Time(lat), c.OpTime) + sim.Time(lat)
 	g.ops++
 	pl.Trace.Counter(respond, g.opsSeries, g.ops)
@@ -359,7 +358,7 @@ func (pl *Plane) Total() int {
 		st := g.lead().store
 		if s := pl.split; s != nil && id == s.target {
 			for _, rec := range st.All() {
-				if pl.owner(KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)) == id {
+				if pl.owner(pl.keyHash(rec.FID, rec.Offset)) == id {
 					n++
 				}
 			}
@@ -388,7 +387,7 @@ func (pl *Plane) CrashLeader(shard int) (crashedReplica int, ok bool) {
 	// lease is revoked before the new leader serves.
 	pl.revokeLeases(g)
 	g.electLeader()
-	pl.failovers++
+	pl.stats.Failovers++
 	return old, true
 }
 
@@ -418,14 +417,13 @@ func (pl *Plane) Recover(shard, replicaIdx int) bool {
 		r.store = st
 		r.log = wal{snapIndex: ld.applied}
 		r.applied = ld.applied
-		pl.snapshotInstalls++
+		pl.stats.SnapshotInstalls++
 		entries, _ = ld.log.entriesFrom(r.log.lastIndex() + 1)
 	}
 	for _, e := range entries {
 		r.log.append(e)
-		g.appended++
 	}
-	pl.recoveries++
+	pl.stats.Recoveries++
 	return true
 }
 
@@ -435,13 +433,11 @@ func (pl *Plane) Recover(shard, replicaIdx int) bool {
 func (pl *Plane) adminApply(g *group, kind OpKind, rec meta.Record) {
 	e := Entry{Index: g.lead().log.lastIndex() + 1, Kind: kind, Rec: rec}
 	g.lead().log.append(e)
-	g.appended++
 	for i, f := range g.replicas {
 		if i == g.leader || f.crashed {
 			continue
 		}
 		f.log.append(e)
-		g.appended++
 	}
 	g.commitEntry(e)
 }
@@ -470,12 +466,7 @@ func (pl *Plane) CheckInvariants() []string {
 		audit := g.lead()
 		if audit.crashed {
 			v = append(v, fmt.Sprintf("shard %d: leader replica %d is crashed", id, g.leader))
-			best := -1
-			for _, i := range g.alive() {
-				if best < 0 || g.replicas[i].log.lastIndex() > g.replicas[best].log.lastIndex() {
-					best = i
-				}
-			}
+			best := g.longest()
 			if best < 0 {
 				continue // every replica is down; nothing left to audit
 			}
@@ -563,7 +554,7 @@ func effectiveRecords(r *replica) map[meta.Key]meta.Record {
 // is the key's current owner, or it is the split target holding an
 // already-copied (or mirrored) record of an arc still mid-transfer.
 func (pl *Plane) placementOK(id int, rec meta.Record) bool {
-	h := KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)
+	h := pl.keyHash(rec.FID, rec.Offset)
 	if pl.owner(h) == id {
 		return true
 	}
@@ -620,25 +611,9 @@ type Stats struct {
 
 // Stats returns the current telemetry snapshot.
 func (pl *Plane) Stats() Stats {
-	s := Stats{
-		Shards:           len(pl.groups),
-		Replicas:         pl.cfg.Replicas,
-		Puts:             pl.puts,
-		Deletes:          pl.deletes,
-		Lookups:          pl.lookups,
-		Failovers:        pl.failovers,
-		Recoveries:       pl.recoveries,
-		SnapshotInstalls: pl.snapshotInstalls,
-		Handoffs:         pl.handoffs,
-		Splits:           pl.splits,
-		SplitRecords:     pl.splitRecords,
-		SplitBytes:       pl.splitBytes,
-		DoubleApplies:    pl.doubleApplies,
-		LeaseGrants:      pl.leaseGrants,
-		LeaseRevocations: pl.leaseRevocations,
-		FollowerReads:    pl.followerReads,
-		ForwardedReads:   pl.forwardedReads,
-	}
+	s := pl.stats
+	s.Shards = len(pl.groups)
+	s.Replicas = pl.cfg.Replicas
 	for _, g := range pl.groups {
 		ld := g.lead()
 		s.PerShard = append(s.PerShard, ShardStat{

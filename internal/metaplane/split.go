@@ -126,7 +126,7 @@ func (pl *Plane) StartSplit(e *sim.Engine) (int, error) {
 		s.his = append(s.his, pt.hash)
 	}
 	pl.split = s
-	pl.splits++
+	pl.stats.Splits++
 	e.Go("shard-split", func(p *sim.Proc) { pl.runSplit(p, s, g) })
 	return g.id, nil
 }
@@ -152,7 +152,7 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 		// path and are marked dirty.
 		var recs []meta.Record
 		for _, rec := range src.lead().store.All() {
-			if a.contains(KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)) {
+			if a.contains(pl.keyHash(rec.FID, rec.Offset)) {
 				recs = append(recs, rec)
 			}
 		}
@@ -169,9 +169,9 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 				}
 				pl.adminApply(target, OpPut, rec)
 			}
-			pl.splitRecords += int64(len(batch))
-			pl.splitBytes += int64(len(batch)) * recordBytes
-			pl.Trace.Counter(p.Now(), "meta.split_records", pl.splitRecords)
+			pl.stats.SplitRecords += int64(len(batch))
+			pl.stats.SplitBytes += int64(len(batch)) * recordBytes
+			pl.Trace.Counter(p.Now(), "meta.split_records", pl.stats.SplitRecords)
 		}
 
 		// Hand the arc over: re-scan the source (keys created mid-copy are
@@ -179,9 +179,9 @@ func (pl *Plane) runSplit(p *sim.Proc, s *splitRun, target *group) {
 		// it, and flip ownership. The migrator does not yield here, so the
 		// purge and the flip are atomic on the virtual clock.
 		for _, rec := range src.lead().store.All() {
-			if a.contains(KeyHash(rec.FID, rec.Offset/pl.cfg.RangeSize)) {
+			if a.contains(pl.keyHash(rec.FID, rec.Offset)) {
 				pl.adminApply(src, OpDelete, meta.Record{FID: rec.FID, Offset: rec.Offset})
-				pl.handoffs++
+				pl.stats.Handoffs++
 			}
 		}
 		a.phase = arcDone

@@ -28,7 +28,6 @@ type LustreDriver struct {
 type lustreShared struct {
 	f       *lustre.File
 	content extent.Map
-	opens   int
 	// Per-writer extent-lock serialization: every concurrent writer of a
 	// contended shared file is individually throttled by lock
 	// acquire/release round-trips. writerPorts[rank] caps one writer;
@@ -98,7 +97,6 @@ func (d *LustreDriver) Open(r *mpi.Rank, name string, mode mpi.Mode) (File, erro
 		sh = &lustreShared{f: f}
 		d.files[name] = sh
 	}
-	sh.opens++
 	return &lustreFile{d: d, sh: sh, r: r, mode: mode}, nil
 }
 
@@ -158,6 +156,5 @@ func (f *lustreFile) Close() error {
 	f.closed = true
 	f.r.P.Sleep(f.r.World().Cluster.Cfg.PFSLatency)
 	f.r.Barrier()
-	f.sh.opens--
 	return nil
 }

@@ -114,7 +114,6 @@ type nodeState struct {
 	procs []*ProcHandle
 	// perProgram counts processes placed so far, for placement cursors.
 	perProgram map[string]int
-	flushing   bool
 	// runnableBuf is refreshNode's per-core runnable counter, indexed by
 	// the node-local core index — refreshNode runs on every runnable
 	// toggle, and a fresh map per call dominated its cost.
@@ -206,26 +205,19 @@ func (s *Scheduler) placeIA(ns *nodeState, program string) *topology.Core {
 // idleOccupantCore returns the least-loaded core whose occupants are all
 // currently idle (not runnable), or nil if none exists.
 func (s *Scheduler) idleOccupantCore(ns *nodeState) *topology.Core {
-	type coreInfo struct {
-		occupants int
-		runnable  int
-	}
-	info := map[*topology.Core]*coreInfo{}
+	// runnable counts each occupied core's runnable occupants; a core
+	// with no occupant has no key.
+	runnable := map[*topology.Core]int{}
 	for _, h := range ns.procs {
-		ci := info[h.core]
-		if ci == nil {
-			ci = &coreInfo{}
-			info[h.core] = ci
-		}
-		ci.occupants++
+		n := runnable[h.core]
 		if h.runnable {
-			ci.runnable++
+			n++
 		}
+		runnable[h.core] = n
 	}
 	var best *topology.Core
 	for _, c := range ns.node.Cores() {
-		ci := info[c]
-		if ci == nil || ci.runnable > 0 {
+		if n, occupied := runnable[c]; !occupied || n > 0 {
 			continue
 		}
 		if best == nil || c.Pinned < best.Pinned {
@@ -286,7 +278,6 @@ func (s *Scheduler) leastLoadedProgramCore(ns *nodeState, program string) *topol
 // (Fig. 4d). CFS does nothing.
 func (s *Scheduler) BeginFlush(nodeID int, serverProgram string) {
 	ns := s.nodes[nodeID]
-	ns.flushing = true
 	if s.policy != InterferenceAware {
 		return
 	}
@@ -341,7 +332,6 @@ func (s *Scheduler) migrationTarget(ns *nodeState, h *ProcHandle, serverCores ma
 // cores.
 func (s *Scheduler) EndFlush(nodeID int, serverProgram string) {
 	ns := s.nodes[nodeID]
-	ns.flushing = false
 	if s.policy != InterferenceAware {
 		return
 	}

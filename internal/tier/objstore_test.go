@@ -252,7 +252,7 @@ func TestPromotionFromObjectTierBookkeeping(t *testing.T) {
 		sys.WaitFlush(c.Rank().P, "f")
 	})
 
-	if n := sys.Promotions("f"); n != 1 {
+	if n := sys.Stats().Promotions; n != 1 {
 		t.Fatalf("promotions = %d, want 1", n)
 	}
 	if !bytes.Equal(got, payload) {

@@ -66,13 +66,15 @@ type CounterSummary struct {
 	Peak  int64 `json:"peak"`
 }
 
-// percentile returns the q-quantile (0 ≤ q ≤ 1) of sorted values by linear
-// interpolation between closest order statistics (the R-7 estimator): the
-// quantile position is h = q·(n−1) and the result interpolates between
-// sorted[⌊h⌋] and sorted[⌊h⌋+1]. Unlike nearest-rank rounding this keeps
-// p50 of an even-count set at the midpoint of the two middle values and
-// does not collapse high quantiles to the max for small sets.
-func percentile(sorted []float64, q float64) float64 {
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of sorted (ascending) values
+// by linear interpolation between closest order statistics (the R-7
+// estimator): the quantile position is h = q·(n−1) and the result
+// interpolates between sorted[⌊h⌋] and sorted[⌊h⌋+1]. Unlike nearest-rank
+// rounding this keeps p50 of an even-count set at the midpoint of the two
+// middle values and does not collapse high quantiles to the max for small
+// sets. It is the one estimator: the summary digest and every layer that
+// computes tail latencies over its own samples (gateway, bench) use it.
+func Quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0
@@ -94,12 +96,6 @@ func percentile(sorted []float64, q float64) float64 {
 	frac := h - float64(lo)
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
-
-// Quantile returns the q-quantile of sorted (ascending) values by linear
-// interpolation between closest order statistics — the estimator the
-// summary digest uses, exported for layers (gateway, bench) that compute
-// tail latencies over their own samples.
-func Quantile(sorted []float64, q float64) float64 { return percentile(sorted, q) }
 
 // Summarize digests the recording. maxResources bounds the resource list
 // (0 means all).
@@ -133,10 +129,10 @@ func (r *Recorder) Summarize(maxResources int) *Summary {
 			Category:     string(cat),
 			Count:        len(ds),
 			TotalSeconds: total,
-			P50:          percentile(ds, 0.50),
-			P95:          percentile(ds, 0.95),
-			P99:          percentile(ds, 0.99),
-			P999:         percentile(ds, 0.999),
+			P50:          Quantile(ds, 0.50),
+			P95:          Quantile(ds, 0.95),
+			P99:          Quantile(ds, 0.99),
+			P999:         Quantile(ds, 0.999),
 			MaxSeconds:   ds[len(ds)-1],
 		})
 	}

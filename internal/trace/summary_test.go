@@ -13,7 +13,7 @@ import (
 // refQuantile is an independent R-7 reference implementation: position
 // h = q(n-1), linear interpolation between the two bracketing order
 // statistics. Kept deliberately naive (floor via math.Floor, no index
-// clamping tricks) so it cannot share a bug with percentile.
+// clamping tricks) so it cannot share a bug with Quantile.
 func refQuantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -36,41 +36,41 @@ func refQuantile(sorted []float64, q float64) float64 {
 
 func TestPercentileEdgeCases(t *testing.T) {
 	// n = 0: defined as 0.
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("percentile(nil, 0.5) = %v, want 0", got)
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("Quantile(nil, 0.5) = %v, want 0", got)
 	}
 	// n = 1: every quantile is the single value.
 	one := []float64{7}
 	for _, q := range []float64{0, 0.5, 0.99, 0.999, 1} {
-		if got := percentile(one, q); got != 7 {
-			t.Errorf("percentile([7], %v) = %v, want 7", q, got)
+		if got := Quantile(one, q); got != 7 {
+			t.Errorf("Quantile([7], %v) = %v, want 7", q, got)
 		}
 	}
 	// n = 2: p50 must be the midpoint — the nearest-rank formula this
 	// replaced returned the lower value (biasing p50 low on even counts).
 	two := []float64{10, 20}
-	if got := percentile(two, 0.5); got != 15 {
-		t.Errorf("percentile([10 20], 0.5) = %v, want 15", got)
+	if got := Quantile(two, 0.5); got != 15 {
+		t.Errorf("Quantile([10 20], 0.5) = %v, want 15", got)
 	}
 	// ... and p99 of a small set must NOT collapse to the max.
-	if got := percentile(two, 0.99); got >= 20 || got <= 15 {
-		t.Errorf("percentile([10 20], 0.99) = %v, want in (15, 20)", got)
+	if got := Quantile(two, 0.99); got >= 20 || got <= 15 {
+		t.Errorf("Quantile([10 20], 0.99) = %v, want in (15, 20)", got)
 	}
 	// Exact-boundary q: 0 is the min, 1 is the max.
 	v := []float64{1, 2, 3, 4, 5}
-	if got := percentile(v, 0); got != 1 {
-		t.Errorf("percentile(v, 0) = %v, want 1", got)
+	if got := Quantile(v, 0); got != 1 {
+		t.Errorf("Quantile(v, 0) = %v, want 1", got)
 	}
-	if got := percentile(v, 1); got != 5 {
-		t.Errorf("percentile(v, 1) = %v, want 5", got)
+	if got := Quantile(v, 1); got != 5 {
+		t.Errorf("Quantile(v, 1) = %v, want 5", got)
 	}
 	// q landing exactly on an order statistic: h = 0.25·4 = 1 → sorted[1].
-	if got := percentile(v, 0.25); got != 2 {
-		t.Errorf("percentile(v, 0.25) = %v, want 2", got)
+	if got := Quantile(v, 0.25); got != 2 {
+		t.Errorf("Quantile(v, 0.25) = %v, want 2", got)
 	}
 	// p50 of an odd-count set is the middle value, not an interpolation.
-	if got := percentile(v, 0.5); got != 3 {
-		t.Errorf("percentile(v, 0.5) = %v, want 3", got)
+	if got := Quantile(v, 0.5); got != 3 {
+		t.Errorf("Quantile(v, 0.5) = %v, want 3", got)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestPercentileMatchesReference(t *testing.T) {
 		}
 		sort.Float64s(vals)
 		for _, q := range qs {
-			got := percentile(vals, q)
+			got := Quantile(vals, q)
 			want := refQuantile(vals, q)
 			if math.Abs(got-want) > 1e-12 {
 				t.Fatalf("n=%d q=%v: percentile=%v ref=%v", n, q, got, want)
@@ -101,12 +101,12 @@ func TestPercentileMonotone(t *testing.T) {
 	vals := []float64{0.5, 1, 1, 2, 3, 5, 8, 13, 21}
 	prev := math.Inf(-1)
 	for q := 0.0; q <= 1.0; q += 0.001 {
-		got := percentile(vals, q)
+		got := Quantile(vals, q)
 		if got < prev {
 			t.Fatalf("percentile not monotone at q=%v: %v < %v", q, got, prev)
 		}
 		if got < vals[0] || got > vals[len(vals)-1] {
-			t.Fatalf("percentile(%v) = %v outside [%v, %v]", q, got, vals[0], vals[len(vals)-1])
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, got, vals[0], vals[len(vals)-1])
 		}
 		prev = got
 	}
