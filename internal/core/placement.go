@@ -72,7 +72,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 	srvPort := producer.c.server.Rank.H.MemPort
 	if dev := producer.devs[oldTier]; dev != nil {
 		devSp := sys.W.Trace.Begin(p, tier.Cat(oldTier), "read-op")
-		dev.Read(p, &tier.ReadOp{
+		dev.Read(p, tier.ReadOp{
 			Addr:          oldAddr,
 			Size:          rec.Size,
 			ReaderNode:    prodNode,

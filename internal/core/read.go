@@ -132,7 +132,7 @@ func (cf *ClientFile) fetchSegment(p *sim.Proc, rec meta.Record, off, size int64
 			fs.name, t, rec.Proc)
 	}
 	devSp := sys.W.Trace.Begin(p, tier.Cat(t), "read-op")
-	loc, err := dev.Read(p, &tier.ReadOp{
+	loc, err := dev.Read(p, tier.ReadOp{
 		Addr:               addr,
 		Size:               bytes,
 		ReaderNode:         myNode,

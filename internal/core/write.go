@@ -59,7 +59,7 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 			cf.fs.name, placed, c.globalID)
 	}
 	devSp := sys.W.Trace.Begin(p, tier.Cat(placed), "write-op")
-	err = dev.Write(p, &tier.WriteOp{
+	err = dev.Write(p, tier.WriteOp{
 		Node:          c.rank.Node(),
 		Addr:          addr,
 		Size:          size,

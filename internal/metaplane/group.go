@@ -2,7 +2,7 @@ package metaplane
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"univistor/internal/kvstore"
 	"univistor/internal/meta"
@@ -86,6 +86,8 @@ type group struct {
 	epoch  int64
 	frozen int
 	rr     uint64 // round-robin cursor for leased replica selection
+
+	acks []sim.Time // ship's follower-ack buffer, reused per mutation
 }
 
 // alive returns the indexes of non-crashed replicas, ascending.
@@ -129,10 +131,11 @@ func (g *group) commitEntry(e Entry) {
 	}
 }
 
-// append ships entry e to the leader (already appended by the caller) and
-// every alive follower, returning the sorted follower ack times.
+// ship ships entry e to the leader (already appended by the caller) and
+// every alive follower, returning the sorted follower ack times. The
+// result is the group's reused buffer: it is valid until the next ship.
 func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
-	var acks []sim.Time
+	acks := g.acks[:0]
 	for i, f := range g.replicas {
 		if i == g.leader || f.crashed {
 			continue
@@ -142,7 +145,8 @@ func (g *group) ship(e Entry, tAppend sim.Time, c Costs) []sim.Time {
 		f.applied = max(f.applied, f.log.snapIndex)
 		acks = append(acks, applied+sim.Time(c.NetLatency))
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
+	slices.Sort(acks)
+	g.acks = acks
 	return acks
 }
 

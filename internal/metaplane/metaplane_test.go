@@ -137,6 +137,66 @@ func TestWALAppendTruncateEntriesFrom(t *testing.T) {
 	w.append(Entry{Index: 13})
 }
 
+// A truncate that retains a suffix moves it to the front of the log's
+// own array: the retained entries read back with their indexes, and
+// refilling the log to the snapshot threshold and compacting it again
+// allocates nothing.
+func TestWALTruncateKeepsArray(t *testing.T) {
+	var w wal
+	for i := int64(1); i <= snapshotEvery; i++ {
+		w.append(Entry{Index: i, Kind: OpPut, Rec: rec(1, i*8, 8)})
+	}
+	w.truncate(snapshotEvery - 3)
+	es, ok := w.entriesFrom(snapshotEvery - 2)
+	if !ok || len(es) != 3 {
+		t.Fatalf("entriesFrom(%d) after truncate = %d entries ok=%v, want 3", snapshotEvery-2, len(es), ok)
+	}
+	for k, e := range es {
+		if want := int64(snapshotEvery - 2 + k); e.Index != want || e.Rec.Offset != want*8 {
+			t.Errorf("retained entry %d: index %d offset %d, want %d and %d", k, e.Index, e.Rec.Offset, want, want*8)
+		}
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	refill := func() {
+		for len(w.entries) < snapshotEvery {
+			next := w.lastIndex() + 1
+			w.append(Entry{Index: next, Kind: OpPut, Rec: rec(1, next*8, 8)})
+		}
+		w.truncate(w.lastIndex())
+	}
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Errorf("refilling the WAL to %d entries allocates %.1f objects/op, want 0", snapshotEvery, allocs)
+	}
+}
+
+// BenchmarkPlanePut measures the replicated commit path: one proc on a
+// fresh engine Puts into one R=3 shard, cycling over 512 keys so the
+// stores replace in place. A warm-up of four snapshot intervals runs
+// before the timer, so even one iteration sits past several WAL
+// compactions; -benchmem then reports the commit path's allocs/op.
+func BenchmarkPlanePut(b *testing.B) {
+	pl, err := New(testConfig(1, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const keys = 512
+	e := sim.NewEngine()
+	e.Go("put", func(p *sim.Proc) {
+		for i := 0; i < 4*snapshotEvery; i++ {
+			pl.Put(p, 0, rec(1, int64(i%keys)*8, 8))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pl.Put(p, 0, rec(1, int64(i%keys)*8, 8))
+		}
+		b.StopTimer()
+	})
+	e.Run()
+}
+
 // --- plane vs single store equivalence ------------------------------------
 
 // The plane must hold exactly the record set a single Store would, for any

@@ -48,6 +48,8 @@ func (w *wal) append(e Entry) {
 
 // entriesFrom returns the suffix of entries with Index >= from, or nil if
 // the log was truncated past from (the caller must install a snapshot).
+// The slice aliases the log: it is valid until the next append or
+// truncate, so a caller must finish with it before either.
 func (w *wal) entriesFrom(from int64) ([]Entry, bool) {
 	if from <= w.snapIndex {
 		return nil, false
@@ -60,7 +62,9 @@ func (w *wal) entriesFrom(from int64) ([]Entry, bool) {
 }
 
 // truncate drops entries up to and including upTo, folding them into the
-// snapshot baseline. upTo beyond the last entry is clamped.
+// snapshot baseline. upTo beyond the last entry is clamped. The retained
+// suffix moves down in place, so the log keeps its backing array across
+// snapshots.
 func (w *wal) truncate(upTo int64) {
 	if upTo <= w.snapIndex {
 		return
@@ -69,6 +73,6 @@ func (w *wal) truncate(upTo int64) {
 		upTo = last
 	}
 	n := upTo - w.snapIndex
-	w.entries = append([]Entry(nil), w.entries[n:]...)
+	w.entries = w.entries[:copy(w.entries, w.entries[n:])]
 	w.snapIndex = upTo
 }

@@ -65,8 +65,7 @@ func (fs *flowSet) add(f *flow) {
 	var target *component
 	switch len(found) {
 	case 0:
-		fs.compSeq++
-		target = &component{id: fs.compSeq}
+		target = fs.newComponent()
 		fs.comps = append(fs.comps, target)
 	case 1:
 		target = found[0]
@@ -105,7 +104,7 @@ func (fs *flowSet) merge(cs []*component) *component {
 			continue
 		}
 		fs.stats.Merges++
-		target.flows = mergeBySeq(target.flows, c.flows)
+		target.flows, fs.mergeBuf = mergeBySeq(target.flows, c.flows, fs.mergeBuf)
 		for _, f := range c.flows {
 			f.comp = target
 		}
@@ -113,28 +112,26 @@ func (fs *flowSet) merge(cs []*component) *component {
 			r.comp = target
 		}
 		target.resources = append(target.resources, c.resources...)
-		c.dead = true
 		c.dirty = false
+		fs.retire(c)
 	}
 	fs.removeDead()
 	return target
 }
 
-// mergeBySeq merges two flow lists each in ascending seq order. The first
-// list's backing array is reused when the merge is a pure append.
-func mergeBySeq(a, b []*flow) []*flow {
+// mergeBySeq merges two flow lists each in ascending seq order. A pure
+// append reuses a's backing array and hands buf back untouched; any other
+// merge is written into buf, and a's array, cleared, is returned as the
+// spare for the next merge. The merged list never shares its array with
+// the spare.
+func mergeBySeq(a, b, buf []*flow) (merged, spare []*flow) {
 	if len(b) == 0 {
-		return a
+		return a, buf
 	}
 	if len(a) == 0 || a[len(a)-1].seq < b[0].seq {
-		return append(a, b...)
+		return append(a, b...), buf
 	}
-	if b[len(b)-1].seq < a[0].seq {
-		out := make([]*flow, 0, len(a)+len(b))
-		out = append(out, b...)
-		return append(out, a...)
-	}
-	out := make([]*flow, 0, len(a)+len(b))
+	out := slices.Grow(buf[:0], len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].seq < b[j].seq {
@@ -146,7 +143,46 @@ func mergeBySeq(a, b []*flow) []*flow {
 		}
 	}
 	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	out = append(out, b[j:]...)
+	clear(a)
+	return out, a[:0]
+}
+
+// newComponent takes a component from the pool (or allocates one) and
+// gives it the next id, so merge tie-breaks follow creation order whether
+// or not the component was recycled.
+func (fs *flowSet) newComponent() *component {
+	var c *component
+	if n := len(fs.compPool); n > 0 {
+		c = fs.compPool[n-1]
+		fs.compPool = fs.compPool[:n-1]
+	} else {
+		c = &component{}
+	}
+	fs.compSeq++
+	c.id = fs.compSeq
+	return c
+}
+
+// retire marks a merged-away or drained component dead and parks it on
+// the graveyard. It may still sit in dirtyComps, so it is recycled only
+// once processDirty has cleared that queue.
+func (fs *flowSet) retire(c *component) {
+	c.dead = true
+	fs.graveyard = append(fs.graveyard, c)
+}
+
+// recycleGraveyard returns every retired component to the pool, its flow
+// and resource arrays kept but cleared so the pool retains no flow or
+// resource. Nothing references a dead component once dirtyComps is empty.
+func (fs *flowSet) recycleGraveyard() {
+	for _, c := range fs.graveyard {
+		clear(c.flows[:cap(c.flows)])
+		clear(c.resources[:cap(c.resources)])
+		*c = component{flows: c.flows[:0], resources: c.resources[:0]}
+		fs.compPool = append(fs.compPool, c)
+	}
+	fs.graveyard = fs.graveyard[:0]
 }
 
 // removeDead filters dead components out of the live list, preserving
@@ -201,6 +237,7 @@ func (fs *flowSet) processDirty() {
 		fs.solveComponent(c)
 	}
 	fs.dirtyComps = fs.dirtyComps[:0]
+	fs.recycleGraveyard()
 	if n := len(fs.comps); n > fs.stats.PeakComponents {
 		fs.stats.PeakComponents = n
 	}
@@ -222,8 +259,7 @@ func (fs *flowSet) solveComponent(c *component) {
 		for _, r := range c.resources {
 			fs.closeResource(r)
 		}
-		c.resources = c.resources[:0]
-		c.dead = true
+		fs.retire(c)
 		fs.removeDead()
 		return
 	}

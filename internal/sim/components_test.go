@@ -202,7 +202,9 @@ func remoteRead(all []*Resource, own ...*Resource) []*Resource {
 // in which one flow finishes and one starts. So does a churn step whose
 // starting flow bridges two resources no flow crossed into the component
 // while the finished flow's own two drain: one solve then both claims and
-// closes resources, and sorts the claimed ones. This is the regression
+// closes resources, and sorts the claimed ones. So do a component's birth
+// and retirement, and a merge of two components whose flows interleave:
+// components and merge buffers are pooled. This is the regression
 // bound for the pooled-scratch refactor; the previous implementation
 // allocated hundreds of objects per batch (scratch maps, share-heap nodes,
 // sample closures).
@@ -251,6 +253,99 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 		for _, r := range pair {
 			if owned := r.comp != nil; owned != (i == 1) {
 				t.Errorf("%s of path %d owned=%v after 51 steps, want %v", r.Name, i, owned, i == 1)
+			}
+		}
+	}
+
+	// Component lifecycle: a chain alternating between two resources no
+	// other flow crosses gives each starting flow a component of its own,
+	// and the finished flow's drained component retires in the same batch.
+	// Both come from and return to the component pool.
+	e, _ = steadyEngine()
+	step = startChurn(e, []*Resource{NewResource("solo", 1<<30)}, []*Resource{NewResource("solo", 1<<30)})
+	born := e.flows.compSeq
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("component birth and retirement allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := e.flows.compSeq - born; n != 51 {
+		t.Errorf("51 lifecycle steps created %d components, want one each", n)
+	}
+	if n := len(e.flows.comps); n != 5 {
+		t.Errorf("%d live components after the lifecycle steps, want 5", n)
+	}
+
+	// Merge: two components whose flows interleave in seq order are
+	// bridged by a fifth flow, so the merge writes the general path into
+	// the spare buffer; the merged component then drains and retires.
+	e = NewEngine()
+	e.SetDifferentialCheck(false)
+	x, y := NewResource("x", 1<<30), NewResource("y", 1<<30)
+	onX, onY, bridge := []*Resource{x}, []*Resource{y}, []*Resource{x, y}
+	step = func() {
+		for range 2 {
+			e.StartTransfer(64<<20, nil, onX...)
+			e.StartTransfer(64<<20, nil, onY...)
+		}
+		e.StartTransfer(64<<20, nil, bridge...)
+		for !e.events.empty() {
+			e.RunUntil(e.events.peek().t)
+		}
+	}
+	for range 4 {
+		step() // grow the pooled arrays and the spare to the merge's size
+	}
+	merges := e.AllocStats().Merges
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("interleaved merge step allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := e.AllocStats().Merges - merges; n != 51 {
+		t.Errorf("51 merge steps merged %d times, want once each", n)
+	}
+}
+
+// mergeBySeq returns one seq-ordered list holding both inputs, and a spare
+// buffer that shares no array with it: writing the spare's whole capacity
+// must leave the merged list intact.
+func TestMergeBySeq(t *testing.T) {
+	flows := func(seqs ...int64) []*flow {
+		out := make([]*flow, len(seqs))
+		for i, s := range seqs {
+			out[i] = &flow{seq: s}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		a, b []int64
+	}{
+		{"interleaved", []int64{1, 3, 5, 6}, []int64{2, 4, 7}},
+		{"b-before-a", []int64{4, 5, 6}, []int64{1, 2, 3}},
+		{"a-before-b", []int64{1, 2}, []int64{3, 4, 5}},
+		{"empty-b", []int64{1, 2}, nil},
+		{"empty-a", nil, []int64{1, 2}},
+		{"both-empty", nil, nil},
+	} {
+		// The merge clears a's array, so each buffer gets fresh inputs.
+		for _, buf := range [][]*flow{nil, make([]*flow, 0, 16)} {
+			want := len(tc.a) + len(tc.b)
+			merged, spare := mergeBySeq(flows(tc.a...), flows(tc.b...), buf)
+			if len(merged) != want {
+				t.Fatalf("%s: merged %d flows, want %d", tc.name, len(merged), want)
+			}
+			if !slices.IsSortedFunc(merged, func(f, g *flow) int { return int(f.seq - g.seq) }) {
+				t.Errorf("%s: merged list is not in ascending seq order", tc.name)
+			}
+			if len(spare) != 0 {
+				t.Errorf("%s: spare has length %d, want 0", tc.name, len(spare))
+			}
+			got := slices.Clone(merged)
+			marker := &flow{seq: -1}
+			full := spare[:cap(spare)]
+			for i := range full {
+				full[i] = marker
+			}
+			if !slices.Equal(merged, got) {
+				t.Errorf("%s: the spare buffer aliases the merged list", tc.name)
 			}
 		}
 	}

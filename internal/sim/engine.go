@@ -381,6 +381,12 @@ type flowSet struct {
 	comps       []*component // live components, creation order
 	dirtyComps  []*component
 	compScratch []*component // add() dedup scratch
+	// Retired components wait on the graveyard until the batch's dirty
+	// queue is cleared, then return to compPool for reuse; mergeBuf is
+	// the spare array the next merge writes its flow list into.
+	graveyard []*component
+	compPool  []*component
+	mergeBuf  []*flow
 
 	// Free lists for the hot-path structs; a flow (and its fan-out, if
 	// any) returns to the pool the instant it finishes.

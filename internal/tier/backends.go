@@ -26,7 +26,7 @@ const (
 // (DRAM, local SSD): direct on the producer's node, one server round-trip
 // plus the network otherwise, with the extra relay through the reader's
 // co-located server when the location-aware service is off.
-func nodeLocalRead(env *Env, p *sim.Proc, op *ReadOp) (Locality, error) {
+func nodeLocalRead(env *Env, p *sim.Proc, op ReadOp) (Locality, error) {
 	if op.ProducerNode == op.ReaderNode {
 		if op.LocationAware {
 			// Direct local read: no server in the path.
@@ -55,7 +55,7 @@ func nodeLocalRead(env *Env, p *sim.Proc, op *ReadOp) (Locality, error) {
 // readExtras returns the reader-side resources appended to a shared-device
 // transfer: the co-located server relay (without the location-aware
 // service) and the reading process's memory port.
-func readExtras(op *ReadOp) []*sim.Resource {
+func readExtras(op ReadOp) []*sim.Resource {
 	if op.LocationAware {
 		return []*sim.Resource{op.ReaderMemPort}
 	}
@@ -72,11 +72,11 @@ type sharedFile interface {
 // interface.
 type sharedDevice struct{ f sharedFile }
 
-func (d sharedDevice) Write(p *sim.Proc, op *WriteOp) error {
+func (d sharedDevice) Write(p *sim.Proc, op WriteOp) error {
 	return d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
 }
 
-func (d sharedDevice) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
+func (d sharedDevice) Read(p *sim.Proc, op ReadOp) (Locality, error) {
 	d.f.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
 	return Shared, nil
 }
@@ -102,7 +102,7 @@ func (b *dramBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.R
 	return serverMemPath
 }
 
-func (b *dramBackend) Write(p *sim.Proc, op *WriteOp) error {
+func (b *dramBackend) Write(p *sim.Proc, op WriteOp) error {
 	// Client buffer → shared-memory log: both the client's and the
 	// server's core ports plus the server's NUMA memory port.
 	path := append([]*sim.Resource{op.ClientMemPort}, op.ServerMemPath...)
@@ -110,7 +110,7 @@ func (b *dramBackend) Write(p *sim.Proc, op *WriteOp) error {
 	return nil
 }
 
-func (b *dramBackend) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
+func (b *dramBackend) Read(p *sim.Proc, op ReadOp) (Locality, error) {
 	return nodeLocalRead(b.env, p, op)
 }
 
@@ -136,12 +136,12 @@ func (b *ssdBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Re
 	return []*sim.Resource{b.env.Cluster.Nodes[node].SSDBW}
 }
 
-func (b *ssdBackend) Write(p *sim.Proc, op *WriteOp) error {
+func (b *ssdBackend) Write(p *sim.Proc, op WriteOp) error {
 	p.Transfer(float64(op.Size), op.ClientMemPort, op.ServerMemPort, b.env.Cluster.Nodes[op.Node].SSDBW)
 	return nil
 }
 
-func (b *ssdBackend) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
+func (b *ssdBackend) Read(p *sim.Proc, op ReadOp) (Locality, error) {
 	return nodeLocalRead(b.env, p, op)
 }
 
@@ -243,7 +243,7 @@ type pfsDevice struct {
 	file  *lustre.File
 }
 
-func (d *pfsDevice) Write(p *sim.Proc, op *WriteOp) error {
+func (d *pfsDevice) Write(p *sim.Proc, op WriteOp) error {
 	if d.file == nil {
 		f, err := d.env.PFS.Create(
 			fmt.Sprintf("uvspill/%d/%d", d.fid, d.owner),
@@ -256,7 +256,7 @@ func (d *pfsDevice) Write(p *sim.Proc, op *WriteOp) error {
 	return d.file.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
 }
 
-func (d *pfsDevice) Read(p *sim.Proc, op *ReadOp) (Locality, error) {
+func (d *pfsDevice) Read(p *sim.Proc, op ReadOp) (Locality, error) {
 	if d.file == nil {
 		return Shared, fmt.Errorf("tier: proc %d has no PFS spill log", d.owner)
 	}

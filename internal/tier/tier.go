@@ -154,10 +154,10 @@ type ReadOp struct {
 // bytes for that log against the sim resources.
 type Device interface {
 	// Write charges the data-plane cost of appending at op.Addr.
-	Write(p *sim.Proc, op *WriteOp) error
+	Write(p *sim.Proc, op WriteOp) error
 	// Read charges the cost of retrieving [op.Addr, op.Addr+op.Size) and
 	// reports where the bytes came from.
-	Read(p *sim.Proc, op *ReadOp) (Locality, error)
+	Read(p *sim.Proc, op ReadOp) (Locality, error)
 }
 
 // Backend is one storage layer: capacity accounting, device binding, and
