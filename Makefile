@@ -33,12 +33,12 @@ trace-smoke:
 		-read -flush -trace /tmp/tiers.json > /dev/null
 	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json /tmp/tiers.json
 
-# Run each internal/sim, internal/kvstore and internal/metaplane benchmark
-# once, so the solver, metadata-store and commit-path benchmarks that
-# performance changes quote keep building and running; -benchmem prints
-# each one's allocs/op.
+# Run each internal/sim, internal/kvstore, internal/metaplane and
+# internal/striping benchmark once, so the solver, metadata-store,
+# commit-path and stripe-cutter benchmarks that performance changes quote
+# keep building and running; -benchmem prints each one's allocs/op.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/kvstore ./internal/metaplane
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/kvstore ./internal/metaplane ./internal/striping
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

@@ -57,8 +57,9 @@ func main() {
 		}
 		o.Scales = ss
 	}
-	o.Verbose = *verbose
-	o.Progress = os.Stderr
+	if *verbose {
+		o.Progress = os.Stderr
+	}
 	o.TracePath = *traceTo
 
 	switch {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"univistor/internal/sim"
+	"univistor/internal/striping"
 	"univistor/internal/topology"
 )
 
@@ -92,7 +93,7 @@ func (s *System) Open(name string) (*File, bool) {
 func (f *File) release() {
 	if !f.reserved {
 		for _, part := range f.parts(0, f.size) {
-			f.sys.cluster.BB[part.node].Cap.Release(part.size)
+			f.sys.cluster.BB[part.Unit].Cap.Release(part.Size)
 		}
 	}
 	f.size = 0
@@ -103,11 +104,6 @@ func (f *File) Name() string { return f.name }
 
 // Size returns the file's high-water mark in bytes.
 func (f *File) Size() int64 { return f.size }
-
-type bbPart struct {
-	node int
-	size int64
-}
 
 // stripeNode maps a stripe index to a BB node. DataWarp-style placement
 // hashes the stripe so that synchronized writers with power-of-two strides
@@ -125,48 +121,14 @@ func (f *File) stripeNode(stripe int64) int {
 
 // parts distributes [off, off+size) across BB nodes stripe by stripe. Very
 // large ranges (≫ one pass over the nodes) collapse to an even split.
-func (f *File) parts(off, size int64) []bbPart {
-	if size <= 0 {
-		return nil
-	}
+func (f *File) parts(off, size int64) []striping.Part {
 	ss := f.sys.cluster.Cfg.BBStripeSize
-	n := int64(len(f.sys.cluster.BB))
-	first := off / ss
-	last := (off + size - 1) / ss
-	nStripes := last - first + 1
-	if nStripes > 8*n {
+	n := len(f.sys.cluster.BB)
+	if striping.Stripes(off, size, ss) > 8*int64(n) {
 		// Whole-file-scale range: statistically even across all nodes.
-		per := size / n
-		rem := size - per*n
-		out := make([]bbPart, 0, n)
-		for i := int64(0); i < n; i++ {
-			sz := per
-			if i < rem {
-				sz++
-			}
-			out = append(out, bbPart{node: int(i), size: sz})
-		}
-		return out
+		return striping.Even(size, n, func(i int) int { return i })
 	}
-	idx := map[int]int{}
-	var out []bbPart
-	for st := first; st <= last; st++ {
-		lo, hi := st*ss, (st+1)*ss
-		if lo < off {
-			lo = off
-		}
-		if hi > off+size {
-			hi = off + size
-		}
-		node := f.stripeNode(st)
-		if i, ok := idx[node]; ok {
-			out[i].size += hi - lo
-		} else {
-			idx[node] = len(out)
-			out = append(out, bbPart{node: node, size: hi - lo})
-		}
-	}
-	return out
+	return striping.Cut(off, size, ss, n, f.stripeNode)
 }
 
 // Write models one write call from a client on the given compute node.
@@ -177,8 +139,8 @@ func (f *File) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resou
 	if end := off + size; end > f.size {
 		if !f.reserved {
 			for _, part := range f.parts(f.size, end-f.size) {
-				if !f.sys.cluster.BB[part.node].Cap.Alloc(part.size) {
-					return fmt.Errorf("bb: node %d out of space writing %s", part.node, f.name)
+				if !f.sys.cluster.BB[part.Unit].Cap.Alloc(part.Size) {
+					return fmt.Errorf("bb: node %d out of space writing %s", part.Unit, f.name)
 				}
 			}
 		}
@@ -204,12 +166,12 @@ func (f *File) transfer(p *sim.Proc, node int, off, size int64, lock *sim.Resour
 	parts := f.parts(off, size)
 	flows := make([]sim.Flow, 0, len(parts))
 	for _, part := range parts {
-		path := []*sim.Resource{c.Nodes[node].NIC, c.Fabric, c.BB[part.node].BW}
+		path := []*sim.Resource{c.Nodes[node].NIC, c.Fabric, c.BB[part.Unit].BW}
 		if lock != nil {
 			path = append(path, lock)
 		}
 		path = append(path, extra...)
-		flows = append(flows, sim.Flow{Size: float64(part.size), Path: path})
+		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
 	}
 	p.TransferAll(flows)
 }

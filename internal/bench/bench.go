@@ -40,8 +40,7 @@ type Options struct {
 	// TimeSteps5 and TimeSteps10 are the two workload lengths of §III-C/D.
 	TimeSteps5  int
 	TimeSteps10 int
-	// Verbose prints a progress line per data point to Progress.
-	Verbose  bool
+	// Progress, when set, receives a progress line per data point.
 	Progress io.Writer
 	// TracePath, when set, attaches a trace recorder to every stack the
 	// sweep builds and exports a Chrome trace-event JSON of each completed
@@ -85,7 +84,7 @@ func QuickOptions() Options {
 }
 
 func (o Options) progress(format string, args ...any) {
-	if o.Verbose && o.Progress != nil {
+	if o.Progress != nil {
 		fmt.Fprintf(o.Progress, format+"\n", args...)
 	}
 }

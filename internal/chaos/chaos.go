@@ -73,12 +73,7 @@ func Arm(sys *core.System, spec Spec) *Harness {
 	}
 	faults := append([]Fault(nil), spec.Faults...)
 	faults = append(faults, h.randomFaults()...)
-	sort.SliceStable(faults, func(i, j int) bool {
-		if faults[i].At != faults[j].At {
-			return faults[i].At < faults[j].At
-		}
-		return faults[i].String() < faults[j].String()
-	})
+	sortFaults(faults)
 	for _, f := range faults {
 		if f.Kind == KindCrash && f.AfterWrites > 0 {
 			h.pendingWrites = append(h.pendingWrites, f)

@@ -229,15 +229,19 @@ func Parse(s string) (Spec, error) {
 	if spec.Horizon <= 0 && (spec.Check > 0 || spec.Rand > 0) {
 		spec.Horizon = DefaultHorizon
 	}
-	// Deterministic schedule regardless of token order in the input.
-	sort.SliceStable(spec.Faults, func(i, j int) bool {
-		a, b := spec.Faults[i], spec.Faults[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.String() < b.String()
-	})
+	sortFaults(spec.Faults)
 	return spec, nil
+}
+
+// sortFaults orders faults by time, ties by their spec token, so the
+// schedule does not depend on the order the faults were given in.
+func sortFaults(faults []Fault) {
+	sort.SliceStable(faults, func(i, j int) bool {
+		if faults[i].At != faults[j].At {
+			return faults[i].At < faults[j].At
+		}
+		return faults[i].String() < faults[j].String()
+	})
 }
 
 func parseInt(key, val string, hasVal bool) (int64, error) {

@@ -165,7 +165,8 @@ type Config struct {
 	// times — the usage-pattern-driven placement extension of §V.
 	ProactivePlacement bool
 
-	// PromoteAfterReads is the heat threshold for promotion (default 2).
+	// PromoteAfterReads is the heat threshold for promotion (default 2); it
+	// must be at least 1 when ProactivePlacement is on.
 	PromoteAfterReads int
 }
 
@@ -248,6 +249,14 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: duplicate cache tier %s", t)
 		}
 		seen[t] = true
+	}
+	switch {
+	case c.DRAMLogBytes < 0:
+		return fmt.Errorf("core: DRAMLogBytes must be non-negative, got %d", c.DRAMLogBytes)
+	case c.BBLogBytes < 0:
+		return fmt.Errorf("core: BBLogBytes must be non-negative, got %d", c.BBLogBytes)
+	case c.ProactivePlacement && c.PromoteAfterReads < 1:
+		return fmt.Errorf("core: ProactivePlacement needs PromoteAfterReads >= 1, got %d", c.PromoteAfterReads)
 	}
 	for t, b := range c.TierLogBytes {
 		switch {

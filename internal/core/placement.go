@@ -29,11 +29,7 @@ func (cf *ClientFile) trackHeat(p *sim.Proc, rec meta.Record, producer *ClientFi
 	if bk := sys.chain.Backend(t); bk == nil || !bk.Shared() {
 		return // already on a fast private tier
 	}
-	threshold := sys.Cfg.PromoteAfterReads
-	if threshold <= 0 {
-		threshold = 2
-	}
-	if fs.heat[rec.Offset] != threshold {
+	if fs.heat[rec.Offset] != sys.Cfg.PromoteAfterReads {
 		return
 	}
 	sys.promoteSegment(p, fs, rec, producer)

@@ -283,6 +283,19 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 			g.runErr = fmt.Errorf("tenant %d: %w", t.id, err)
 		}
 	}
+	// step runs one op and records its latency from start; it reports
+	// false, after recording the error, when the op failed.
+	step := func(start sim.Time) bool {
+		kind, lat, err := g.doOp(r, c, t)
+		if err != nil {
+			fail(err)
+			return false
+		}
+		if lat {
+			g.lat[kind] = append(g.lat[kind], float64(r.Now()-start))
+		}
+		return true
+	}
 
 	if cfg.ArrivalRate > 0 {
 		// Open loop: walk the arrival schedule; ops run back to back when
@@ -298,28 +311,16 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 			if gap := next - float64(r.Now()); gap > 0 {
 				r.P.Sleep(gap)
 			}
-			start := sim.Time(next)
-			kind, lat, err := g.doOp(r, c, t)
-			if err != nil {
-				fail(err)
+			if !step(sim.Time(next)) {
 				break
-			}
-			if lat {
-				g.lat[kind] = append(g.lat[kind], float64(r.Now()-start))
 			}
 		}
 	} else {
 		for op := 0; op < cfg.OpsPerTenant; op++ {
 			mul := burstMul(float64(op) / float64(cfg.OpsPerTenant))
 			r.P.Sleep(t.rng.ExpFloat64() * thinkSeconds / (mul * t.load))
-			start := r.Now()
-			kind, lat, err := g.doOp(r, c, t)
-			if err != nil {
-				fail(err)
+			if !step(r.Now()) {
 				break
-			}
-			if lat {
-				g.lat[kind] = append(g.lat[kind], float64(r.Now()-start))
 			}
 		}
 	}

@@ -142,16 +142,7 @@ func (f *File) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resou
 		}
 		f.size = end
 	}
-	parts := f.layout().Parts(off, size)
-	// One RPC round per OST contacted: the synchronization overhead that
-	// makes needlessly wide striping expensive (§II-D case 1).
-	p.Sleep(f.fs.cluster.Cfg.PFSLatency * float64(len(parts)))
-	flows := make([]sim.Flow, 0, len(parts))
-	for _, part := range parts {
-		path := f.path(node, part.Unit, f.writeLock, extra)
-		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
-	}
-	p.TransferAll(flows)
+	f.transfer(p, node, off, size, f.writeLock, extra)
 	return nil
 }
 
@@ -160,38 +151,37 @@ func (f *File) Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resour
 	if size <= 0 {
 		return
 	}
+	f.transfer(p, node, off, size, f.readLock, extra)
+}
+
+// transfer moves [off, off+size) between the node and every OST the range
+// maps to, one flow per OST. Each path is the node's Lustre client stack,
+// its NIC, the fabric, the target OST, the lock cap if any, then extra.
+func (f *File) transfer(p *sim.Proc, node int, off, size int64, lock *sim.Resource, extra []*sim.Resource) {
+	c := f.fs.cluster
 	parts := f.layout().Parts(off, size)
-	p.Sleep(f.fs.cluster.Cfg.PFSLatency * float64(len(parts)))
+	// One RPC round per OST contacted: the synchronization overhead that
+	// makes needlessly wide striping expensive (§II-D case 1).
+	p.Sleep(c.Cfg.PFSLatency * float64(len(parts)))
 	flows := make([]sim.Flow, 0, len(parts))
 	for _, part := range parts {
-		path := f.path(node, part.Unit, f.readLock, extra)
+		path := []*sim.Resource{c.Nodes[node].PFSPort, c.Nodes[node].NIC, c.Fabric, c.OSTs[part.Unit].BW}
+		if lock != nil {
+			path = append(path, lock)
+		}
+		path = append(path, extra...)
 		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
 	}
 	p.TransferAll(flows)
 }
 
-// path assembles the resource chain for one OST transfer: the node's
-// Lustre client stack, its NIC, the fabric, and the target OST.
-func (f *File) path(node, ost int, lock *sim.Resource, extra []*sim.Resource) []*sim.Resource {
-	c := f.fs.cluster
-	path := []*sim.Resource{c.Nodes[node].PFSPort, c.Nodes[node].NIC, c.Fabric, c.OSTs[ost].BW}
-	if lock != nil {
-		path = append(path, lock)
-	}
-	path = append(path, extra...)
-	return path
-}
-
 // TouchedOSTs returns the distinct OSTs the byte range maps to, in stripe
 // order.
 func (f *File) TouchedOSTs(off, size int64) []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range f.layout().Parts(off, size) {
-		if !seen[part.Unit] {
-			seen[part.Unit] = true
-			out = append(out, part.Unit)
-		}
+	parts := f.layout().Parts(off, size)
+	out := make([]int, len(parts))
+	for i, part := range parts {
+		out[i] = part.Unit
 	}
 	return out
 }

@@ -36,40 +36,6 @@ type lustreShared struct {
 	readerPorts map[int]*sim.Resource
 }
 
-// contended reports whether shared files pay per-process extent-lock
-// serialization (a lock efficiency of 1 means no contention).
-func (d *LustreDriver) contended() bool { return d.cfg.SharedFileEff < 1 }
-
-func (sh *lustreShared) writerPort(d *LustreDriver, rank int) *sim.Resource {
-	if !d.contended() {
-		return nil
-	}
-	if sh.writerPorts == nil {
-		sh.writerPorts = map[int]*sim.Resource{}
-	}
-	p, ok := sh.writerPorts[rank]
-	if !ok {
-		p = sim.NewResource(fmt.Sprintf("lwr:%s/%d", sh.f.Name(), rank), d.cfg.SharedWriterBW)
-		sh.writerPorts[rank] = p
-	}
-	return p
-}
-
-func (sh *lustreShared) readerPort(d *LustreDriver, rank int) *sim.Resource {
-	if !d.contended() {
-		return nil
-	}
-	if sh.readerPorts == nil {
-		sh.readerPorts = map[int]*sim.Resource{}
-	}
-	p, ok := sh.readerPorts[rank]
-	if !ok {
-		p = sim.NewResource(fmt.Sprintf("lrd:%s/%d", sh.f.Name(), rank), 4*d.cfg.SharedWriterBW)
-		sh.readerPorts[rank] = p
-	}
-	return p
-}
-
 // NewLustreDriver returns the baseline driver over the PFS model. Its
 // contention model comes from the cluster config of fs.
 func NewLustreDriver(fs *lustre.FS) *LustreDriver {
@@ -94,7 +60,7 @@ func (d *LustreDriver) Open(r *mpi.Rank, name string, mode mpi.Mode) (File, erro
 		if err != nil {
 			return nil, err
 		}
-		sh = &lustreShared{f: f}
+		sh = &lustreShared{f: f, writerPorts: map[int]*sim.Resource{}, readerPorts: map[int]*sim.Resource{}}
 		d.files[name] = sh
 	}
 	return &lustreFile{d: d, sh: sh, r: r, mode: mode}, nil
@@ -120,10 +86,7 @@ func (f *lustreFile) WriteAt(off, size int64, data []byte) error {
 	if size <= 0 {
 		return fmt.Errorf("lustre driver: write size %d must be positive", size)
 	}
-	extra := []*sim.Resource{f.r.H.MemPort}
-	if wp := f.sh.writerPort(f.d, f.r.Rank()); wp != nil {
-		extra = append(extra, wp)
-	}
+	extra := f.extra(f.sh.writerPorts, "lwr", f.d.cfg.SharedWriterBW)
 	if err := f.sh.f.Write(f.r.P, f.r.Node(), off, size, extra...); err != nil {
 		return err
 	}
@@ -140,13 +103,27 @@ func (f *lustreFile) ReadAt(off, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("lustre driver: read size %d must be positive", size)
 	}
-	extra := []*sim.Resource{f.r.H.MemPort}
-	if rp := f.sh.readerPort(f.d, f.r.Rank()); rp != nil {
-		extra = append(extra, rp)
-	}
+	extra := f.extra(f.sh.readerPorts, "lrd", 4*f.d.cfg.SharedWriterBW)
 	f.sh.f.Read(f.r.P, f.r.Node(), off, size, extra...)
 	data, _ := f.sh.content.Read(off, size)
 	return data, nil
+}
+
+// extra returns the resources this rank's transfers cross besides the PFS:
+// its memory port and, when shared files are contended (a lock efficiency
+// below 1), its extent-lock port in ports, created on first use as
+// prefix:file/rank with bandwidth bw.
+func (f *lustreFile) extra(ports map[int]*sim.Resource, prefix string, bw float64) []*sim.Resource {
+	extra := []*sim.Resource{f.r.H.MemPort}
+	if f.d.cfg.SharedFileEff >= 1 {
+		return extra
+	}
+	p, ok := ports[f.r.Rank()]
+	if !ok {
+		p = sim.NewResource(fmt.Sprintf("%s:%s/%d", prefix, f.sh.f.Name(), f.r.Rank()), bw)
+		ports[f.r.Rank()] = p
+	}
+	return append(extra, p)
 }
 
 func (f *lustreFile) Close() error {

@@ -205,41 +205,58 @@ type Part struct {
 // passes over the stripe set collapse to an (asymptotically exact) even
 // split.
 func (l Layout) Parts(off, size int64) []Part {
+	if Stripes(off, size, l.Size) > 4*int64(l.Count) {
+		return Even(size, l.Count, func(i int) int { return (l.Start + i) % l.Units })
+	}
+	return Cut(off, size, l.Size, l.Count, func(stripe int64) int {
+		return (l.Start + int(stripe%int64(l.Count))) % l.Units
+	})
+}
+
+// Stripes returns how many stripes of stripeSize bytes the byte range
+// [off, off+size) touches.
+func Stripes(off, size, stripeSize int64) int64 {
 	if size <= 0 {
+		return 0
+	}
+	return (off+size-1)/stripeSize - off/stripeSize + 1
+}
+
+// Cut is the one stripe walk of every striped device (PFS OSTs, burst-buffer
+// nodes, object-store gateways): it cuts the byte range [off, off+size)
+// into stripes of stripeSize bytes, sends stripe i to unit(i), and returns
+// one Part per unit with all its bytes, in the order the units are first
+// reached. unit takes at most units distinct values.
+func Cut(off, size, stripeSize int64, units int, unit func(stripe int64) int) []Part {
+	n := Stripes(off, size, stripeSize)
+	if n == 0 {
 		return nil
 	}
-	first := off / l.Size
-	last := (off + size - 1) / l.Size
-	nStripes := last - first + 1
-	if nStripes > 4*int64(l.Count) {
-		per := size / int64(l.Count)
-		rem := size - per*int64(l.Count)
-		parts := make([]Part, 0, l.Count)
-		for i := 0; i < l.Count; i++ {
-			sz := per
-			if int64(i) < rem {
-				sz++
-			}
-			parts = append(parts, Part{Unit: (l.Start + i) % l.Units, Size: sz})
+	parts := make([]Part, 0, min(n, int64(units)))
+	for st := off / stripeSize; n > 0; st, n = st+1, n-1 {
+		lo, hi := max(st*stripeSize, off), min((st+1)*stripeSize, off+size)
+		u, i := unit(st), 0
+		for i < len(parts) && parts[i].Unit != u {
+			i++
 		}
-		return parts
+		if i == len(parts) {
+			parts = append(parts, Part{Unit: u})
+		}
+		parts[i].Size += hi - lo
 	}
-	idx := map[int]int{}
-	var parts []Part
-	for st := first; st <= last; st++ {
-		lo, hi := st*l.Size, (st+1)*l.Size
-		if lo < off {
-			lo = off
-		}
-		if hi > off+size {
-			hi = off + size
-		}
-		unit := (l.Start + int(st%int64(l.Count))) % l.Units
-		if i, ok := idx[unit]; ok {
-			parts[i].Size += hi - lo
-		} else {
-			idx[unit] = len(parts)
-			parts = append(parts, Part{Unit: unit, Size: hi - lo})
+	return parts
+}
+
+// Even splits size bytes over units unit(0), …, unit(n-1); the first
+// size mod n of them carry one extra byte. It is the whole-file shortcut of
+// a range that passes over a device's stripe set many times.
+func Even(size int64, n int, unit func(i int) int) []Part {
+	per, rem := size/int64(n), size%int64(n)
+	parts := make([]Part, n)
+	for i := range parts {
+		parts[i] = Part{Unit: unit(i), Size: per}
+		if int64(i) < rem {
+			parts[i].Size++
 		}
 	}
 	return parts

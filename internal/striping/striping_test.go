@@ -1,6 +1,8 @@
 package striping
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -391,5 +393,77 @@ func TestLayoutPartsCollapseToEvenSplit(t *testing.T) {
 		if part.Size != 40 {
 			t.Errorf("exact Parts = %v, want 40 bytes each", l.Parts(0, 120))
 		}
+	}
+}
+
+// cutReference walks [off, off+size) one byte at a time: the reference
+// the stripe cutter must reproduce exactly.
+func cutReference(off, size, stripeSize int64, unit func(int64) int) []Part {
+	var parts []Part
+	for b := off; b < off+size; b++ {
+		u, i := unit(b/stripeSize), 0
+		for i < len(parts) && parts[i].Unit != u {
+			i++
+		}
+		if i == len(parts) {
+			parts = append(parts, Part{Unit: u})
+		}
+		parts[i].Size++
+	}
+	return parts
+}
+
+func TestCutMatchesByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		stripeSize := 1 + rng.Int63n(64)
+		off := rng.Int63n(1024)
+		size := rng.Int63n(2048) - 8 // a few empty and negative ranges
+		units := 1 + rng.Intn(9)
+		// Many-to-one: a hashed rule sends several stripes to one unit and
+		// reaches the units out of index order.
+		unit := func(stripe int64) int { return int(uint64(stripe)*0x9e3779b97f4a7c15>>40) % units }
+		got := Cut(off, size, stripeSize, units, unit)
+		want := cutReference(off, size, stripeSize, unit)
+		if len(got) != len(want) {
+			t.Fatalf("Cut(%d, %d, %d) = %v, want %v", off, size, stripeSize, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Cut(%d, %d, %d) = %v, want %v", off, size, stripeSize, got, want)
+			}
+		}
+		if n := Stripes(off, size, stripeSize); size > 0 && n != (off+size-1)/stripeSize-off/stripeSize+1 || size <= 0 && n != 0 {
+			t.Fatalf("Stripes(%d, %d, %d) = %d", off, size, stripeSize, n)
+		}
+	}
+}
+
+func TestLayoutPartsMatchByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 2000; trial++ {
+		l := Layout{Size: 1 + rng.Int63n(32), Units: 1 + rng.Intn(12)}
+		l.Count = 1 + rng.Intn(l.Units)
+		l.Start = rng.Intn(l.Units)
+		off, size := rng.Int63n(512), 1+rng.Int63n(1024)
+		if Stripes(off, size, l.Size) > 4*int64(l.Count) {
+			continue // the even-split shortcut, pinned by TestLayoutPartsCollapseToEvenSplit
+		}
+		unit := func(stripe int64) int { return (l.Start + int(stripe%int64(l.Count))) % l.Units }
+		got, want := l.Parts(off, size), cutReference(off, size, l.Size, unit)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v.Parts(%d, %d) = %v, want %v", l, off, size, got, want)
+		}
+	}
+}
+
+// BenchmarkParts cuts a 256 MiB write into 1 MiB stripes over 248 OSTs,
+// the shared-file shape of the Lustre baseline; it reports the cutter's
+// allocations per call.
+func BenchmarkParts(b *testing.B) {
+	l := Layout{Size: 1 << 20, Count: 248, Units: 248}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Parts(int64(i%8)<<28, 256<<20)
 	}
 }

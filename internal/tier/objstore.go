@@ -16,6 +16,7 @@ import (
 
 	"univistor/internal/meta"
 	"univistor/internal/sim"
+	"univistor/internal/striping"
 	"univistor/internal/topology"
 )
 
@@ -87,13 +88,13 @@ type objLog struct {
 	owner int
 }
 
-// gateway hashes an object of this log onto a gateway endpoint.
-func (l *objLog) gateway(obj int64) *sim.Resource {
+// gateway hashes an object of this log onto a gateway endpoint's index.
+func (l *objLog) gateway(obj int64) int {
 	h := uint64(obj)*0x9e3779b97f4a7c15 + uint64(l.owner)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return l.store.gateways[h%uint64(len(l.store.gateways))]
+	return int(h % uint64(len(l.store.gateways)))
 }
 
 func (l *objLog) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) error {
@@ -111,31 +112,14 @@ func (l *objLog) transfer(p *sim.Proc, node int, off, size int64, extra []*sim.R
 	}
 	c := l.store.env.Cluster
 	p.Sleep(objLatency)
-	first := off / objStripeSize
-	last := (off + size - 1) / objStripeSize
-	// Coalesce by gateway so a range spanning many objects is one flow
-	// per endpoint, like the BB model's per-node parts.
-	sizes := map[*sim.Resource]int64{}
-	var order []*sim.Resource
-	for obj := first; obj <= last; obj++ {
-		lo, hi := obj*objStripeSize, (obj+1)*objStripeSize
-		if lo < off {
-			lo = off
-		}
-		if hi > off+size {
-			hi = off + size
-		}
-		gw := l.gateway(obj)
-		if _, ok := sizes[gw]; !ok {
-			order = append(order, gw)
-		}
-		sizes[gw] += hi - lo
-	}
-	flows := make([]sim.Flow, 0, len(order))
-	for _, gw := range order {
-		path := []*sim.Resource{c.Nodes[node].NIC, c.Fabric, gw}
+	// A range spanning many objects is one flow per gateway, like the BB
+	// model's per-node parts.
+	parts := striping.Cut(off, size, objStripeSize, len(l.store.gateways), l.gateway)
+	flows := make([]sim.Flow, 0, len(parts))
+	for _, part := range parts {
+		path := []*sim.Resource{c.Nodes[node].NIC, c.Fabric, l.store.gateways[part.Unit]}
 		path = append(path, extra...)
-		flows = append(flows, sim.Flow{Size: float64(sizes[gw]), Path: path})
+		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
 	}
 	p.TransferAll(flows)
 }

@@ -48,48 +48,27 @@ func (c *MicroConfig) defaults() {
 // MicroWrite runs the write micro-benchmark on one rank: open the shared
 // file collectively, write the rank's block, close. All ranks must call it.
 func MicroWrite(r *mpi.Rank, env *mpiio.Env, cfg MicroConfig) (MicroStats, error) {
-	cfg.defaults()
-	var st MicroStats
-	t0 := r.Now()
-	f, err := env.Open(r, cfg.FileName, mpi.WriteOnly)
-	if err != nil {
-		return st, fmt.Errorf("micro write open: %w", err)
-	}
-	st.OpenTime = r.Now() - t0
-
-	t1 := r.Now()
-	base := int64(r.Rank()) * cfg.BytesPerRank
-	var ioErr error
-	for off := int64(0); off < cfg.BytesPerRank; off += cfg.SegmentBytes {
-		n := cfg.SegmentBytes
-		if off+n > cfg.BytesPerRank {
-			n = cfg.BytesPerRank - off
-		}
-		if err := f.WriteAt(base+off, n, nil); err != nil {
-			ioErr = fmt.Errorf("micro write: %w", err)
-			break
-		}
-	}
-	st.IOTime = r.Now() - t1
-
-	// Close even after an I/O error: Close is collective, and a rank that
-	// bails without it strands every healthy rank in the close barrier.
-	t2 := r.Now()
-	if err := f.Close(); err != nil && ioErr == nil {
-		ioErr = fmt.Errorf("micro write close: %w", err)
-	}
-	st.CloseTime = r.Now() - t2
-	return st, ioErr
+	return micro(r, env, cfg, mpi.WriteOnly)
 }
 
 // MicroRead reads back each rank's own block of the shared file.
 func MicroRead(r *mpi.Rank, env *mpiio.Env, cfg MicroConfig) (MicroStats, error) {
+	return micro(r, env, cfg, mpi.ReadOnly)
+}
+
+// micro is one rank's pass of the micro-benchmark: open the shared file in
+// mode, write or read the rank's block in SegmentBytes calls, close.
+func micro(r *mpi.Rank, env *mpiio.Env, cfg MicroConfig, mode mpi.Mode) (MicroStats, error) {
 	cfg.defaults()
+	verb := "write"
+	if mode == mpi.ReadOnly {
+		verb = "read"
+	}
 	var st MicroStats
 	t0 := r.Now()
-	f, err := env.Open(r, cfg.FileName, mpi.ReadOnly)
+	f, err := env.Open(r, cfg.FileName, mode)
 	if err != nil {
-		return st, fmt.Errorf("micro read open: %w", err)
+		return st, fmt.Errorf("micro %s open: %w", verb, err)
 	}
 	st.OpenTime = r.Now() - t0
 
@@ -97,23 +76,25 @@ func MicroRead(r *mpi.Rank, env *mpiio.Env, cfg MicroConfig) (MicroStats, error)
 	base := int64(r.Rank()) * cfg.BytesPerRank
 	var ioErr error
 	for off := int64(0); off < cfg.BytesPerRank; off += cfg.SegmentBytes {
-		n := cfg.SegmentBytes
-		if off+n > cfg.BytesPerRank {
-			n = cfg.BytesPerRank - off
+		n := min(cfg.SegmentBytes, cfg.BytesPerRank-off)
+		if mode == mpi.ReadOnly {
+			_, err = f.ReadAt(base+off, n)
+		} else {
+			err = f.WriteAt(base+off, n, nil)
 		}
-		if _, err := f.ReadAt(base+off, n); err != nil {
-			ioErr = fmt.Errorf("micro read: %w", err)
+		if err != nil {
+			ioErr = fmt.Errorf("micro %s: %w", verb, err)
 			break
 		}
 	}
 	st.IOTime = r.Now() - t1
 
-	// Close even when a read failed (e.g. ErrDataLost under fault
-	// injection): Close is collective, and skipping it deadlocks the ranks
-	// that read successfully.
+	// Close even after an I/O error (e.g. ErrDataLost under fault
+	// injection): Close is collective, and a rank that bails without it
+	// strands every healthy rank in the close barrier.
 	t2 := r.Now()
 	if err := f.Close(); err != nil && ioErr == nil {
-		ioErr = fmt.Errorf("micro read close: %w", err)
+		ioErr = fmt.Errorf("micro %s close: %w", verb, err)
 	}
 	st.CloseTime = r.Now() - t2
 	return st, ioErr

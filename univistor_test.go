@@ -108,6 +108,11 @@ func TestFacadeValidation(t *testing.T) {
 		func(c *core.Config) { c.TierLogBytes = map[meta.Tier]int64{meta.TierPFS: 1 << 20} },
 		func(c *core.Config) { c.MetaOpTime = math.NaN() },
 		func(c *core.Config) { c.MetaOpTime = math.Inf(1) },
+		// Negative legacy log sizes: logShare used to ignore them.
+		func(c *core.Config) { c.DRAMLogBytes = -1 },
+		func(c *core.Config) { c.BBLogBytes = -1 },
+		// A promotion threshold below 1 used to fall back to 2.
+		func(c *core.Config) { c.ProactivePlacement = true; c.PromoteAfterReads = 0 },
 	} {
 		o := smallOpts()
 		bad(&o.Service)
