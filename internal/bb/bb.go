@@ -19,6 +19,14 @@ type System struct {
 	cluster *topology.Cluster
 	files   map[string]*File
 	nextID  int
+
+	// Scratch of the stripe walks and of the flows built from them. A
+	// transfer fills them after its latency sleep and is done with them
+	// once TransferAll has started its flows, so no call holds them
+	// across a yield and one set serves every file.
+	parts []striping.Part
+	flows []sim.Flow
+	path  []*sim.Resource
 }
 
 // New returns the burst-buffer system of the cluster. It returns an error
@@ -119,16 +127,20 @@ func (f *File) stripeNode(stripe int64) int {
 	return int((uint64(f.start) + h) % n)
 }
 
-// parts distributes [off, off+size) across BB nodes stripe by stripe. Very
-// large ranges (≫ one pass over the nodes) collapse to an even split.
+// parts distributes [off, off+size) across BB nodes stripe by stripe,
+// into the system's part scratch. Very large ranges (≫ one pass over the
+// nodes) collapse to an even split.
 func (f *File) parts(off, size int64) []striping.Part {
-	ss := f.sys.cluster.Cfg.BBStripeSize
-	n := len(f.sys.cluster.BB)
+	s := f.sys
+	ss := s.cluster.Cfg.BBStripeSize
+	n := len(s.cluster.BB)
 	if striping.Stripes(off, size, ss) > 8*int64(n) {
 		// Whole-file-scale range: statistically even across all nodes.
-		return striping.Even(size, n, func(i int) int { return i })
+		s.parts = striping.Even(s.parts[:0], size, n, func(i int) int { return i })
+	} else {
+		s.parts = striping.Cut(s.parts[:0], off, size, ss, n, f.stripeNode)
 	}
-	return striping.Cut(off, size, ss, n, f.stripeNode)
+	return s.parts
 }
 
 // Write models one write call from a client on the given compute node.
@@ -161,17 +173,19 @@ func (f *File) Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resour
 }
 
 func (f *File) transfer(p *sim.Proc, node int, off, size int64, lock *sim.Resource, extra []*sim.Resource) {
-	c := f.sys.cluster
+	s := f.sys
+	c := s.cluster
 	p.Sleep(c.Cfg.BBLatency)
 	parts := f.parts(off, size)
-	flows := make([]sim.Flow, 0, len(parts))
+	s.flows, s.path = s.flows[:0], s.path[:0]
 	for _, part := range parts {
-		path := []*sim.Resource{c.Nodes[node].NIC, c.Fabric, c.BB[part.Unit].BW}
+		lo := len(s.path)
+		s.path = append(s.path, c.Nodes[node].NIC, c.Fabric, c.BB[part.Unit].BW)
 		if lock != nil {
-			path = append(path, lock)
+			s.path = append(s.path, lock)
 		}
-		path = append(path, extra...)
-		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
+		s.path = append(s.path, extra...)
+		s.flows = append(s.flows, sim.Flow{Size: float64(part.Size), Path: s.path[lo:]})
 	}
-	p.TransferAll(flows)
+	p.TransferAll(s.flows)
 }

@@ -65,9 +65,10 @@ type metaService interface {
 	// put inserts rec, charging one client round trip, and reports the
 	// exact-key record it replaced and the index that served it.
 	put(p *sim.Proc, fromNode int, rec meta.Record) (prev meta.Record, replaced bool, idx int)
-	// covering resolves the records overlapping [off, off+size), in offset
-	// order, with the indices a charged lookup contacts, free of charge.
-	covering(fid meta.FileID, off, size int64) ([]meta.Record, []int)
+	// covering appends to recs the records overlapping [off, off+size), in
+	// offset order, and to idx the indices a charged lookup contacts, free
+	// of charge.
+	covering(recs []meta.Record, idx []int, fid meta.FileID, off, size int64) ([]meta.Record, []int)
 	// chargeLookup charges one read-side round trip against index idx.
 	chargeLookup(p *sim.Proc, fromNode, idx int)
 	// delete removes the record keyed exactly by (fid, off), reporting
@@ -94,18 +95,19 @@ func (sys *System) metaPut(p *sim.Proc, fromNode int, rec meta.Record) (meta.Rec
 	return prev, replaced
 }
 
-// metaCovering resolves the records overlapping [off, off+size) without
-// charging time — the charged round trips follow separately via
-// metaChargeLookup, exactly as the read path batches them.
-func (sys *System) metaCovering(fid meta.FileID, off, size int64) ([]meta.Record, []int) {
+// metaCovering appends the records overlapping [off, off+size) and the
+// indices to contact without charging time — the charged round trips
+// follow separately via metaChargeLookup, exactly as the read path
+// batches them.
+func (sys *System) metaCovering(recs []meta.Record, idx []int, fid meta.FileID, off, size int64) ([]meta.Record, []int) {
 	sys.metaDetail.Coverings++
-	return sys.meta.covering(fid, off, size)
+	return sys.meta.covering(recs, idx, fid, off, size)
 }
 
 // metaCoveringFree resolves records for internal planning and invariant
 // sweeps: no time, no counters.
 func (sys *System) metaCoveringFree(fid meta.FileID, off, size int64) []meta.Record {
-	recs, _ := sys.meta.covering(fid, off, size)
+	recs, _ := sys.meta.covering(nil, nil, fid, off, size)
 	return recs
 }
 
@@ -161,8 +163,8 @@ func (m *ringMeta) put(p *sim.Proc, fromNode int, rec meta.Record) (meta.Record,
 	return prev, replaced, srv
 }
 
-func (m *ringMeta) covering(fid meta.FileID, off, size int64) ([]meta.Record, []int) {
-	return m.ring.Covering(fid, off, size)
+func (m *ringMeta) covering(recs []meta.Record, idx []int, fid meta.FileID, off, size int64) ([]meta.Record, []int) {
+	return m.ring.Covering(recs, idx, fid, off, size)
 }
 
 func (m *ringMeta) chargeLookup(p *sim.Proc, fromNode, idx int) {
@@ -222,8 +224,8 @@ func (m *planeMeta) put(p *sim.Proc, fromNode int, rec meta.Record) (meta.Record
 	return prev, replaced, shard
 }
 
-func (m *planeMeta) covering(fid meta.FileID, off, size int64) ([]meta.Record, []int) {
-	return m.pl.CoveringLocal(fid, off, size)
+func (m *planeMeta) covering(recs []meta.Record, idx []int, fid meta.FileID, off, size int64) ([]meta.Record, []int) {
+	return m.pl.CoveringLocal(recs, idx, fid, off, size)
 }
 
 func (m *planeMeta) chargeLookup(p *sim.Proc, fromNode, idx int) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"univistor/internal/core"
@@ -233,21 +234,7 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 	nodes := len(sys.W.Cluster.Nodes)
 	heavy := int(cfg.HeavyFrac*float64(cfg.Tenants) + 0.5)
 	for i := 0; i < cfg.Tenants; i++ {
-		t := &tenant{id: i, load: 1, rng: rand.New(rand.NewSource(sim.StreamSeed(cfg.Seed, i)))}
-		if i < heavy {
-			t.load = cfg.HeavyFactor
-		}
-		if cfg.ZipfS > 1 {
-			t.zipf = rand.NewZipf(t.rng, cfg.ZipfS, 1, objectsPerTenant-1)
-		}
-		if cfg.QoS {
-			t.bucket = NewTokenBucket(TenantRateBps, tenantBurstBytes, e.Now())
-			t.cap = sim.NewResource(fmt.Sprintf("tenant:%04d", i), tenantPeakBps)
-		}
-		t.objects = make([]objState, objectsPerTenant)
-		for o := range t.objects {
-			t.objects[o].name = fmt.Sprintf("gw/t%04d/o%03d", i, o)
-		}
+		t := g.newTenant(i, i < heavy)
 		g.tenants = append(g.tenants, t)
 		comm := sys.W.Launch(fmt.Sprintf("gw%04d", i), 1, func(r *mpi.Rank) {
 			g.runTenant(r, t)
@@ -261,6 +248,28 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 		sys.Shutdown()
 	})
 	return g, nil
+}
+
+// newTenant creates tenant i's admission state, RNG stream and object
+// namespace; a heavy tenant issues at HeavyFactor times the base load.
+func (g *Gateway) newTenant(i int, heavy bool) *tenant {
+	cfg := g.cfg
+	t := &tenant{id: i, load: 1, rng: rand.New(rand.NewSource(sim.StreamSeed(cfg.Seed, i)))}
+	if heavy {
+		t.load = cfg.HeavyFactor
+	}
+	if cfg.ZipfS > 1 {
+		t.zipf = rand.NewZipf(t.rng, cfg.ZipfS, 1, objectsPerTenant-1)
+	}
+	if cfg.QoS {
+		t.bucket = NewTokenBucket(TenantRateBps, tenantBurstBytes, g.sys.W.E.Now())
+		t.cap = sim.NewResource(fmt.Sprintf("tenant:%04d", i), tenantPeakBps)
+	}
+	t.objects = make([]objState, objectsPerTenant)
+	for o := range t.objects {
+		t.objects[o].name = fmt.Sprintf("gw/t%04d/o%03d", i, o)
+	}
+	return t
 }
 
 // burstMul is the diurnal load multiplier at time frac ∈ [0, 1) of the
@@ -292,7 +301,7 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 			return false
 		}
 		if lat {
-			g.lat[kind] = append(g.lat[kind], float64(r.Now()-start))
+			g.record(kind, float64(r.Now()-start))
 		}
 		return true
 	}
@@ -340,6 +349,18 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 	tr.Mark(r.P, trace.CatGateway, fmt.Sprintf("tenant%04d-done", t.id))
 }
 
+// record appends one completed op's latency to its kind's ledger. A full
+// ledger doubles: append's own growth falls to 1.25× for large slices, so
+// a long run would copy its ledger about five times its final size.
+// digest sorts each ledger, so the growth policy cannot change a report.
+func (g *Gateway) record(kind opKind, lat float64) {
+	l := g.lat[kind]
+	if len(l) == cap(l) {
+		l = slices.Grow(l, len(l))
+	}
+	g.lat[kind] = append(l, lat)
+}
+
 // pickObject draws an object index from the tenant's popularity curve.
 func (t *tenant) pickObject() int {
 	if t.zipf != nil {
@@ -347,10 +368,6 @@ func (t *tenant) pickObject() int {
 	}
 	return t.rng.Intn(objectsPerTenant)
 }
-
-// endSpan closes sp at r's current virtual time. doOp defers it as a
-// named call, which unlike a deferred closure does not move to the heap.
-func endSpan(sp trace.Span, r *mpi.Rank) { sp.End(r.Now()) }
 
 // doOp issues one operation: draw the kind and object, pass admission,
 // move the payload across the tenant's rate cap, drive the core. lat
@@ -398,13 +415,24 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 	t.admittedBytes += int64(cost)
 
 	sp := g.sys.W.Trace.Begin(r.P, trace.CatGateway, kind.String())
-	defer endSpan(sp, r)
+	err = g.serve(r, c, t, obj, kind, cost)
+	sp.End(r.Now())
+	if err != nil {
+		return kind, false, err
+	}
+	t.completed++
+	return kind, true, nil
+}
 
+// serve moves one admitted op's payload and drives the core, opening the
+// object's handle on first use.
+func (g *Gateway) serve(r *mpi.Rank, c *core.Client, t *tenant, obj *objState, kind opKind, cost float64) (err error) {
+	cfg := g.cfg
 	switch kind {
 	case opWrite:
 		if obj.wf == nil {
 			if obj.wf, err = c.Open(obj.name, mpi.WriteOnly); err != nil {
-				return kind, false, err
+				return err
 			}
 		}
 		if cfg.QoS {
@@ -417,7 +445,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 			seg = t.rng.Intn(segmentsPerObject) // overwrite a rotated slot
 		}
 		if err = obj.wf.WriteAt(int64(seg)*cfg.OpBytes, cfg.OpBytes, nil); err != nil {
-			return kind, false, err
+			return err
 		}
 		if obj.written < segmentsPerObject {
 			obj.written++
@@ -426,12 +454,12 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 	case opRead:
 		if obj.rf == nil {
 			if obj.rf, err = c.Open(obj.name, mpi.ReadOnly); err != nil {
-				return kind, false, err
+				return err
 			}
 		}
 		seg := t.rng.Intn(obj.written)
 		if _, err = obj.rf.ReadAt(int64(seg)*cfg.OpBytes, cfg.OpBytes); err != nil {
-			return kind, false, err
+			return err
 		}
 		if cfg.QoS {
 			// Egress: the response payload crosses the same cap.
@@ -441,8 +469,7 @@ func (g *Gateway) doOp(r *mpi.Rank, c *core.Client, t *tenant) (kind opKind, lat
 	case opStat:
 		c.Stat(obj.name)
 	}
-	t.completed++
-	return kind, true, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

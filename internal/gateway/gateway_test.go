@@ -14,8 +14,9 @@ import (
 
 const mib = int64(1) << 20
 
-// testSystem builds a small 2-node stack for gateway runs.
-func testSystem(t *testing.T) *core.System {
+// testSystem builds a small 2-node stack for gateway runs; opts adjust
+// the core config.
+func testSystem(t testing.TB, opts ...func(*core.Config)) *core.System {
 	t.Helper()
 	tc := topology.Cori()
 	tc.Nodes = 2
@@ -30,6 +31,9 @@ func testSystem(t *testing.T) *core.System {
 	cc := core.DefaultConfig()
 	cc.ChunkSize = 1 * mib
 	cc.MetaRangeSize = 16 * mib
+	for _, opt := range opts {
+		opt(&cc)
+	}
 	sys, err := core.NewSystem(w, cc)
 	if err != nil {
 		t.Fatal(err)

@@ -332,7 +332,7 @@ func TestRingCoveringExactSegments(t *testing.T) {
 	for off := int64(0); off < 1000; off += 50 {
 		r.Put(rec(1, off, 50, int(off/50)))
 	}
-	recs, servers := r.Covering(1, 200, 300) // segments at 200..450
+	recs, servers := r.Covering(nil, nil, 1, 200, 300) // segments at 200..450
 	if len(recs) != 6 {
 		t.Fatalf("Covering returned %d records, want 6: %+v", len(recs), recs)
 	}
@@ -351,7 +351,7 @@ func TestRingCoveringPartialOverlaps(t *testing.T) {
 	r.Put(rec(1, 90, 50, 1))  // straddles boundary at 100, stored on server of 90
 	r.Put(rec(1, 140, 20, 2)) // inside partition 1
 	// Request [120, 150): overlaps both records.
-	recs, _ := r.Covering(1, 120, 30)
+	recs, _ := r.Covering(nil, nil, 1, 120, 30)
 	if len(recs) != 2 {
 		t.Fatalf("Covering = %+v, want both overlapping records", recs)
 	}
@@ -359,7 +359,7 @@ func TestRingCoveringPartialOverlaps(t *testing.T) {
 		t.Errorf("records = %+v", recs)
 	}
 	// Request entirely within the straddler's tail partition.
-	recs, _ = r.Covering(1, 100, 10)
+	recs, _ = r.Covering(nil, nil, 1, 100, 10)
 	if len(recs) != 1 || recs[0].Offset != 90 {
 		t.Errorf("tail lookup = %+v, want the straddling record", recs)
 	}
@@ -368,11 +368,11 @@ func TestRingCoveringPartialOverlaps(t *testing.T) {
 func TestRingCoveringNoMatch(t *testing.T) {
 	r := NewRing(2, 100)
 	r.Put(rec(1, 0, 10, 0))
-	recs, _ := r.Covering(1, 500, 50)
+	recs, _ := r.Covering(nil, nil, 1, 500, 50)
 	if len(recs) != 0 {
 		t.Errorf("Covering of empty range = %+v", recs)
 	}
-	recs, _ = r.Covering(2, 0, 10) // wrong file
+	recs, _ = r.Covering(nil, nil, 2, 0, 10) // wrong file
 	if len(recs) != 0 {
 		t.Errorf("Covering of wrong file = %+v", recs)
 	}
@@ -389,7 +389,7 @@ func TestRingCoveringMultiServerWithGaps(t *testing.T) {
 	r.Put(rec(1, 10, 40, 0))  // partition 0, server 0
 	r.Put(rec(1, 220, 30, 1)) // partition 2, server 2
 	r.Put(rec(1, 550, 20, 2)) // partition 5, server 2
-	recs, servers := r.Covering(1, 0, 600)
+	recs, servers := r.Covering(nil, nil, 1, 0, 600)
 	if len(recs) != 3 || recs[0].Offset != 10 || recs[1].Offset != 220 || recs[2].Offset != 550 {
 		t.Fatalf("Covering = %+v, want the 3 stored segments in order", recs)
 	}
@@ -403,7 +403,7 @@ func TestRingCoveringMultiServerWithGaps(t *testing.T) {
 	}
 	// A sub-query covering only empty partitions returns nothing but still
 	// reports the servers it had to ask.
-	recs, servers = r.Covering(1, 300, 200) // partitions 3 and 4
+	recs, servers = r.Covering(nil, nil, 1, 300, 200) // partitions 3 and 4
 	if len(recs) != 0 {
 		t.Errorf("gap query returned %+v", recs)
 	}
@@ -422,13 +422,13 @@ func TestRingDeleteNonHomeKey(t *testing.T) {
 	if r.Delete(1, 120) {    // offset 120's home is server 1, no key there
 		t.Error("Delete(120) removed something on the non-home server")
 	}
-	if recs, _ := r.Covering(1, 100, 40); len(recs) != 1 || recs[0].Offset != 90 {
+	if recs, _ := r.Covering(nil, nil, 1, 100, 40); len(recs) != 1 || recs[0].Offset != 90 {
 		t.Fatalf("straddler gone after non-home delete: %+v", recs)
 	}
 	if !r.Delete(1, 90) {
 		t.Error("Delete of the exact home key failed")
 	}
-	if recs, _ := r.Covering(1, 100, 40); len(recs) != 0 {
+	if recs, _ := r.Covering(nil, nil, 1, 100, 40); len(recs) != 0 {
 		t.Errorf("straddler survived exact-key delete: %+v", recs)
 	}
 }
@@ -453,7 +453,7 @@ func TestRingPutOverwriteAcrossRewrites(t *testing.T) {
 			t.Fatalf("rewrite %d: Get = %+v, %v", i, got, ok)
 		}
 	}
-	recs, _ := r.Covering(1, 280, 10) // only the grown record reaches 280+
+	recs, _ := r.Covering(nil, nil, 1, 280, 10) // only the grown record reaches 280+
 	if len(recs) != 1 || recs[0].Size != 35 || recs[0].Proc != 5 {
 		t.Errorf("Covering after rewrites = %+v, want the final 35-byte record", recs)
 	}
@@ -483,7 +483,7 @@ func TestRingCoveringProperty(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			qOff := int64(rng.Intn(int(cur + 10)))
 			qSize := int64(rng.Intn(200) + 1)
-			got, _ := r.Covering(1, qOff, qSize)
+			got, _ := r.Covering(nil, nil, 1, qOff, qSize)
 			var want []meta.Record
 			for _, rc := range all {
 				if rc.Offset < qOff+qSize && rc.Offset+rc.Size > qOff {
@@ -503,5 +503,103 @@ func TestRingCoveringProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// coverRangeReference is the covering scan as it was written with a
+// per-call set of the keys already collected: the oracle that the
+// allocation-free CoverRange must reproduce record for record, partition
+// for partition.
+func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
+	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int, back int) {
+	if size <= 0 {
+		return nil, nil, -1
+	}
+	end := offset + size
+	seen := map[meta.Key]bool{}
+	for off := offset; off < end; {
+		partEnd := min((off/rangeSize+1)*rangeSize, end)
+		idx, st := at(off)
+		parts = append(parts, idx)
+		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: off}); ok &&
+			prev.FID == fid && prev.Offset+prev.Size > off && !seen[prev.Key()] {
+			seen[prev.Key()] = true
+			recs = append(recs, prev)
+		}
+		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
+			func(rec meta.Record) bool {
+				if rec.Offset+rec.Size > offset && rec.Offset < end && !seen[rec.Key()] {
+					seen[rec.Key()] = true
+					recs = append(recs, rec)
+				}
+				return true
+			})
+		off = partEnd
+	}
+	slices.Sort(parts)
+	parts = slices.Compact(parts)
+	back = -1
+	if partStart := (offset / rangeSize) * rangeSize; partStart > 0 {
+		idx, st := at(partStart - 1)
+		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
+			prev.FID == fid && prev.Offset+prev.Size > offset && !seen[prev.Key()] {
+			recs = append(recs, prev)
+			back = idx
+		}
+	}
+	sortRecords(recs)
+	return recs, parts, back
+}
+
+// CoverRange, appending after existing entries of warm buffers, returns
+// exactly what the set-based reference returns, on random record sets of
+// two files (touching, overlapping and gapped, up to one partition long)
+// over rings of 1–5 servers with random partition sizes. CoveringStore
+// appends what a fresh call returns. Warm calls allocate nothing.
+func TestCoverRangeMatchesSetReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	recHead, partHead := []meta.Record{rec(9, 1, 1, 0)}, []int{42}
+	var recs []meta.Record
+	var parts []int
+	for trial := 0; trial < 300; trial++ {
+		rangeSize := int64(rng.Intn(90) + 10)
+		r := NewRing(rng.Intn(5)+1, rangeSize)
+		local := NewStore()
+		for fid := meta.FileID(1); fid <= 2; fid++ {
+			for cur, i := int64(rng.Intn(20)), 0; i < 40; i++ {
+				rc := rec(fid, cur, int64(rng.Intn(int(rangeSize)))+1, i)
+				r.Put(rc)
+				local.Put(rc)
+				cur += int64(rng.Intn(int(rangeSize))) - rangeSize/4 // overlaps, touches or gaps
+				cur = max(cur, rc.Offset+1)
+			}
+		}
+		for q := 0; q < 20; q++ {
+			fid := meta.FileID(1 + rng.Intn(2))
+			off, size := int64(rng.Intn(1500)), int64(rng.Intn(400))-20
+			want, wantParts, wantBack := coverRangeReference(fid, off, size, rangeSize, r.at)
+			var back int
+			recs, parts, back = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
+				fid, off, size, rangeSize, r.at)
+			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) || back != wantBack ||
+				recs[0] != recHead[0] || parts[0] != partHead[0] {
+				t.Fatalf("CoverRange(%d, %d, %d) = %v %v %d, want %v %v %d",
+					fid, off, size, recs[1:], parts[1:], back, want, wantParts, wantBack)
+			}
+			want = CoveringStore(nil, local, fid, off, size)
+			if recs = CoveringStore(append(recs[:0], recHead...), local, fid, off, size); !slices.Equal(recs[1:], want) {
+				t.Fatalf("CoveringStore(%d, %d, %d) = %v, want %v", fid, off, size, recs[1:], want)
+			}
+		}
+	}
+	r := NewRing(3, 64)
+	for off := int64(0); off < 4096; off += 48 {
+		r.Put(rec(1, off, 50, 0))
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 100, 900, 64, r.at)
+		recs = CoveringStore(recs[:0], r.stores[0], 1, 100, 900)
+	}); allocs != 0 {
+		t.Errorf("warm CoverRange and CoveringStore allocate %.1f objects/op, want 0", allocs)
 	}
 }

@@ -48,15 +48,16 @@ func (r *Ring) Get(fid meta.FileID, offset int64) (meta.Record, bool) {
 	return r.stores[r.part.ServerFor(offset)].Get(meta.Key{FID: fid, Offset: offset})
 }
 
-// Covering returns, in offset order, every record of the file overlapping
-// the byte range [offset, offset+size), together with the servers
-// contacted: the partitions' servers ascending, then the server holding a
-// record that straddles in from the partition before the range, if it is
-// not among them. A record overlaps if rec.Offset < offset+size and
-// rec.Offset+rec.Size > offset.
-func (r *Ring) Covering(fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
-	recs, servers, back := CoverRange(fid, offset, size, r.part.RangeSize, r.at)
-	if back >= 0 && !slices.Contains(servers, back) {
+// Covering appends to recs, in offset order, every record of the file
+// overlapping the byte range [offset, offset+size), and to servers the
+// servers contacted: the partitions' servers ascending, then the server
+// holding a record that straddles in from the partition before the range,
+// if it is not among them. A record overlaps if rec.Offset < offset+size
+// and rec.Offset+rec.Size > offset.
+func (r *Ring) Covering(recs []meta.Record, servers []int, fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
+	base := len(servers)
+	recs, servers, back := CoverRange(recs, servers, fid, offset, size, r.part.RangeSize, r.at)
+	if back >= 0 && !slices.Contains(servers[base:], back) {
 		servers = append(servers, back)
 	}
 	return recs, servers
@@ -70,54 +71,61 @@ func (r *Ring) at(offset int64) (int, *Store) {
 }
 
 // CoverRange is the covering scan of a range-partitioned set of stores,
-// shared by Ring.Covering and the metadata plane. It returns, in key
-// order, every record of the file overlapping [offset, offset+size); the
-// ascending, distinct indices of the rangeSize partitions the range
-// touches; and the index holding a record that straddles into the range
-// from the partition before it (-1 if there is none). at maps an offset to
-// the index and store owning its partition. Records must be no larger than
-// rangeSize, so one partition back suffices.
-func CoverRange(fid meta.FileID, offset, size, rangeSize int64,
-	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int, back int) {
+// shared by Ring.Covering and the metadata plane. It appends to recs, in
+// key order, every record of the file overlapping [offset, offset+size),
+// and to parts the ascending, distinct indices of the rangeSize
+// partitions the range touches; it returns the index holding a record
+// that straddles into the range from the partition before it (-1 if there
+// is none). at maps an offset to the index and store owning its
+// partition. Records must be no larger than rangeSize, so one partition
+// back suffices. With warm buffers the scan allocates nothing.
+func CoverRange(recs []meta.Record, parts []int, fid meta.FileID, offset, size, rangeSize int64,
+	at func(offset int64) (int, *Store)) ([]meta.Record, []int, int) {
 	if size <= 0 {
-		return nil, nil, -1
+		return recs, parts, -1
 	}
+	base, pbase := len(recs), len(parts)
 	end := offset + size
-	seen := map[meta.Key]bool{}
 	for off := offset; off < end; {
 		partEnd := min((off/rangeSize+1)*rangeSize, end)
 		idx, st := at(off)
 		parts = append(parts, idx)
 		// A record starting earlier may cover this partition's head.
 		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: off}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > off && !seen[prev.Key()] {
-			seen[prev.Key()] = true
+			prev.FID == fid && prev.Offset+prev.Size > off {
 			recs = append(recs, prev)
 		}
 		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
 			func(rec meta.Record) bool {
-				if rec.Offset+rec.Size > offset && rec.Offset < end && !seen[rec.Key()] {
-					seen[rec.Key()] = true
+				if rec.Offset+rec.Size > offset && rec.Offset < end {
 					recs = append(recs, rec)
 				}
 				return true
 			})
 		off = partEnd
 	}
-	slices.Sort(parts)
-	parts = slices.Compact(parts)
+	slices.Sort(parts[pbase:])
+	parts = append(parts[:pbase], slices.Compact(parts[pbase:])...)
+	// A partition's head record is also its scan's first record, or the
+	// previous partition's last: sorting brings every key's copies
+	// together, and the first copy found stays.
+	sortRecords(recs[base:])
+	recs = append(recs[:base], slices.CompactFunc(recs[base:], func(a, b meta.Record) bool {
+		return a.Key() == b.Key()
+	})...)
 	// A record straddling the range's first partition boundary lives with
 	// the partition before it.
-	back = -1
+	back := -1
 	if partStart := (offset / rangeSize) * rangeSize; partStart > 0 {
 		idx, st := at(partStart - 1)
 		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > offset && !seen[prev.Key()] {
+			prev.FID == fid && prev.Offset+prev.Size > offset &&
+			!slices.ContainsFunc(recs[base:], func(r meta.Record) bool { return r.Key() == prev.Key() }) {
 			recs = append(recs, prev)
+			sortRecords(recs[base:])
 			back = idx
 		}
 	}
-	sortRecords(recs)
 	return recs, parts, back
 }
 
@@ -129,27 +137,27 @@ func sortRecords(recs []meta.Record) {
 	}
 }
 
-// CoveringStore returns, in offset order, every record of the file in a
-// single store overlapping [offset, offset+size). It is the single-store
-// analogue of Ring.Covering, used for the per-node shared metadata buffer
-// of the location-aware read service.
-func CoveringStore(st *Store, fid meta.FileID, offset, size int64) []meta.Record {
+// CoveringStore appends to dst, in offset order, every record of the file
+// in a single store overlapping [offset, offset+size). It is the
+// single-store analogue of Ring.Covering, used for the per-node shared
+// metadata buffer of the location-aware read service.
+func CoveringStore(dst []meta.Record, st *Store, fid meta.FileID, offset, size int64) []meta.Record {
 	if size <= 0 {
-		return nil
+		return dst
 	}
-	var recs []meta.Record
+	base := len(dst)
 	if prev, ok := st.Floor(meta.Key{FID: fid, Offset: offset}); ok &&
 		prev.FID == fid && prev.Offset+prev.Size > offset && prev.Offset < offset+size {
-		recs = append(recs, prev)
+		dst = append(dst, prev)
 	}
 	st.Scan(meta.Key{FID: fid, Offset: offset}, meta.Key{FID: fid, Offset: offset + size},
 		func(rec meta.Record) bool {
-			if len(recs) == 0 || recs[len(recs)-1].Key() != rec.Key() {
-				recs = append(recs, rec)
+			if len(dst) == base || dst[len(dst)-1].Key() != rec.Key() {
+				dst = append(dst, rec)
 			}
 			return true
 		})
-	return recs
+	return dst
 }
 
 // Total returns the number of records across all servers.

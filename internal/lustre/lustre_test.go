@@ -11,7 +11,7 @@ import (
 
 const gb = float64(1 << 30)
 
-func testFS(t *testing.T, osts int) (*sim.Engine, *topology.Cluster, *FS) {
+func testFS(t testing.TB, osts int) (*sim.Engine, *topology.Cluster, *FS) {
 	t.Helper()
 	cfg := topology.Cori()
 	cfg.Nodes = 4
@@ -276,4 +276,33 @@ func TestReadUsesMilderLock(t *testing.T) {
 	if readTime >= writeTime {
 		t.Errorf("read %v s not faster than locked write %v s", readTime, writeTime)
 	}
+}
+
+// BenchmarkFileWrite times one warm write of four stripes through the lock
+// cap and one extra resource: the RPC sleep, the stripe cut and the
+// four-flow fan-out. It reports 0 allocs/op.
+func BenchmarkFileWrite(b *testing.B) {
+	e, _, fs := testFS(b, 8)
+	e.SetDifferentialCheck(false) // the oracle's global re-solve allocates
+	f, err := fs.Create("f", StripeSpec{Size: 1 << 20, Count: 4, StartOST: 0}, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem := sim.NewResource("mem", 10*gb)
+	e.Go("writer", func(p *sim.Proc) {
+		for warm := 0; warm < 2; warm++ {
+			if err := f.Write(p, 0, 0, 4<<20, mem); err != nil {
+				b.Error(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := f.Write(p, 0, 0, 4<<20, mem); err != nil {
+				b.Error(err)
+			}
+		}
+		b.StopTimer()
+	})
+	e.Run()
 }

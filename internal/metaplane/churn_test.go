@@ -56,7 +56,7 @@ func TestMembershipChurnAgainstOracle(t *testing.T) {
 					case c < 85:
 						qoff := int64(rng.Intn(100)) * 199
 						qsize := int64(rng.Intn(2000) + 1)
-						got, _ := pl.CoveringLocal(fid, qoff, qsize)
+						got, _ := pl.CoveringLocal(nil, nil, fid, qoff, qsize)
 						want := oracleCovering(oracle, fid, qoff, qsize)
 						if len(got) != len(want) {
 							t.Fatalf("op %d: covering fid=%d [%d,%d): got %d recs, want %d",

@@ -101,6 +101,27 @@ func (g *group) alive() []int {
 	return out
 }
 
+// roundRobin returns the k-th (mod their count) non-crashed replica in
+// index order: alive()[k%len(alive())], without building the list.
+func (g *group) roundRobin(k uint64) *replica {
+	n := uint64(0)
+	for _, r := range g.replicas {
+		if !r.crashed {
+			n++
+		}
+	}
+	k %= n
+	for _, r := range g.replicas {
+		if !r.crashed {
+			if k == 0 {
+				return r
+			}
+			k--
+		}
+	}
+	panic("unreachable")
+}
+
 // lead returns the current leader replica.
 func (g *group) lead() *replica { return g.replicas[g.leader] }
 

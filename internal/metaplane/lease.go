@@ -47,8 +47,7 @@ func (pl *Plane) chargeReadAny(p *sim.Proc, fromNode int, g *group) (sim.Time, *
 	if !pl.cfg.FollowerReads || len(g.replicas) < 2 {
 		return pl.chargeRead(p, fromNode, g), g.lead()
 	}
-	alive := g.alive()
-	r := g.replicas[alive[int(g.rr%uint64(len(alive)))]]
+	r := g.roundRobin(g.rr)
 	g.rr++
 	if r.idx == g.leader {
 		return pl.chargeRead(p, fromNode, g), g.lead()

@@ -233,7 +233,7 @@ func TestPlaneMatchesSingleStore(t *testing.T) {
 				want.FID, want.Offset, got, ok, want)
 		}
 		// Charged covering agrees with the oracle record.
-		recs, _ := pl.CoveringLocal(want.FID, want.Offset, want.Size)
+		recs, _ := pl.CoveringLocal(nil, nil, want.FID, want.Offset, want.Size)
 		found := false
 		for _, r := range recs {
 			if r == want {
@@ -273,8 +273,8 @@ func TestCoveringMatchesLegacyRing(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		off := int64(rng.Intn(220)) * 113
 		size := int64(rng.Intn(5000) + 1)
-		got, _ := pl.CoveringLocal(1, off, size)
-		want, _ := ring.Covering(1, off, size)
+		got, _ := pl.CoveringLocal(nil, nil, 1, off, size)
+		want, _ := ring.Covering(nil, nil, 1, off, size)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query off=%d size=%d: plane %v != ring %v", off, size, got, want)
 		}

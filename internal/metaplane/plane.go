@@ -331,20 +331,21 @@ func (pl *Plane) GetLocal(fid meta.FileID, offset int64) (meta.Record, bool) {
 	return g.lead().store.Get(meta.Key{FID: fid, Offset: offset})
 }
 
-// CoveringLocal returns, in offset order, every record of the file
-// overlapping [offset, offset+size) and the ascending set of shards that a
-// charged query would contact. Like the legacy ring it relies on record
-// sizes being bounded by RangeSize, so a record straddling into the query
-// starts at most one partition range back.
-func (pl *Plane) CoveringLocal(fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
-	recs, shards, back := kvstore.CoverRange(fid, offset, size, pl.cfg.RangeSize,
+// CoveringLocal appends to recs, in offset order, every record of the
+// file overlapping [offset, offset+size), and to shards the ascending set
+// of shards that a charged query would contact. Like the legacy ring it
+// relies on record sizes being bounded by RangeSize, so a record
+// straddling into the query starts at most one partition range back.
+func (pl *Plane) CoveringLocal(recs []meta.Record, shards []int, fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
+	base := len(shards)
+	recs, shards, back := kvstore.CoverRange(recs, shards, fid, offset, size, pl.cfg.RangeSize,
 		func(off int64) (int, *kvstore.Store) {
 			shard := pl.ShardFor(fid, off)
 			return shard, pl.groups[shard].lead().store
 		})
-	if back >= 0 && !slices.Contains(shards, back) {
+	if back >= 0 && !slices.Contains(shards[base:], back) {
 		shards = append(shards, back)
-		slices.Sort(shards)
+		slices.Sort(shards[base:])
 	}
 	return recs, shards
 }

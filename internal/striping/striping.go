@@ -23,7 +23,10 @@
 // a plan's LoadPerOST and Imbalance are what the simulated flush sees.
 package striping
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DefaultAlpha is α of Eq. 2 for the modeled servers: the OST count that
 // saturates one flushing server's write bandwidth.
@@ -204,11 +207,15 @@ type Part struct {
 // even-split approximation would destroy. Ranges spanning more than four
 // passes over the stripe set collapse to an (asymptotically exact) even
 // split.
-func (l Layout) Parts(off, size int64) []Part {
+func (l Layout) Parts(off, size int64) []Part { return l.AppendParts(nil, off, size) }
+
+// AppendParts is Parts appending into dst, so a caller that reuses one
+// buffer cuts ranges without allocating.
+func (l Layout) AppendParts(dst []Part, off, size int64) []Part {
 	if Stripes(off, size, l.Size) > 4*int64(l.Count) {
-		return Even(size, l.Count, func(i int) int { return (l.Start + i) % l.Units })
+		return Even(dst, size, l.Count, func(i int) int { return (l.Start + i) % l.Units })
 	}
-	return Cut(off, size, l.Size, l.Count, func(stripe int64) int {
+	return Cut(dst, off, size, l.Size, l.Count, func(stripe int64) int {
 		return (l.Start + int(stripe%int64(l.Count))) % l.Units
 	})
 }
@@ -224,42 +231,45 @@ func Stripes(off, size, stripeSize int64) int64 {
 
 // Cut is the one stripe walk of every striped device (PFS OSTs, burst-buffer
 // nodes, object-store gateways): it cuts the byte range [off, off+size)
-// into stripes of stripeSize bytes, sends stripe i to unit(i), and returns
-// one Part per unit with all its bytes, in the order the units are first
-// reached. unit takes at most units distinct values.
-func Cut(off, size, stripeSize int64, units int, unit func(stripe int64) int) []Part {
+// into stripes of stripeSize bytes, sends stripe i to unit(i), and appends
+// to dst one Part per unit with all its bytes, in the order the units are
+// first reached. unit takes at most units distinct values.
+func Cut(dst []Part, off, size, stripeSize int64, units int, unit func(stripe int64) int) []Part {
 	n := Stripes(off, size, stripeSize)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	parts := make([]Part, 0, min(n, int64(units)))
+	base := len(dst)
+	dst = slices.Grow(dst, int(min(n, int64(units))))
 	for st := off / stripeSize; n > 0; st, n = st+1, n-1 {
 		lo, hi := max(st*stripeSize, off), min((st+1)*stripeSize, off+size)
-		u, i := unit(st), 0
-		for i < len(parts) && parts[i].Unit != u {
+		u, i := unit(st), base
+		for i < len(dst) && dst[i].Unit != u {
 			i++
 		}
-		if i == len(parts) {
-			parts = append(parts, Part{Unit: u})
+		if i == len(dst) {
+			dst = append(dst, Part{Unit: u})
 		}
-		parts[i].Size += hi - lo
+		dst[i].Size += hi - lo
 	}
-	return parts
+	return dst
 }
 
-// Even splits size bytes over units unit(0), …, unit(n-1); the first
-// size mod n of them carry one extra byte. It is the whole-file shortcut of
-// a range that passes over a device's stripe set many times.
-func Even(size int64, n int, unit func(i int) int) []Part {
+// Even appends to dst a split of size bytes over units unit(0), …,
+// unit(n-1); the first size mod n of them carry one extra byte. It is the
+// whole-file shortcut of a range that passes over a device's stripe set
+// many times.
+func Even(dst []Part, size int64, n int, unit func(i int) int) []Part {
 	per, rem := size/int64(n), size%int64(n)
-	parts := make([]Part, n)
-	for i := range parts {
-		parts[i] = Part{Unit: unit(i), Size: per}
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		part := Part{Unit: unit(i), Size: per}
 		if int64(i) < rem {
-			parts[i].Size++
+			part.Size++
 		}
+		dst = append(dst, part)
 	}
-	return parts
+	return dst
 }
 
 // Layout returns the layout the flush creates its file with: the plan's

@@ -45,6 +45,12 @@ type objStore struct {
 	gateways []*sim.Resource
 	readAgg  *sim.Resource // aggregate read leg for flush pipelines
 	pool     *topology.Capacity
+
+	// Scratch of a transfer's parts and flows, filled after its latency
+	// sleep and done with once TransferAll has started the flows.
+	parts []striping.Part
+	flows []sim.Flow
+	path  []*sim.Resource
 }
 
 func newObjStore(env *Env) Backend {
@@ -110,16 +116,18 @@ func (l *objLog) transfer(p *sim.Proc, node int, off, size int64, extra []*sim.R
 	if size <= 0 {
 		return
 	}
-	c := l.store.env.Cluster
+	s := l.store
+	c := s.env.Cluster
 	p.Sleep(objLatency)
 	// A range spanning many objects is one flow per gateway, like the BB
 	// model's per-node parts.
-	parts := striping.Cut(off, size, objStripeSize, len(l.store.gateways), l.gateway)
-	flows := make([]sim.Flow, 0, len(parts))
-	for _, part := range parts {
-		path := []*sim.Resource{c.Nodes[node].NIC, c.Fabric, l.store.gateways[part.Unit]}
-		path = append(path, extra...)
-		flows = append(flows, sim.Flow{Size: float64(part.Size), Path: path})
+	s.parts = striping.Cut(s.parts[:0], off, size, objStripeSize, len(s.gateways), l.gateway)
+	s.flows, s.path = s.flows[:0], s.path[:0]
+	for _, part := range s.parts {
+		lo := len(s.path)
+		s.path = append(s.path, c.Nodes[node].NIC, c.Fabric, s.gateways[part.Unit])
+		s.path = append(s.path, extra...)
+		s.flows = append(s.flows, sim.Flow{Size: float64(part.Size), Path: s.path[lo:]})
 	}
-	p.TransferAll(flows)
+	p.TransferAll(s.flows)
 }

@@ -181,16 +181,13 @@ type Node struct {
 	// PFSPort is the node's Lustre client stack (LNET/RPC pipeline): every
 	// PFS transfer from or to this node crosses it.
 	PFSPort *sim.Resource
+
+	cores []*Core // every socket's cores, socket-major
 }
 
-// Cores returns all cores of the node in socket-major order.
-func (n *Node) Cores() []*Core {
-	var out []*Core
-	for _, s := range n.Sockets {
-		out = append(out, s.Cores...)
-	}
-	return out
-}
+// Cores returns all cores of the node in socket-major order. The slice is
+// the node's own: callers must not modify it.
+func (n *Node) Cores() []*Core { return n.cores }
 
 // BBNode is one burst-buffer service node.
 type BBNode struct {
@@ -248,6 +245,7 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 				sock.Cores = append(sock.Cores, &Core{Node: n, Socket: s, Index: s*coresPerSocket + k})
 			}
 			node.Sockets = append(node.Sockets, sock)
+			node.cores = append(node.cores, sock.Cores...)
 		}
 		c.Nodes = append(c.Nodes, node)
 	}
