@@ -38,9 +38,6 @@ func New(c *topology.Cluster) (*System, error) {
 	return &System{cluster: c, files: map[string]*File{}}, nil
 }
 
-// Nodes returns the number of BB service nodes.
-func (s *System) Nodes() int { return len(s.cluster.BB) }
-
 // AggregateBW returns the allocation's total bandwidth in bytes/s.
 func (s *System) AggregateBW() float64 { return s.cluster.BBAggregateBW() }
 
@@ -77,7 +74,7 @@ func (s *System) Create(name string, lockEff float64) *File {
 	f := &File{sys: s, name: name, start: s.nextID % len(s.cluster.BB)}
 	s.nextID++
 	if lockEff > 0 && lockEff < 1 {
-		f.lock = sim.NewResource("bblock:"+name, lockEff*s.AggregateBW())
+		f.lock = s.cluster.E.NewResource("bblock:"+name, lockEff*s.AggregateBW())
 	}
 	s.files[name] = f
 	return f

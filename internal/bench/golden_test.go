@@ -47,3 +47,50 @@ func TestGoldenQuickFigures(t *testing.T) {
 		t.Errorf("figure digests differ from golden file %s\ngot:\n%swant:\n%s", path, got.String(), want)
 	}
 }
+
+// goldenTraceFigures are the quick figures whose exported Chrome traces
+// TestGoldenTraces pins: fig6a is a small UniviStor sweep, fig7 adds the
+// Data Elevator and Lustre drivers (about 6,200 flows in its last run).
+var goldenTraceFigures = []string{"fig6a", "fig7"}
+
+// TestGoldenTraces pins the Chrome trace that -quick -trace exports for
+// each of goldenTraceFigures (the last run of the sweep) as one SHA-256
+// digest per figure, so a change to flow ids, resource samples or event
+// order shows up without diffing traces by hand.
+// Regenerate with: go test ./internal/bench -run GoldenTraces -update
+func TestGoldenTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs quick figure sweeps with tracing")
+	}
+	if raceEnabled {
+		t.Skip("traced sweeps are too slow under -race")
+	}
+	var got strings.Builder
+	for _, id := range goldenTraceFigures {
+		run, ok := ByID(id)
+		if !ok {
+			t.Fatalf("no figure %q", id)
+		}
+		o := QuickOptions()
+		o.TracePath = filepath.Join(t.TempDir(), id+".json")
+		run(o)
+		data, err := os.ReadFile(o.TracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %x\n", id, sha256.Sum256(data))
+	}
+	path := filepath.Join("testdata", "golden_traces.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("trace digests differ from golden file %s\ngot:\n%swant:\n%s", path, got.String(), want)
+	}
+}

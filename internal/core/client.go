@@ -57,10 +57,6 @@ type ClientFile struct {
 	ls     *logstore.LogSet           // per-process per-tier logs (write mode)
 	devs   [meta.NumTiers]tier.Device // per-tier device backing each log
 	closed bool
-
-	// writeTag carries WriteAtTagged's content tag into the wrapped WriteAt
-	// call (dedup fingerprinting for size-only payloads).
-	writeTag uint64
 }
 
 // Name returns the file's name.

@@ -214,7 +214,7 @@ func (sys *System) checkMetadataCoverage() []string {
 					fs.name, rec.Offset, err))
 			}
 			if end := rec.Offset + rec.Size; end > cur {
-				if from := max64(rec.Offset, cur); end > from {
+				if from := max(rec.Offset, cur); end > from {
 					covered += end - from
 				}
 				cur = end
@@ -239,13 +239,6 @@ func (sys *System) checkMetadataCoverage() []string {
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (sys *System) checkStatsCoherence() []string {

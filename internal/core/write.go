@@ -16,6 +16,22 @@ import (
 // per-process log with room, spilling tier by tier (§II-B1), with its
 // metadata record inserted into the distributed metadata service (§II-B3).
 func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
+	return cf.write(off, size, data, 0)
+}
+
+// WriteAtTagged is WriteAt with an explicit content tag for the dedup
+// layer: at benchmark scale payloads are size-only (data == nil), so the
+// caller supplies a 64-bit stand-in for the segment's content identity —
+// two segments carry equal tags exactly when their bytes would be equal.
+// With real payload data the tag is ignored (the payload's own hash wins);
+// without dedup the tag is ignored entirely.
+func (cf *ClientFile) WriteAtTagged(off, size int64, data []byte, tag uint64) error {
+	return cf.write(off, size, data, tag)
+}
+
+// write is WriteAt and WriteAtTagged: tag is the content tag a size-only
+// segment is fingerprinted by when dedup is on.
+func (cf *ClientFile) write(off, size int64, data []byte, tag uint64) error {
 	if cf.mode != mpi.WriteOnly {
 		return fmt.Errorf("core: write to %q opened for %s", cf.fs.name, cf.mode)
 	}
@@ -96,7 +112,6 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 		// when real bytes exist, else the caller's WriteAtTagged tag (zero
 		// for untagged size-only writes, which therefore hash as identical
 		// blank content — semantically what a size-only run models).
-		tag := cf.writeTag
 		if data != nil {
 			tag = castore.HashBytes(data)
 		}
@@ -125,17 +140,4 @@ func (cf *ClientFile) WriteAt(off, size int64, data []byte) error {
 		sys.onWrite(sys.writeOps)
 	}
 	return nil
-}
-
-// WriteAtTagged is WriteAt with an explicit content tag for the dedup
-// layer: at benchmark scale payloads are size-only (data == nil), so the
-// caller supplies a 64-bit stand-in for the segment's content identity —
-// two segments carry equal tags exactly when their bytes would be equal.
-// With real payload data the tag is ignored (the payload's own hash wins);
-// without dedup the tag is ignored entirely.
-func (cf *ClientFile) WriteAtTagged(off, size int64, data []byte, tag uint64) error {
-	cf.writeTag = tag
-	err := cf.WriteAt(off, size, data)
-	cf.writeTag = 0
-	return err
 }

@@ -55,7 +55,7 @@ func New(w *mpi.World, bbs *bb.System, pfs *lustre.FS) (*Driver, error) {
 	}
 	return &Driver{
 		W: w, BB: bbs, PFS: pfs,
-		bbAgg: sim.NewResource("de-bb-agg", bbs.AggregateBW()),
+		bbAgg: w.E.NewResource("de-bb-agg", bbs.AggregateBW()),
 		files: map[string]*deFile{},
 	}, nil
 }

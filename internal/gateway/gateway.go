@@ -229,7 +229,7 @@ func Start(sys *core.System, cfg Config) (*Gateway, error) {
 	g := &Gateway{cfg: cfg, sys: sys}
 	e := sys.W.E
 	if cfg.QoS {
-		g.ingress = sim.NewResource("gw-ingress", ingressBps)
+		g.ingress = e.NewResource("gw-ingress", ingressBps)
 	}
 	nodes := len(sys.W.Cluster.Nodes)
 	heavy := int(cfg.HeavyFrac*float64(cfg.Tenants) + 0.5)
@@ -263,7 +263,7 @@ func (g *Gateway) newTenant(i int, heavy bool) *tenant {
 	}
 	if cfg.QoS {
 		t.bucket = NewTokenBucket(TenantRateBps, tenantBurstBytes, g.sys.W.E.Now())
-		t.cap = sim.NewResource(fmt.Sprintf("tenant:%04d", i), tenantPeakBps)
+		t.cap = g.sys.W.E.NewResource(fmt.Sprintf("tenant:%04d", i), tenantPeakBps)
 	}
 	t.objects = make([]objState, objectsPerTenant)
 	for o := range t.objects {

@@ -15,7 +15,7 @@ import (
 func BenchmarkOp(b *testing.B) {
 	sys := testSystem(b, leasedPlane)
 	sys.W.E.SetDifferentialCheck(false) // the oracle's global re-solve allocates
-	g := &Gateway{cfg: opMix(), sys: sys, ingress: sim.NewResource("gw-ingress", ingressBps)}
+	g := &Gateway{cfg: opMix(), sys: sys, ingress: sys.W.E.NewResource("gw-ingress", ingressBps)}
 	t := g.newTenant(0, false)
 	comm := sys.W.Launch("bench", 1, func(r *mpi.Rank) {
 		c := sys.Connect(r)

@@ -98,8 +98,8 @@ func (fs *FS) Create(name string, spec StripeSpec, lockEff float64) (*File, erro
 	f := &File{fs: fs, name: name, spec: spec}
 	if lockEff > 0 && lockEff < 1 {
 		agg := lockEff * float64(spec.Count) * fs.cluster.Cfg.OSTBW
-		f.writeLock = sim.NewResource("lock:"+name, agg)
-		f.readLock = sim.NewResource("rlock:"+name, 2*agg)
+		f.writeLock = fs.cluster.E.NewResource("lock:"+name, agg)
+		f.readLock = fs.cluster.E.NewResource("rlock:"+name, 2*agg)
 	}
 	fs.files[name] = f
 	return f, nil

@@ -288,7 +288,7 @@ func BenchmarkFileWrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mem := sim.NewResource("mem", 10*gb)
+	mem := e.NewResource("mem", 10*gb)
 	e.Go("writer", func(p *sim.Proc) {
 		for warm := 0; warm < 2; warm++ {
 			if err := f.Write(p, 0, 0, 4<<20, mem); err != nil {

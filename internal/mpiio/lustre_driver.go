@@ -120,7 +120,7 @@ func (f *lustreFile) extra(ports map[int]*sim.Resource, prefix string, bw float6
 	}
 	p, ok := ports[f.r.Rank()]
 	if !ok {
-		p = sim.NewResource(fmt.Sprintf("%s:%s/%d", prefix, f.sh.f.Name(), f.r.Rank()), bw)
+		p = f.r.World().E.NewResource(fmt.Sprintf("%s:%s/%d", prefix, f.sh.f.Name(), f.r.Rank()), bw)
 		ports[f.r.Rank()] = p
 	}
 	return append(extra, p)

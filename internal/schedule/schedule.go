@@ -151,7 +151,7 @@ func (s *Scheduler) Place(nodeID int, program string, rank int) *ProcHandle {
 		homeCore: core,
 		socket:   ns.node.Sockets[core.Socket],
 		runnable: true,
-		MemPort:  sim.NewResource(fmt.Sprintf("memport[%d/%s.%d]", nodeID, program, rank), s.cluster.Cfg.CorePeakBW),
+		MemPort:  s.cluster.E.NewResource(fmt.Sprintf("memport[%d/%s.%d]", nodeID, program, rank), s.cluster.Cfg.CorePeakBW),
 	}
 	core.Pinned++
 	ns.procs = append(ns.procs, h)

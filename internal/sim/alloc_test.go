@@ -15,8 +15,8 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
-	nic := NewResource("nic", 100)
-	disk := NewResource("disk", 100)
+	nic := e.NewResource("nic", 100)
+	disk := e.NewResource("disk", 100)
 	var done Time
 	e.Go("w", func(p *Proc) {
 		p.Transfer(1000, nic, disk) // alone: 10s at 100 B/s
@@ -59,7 +59,7 @@ func TestDegradeToZeroParksAndResumes(t *testing.T) {
 // capacity comes back.
 func TestStartAcrossZeroCapacityResource(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("link", 50)
+	r := e.NewResource("link", 50)
 	r.Capacity = 0
 	var done Time
 	e.Go("w", func(p *Proc) {
@@ -165,7 +165,7 @@ func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocS
 	}
 	rs := make([]*Resource, len(sc.caps))
 	for i, c := range sc.caps {
-		rs[i] = NewResource("r", c)
+		rs[i] = e.NewResource("r", c)
 	}
 	completed := make([]Time, len(sc.flows))
 	for i := range completed {
@@ -357,8 +357,8 @@ func TestNonBindingPruning(t *testing.T) {
 func TestDifferentialCheckCountsBatches(t *testing.T) {
 	e := NewEngine()
 	e.SetDifferentialCheck(true)
-	r1 := NewResource("a", 100)
-	r2 := NewResource("b", 100)
+	r1 := e.NewResource("a", 100)
+	r2 := e.NewResource("b", 100)
 	e.Go("w1", func(p *Proc) { p.Transfer(300, r1) })
 	e.Go("w2", func(p *Proc) { p.Transfer(300, r1, r2) })
 	e.Go("w3", func(p *Proc) { p.Transfer(300, r2) })
@@ -380,8 +380,8 @@ func TestDifferentialCheckCountsBatches(t *testing.T) {
 func TestCapacityChangeWithoutRecomputePanics(t *testing.T) {
 	e := NewEngine()
 	e.SetDifferentialCheck(true)
-	narrowed := NewResource("narrowed", 100)
-	shared := NewResource("shared", 100)
+	narrowed := e.NewResource("narrowed", 100)
+	shared := e.NewResource("shared", 100)
 	e.StartTransfer(1000, nil, narrowed, shared)
 	e.At(1, func() {
 		narrowed.Capacity = 50
@@ -402,7 +402,7 @@ func TestCapacityChangeWithoutRecomputePanics(t *testing.T) {
 func TestCapacityChangeOnIdleResourceNeedsNoRecompute(t *testing.T) {
 	e := NewEngine()
 	e.SetDifferentialCheck(true)
-	r := NewResource("idle", 100)
+	r := e.NewResource("idle", 100)
 	var done Time
 	e.StartTransfer(100, nil, r) // finishes at t=1
 	e.At(2, func() {

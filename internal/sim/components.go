@@ -394,8 +394,8 @@ func (fs *flowSet) completeAll(gen int64) {
 	}
 	fs.resBuf = crossed[:0]
 	for _, f := range finished {
-		if e.tracer != nil && f.traceID != 0 {
-			e.tracer.FlowEnd(e.now, f.traceID)
+		if e.tracer != nil {
+			e.tracer.FlowEnd(e.now, f.seq)
 		}
 		if f.p != nil {
 			f.p.Resume()
@@ -404,7 +404,7 @@ func (fs *flowSet) completeAll(gen int64) {
 			e.At(e.now, f.done)
 		}
 		if f.fan != nil {
-			e.at(e.now, event{kind: evFanDone, fan: f.fan})
+			e.at(e.now, event{kind: evFanDone, proc: f.fan})
 		}
 	}
 	for _, c := range affected {

@@ -16,8 +16,8 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
-	a := NewResource("a", 120)
-	b := NewResource("b", 120)
+	a := e.NewResource("a", 120)
+	b := e.NewResource("b", 120)
 	var t1, t2, t3 Time
 	bridgesDone := 0
 	e.At(0, func() {
@@ -78,9 +78,9 @@ func TestNewResourcesSampledInFirstCrossingOrder(t *testing.T) {
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
-	x := NewResource("x", 100)
-	y := NewResource("y", 100)
-	z := NewResource("z", 100)
+	x := e.NewResource("x", 100)
+	y := e.NewResource("y", 100)
+	z := e.NewResource("z", 100)
 	e.StartTransfer(100, nil, x)
 	e.StartTransfer(100, nil, y)
 	e.StartTransfer(100, nil, y)
@@ -102,8 +102,8 @@ func steadyEngine() (*Engine, []*Resource) {
 	e.SetDifferentialCheck(false) // the oracle allocates by design
 	var all []*Resource
 	for c := 0; c < 4; c++ {
-		hub := NewResource("hub", 1000)
-		spoke := NewResource("spoke", 800)
+		hub := e.NewResource("hub", 1000)
+		spoke := e.NewResource("spoke", 800)
 		all = append(all, hub, spoke)
 		for i := 0; i < 128; i++ {
 			if i%2 == 0 {
@@ -134,25 +134,25 @@ func fabricEngine() (*Engine, []*Resource) {
 	)
 	e := NewEngine()
 	e.SetDifferentialCheck(false) // the oracle allocates by design
-	fabric := NewResource("fabric", 10<<40)
+	fabric := e.NewResource("fabric", 10<<40)
 	all := []*Resource{fabric}
 	nic := make([]*Resource, nodes)
 	pfs := make([]*Resource, nodes)
 	mem := make([][2]*Resource, nodes)
 	for n := range nic {
-		nic[n] = NewResource("nic", 8*GB)
-		pfs[n] = NewResource("pfsport", 2.5*GB)
-		mem[n] = [2]*Resource{NewResource("mem", 60*GB), NewResource("mem", 60*GB)}
+		nic[n] = e.NewResource("nic", 8*GB)
+		pfs[n] = e.NewResource("pfsport", 2.5*GB)
+		mem[n] = [2]*Resource{e.NewResource("mem", 60*GB), e.NewResource("mem", 60*GB)}
 		all = append(all, nic[n], pfs[n], mem[n][0], mem[n][1])
 	}
 	ost := make([]*Resource, osts)
 	for o := range ost {
-		ost[o] = NewResource("ost", 1.1*GB)
+		ost[o] = e.NewResource("ost", 1.1*GB)
 		all = append(all, ost[o])
 	}
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < ranksPerNode; i++ {
-			port := NewResource("memport", 7*GB)
+			port := e.NewResource("memport", 7*GB)
 			all = append(all, port)
 			sock := mem[n][i%2]
 			switch i % 3 {
@@ -226,7 +226,7 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 		}
 	}
 	e, all := fabricEngine()
-	step := startChurn(e, remoteRead(all, NewResource("memport", 7<<30)))
+	step := startChurn(e, remoteRead(all, e.NewResource("memport", 7<<30)))
 	solves := e.AllocStats().ComponentsSolved
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("churn step allocates %.1f objects/op, want 0", allocs)
@@ -237,8 +237,8 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 
 	e, all = fabricEngine()
 	own := [2][]*Resource{
-		{NewResource("memport", 7<<30), NewResource("buf", 9<<30)},
-		{NewResource("memport", 7<<30), NewResource("buf", 9<<30)},
+		{e.NewResource("memport", 7<<30), e.NewResource("buf", 9<<30)},
+		{e.NewResource("memport", 7<<30), e.NewResource("buf", 9<<30)},
 	}
 	step = startChurn(e, remoteRead(all, own[0]...), remoteRead(all, own[1]...))
 	solves = e.AllocStats().ComponentsSolved
@@ -262,7 +262,7 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	// and the finished flow's drained component retires in the same batch.
 	// Both come from and return to the component pool.
 	e, _ = steadyEngine()
-	step = startChurn(e, []*Resource{NewResource("solo", 1<<30)}, []*Resource{NewResource("solo", 1<<30)})
+	step = startChurn(e, []*Resource{e.NewResource("solo", 1<<30)}, []*Resource{e.NewResource("solo", 1<<30)})
 	born := e.flows.compSeq
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("component birth and retirement allocates %.1f objects/op, want 0", allocs)
@@ -279,7 +279,7 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	// the spare buffer; the merged component then drains and retires.
 	e = NewEngine()
 	e.SetDifferentialCheck(false)
-	x, y := NewResource("x", 1<<30), NewResource("y", 1<<30)
+	x, y := e.NewResource("x", 1<<30), e.NewResource("y", 1<<30)
 	onX, onY, bridge := []*Resource{x}, []*Resource{y}, []*Resource{x, y}
 	step = func() {
 		for range 2 {
@@ -388,7 +388,7 @@ func BenchmarkSolveFabricComponent(b *testing.B) {
 // valid everywhere but on the resources the two flows cross.
 func BenchmarkSolveFabricChurn(b *testing.B) {
 	e, all := fabricEngine()
-	step := startChurn(e, remoteRead(all, NewResource("memport", 7<<30)))
+	step := startChurn(e, remoteRead(all, e.NewResource("memport", 7<<30)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

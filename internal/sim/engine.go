@@ -28,7 +28,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -64,10 +63,9 @@ type event struct {
 	t    Time
 	seq  int64
 	kind uint8
-	proc *Proc   // evResume: the parked process to continue
-	fan  *fanout // evFanDone: the TransferAll fan-out to decrement
-	gen  int64   // evComplete: flow-set generation stamp
-	fn   func()  // evFn
+	proc *Proc  // evResume: the parked process to continue; evFanDone: the TransferAll caller
+	gen  int64  // evComplete: flow-set generation stamp
+	fn   func() // evFn
 }
 
 // eventHeap is a value-typed binary min-heap ordered by (t, seq). The
@@ -132,16 +130,17 @@ func (h eventHeap) peek() *event { return &h[0] }
 func (h eventHeap) empty() bool  { return len(h) == 0 }
 
 // Engine is a discrete-event simulator instance. The zero value is not
-// usable; create one with NewEngine.
+// usable; create one with NewEngine. All simulation state lives in the
+// engine: two engines, in one process or not, share nothing.
 type Engine struct {
 	now    Time
 	events eventHeap
 	seq    int64
 
 	procSeq  int64
-	parked   int // procs alive but waiting for a resume
+	resSeq   int64 // resource ids, in creation order
+	parked   int   // procs alive but waiting for a resume
 	flows    flowSet
-	flowSeq  int64 // trace ids for flows (assigned only when tracing)
 	tracer   Tracer
 	finished bool
 }
@@ -154,7 +153,8 @@ type Engine struct {
 // All callbacks run in dispatcher or process context (serialized) at the
 // current virtual time.
 type Tracer interface {
-	// FlowBegin reports a fluid transfer entering the active set.
+	// FlowBegin reports a fluid transfer entering the active set. Its id
+	// is the flow's engine sequence number, 1 for the engine's first flow.
 	FlowBegin(t Time, id int64, size float64, resources []*Resource)
 	// FlowEnd reports the transfer draining its last byte.
 	FlowEnd(t Time, id int64)
@@ -225,8 +225,14 @@ func (e *Engine) at(t Time, ev event) {
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 
-// dispatch executes one popped event in dispatcher context.
-func (e *Engine) dispatch(ev *event) {
+// step pops the earliest event, advances the clock and the active flows
+// to its time, and executes it in dispatcher context.
+func (e *Engine) step() {
+	ev := e.events.popMin()
+	if ev.t > e.now {
+		e.flows.advance(ev.t)
+		e.now = ev.t
+	}
 	switch ev.kind {
 	case evFn:
 		ev.fn()
@@ -240,13 +246,10 @@ func (e *Engine) dispatch(ev *event) {
 		}
 	case evFanDone:
 		// One piece of a TransferAll fan-out drained; the last piece
-		// wakes the issuing process (same event hop a done-callback would
-		// have taken, so wakeup order is unchanged).
-		f := ev.fan
-		f.pending--
-		if f.pending == 0 {
-			p := f.p
-			e.flows.freeFanout(f)
+		// wakes the issuing process, which stays parked until then.
+		p := ev.proc
+		p.fanout--
+		if p.fanout == 0 {
 			p.Resume()
 		}
 	}
@@ -257,12 +260,7 @@ func (e *Engine) dispatch(ev *event) {
 // are deadlocked; Run returns and Deadlocked reports how many.
 func (e *Engine) Run() Time {
 	for !e.events.empty() {
-		ev := e.events.popMin()
-		if ev.t > e.now {
-			e.flows.advance(ev.t)
-			e.now = ev.t
-		}
-		e.dispatch(&ev)
+		e.step()
 	}
 	e.finished = true
 	return e.now
@@ -272,12 +270,7 @@ func (e *Engine) Run() Time {
 // reached.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for !e.events.empty() && e.events.peek().t <= deadline {
-		ev := e.events.popMin()
-		if ev.t > e.now {
-			e.flows.advance(ev.t)
-			e.now = ev.t
-		}
-		e.dispatch(&ev)
+		e.step()
 	}
 	if deadline > e.now {
 		e.flows.advance(deadline)
@@ -311,7 +304,7 @@ type Resource struct {
 	// naming the resource, when the call is missing.
 	Capacity float64
 
-	id int64 // creation order; deterministic tie-breaking
+	id int64 // creation order within the engine; deterministic tie-breaking
 	// comp is the connected component currently owning this resource, nil
 	// while no active flow crosses it (maintained by flowSet).
 	comp *component
@@ -320,14 +313,14 @@ type Resource struct {
 	st resState
 }
 
-var resourceSeq atomic.Int64
-
-// NewResource returns a resource with the given capacity in bytes/second.
-func NewResource(name string, capacity float64) *Resource {
+// NewResource returns a resource of the engine with the given capacity in
+// bytes/second. Its id is the engine's next resource number, from 1.
+func (e *Engine) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q capacity must be positive, got %v", name, capacity))
 	}
-	return &Resource{Name: name, Capacity: capacity, id: resourceSeq.Add(1)}
+	e.resSeq++
+	return &Resource{Name: name, Capacity: capacity, id: e.resSeq}
 }
 
 type flow struct {
@@ -335,11 +328,10 @@ type flow struct {
 	remaining float64
 	rate      float64
 	p         *Proc
-	done      func()  // alternative to waking a proc
-	fan       *fanout // TransferAll piece: decrement on completion
-	traceID   int64   // nonzero only while a tracer is attached
+	done      func() // alternative to waking a proc
+	fan       *Proc  // TransferAll piece: decrement the caller's fanout on completion
 
-	seq     int64      // insertion order; fixes allocation iteration order
+	seq     int64      // insertion order and trace id; fixes allocation iteration order
 	comp    *component // owning component; nil once the flow finishes
 	refRate float64    // differential-mode shadow rate (reference solver)
 
@@ -353,13 +345,6 @@ type flow struct {
 	min1, min2 float64
 	floor      float64
 	factsGen   int64
-}
-
-// fanout tracks one TransferAll call: the count of in-flight pieces and
-// the process to wake when the last one drains. Pooled alongside flows.
-type fanout struct {
-	pending int
-	p       *Proc
 }
 
 type flowSet struct {
@@ -376,7 +361,7 @@ type flowSet struct {
 	stats     AllocStats
 
 	gen     int64 // invalidates stale flow-completion events
-	flowSeq int64 // flow insertion order
+	flowSeq int64 // flow insertion order: the last flow.seq
 	compSeq int64 // component ids, for deterministic merge tie-breaks
 	// capGen is the capacity generation: a non-empty RecomputeResources
 	// bumps it, which marks every cached path fact and resource bound
@@ -393,10 +378,9 @@ type flowSet struct {
 	compPool  []*component
 	mergeBuf  []*flow
 
-	// Free lists for the hot-path structs; a flow (and its fan-out, if
-	// any) returns to the pool the instant it finishes.
+	// Free list for the hot-path struct; a flow returns to the pool the
+	// instant it finishes.
 	flowPool []*flow
-	fanPool  []*fanout
 	finBuf   []*flow     // completeAll scratch
 	resBuf   []*Resource // completeAll and allocateFast scratch
 
@@ -424,26 +408,20 @@ func (fs *flowSet) freeFlow(f *flow) {
 	fs.flowPool = append(fs.flowPool, f)
 }
 
-func (fs *flowSet) newFanout() *fanout {
-	if n := len(fs.fanPool); n > 0 {
-		f := fs.fanPool[n-1]
-		fs.fanPool = fs.fanPool[:n-1]
-		return f
-	}
-	return &fanout{}
-}
-
-func (fs *flowSet) freeFanout(f *fanout) {
-	*f = fanout{}
-	fs.fanPool = append(fs.fanPool, f)
-}
-
-// traceFlowStart registers a new flow with the attached tracer.
-func (fs *flowSet) traceFlowStart(f *flow, size float64) {
+// start begins a transfer of size bytes across path: it takes a pooled
+// flow, copies the path into it, adds it to the active set and reports it
+// to the tracer. The caller sets the flow's completion hook.
+func (fs *flowSet) start(size float64, path []*Resource) *flow {
 	e := fs.e
-	e.flowSeq++
-	f.traceID = e.flowSeq
-	e.tracer.FlowBegin(e.now, f.traceID, size, f.resources)
+	fs.advance(e.now)
+	f := fs.newFlow()
+	f.resources = append(f.resources, path...)
+	f.remaining = size
+	fs.add(f)
+	if e.tracer != nil {
+		e.tracer.FlowBegin(e.now, f.seq, size, f.resources)
+	}
+	return f
 }
 
 // advance progresses all active flows to time t at their current rates.
@@ -467,16 +445,7 @@ func (p *Proc) Transfer(size float64, resources ...*Resource) {
 	if size <= 0 || len(resources) == 0 {
 		return
 	}
-	e := p.e
-	e.flows.advance(e.now)
-	f := e.flows.newFlow()
-	f.resources = append(f.resources, resources...)
-	f.remaining = size
-	f.p = p
-	if e.tracer != nil {
-		e.flows.traceFlowStart(f, size)
-	}
-	e.flows.add(f)
+	p.e.flows.start(size, resources).p = p
 	p.Park()
 }
 
@@ -490,15 +459,7 @@ func (e *Engine) StartTransfer(size float64, done func(), resources ...*Resource
 		}
 		return
 	}
-	e.flows.advance(e.now)
-	f := e.flows.newFlow()
-	f.resources = append(f.resources, resources...)
-	f.remaining = size
-	f.done = done
-	if e.tracer != nil {
-		e.flows.traceFlowStart(f, size)
-	}
-	e.flows.add(f)
+	e.flows.start(size, resources).done = done
 }
 
 // Flow describes one piece of a parallel transfer for TransferAll.
@@ -513,37 +474,20 @@ type Flow struct {
 
 // TransferAll starts every flow concurrently and blocks the process until
 // all complete — the model of one I/O call fanned out across several
-// storage targets. The fan-out bookkeeping is a pooled counter rather
-// than per-piece closures.
+// storage targets. Pieces of zero size or with an empty path are skipped.
+// The process, parked until its last piece drains, holds the count of
+// pieces in flight.
 func (p *Proc) TransferAll(flows []Flow) {
-	pending := 0
-	for _, f := range flows {
-		if f.Size > 0 && len(f.Path) > 0 {
-			pending++
-		}
-	}
-	if pending == 0 {
-		return
-	}
-	e := p.e
-	e.flows.advance(e.now)
-	fan := e.flows.newFanout()
-	fan.pending = pending
-	fan.p = p
+	fs := &p.e.flows
 	for _, piece := range flows {
-		if piece.Size <= 0 || len(piece.Path) == 0 {
-			continue
+		if piece.Size > 0 && len(piece.Path) > 0 {
+			fs.start(piece.Size, piece.Path).fan = p
+			p.fanout++
 		}
-		f := e.flows.newFlow()
-		f.resources = append(f.resources, piece.Path...)
-		f.remaining = piece.Size
-		f.fan = fan
-		if e.tracer != nil {
-			e.flows.traceFlowStart(f, piece.Size)
-		}
-		e.flows.add(f)
 	}
-	p.Park()
+	if p.fanout > 0 {
+		p.Park()
+	}
 }
 
 // RecomputeResources re-runs the max-min allocation after the capacities

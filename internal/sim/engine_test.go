@@ -74,7 +74,7 @@ func TestEventOrderingIsDeterministic(t *testing.T) {
 
 func TestSingleFlowUsesFullCapacity(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("disk", 100) // 100 B/s
+	r := e.NewResource("disk", 100) // 100 B/s
 	e.Go("writer", func(p *Proc) { p.Transfer(500, r) })
 	end := e.Run()
 	if !almostEqual(float64(end), 5.0, 1e-9) {
@@ -84,7 +84,7 @@ func TestSingleFlowUsesFullCapacity(t *testing.T) {
 
 func TestTwoFlowsShareEqually(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("disk", 100)
+	r := e.NewResource("disk", 100)
 	var t1, t2 Time
 	e.Go("w1", func(p *Proc) { p.Transfer(500, r); t1 = p.Now() })
 	e.Go("w2", func(p *Proc) { p.Transfer(500, r); t2 = p.Now() })
@@ -97,7 +97,7 @@ func TestTwoFlowsShareEqually(t *testing.T) {
 
 func TestShortFlowReleasesBandwidth(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("disk", 100)
+	r := e.NewResource("disk", 100)
 	var tShort, tLong Time
 	e.Go("short", func(p *Proc) { p.Transfer(100, r); tShort = p.Now() })
 	e.Go("long", func(p *Proc) { p.Transfer(900, r); tLong = p.Now() })
@@ -114,8 +114,8 @@ func TestShortFlowReleasesBandwidth(t *testing.T) {
 
 func TestMultiResourceFlowLimitedByBottleneck(t *testing.T) {
 	e := NewEngine()
-	nic := NewResource("nic", 50)
-	disk := NewResource("disk", 100)
+	nic := e.NewResource("nic", 50)
+	disk := e.NewResource("disk", 100)
 	var done Time
 	e.Go("w", func(p *Proc) { p.Transfer(500, nic, disk); done = p.Now() })
 	e.Run()
@@ -128,8 +128,8 @@ func TestMaxMinAsymmetricShares(t *testing.T) {
 	// Flow A crosses a slow private link (cap 10) and a shared disk (cap 100).
 	// Flow B crosses only the disk. Max-min: A gets 10, B gets 90.
 	e := NewEngine()
-	link := NewResource("link", 10)
-	disk := NewResource("disk", 100)
+	link := e.NewResource("link", 10)
+	disk := e.NewResource("disk", 100)
 	var tA, tB Time
 	e.Go("a", func(p *Proc) { p.Transfer(100, link, disk); tA = p.Now() })
 	e.Go("b", func(p *Proc) { p.Transfer(900, disk); tB = p.Now() })
@@ -147,11 +147,11 @@ func TestMaxMinAsymmetricShares(t *testing.T) {
 // its ceiling while the slack flows to the others.
 func TestRateCapsShareLinkMaxMin(t *testing.T) {
 	e := NewEngine()
-	link := NewResource("link", 100)
+	link := e.NewResource("link", 100)
 	caps := map[string]*Resource{
-		"a": NewResource("tenant:a", 1000),
-		"b": NewResource("tenant:b", 1000),
-		"c": NewResource("tenant:c", 10),
+		"a": e.NewResource("tenant:a", 1000),
+		"b": e.NewResource("tenant:b", 1000),
+		"c": e.NewResource("tenant:c", 10),
 	}
 	ends := map[string]Time{}
 	for _, name := range []string{"a", "b", "c"} {
@@ -174,7 +174,7 @@ func TestRateCapsShareLinkMaxMin(t *testing.T) {
 
 func TestStartTransferCallback(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("disk", 10)
+	r := e.NewResource("disk", 10)
 	var doneAt Time = -1
 	e.StartTransfer(100, func() { doneAt = e.Now() }, r)
 	e.Run()
@@ -185,7 +185,7 @@ func TestStartTransferCallback(t *testing.T) {
 
 func TestZeroSizeTransferCompletesInstantly(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("disk", 10)
+	r := e.NewResource("disk", 10)
 	var at Time = -1
 	e.Go("w", func(p *Proc) { p.Transfer(0, r); at = p.Now() })
 	e.Run()
@@ -363,7 +363,7 @@ func TestMaxMinPropertyConservation(t *testing.T) {
 		e := NewEngine()
 		resources := make([]*Resource, nRes)
 		for i := range resources {
-			resources[i] = NewResource(string(rune('A'+i)), 10+rng.Float64()*90)
+			resources[i] = e.NewResource(string(rune('A'+i)), 10+rng.Float64()*90)
 		}
 		flows := make([]*flow, nFlows)
 		for i := range flows {
@@ -438,7 +438,7 @@ func TestEqualFlowsFinishTogetherProperty(t *testing.T) {
 		n := int(nRaw)%16 + 1
 		size := float64(sizeRaw%1000) + 1
 		e := NewEngine()
-		r := NewResource("disk", 100)
+		r := e.NewResource("disk", 100)
 		var finish []Time
 		for i := 0; i < n; i++ {
 			e.Go("w", func(p *Proc) {
@@ -493,7 +493,7 @@ func TestUtilizationCountsRepeatCrossingOnce(t *testing.T) {
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
-	r := NewResource("loop", 100)
+	r := e.NewResource("loop", 100)
 	var mid float64
 	e.Go("w", func(p *Proc) { p.Transfer(500, r, r) })
 	e.After(1, func() { mid = s.utilization(r) })
@@ -513,8 +513,8 @@ func TestUtilizationMatchesResourceSample(t *testing.T) {
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
-	nic := NewResource("nic", 100)
-	disk := NewResource("disk", 400)
+	nic := e.NewResource("nic", 100)
+	disk := e.NewResource("disk", 400)
 	e.Go("w1", func(p *Proc) { p.Transfer(1000, nic, disk) })
 	e.Go("w2", func(p *Proc) { p.Transfer(1000, disk) })
 	e.After(1, func() {
@@ -537,7 +537,7 @@ func TestUtilizationZeroAfterFlowsDrain(t *testing.T) {
 	e := NewEngine()
 	s := &utilSampler{}
 	e.SetTracer(s)
-	r := NewResource("disk", 100)
+	r := e.NewResource("disk", 100)
 	e.Go("w", func(p *Proc) { p.Transfer(100, r) })
 	var during float64
 	e.After(0.5, func() { during = s.utilization(r) })
@@ -552,8 +552,8 @@ func TestUtilizationZeroAfterFlowsDrain(t *testing.T) {
 
 func TestCheckFlowConservation(t *testing.T) {
 	e := NewEngine()
-	a := NewResource("a", 100)
-	b := NewResource("b", 50)
+	a := e.NewResource("a", 100)
+	b := e.NewResource("b", 50)
 	e.Go("w1", func(p *Proc) { p.Transfer(1000, a, b) })
 	e.Go("w2", func(p *Proc) { p.Transfer(1000, a) })
 	checked := false
@@ -597,5 +597,91 @@ func TestQueueServe(t *testing.T) {
 		if got := q.Serve(s.arrival, s.service); got != s.want || q.Free != s.want {
 			t.Errorf("step %d: Serve = %v, Free = %v, want %v", i, got, q.Free, s.want)
 		}
+	}
+}
+
+// TestResourceIDsArePerEngine: two engines built one after the other in
+// one process each number their resources from 1, in creation order, so
+// a resource's tie-break id does not depend on what the process ran first.
+func TestResourceIDsArePerEngine(t *testing.T) {
+	for run := 0; run < 2; run++ {
+		e := NewEngine()
+		for want := int64(1); want <= 3; want++ {
+			if r := e.NewResource("r", 100); r.id != want {
+				t.Errorf("engine %d: resource %d has id %d, want %d", run, want, r.id, want)
+			}
+		}
+	}
+}
+
+// flowRecorder is a Tracer that records flow begin and end ids and checks
+// that each begin id is the sequence number of the flow just started.
+type flowRecorder struct {
+	t      *testing.T
+	e      *Engine
+	begins []int64
+	ends   map[int64]Time
+}
+
+func (r *flowRecorder) FlowBegin(_ Time, id int64, _ float64, _ []*Resource) {
+	if a := r.e.flows.active; len(a) == 0 || a[len(a)-1].seq != id {
+		r.t.Errorf("FlowBegin id %d is not the seq of the flow just started", id)
+	}
+	r.begins = append(r.begins, id)
+}
+func (r *flowRecorder) FlowEnd(t Time, id int64)                { r.ends[id] = t }
+func (r *flowRecorder) ResourceSample(Time, *Resource, float64) {}
+func (r *flowRecorder) Instant(Time, string, string)            {}
+func (r *flowRecorder) Counter(Time, string, int64)             {}
+
+// TestTransferAllResumesOncePerCall: one proc issues TransferAll calls
+// back to back, mixing pieces of zero size and with empty paths, which
+// are skipped. Each call resumes the proc exactly once, when its last
+// piece drains; a call with nothing to move does not park. The flows are
+// traced with ids 1..n, their sequence numbers.
+func TestTransferAllResumesOncePerCall(t *testing.T) {
+	e := NewEngine()
+	rec := &flowRecorder{t: t, e: e, ends: map[int64]Time{}}
+	e.SetTracer(rec)
+	a, b := e.NewResource("a", 100), e.NewResource("b", 100)
+	var resumed []Time
+	e.Go("io", func(p *Proc) {
+		p.TransferAll([]Flow{
+			{Size: 100, Path: []*Resource{a}}, // 1 s
+			{Size: 0, Path: []*Resource{a}},
+			{Size: 300, Path: []*Resource{b}}, // 3 s: the last piece
+			{Size: 50},
+		})
+		resumed = append(resumed, p.Now())
+		p.TransferAll([]Flow{
+			{Size: -1, Path: []*Resource{b}},
+			{Size: 200, Path: []*Resource{a}}, // 2 s: the last piece
+			{Size: 100, Path: []*Resource{b}}, // 1 s
+			{Size: 10, Path: nil},
+		})
+		resumed = append(resumed, p.Now())
+		p.TransferAll([]Flow{{Size: 0, Path: []*Resource{a}}, {Size: 10}})
+		resumed = append(resumed, p.Now())
+		p.Sleep(10) // a stray resume would wake the proc early
+		resumed = append(resumed, p.Now())
+	})
+	e.Run()
+	if want := []Time{3, 5, 5, 15}; !slices.Equal(resumed, want) {
+		t.Errorf("resumed at %v, want %v", resumed, want)
+	}
+	if e.Deadlocked() != 0 {
+		t.Errorf("%d procs deadlocked", e.Deadlocked())
+	}
+	if want := []int64{1, 2, 3, 4}; !slices.Equal(rec.begins, want) {
+		t.Errorf("FlowBegin ids %v, want %v", rec.begins, want)
+	}
+	wantEnds := map[int64]Time{1: 1, 2: 3, 3: 5, 4: 4}
+	for id, at := range wantEnds {
+		if got, ok := rec.ends[id]; !ok || !almostEqual(float64(got), float64(at), 1e-9) {
+			t.Errorf("FlowEnd of flow %d at %v (seen %v), want %v", id, got, ok, at)
+		}
+	}
+	if len(rec.ends) != len(wantEnds) {
+		t.Errorf("FlowEnd ids %v, want %v", rec.ends, wantEnds)
 	}
 }

@@ -18,6 +18,7 @@ type Proc struct {
 	next    func() (struct{}, bool) // runs the body until it parks or returns
 	yield   func(struct{}) bool     // parks the body; called only from it
 	pending bool                    // a resume event is queued (at most one)
+	fanout  int                     // TransferAll pieces still in flight
 }
 
 // Name returns the name the process was spawned with.

@@ -67,7 +67,7 @@ func TestEventQueuePopsInTimeSeqOrder(t *testing.T) {
 func TestCallerPathBufferIsReusable(t *testing.T) {
 	run := func(shared bool) []Time {
 		e := NewEngine()
-		a, b, c := NewResource("a", 100), NewResource("b", 60), NewResource("c", 80)
+		a, b, c := e.NewResource("a", 100), e.NewResource("b", 60), e.NewResource("c", 80)
 		paths := [][]*Resource{{a, b}, {a, c}, {b, c}, {a}, {c}}
 		var flat []*Resource
 		var flows []Flow
@@ -106,7 +106,7 @@ func TestCallerPathBufferIsReusable(t *testing.T) {
 	}
 	e := NewEngine()
 	e.SetDifferentialCheck(false) // the oracle's global re-solve allocates
-	a, b := NewResource("a", 1<<30), NewResource("b", 1<<30)
+	a, b := e.NewResource("a", 1<<30), e.NewResource("b", 1<<30)
 	done := 0
 	e.Go("churn", func(p *Proc) {
 		for {

@@ -161,7 +161,7 @@ func newBB(env *Env) Backend {
 	}
 	return &bbBackend{
 		env:     env,
-		readAgg: sim.NewResource("bb-read-agg", env.BB.AggregateBW()),
+		readAgg: env.Cluster.E.NewResource("bb-read-agg", env.BB.AggregateBW()),
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"univistor/internal/meta"
+	"univistor/internal/sim"
+	"univistor/internal/topology"
 )
 
 func tiersOf(bks []Backend) []meta.Tier {
@@ -30,7 +32,9 @@ func equalTiers(a, b []meta.Tier) bool {
 // terminal, regardless of configuration order; CacheTiers follows the same
 // order.
 func TestChainBuildOrderAndTerminal(t *testing.T) {
-	ch, err := Build([]meta.Tier{meta.TierObject, meta.TierDRAM}, &Env{})
+	// The object tier creates its gateway resources on the cluster's engine.
+	env := &Env{Cluster: &topology.Cluster{E: sim.NewEngine()}}
+	ch, err := Build([]meta.Tier{meta.TierObject, meta.TierDRAM}, env)
 	if err != nil {
 		t.Fatal(err)
 	}

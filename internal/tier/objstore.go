@@ -56,11 +56,11 @@ type objStore struct {
 func newObjStore(env *Env) Backend {
 	s := &objStore{
 		env:     env,
-		readAgg: sim.NewResource("obj-read-agg", float64(objGateways)*float64(objGatewayBW)),
+		readAgg: env.Cluster.E.NewResource("obj-read-agg", float64(objGateways)*float64(objGatewayBW)),
 		pool:    topology.NewCapacity("objstore", objTotalBytes),
 	}
 	for i := 0; i < objGateways; i++ {
-		s.gateways = append(s.gateways, sim.NewResource(fmt.Sprintf("objgw[%d]", i), objGatewayBW))
+		s.gateways = append(s.gateways, env.Cluster.E.NewResource(fmt.Sprintf("objgw[%d]", i), objGatewayBW))
 	}
 	return s
 }

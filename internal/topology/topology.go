@@ -220,18 +220,18 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 		panic(err)
 	}
 	c := &Cluster{E: e, Cfg: cfg}
-	c.Fabric = sim.NewResource("fabric", cfg.FabricBW)
+	c.Fabric = e.NewResource("fabric", cfg.FabricBW)
 	coresPerSocket := cfg.CoresPerNode / cfg.SocketsPerNode
 	for n := 0; n < cfg.Nodes; n++ {
 		node := &Node{
 			ID:      n,
-			NIC:     sim.NewResource(fmt.Sprintf("nic[%d]", n), cfg.NICBW),
+			NIC:     e.NewResource(fmt.Sprintf("nic[%d]", n), cfg.NICBW),
 			DRAM:    NewCapacity(fmt.Sprintf("dram[%d]", n), cfg.DRAMPerNode),
-			PFSPort: sim.NewResource(fmt.Sprintf("pfsport[%d]", n), cfg.PFSClientBW),
+			PFSPort: e.NewResource(fmt.Sprintf("pfsport[%d]", n), cfg.PFSClientBW),
 		}
 		if cfg.LocalSSDPerNode > 0 {
 			node.SSD = NewCapacity(fmt.Sprintf("ssd[%d]", n), cfg.LocalSSDPerNode)
-			node.SSDBW = sim.NewResource(fmt.Sprintf("ssdbw[%d]", n), cfg.LocalSSDBW)
+			node.SSDBW = e.NewResource(fmt.Sprintf("ssdbw[%d]", n), cfg.LocalSSDBW)
 		} else {
 			node.SSD = NewCapacity(fmt.Sprintf("ssd[%d]", n), 0)
 		}
@@ -239,7 +239,7 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 			sock := &Socket{
 				Node:  n,
 				Index: s,
-				MemBW: sim.NewResource(fmt.Sprintf("mem[%d.%d]", n, s), cfg.DRAMBWSocket),
+				MemBW: e.NewResource(fmt.Sprintf("mem[%d.%d]", n, s), cfg.DRAMBWSocket),
 			}
 			for k := 0; k < coresPerSocket; k++ {
 				sock.Cores = append(sock.Cores, &Core{Node: n, Socket: s, Index: s*coresPerSocket + k})
@@ -252,14 +252,14 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 	for b := 0; b < cfg.BBNodes; b++ {
 		c.BB = append(c.BB, &BBNode{
 			ID:  b,
-			BW:  sim.NewResource(fmt.Sprintf("bb[%d]", b), cfg.BBBWPerNode),
+			BW:  e.NewResource(fmt.Sprintf("bb[%d]", b), cfg.BBBWPerNode),
 			Cap: NewCapacity(fmt.Sprintf("bbcap[%d]", b), cfg.BBCapPerNode),
 		})
 	}
 	for o := 0; o < cfg.OSTs; o++ {
 		c.OSTs = append(c.OSTs, &OST{
 			ID:  o,
-			BW:  sim.NewResource(fmt.Sprintf("ost[%d]", o), cfg.OSTBW),
+			BW:  e.NewResource(fmt.Sprintf("ost[%d]", o), cfg.OSTBW),
 			Cap: NewCapacity(fmt.Sprintf("ostcap[%d]", o), cfg.OSTCapacity),
 		})
 	}

@@ -15,8 +15,8 @@ import (
 func runScenario(rec *Recorder) {
 	e := sim.NewEngine()
 	e.SetTracer(rec)
-	nic := sim.NewResource("nic", 100)
-	disk := sim.NewResource("disk", 40)
+	nic := e.NewResource("nic", 100)
+	disk := e.NewResource("disk", 40)
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Go([]string{"rank0", "rank1"}[i], func(p *sim.Proc) {
@@ -210,7 +210,7 @@ func TestAllocSampleTimeline(t *testing.T) {
 	rec := New()
 	e := sim.NewEngine()
 	e.SetTracer(rec)
-	r := sim.NewResource("disk", 40)
+	r := e.NewResource("disk", 40)
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *sim.Proc) {
 			p.Sleep(float64(i))
