@@ -38,13 +38,13 @@ trace-smoke:
 	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json /tmp/tiers.json
 
 # Run each internal/sim, internal/kvstore, internal/metaplane,
-# internal/striping, internal/lustre and internal/gateway benchmark once, so
-# the solver, metadata-store, commit-path, stripe-cutter, PFS-write and
-# gateway-op benchmarks that performance changes quote keep building and
-# running; -benchmem prints each one's allocs/op.
+# internal/striping, internal/lustre, internal/gateway and internal/logstore
+# benchmark once, so the solver, metadata-store, commit-path, stripe-cutter,
+# PFS-write, gateway-op and log-recycling benchmarks that performance changes
+# quote keep building and running; -benchmem prints each one's allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/kvstore ./internal/metaplane ./internal/striping \
-		./internal/lustre ./internal/gateway
+		./internal/lustre ./internal/gateway ./internal/logstore
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

@@ -61,9 +61,10 @@ func (sys *System) casPlanFlush(p *sim.Proc, fs *fileState, recs []meta.Record) 
 		return 0
 	}
 	sp := sys.W.Trace.Begin(p, trace.CatCAS, "cas-plan")
-	blocks := make([]castore.Block, n)
-	digests := make([]castore.Digest, n)
-	touched := make([]bool, n)
+	blocks := scratch(&sys.casBlocks, n)
+	digests := scratch(&sys.casDigests, n)
+	touched := scratch(&sys.casTouched, n)
+	clear(touched)
 	for i := int64(0); i < n; i++ {
 		size := bb
 		if end := (i + 1) * bb; end > fs.logicalSize {
@@ -115,6 +116,16 @@ func (sys *System) casPlanFlush(p *sim.Proc, fs *fileState, recs []meta.Record) 
 	sp.End(p.Now())
 	sys.traceCAS(p.Now())
 	return phys
+}
+
+// scratch resizes *buf to n elements, growing it only when it is too
+// short, and returns it. The elements keep their old values.
+func scratch[T any](buf *[]T, n int64) []T {
+	if int64(cap(*buf)) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // traceCAS records the dedup layer's counter series: cumulative logical

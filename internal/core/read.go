@@ -167,15 +167,22 @@ func (cf *ClientFile) fetchSegment(p *sim.Proc, rec meta.Record, off, size int64
 	return nil
 }
 
-// coverBuf is the buffers of one ReadAt call. The read parks while it
-// still holds the records, so every read in flight takes its own set from
-// the System's free list and returns it, emptied, when it finishes.
+// coverBuf is the buffers of one ReadAt call or flush trigger. Both park
+// while they still hold the records, so every read or trigger in flight
+// takes its own set from the System's free list and returns it, emptied,
+// when it finishes.
 type coverBuf struct {
 	recs      []meta.Record // the metadata service's covering records
 	idx       []int         // the indices its covering reports
 	local     []meta.Record // the node buffer's records
 	gaps      []byteRange   // the ranges local records miss
 	contacted []int         // the indices charged so far
+
+	// A flush trigger's grouping of recs (see groupForFlush).
+	flushers []int // the flushing servers' global indices, ascending
+	group    []int // each record's place in flushers, -1 for none
+	order    []int // record indices grouped by flusher
+	ends     []int // the end of each flusher's group in order
 }
 
 func (sys *System) getCoverBuf() *coverBuf {
@@ -190,6 +197,7 @@ func (sys *System) getCoverBuf() *coverBuf {
 func (sys *System) putCoverBuf(b *coverBuf) {
 	b.recs, b.idx, b.local = b.recs[:0], b.idx[:0], b.local[:0]
 	b.gaps, b.contacted = b.gaps[:0], b.contacted[:0]
+	b.flushers, b.group, b.order, b.ends = b.flushers[:0], b.group[:0], b.order[:0], b.ends[:0]
 	sys.coverBufs = append(sys.coverBufs, b)
 }
 

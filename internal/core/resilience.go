@@ -102,7 +102,7 @@ func (cf *ClientFile) fetchFromReplicaOrPFS(p *sim.Proc, producer *ClientFile, r
 		// layout recorded when the flush was triggered, advanced by how far
 		// into the segment this read starts.
 		off := lo
-		if base, ok := fs.flushOff[rec.Offset]; ok {
+		if base, ok := fs.flushPos(rec.Offset); ok {
 			off = base + (lo - rec.Offset)
 		}
 		fs.pfsFile.Read(p, myNode, off, bytes, c.rank.H.MemPort)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"univistor/internal/bb"
 	"univistor/internal/castore"
@@ -43,8 +44,12 @@ type System struct {
 	nodeMeta   []*kvstore.Store // per-node shared metadata buffer (§II-B4)
 	chain      *tier.Chain      // the ordered storage hierarchy, terminal last
 
-	// coverBufs is the free list of ReadAt's covering buffers.
-	coverBufs []*coverBuf
+	// coverBufs is the free list of the covering buffers of ReadAt and
+	// triggerFlush. flusherPos maps a server's global index to its place
+	// among a flush trigger's flushers (-1 otherwise); a trigger sets and
+	// clears it without parking in between.
+	coverBufs  []*coverBuf
+	flusherPos []int
 
 	files          map[string]*fileState
 	nextFID        meta.FileID
@@ -70,6 +75,11 @@ type System struct {
 	casGCFile  *lustre.File
 	casGCBusy  bool
 	casLogical int64
+	// casBlocks, casDigests and casTouched are casPlanFlush's scratch; the
+	// plan never parks, and the store copies the hashes out.
+	casBlocks  []castore.Block
+	casDigests []castore.Digest
+	casTouched []bool
 
 	// writeOps counts completed WriteAt calls; onWrite (when set) observes
 	// each one — the trigger for write-count-scheduled fault injection.
@@ -117,10 +127,12 @@ type fileState struct {
 	// next event.
 	flushEv *sim.Event
 	pfsFile *lustre.File
-	// flushOff maps a segment (by logical offset, the ring's key) to its
-	// byte offset in the flush file, recorded when the flush is triggered
-	// so degraded reads address the real range of the flushed copy.
-	flushOff map[int64]int64
+	// flushOff places each segment of the last flush's covering (by
+	// logical offset, the ring's key) at its byte offset in the flush file,
+	// recorded when the flush is triggered so degraded reads address the
+	// real range of the flushed copy. It is sorted by offset and reused
+	// from flush to flush.
+	flushOff []flushSlot
 
 	// reservations to release when the flush (or final close) retires the
 	// cached copies.
@@ -148,6 +160,25 @@ type fileState struct {
 	// deletes. A tail gap reaching it is a punched hole, not a lost
 	// record, so the coverage invariant's tail-gap check excuses it.
 	deletedEnd int64
+}
+
+// flushSlot is one segment's place in the flush file; pos is -1 while the
+// trigger has not placed it, and stays -1 for a segment no server flushes.
+type flushSlot struct {
+	off int64
+	pos int64
+}
+
+// flushPos returns where the segment at logical offset off lies in the
+// flush file, if the last flush trigger placed it.
+func (fs *fileState) flushPos(off int64) (int64, bool) {
+	i, found := slices.BinarySearchFunc(fs.flushOff, off, func(e flushSlot, off int64) int {
+		return cmp.Compare(e.off, off)
+	})
+	if !found || fs.flushOff[i].pos < 0 {
+		return 0, false
+	}
+	return fs.flushOff[i].pos, true
 }
 
 type reservation struct {
@@ -264,6 +295,10 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 	sys.failedNodes = make([]bool, nNodes)
 
 	sys.servers = make([]*Server, nServers)
+	sys.flusherPos = make([]int, nServers)
+	for i := range sys.flusherPos {
+		sys.flusherPos[i] = -1
+	}
 	sys.serverComm = w.Launch("univistor-server", nServers, func(r *mpi.Rank) {
 		s := &Server{
 			sys:       sys,
@@ -403,21 +438,25 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 	if fs.flushing || fs.cachedTotal == 0 {
 		return
 	}
+	// The trigger parks between servers while it still holds the covering
+	// and its grouping, so it takes its own buffers from the free list.
+	b := sys.getCoverBuf()
 	// Flushing servers, in global order.
-	var flushers []int
 	for idx, tiers := range fs.cached {
 		total := int64(0)
-		for _, b := range tiers {
-			total += b
+		for _, bytes := range tiers {
+			total += bytes
 		}
 		if total > 0 {
-			flushers = append(flushers, idx)
+			b.flushers = append(b.flushers, idx)
 		}
 	}
-	if len(flushers) == 0 {
+	if len(b.flushers) == 0 {
+		sys.putCoverBuf(b)
 		return
 	}
-	sort.Ints(flushers)
+	flushers := b.flushers
+	slices.Sort(flushers)
 
 	total := fs.cachedTotal
 	cfg := sys.W.Cluster.Cfg
@@ -456,17 +495,9 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 	}
 
 	// Segments grouped by their producer's server, in logical-offset order
-	// (the ring returns them sorted) — the order each server drains its
-	// range in, which fixes where every segment's flushed copy lands.
-	recs := sys.metaCoveringFree(fs.fid, 0, fs.logicalSize)
-	recsByServer := map[int][]meta.Record{}
-	for _, rec := range recs {
-		if pf := fs.procFiles[rec.Proc]; pf != nil {
-			gi := pf.c.server.GlobalIdx
-			recsByServer[gi] = append(recsByServer[gi], rec)
-		}
-	}
-	fs.flushOff = map[int64]int64{}
+	// (the covering is sorted) — the order each server drains its range in,
+	// which fixes where every segment's flushed copy lands.
+	recs := sys.groupForFlush(b, fs)
 
 	// Dedup planning: chunk the logical image, intern/release block
 	// references, and scale the physical flush traffic to the bytes that
@@ -484,8 +515,9 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 	}
 
 	// Each flusher gets a contiguous, even range of the flush file.
-	for i, idx := range flushers {
-		off, length := striping.ServerRange(total, len(flushers), i)
+	first := 0
+	for g, idx := range flushers {
+		off, length := striping.ServerRange(total, len(flushers), g)
 		req := &flushReq{fs: fs, rangeOff: off, rangeLen: length,
 			tierBytes: fs.cached[idx], physFrac: physFrac, done: fs.flushEv}
 		// Record where each of this server's segments lands inside its
@@ -494,7 +526,8 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 		// positions are clamped into the range (its even split can differ
 		// slightly from the server's exact cached bytes).
 		pos := req.rangeOff
-		for _, rec := range recsByServer[idx] {
+		for _, i := range b.order[first:b.ends[g]] {
+			rec := recs[i]
 			p0 := pos
 			if max := req.rangeOff + req.rangeLen - rec.Size; p0 > max {
 				p0 = max
@@ -502,15 +535,62 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 			if p0 < req.rangeOff {
 				p0 = req.rangeOff
 			}
-			fs.flushOff[rec.Offset] = p0
+			fs.flushOff[i].pos = p0
 			pos += rec.Size
 		}
+		first = b.ends[g]
 		srv := sys.servers[idx]
 		// The trigger costs one small message per server.
 		p.Sleep(cfg.NetLatency)
 		srv.Rank.Deliver(mpi.Msg{Tag: "flush", Payload: req})
 	}
 	sp.End(p.Now())
+	sys.putCoverBuf(b)
+}
+
+// groupForFlush fetches the file's covering into b.recs and groups it by
+// producer server in one counting pass over b.flushers: b.order lists the
+// covering's indices flusher by flusher, each group in offset order, and
+// flusher g's group ends at b.ends[g]. A record whose producer is gone or
+// whose server flushes nothing joins no group. It also resets the file's
+// flush layout to one unplaced entry per covering record and returns the
+// covering.
+func (sys *System) groupForFlush(b *coverBuf, fs *fileState) []meta.Record {
+	b.recs, b.idx = sys.meta.covering(b.recs, b.idx, fs.fid, 0, fs.logicalSize)
+	for g, idx := range b.flushers {
+		sys.flusherPos[idx] = g
+	}
+	b.ends = append(b.ends, make([]int, len(b.flushers))...)
+	fs.flushOff = fs.flushOff[:0]
+	for _, rec := range b.recs {
+		g := -1
+		if pf := fs.procFiles[rec.Proc]; pf != nil {
+			g = sys.flusherPos[pf.c.server.GlobalIdx]
+		}
+		b.group = append(b.group, g)
+		if g >= 0 {
+			b.ends[g]++
+		}
+		fs.flushOff = append(fs.flushOff, flushSlot{off: rec.Offset, pos: -1})
+	}
+	for _, idx := range b.flushers {
+		sys.flusherPos[idx] = -1
+	}
+	// Group sizes to group starts, then scatter: each start advances to
+	// its group's end.
+	n := 0
+	for g, size := range b.ends {
+		b.ends[g] = n
+		n += size
+	}
+	b.order = append(b.order, make([]int, n)...)
+	for i, g := range b.group {
+		if g >= 0 {
+			b.order[b.ends[g]] = i
+			b.ends[g]++
+		}
+	}
+	return b.recs
 }
 
 // doFlush is the server-side flush of one contiguous range: a pipelined

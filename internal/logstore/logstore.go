@@ -18,7 +18,6 @@ package logstore
 
 import (
 	"fmt"
-	"sort"
 
 	"univistor/internal/meta"
 )
@@ -29,12 +28,22 @@ type Log struct {
 	chunkSize int64
 	capacity  int64 // bytes; multiple of chunkSize
 
-	cursor     int64          // next pristine logical append address
-	chunkTable map[int64]int  // logical chunk slot -> physical chunk ID
-	freeStack  []int          // recycled physical chunk IDs (LIFO)
-	freeSlots  map[int64]bool // punched logical slots available for reuse
-	nextChunk  int            // next never-used physical chunk ID
-	liveBytes  int64
+	cursor    int64       // next pristine logical append address
+	table     []chunkSlot // chunk table, indexed by logical chunk slot
+	backed    int         // slots backed by a physical chunk
+	freeSlots int         // punched slots available for reuse
+	freeStack []int       // recycled physical chunk IDs (LIFO)
+	nextChunk int         // next never-used physical chunk ID
+	liveBytes int64
+}
+
+// chunkSlot is one entry of a log's chunk table. The table is dense:
+// appends back slots from zero upward, so it is as long as the highest slot
+// ever backed, and every punched slot lies below the first pristine slot.
+type chunkSlot struct {
+	chunk  int  // physical chunk ID, when backed
+	backed bool // a physical chunk backs the slot
+	free   bool // punched and available for reuse
 }
 
 // NewLog creates a log of the given capacity with chunkSize-byte chunks.
@@ -48,13 +57,7 @@ func NewLog(owner int, capacity, chunkSize int64) *Log {
 		capacity = 0
 	}
 	capacity -= capacity % chunkSize
-	return &Log{
-		owner:      owner,
-		chunkSize:  chunkSize,
-		capacity:   capacity,
-		chunkTable: map[int64]int{},
-		freeSlots:  map[int64]bool{},
-	}
+	return &Log{owner: owner, chunkSize: chunkSize, capacity: capacity}
 }
 
 // Owner returns the producing process's global rank.
@@ -80,7 +83,7 @@ func (l *Log) availableBytes() int64 {
 	if pristine < 0 {
 		pristine = 0
 	}
-	return pristine + int64(len(l.freeSlots))*l.chunkSize
+	return pristine + int64(l.freeSlots)*l.chunkSize
 }
 
 // reserveLogical picks the logical address for a new segment of the given
@@ -95,39 +98,53 @@ func (l *Log) reserveLogical(size int64) (int64, bool) {
 		return addr, true
 	}
 	need := (size + l.chunkSize - 1) / l.chunkSize
-	// Candidate slots: punched slots plus the untouched pristine slots past
-	// the cursor (a run may combine both).
-	slots := make([]int64, 0, len(l.freeSlots)+4)
-	for s := range l.freeSlots {
-		slots = append(slots, s)
-	}
+	// Candidate slots, in ascending order: the punched slots, all below the
+	// first pristine slot, then the untouched pristine slots past the
+	// cursor up to the capacity (a run may combine both).
 	pristineFirst := (l.cursor + l.chunkSize - 1) / l.chunkSize
-	for s := pristineFirst; s < l.capacity/l.chunkSize; s++ {
-		slots = append(slots, s)
-	}
-	if int64(len(slots)) < need {
+	pristine := l.capacity/l.chunkSize - pristineFirst
+	if int64(l.freeSlots)+pristine < need {
 		return 0, false
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 	runStart, runLen := int64(-1), int64(0)
-	for i, s := range slots {
-		if i > 0 && s == slots[i-1]+1 {
+	for s := int64(0); s < pristineFirst && s < int64(len(l.table)); s++ {
+		if !l.table[s].free {
+			continue
+		}
+		if runLen > 0 && s == runStart+runLen {
 			runLen++
 		} else {
 			runStart, runLen = s, 1
 		}
 		if runLen == need {
-			for k := int64(0); k < need; k++ {
-				slot := runStart + k
-				delete(l.freeSlots, slot)
-				if slot >= pristineFirst && (slot+1)*l.chunkSize > l.cursor {
-					l.cursor = (slot + 1) * l.chunkSize
-				}
-			}
-			return runStart * l.chunkSize, true
+			return l.claim(runStart, need, pristineFirst), true
 		}
 	}
+	// The pristine slots extend the last punched run when it ends just
+	// below them, and otherwise form one run of their own.
+	if runLen == 0 || runStart+runLen != pristineFirst {
+		runStart, runLen = pristineFirst, 0
+	}
+	if runLen+pristine >= need {
+		return l.claim(runStart, need, pristineFirst), true
+	}
 	return 0, false
+}
+
+// claim takes the run of need slots starting at runStart off the free
+// slots, advancing the cursor past any pristine slot the run covers, and
+// returns the run's logical address.
+func (l *Log) claim(runStart, need, pristineFirst int64) int64 {
+	for s := runStart; s < runStart+need; s++ {
+		if s < int64(len(l.table)) && l.table[s].free {
+			l.table[s].free = false
+			l.freeSlots--
+		}
+		if s >= pristineFirst && (s+1)*l.chunkSize > l.cursor {
+			l.cursor = (s + 1) * l.chunkSize
+		}
+	}
+	return runStart * l.chunkSize
 }
 
 // Append reserves size bytes at the log head and returns the segment's
@@ -144,15 +161,20 @@ func (l *Log) Append(size int64) (addr int64, ok bool) {
 	}
 	// Back every logical slot the segment touches with a physical chunk,
 	// allocating on first touch.
-	for slot := addr / l.chunkSize; slot <= (addr+size-1)/l.chunkSize; slot++ {
-		if _, have := l.chunkTable[slot]; have {
+	last := (addr + size - 1) / l.chunkSize
+	if n := last + 1 - int64(len(l.table)); n > 0 {
+		l.table = append(l.table, make([]chunkSlot, n)...)
+	}
+	for s := addr / l.chunkSize; s <= last; s++ {
+		if l.table[s].backed {
 			continue
 		}
 		phys := l.allocChunk()
 		if phys < 0 {
 			panic("logstore: chunk allocation failed after capacity check")
 		}
-		l.chunkTable[slot] = phys
+		l.table[s].chunk, l.table[s].backed = phys, true
+		l.backed++
 	}
 	l.liveBytes += size
 	return addr, true
@@ -177,13 +199,17 @@ func (l *Log) allocChunk() int {
 // onto the free stack for reuse. Punching an unallocated slot is a no-op.
 // The address space is not compacted (log-structured semantics).
 func (l *Log) Punch(slot int64) {
-	phys, have := l.chunkTable[slot]
-	if !have {
+	if slot < 0 || slot >= int64(len(l.table)) || !l.table[slot].backed {
 		return
 	}
-	delete(l.chunkTable, slot)
-	l.freeStack = append(l.freeStack, phys)
-	l.freeSlots[slot] = true
+	e := &l.table[slot]
+	e.backed = false
+	l.backed--
+	l.freeStack = append(l.freeStack, e.chunk)
+	if !e.free {
+		e.free = true
+		l.freeSlots++
+	}
 	// Live-byte accounting: a punched chunk's bytes are dead.
 	end := (slot + 1) * l.chunkSize
 	if end > l.cursor {
@@ -209,7 +235,7 @@ func (l *Log) PunchRange(addr, size int64) {
 
 // Slots returns the number of logical chunk slots currently backed by a
 // physical chunk.
-func (l *Log) Slots() int { return len(l.chunkTable) }
+func (l *Log) Slots() int { return l.backed }
 
 // FreeChunks returns the free-stack depth (recycled chunks awaiting reuse).
 func (l *Log) FreeChunks() int { return len(l.freeStack) }

@@ -8,6 +8,14 @@ import (
 	"univistor/internal/meta"
 )
 
+// chunkAt returns the physical chunk backing a logical slot.
+func chunkAt(l *Log, slot int64) (int, bool) {
+	if slot < 0 || slot >= int64(len(l.table)) || !l.table[slot].backed {
+		return 0, false
+	}
+	return l.table[slot].chunk, true
+}
+
 func TestAppendsAreContiguous(t *testing.T) {
 	l := NewLog(0, 1024, 64)
 	var addrs []int64
@@ -128,7 +136,7 @@ func TestPunchKeepsOtherSlotsLive(t *testing.T) {
 	if l.Slots() != 1 || l.Used() != 10 {
 		t.Errorf("after punching slot 0: %d slots, %d live bytes, want 1 and 10", l.Slots(), l.Used())
 	}
-	if _, have := l.chunkTable[1]; !have {
+	if _, have := chunkAt(l, 1); !have {
 		t.Error("punching slot 0 released slot 1")
 	}
 }
@@ -167,11 +175,14 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 			}
 			// Physical chunk table must never map two slots to one chunk.
 			seen := map[int]bool{}
-			for _, phys := range l.chunkTable {
-				if seen[phys] {
+			for _, e := range l.table {
+				if !e.backed {
+					continue
+				}
+				if seen[e.chunk] {
 					return false
 				}
-				seen[phys] = true
+				seen[e.chunk] = true
 			}
 		}
 		// Every slot of a segment that no punch touched is still backed.
@@ -185,7 +196,7 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 				continue
 			}
 			for slot := first; slot <= last; slot++ {
-				if _, have := l.chunkTable[slot]; !have {
+				if _, have := chunkAt(l, slot); !have {
 					return false
 				}
 			}
@@ -202,17 +213,19 @@ func TestLogChunkInvariantProperty(t *testing.T) {
 func TestChunkRecyclingDoesNotAliasOldData(t *testing.T) {
 	l := NewLog(0, 20, 10) // two chunks
 	l.Append(20)
-	recycled := l.chunkTable[0]
+	recycled, _ := chunkAt(l, 0)
 	l.Punch(0)
 	addr, ok := l.Append(10)
 	if !ok {
 		t.Fatal("recycled append failed")
 	}
-	if addr != 0 || l.chunkTable[0] != recycled || l.FreeChunks() != 0 {
+	chunk0, _ := chunkAt(l, 0)
+	chunk1, _ := chunkAt(l, 1)
+	if addr != 0 || chunk0 != recycled || l.FreeChunks() != 0 {
 		t.Errorf("recycled append at %d on chunk %d (free %d), want 0 on chunk %d (free 0)",
-			addr, l.chunkTable[0], l.FreeChunks(), recycled)
+			addr, chunk0, l.FreeChunks(), recycled)
 	}
-	if l.chunkTable[0] == l.chunkTable[1] {
+	if chunk0 == chunk1 {
 		t.Error("two live slots share one physical chunk")
 	}
 	if l.Used() != 20 {

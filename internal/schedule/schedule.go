@@ -351,7 +351,11 @@ func (s *Scheduler) EndFlush(nodeID int, serverProgram string) {
 // and propagates the change into any in-flight transfers. Only the mem
 // ports whose capacity actually changed are handed to the allocator, so
 // with the incremental allocator a refresh re-solves just the components
-// crossing this node (and is a cheap reschedule when nothing changed).
+// crossing this node. A refresh that changes nothing is not free: the
+// allocator still advances every active flow to now and reschedules the
+// completion event, superseding the old one. It cannot be skipped without
+// moving simulated times, because above 1024 active flows the completion
+// slack is re-derived from now.
 func (s *Scheduler) refreshNode(nodeID int) {
 	ns := s.nodes[nodeID]
 	// Count runnable processes per core.
