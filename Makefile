@@ -44,7 +44,7 @@ trace-smoke:
 # quote keep building and running; -benchmem prints each one's allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/kvstore ./internal/metaplane ./internal/striping \
-		./internal/lustre ./internal/gateway ./internal/logstore
+		./internal/lustre ./internal/bb ./internal/gateway ./internal/logstore
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

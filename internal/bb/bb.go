@@ -20,13 +20,7 @@ type System struct {
 	files   map[string]*File
 	nextID  int
 
-	// Scratch of the stripe walks and of the flows built from them. A
-	// transfer fills them after its latency sleep and is done with them
-	// once TransferAll has started its flows, so no call holds them
-	// across a yield and one set serves every file.
-	parts []striping.Part
-	flows []sim.Flow
-	path  []*sim.Resource
+	fan striping.Fanout // every file's stripe walks and transfers
 }
 
 // New returns the burst-buffer system of the cluster. It returns an error
@@ -89,12 +83,6 @@ func (s *System) CreateReserved(name string, lockEff float64) *File {
 	return f
 }
 
-// Open returns an existing BB file.
-func (s *System) Open(name string) (*File, bool) {
-	f, ok := s.files[name]
-	return f, ok
-}
-
 func (f *File) release() {
 	if !f.reserved {
 		for _, part := range f.parts(0, f.size) {
@@ -116,16 +104,12 @@ func (f *File) Size() int64 { return f.size }
 // every rank's k-th chunk to one node when blocks span a multiple of the
 // node count).
 func (f *File) stripeNode(stripe int64) int {
-	h := uint64(stripe)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
 	n := uint64(len(f.sys.cluster.BB))
-	return int((uint64(f.start) + h) % n)
+	return int((uint64(f.start) + striping.Mix(uint64(stripe))) % n)
 }
 
 // parts distributes [off, off+size) across BB nodes stripe by stripe,
-// into the system's part scratch. Very large ranges (≫ one pass over the
+// into the system's Fanout parts. Very large ranges (≫ one pass over the
 // nodes) collapse to an even split.
 func (f *File) parts(off, size int64) []striping.Part {
 	s := f.sys
@@ -133,11 +117,11 @@ func (f *File) parts(off, size int64) []striping.Part {
 	n := len(s.cluster.BB)
 	if striping.Stripes(off, size, ss) > 8*int64(n) {
 		// Whole-file-scale range: statistically even across all nodes.
-		s.parts = striping.Even(s.parts[:0], size, n, func(i int) int { return i })
+		s.fan.Parts = striping.Even(s.fan.Parts[:0], size, n, func(i int) int { return i })
 	} else {
-		s.parts = striping.Cut(s.parts[:0], off, size, ss, n, f.stripeNode)
+		s.fan.Parts = striping.Cut(s.fan.Parts[:0], off, size, ss, n, f.stripeNode)
 	}
-	return s.parts
+	return s.fan.Parts
 }
 
 // Write models one write call from a client on the given compute node.
@@ -173,16 +157,7 @@ func (f *File) transfer(p *sim.Proc, node int, off, size int64, lock *sim.Resour
 	s := f.sys
 	c := s.cluster
 	p.Sleep(c.Cfg.BBLatency)
-	parts := f.parts(off, size)
-	s.flows, s.path = s.flows[:0], s.path[:0]
-	for _, part := range parts {
-		lo := len(s.path)
-		s.path = append(s.path, c.Nodes[node].NIC, c.Fabric, c.BB[part.Unit].BW)
-		if lock != nil {
-			s.path = append(s.path, lock)
-		}
-		s.path = append(s.path, extra...)
-		s.flows = append(s.flows, sim.Flow{Size: float64(part.Size), Path: s.path[lo:]})
-	}
-	p.TransferAll(s.flows)
+	f.parts(off, size)
+	s.fan.Transfer(p, []*sim.Resource{c.Nodes[node].NIC, c.Fabric},
+		func(u int) *sim.Resource { return c.BB[u].BW }, lock, extra)
 }

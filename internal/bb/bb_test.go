@@ -10,7 +10,7 @@ import (
 
 const gb = float64(1 << 30)
 
-func testBB(t *testing.T, nodes int) (*sim.Engine, *topology.Cluster, *System) {
+func testBB(t testing.TB, nodes int) (*sim.Engine, *topology.Cluster, *System) {
 	t.Helper()
 	cfg := topology.Cori()
 	cfg.Nodes = 4
@@ -176,4 +176,30 @@ func TestBBLatencyCharged(t *testing.T) {
 	if float64(done) < 0.02 {
 		t.Errorf("tiny write took %v, want ≥ latency 0.02", done)
 	}
+}
+
+// BenchmarkFileWrite times one warm 32-MiB write of a private, reserved log
+// file striped over four BB nodes (the per-process log shape UniviStor
+// uses); it must report 0 allocs/op.
+func BenchmarkFileWrite(b *testing.B) {
+	e, _, s := testBB(b, 4)
+	e.SetDifferentialCheck(false) // the oracle's global re-solve allocates
+	f := s.CreateReserved("log", 1)
+	mem := e.NewResource("mem", 10*gb)
+	e.Go("writer", func(p *sim.Proc) {
+		for warm := 0; warm < 2; warm++ {
+			if err := f.Write(p, 0, 0, 32<<20, mem); err != nil {
+				b.Error(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := f.Write(p, 0, 0, 32<<20, mem); err != nil {
+				b.Error(err)
+			}
+		}
+		b.StopTimer()
+	})
+	e.Run()
 }

@@ -8,8 +8,9 @@ package core
 // seed produce byte-identical violation lists.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"univistor/internal/meta"
 )
@@ -46,30 +47,17 @@ func (sys *System) CheckInvariants() []string {
 	return out
 }
 
-// sortedFiles returns the file registry in name order.
-func (sys *System) sortedFiles() []*fileState {
-	names := make([]string, 0, len(sys.files))
-	for name := range sys.files {
-		names = append(names, name)
+// byKey returns m's values in ascending key order: the file registry in
+// name order, a file's producer handles in global-client order.
+func byKey[K cmp.Ordered, V any](m map[K]V) []V {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	out := make([]*fileState, 0, len(names))
-	for _, name := range names {
-		out = append(out, sys.files[name])
-	}
-	return out
-}
-
-// sortedProcFiles returns a file's producer handles in global-client order.
-func (fs *fileState) sortedProcFiles() []*ClientFile {
-	ids := make([]int, 0, len(fs.procFiles))
-	for id := range fs.procFiles {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*ClientFile, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, fs.procFiles[id])
+	slices.Sort(keys)
+	out := make([]V, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, m[k])
 	}
 	return out
 }
@@ -100,7 +88,7 @@ func (sys *System) checkPools() []string {
 		meta.TierLocalSSD: make([]int64, len(cl.Nodes)),
 	}
 	var bbReserved int64
-	for _, fs := range sys.sortedFiles() {
+	for _, fs := range byKey(sys.files) {
 		for _, r := range fs.reservations {
 			switch {
 			case r.node >= 0 && perNode[r.tier] != nil && r.node < len(cl.Nodes):
@@ -132,13 +120,13 @@ func (sys *System) checkPools() []string {
 
 func (sys *System) checkLogs() []string {
 	var out []string
-	for _, fs := range sys.sortedFiles() {
+	for _, fs := range byKey(sys.files) {
 		resv := map[meta.Tier]int64{}
 		for _, r := range fs.reservations {
 			resv[r.tier] += r.bytes
 		}
 		capByTier := map[meta.Tier]int64{}
-		for _, pf := range fs.sortedProcFiles() {
+		for _, pf := range byKey(fs.procFiles) {
 			for _, bk := range sys.chain.Backends() {
 				if bk.Tier() == meta.TierPFS {
 					continue // the terminal is unbounded and unprovisioned
@@ -168,7 +156,7 @@ func (sys *System) checkLogs() []string {
 		for t := range capByTier {
 			tiers = append(tiers, t)
 		}
-		sort.Slice(tiers, func(i, j int) bool { return tiers[i] < tiers[j] })
+		slices.Sort(tiers)
 		for _, t := range tiers {
 			if capByTier[t] != resv[t] {
 				out = append(out, fmt.Sprintf(
@@ -182,7 +170,7 @@ func (sys *System) checkLogs() []string {
 
 func (sys *System) checkMetadataCoverage() []string {
 	var out []string
-	for _, fs := range sys.sortedFiles() {
+	for _, fs := range byKey(sys.files) {
 		if fs.logicalSize == 0 || len(fs.procFiles) == 0 {
 			continue // never written (read-only registry entries have no records)
 		}
@@ -244,14 +232,14 @@ func (sys *System) checkMetadataCoverage() []string {
 func (sys *System) checkStatsCoherence() []string {
 	var out []string
 	var written int64
-	for _, fs := range sys.sortedFiles() {
+	for _, fs := range byKey(sys.files) {
 		written += fs.totalWritten
 		var cached int64
 		idxs := make([]int, 0, len(fs.cached))
 		for idx := range fs.cached {
 			idxs = append(idxs, idx)
 		}
-		sort.Ints(idxs)
+		slices.Sort(idxs)
 		for _, idx := range idxs {
 			for _, b := range fs.cached[idx] {
 				cached += b

@@ -135,14 +135,10 @@ type ringMeta struct {
 	ring *kvstore.Ring
 }
 
-// server maps a ring index onto the serving process.
-func (m *ringMeta) server(idx int) *Server {
-	sys := m.sys
-	if sys.Cfg.CentralMetadata {
-		return sys.servers[0]
-	}
-	return sys.servers[idx%len(sys.servers)]
-}
+// server maps a ring index onto the serving process. The ring has one
+// store per server, or a single store under CentralMetadata, so every index
+// names a server.
+func (m *ringMeta) server(idx int) *Server { return m.sys.servers[idx] }
 
 // charge charges one metadata record operation from a process on fromNode
 // against srv: transport latency (shared memory when co-located, network

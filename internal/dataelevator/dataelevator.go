@@ -186,12 +186,6 @@ func (d *Driver) triggerFlush(p *sim.Proc, f *deFile) {
 			}
 		})
 	}
-	if remaining == 0 { // degenerate zero-size case
-		f.flushing = false
-		f.flushed = true
-		f.flushEnd = p.Now()
-		f.flushEv.Set()
-	}
 }
 
 // WaitFlush blocks until the file's flush completes (no-op if none ran).

@@ -42,13 +42,7 @@ type FS struct {
 	files   map[string]*File
 	nextOST int
 
-	// Scratch of the capacity walks and of a transfer's parts, flows and
-	// paths. A transfer fills them after its RPC sleep and is done with
-	// them once TransferAll has started its flows, so no call holds them
-	// across a yield and one set serves every file.
-	parts []striping.Part
-	flows []sim.Flow
-	path  []*sim.Resource
+	fan striping.Fanout // every file's transfers and capacity walks
 }
 
 // NewFS mounts the model over the cluster's OSTs.
@@ -112,8 +106,8 @@ func (fs *FS) Open(name string) (*File, bool) {
 }
 
 func (f *File) release() {
-	f.fs.parts = f.layout().AppendParts(f.fs.parts[:0], 0, f.size)
-	for _, part := range f.fs.parts {
+	f.fs.fan.Parts = f.layout().AppendParts(f.fs.fan.Parts[:0], 0, f.size)
+	for _, part := range f.fs.fan.Parts {
 		f.fs.cluster.OSTs[part.Unit].Cap.Release(part.Size)
 	}
 	f.size = 0
@@ -143,8 +137,8 @@ func (f *File) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resou
 	}
 	// Grow capacity accounting for bytes beyond the high-water mark.
 	if end := off + size; end > f.size {
-		f.fs.parts = f.layout().AppendParts(f.fs.parts[:0], f.size, end-f.size)
-		for _, part := range f.fs.parts {
+		f.fs.fan.Parts = f.layout().AppendParts(f.fs.fan.Parts[:0], f.size, end-f.size)
+		for _, part := range f.fs.fan.Parts {
 			if !f.fs.cluster.OSTs[part.Unit].Cap.Alloc(part.Size) {
 				return fmt.Errorf("lustre: OST %d out of space writing %s", part.Unit, f.name)
 			}
@@ -175,19 +169,10 @@ func (f *File) transfer(p *sim.Proc, node int, off, size int64, lock *sim.Resour
 	// reaches min(stripes, Count) OSTs, since Count ≤ OSTCount and
 	// consecutive stripes go to distinct OSTs.
 	p.Sleep(c.Cfg.PFSLatency * float64(min(striping.Stripes(off, size, l.Size), int64(l.Count))))
-	fs.parts = l.AppendParts(fs.parts[:0], off, size)
+	fs.fan.Parts = l.AppendParts(fs.fan.Parts[:0], off, size)
 	n := c.Nodes[node]
-	fs.flows, fs.path = fs.flows[:0], fs.path[:0]
-	for _, part := range fs.parts {
-		lo := len(fs.path)
-		fs.path = append(fs.path, n.PFSPort, n.NIC, c.Fabric, c.OSTs[part.Unit].BW)
-		if lock != nil {
-			fs.path = append(fs.path, lock)
-		}
-		fs.path = append(fs.path, extra...)
-		fs.flows = append(fs.flows, sim.Flow{Size: float64(part.Size), Path: fs.path[lo:]})
-	}
-	p.TransferAll(fs.flows)
+	fs.fan.Transfer(p, []*sim.Resource{n.PFSPort, n.NIC, c.Fabric},
+		func(u int) *sim.Resource { return c.OSTs[u].BW }, lock, extra)
 }
 
 // TouchedOSTs returns the distinct OSTs the byte range maps to, in stripe

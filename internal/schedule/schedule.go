@@ -199,7 +199,7 @@ func (s *Scheduler) placeIA(ns *nodeState, program string) *topology.Core {
 	if c := s.idleOccupantCore(ns); c != nil {
 		return c
 	}
-	return s.leastLoadedProgramCore(ns, program)
+	return leastLoadedCore(ns, program, nil)
 }
 
 // idleOccupantCore returns the least-loaded core whose occupants are all
@@ -250,10 +250,14 @@ func freeCore(sock *topology.Socket) *topology.Core {
 	return nil
 }
 
-func (s *Scheduler) leastLoadedProgramCore(ns *nodeState, program string) *topology.Core {
+// leastLoadedCore is the one core rule of oversubscribed placement and of
+// flush-time migration: the least-loaded core hosting a process of the
+// program, else the least-loaded core of the node, skipping cores in
+// exclude either way. Ties go to the first candidate met.
+func leastLoadedCore(ns *nodeState, program string, exclude map[*topology.Core]bool) *topology.Core {
 	var best *topology.Core
 	for _, h := range ns.procs {
-		if h.Program != program {
+		if h.Program != program || exclude[h.core] {
 			continue
 		}
 		if best == nil || h.core.Pinned < best.Pinned {
@@ -261,14 +265,25 @@ func (s *Scheduler) leastLoadedProgramCore(ns *nodeState, program string) *topol
 		}
 	}
 	if best == nil {
-		// Program has no cores yet and the node is full: least-loaded core.
 		for _, c := range ns.node.Cores() {
+			if exclude[c] {
+				continue
+			}
 			if best == nil || c.Pinned < best.Pinned {
 				best = c
 			}
 		}
 	}
 	return best
+}
+
+// moveTo re-pins the process onto core c.
+func (h *ProcHandle) moveTo(c *topology.Core) {
+	h.core.Pinned--
+	h.core = c
+	h.socket = h.sched.nodes[h.Node].node.Sockets[c.Socket]
+	h.memPath = nil // next MemPath sees the new socket
+	c.Pinned++
 }
 
 // BeginFlush tells the scheduler that server processes of the named program
@@ -291,41 +306,11 @@ func (s *Scheduler) BeginFlush(nodeID int, serverProgram string) {
 		if h.Program == serverProgram || !serverCores[h.core] {
 			continue
 		}
-		dst := s.migrationTarget(ns, h, serverCores)
-		if dst != nil && dst != h.core {
-			h.core.Pinned--
-			h.core = dst
-			h.socket = ns.node.Sockets[dst.Socket]
-			h.memPath = nil // next MemPath sees the new socket
-			dst.Pinned++
+		if dst := leastLoadedCore(ns, h.Program, serverCores); dst != nil && dst != h.core {
+			h.moveTo(dst)
 		}
 	}
 	s.refreshNode(nodeID)
-}
-
-// migrationTarget picks the least-loaded core of the process's own program
-// that is not hosting a server; falls back to any non-server core.
-func (s *Scheduler) migrationTarget(ns *nodeState, h *ProcHandle, serverCores map[*topology.Core]bool) *topology.Core {
-	var best *topology.Core
-	for _, other := range ns.procs {
-		if other.Program != h.Program || serverCores[other.core] {
-			continue
-		}
-		if best == nil || other.core.Pinned < best.Pinned {
-			best = other.core
-		}
-	}
-	if best == nil {
-		for _, c := range ns.node.Cores() {
-			if serverCores[c] {
-				continue
-			}
-			if best == nil || c.Pinned < best.Pinned {
-				best = c
-			}
-		}
-	}
-	return best
 }
 
 // EndFlush reverses BeginFlush: migrated processes return to their home
@@ -337,11 +322,7 @@ func (s *Scheduler) EndFlush(nodeID int, serverProgram string) {
 	}
 	for _, h := range ns.procs {
 		if h.core != h.homeCore {
-			h.core.Pinned--
-			h.core = h.homeCore
-			h.socket = ns.node.Sockets[h.core.Socket]
-			h.memPath = nil // next MemPath sees the home socket again
-			h.core.Pinned++
+			h.moveTo(h.homeCore)
 		}
 	}
 	s.refreshNode(nodeID)

@@ -216,3 +216,72 @@ func TestIAOversubscriptionBorrowsIdleServerCores(t *testing.T) {
 		t.Errorf("borrowers not restored after flush")
 	}
 }
+
+// leastLoaded returns the node-local index of the first core of the node
+// with the fewest pinned processes, skipping the excluded indices.
+func leastLoaded(n *topology.Node, exclude map[int]bool) int {
+	best := -1
+	for _, c := range n.Cores() {
+		if !exclude[c.Index] && (best < 0 || c.Pinned < n.Cores()[best].Pinned) {
+			best = c.Index
+		}
+	}
+	return best
+}
+
+func TestIANewProgramOnFullBusyNodeStacksOnLeastLoadedCore(t *testing.T) {
+	c := smallCluster(t)
+	s := New(c, InterferenceAware)
+	// Fill the 6-core node with runnable app1 procs, then stack two more:
+	// no core has only idle occupants, so nothing can be borrowed.
+	for r := 0; r < 8; r++ {
+		s.Place(0, "app1", r)
+	}
+	if got := s.MaxStack(0); got != 2 {
+		t.Fatalf("max stack = %d, want 2", got)
+	}
+	want := leastLoaded(c.Nodes[0], nil)
+	if got := c.Nodes[0].Cores()[want].Pinned; got != 1 {
+		t.Fatalf("least-loaded core %d hosts %d procs, want 1", want, got)
+	}
+	// app2 has no core yet: it stacks on the node's least-loaded core.
+	if h := s.Place(0, "app2", 0); h.Core() != want {
+		t.Errorf("new program placed on core %d, want least-loaded core %d", h.Core(), want)
+	}
+	if got := s.MaxStack(0); got != 2 {
+		t.Errorf("max stack = %d after placing app2, want 2", got)
+	}
+}
+
+func TestFlushMigrationFallsBackToLeastLoadedNonServerCore(t *testing.T) {
+	c := smallCluster(t)
+	s := New(c, InterferenceAware)
+	for r := 0; r < 4; r++ {
+		s.Place(0, "app1", r)
+	}
+	sv0 := s.Place(0, "server", 0)
+	sv1 := s.Place(0, "server", 1)
+	// The servers are busy, so the fifth app1 proc stacks on an app1 core.
+	s.Place(0, "app1", 4)
+	sv0.SetRunnable(false)
+	sv1.SetRunnable(false)
+	// app2 borrows an idle server core: its program owns no other core.
+	h := s.Place(0, "app2", 0)
+	serverCores := map[int]bool{sv0.Core(): true, sv1.Core(): true}
+	if !serverCores[h.Core()] {
+		t.Fatalf("app2 placed on core %d, want an idle server core %v", h.Core(), serverCores)
+	}
+	home := h.Core()
+	want := leastLoaded(c.Nodes[0], serverCores)
+	s.BeginFlush(0, "server")
+	if h.Core() != want {
+		t.Errorf("app2 migrated to core %d, want least-loaded non-server core %d", h.Core(), want)
+	}
+	if got := c.Nodes[0].Cores()[want].Pinned; got != 2 {
+		t.Errorf("target core hosts %d procs during the flush, want 2", got)
+	}
+	s.EndFlush(0, "server")
+	if h.Core() != home {
+		t.Errorf("app2 on core %d after the flush, want home core %d", h.Core(), home)
+	}
+}

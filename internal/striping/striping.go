@@ -26,6 +26,8 @@ package striping
 import (
 	"fmt"
 	"slices"
+
+	"univistor/internal/sim"
 )
 
 // DefaultAlpha is α of Eq. 2 for the modeled servers: the OST count that
@@ -270,6 +272,43 @@ func Even(dst []Part, size int64, n int, unit func(i int) int) []Part {
 		dst = append(dst, part)
 	}
 	return dst
+}
+
+// Mix is the one stripe hash of the striped devices: a 64-bit finalizer
+// that spreads consecutive and power-of-two-strided indices over units.
+func Mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// Fanout is the one transfer body of every striped device: Parts holds the
+// device's stripe walk, and Transfer turns it into one flow per part. A
+// transfer fills Parts after its latency sleep and is done with the scratch
+// once TransferAll has started its flows, so no call holds it across a
+// yield and one Fanout serves every file of a device. Capacity walks may
+// reuse Parts between transfers.
+type Fanout struct {
+	Parts []Part
+	flows []sim.Flow
+	path  []*sim.Resource
+}
+
+// Transfer starts one flow per part and blocks p until all drain. Each
+// path is head, then unit(part.Unit), then lock if not nil, then extra.
+func (f *Fanout) Transfer(p *sim.Proc, head []*sim.Resource, unit func(int) *sim.Resource, lock *sim.Resource, extra []*sim.Resource) {
+	f.flows, f.path = f.flows[:0], f.path[:0]
+	for _, part := range f.Parts {
+		lo := len(f.path)
+		f.path = append(append(f.path, head...), unit(part.Unit))
+		if lock != nil {
+			f.path = append(f.path, lock)
+		}
+		f.path = append(f.path, extra...)
+		f.flows = append(f.flows, sim.Flow{Size: float64(part.Size), Path: f.path[lo:]})
+	}
+	p.TransferAll(f.flows)
 }
 
 // Layout returns the layout the flush creates its file with: the plan's

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"univistor/internal/sim"
 )
 
 func TestPerServerUnitsEq2(t *testing.T) {
@@ -503,4 +505,67 @@ func BenchmarkParts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Parts(int64(i%8)<<28, 256<<20)
 	}
+}
+
+// pathRecorder is a sim.Tracer that keeps each started flow's size and
+// path.
+type pathRecorder struct {
+	sizes []float64
+	paths [][]*sim.Resource
+}
+
+func (r *pathRecorder) FlowBegin(_ sim.Time, _ int64, size float64, rs []*sim.Resource) {
+	r.sizes = append(r.sizes, size)
+	r.paths = append(r.paths, slices.Clone(rs))
+}
+func (r *pathRecorder) FlowEnd(sim.Time, int64)                         {}
+func (r *pathRecorder) ResourceSample(sim.Time, *sim.Resource, float64) {}
+func (r *pathRecorder) Instant(sim.Time, string, string)                {}
+func (r *pathRecorder) Counter(sim.Time, string, int64)                 {}
+
+func TestFanoutTransferPathOrder(t *testing.T) {
+	for _, withLock := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lock=%v", withLock), func(t *testing.T) {
+			e := sim.NewEngine()
+			rec := &pathRecorder{}
+			e.SetTracer(rec)
+			res := func(name string) *sim.Resource { return e.NewResource(name, 1<<30) }
+			head := []*sim.Resource{res("port"), res("nic"), res("fabric")}
+			units := []*sim.Resource{res("u0"), res("u1"), res("u2")}
+			extra := []*sim.Resource{res("srv"), res("mem")}
+			var lock *sim.Resource
+			if withLock {
+				lock = res("lock")
+			}
+			f := &Fanout{Parts: []Part{{Unit: 2, Size: 300}, {Unit: 0, Size: 100}, {Unit: 1, Size: 200}}}
+			e.Go("writer", func(p *sim.Proc) {
+				f.Transfer(p, head, func(u int) *sim.Resource { return units[u] }, lock, extra)
+			})
+			e.Run()
+			if len(rec.paths) != len(f.Parts) {
+				t.Fatalf("%d flows for %d parts", len(rec.paths), len(f.Parts))
+			}
+			for i, part := range f.Parts {
+				want := append(slices.Clone(head), units[part.Unit])
+				if lock != nil {
+					want = append(want, lock)
+				}
+				want = append(want, extra...)
+				if !slices.Equal(rec.paths[i], want) {
+					t.Errorf("flow %d path %v, want %v", i, names(rec.paths[i]), names(want))
+				}
+				if rec.sizes[i] != float64(part.Size) {
+					t.Errorf("flow %d size %v, want %d", i, rec.sizes[i], part.Size)
+				}
+			}
+		})
+	}
+}
+
+func names(rs []*sim.Resource) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.Name
+	}
+	return out
 }

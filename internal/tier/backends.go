@@ -8,6 +8,7 @@ package tier
 import (
 	"fmt"
 
+	"univistor/internal/bb"
 	"univistor/internal/lustre"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
@@ -60,25 +61,6 @@ func readExtras(op ReadOp) []*sim.Resource {
 		return []*sim.Resource{op.ReaderMemPort}
 	}
 	return []*sim.Resource{op.ReaderSrvMemPort, op.ReaderMemPort}
-}
-
-// sharedFile is the device shape bb.File and objLog share.
-type sharedFile interface {
-	Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) error
-	Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource)
-}
-
-// sharedDevice adapts a globally visible striped file to the Device
-// interface.
-type sharedDevice struct{ f sharedFile }
-
-func (d sharedDevice) Write(p *sim.Proc, op WriteOp) error {
-	return d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
-}
-
-func (d sharedDevice) Read(p *sim.Proc, op ReadOp) (Locality, error) {
-	d.f.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
-	return Shared, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -205,11 +187,23 @@ func (b *bbBackend) Open(spec OpenSpec) Device {
 	}
 	// The log's space was reserved from the BB pool by Provision; the
 	// file itself must not double-charge it.
-	return sharedDevice{b.env.BB.CreateReserved(fmt.Sprintf("uvlog/%d/%d", spec.FID, spec.Owner), 1)}
+	return bbDevice{b.env.BB.CreateReserved(fmt.Sprintf("uvlog/%d/%d", spec.FID, spec.Owner), 1)}
 }
 
 func (b *bbBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
 	return []*sim.Resource{b.readAgg, b.env.Cluster.Fabric}
+}
+
+// bbDevice adapts a burst-buffer file to the Device interface.
+type bbDevice struct{ f *bb.File }
+
+func (d bbDevice) Write(p *sim.Proc, op WriteOp) error {
+	return d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
+}
+
+func (d bbDevice) Read(p *sim.Proc, op ReadOp) (Locality, error) {
+	d.f.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
+	return Shared, nil
 }
 
 // ---------------------------------------------------------------------------

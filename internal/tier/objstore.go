@@ -45,12 +45,7 @@ type objStore struct {
 	gateways []*sim.Resource
 	readAgg  *sim.Resource // aggregate read leg for flush pipelines
 	pool     *topology.Capacity
-
-	// Scratch of a transfer's parts and flows, filled after its latency
-	// sleep and done with once TransferAll has started the flows.
-	parts []striping.Part
-	flows []sim.Flow
-	path  []*sim.Resource
+	fan      striping.Fanout // every log's transfers
 }
 
 func newObjStore(env *Env) Backend {
@@ -79,7 +74,7 @@ func (s *objStore) Open(spec OpenSpec) Device {
 	if spec.Capacity <= 0 {
 		return nil
 	}
-	return sharedDevice{&objLog{store: s, owner: spec.Owner}}
+	return &objLog{store: s, owner: spec.Owner}
 }
 
 func (s *objStore) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
@@ -96,23 +91,21 @@ type objLog struct {
 
 // gateway hashes an object of this log onto a gateway endpoint's index.
 func (l *objLog) gateway(obj int64) int {
-	h := uint64(obj)*0x9e3779b97f4a7c15 + uint64(l.owner)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
+	h := striping.Mix(uint64(obj)*0x9e3779b97f4a7c15 + uint64(l.owner))
 	return int(h % uint64(len(l.store.gateways)))
 }
 
-func (l *objLog) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) error {
-	l.transfer(p, node, off, size, extra)
+func (l *objLog) Write(p *sim.Proc, op WriteOp) error {
+	l.transfer(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
 	return nil
 }
 
-func (l *objLog) Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) {
-	l.transfer(p, node, off, size, extra)
+func (l *objLog) Read(p *sim.Proc, op ReadOp) (Locality, error) {
+	l.transfer(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
+	return Shared, nil
 }
 
-func (l *objLog) transfer(p *sim.Proc, node int, off, size int64, extra []*sim.Resource) {
+func (l *objLog) transfer(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) {
 	if size <= 0 {
 		return
 	}
@@ -121,13 +114,7 @@ func (l *objLog) transfer(p *sim.Proc, node int, off, size int64, extra []*sim.R
 	p.Sleep(objLatency)
 	// A range spanning many objects is one flow per gateway, like the BB
 	// model's per-node parts.
-	s.parts = striping.Cut(s.parts[:0], off, size, objStripeSize, len(s.gateways), l.gateway)
-	s.flows, s.path = s.flows[:0], s.path[:0]
-	for _, part := range s.parts {
-		lo := len(s.path)
-		s.path = append(s.path, c.Nodes[node].NIC, c.Fabric, s.gateways[part.Unit])
-		s.path = append(s.path, extra...)
-		s.flows = append(s.flows, sim.Flow{Size: float64(part.Size), Path: s.path[lo:]})
-	}
-	p.TransferAll(s.flows)
+	s.fan.Parts = striping.Cut(s.fan.Parts[:0], off, size, objStripeSize, len(s.gateways), l.gateway)
+	s.fan.Transfer(p, []*sim.Resource{c.Nodes[node].NIC, c.Fabric},
+		func(u int) *sim.Resource { return s.gateways[u] }, nil, extra)
 }
