@@ -92,12 +92,6 @@ func (f *File) release() {
 	f.size = 0
 }
 
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
-
-// Size returns the file's high-water mark in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // stripeNode maps a stripe index to a BB node. DataWarp-style placement
 // hashes the stripe so that synchronized writers with power-of-two strides
 // do not alias onto the same service node (plain round-robin would send

@@ -270,21 +270,6 @@ func (s *Store) FileBlocks(file string) []uint64 {
 	return append([]uint64(nil), m...)
 }
 
-// Forget removes a file's block map wholesale, releasing every reference —
-// the file-removal path.
-func (s *Store) Forget(file string) {
-	m, ok := s.files[file]
-	if !ok {
-		return
-	}
-	for _, h := range m {
-		if h != Hole {
-			s.release(h)
-		}
-	}
-	delete(s.files, file)
-}
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	st := s.stats

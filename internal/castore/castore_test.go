@@ -1,9 +1,13 @@
 package castore
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// dropFile releases every block of the file, leaving its map all holes.
+func dropFile(s *Store, file string) { s.DropRange(file, 0, math.MaxInt64) }
 
 // mustClean fails the test if any invariant is violated.
 func mustClean(t *testing.T, s *Store) {
@@ -40,7 +44,7 @@ func TestInternDedupAndRelease(t *testing.T) {
 	mustClean(t, s)
 
 	// Dropping file a entirely kills 11 (last ref) but not 22 (b holds it).
-	s.Forget("a")
+	dropFile(s, "a")
 	if s.PendingBytes() != 4 {
 		t.Fatalf("pending = %d, want 4 (block 11 dead)", s.PendingBytes())
 	}
@@ -75,7 +79,7 @@ func TestResurrection(t *testing.T) {
 	mustClean(t, s)
 
 	// Die again after resurrection: exactly one requeue, one free.
-	s.Forget("g")
+	dropFile(s, "g")
 	n, bytes := s.CollectBatch(1 << 20)
 	if n != 1 || bytes != 8 {
 		t.Fatalf("collect after re-death = (%d, %d), want (1, 8)", n, bytes)
@@ -115,7 +119,7 @@ func TestCollectBatchBounds(t *testing.T) {
 		blocks = append(blocks, Block{Index: i, Hash: uint64(100 + i), Size: 4})
 	}
 	s.UpdateFile("f", blocks)
-	s.Forget("f")
+	dropFile(s, "f")
 	// Batching at 8 bytes frees two blocks per call, FIFO order.
 	total := 0
 	for {
@@ -219,9 +223,9 @@ func TestRandomizedStateMachine(t *testing.T) {
 				for idx := lo; idx <= hi && idx < int64(len(oracle[f])); idx++ {
 					oracle[f][idx] = Hole
 				}
-			case 8: // forget the file
-				s.Forget(f)
-				delete(oracle, f)
+			case 8: // drop the whole file
+				dropFile(s, f)
+				clear(oracle[f])
 			case 9: // GC cycle
 				s.CollectBatch(int64(1 + rng.Intn(32)))
 			}
@@ -229,7 +233,7 @@ func TestRandomizedStateMachine(t *testing.T) {
 		}
 		// Drain: everything released and collected must balance to zero.
 		for _, f := range files {
-			s.Forget(f)
+			dropFile(s, f)
 		}
 		for {
 			if n, _ := s.CollectBatch(1 << 30); n == 0 {

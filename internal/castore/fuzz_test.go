@@ -14,7 +14,7 @@ func FuzzCAS(f *testing.F) {
 	f.Add([]byte{})
 	// One update, a dedup hit from a second file, a drop, a collect.
 	f.Add([]byte{0x00, 0x05, 0x10, 0x05, 0x01, 0x00, 0x02})
-	// Overwrite churn on one file then forget + drain.
+	// Overwrite churn on one file, then a whole-file drop + drain.
 	f.Add([]byte{0x00, 0x03, 0x00, 0x04, 0x00, 0x05, 0x03, 0x02, 0x02})
 	// Death + resurrection + re-death.
 	f.Add([]byte{0x00, 0x07, 0x01, 0x10, 0x07, 0x02, 0x11, 0x07, 0x02})
@@ -67,9 +67,9 @@ func FuzzCAS(f *testing.F) {
 				}
 			case 2: // GC cycle
 				s.CollectBatch(int64(1 + op>>2))
-			case 3: // forget the file
-				s.Forget(fn)
-				delete(oracle, fn)
+			case 3: // drop the whole file
+				dropFile(s, fn)
+				clear(oracle[fn])
 			}
 			if v := s.CheckInvariants(); len(v) > 0 {
 				t.Fatalf("op %x at %d: invariants violated: %v", op, pos, v)
@@ -91,7 +91,7 @@ func FuzzCAS(f *testing.F) {
 		}
 		// Leak check: drain everything; interned must equal freed.
 		for _, name := range s.Files() {
-			s.Forget(name)
+			dropFile(s, name)
 		}
 		for {
 			if n, _ := s.CollectBatch(1 << 30); n == 0 {

@@ -96,7 +96,6 @@ func runCrashScenario(t *testing.T, specStr string, flush bool) (Report, []crash
 		}
 		outcomes[r.Rank()] = out
 		rf.Close()
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: 1})
 	e.Go("janitor", func(p *sim.Proc) {
 		app.Wait(p)
@@ -296,7 +295,6 @@ func runMetaCrashScenario(t *testing.T, specStr string, replicas int) (Report, [
 		}
 		outcomes[r.Rank()] = out
 		rf.Close()
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: 1})
 	e.Go("janitor", func(p *sim.Proc) {
 		app.Wait(p)

@@ -29,20 +29,15 @@ func (sys *System) Connect(r *mpi.Rank) *Client {
 	}
 	localIdx := counts[r.Node()]
 	counts[r.Node()]++
-	sys.clients++
+	sys.nextClientID++
 	base := r.Node() * sys.Cfg.ServersPerNode
 	return &Client{
 		sys:      sys,
 		rank:     r,
 		server:   sys.servers[base+localIdx%sys.Cfg.ServersPerNode],
 		localIdx: localIdx,
-		globalID: sys.clients,
+		globalID: sys.nextClientID,
 	}
-}
-
-// Disconnect detaches the client (the MPI_Finalize hook).
-func (c *Client) Disconnect() {
-	c.sys.clients--
 }
 
 // Rank returns the underlying application rank.
@@ -58,9 +53,6 @@ type ClientFile struct {
 	devs   [meta.NumTiers]tier.Device // per-tier device backing each log
 	closed bool
 }
-
-// Name returns the file's name.
-func (cf *ClientFile) Name() string { return cf.fs.name }
 
 // FID returns the file's id in the unified namespace.
 func (cf *ClientFile) FID() meta.FileID { return cf.fs.fid }

@@ -54,7 +54,6 @@ func runApp(t *testing.T, w *mpi.World, sys *System, n, perNode int, main func(*
 	app := w.Launch("app", n, func(r *mpi.Rank) {
 		c := sys.Connect(r)
 		main(c)
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: perNode})
 	w.E.Go("janitor", func(p *sim.Proc) {
 		app.Wait(p)
@@ -376,7 +375,6 @@ func TestWorkflowBlocksReaderUntilWriterCloses(t *testing.T) {
 		r.Compute(0.5)
 		f.Close()
 		writerClosed = r.Now()
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: 1})
 	reader := w.Launch("reader", 1, func(r *mpi.Rank) {
 		c := sys.Connect(r)
@@ -390,7 +388,6 @@ func TestWorkflowBlocksReaderUntilWriterCloses(t *testing.T) {
 			t.Errorf("reader read: %v", err)
 		}
 		f.Close()
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: 1, Nodes: []int{1}})
 	w.E.Go("janitor", func(p *sim.Proc) {
 		writer.Wait(p)

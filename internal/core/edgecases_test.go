@@ -37,7 +37,7 @@ func flushWait(t *testing.T, sys *System, c *Client, f *ClientFile) {
 	if err := f.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	sys.WaitFlush(c.rank.P, f.Name())
+	sys.WaitFlush(c.rank.P, f.fs.name)
 }
 
 func TestDeleteOverwriteEdgeCases(t *testing.T) {

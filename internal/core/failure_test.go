@@ -112,7 +112,6 @@ func TestServerShutdownAfterAllClientsExit(t *testing.T) {
 		f.WriteAt(int64(r.Rank())*mib, 1*mib, nil)
 		f.Close()
 		sys.WaitFlush(r.P, "f")
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: 1})
 	w.E.Go("janitor", func(p *sim.Proc) {
 		app.Wait(p)
@@ -189,7 +188,6 @@ func TestConcurrentAppsIsolatedFiles(t *testing.T) {
 				}
 			}
 			f.Close()
-			c.Disconnect()
 		}, mpi.LaunchOpts{RanksPerNode: 1, Nodes: nodes})
 	}
 	a := mk("alpha", []int{0, 1})

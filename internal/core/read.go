@@ -78,7 +78,7 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 		}
 	}
 
-	data, _ := fs.content.Read(off, size)
+	data := fs.content.Read(off, size)
 	return data, nil
 }
 

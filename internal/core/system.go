@@ -53,7 +53,7 @@ type System struct {
 
 	files          map[string]*fileState
 	nextFID        meta.FileID
-	clients        int
+	nextClientID   int   // the last client id handed out; ids are never reused
 	nodeFlushCount []int // flushing servers per node, for IA migration refcounts
 	nodeAppCount   map[string][]int
 	failedNodes    []bool // nodes whose volatile storage is gone

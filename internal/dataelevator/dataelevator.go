@@ -100,8 +100,6 @@ type deHandle struct {
 	closed bool
 }
 
-func (h *deHandle) Name() string { return h.f.name }
-
 func (h *deHandle) WriteAt(off, size int64, data []byte) error {
 	if h.closed || h.mode != mpi.WriteOnly {
 		return fmt.Errorf("dataelevator: invalid write on %q", h.f.name)
@@ -131,7 +129,7 @@ func (h *deHandle) ReadAt(off, size int64) ([]byte, error) {
 	// Reads are served from the burst-buffer cache (it retains the data
 	// after flush, like any cache).
 	h.f.bbf.Read(h.r.P, h.r.Node(), off, size, h.r.H.MemPort)
-	data, _ := h.f.content.Read(off, size)
+	data := h.f.content.Read(off, size)
 	return data, nil
 }
 

@@ -20,27 +20,6 @@ type Map struct {
 	exts []ext // sorted by off, non-overlapping
 }
 
-// Len returns the number of stored extents (diagnostic).
-func (m *Map) Len() int { return len(m.exts) }
-
-// Bytes returns the total payload bytes held.
-func (m *Map) Bytes() int64 {
-	var n int64
-	for _, e := range m.exts {
-		n += int64(len(e.data))
-	}
-	return n
-}
-
-// HighWater returns one past the last written byte, or 0 when empty.
-func (m *Map) HighWater() int64 {
-	if len(m.exts) == 0 {
-		return 0
-	}
-	last := m.exts[len(m.exts)-1]
-	return last.off + int64(len(last.data))
-}
-
 // Write stores data at off, overwriting any overlap. A nil or empty payload
 // is a no-op.
 func (m *Map) Write(off int64, data []byte) {
@@ -87,10 +66,10 @@ func (m *Map) Write(off int64, data []byte) {
 }
 
 // Read returns size bytes starting at off; unwritten gaps read as zeros.
-// The second result reports whether any written byte fell in the range;
-// when none did, Read returns (nil, false) without allocating — critical
-// for size-only simulation runs that read terabytes of phantom data.
-func (m *Map) Read(off, size int64) ([]byte, bool) {
+// When no written byte falls in the range, Read returns nil without
+// allocating — critical for size-only simulation runs that read terabytes
+// of phantom data.
+func (m *Map) Read(off, size int64) []byte {
 	if size < 0 || off < 0 {
 		panic(fmt.Sprintf("extent: invalid read [%d, %d)", off, off+size))
 	}
@@ -99,10 +78,9 @@ func (m *Map) Read(off, size int64) ([]byte, bool) {
 		return m.exts[i].off+int64(len(m.exts[i].data)) > off
 	})
 	if i >= len(m.exts) || m.exts[i].off >= end {
-		return nil, false
+		return nil
 	}
 	out := make([]byte, size)
-	any := false
 	for ; i < len(m.exts) && m.exts[i].off < end; i++ {
 		e := m.exts[i]
 		lo, hi := e.off, e.off+int64(len(e.data))
@@ -113,26 +91,6 @@ func (m *Map) Read(off, size int64) ([]byte, bool) {
 			hi = end
 		}
 		copy(out[lo-off:hi-off], e.data[lo-e.off:hi-e.off])
-		any = true
 	}
-	return out, any
-}
-
-// Covered reports whether every byte of [off, off+size) has been written.
-func (m *Map) Covered(off, size int64) bool {
-	end := off + size
-	cur := off
-	i := sort.Search(len(m.exts), func(i int) bool {
-		return m.exts[i].off+int64(len(m.exts[i].data)) > off
-	})
-	for ; i < len(m.exts) && cur < end; i++ {
-		e := m.exts[i]
-		if e.off > cur {
-			return false
-		}
-		if eEnd := e.off + int64(len(e.data)); eEnd > cur {
-			cur = eEnd
-		}
-	}
-	return cur >= end
+	return out
 }

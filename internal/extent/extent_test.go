@@ -10,22 +10,20 @@ import (
 func TestWriteReadBasic(t *testing.T) {
 	var m Map
 	m.Write(10, []byte("hello"))
-	got, any := m.Read(10, 5)
-	if !any || !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("Read = %q, %v", got, any)
+	if got := m.Read(10, 5); !bytes.Equal(got, []byte("hello")) {
+		t.Fatalf("Read = %q", got)
 	}
 }
 
 func TestGapsReadAsZeros(t *testing.T) {
 	var m Map
 	m.Write(5, []byte("ab"))
-	got, any := m.Read(0, 10)
 	want := []byte{0, 0, 0, 0, 0, 'a', 'b', 0, 0, 0}
-	if !any || !bytes.Equal(got, want) {
+	if got := m.Read(0, 10); !bytes.Equal(got, want) {
 		t.Errorf("Read = %v", got)
 	}
-	if _, any := m.Read(100, 5); any {
-		t.Error("read of untouched range reported data")
+	if got := m.Read(100, 5); got != nil {
+		t.Errorf("read of untouched range = %v, want nil", got)
 	}
 }
 
@@ -33,12 +31,12 @@ func TestOverwriteMiddle(t *testing.T) {
 	var m Map
 	m.Write(0, []byte("aaaaaaaaaa"))
 	m.Write(3, []byte("BBB"))
-	got, _ := m.Read(0, 10)
+	got := m.Read(0, 10)
 	if !bytes.Equal(got, []byte("aaaBBBaaaa")) {
 		t.Errorf("Read = %q", got)
 	}
-	if m.Len() != 3 {
-		t.Errorf("extents = %d, want 3 (head, new, tail)", m.Len())
+	if len(m.exts) != 3 {
+		t.Errorf("extents = %d, want 3 (head, new, tail)", len(m.exts))
 	}
 }
 
@@ -48,42 +46,9 @@ func TestOverwriteSpanningMultipleExtents(t *testing.T) {
 	m.Write(5, []byte("bbb"))
 	m.Write(10, []byte("ccc"))
 	m.Write(2, []byte("XXXXXXXXX")) // [2,11)
-	got, _ := m.Read(0, 13)
+	got := m.Read(0, 13)
 	if !bytes.Equal(got, []byte("aaXXXXXXXXXcc")) {
 		t.Errorf("Read = %q", got)
-	}
-}
-
-func TestCovered(t *testing.T) {
-	var m Map
-	m.Write(0, []byte("aaaa"))
-	m.Write(4, []byte("bbbb"))
-	if !m.Covered(0, 8) {
-		t.Error("contiguous extents not reported covered")
-	}
-	if !m.Covered(2, 4) {
-		t.Error("interior range not covered")
-	}
-	m.Write(10, []byte("c"))
-	if m.Covered(0, 11) {
-		t.Error("range with gap reported covered")
-	}
-	if m.Covered(8, 2) {
-		t.Error("unwritten range reported covered")
-	}
-}
-
-func TestHighWaterAndBytes(t *testing.T) {
-	var m Map
-	if m.HighWater() != 0 {
-		t.Error("empty high water non-zero")
-	}
-	m.Write(100, []byte("xyz"))
-	if m.HighWater() != 103 {
-		t.Errorf("HighWater = %d, want 103", m.HighWater())
-	}
-	if m.Bytes() != 3 {
-		t.Errorf("Bytes = %d", m.Bytes())
 	}
 }
 
@@ -92,7 +57,7 @@ func TestWriteDoesNotAliasCaller(t *testing.T) {
 	buf := []byte("abc")
 	m.Write(0, buf)
 	buf[0] = 'Z'
-	got, _ := m.Read(0, 3)
+	got := m.Read(0, 3)
 	if got[0] != 'a' {
 		t.Error("map aliased the caller's buffer")
 	}
@@ -118,8 +83,8 @@ func TestMatchesReferenceProperty(t *testing.T) {
 			if off+size > 500 {
 				size = 500 - off
 			}
-			got, any := m.Read(off, size)
-			if !any {
+			got := m.Read(off, size)
+			if got == nil {
 				// No-overlap reads return nil; the reference range must
 				// then be untouched (all zeros).
 				for _, b := range ref[off : off+size] {

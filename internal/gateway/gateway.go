@@ -283,7 +283,6 @@ func burstMul(frac float64) float64 {
 // then teardown (close every open handle).
 func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 	c := g.sys.Connect(r)
-	defer c.Disconnect()
 	cfg := g.cfg
 	tr := g.sys.W.Trace
 

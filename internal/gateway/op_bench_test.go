@@ -19,7 +19,6 @@ func BenchmarkOp(b *testing.B) {
 	t := g.newTenant(0, false)
 	comm := sys.W.Launch("bench", 1, func(r *mpi.Rank) {
 		c := sys.Connect(r)
-		defer c.Disconnect()
 		op := func() {
 			if _, _, err := g.doOp(r, c, t); err != nil {
 				b.Error(err)

@@ -119,9 +119,6 @@ func (f *File) Name() string { return f.name }
 // Spec returns the stripe layout.
 func (f *File) Spec() StripeSpec { return f.spec }
 
-// Size returns the file's high-water mark in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // layout maps the file's stripes onto the file system's OSTs.
 func (f *File) layout() striping.Layout {
 	return striping.Layout{Size: f.spec.Size, Count: f.spec.Count, Start: f.spec.StartOST, Units: f.fs.OSTCount()}
@@ -173,15 +170,4 @@ func (f *File) transfer(p *sim.Proc, node int, off, size int64, lock *sim.Resour
 	n := c.Nodes[node]
 	fs.fan.Transfer(p, []*sim.Resource{n.PFSPort, n.NIC, c.Fabric},
 		func(u int) *sim.Resource { return c.OSTs[u].BW }, lock, extra)
-}
-
-// TouchedOSTs returns the distinct OSTs the byte range maps to, in stripe
-// order.
-func (f *File) TouchedOSTs(off, size int64) []int {
-	parts := f.layout().Parts(off, size)
-	out := make([]int, len(parts))
-	for i, part := range parts {
-		out[i] = part.Unit
-	}
-	return out
 }

@@ -53,27 +53,6 @@ func TestAutoStartRoundRobins(t *testing.T) {
 	}
 }
 
-func TestTouchedOSTsFollowStriping(t *testing.T) {
-	_, _, fs := testFS(t, 8)
-	f, _ := fs.Create("f", StripeSpec{Size: 100, Count: 3, StartOST: 2}, 1)
-	// Bytes [0,300) are stripes 0,1,2 → OSTs 2,3,4.
-	got := f.TouchedOSTs(0, 300)
-	want := []int{2, 3, 4}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("TouchedOSTs = %v, want %v", got, want)
-	}
-	// Range inside one stripe touches exactly one OST.
-	if got := f.TouchedOSTs(150, 20); len(got) != 1 || got[0] != 3 {
-		t.Errorf("single-stripe range touched %v", got)
-	}
-	// Wraps around the OST array.
-	f2, _ := fs.Create("g", StripeSpec{Size: 100, Count: 3, StartOST: 7}, 1)
-	got = f2.TouchedOSTs(0, 300)
-	if len(got) != 3 || got[0] != 7 || got[1] != 0 || got[2] != 1 {
-		t.Errorf("wrap TouchedOSTs = %v, want [7 0 1]", got)
-	}
-}
-
 func TestWriteBandwidthSingleWriter(t *testing.T) {
 	e, _, fs := testFS(t, 8)
 	f, _ := fs.Create("f", StripeSpec{Size: 1 << 20, Count: 4, StartOST: 0}, 1)

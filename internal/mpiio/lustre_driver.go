@@ -74,8 +74,6 @@ type lustreFile struct {
 	closed bool
 }
 
-func (f *lustreFile) Name() string { return f.sh.f.Name() }
-
 func (f *lustreFile) WriteAt(off, size int64, data []byte) error {
 	if f.closed {
 		return fmt.Errorf("lustre driver: write to closed file")
@@ -105,7 +103,7 @@ func (f *lustreFile) ReadAt(off, size int64) ([]byte, error) {
 	}
 	extra := f.extra(f.sh.readerPorts, "lrd", 4*f.d.cfg.SharedWriterBW)
 	f.sh.f.Read(f.r.P, f.r.Node(), off, size, extra...)
-	data, _ := f.sh.content.Read(off, size)
+	data := f.sh.content.Read(off, size)
 	return data, nil
 }
 

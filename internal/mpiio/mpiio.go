@@ -17,7 +17,6 @@ import (
 // File is an open MPI file handle. WriteAt/ReadAt are independent
 // operations; Close is collective.
 type File interface {
-	Name() string
 	WriteAt(off, size int64, data []byte) error
 	ReadAt(off, size int64) ([]byte, error)
 	Close() error

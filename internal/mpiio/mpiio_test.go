@@ -122,6 +122,61 @@ func TestUniviStorOpenErrorReturnsNilFile(t *testing.T) {
 	w.E.Run()
 }
 
+// TestClientIDsNeverReused: a client id names a segment's producer in
+// its metadata record, so a disconnect must not free the id for the next
+// client. Client a connects, then b, then a disconnects and c connects;
+// b and c each write one segment of a shared file. The two records must
+// name two producers, and every invariant must hold.
+func TestClientIDsNeverReused(t *testing.T) {
+	w := testWorld(t)
+	env, drv := univistorEnv(t, w)
+	// Each client is the one rank of its own app, connected by its first
+	// open at virtual time at.
+	client := func(name string, at float64, main func(r *mpi.Rank)) *mpi.Comm {
+		return w.Launch(name, 1, func(r *mpi.Rank) {
+			r.P.Sleep(at)
+			main(r)
+		}, mpi.LaunchOpts{RanksPerNode: 1})
+	}
+	write := func(r *mpi.Rank, name string, off int64) {
+		f, err := env.Open(r, name, mpi.WriteOnly)
+		if err != nil {
+			t.Errorf("open %s: %v", name, err)
+			return
+		}
+		if err := f.WriteAt(off, mib, nil); err != nil {
+			t.Errorf("write %s: %v", name, err)
+		}
+		f.Close()
+	}
+	apps := []*mpi.Comm{
+		client("a", 0, func(r *mpi.Rank) {
+			write(r, "own", 0)
+			r.P.Sleep(2)
+			drv.Disconnect(r)
+		}),
+		client("b", 1, func(r *mpi.Rank) { write(r, "shared", 0) }),
+		client("c", 3, func(r *mpi.Rank) { write(r, "shared", mib) }),
+	}
+	w.E.Go("janitor", func(p *sim.Proc) {
+		for _, app := range apps {
+			app.Wait(p)
+		}
+		recs := drv.Sys.Segments("shared")
+		if len(recs) != 2 || recs[0].Proc == recs[1].Proc {
+			t.Errorf("shared file records %+v, want two segments from two producers", recs)
+		}
+		if v := drv.Sys.CheckInvariants(); len(v) != 0 {
+			t.Errorf("invariants violated: %v", v)
+		}
+		drv.Sys.Shutdown()
+	})
+	w.E.Run()
+	if w.E.Deadlocked() != 0 {
+		t.Fatalf("deadlocked procs: %d", w.E.Deadlocked())
+	}
+}
+
 func TestLustreDriverRoundTripAndModes(t *testing.T) {
 	w := testWorld(t)
 	d := NewLustreDriver(lustre.NewFS(w.Cluster))

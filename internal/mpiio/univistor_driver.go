@@ -23,12 +23,7 @@ func (d *UniviStorDriver) Name() string { return "univistor" }
 
 // Disconnect detaches a rank (the MPI_Finalize hook). Harmless if the rank
 // never connected.
-func (d *UniviStorDriver) Disconnect(r *mpi.Rank) {
-	if c, ok := d.clients[r]; ok {
-		c.Disconnect()
-		delete(d.clients, r)
-	}
-}
+func (d *UniviStorDriver) Disconnect(r *mpi.Rank) { delete(d.clients, r) }
 
 // Open is the collective open through UniviStor. A rank's first open
 // connects its client (the MPI_Init-time connection of the paper's

@@ -374,8 +374,7 @@ func (s *Scheduler) NodeProcs(nodeID int) []*ProcHandle {
 }
 
 // SocketSpread returns, for the named program on a node, how many of its
-// processes sit on each socket — a diagnostic used by tests and the
-// explain tool.
+// processes sit on each socket — a diagnostic the tests read.
 func (s *Scheduler) SocketSpread(nodeID int, program string) []int {
 	ns := s.nodes[nodeID]
 	out := make([]int, len(ns.node.Sockets))

@@ -172,13 +172,14 @@ func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocS
 		completed[i] = -1
 	}
 	for i, f := range sc.flows {
-		i, f := i, f
-		e.At(f.start, func() {
-			path := make([]*Resource, len(f.path))
-			for j, ri := range f.path {
-				path[j] = rs[ri]
-			}
-			e.StartTransfer(f.size, func() { completed[i] = e.Now() }, path...)
+		path := make([]*Resource, len(f.path))
+		for j, ri := range f.path {
+			path[j] = rs[ri]
+		}
+		e.Go("flow", func(p *Proc) {
+			p.Sleep(float64(f.start))
+			p.Transfer(f.size, path...)
+			completed[i] = p.Now()
 		})
 	}
 	for _, ev := range sc.events {
@@ -382,10 +383,11 @@ func TestCapacityChangeWithoutRecomputePanics(t *testing.T) {
 	e.SetDifferentialCheck(true)
 	narrowed := e.NewResource("narrowed", 100)
 	shared := e.NewResource("shared", 100)
-	e.StartTransfer(1000, nil, narrowed, shared)
-	e.At(1, func() {
+	e.Go("long", func(p *Proc) { p.Transfer(1000, narrowed, shared) })
+	e.Go("late", func(p *Proc) {
+		p.Sleep(1)
 		narrowed.Capacity = 50
-		e.StartTransfer(100, nil, shared)
+		p.Transfer(100, shared)
 	})
 	defer func() {
 		msg, _ := recover().(string)
@@ -404,10 +406,12 @@ func TestCapacityChangeOnIdleResourceNeedsNoRecompute(t *testing.T) {
 	e.SetDifferentialCheck(true)
 	r := e.NewResource("idle", 100)
 	var done Time
-	e.StartTransfer(100, nil, r) // finishes at t=1
-	e.At(2, func() {
+	e.Go("w", func(p *Proc) {
+		p.Transfer(100, r) // finishes at t=1
+		p.Sleep(1)
 		r.Capacity = 50
-		e.StartTransfer(100, func() { done = e.Now() }, r)
+		p.Transfer(100, r)
+		done = p.Now()
 	})
 	e.Run()
 	if done != 4 {

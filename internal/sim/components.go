@@ -400,9 +400,6 @@ func (fs *flowSet) completeAll(gen int64) {
 		if f.p != nil {
 			f.p.Resume()
 		}
-		if f.done != nil {
-			e.At(e.now, f.done)
-		}
 		if f.fan != nil {
 			e.at(e.now, event{kind: evFanDone, proc: f.fan})
 		}

@@ -20,17 +20,15 @@ func TestComponentSplitRestoresRates(t *testing.T) {
 	b := e.NewResource("b", 120)
 	var t1, t2, t3 Time
 	bridgesDone := 0
-	e.At(0, func() {
-		// Water-fill at t=0: a carries 6 flows (fair share 20, the
-		// bottleneck), so f1, f2, and the four bridges run at 20; b's
-		// leftover 120-4*20 = 40 goes to f3.
-		e.StartTransfer(10000, func() { t1 = e.Now() }, a)
-		e.StartTransfer(10000, func() { t2 = e.Now() }, a)
-		e.StartTransfer(12200, func() { t3 = e.Now() }, b)
-		for i := 0; i < 4; i++ {
-			e.StartTransfer(100, func() { bridgesDone++ }, a, b)
-		}
-	})
+	// Water-fill at t=0: a carries 6 flows (fair share 20, the
+	// bottleneck), so f1, f2, and the four bridges run at 20; b's
+	// leftover 120-4*20 = 40 goes to f3.
+	e.Go("f1", func(p *Proc) { p.Transfer(10000, a); t1 = p.Now() })
+	e.Go("f2", func(p *Proc) { p.Transfer(10000, a); t2 = p.Now() })
+	e.Go("f3", func(p *Proc) { p.Transfer(12200, b); t3 = p.Now() })
+	for i := 0; i < 4; i++ {
+		e.Go("bridge", func(p *Proc) { p.Transfer(100, a, b); bridgesDone++ })
+	}
 	// All four bridges complete together at t=5 (100 bytes at rate 20),
 	// leaving {f1,f2} on a and {f3} on b in one component that no flow
 	// connects any more.
@@ -81,10 +79,9 @@ func TestNewResourcesSampledInFirstCrossingOrder(t *testing.T) {
 	x := e.NewResource("x", 100)
 	y := e.NewResource("y", 100)
 	z := e.NewResource("z", 100)
-	e.StartTransfer(100, nil, x)
-	e.StartTransfer(100, nil, y)
-	e.StartTransfer(100, nil, y)
-	e.StartTransfer(100, nil, z, y, x)
+	for _, path := range [][]*Resource{{x}, {y}, {y}, {z, y, x}} {
+		e.Go("w", func(p *Proc) { p.Transfer(100, path...) })
+	}
 	e.Run()
 	var got []string
 	for _, r := range s.order {
@@ -95,25 +92,34 @@ func TestNewResourcesSampledInFirstCrossingOrder(t *testing.T) {
 	}
 }
 
+// startAll starts pieces from one process, as one TransferAll, and runs
+// the engine through the start instant, so the start batch is solved and
+// all scratch has grown.
+func startAll(e *Engine, pieces []Flow) {
+	e.Go("flows", func(p *Proc) { p.TransferAll(pieces) })
+	runTo(e, e.Now())
+}
+
 // steadyEngine builds an engine with 4 components of 128 long-lived flows
 // each — the steady-state shape of the batch hot path.
 func steadyEngine() (*Engine, []*Resource) {
 	e := NewEngine()
 	e.SetDifferentialCheck(false) // the oracle allocates by design
 	var all []*Resource
+	var pieces []Flow
 	for c := 0; c < 4; c++ {
 		hub := e.NewResource("hub", 1000)
 		spoke := e.NewResource("spoke", 800)
 		all = append(all, hub, spoke)
 		for i := 0; i < 128; i++ {
+			path := []*Resource{hub}
 			if i%2 == 0 {
-				e.StartTransfer(1e12, func() {}, hub, spoke)
-			} else {
-				e.StartTransfer(1e12, func() {}, hub)
+				path = append(path, spoke)
 			}
+			pieces = append(pieces, Flow{Size: 1e12, Path: path})
 		}
 	}
-	e.RecomputeResources() // fold the pending start batch; grows all scratch
+	startAll(e, pieces)
 	return e, all
 }
 
@@ -150,42 +156,40 @@ func fabricEngine() (*Engine, []*Resource) {
 		ost[o] = e.NewResource("ost", 1.1*GB)
 		all = append(all, ost[o])
 	}
+	var pieces []Flow
 	for n := 0; n < nodes; n++ {
 		for i := 0; i < ranksPerNode; i++ {
 			port := e.NewResource("memport", 7*GB)
 			all = append(all, port)
 			sock := mem[n][i%2]
+			path := []*Resource{port, sock}
 			switch i % 3 {
 			case 0:
-				e.StartTransfer(1e15, func() {}, port, sock, nic[n], fabric, nic[(n+1)%nodes])
+				path = append(path, nic[n], fabric, nic[(n+1)%nodes])
 			case 1:
-				e.StartTransfer(1e15, func() {}, port, pfs[n], nic[n], fabric, ost[(n*ranksPerNode+i)%osts])
-			default:
-				e.StartTransfer(1e15, func() {}, port, sock)
+				path = []*Resource{port, pfs[n], nic[n], fabric, ost[(n*ranksPerNode+i)%osts]}
 			}
+			pieces = append(pieces, Flow{Size: 1e15, Path: path})
 		}
 	}
-	e.RecomputeResources() // fold the pending start batch; grows all scratch
+	startAll(e, pieces)
 	return e, all
 }
 
-// startChurn starts a chain of short flows on fabricEngine's component,
-// each one's completion starting the next on the following path of paths
+// startChurn starts a process that moves short flows on fabricEngine's
+// component back to back, each on the following path of paths
 // (cyclically), and returns a step that runs the engine through the next
-// completion instant: one flow finishes, one starts, and the component is
-// re-solved once, with no capacity change. That is the regime the
-// workloads run.
+// completion instant: one flow finishes, the process starts the next, and
+// the component is re-solved once, with no capacity change. That is the
+// regime the workloads run.
 func startChurn(e *Engine, paths ...[]*Resource) (step func()) {
-	k := 0
-	var next func()
-	next = func() {
-		path := paths[k%len(paths)]
-		k++
-		e.StartTransfer(64<<20, next, path...)
-	}
-	next()
-	e.RunUntil(e.Now()) // fold the start batch
-	return func() { e.RunUntil(e.events.peek().t) }
+	e.Go("churn", func(p *Proc) {
+		for k := 0; ; k++ {
+			p.Transfer(64<<20, paths[k%len(paths)]...)
+		}
+	})
+	runTo(e, e.Now()) // start the first flow and fold its batch
+	return func() { runTo(e, e.events[0].t) }
 }
 
 // remoteRead is a remote-read path on fabricEngine's resources all, through
@@ -276,19 +280,22 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 
 	// Merge: two components whose flows interleave in seq order are
 	// bridged by a fifth flow, so the merge writes the general path into
-	// the spare buffer; the merged component then drains and retires.
+	// the spare buffer; the merged component then drains and retires
+	// before the process starts the next round.
 	e = NewEngine()
 	e.SetDifferentialCheck(false)
 	x, y := e.NewResource("x", 1<<30), e.NewResource("y", 1<<30)
 	onX, onY, bridge := []*Resource{x}, []*Resource{y}, []*Resource{x, y}
-	step = func() {
-		for range 2 {
-			e.StartTransfer(64<<20, nil, onX...)
-			e.StartTransfer(64<<20, nil, onY...)
+	round := []Flow{{64 << 20, onX}, {64 << 20, onY}, {64 << 20, onX}, {64 << 20, onY}, {64 << 20, bridge}}
+	rounds := 0
+	e.Go("merge", func(p *Proc) {
+		for ; ; rounds++ {
+			p.TransferAll(round)
 		}
-		e.StartTransfer(64<<20, nil, bridge...)
-		for !e.events.empty() {
-			e.RunUntil(e.events.peek().t)
+	})
+	step = func() {
+		for target := rounds + 1; rounds < target; {
+			e.step()
 		}
 	}
 	for range 4 {

@@ -126,8 +126,7 @@ func (h *eventHeap) popMin() event {
 	return top
 }
 
-func (h eventHeap) peek() *event { return &h[0] }
-func (h eventHeap) empty() bool  { return len(h) == 0 }
+func (h eventHeap) empty() bool { return len(h) == 0 }
 
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; create one with NewEngine. All simulation state lives in the
@@ -147,11 +146,10 @@ type Engine struct {
 
 // Tracer receives the engine's instrumentation stream: fluid-flow
 // start/finish, per-resource rate-change samples (the utilization
-// timeline), named counter series, and free-form instant events. The
-// interface is defined here so the engine stays free of higher-level
-// dependencies; the canonical implementation is internal/trace.Recorder.
-// All callbacks run in dispatcher or process context (serialized) at the
-// current virtual time.
+// timeline) and named counter series. The interface is defined here so
+// the engine stays free of higher-level dependencies; the canonical
+// implementation is internal/trace.Recorder. All callbacks run in
+// dispatcher or process context (serialized) at the current virtual time.
 type Tracer interface {
 	// FlowBegin reports a fluid transfer entering the active set. Its id
 	// is the flow's engine sequence number, 1 for the engine's first flow.
@@ -162,8 +160,6 @@ type Tracer interface {
 	// resource after a rate recomputation; a resource whose last flow
 	// retired is reported once with rate 0.
 	ResourceSample(t Time, r *Resource, rate float64)
-	// Instant reports a free-form instant event.
-	Instant(t Time, category, name string)
 	// Counter reports the value of a named series at t: after every
 	// dirty-batch solve the live component count (alloc.components) and
 	// cumulative flows solved (alloc.flows_solved).
@@ -266,19 +262,6 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// RunUntil executes events with time ≤ deadline and returns the virtual time
-// reached.
-func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.events.empty() && e.events.peek().t <= deadline {
-		e.step()
-	}
-	if deadline > e.now {
-		e.flows.advance(deadline)
-		e.now = deadline
-	}
-	return e.now
-}
-
 // Deadlocked returns the number of processes still parked after Run drained
 // the event queue. A non-zero value indicates processes waiting on
 // communication that can never arrive.
@@ -327,9 +310,8 @@ type flow struct {
 	resources []*Resource
 	remaining float64
 	rate      float64
-	p         *Proc
-	done      func() // alternative to waking a proc
-	fan       *Proc  // TransferAll piece: decrement the caller's fanout on completion
+	p         *Proc // Transfer: the parked caller to wake on completion
+	fan       *Proc // TransferAll piece: decrement the caller's fanout on completion
 
 	seq     int64      // insertion order and trace id; fixes allocation iteration order
 	comp    *component // owning component; nil once the flow finishes
@@ -447,19 +429,6 @@ func (p *Proc) Transfer(size float64, resources ...*Resource) {
 	}
 	p.e.flows.start(size, resources).p = p
 	p.Park()
-}
-
-// StartTransfer starts a transfer that invokes done on completion without
-// blocking any process. It may be called from dispatcher or process context.
-// The path is copied, as for Flow.Path.
-func (e *Engine) StartTransfer(size float64, done func(), resources ...*Resource) {
-	if size <= 0 || len(resources) == 0 {
-		if done != nil {
-			e.At(e.now, done)
-		}
-		return
-	}
-	e.flows.start(size, resources).done = done
 }
 
 // Flow describes one piece of a parallel transfer for TransferAll.

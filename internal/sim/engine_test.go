@@ -10,6 +10,14 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// runTo executes every queued event at or before t, leaving later ones
+// queued: how a test stops a run part way through.
+func runTo(e *Engine, t Time) {
+	for !e.events.empty() && e.events[0].t <= t {
+		e.step()
+	}
+}
+
 func TestClockAdvancesThroughSleep(t *testing.T) {
 	e := NewEngine()
 	var woke Time
@@ -172,17 +180,6 @@ func TestRateCapsShareLinkMaxMin(t *testing.T) {
 	}
 }
 
-func TestStartTransferCallback(t *testing.T) {
-	e := NewEngine()
-	r := e.NewResource("disk", 10)
-	var doneAt Time = -1
-	e.StartTransfer(100, func() { doneAt = e.Now() }, r)
-	e.Run()
-	if !almostEqual(float64(doneAt), 10, 1e-6) {
-		t.Errorf("callback at %v, want 10", doneAt)
-	}
-}
-
 func TestZeroSizeTransferCompletesInstantly(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource("disk", 10)
@@ -313,24 +310,6 @@ func TestEventLevelTriggered(t *testing.T) {
 	}
 	if late != 5 {
 		t.Errorf("waiter after Set resumed at %v, want 5 (no blocking)", late)
-	}
-}
-
-func TestRunUntilStopsEarly(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++ })
-	e.At(3, func() { fired++ })
-	e.RunUntil(2)
-	if fired != 1 {
-		t.Errorf("fired %d events by t=2, want 1", fired)
-	}
-	if e.Now() != 2 {
-		t.Errorf("now = %v, want 2", e.Now())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Errorf("fired %d events total, want 2", fired)
 	}
 }
 
@@ -470,7 +449,6 @@ type utilSampler struct {
 
 func (s *utilSampler) FlowBegin(Time, int64, float64, []*Resource) {}
 func (s *utilSampler) FlowEnd(Time, int64)                         {}
-func (s *utilSampler) Instant(Time, string, string)                {}
 func (s *utilSampler) Counter(Time, string, int64)                 {}
 func (s *utilSampler) ResourceSample(_ Time, r *Resource, rate float64) {
 	if s.last == nil {
@@ -631,7 +609,6 @@ func (r *flowRecorder) FlowBegin(_ Time, id int64, _ float64, _ []*Resource) {
 }
 func (r *flowRecorder) FlowEnd(t Time, id int64)                { r.ends[id] = t }
 func (r *flowRecorder) ResourceSample(Time, *Resource, float64) {}
-func (r *flowRecorder) Instant(Time, string, string)            {}
 func (r *flowRecorder) Counter(Time, string, int64)             {}
 
 // TestTransferAllResumesOncePerCall: one proc issues TransferAll calls

@@ -9,7 +9,7 @@ import (
 
 // Proc is a simulated process: an iter.Pull coroutine that the dispatcher
 // resumes with next and that parks by yielding back. A panic in its body
-// re-panics, with the same value, out of Run or RunUntil.
+// re-panics, with the same value, out of Run.
 type Proc struct {
 	e       *Engine
 	id      int64

@@ -49,27 +49,6 @@ func TestDoubleResumePanics(t *testing.T) {
 	}
 }
 
-// TestRunUntilResumesParkedProc: a process sleeping across a RunUntil
-// deadline stays parked there and finishes at its own wake time on the
-// next Run.
-func TestRunUntilResumesParkedProc(t *testing.T) {
-	e := NewEngine()
-	var woke Time = -1
-	e.Go("sleeper", func(p *Proc) {
-		p.Sleep(3)
-		woke = p.Now()
-	})
-	if now := e.RunUntil(2); now != 2 || woke != -1 {
-		t.Fatalf("RunUntil(2) = %v with woke = %v, want 2 and not yet woken", now, woke)
-	}
-	if end := e.Run(); woke != 3 || end != 3 {
-		t.Errorf("woke at %v, run ended at %v, want 3 and 3", woke, end)
-	}
-	if n := e.Deadlocked(); n != 0 {
-		t.Errorf("Deadlocked() = %d, want 0", n)
-	}
-}
-
 // pingPong spawns two processes that alternate for rounds rounds: the
 // sender sleeps one unit and sends, the receiver blocks in Recv. Each round
 // is two resumes; *resumes counts them as they happen.
@@ -100,7 +79,7 @@ func TestProcSwitchDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	resumes := 0
 	pingPong(e, warm+rounds, &resumes)
-	e.RunUntil(warm)
+	runTo(e, warm)
 	resumes = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -116,7 +116,7 @@ func TestCallerPathBufferIsReusable(t *testing.T) {
 	})
 	step := func() {
 		for target := done + 1; done < target; {
-			e.RunUntil(e.events.peek().t)
+			runTo(e, e.events[0].t)
 		}
 	}
 	step()

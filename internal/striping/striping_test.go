@@ -520,7 +520,6 @@ func (r *pathRecorder) FlowBegin(_ sim.Time, _ int64, size float64, rs []*sim.Re
 }
 func (r *pathRecorder) FlowEnd(sim.Time, int64)                         {}
 func (r *pathRecorder) ResourceSample(sim.Time, *sim.Resource, float64) {}
-func (r *pathRecorder) Instant(sim.Time, string, string)                {}
 func (r *pathRecorder) Counter(sim.Time, string, int64)                 {}
 
 func TestFanoutTransferPathOrder(t *testing.T) {

@@ -63,7 +63,6 @@ func runApp(t *testing.T, w *mpi.World, sys *core.System, n, perNode int, main f
 	app := w.Launch("app", n, func(r *mpi.Rank) {
 		c := sys.Connect(r)
 		main(c)
-		c.Disconnect()
 	}, mpi.LaunchOpts{RanksPerNode: perNode})
 	w.E.Go("janitor", func(p *sim.Proc) {
 		app.Wait(p)

@@ -227,13 +227,11 @@ func (r *Recorder) Mark(p *sim.Proc, cat Category, name string) {
 		Event{Name: name, Cat: cat, Start: now, Dur: instantDur})
 }
 
-// ---------------------------------------------------------------------------
-// sim.Tracer implementation: the hooks the engine drives directly.
-
 // engineTrack is the synthetic track engine-level instants land on.
 const engineTrack = "engine"
 
-// Instant records an engine-level instant event (sim.Tracer hook).
+// Instant records an engine-level instant event, such as a chaos fault or
+// sweep, on the engine track.
 func (r *Recorder) Instant(t sim.Time, cat, name string) {
 	if r == nil {
 		return
@@ -243,6 +241,9 @@ func (r *Recorder) Instant(t sim.Time, cat, name string) {
 	r.tracks[ti].events = append(r.tracks[ti].events,
 		Event{Name: name, Cat: Category(cat), Start: t, Dur: instantDur})
 }
+
+// ---------------------------------------------------------------------------
+// sim.Tracer implementation: the hooks the engine drives directly.
 
 // FlowBegin records the start of a fluid transfer (sim.Tracer hook). The
 // flow renders as an async span labelled with its path's resource names.
