@@ -65,8 +65,8 @@ type Config struct {
 	// TierLogBytes, when a tier maps to a positive value, fixes that
 	// tier's per-process log size — the generic override newer tiers (e.g.
 	// the object store) use instead of dedicated fields. For DRAM and BB it
-	// takes precedence over the legacy fields above. Keys must be cache
-	// tiers: the PFS terminal is never provisioned.
+	// excludes the field above: at most one of the two may be set. Keys
+	// must be cache tiers: the PFS terminal is never provisioned.
 	TierLogBytes map[meta.Tier]int64
 
 	// ChunkSize is the log-chunk granularity in bytes.
@@ -255,6 +255,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: DRAMLogBytes must be non-negative, got %d", c.DRAMLogBytes)
 	case c.BBLogBytes < 0:
 		return fmt.Errorf("core: BBLogBytes must be non-negative, got %d", c.BBLogBytes)
+	case c.DRAMLogBytes > 0 && c.TierLogBytes[meta.TierDRAM] > 0:
+		return fmt.Errorf("core: set DRAMLogBytes or TierLogBytes[%s], not both", meta.TierDRAM)
+	case c.BBLogBytes > 0 && c.TierLogBytes[meta.TierBB] > 0:
+		return fmt.Errorf("core: set BBLogBytes or TierLogBytes[%s], not both", meta.TierBB)
 	case c.ProactivePlacement && c.PromoteAfterReads < 1:
 		return fmt.Errorf("core: ProactivePlacement needs PromoteAfterReads >= 1, got %d", c.PromoteAfterReads)
 	}

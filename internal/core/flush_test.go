@@ -78,11 +78,13 @@ func TestFlushTriggerAllocatesLittlePerRecord(t *testing.T) {
 // A flush lays each flushing server's segments back to back, in offset
 // order, from the start of that server's range of the flush file, where
 // degraded reads look them up. A later flush of the same file places
-// only the segments of the servers it flushes.
+// only segments no earlier flush holds; the others stay where the
+// earlier flush put them.
 func TestFlushLayoutPlacesSegmentsByServer(t *testing.T) {
 	const seg, unplaced = 64 * kib, int64(math.MaxInt64)
 	w, sys := testEnv(t, nil)
 	var first, second [6]int64
+	var firstRuns, secondRuns [6]*flushRun
 	runApp(t, w, sys, 2, 1, func(c *Client) {
 		f, err := c.Open("f", mpi.WriteOnly)
 		if err != nil {
@@ -97,38 +99,86 @@ func TestFlushLayoutPlacesSegmentsByServer(t *testing.T) {
 				}
 			}
 		}
-		layout := func(into *[6]int64) {
+		layout := func(into *[6]int64, runs *[6]*flushRun) {
 			sys.WaitFlush(c.Rank().P, "f")
 			if r == 0 {
 				for i := range into {
 					into[i] = unplaced
-					if pos, ok := f.fs.flushPos(int64(i) * seg); ok {
-						into[i] = pos
+					if s := f.fs.slot(int64(i) * seg); s != nil && s.run != nil {
+						into[i], runs[i] = s.pos, s.run
 					}
 				}
 			}
 			c.Rank().Barrier()
 		}
-		flush := func(into *[6]int64) {
+		flush := func(into *[6]int64, runs *[6]*flushRun) {
 			if err := f.Flush(); err != nil {
 				t.Errorf("flush: %v", err)
 			}
-			layout(into)
+			layout(into, runs)
 		}
 		write()
-		flush(&first)
+		flush(&first, &firstRuns)
 		if r == 1 {
 			write()
 		}
-		flush(&second)
+		flush(&second, &secondRuns)
 		f.Close()
 	})
 	// Rank 0's server flushes [0, 3 seg) and rank 1's the rest; the second
-	// flush moves only rank 1's rewrites, into [0, 3 seg).
+	// flush moves only rank 1's rewrites, into [0, 3 seg) of its own file,
+	// and rank 0's segments keep their places in the first flush's file.
 	if want := [6]int64{0, 3 * seg, seg, 4 * seg, 2 * seg, 5 * seg}; first != want {
 		t.Errorf("first flush layout %v, want %v", first, want)
 	}
-	if want := [6]int64{unplaced, 0, unplaced, seg, unplaced, 2 * seg}; second != want {
+	if want := [6]int64{0, 0, seg, seg, 2 * seg, 2 * seg}; second != want {
 		t.Errorf("second flush layout %v, want %v", second, want)
 	}
+	for i, run := range secondRuns {
+		if held := run == firstRuns[i]; held != (i%2 == 0) {
+			t.Errorf("segment %d held by the first flush after the second: %v, want %v", i, held, i%2 == 0)
+		}
+	}
+}
+
+// FlushStats reports the last completed flush while a later one runs: its
+// window is the earlier flush's, never the later trigger's start paired
+// with the earlier end.
+func TestFlushStatsDuringSecondFlush(t *testing.T) {
+	w, sys := testEnv(t, func(_ *topology.Config, cc *Config) {
+		cc.FlushOnClose = false // flushes triggered by hand below
+	})
+	runApp(t, w, sys, 1, 1, func(c *Client) {
+		f, err := c.Open("f", mpi.WriteOnly)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		p := c.Rank().P
+		if err := f.WriteAt(0, 4*mib, nil); err != nil {
+			t.Errorf("write 1: %v", err)
+		}
+		sys.triggerFlush(p, f.fs)
+		sys.WaitFlush(p, "f")
+		bytes1, start1, end1, ok := sys.FlushStats("f")
+		if !ok || bytes1 != 4*mib || start1 >= end1 {
+			t.Errorf("first flush stats = %d bytes [%v, %v], %v", bytes1, start1, end1, ok)
+		}
+
+		p.Sleep(1)
+		if err := f.WriteAt(4*mib, 2*mib, nil); err != nil {
+			t.Errorf("write 2: %v", err)
+		}
+		sys.triggerFlush(p, f.fs)
+		if b, start, end, _ := sys.FlushStats("f"); b != bytes1 || start != start1 || end != end1 {
+			t.Errorf("during the second flush: %d bytes [%v, %v], want the first flush's %d bytes [%v, %v]",
+				b, start, end, bytes1, start1, end1)
+		}
+		sys.WaitFlush(p, "f")
+		if b, start, end, _ := sys.FlushStats("f"); b != 2*mib || start <= end1 || start >= end {
+			t.Errorf("second flush stats = %d bytes [%v, %v], want %d bytes starting after %v",
+				b, start, end, 2*mib, end1)
+		}
+		f.Close()
+	})
 }

@@ -235,27 +235,12 @@ func (sys *System) checkStatsCoherence() []string {
 	for _, fs := range byKey(sys.files) {
 		written += fs.totalWritten
 		var cached int64
-		idxs := make([]int, 0, len(fs.cached))
-		for idx := range fs.cached {
-			idxs = append(idxs, idx)
-		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			for _, b := range fs.cached[idx] {
-				cached += b
-			}
+		for _, tb := range fs.cached {
+			cached += tb.total()
 		}
 		if cached != fs.cachedTotal {
 			out = append(out, fmt.Sprintf("stats %q: cachedTotal %d != per-server sum %d",
 				fs.name, fs.cachedTotal, cached))
-		}
-		if fs.flushing && fs.flushRemaining <= 0 {
-			out = append(out, fmt.Sprintf("stats %q: flush in progress with %d parts remaining",
-				fs.name, fs.flushRemaining))
-		}
-		if !fs.flushing && fs.flushRemaining != 0 {
-			out = append(out, fmt.Sprintf("stats %q: no flush in progress but %d parts remaining",
-				fs.name, fs.flushRemaining))
 		}
 	}
 	if got := sys.stats.TotalBytesWritten(); got != written {

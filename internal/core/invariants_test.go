@@ -12,7 +12,7 @@ import (
 )
 
 // TestRepeatedFlushWaitFlushBlocks is the regression for the one-shot
-// flushEv reuse bug: after the first flush completed, WaitFlush during any
+// completion-event reuse bug: after the first flush completed, WaitFlush during any
 // later flush of the same file returned immediately (the stale event was
 // still set) instead of blocking until that flush finished.
 func TestRepeatedFlushWaitFlushBlocks(t *testing.T) {
@@ -43,11 +43,11 @@ func TestRepeatedFlushWaitFlushBlocks(t *testing.T) {
 		sys.triggerFlush(p, fs)
 		sys.WaitFlush(p, "f")
 		// With the reused event, WaitFlush returns while the second flush
-		// is still in flight: pending bytes non-zero, flushing still true.
+		// is still in flight: pending bytes non-zero, the flush still set.
 		if got := sys.CachedBytes("f"); got != 0 {
 			t.Errorf("after second flush: %d bytes still pending — WaitFlush returned early", got)
 		}
-		if fs.flushing {
+		if fs.flush != nil {
 			t.Error("after second WaitFlush: flush still in progress")
 		}
 		f.Close()
@@ -97,6 +97,84 @@ func TestDegradedReadServedFromFlushedCopy(t *testing.T) {
 	}
 	if v := sys.CheckInvariants(); len(v) != 0 {
 		t.Errorf("invariants violated after degraded read: %v", v)
+	}
+}
+
+// TestDegradedReadRefusesUnflushedSegment crashes a producer node after a
+// completed flush and reads one of its segments that no completed flush
+// holds: one written after the flush, one rewritten after it, one deleted
+// and written anew, and one written after it whose own flush is still
+// running. Each read must fail with ErrDataLost, while a segment the
+// completed flush holds is still rescued from that flush's file.
+func TestDegradedReadRefusesUnflushedSegment(t *testing.T) {
+	const seg = 4 * mib
+	for _, tc := range []struct {
+		name     string
+		off      int64 // rank 0's segment written after the flush
+		delete   bool  // delete it first
+		inFlight bool  // read it while a second flush runs
+	}{
+		{"new-segment", 4 * seg, false, false},
+		{"rewritten-segment", 0, false, false},
+		{"deleted-and-rewritten-segment", 0, true, false},
+		{"segment-of-a-running-flush", 4 * seg, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, sys := testEnv(t, func(_ *topology.Config, cc *Config) {
+				cc.FlushOnClose = false
+			})
+			var lostErr, keptErr error
+			runApp(t, w, sys, 2, 1, func(c *Client) {
+				r := c.Rank().Rank()
+				f, _ := c.Open("f", mpi.WriteOnly)
+				// Rank 0 on node 0 writes [0, seg) and [2 seg, 3 seg).
+				for _, off := range []int64{int64(r) * seg, int64(r+2) * seg} {
+					if err := f.WriteAt(off, seg, nil); err != nil {
+						t.Errorf("write: %v", err)
+					}
+				}
+				if err := f.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
+				}
+				sys.WaitFlush(c.Rank().P, "f")
+				if r == 0 {
+					if tc.delete {
+						if _, err := f.Delete(tc.off, seg); err != nil {
+							t.Errorf("delete: %v", err)
+						}
+					}
+					if err := f.WriteAt(tc.off, seg, nil); err != nil {
+						t.Errorf("write after flush: %v", err)
+					}
+				}
+				if tc.inFlight {
+					if err := f.Flush(); err != nil {
+						t.Errorf("second flush: %v", err)
+					}
+				}
+				f.Close()
+				rf, _ := c.Open("f", mpi.ReadOnly)
+				if r == 1 {
+					if running := f.fs.flush != nil; running != tc.inFlight {
+						t.Errorf("flush running at the crash = %v, want %v", running, tc.inFlight)
+					}
+					sys.FailNode(0)
+					_, lostErr = rf.ReadAt(tc.off, seg)
+					_, keptErr = rf.ReadAt(2*seg, seg)
+				}
+				rf.Close()
+				sys.WaitFlush(c.Rank().P, "f")
+			})
+			if !errors.Is(lostErr, ErrDataLost) {
+				t.Errorf("read of a segment no completed flush holds = %v, want ErrDataLost", lostErr)
+			}
+			if keptErr != nil {
+				t.Errorf("read of a flushed segment: %v", keptErr)
+			}
+			if got := sys.Stats().BytesReadDegraded; got != seg {
+				t.Errorf("BytesReadDegraded = %d, want %d (the flushed segment only)", got, seg)
+			}
+		})
 	}
 }
 
@@ -192,10 +270,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	expect("stats counter drift", "BytesWritten",
 		func() { sys.stats.BytesWritten[meta.TierDRAM] += 3 },
 		func() { sys.stats.BytesWritten[meta.TierDRAM] -= 3 })
-
-	expect("phantom flush", "flush in progress",
-		func() { fs.flushing = true },
-		func() { fs.flushing = false })
 
 	expect("read ledger drift", "read counters",
 		func() { sys.stats.BytesReadLocal += 9 },

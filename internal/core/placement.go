@@ -88,11 +88,10 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 	sys.nodeMeta[prodNode].Put(rec)
 
 	// Pending-flush accounting follows the bytes.
-	if byTier := fs.cached[producer.c.server.GlobalIdx]; byTier != nil {
-		if byTier[oldTier] >= rec.Size {
-			byTier[oldTier] -= rec.Size
-			byTier[meta.TierDRAM] += rec.Size
-		}
+	if byTier := fs.cached[producer.c.server.GlobalIdx]; byTier[oldTier] >= rec.Size {
+		byTier[oldTier] -= rec.Size
+		byTier[meta.TierDRAM] += rec.Size
+		fs.cached[producer.c.server.GlobalIdx] = byTier
 	}
 	sys.stats.Promotions++
 }
@@ -135,8 +134,12 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 			fs.deletedEnd = end
 		}
 		delete(fs.segTags, rec.Offset)
-		if byTier := fs.cached[producer.c.server.GlobalIdx]; byTier != nil && byTier[tier] >= rec.Size {
+		if s := fs.slot(rec.Offset); s != nil {
+			s.run = nil // no flush holds a later write here
+		}
+		if byTier := fs.cached[producer.c.server.GlobalIdx]; byTier[tier] >= rec.Size {
 			byTier[tier] -= rec.Size
+			fs.cached[producer.c.server.GlobalIdx] = byTier
 			fs.cachedTotal -= rec.Size
 		}
 		removed++

@@ -178,11 +178,10 @@ type coverBuf struct {
 	gaps      []byteRange   // the ranges local records miss
 	contacted []int         // the indices charged so far
 
-	// A flush trigger's grouping of recs (see groupForFlush).
-	flushers []int // the flushing servers' global indices, ascending
-	group    []int // each record's place in flushers, -1 for none
-	order    []int // record indices grouped by flusher
-	ends     []int // the end of each flusher's group in order
+	// A flush trigger's placement of recs (see placeFlush).
+	flushers []int       // the flushing servers' global indices, ascending
+	placed   []int64     // the bytes placed so far in each flusher's range
+	slots    []flushSlot // the file's new flush layout
 }
 
 func (sys *System) getCoverBuf() *coverBuf {
@@ -197,7 +196,7 @@ func (sys *System) getCoverBuf() *coverBuf {
 func (sys *System) putCoverBuf(b *coverBuf) {
 	b.recs, b.idx, b.local = b.recs[:0], b.idx[:0], b.local[:0]
 	b.gaps, b.contacted = b.gaps[:0], b.contacted[:0]
-	b.flushers, b.group, b.order, b.ends = b.flushers[:0], b.group[:0], b.order[:0], b.ends[:0]
+	b.flushers, b.placed, b.slots = b.flushers[:0], b.placed[:0], b.slots[:0]
 	sys.coverBufs = append(sys.coverBufs, b)
 }
 

@@ -85,9 +85,9 @@ func (sys *System) StallServer(s int, until sim.Time) {
 func (sys *System) SetWriteObserver(fn func(total int64)) { sys.onWrite = fn }
 
 // fetchFromReplicaOrPFS serves the [lo, lo+bytes) portion of a volatile-tier
-// segment (rec) whose producer node failed: from the flushed PFS copy if one
-// exists, else from the buddy replica, else the data is lost. Either rescue
-// path counts toward Stats.BytesReadDegraded.
+// segment (rec) whose producer node failed: from the file of the completed
+// flush that holds the segment, else from the buddy replica, else the data
+// is lost. Either rescue path counts toward Stats.BytesReadDegraded.
 func (cf *ClientFile) fetchFromReplicaOrPFS(p *sim.Proc, producer *ClientFile, rec meta.Record, lo, bytes int64) error {
 	c := cf.c
 	sys := c.sys
@@ -97,15 +97,11 @@ func (cf *ClientFile) fetchFromReplicaOrPFS(p *sim.Proc, producer *ClientFile, r
 	sp := sys.W.Trace.Begin(p, trace.CatRead, "read-degraded")
 	defer func() { sp.End(p.Now()) }()
 
-	if fs.flushed && fs.pfsFile != nil {
-		// Address the segment's actual range inside the flush file: the
-		// layout recorded when the flush was triggered, advanced by how far
-		// into the segment this read starts.
-		off := lo
-		if base, ok := fs.flushPos(rec.Offset); ok {
-			off = base + (lo - rec.Offset)
-		}
-		fs.pfsFile.Read(p, myNode, off, bytes, c.rank.H.MemPort)
+	if s := fs.slot(rec.Offset); s != nil && s.run != nil && s.run.remaining == 0 {
+		// Address the segment's range in the file of the completed flush
+		// that holds it, advanced by how far into the segment this read
+		// starts.
+		s.run.file.Read(p, myNode, s.pos+(lo-rec.Offset), bytes, c.rank.H.MemPort)
 		sys.stats.BytesReadDegraded += bytes
 		sys.servedReadBytes += bytes
 		return nil

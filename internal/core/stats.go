@@ -76,6 +76,15 @@ func (b tierBytes) MarshalJSON() ([]byte, error) {
 	return json.Marshal(byName)
 }
 
+// total sums the tiers.
+func (b tierBytes) total() int64 {
+	var n int64
+	for _, x := range b {
+		n += x
+	}
+	return n
+}
+
 // tierList is a list of tiers. Its JSON form is an array of tier names,
 // [] when empty.
 type tierList []meta.Tier
@@ -96,13 +105,7 @@ func (sys *System) Stats() Stats {
 }
 
 // TotalBytesWritten sums writes across tiers.
-func (s Stats) TotalBytesWritten() int64 {
-	var n int64
-	for _, b := range s.BytesWritten {
-		n += b
-	}
-	return n
-}
+func (s Stats) TotalBytesWritten() int64 { return s.BytesWritten.total() }
 
 // TotalBytesRead sums the four read paths (including degraded rescues).
 func (s Stats) TotalBytesRead() int64 {

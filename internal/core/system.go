@@ -45,11 +45,8 @@ type System struct {
 	chain      *tier.Chain      // the ordered storage hierarchy, terminal last
 
 	// coverBufs is the free list of the covering buffers of ReadAt and
-	// triggerFlush. flusherPos maps a server's global index to its place
-	// among a flush trigger's flushers (-1 otherwise); a trigger sets and
-	// clears it without parking in between.
-	coverBufs  []*coverBuf
-	flusherPos []int
+	// triggerFlush.
+	coverBufs []*coverBuf
 
 	files          map[string]*fileState
 	nextFID        meta.FileID
@@ -111,31 +108,22 @@ type fileState struct {
 	content     extent.Map // authoritative payload bytes (empty in size-only runs)
 
 	// cached[serverGlobalIdx][tier] = bytes that server must flush.
-	cached      map[int]map[meta.Tier]int64
+	cached      map[int]tierBytes
 	cachedTotal int64
 	procFiles   map[int]*ClientFile // producing proc (global client id) -> handle
 
-	flushing       bool
-	flushed        bool
-	flushRemaining int
-	flushStart     sim.Time
-	flushEnd       sim.Time
-	flushedBytes   int64
-	// flushEv signals the completion of the *current* flush. sim.Event is
-	// one-shot, so each triggerFlush installs a fresh event; waiters of a
-	// finished flush saw theirs set, waiters of the next flush park on the
-	// next event.
-	flushEv *sim.Event
-	pfsFile *lustre.File
-	// flushOff places each segment of the last flush's covering (by
-	// logical offset, the ring's key) at its byte offset in the flush file,
-	// recorded when the flush is triggered so degraded reads address the
-	// real range of the flushed copy. It is sorted by offset and reused
-	// from flush to flush.
+	// flush is the flush in flight (nil when none) and last the last one
+	// that completed (nil before the first).
+	flush, last *flushRun
+	// flushOff places each segment some flush holds (by logical offset,
+	// the metadata key) in that flush's file, so degraded reads address
+	// the real range of the flushed copy. It is sorted by offset and
+	// reused from flush to flush.
 	flushOff []flushSlot
 
-	// reservations to release when the flush (or final close) retires the
-	// cached copies.
+	// reservations are the log capacities provisioned for the file's
+	// producers. Logs live for the run, so nothing releases them: a flush
+	// persists the cached copies but keeps them as a read cache.
 	reservations []reservation
 
 	// heat counts reads per segment (keyed by logical offset) for the
@@ -162,23 +150,34 @@ type fileState struct {
 	deletedEnd int64
 }
 
-// flushSlot is one segment's place in the flush file; pos is -1 while the
-// trigger has not placed it, and stays -1 for a segment no server flushes.
-type flushSlot struct {
-	off int64
-	pos int64
+// flushRun is one flush of a file, from its trigger until the last
+// flushing server finishes its range.
+type flushRun struct {
+	file       *lustre.File // the flush file on the PFS
+	remaining  int          // servers still flushing
+	bytes      int64        // logical bytes retired, set at completion
+	start, end sim.Time
+	done       sim.Event // set when the last server finishes
 }
 
-// flushPos returns where the segment at logical offset off lies in the
-// flush file, if the last flush trigger placed it.
-func (fs *fileState) flushPos(off int64) (int64, bool) {
-	i, found := slices.BinarySearchFunc(fs.flushOff, off, func(e flushSlot, off int64) int {
+// flushSlot is one segment's place in the file of the flush that holds
+// it. A rewrite or delete of the segment clears run: no flush holds the
+// new bytes.
+type flushSlot struct {
+	off, pos int64
+	run      *flushRun
+}
+
+// slot returns the flush slot of the segment at logical offset off, or
+// nil if no flush placed the segment.
+func (fs *fileState) slot(off int64) *flushSlot {
+	i, ok := slices.BinarySearchFunc(fs.flushOff, off, func(e flushSlot, off int64) int {
 		return cmp.Compare(e.off, off)
 	})
-	if !found || fs.flushOff[i].pos < 0 {
-		return 0, false
+	if !ok {
+		return nil
 	}
-	return fs.flushOff[i].pos, true
+	return &fs.flushOff[i]
 }
 
 type reservation struct {
@@ -215,7 +214,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 	tp.LogBytes[meta.TierBB] = cfg.BBLogBytes
 	for t, b := range cfg.TierLogBytes {
 		if b > 0 {
-			tp.LogBytes[t] = b // the generic override wins
+			tp.LogBytes[t] = b
 		}
 	}
 	chain, err := tier.Build(cfg.CacheTiers, &tier.Env{
@@ -295,10 +294,6 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 	sys.failedNodes = make([]bool, nNodes)
 
 	sys.servers = make([]*Server, nServers)
-	sys.flusherPos = make([]int, nServers)
-	for i := range sys.flusherPos {
-		sys.flusherPos[i] = -1
-	}
 	sys.serverComm = w.Launch("univistor-server", nServers, func(r *mpi.Rank) {
 		s := &Server{
 			sys:       sys,
@@ -378,7 +373,7 @@ func (sys *System) fileByName(name string, create bool) (*fileState, error) {
 	fs := &fileState{
 		fid:       sys.nextFID,
 		name:      name,
-		cached:    map[int]map[meta.Tier]int64{},
+		cached:    map[int]tierBytes{},
 		procFiles: map[int]*ClientFile{},
 	}
 	sys.files[name] = fs
@@ -417,37 +412,29 @@ func (sys *System) chargeOp(p *sim.Proc, fromNode int, srv *Server, opTime float
 // Server-side asynchronous flush (§II-D).
 
 type flushReq struct {
-	fs *fileState
+	fs  *fileState
+	run *flushRun
 	// rangeOff/rangeLen: the server's contiguous range of the flush file.
 	rangeOff int64
 	rangeLen int64
-	// source bytes per tier for the read leg of the pipeline.
-	tierBytes map[meta.Tier]int64
 	// physFrac scales each leg's moved bytes: with dedup, the fraction of
 	// the flushed image without an existing physical copy (1 otherwise).
 	physFrac float64
-	// done is this flush's completion event (fresh per flush; the last
-	// finishing server sets it).
-	done *sim.Event
 }
 
 // triggerFlush builds the striping plan for the file's cached bytes and
 // dispatches per-server flush requests. Called from the closing root
 // client's process context; the flush itself runs in the server processes.
 func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
-	if fs.flushing || fs.cachedTotal == 0 {
+	if fs.flush != nil || fs.cachedTotal == 0 {
 		return
 	}
 	// The trigger parks between servers while it still holds the covering
-	// and its grouping, so it takes its own buffers from the free list.
+	// and its flushers, so it takes its own buffers from the free list.
 	b := sys.getCoverBuf()
 	// Flushing servers, in global order.
-	for idx, tiers := range fs.cached {
-		total := int64(0)
-		for _, bytes := range tiers {
-			total += bytes
-		}
-		if total > 0 {
+	for idx, tb := range fs.cached {
+		if tb.total() > 0 {
 			b.flushers = append(b.flushers, idx)
 		}
 	}
@@ -481,23 +468,14 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 	if err != nil {
 		panic(fmt.Sprintf("core: creating flush file: %v", err))
 	}
-	fs.pfsFile = pfsFile
-	fs.flushing = true
-	fs.flushRemaining = len(flushers)
-	fs.flushStart = p.Now()
-	// Re-arm completion signalling: sim.Event is one-shot, so every flush
-	// gets a fresh event. Waiters of a completed earlier flush already saw
-	// theirs set; WaitFlush callers during this flush park on this one.
-	fs.flushEv = &sim.Event{}
+	run := &flushRun{file: pfsFile, remaining: len(flushers), start: p.Now()}
+	fs.flush = run
 	sp := sys.W.Trace.Begin(p, trace.CatFlush, "flush-trigger")
 	if sys.Cfg.Workflow {
 		sys.WF.BeginFlush(p, fs.name)
 	}
 
-	// Segments grouped by their producer's server, in logical-offset order
-	// (the covering is sorted) — the order each server drains its range in,
-	// which fixes where every segment's flushed copy lands.
-	recs := sys.groupForFlush(b, fs)
+	recs := sys.placeFlush(b, fs, run, total)
 
 	// Dedup planning: chunk the logical image, intern/release block
 	// references, and scale the physical flush traffic to the bytes that
@@ -514,31 +492,9 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 		}
 	}
 
-	// Each flusher gets a contiguous, even range of the flush file.
-	first := 0
 	for g, idx := range flushers {
 		off, length := striping.ServerRange(total, len(flushers), g)
-		req := &flushReq{fs: fs, rangeOff: off, rangeLen: length,
-			tierBytes: fs.cached[idx], physFrac: physFrac, done: fs.flushEv}
-		// Record where each of this server's segments lands inside its
-		// range, so degraded reads (producer node failed after the flush)
-		// address the real flushed copy. Segments laid out back to back;
-		// positions are clamped into the range (its even split can differ
-		// slightly from the server's exact cached bytes).
-		pos := req.rangeOff
-		for _, i := range b.order[first:b.ends[g]] {
-			rec := recs[i]
-			p0 := pos
-			if max := req.rangeOff + req.rangeLen - rec.Size; p0 > max {
-				p0 = max
-			}
-			if p0 < req.rangeOff {
-				p0 = req.rangeOff
-			}
-			fs.flushOff[i].pos = p0
-			pos += rec.Size
-		}
-		first = b.ends[g]
+		req := &flushReq{fs: fs, run: run, rangeOff: off, rangeLen: length, physFrac: physFrac}
 		srv := sys.servers[idx]
 		// The trigger costs one small message per server.
 		p.Sleep(cfg.NetLatency)
@@ -548,48 +504,42 @@ func (sys *System) triggerFlush(p *sim.Proc, fs *fileState) {
 	sys.putCoverBuf(b)
 }
 
-// groupForFlush fetches the file's covering into b.recs and groups it by
-// producer server in one counting pass over b.flushers: b.order lists the
-// covering's indices flusher by flusher, each group in offset order, and
-// flusher g's group ends at b.ends[g]. A record whose producer is gone or
-// whose server flushes nothing joins no group. It also resets the file's
-// flush layout to one unplaced entry per covering record and returns the
-// covering.
-func (sys *System) groupForFlush(b *coverBuf, fs *fileState) []meta.Record {
+// placeFlush fetches the file's covering into b.recs and places its
+// segments in run's file in one pass in offset order, the order each
+// server drains its range in. Each flusher of b.flushers gets a
+// contiguous, even range of the file, and its segments lie back to back
+// from the start of the range, each clamped into it (the even split can
+// differ slightly from the server's exact cached bytes). A segment an
+// earlier flush holds keeps that slot but still takes its room in the
+// range; a segment whose server flushes nothing keeps its slot too. It
+// returns the covering.
+func (sys *System) placeFlush(b *coverBuf, fs *fileState, run *flushRun, total int64) []meta.Record {
+	b.placed = append(b.placed, make([]int64, len(b.flushers))...)
 	b.recs, b.idx = sys.meta.covering(b.recs, b.idx, fs.fid, 0, fs.logicalSize)
-	for g, idx := range b.flushers {
-		sys.flusherPos[idx] = g
-	}
-	b.ends = append(b.ends, make([]int, len(b.flushers))...)
-	fs.flushOff = fs.flushOff[:0]
+	old := fs.flushOff // sorted by offset, like the covering
 	for _, rec := range b.recs {
-		g := -1
+		for len(old) > 0 && old[0].off < rec.Offset {
+			old = old[1:] // the segment is gone
+		}
+		slot := flushSlot{off: rec.Offset}
+		if len(old) > 0 && old[0].off == rec.Offset {
+			slot = old[0]
+		}
 		if pf := fs.procFiles[rec.Proc]; pf != nil {
-			g = sys.flusherPos[pf.c.server.GlobalIdx]
+			if g, ok := slices.BinarySearch(b.flushers, pf.c.server.GlobalIdx); ok {
+				if slot.run == nil { // else an earlier flush holds it
+					off, length := striping.ServerRange(total, len(b.flushers), g)
+					slot.pos = max(min(off+b.placed[g], off+length-rec.Size), off)
+					slot.run = run
+				}
+				b.placed[g] += rec.Size
+			}
 		}
-		b.group = append(b.group, g)
-		if g >= 0 {
-			b.ends[g]++
-		}
-		fs.flushOff = append(fs.flushOff, flushSlot{off: rec.Offset, pos: -1})
-	}
-	for _, idx := range b.flushers {
-		sys.flusherPos[idx] = -1
-	}
-	// Group sizes to group starts, then scatter: each start advances to
-	// its group's end.
-	n := 0
-	for g, size := range b.ends {
-		b.ends[g] = n
-		n += size
-	}
-	b.order = append(b.order, make([]int, n)...)
-	for i, g := range b.group {
-		if g >= 0 {
-			b.order[b.ends[g]] = i
-			b.ends[g]++
+		if slot.run != nil {
+			b.slots = append(b.slots, slot)
 		}
 	}
+	fs.flushOff = append(fs.flushOff[:0], b.slots...)
 	return b.recs
 }
 
@@ -608,9 +558,10 @@ func (s *Server) doFlush(r *mpi.Rank, req *flushReq) {
 	sp := sys.W.Trace.Begin(r.P, trace.CatFlush, "flush-range")
 	remaining := req.rangeLen
 	// Flush tier by tier, fastest first; the range split across tiers
-	// mirrors the cached byte counts.
+	// mirrors the cached byte counts, read live: bytes written or deleted
+	// while the flush runs are retired with it.
 	for _, bk := range sys.chain.Backends() {
-		bytes := req.tierBytes[bk.Tier()]
+		bytes := req.fs.cached[s.GlobalIdx][bk.Tier()]
 		if bytes <= 0 {
 			continue
 		}
@@ -632,7 +583,7 @@ func (s *Server) doFlush(r *mpi.Rank, req *flushReq) {
 			moved = int64(float64(bytes) * req.physFrac)
 		}
 		if moved > 0 {
-			if err := req.fs.pfsFile.Write(r.P, s.Node, req.rangeOff+(req.rangeLen-remaining), moved, readLeg...); err != nil {
+			if err := req.run.file.Write(r.P, s.Node, req.rangeOff+(req.rangeLen-remaining), moved, readLeg...); err != nil {
 				panic(fmt.Sprintf("core: flush write: %v", err))
 			}
 		}
@@ -652,21 +603,20 @@ func (s *Server) doFlush(r *mpi.Rank, req *flushReq) {
 }
 
 // finishFlushPart retires one server's share; the last server completes the
-// flush: timestamps, capacity release, workflow unlock. It sets the
-// request's own completion event — the one armed when this flush was
-// triggered — so a waiter can never be released by a different flush.
+// flush: timestamps, capacity release, workflow unlock. It sets the run's
+// own completion event, so a waiter can never be released by a different
+// flush.
 func (s *Server) finishFlushPart(r *mpi.Rank, req *flushReq) {
 	sys := s.sys
-	fs := req.fs
-	fs.flushRemaining--
-	if fs.flushRemaining > 0 {
+	fs, run := req.fs, req.run
+	run.remaining--
+	if run.remaining > 0 {
 		return
 	}
 	sys.W.Trace.Mark(r.P, trace.CatFlush, "flush-complete")
-	fs.flushing = false
-	fs.flushed = true
-	fs.flushEnd = r.P.Now()
-	fs.flushedBytes = fs.cachedTotal
+	run.end = r.P.Now()
+	run.bytes = fs.cachedTotal
+	fs.flush, fs.last = nil, run
 	sys.stats.BytesFlushed += fs.cachedTotal
 	sys.stats.Flushes++
 	// The flush persists the data; the cached copies REMAIN valid (the
@@ -674,11 +624,11 @@ func (s *Server) finishFlushPart(r *mpi.Rank, req *flushReq) {
 	// tiers), so log reservations are not released. Only the
 	// pending-flush accounting resets.
 	fs.cachedTotal = 0
-	fs.cached = map[int]map[meta.Tier]int64{}
+	clear(fs.cached)
 	if sys.Cfg.Workflow {
 		sys.WF.EndFlush(r.P, fs.name)
 	}
-	req.done.Set()
+	run.done.Set()
 	if sys.InvariantCheck != nil {
 		sys.InvariantCheck("flush-complete")
 	}
@@ -688,25 +638,23 @@ func (s *Server) finishFlushPart(r *mpi.Rank, req *flushReq) {
 func (sys *System) Chain() *tier.Chain { return sys.chain }
 
 // WaitFlush blocks the process until the file's pending flush completes.
-// It returns immediately if no flush is outstanding. Each flush arms its
+// It returns immediately if no flush is outstanding. Each flush has its
 // own completion event, so waiting during a second (or later) flush blocks
 // until *that* flush finishes rather than being satisfied by the first.
 func (sys *System) WaitFlush(p *sim.Proc, name string) {
-	fs, ok := sys.files[name]
-	if !ok || fs.flushEv == nil || (!fs.flushing && fs.flushRemaining == 0) {
-		return
+	if fs, ok := sys.files[name]; ok && fs.flush != nil {
+		fs.flush.done.Wait(p)
 	}
-	fs.flushEv.Wait(p)
 }
 
 // FlushStats reports the last completed flush of the file: bytes moved and
 // the start/end virtual times.
 func (sys *System) FlushStats(name string) (bytes int64, start, end sim.Time, ok bool) {
 	fs, found := sys.files[name]
-	if !found || !fs.flushed {
+	if !found || fs.last == nil {
 		return 0, 0, 0, false
 	}
-	return fs.flushedBytes, fs.flushStart, fs.flushEnd, true
+	return fs.last.bytes, fs.last.start, fs.last.end, true
 }
 
 // FileSize returns the logical size of a file in the unified namespace.

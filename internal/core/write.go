@@ -96,8 +96,12 @@ func (cf *ClientFile) write(off, size int64, data []byte, tag uint64) error {
 	if prev, ok := sys.metaPut(p, c.rank.Node(), rec); ok {
 		// Exact-key rewrite: the replaced record's bytes leave the
 		// resolvable set (tracked so the coverage invariant can reconcile
-		// the metadata service against the written-bytes ledger).
+		// the metadata service against the written-bytes ledger), and no
+		// flush holds the new ones.
 		cf.fs.overwritten += prev.Size
+		if s := cf.fs.slot(off); s != nil {
+			s.run = nil
+		}
 	}
 	// Shared metadata buffer on the producing node (§II-B4): free local
 	// lookup for locally generated segments.
@@ -124,11 +128,8 @@ func (cf *ClientFile) write(off, size int64, data []byte, tag uint64) error {
 		cf.fs.logicalSize = end
 	}
 	byTier := cf.fs.cached[c.server.GlobalIdx]
-	if byTier == nil {
-		byTier = map[meta.Tier]int64{}
-		cf.fs.cached[c.server.GlobalIdx] = byTier
-	}
 	byTier[placed] += size
+	cf.fs.cached[c.server.GlobalIdx] = byTier
 	cf.fs.cachedTotal += size
 	cf.fs.totalWritten += size
 	sys.stats.BytesWritten[placed] += size

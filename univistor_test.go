@@ -111,6 +111,15 @@ func TestFacadeValidation(t *testing.T) {
 		// Negative legacy log sizes: logShare used to ignore them.
 		func(c *core.Config) { c.DRAMLogBytes = -1 },
 		func(c *core.Config) { c.BBLogBytes = -1 },
+		// Both sizes of one tier's logs: one of them was silently ignored.
+		func(c *core.Config) {
+			c.DRAMLogBytes = 1 << 20
+			c.TierLogBytes = map[meta.Tier]int64{meta.TierDRAM: 2 << 20}
+		},
+		func(c *core.Config) {
+			c.BBLogBytes = 1 << 20
+			c.TierLogBytes = map[meta.Tier]int64{meta.TierBB: 2 << 20}
+		},
 		// A promotion threshold below 1 used to fall back to 2.
 		func(c *core.Config) { c.ProactivePlacement = true; c.PromoteAfterReads = 0 },
 	} {
