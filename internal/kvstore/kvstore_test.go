@@ -86,9 +86,12 @@ func TestScanEarlyStop(t *testing.T) {
 
 // checkBlocks walks the store's layout: every block is non-empty, holds at
 // most blockCap records in a backing array of blockCap+1 and is sorted;
-// firsts[i] is the key of blocks[i][0]; blocks are in key order; and the
-// block sizes add up to Len.
-func checkBlocks(s *Store) error {
+// firsts[i] is the key of blocks[i][0]; blocks are in key order; the
+// block sizes add up to Len; and every spare block is empty with the same
+// backing array. Each appended file, built by Puts past every stored key,
+// must fill its blocks: the records that did not join the block holding
+// the keys before it occupy ⌈n/blockCap⌉ blocks.
+func checkBlocks(s *Store, appended ...meta.FileID) error {
 	if len(s.firsts) != len(s.blocks) {
 		return fmt.Errorf("%d firsts for %d blocks", len(s.firsts), len(s.blocks))
 	}
@@ -120,24 +123,65 @@ func checkBlocks(s *Store) error {
 	if n != s.Len() {
 		return fmt.Errorf("blocks hold %d records, Len = %d", n, s.Len())
 	}
+	for i, b := range s.spare {
+		if len(b) != 0 || cap(b) != blockCap+1 {
+			return fmt.Errorf("spare block %d has len %d cap %d, want 0 and %d", i, len(b), cap(b), blockCap+1)
+		}
+	}
+	for _, fid := range appended {
+		recs, blocks := 0, 0
+		for _, b := range s.blocks {
+			if b[0].FID == fid {
+				blocks++
+			}
+			for _, r := range b {
+				if r.FID == fid && b[0].FID == fid {
+					recs++
+				}
+			}
+		}
+		if want := (recs + blockCap - 1) / blockCap; blocks != want {
+			return fmt.Errorf("appended file %d holds %d records in %d blocks of its own, want %d",
+				fid, recs, blocks, want)
+		}
+	}
 	return nil
 }
 
 // Property: a store agrees with a sorted reference slice under random
-// put/delete/get/floor/scan sequences over 3 files × 2,000 offsets: a
-// growth phase, then a delete-heavy phase that drains most of the store.
-// The block layout is walked every few operations.
+// put/delete/get/floor/scan sequences, in three phases. Random: 3 files ×
+// 2,000 offsets, a growth phase, then a delete-heavy phase that drains
+// most of the store. Append: three more files grow at rising offsets,
+// interleaved. Retention: one of those files drains completely, in random
+// order, and a new file of the same size is appended after every stored
+// key. The block layout is walked every few operations, and the store
+// never holds more blocks, live and spare, than it once held live.
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	const (
-		fids     = 3
-		offsets  = 2000
-		growOps  = 12000
-		drainOps = 8000
+		fids      = 3
+		offsets   = 2000
+		growOps   = 12000
+		drainOps  = 8000
+		appendOps = 6000
 	)
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewStore()
 		var ref []meta.Record // sorted by key
+		phase, op, peak := "random", 0, 0
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d %s op %d: %s", seed, phase, op, fmt.Sprintf(format, args...))
+		}
+		check := func(appended ...meta.FileID) {
+			t.Helper()
+			if err := checkBlocks(s, appended...); err != nil {
+				fail("%v", err)
+			}
+			if held := len(s.blocks) + len(s.spare); held > peak {
+				fail("store holds %d blocks, live and spare, but at most %d were live at once", held, peak)
+			}
+		}
 		search := func(key meta.Key) (int, bool) {
 			return slices.BinarySearchFunc(ref, key, func(r meta.Record, k meta.Key) int {
 				switch {
@@ -149,47 +193,39 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 				return 0
 			})
 		}
-		// randKey draws a key, sometimes just outside the populated range.
-		randKey := func() meta.Key {
-			return meta.Key{FID: meta.FileID(rng.Intn(fids + 2)), Offset: int64(rng.Intn(offsets+2)) - 1}
+		put := func(r meta.Record) {
+			s.Put(r)
+			if i, ok := search(r.Key()); ok {
+				ref[i] = r
+			} else {
+				ref = slices.Insert(ref, i, r)
+			}
+			peak = max(peak, len(s.blocks))
 		}
-		for op := 0; op < growOps+drainOps; op++ {
-			fail := func(format string, args ...any) {
-				t.Fatalf("seed %d op %d: %s", seed, op, fmt.Sprintf(format, args...))
+		del := func(key meta.Key) {
+			i, ok := search(key)
+			if got := s.Delete(key); got != ok {
+				fail("Delete(%v) = %v, want %v", key, got, ok)
 			}
-			putPct, delPct := 55, 15
-			if op >= growOps {
-				putPct, delPct = 10, 70
+			if ok {
+				ref = slices.Delete(ref, i, i+1)
 			}
-			key := meta.Key{FID: meta.FileID(rng.Intn(fids) + 1), Offset: int64(rng.Intn(offsets))}
-			switch c := rng.Intn(100); {
-			case c < putPct:
-				r := rec(key.FID, key.Offset, int64(rng.Intn(10)+1), rng.Intn(50))
-				s.Put(r)
-				if i, ok := search(key); ok {
-					ref[i] = r
-				} else {
-					ref = slices.Insert(ref, i, r)
-				}
-			case c < putPct+delPct:
-				// Mostly delete a stored key, so the drain phase drains.
-				if len(ref) > 0 && rng.Intn(4) != 0 {
-					key = ref[rng.Intn(len(ref))].Key()
-				}
-				i, ok := search(key)
-				if got := s.Delete(key); got != ok {
-					fail("Delete(%v) = %v, want %v", key, got, ok)
-				}
-				if ok {
-					ref = slices.Delete(ref, i, i+1)
-				}
-			case c < putPct+delPct+10:
+		}
+		// randKey draws a key of any file, sometimes just outside the
+		// populated ranges.
+		randKey := func() meta.Key {
+			return meta.Key{FID: meta.FileID(rng.Intn(9)), Offset: int64(rng.Intn(offsets+2)) - 1}
+		}
+		// read checks one Get, Floor or Scan against the reference.
+		read := func(key meta.Key) {
+			switch c := rng.Intn(3); c {
+			case 0:
 				got, ok := s.Get(key)
 				i, wok := search(key)
 				if ok != wok || (ok && got != ref[i]) {
 					fail("Get(%v) = %+v, %v", key, got, ok)
 				}
-			case c < putPct+delPct+20:
+			case 1:
 				key = randKey()
 				got, ok := s.Floor(key)
 				i, exact := search(key)
@@ -213,15 +249,65 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 					fail("Scan(%v, %v) returned %d records, want %d", lo, hi, len(got), len(want))
 				}
 			}
-			if op%16 == 0 || op == growOps-1 {
-				if err := checkBlocks(s); err != nil {
-					fail("%v", err)
+		}
+		for ; op < growOps+drainOps; op++ {
+			putPct, delPct := 55, 15
+			if op >= growOps {
+				putPct, delPct = 10, 70
+			}
+			key := meta.Key{FID: meta.FileID(rng.Intn(fids) + 1), Offset: int64(rng.Intn(offsets))}
+			switch c := rng.Intn(100); {
+			case c < putPct:
+				put(rec(key.FID, key.Offset, int64(rng.Intn(10)+1), rng.Intn(50)))
+			case c < putPct+delPct:
+				// Mostly delete a stored key, so the drain phase drains.
+				if len(ref) > 0 && rng.Intn(4) != 0 {
+					key = ref[rng.Intn(len(ref))].Key()
 				}
+				del(key)
+			default:
+				read(key)
+			}
+			if op%16 == 0 || op == growOps-1 {
+				check()
 			}
 		}
-		if err := checkBlocks(s); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+
+		phase = "append"
+		var next [3]int64
+		for op = 0; op < appendOps; op++ {
+			f := rng.Intn(3)
+			put(rec(meta.FileID(4+f), next[f], 1, op))
+			next[f] += int64(rng.Intn(3) + 1)
+			if rng.Intn(4) == 0 {
+				read(meta.Key{FID: meta.FileID(4 + rng.Intn(3)), Offset: int64(rng.Intn(offsets))})
+			}
+			if op%16 == 0 {
+				check()
+			}
 		}
+
+		phase = "retention"
+		var drained []meta.Key
+		for _, r := range ref {
+			if r.FID == 4 {
+				drained = append(drained, r.Key())
+			}
+		}
+		rng.Shuffle(len(drained), func(i, j int) { drained[i], drained[j] = drained[j], drained[i] })
+		for op = 0; op < len(drained); op++ {
+			del(drained[op])
+			if op%16 == 0 {
+				check()
+			}
+		}
+		for op = 0; op < len(drained); op++ {
+			put(rec(7, int64(op), 1, op))
+			if op%16 == 0 {
+				check(7)
+			}
+		}
+		check(7)
 		if s.Len() != len(ref) || !slices.Equal(s.All(), ref) {
 			t.Fatalf("seed %d: All has %d records, want %d in key order", seed, s.Len(), len(ref))
 		}
@@ -304,6 +390,85 @@ func BenchmarkStoreDelete(b *testing.B) {
 			b.StartTimer()
 		}
 		s.Delete(meta.Key{FID: 1, Offset: 2 * int64(order[k])})
+	}
+}
+
+// BenchmarkStoreAppend builds stores of storeBenchRecords records the way a
+// sequential writer does, one Put per op at rising offsets.
+func BenchmarkStoreAppend(b *testing.B) {
+	var s *Store
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % storeBenchRecords
+		if k == 0 {
+			s = NewStore()
+		}
+		s.Put(rec(1, 2*int64(k), 2, k))
+	}
+}
+
+// churn drains a store's one file of storeBenchRecords records in a random
+// order and appends the next file of the same size, as a checkpoint's
+// retention does. Its step does one Delete or Put.
+type churn struct {
+	s     *Store
+	order []int
+	fid   meta.FileID
+	k     int
+}
+
+func newChurn() *churn {
+	c := &churn{s: NewStore(), order: rand.New(rand.NewSource(5)).Perm(storeBenchRecords), fid: 1}
+	for i := 0; i < storeBenchRecords; i++ {
+		c.s.Put(rec(c.fid, 2*int64(i), 2, i))
+	}
+	return c
+}
+
+func (c *churn) step() {
+	if c.k < storeBenchRecords {
+		c.s.Delete(meta.Key{FID: c.fid, Offset: 2 * int64(c.order[c.k])})
+	} else {
+		i := c.k - storeBenchRecords
+		c.s.Put(rec(c.fid+1, 2*int64(i), 2, i))
+	}
+	if c.k++; c.k == 2*storeBenchRecords {
+		c.fid, c.k = c.fid+1, 0
+	}
+}
+
+// cycle runs one drain and rebuild.
+func (c *churn) cycle() {
+	for i := 0; i < 2*storeBenchRecords; i++ {
+		c.step()
+	}
+}
+
+// After one warm-up cycle, draining a file and appending the next reuses
+// the drained blocks: the cycle allocates nothing, and the new file fills
+// its blocks.
+func TestStoreChurnReusesBlocks(t *testing.T) {
+	c := newChurn()
+	// AllocsPerRun runs one cycle as its warm-up.
+	if n := testing.AllocsPerRun(3, c.cycle); n != 0 {
+		t.Errorf("a warm drain-and-rebuild cycle allocates %v times, want 0", n)
+	}
+	if err := checkBlocks(c.s, c.fid); err != nil {
+		t.Fatal(err)
+	}
+	if want := storeBenchRecords / blockCap; len(c.s.blocks) != want {
+		t.Errorf("rebuilt file occupies %d blocks, want %d", len(c.s.blocks), want)
+	}
+}
+
+// BenchmarkStoreChurn drains and rebuilds a storeBenchRecords-record file,
+// one Delete or Put per op.
+func BenchmarkStoreChurn(b *testing.B) {
+	c := newChurn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.step()
 	}
 }
 
@@ -509,28 +674,35 @@ func TestRingCoveringProperty(t *testing.T) {
 // coverRangeReference is the covering scan as it was written with a
 // per-call set of the keys already collected: the oracle that the
 // allocation-free CoverRange must reproduce record for record, partition
-// for partition.
+// for partition. scanned counts what a scan that kept the copies a
+// partition's head record makes would collect, which CoverRange must size
+// its buffer for.
 func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
-	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int, back int) {
+	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int, back, scanned int) {
 	if size <= 0 {
-		return nil, nil, -1
+		return nil, nil, -1, 0
 	}
 	end := offset + size
 	seen := map[meta.Key]bool{}
+	collect := func(rec meta.Record) {
+		scanned++
+		if !seen[rec.Key()] {
+			seen[rec.Key()] = true
+			recs = append(recs, rec)
+		}
+	}
 	for off := offset; off < end; {
 		partEnd := min((off/rangeSize+1)*rangeSize, end)
 		idx, st := at(off)
 		parts = append(parts, idx)
 		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: off}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > off && !seen[prev.Key()] {
-			seen[prev.Key()] = true
-			recs = append(recs, prev)
+			prev.FID == fid && prev.Offset+prev.Size > off {
+			collect(prev)
 		}
 		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
 			func(rec meta.Record) bool {
-				if rec.Offset+rec.Size > offset && rec.Offset < end && !seen[rec.Key()] {
-					seen[rec.Key()] = true
-					recs = append(recs, rec)
+				if rec.Offset+rec.Size > offset && rec.Offset < end {
+					collect(rec)
 				}
 				return true
 			})
@@ -543,19 +715,21 @@ func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
 		idx, st := at(partStart - 1)
 		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
 			prev.FID == fid && prev.Offset+prev.Size > offset && !seen[prev.Key()] {
+			scanned++
 			recs = append(recs, prev)
 			back = idx
 		}
 	}
 	sortRecords(recs)
-	return recs, parts, back
+	return recs, parts, back, scanned
 }
 
 // CoverRange, appending after existing entries of warm buffers, returns
 // exactly what the set-based reference returns, on random record sets of
 // two files (touching, overlapping and gapped, up to one partition long)
-// over rings of 1–5 servers with random partition sizes. CoveringStore
-// appends what a fresh call returns. Warm calls allocate nothing.
+// over rings of 1–5 servers with random partition sizes, and counts from
+// the block index exactly what its scan collects. CoveringStore appends
+// what a fresh call returns. Warm calls allocate nothing.
 func TestCoverRangeMatchesSetReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	recHead, partHead := []meta.Record{rec(9, 1, 1, 0)}, []int{42}
@@ -577,7 +751,10 @@ func TestCoverRangeMatchesSetReference(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			fid := meta.FileID(1 + rng.Intn(2))
 			off, size := int64(rng.Intn(1500)), int64(rng.Intn(400))-20
-			want, wantParts, wantBack := coverRangeReference(fid, off, size, rangeSize, r.at)
+			want, wantParts, wantBack, scanned := coverRangeReference(fid, off, size, rangeSize, r.at)
+			if n, _, _ := coverCount(fid, off, off+size, rangeSize, r.at); size > 0 && n != scanned {
+				t.Fatalf("coverCount(%d, %d, %d) = %d, want %d", fid, off, size, n, scanned)
+			}
 			var back int
 			recs, parts, back = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
 				fid, off, size, rangeSize, r.at)
@@ -601,5 +778,32 @@ func TestCoverRangeMatchesSetReference(t *testing.T) {
 		recs = CoveringStore(recs[:0], r.stores[0], 1, 100, 900)
 	}); allocs != 0 {
 		t.Errorf("warm CoverRange and CoveringStore allocate %.1f objects/op, want 0", allocs)
+	}
+}
+
+// A covering across several partitions into a nil buffer allocates one
+// array, sized for what it collects, and into a warm buffer none.
+func TestCoverRangeAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	r := NewRing(3, 64)
+	for off := int64(0); off < 4096; off += 16 {
+		r.Put(rec(1, off, 16, 0))
+	}
+	parts := make([]int, 0, 16)
+	var recs []meta.Record
+	if n := testing.AllocsPerRun(20, func() {
+		recs, parts, _ = CoverRange(nil, parts[:0], 1, 40, 1000, 64, r.at)
+	}); n != 1 {
+		t.Errorf("CoverRange into a nil buffer allocates %v times, want 1", n)
+	}
+	if len(recs) != 63 || len(parts) != 3 {
+		t.Fatalf("CoverRange returned %d records from %d servers, want 63 from 3", len(recs), len(parts))
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 40, 1000, 64, r.at)
+	}); n != 0 {
+		t.Errorf("CoverRange into a warm buffer allocates %v times, want 0", n)
 	}
 }

@@ -78,7 +78,9 @@ func (r *Ring) at(offset int64) (int, *Store) {
 // that straddles into the range from the partition before it (-1 if there
 // is none). at maps an offset to the index and store owning its
 // partition. Records must be no larger than rangeSize, so one partition
-// back suffices. With warm buffers the scan allocates nothing.
+// back suffices. recs grows at most once, by exactly what the scan
+// appends when every record has a positive size; with warm buffers the
+// scan allocates nothing.
 func CoverRange(recs []meta.Record, parts []int, fid meta.FileID, offset, size, rangeSize int64,
 	at func(offset int64) (int, *Store)) ([]meta.Record, []int, int) {
 	if size <= 0 {
@@ -86,13 +88,13 @@ func CoverRange(recs []meta.Record, parts []int, fid meta.FileID, offset, size, 
 	}
 	base, pbase := len(recs), len(parts)
 	end := offset + size
+	n, back, backRec := coverCount(fid, offset, end, rangeSize, at)
+	recs = slices.Grow(recs, n)
 	for off := offset; off < end; {
 		partEnd := min((off/rangeSize+1)*rangeSize, end)
 		idx, st := at(off)
 		parts = append(parts, idx)
-		// A record starting earlier may cover this partition's head.
-		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: off}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > off {
+		if prev, ok := straddler(st, fid, off, off); ok {
 			recs = append(recs, prev)
 		}
 		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
@@ -113,20 +115,51 @@ func CoverRange(recs []meta.Record, parts []int, fid meta.FileID, offset, size, 
 	recs = append(recs[:base], slices.CompactFunc(recs[base:], func(a, b meta.Record) bool {
 		return a.Key() == b.Key()
 	})...)
-	// A record straddling the range's first partition boundary lives with
-	// the partition before it.
-	back := -1
-	if partStart := (offset / rangeSize) * rangeSize; partStart > 0 {
-		idx, st := at(partStart - 1)
-		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
-			prev.FID == fid && prev.Offset+prev.Size > offset &&
-			!slices.ContainsFunc(recs[base:], func(r meta.Record) bool { return r.Key() == prev.Key() }) {
-			recs = append(recs, prev)
-			sortRecords(recs[base:])
-			back = idx
-		}
+	if back >= 0 {
+		recs = append(recs, backRec)
+		sortRecords(recs[base:])
 	}
 	return recs, parts, back
+}
+
+// coverCount returns how many records CoverRange's partition scans append
+// for [offset, end), plus one for the record straddling in from the
+// partition before the range if it is not already the first partition's
+// head; that record and its index (-1 if none) come back too. It counts
+// from each store's block index, without scanning records.
+func coverCount(fid meta.FileID, offset, end, rangeSize int64,
+	at func(offset int64) (int, *Store)) (n, back int, backRec meta.Record) {
+	back = -1
+	// A record straddling the range's first partition boundary lives with
+	// the partition before it.
+	if partStart := (offset / rangeSize) * rangeSize; partStart > 0 {
+		idx, st := at(partStart - 1)
+		if prev, ok := straddler(st, fid, partStart-1, offset); ok {
+			n, back, backRec = 1, idx, prev
+		}
+	}
+	for off := offset; off < end; {
+		partEnd := min((off/rangeSize+1)*rangeSize, end)
+		_, st := at(off)
+		if prev, ok := straddler(st, fid, off, off); ok {
+			n++
+			// The first partition's head may be the record from the
+			// partition before, which then is not appended again.
+			if off == offset && back >= 0 && prev.Key() == backRec.Key() {
+				n, back = n-1, -1
+			}
+		}
+		n += st.count(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd})
+		off = partEnd
+	}
+	return n, back, backRec
+}
+
+// straddler returns the record of fid in st with the greatest key ≤ key,
+// if it reaches past from.
+func straddler(st *Store, fid meta.FileID, key, from int64) (meta.Record, bool) {
+	prev, ok := st.Floor(meta.Key{FID: fid, Offset: key})
+	return prev, ok && prev.FID == fid && prev.Offset+prev.Size > from
 }
 
 func sortRecords(recs []meta.Record) {

@@ -12,8 +12,10 @@ import (
 	"univistor/internal/meta"
 )
 
-// blockCap is the most records one block holds; a block that grows past it
-// splits into halves.
+// blockCap is the most records one block holds. A block that grows past it
+// splits into halves, unless the insert went to its end: then the block
+// stays full and the new record starts the next one, so keys written in
+// rising order fill every block.
 const blockCap = 64
 
 // Store is an ordered map from meta.Key to meta.Record kept as a run of
@@ -21,9 +23,16 @@ const blockCap = 64
 // and ends before the next one starts; firsts holds each block's first
 // key, so a lookup is two binary searches. meta.Record has no pointers, so
 // the garbage collector never scans the records.
+//
+// A block that a delete empties or merges away is kept in spare, and the
+// next block the store needs is taken from there, so a store that shrinks
+// and grows back allocates nothing. The store allocates a block only when
+// spare is empty, so it never holds more blocks, live and spare together,
+// than it once held live at the same time.
 type Store struct {
 	blocks [][]meta.Record
 	firsts []meta.Key
+	spare  [][]meta.Record
 	size   int
 }
 
@@ -34,8 +43,19 @@ func NewStore() *Store { return &Store{} }
 func (s *Store) Len() int { return s.size }
 
 // newBlock returns a block of n records with room for one beyond blockCap,
-// so an insert into a full block never regrows it before the split.
-func newBlock(n int) []meta.Record { return make([]meta.Record, n, blockCap+1) }
+// so an insert into a full block never regrows it before the split. It
+// takes a spare block if there is one.
+func (s *Store) newBlock(n int) []meta.Record {
+	if k := len(s.spare) - 1; k >= 0 {
+		b := s.spare[k][:n]
+		s.spare = s.spare[:k]
+		return b
+	}
+	return make([]meta.Record, n, blockCap+1)
+}
+
+// freeBlock keeps a block that left the store for the next newBlock.
+func (s *Store) freeBlock(b []meta.Record) { s.spare = append(s.spare, b[:0]) }
 
 // block returns the index of the last block whose first key is ≤ key, or
 // -1 if key precedes every block.
@@ -81,7 +101,7 @@ func (s *Store) find(key meta.Key) (bi, i int, ok bool) {
 func (s *Store) Put(r meta.Record) {
 	key := r.Key()
 	if len(s.blocks) == 0 {
-		b := newBlock(1)
+		b := s.newBlock(1)
 		b[0] = r
 		s.blocks = append(s.blocks, b)
 		s.firsts = append(s.firsts, key)
@@ -107,7 +127,10 @@ func (s *Store) Put(r meta.Record) {
 		return
 	}
 	half := len(b) / 2
-	right := newBlock(len(b) - half)
+	if i == blockCap {
+		half = blockCap
+	}
+	right := s.newBlock(len(b) - half)
 	copy(right, b[half:])
 	s.blocks[bi] = b[:half]
 	s.blocks = slices.Insert(s.blocks, bi+1, right)
@@ -124,7 +147,8 @@ func (s *Store) Get(key meta.Key) (meta.Record, bool) {
 
 // Delete removes the record stored under key, reporting whether it existed.
 // A block that empties is dropped, and one that fits into half a block
-// together with its right neighbour absorbs it.
+// together with its right neighbour absorbs it; either way the block that
+// leaves becomes a spare.
 func (s *Store) Delete(key meta.Key) bool {
 	bi, i, ok := s.find(key)
 	if !ok {
@@ -135,6 +159,7 @@ func (s *Store) Delete(key meta.Key) bool {
 	b = b[:len(b)-1]
 	s.size--
 	if len(b) == 0 {
+		s.freeBlock(b)
 		s.blocks = slices.Delete(s.blocks, bi, bi+1)
 		s.firsts = slices.Delete(s.firsts, bi, bi+1)
 		return true
@@ -144,6 +169,7 @@ func (s *Store) Delete(key meta.Key) bool {
 	}
 	if bi+1 < len(s.blocks) && len(b)+len(s.blocks[bi+1]) <= blockCap/2 {
 		b = append(b, s.blocks[bi+1]...)
+		s.freeBlock(s.blocks[bi+1])
 		s.blocks = slices.Delete(s.blocks, bi+1, bi+2)
 		s.firsts = slices.Delete(s.firsts, bi+1, bi+2)
 	}
@@ -166,14 +192,36 @@ func (s *Store) Floor(key meta.Key) (meta.Record, bool) {
 	return s.blocks[bi][i-1], true
 }
 
+// pos returns the block and slot of the first record whose key is ≥ key.
+// The store must not be empty.
+func (s *Store) pos(key meta.Key) (bi, i int) {
+	bi = max(s.block(key), 0)
+	i, _ = slot(s.blocks[bi], key)
+	return bi, i
+}
+
+// count returns the number of records with lo ≤ key < hi, for lo ≤ hi. It
+// reads only the block index and block lengths, never the records between.
+func (s *Store) count(lo, hi meta.Key) int {
+	if len(s.blocks) == 0 {
+		return 0
+	}
+	bi, i := s.pos(lo)
+	bj, j := s.pos(hi)
+	n := j - i
+	for _, b := range s.blocks[bi:bj] {
+		n += len(b)
+	}
+	return n
+}
+
 // Scan visits, in key order, every record with lo ≤ key < hi, stopping
 // early if fn returns false.
 func (s *Store) Scan(lo, hi meta.Key, fn func(meta.Record) bool) {
 	if len(s.blocks) == 0 {
 		return
 	}
-	bi := max(s.block(lo), 0)
-	i, _ := slot(s.blocks[bi], lo)
+	bi, i := s.pos(lo)
 	for _, b := range s.blocks[bi:] {
 		for _, r := range b[i:] {
 			if !r.Key().Less(hi) || !fn(r) {
