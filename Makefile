@@ -38,13 +38,14 @@ trace-smoke:
 	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json /tmp/tiers.json
 
 # Run each internal/sim, internal/kvstore, internal/metaplane,
-# internal/striping, internal/lustre, internal/gateway and internal/logstore
-# benchmark once, so the solver, metadata-store, commit-path, stripe-cutter,
-# PFS-write, gateway-op and log-recycling benchmarks that performance changes
+# internal/striping, internal/lustre, internal/bb, internal/gateway,
+# internal/logstore and internal/hdf5lite benchmark once, so the solver,
+# metadata-store, commit-path, stripe-cutter, PFS-write, BB-write, gateway-op,
+# log-recycling and collective-step benchmarks that performance changes
 # quote keep building and running; -benchmem prints each one's allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/kvstore ./internal/metaplane ./internal/striping \
-		./internal/lustre ./internal/bb ./internal/gateway ./internal/logstore
+		./internal/lustre ./internal/bb ./internal/gateway ./internal/logstore ./internal/hdf5lite
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

@@ -29,6 +29,15 @@ func (m *Map) Write(off int64, data []byte) {
 	if off < 0 {
 		panic(fmt.Sprintf("extent: negative offset %d", off))
 	}
+	// An extent with exactly this range takes the bytes in place. Its
+	// backing array may be shared with the head or tail piece of an
+	// earlier split, but only within the extent's own length, which no
+	// other extent covers; Read copies out, so no caller holds it either.
+	i := m.search(off)
+	if i < len(m.exts) && m.exts[i].off == off && len(m.exts[i].data) == len(data) {
+		copy(m.exts[i].data, data)
+		return
+	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	end := off + int64(len(buf))
@@ -74,9 +83,7 @@ func (m *Map) Read(off, size int64) []byte {
 		panic(fmt.Sprintf("extent: invalid read [%d, %d)", off, off+size))
 	}
 	end := off + size
-	i := sort.Search(len(m.exts), func(i int) bool {
-		return m.exts[i].off+int64(len(m.exts[i].data)) > off
-	})
+	i := m.search(off)
 	if i >= len(m.exts) || m.exts[i].off >= end {
 		return nil
 	}
@@ -93,4 +100,11 @@ func (m *Map) Read(off, size int64) []byte {
 		copy(out[lo-off:hi-off], e.data[lo-e.off:hi-e.off])
 	}
 	return out
+}
+
+// search returns the index of the first extent that ends after off.
+func (m *Map) search(off int64) int {
+	return sort.Search(len(m.exts), func(i int) bool {
+		return m.exts[i].off+int64(len(m.exts[i].data)) > off
+	})
 }

@@ -63,6 +63,32 @@ func TestWriteDoesNotAliasCaller(t *testing.T) {
 	}
 }
 
+// An exact-range rewrite copies into the extent in place: it allocates
+// nothing, and the head and tail pieces of an earlier split, which share
+// one backing array, keep their bytes.
+func TestExactRewriteInPlace(t *testing.T) {
+	var m Map
+	m.Write(0, []byte("aaaaaaaaaa"))
+	m.Write(3, []byte("BBB"))
+	if allocs := testing.AllocsPerRun(20, func() { m.Write(3, []byte("CCC")) }); allocs != 0 {
+		t.Errorf("exact rewrite allocates %.1f objects, want 0", allocs)
+	}
+	if got := m.Read(0, 10); !bytes.Equal(got, []byte("aaaCCCaaaa")) {
+		t.Errorf("after middle rewrite Read = %q", got)
+	}
+	m.Write(0, []byte("HHH"))
+	if got := m.Read(0, 10); !bytes.Equal(got, []byte("HHHCCCaaaa")) {
+		t.Errorf("after head rewrite Read = %q", got)
+	}
+	m.Write(6, []byte("TTTT"))
+	if got := m.Read(0, 10); !bytes.Equal(got, []byte("HHHCCCTTTT")) {
+		t.Errorf("after tail rewrite Read = %q", got)
+	}
+	if len(m.exts) != 3 {
+		t.Errorf("extents = %d, want 3 (head, middle, tail)", len(m.exts))
+	}
+}
+
 // Property: the map agrees with a flat reference buffer under random writes.
 func TestMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -72,6 +98,11 @@ func TestMatchesReferenceProperty(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			off := int64(rng.Intn(400))
 			size := rng.Intn(80) + 1
+			if len(m.exts) > 0 && rng.Intn(3) == 0 {
+				// Rewrite one extent's exact range, in place.
+				e := m.exts[rng.Intn(len(m.exts))]
+				off, size = e.off, len(e.data)
+			}
 			data := make([]byte, size)
 			rng.Read(data)
 			m.Write(off, data)

@@ -36,6 +36,11 @@ type DatasetInfo struct {
 }
 
 // File is an open hdf5lite container.
+//
+// In collective mode only the root reads, decodes, encodes and writes the
+// metadata region; every other rank holds the table the root broadcast,
+// sharing its backing array, and never appends to it. So a collective
+// file's dataset table exists once, not once per rank.
 type File struct {
 	f          mpiio.File
 	r          *mpi.Rank
@@ -53,6 +58,18 @@ type File struct {
 	encBuf []byte
 }
 
+// rootResult is what the root broadcasts after its metadata-region I/O in
+// collective mode. table is the root's slice value at that instant, not a
+// pointer to the root's File: the root may append the next dataset before
+// a slower rank returns from its broadcast, and that rank must still see
+// the table as of this call. err carries a failed region read or write to
+// every rank, so none is left waiting on a broadcast the root never joins.
+type rootResult struct {
+	table   []DatasetInfo
+	nextOff int64
+	err     error
+}
+
 // Create starts a new container on a write-mode MPI file. With collective
 // set, only the root performs metadata-region I/O and broadcasts the table;
 // otherwise every rank reads/writes the metadata region itself.
@@ -61,95 +78,94 @@ func Create(r *mpi.Rank, f mpiio.File, collective bool) *File {
 }
 
 // Open loads the dataset table of an existing container from a read-mode
-// MPI file.
+// MPI file. In collective mode the root reads and decodes the region and
+// broadcasts the decoded table, which every rank then shares.
 func Open(r *mpi.Rank, f mpiio.File, collective bool) (*File, error) {
 	h := &File{f: f, r: r, collective: collective, mode: mpi.ReadOnly}
-	var raw []byte
+	var res rootResult
+	if !collective || r.Rank() == 0 {
+		var raw []byte
+		if raw, res.err = f.ReadAt(0, MetaRegionSize); res.err == nil {
+			res.table, res.nextOff, res.err = decodeTable(raw)
+		}
+	}
 	if collective {
+		var payload any
 		if r.Rank() == 0 {
-			data, err := f.ReadAt(0, MetaRegionSize)
-			if err != nil {
-				return nil, err
-			}
-			raw = data
+			payload = res
 		}
-		got := r.Bcast(0, MetaRegionSize, raw)
-		raw = got.([]byte)
-	} else {
-		data, err := f.ReadAt(0, MetaRegionSize)
-		if err != nil {
-			return nil, err
-		}
-		raw = data
+		res = r.Bcast(0, MetaRegionSize, payload).(rootResult)
 	}
-	table, next, err := decodeTable(raw)
-	if err != nil {
-		return nil, err
+	if res.err != nil {
+		return nil, res.err
 	}
-	h.table = table
-	h.nextOff = next
+	h.table, h.nextOff = res.table, res.nextOff
 	return h, nil
 }
 
 // CreateDataset appends a dataset of count elements of elemSize bytes and
 // returns its handle. Collective: all ranks must call with the same
-// arguments.
-func (h *File) CreateDataset(name string, elemSize, count int64) (*Dataset, error) {
+// arguments. Every rank checks the name and that the table still fits the
+// metadata region, so a bad call fails on every rank, not just the root.
+func (h *File) CreateDataset(name string, elemSize, count int64) (Dataset, error) {
 	if h.mode != mpi.WriteOnly {
-		return nil, fmt.Errorf("hdf5lite: CreateDataset on read-only file")
+		return Dataset{}, fmt.Errorf("hdf5lite: CreateDataset on read-only file")
 	}
 	if elemSize <= 0 || count <= 0 {
-		return nil, fmt.Errorf("hdf5lite: dataset %q needs positive elemSize and count", name)
+		return Dataset{}, fmt.Errorf("hdf5lite: dataset %q needs positive elemSize and count", name)
 	}
 	if len(name) == 0 || len(name) > 255 {
-		return nil, fmt.Errorf("hdf5lite: dataset name length %d outside [1,255]", len(name))
+		return Dataset{}, fmt.Errorf("hdf5lite: dataset name length %d outside [1,255]", len(name))
 	}
 	for _, d := range h.table {
 		if d.Name == name {
-			return nil, fmt.Errorf("hdf5lite: dataset %q already exists", name)
+			return Dataset{}, fmt.Errorf("hdf5lite: dataset %q already exists", name)
 		}
 	}
-	info := DatasetInfo{Name: name, ElemSize: elemSize, Count: count, Offset: h.nextOff}
-	h.table = append(h.table, info)
-	h.nextOff += elemSize * count
+	if n := encodedSize(h.table) + entrySize(name); n > MetaRegionSize {
+		return Dataset{}, fmt.Errorf("hdf5lite: dataset table (%d bytes) exceeds metadata region", n)
+	}
+	if !h.collective || h.r.Rank() == 0 {
+		h.table = append(h.table, DatasetInfo{Name: name, ElemSize: elemSize, Count: count, Offset: h.nextOff})
+		h.nextOff += elemSize * count
+	}
 	h.dirty = true
 	if err := h.writeMeta(); err != nil {
-		return nil, err
+		return Dataset{}, err
 	}
-	return &Dataset{h: h, info: info}, nil
+	return Dataset{h: h, info: h.table[len(h.table)-1]}, nil
 }
 
 // OpenDataset returns a handle on an existing dataset.
-func (h *File) OpenDataset(name string) (*Dataset, error) {
+func (h *File) OpenDataset(name string) (Dataset, error) {
 	for _, d := range h.table {
 		if d.Name == name {
-			return &Dataset{h: h, info: d}, nil
+			return Dataset{h: h, info: d}, nil
 		}
 	}
-	return nil, fmt.Errorf("hdf5lite: no dataset %q", name)
+	return Dataset{}, fmt.Errorf("hdf5lite: no dataset %q", name)
 }
 
 // writeMeta persists the dataset table into the metadata region. Without
 // the collective optimization every rank encodes and writes the region
-// (all-to-one traffic at the region's home); with it, only the root does —
-// non-root ranks still validate the table size so an overflow fails on
-// every rank, not just the root.
+// (all-to-one traffic at the region's home); with it, only the root does,
+// and every other rank takes the root's table from the completion
+// broadcast.
 func (h *File) writeMeta() error {
-	if n := encodedSize(h.table); n > MetaRegionSize {
-		return fmt.Errorf("hdf5lite: dataset table (%d bytes) exceeds metadata region", n)
-	}
-	if h.collective && h.r.Rank() != 0 {
-		h.r.Bcast(0, 64, nil) // completion notification
-		return nil
-	}
-	h.encBuf = encodeTable(h.table, h.nextOff, h.encBuf)
-	if err := h.f.WriteAt(0, MetaRegionSize, h.encBuf); err != nil {
-		return err
+	var res rootResult
+	if !h.collective || h.r.Rank() == 0 {
+		h.encBuf = encodeTable(h.table, h.nextOff, h.encBuf)
+		res = rootResult{h.table, h.nextOff, h.f.WriteAt(0, MetaRegionSize, h.encBuf)}
 	}
 	if h.collective {
-		h.r.Bcast(0, 64, nil) // completion notification
+		var payload any
+		if h.r.Rank() == 0 {
+			payload = res
+		}
+		res = h.r.Bcast(0, 64, payload).(rootResult) // completion notification
+		h.table, h.nextOff = res.table, res.nextOff
 	}
-	return nil
+	return res.err
 }
 
 // Close flushes the metadata region (write mode) and closes the MPI file.
@@ -166,7 +182,8 @@ func (h *File) Close() error {
 	return h.f.Close()
 }
 
-// Dataset is a handle on one dataset.
+// Dataset is a handle on one dataset. It is a value: a handle is a file
+// pointer and a copy of the dataset's table entry.
 type Dataset struct {
 	h    *File
 	info DatasetInfo
@@ -202,10 +219,14 @@ func (d *Dataset) ReadElems(elemOff, count int64) ([]byte, error) {
 func encodedSize(table []DatasetInfo) int {
 	n := 20
 	for _, d := range table {
-		n += 1 + len(d.Name) + 24
+		n += entrySize(d.Name)
 	}
 	return n
 }
+
+// entrySize is one dataset's serialized length: a length-prefixed name and
+// three int64 fields.
+func entrySize(name string) int { return 1 + len(name) + 24 }
 
 // encodeTable serializes the table into buf (grown to MetaRegionSize on
 // first use, reused afterwards) and returns it. The caller must have
@@ -237,38 +258,32 @@ func encodeTable(table []DatasetInfo, nextOff int64, buf []byte) []byte {
 	return out
 }
 
+// decodeTable parses a metadata region, reading each field straight off
+// the bytes and checking every entry against the region's end.
 func decodeTable(raw []byte) (table []DatasetInfo, nextOff int64, err error) {
 	if len(raw) < 20 || !bytes.Equal(raw[:4], magic[:]) {
 		return nil, 0, fmt.Errorf("hdf5lite: bad magic — not an hdf5lite file")
 	}
-	rd := bytes.NewReader(raw[4:])
-	var n int64
-	if err := binary.Read(rd, binary.LittleEndian, &n); err != nil {
-		return nil, 0, err
-	}
-	if err := binary.Read(rd, binary.LittleEndian, &nextOff); err != nil {
-		return nil, 0, err
-	}
+	n := int64(binary.LittleEndian.Uint64(raw[4:]))
+	nextOff = int64(binary.LittleEndian.Uint64(raw[12:]))
 	if n < 0 || n > 1<<12 {
 		return nil, 0, fmt.Errorf("hdf5lite: implausible dataset count %d", n)
 	}
-	for i := int64(0); i < n; i++ {
-		var nameLen uint8
-		if err := binary.Read(rd, binary.LittleEndian, &nameLen); err != nil {
-			return nil, 0, err
+	table = make([]DatasetInfo, n)
+	p := 20
+	for i := range table {
+		if p >= len(raw) || p+1+int(raw[p])+24 > len(raw) {
+			return nil, 0, fmt.Errorf("hdf5lite: dataset %d runs past the metadata region", i)
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := rd.Read(nameBuf); err != nil {
-			return nil, 0, err
-		}
-		var d DatasetInfo
-		d.Name = string(nameBuf)
-		for _, p := range []*int64{&d.ElemSize, &d.Count, &d.Offset} {
-			if err := binary.Read(rd, binary.LittleEndian, p); err != nil {
-				return nil, 0, err
-			}
-		}
-		table = append(table, d)
+		nameLen := int(raw[p])
+		p++
+		d := &table[i]
+		d.Name = string(raw[p : p+nameLen])
+		p += nameLen
+		d.ElemSize = int64(binary.LittleEndian.Uint64(raw[p:]))
+		d.Count = int64(binary.LittleEndian.Uint64(raw[p+8:]))
+		d.Offset = int64(binary.LittleEndian.Uint64(raw[p+16:]))
+		p += 24
 	}
 	return table, nextOff, nil
 }

@@ -297,6 +297,36 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
+// TestBarrierRoundDoesNotAllocate: once its waiter array has grown, a
+// barrier round allocates nothing.
+func TestBarrierRoundDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const procs, warm, measured = 4, 10, 100
+	e := NewEngine()
+	b := NewBarrier(procs)
+	passed := 0
+	for range procs {
+		e.Go("p", func(p *Proc) {
+			for {
+				p.Sleep(1)
+				b.Wait(p)
+				passed++
+			}
+		})
+	}
+	runTo(e, warm)
+	step := func() { runTo(e, e.now+1) }
+	passed = 0
+	if allocs := testing.AllocsPerRun(measured, step); allocs != 0 {
+		t.Errorf("barrier round allocates %.1f objects, want 0", allocs)
+	}
+	if want := procs * (measured + 1); passed != want {
+		t.Fatalf("counted %d barrier passages, want %d", passed, want)
+	}
+}
+
 func TestEventLevelTriggered(t *testing.T) {
 	e := NewEngine()
 	var ev Event

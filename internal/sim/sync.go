@@ -104,7 +104,10 @@ func (b *Barrier) Wait(p *Proc) {
 		for _, w := range b.waiters {
 			w.Resume()
 		}
-		b.waiters = nil
+		// Resume only schedules, so the array is free for the next
+		// round: keep it, dropping the pointers.
+		clear(b.waiters)
+		b.waiters = b.waiters[:0]
 		return
 	}
 	round := b.round

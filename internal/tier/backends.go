@@ -67,9 +67,15 @@ func readExtras(op ReadOp) []*sim.Resource {
 // DRAM: node-local memory-mapped logs. The backend is every process's
 // device too: it holds no per-process state.
 
-type dramBackend struct{ env *Env }
+type dramBackend struct {
+	env *Env
+	// path is the scratch slice each Write builds its path in. Transfer
+	// copies the path when it starts the flow, so the next Write, by any
+	// process, may overwrite it.
+	path []*sim.Resource
+}
 
-func newDRAM(env *Env) Backend { return &dramBackend{env} }
+func newDRAM(env *Env) Backend { return &dramBackend{env: env} }
 
 func (b *dramBackend) Tier() meta.Tier { return meta.TierDRAM }
 func (b *dramBackend) Shared() bool    { return false }
@@ -87,8 +93,8 @@ func (b *dramBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.R
 func (b *dramBackend) Write(p *sim.Proc, op WriteOp) error {
 	// Client buffer → shared-memory log: both the client's and the
 	// server's core ports plus the server's NUMA memory port.
-	path := append([]*sim.Resource{op.ClientMemPort}, op.ServerMemPath...)
-	p.Transfer(float64(op.Size), path...)
+	b.path = append(append(b.path[:0], op.ClientMemPort), op.ServerMemPath...)
+	p.Transfer(float64(op.Size), b.path...)
 	return nil
 }
 

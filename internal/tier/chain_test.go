@@ -117,3 +117,33 @@ func TestBackendVisibility(t *testing.T) {
 		}
 	}
 }
+
+// A warm DRAM write builds its path in the backend's scratch slice and
+// allocates nothing.
+func TestDRAMWriteDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	e := sim.NewEngine()
+	e.SetDifferentialCheck(false) // the oracle's global re-solve allocates
+	op := WriteOp{
+		Size:          1 << 20,
+		ClientMemPort: e.NewResource("client", 1<<30),
+		ServerMemPath: []*sim.Resource{e.NewResource("server", 1<<30), e.NewResource("numa", 1<<30)},
+	}
+	b := &dramBackend{}
+	allocs := -1.0
+	e.Go("writer", func(p *sim.Proc) {
+		write := func() {
+			if err := b.Write(p, op); err != nil {
+				t.Error(err)
+			}
+		}
+		write()
+		allocs = testing.AllocsPerRun(50, write)
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Errorf("warm DRAM write allocates %.1f objects, want 0", allocs)
+	}
+}
