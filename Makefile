@@ -61,17 +61,20 @@ digests:
 chaos-smoke:
 	$(GO) run -race ./cmd/univibench -chaos-smoke -quick
 
-# Every facade-level example program must run to completion and print
-# exactly its pinned stdout in examples/testdata; both univistor-explain
-# modes (striping in both regimes) must run to completion.
+# Every facade-level example program, and both univistor-explain modes
+# (striping in both regimes), must run to completion and print exactly
+# its pinned stdout in examples/testdata.
 examples:
 	for ex in quickstart tiering vpic workflow resilience; do \
 		$(GO) run ./examples/$$ex > /tmp/example-$$ex.txt || exit 1; \
 		diff -u examples/testdata/$$ex.txt /tmp/example-$$ex.txt || exit 1; \
 	done
-	$(GO) run ./cmd/univistor-explain -mode striping > /dev/null
-	$(GO) run ./cmd/univistor-explain -mode striping -servers 4 -file 64GiB > /dev/null
-	$(GO) run ./cmd/univistor-explain -mode va > /dev/null
+	$(GO) run ./cmd/univistor-explain -mode striping > /tmp/explain-striping.txt
+	diff -u examples/testdata/explain-striping.txt /tmp/explain-striping.txt
+	$(GO) run ./cmd/univistor-explain -mode striping -servers 4 -file 64GiB > /tmp/explain-striping-4.txt
+	diff -u examples/testdata/explain-striping-4.txt /tmp/explain-striping-4.txt
+	$(GO) run ./cmd/univistor-explain -mode va > /tmp/explain-va.txt
+	diff -u examples/testdata/explain-va.txt /tmp/explain-va.txt
 
 # Quick paper-figure sweep (simulated results). Host performance is
 # measured by `bash benchmark/run.sh` (see benchmark/README.md).

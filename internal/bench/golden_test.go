@@ -30,12 +30,19 @@ func TestGoldenQuickFigures(t *testing.T) {
 		r.Print(&buf)
 		fmt.Fprintf(&got, "%s %x\n", r.ID, sha256.Sum256(buf.Bytes()))
 	}
-	path := filepath.Join("testdata", "golden_quick.txt")
+	checkGolden(t, "golden_quick.txt", "figure", got.String())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file first
+// under -update. what names the digests in the failure message.
+func checkGolden(t *testing.T, name, what, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,8 +50,8 @@ func TestGoldenQuickFigures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("figure digests differ from golden file %s\ngot:\n%swant:\n%s", path, got.String(), want)
+	if got != string(want) {
+		t.Errorf("%s digests differ from golden file %s\ngot:\n%swant:\n%s", what, path, got, want)
 	}
 }
 
@@ -80,17 +87,5 @@ func TestGoldenTraces(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %x\n", id, sha256.Sum256(data))
 	}
-	path := filepath.Join("testdata", "golden_traces.txt")
-	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("trace digests differ from golden file %s\ngot:\n%swant:\n%s", path, got.String(), want)
-	}
+	checkGolden(t, "golden_traces.txt", "trace", got.String())
 }

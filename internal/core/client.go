@@ -109,13 +109,15 @@ func (c *Client) acquireLock(name string, mode mpi.Mode) {
 // setupLogs creates the per-process logs: capacity c/p per tier (§II-B1),
 // where c is the tier's available capacity (node-local pools for DRAM,
 // the whole allocation for globally pooled tiers) and p the process count
-// sharing it. Each chain backend provisions its own capacity and binds a
+// sharing it. Each chain backend reserves its own capacity and binds a
 // device to the resulting log.
 func (cf *ClientFile) setupLogs() error {
 	c := cf.c
 	sys := c.sys
 	node := c.rank.Node()
-	req := tier.ProvisionReq{
+	req := tier.OpenReq{
+		FID:         int64(cf.fs.fid),
+		Owner:       c.globalID,
 		Node:        node,
 		ProcsOnNode: sys.nodeAppCount[c.rank.Comm().Name()][node],
 		ProcsGlobal: c.rank.Size(),
@@ -123,11 +125,8 @@ func (cf *ClientFile) setupLogs() error {
 
 	var caps [meta.NumTiers]int64
 	for _, bk := range sys.chain.Backends() {
-		if bk.Tier() == meta.TierPFS {
-			continue // the terminal is unbounded, not provisioned
-		}
-		got := bk.Provision(req)
-		caps[bk.Tier()] = got
+		dev, got := bk.Open(req)
+		cf.devs[bk.Tier()], caps[bk.Tier()] = dev, got
 		if got > 0 {
 			rnode := node
 			if bk.Shared() {
@@ -138,19 +137,9 @@ func (cf *ClientFile) setupLogs() error {
 		}
 	}
 
-	ls, err := logstore.NewLogSet(c.globalID, caps, sys.Cfg.ChunkSize)
-	if err != nil {
-		return err
-	}
-	cf.ls = ls
-	for _, bk := range sys.chain.Backends() {
-		cf.devs[bk.Tier()] = bk.Open(tier.OpenSpec{
-			FID:      int64(cf.fs.fid),
-			Owner:    c.globalID,
-			Capacity: caps[bk.Tier()],
-		})
-	}
-	return nil
+	var err error
+	cf.ls, err = logstore.NewLogSet(c.globalID, caps, sys.Cfg.ChunkSize)
+	return err
 }
 
 // Flush triggers the server-side asynchronous flush of the file's dirty

@@ -432,6 +432,47 @@ func TestWriteValidation(t *testing.T) {
 	})
 }
 
+// A negative offset is an error on every client path, in ring and plane
+// metadata modes alike: no panic, no record stored, invariants clean.
+func TestNegativeOffsetRejected(t *testing.T) {
+	for mode, shards := range map[string]int{"ring": 0, "plane": 2} {
+		t.Run(mode, func(t *testing.T) {
+			w, sys := testEnv(t, func(_ *topology.Config, cc *Config) { cc.MetaShards = shards })
+			runApp(t, w, sys, 1, 1, func(c *Client) {
+				f, err := c.Open("f", mpi.WriteOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.WriteAt(-4*mib, 4*mib, nil); err == nil {
+					t.Error("WriteAt at a negative offset accepted")
+				}
+				if err := f.WriteAtTagged(-4*mib, 4*mib, nil, 7); err == nil {
+					t.Error("WriteAtTagged at a negative offset accepted")
+				}
+				if _, err := f.ReadAt(-1*mib, 2*mib); err == nil {
+					t.Error("ReadAt at a negative offset accepted")
+				}
+				if _, err := f.Delete(-1*mib, 2*mib); err == nil {
+					t.Error("Delete at a negative offset accepted")
+				}
+				f.Close()
+			})
+			records := sys.nodeMeta[0].Len() + sys.nodeMeta[1].Len()
+			if sys.plane != nil {
+				records += sys.plane.Total()
+			} else {
+				records += sys.meta.(*ringMeta).ring.Total()
+			}
+			if records != 0 {
+				t.Errorf("%d records stored, want 0", records)
+			}
+			if v := sys.CheckInvariants(); len(v) != 0 {
+				t.Errorf("invariants: %v", v)
+			}
+		})
+	}
+}
+
 func TestServerCountAndPlacement(t *testing.T) {
 	w, sys := testEnv(t, nil)
 	if sys.Servers() != 4 { // 2 nodes × 2 servers

@@ -127,10 +127,7 @@ func (sys *System) checkLogs() []string {
 		}
 		capByTier := map[meta.Tier]int64{}
 		for _, pf := range byKey(fs.procFiles) {
-			for _, bk := range sys.chain.Backends() {
-				if bk.Tier() == meta.TierPFS {
-					continue // the terminal is unbounded and unprovisioned
-				}
+			for _, bk := range sys.chain.Caches() {
 				l := pf.ls.Log(bk.Tier())
 				capByTier[bk.Tier()] += l.Capacity()
 				tag := fmt.Sprintf("file %q proc %d tier %s", fs.name, l.Owner(), bk.Tier())

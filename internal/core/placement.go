@@ -108,6 +108,9 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 	if cf.closed {
 		return 0, fmt.Errorf("core: delete on closed file %q", cf.fs.name)
 	}
+	if off < 0 {
+		return 0, fmt.Errorf("core: delete offset %d is negative", off)
+	}
 	sys := cf.c.sys
 	fs := cf.fs
 	recs := sys.metaCoveringFree(fs.fid, off, size)

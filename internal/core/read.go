@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"univistor/internal/kvstore"
@@ -31,6 +32,9 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: read size %d must be positive", size)
 	}
+	if off < 0 {
+		return nil, fmt.Errorf("core: read offset %d is negative", off)
+	}
 	c := cf.c
 	sys := c.sys
 	p := c.rank.P
@@ -48,9 +52,13 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 		p.Sleep(ShmLatency)
 	}
 
-	// 1. Local shared metadata buffer: free lookups for local segments.
+	// 1. Local shared metadata buffer: free lookups for local segments. The
+	// buffer is one store, so its covering is one partition of unbounded
+	// size.
 	if la {
-		b.local = kvstore.CoveringStore(b.local, sys.nodeMeta[node], fs.fid, off, size)
+		st := sys.nodeMeta[node]
+		b.local, b.idx, _ = kvstore.CoverRange(b.local, b.idx, fs.fid, off, size, math.MaxInt64,
+			func(int64) (int, *kvstore.Store) { return 0, st })
 	}
 	b.gaps = appendGaps(b.gaps, off, size, b.local)
 
@@ -206,8 +214,7 @@ type byteRange struct {
 }
 
 // appendGaps appends to gaps the sub-ranges of [off, off+size) not covered
-// by the records (which are sorted by offset, as CoveringStore
-// guarantees).
+// by the records (which are sorted by offset, as CoverRange guarantees).
 func appendGaps(gaps []byteRange, off, size int64, recs []meta.Record) []byteRange {
 	cur := off
 	end := off + size

@@ -560,18 +560,13 @@ func (s *Server) doFlush(r *mpi.Rank, req *flushReq) {
 	// Flush tier by tier, fastest first; the range split across tiers
 	// mirrors the cached byte counts, read live: bytes written or deleted
 	// while the flush runs are retired with it.
-	for _, bk := range sys.chain.Backends() {
+	for _, bk := range sys.chain.Caches() {
 		bytes := req.fs.cached[s.GlobalIdx][bk.Tier()]
 		if bytes <= 0 {
 			continue
 		}
 		if bytes > remaining {
 			bytes = remaining
-		}
-		if bk.Tier() == meta.TierPFS {
-			// Already persistent (spilled there); nothing to move.
-			remaining -= bytes
-			continue
 		}
 		leg := sys.W.Trace.Begin(r.P, tier.Cat(bk.Tier()), "flush-leg")
 		readLeg := bk.FlushLeg(s.Node, r.H.MemPath())

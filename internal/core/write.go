@@ -41,6 +41,9 @@ func (cf *ClientFile) write(off, size int64, data []byte, tag uint64) error {
 	if size <= 0 {
 		return fmt.Errorf("core: write size %d must be positive", size)
 	}
+	if off < 0 {
+		return fmt.Errorf("core: write offset %d is negative", off)
+	}
 	if data != nil && int64(len(data)) != size {
 		return fmt.Errorf("core: payload length %d != size %d", len(data), size)
 	}

@@ -68,12 +68,15 @@ type deFile struct {
 	bbf     *bb.File
 	content extent.Map
 	size    int64
+	flush   *deFlush // nil until the flush is triggered
+}
 
-	flushing   bool
-	flushed    bool
-	flushStart sim.Time
-	flushEnd   sim.Time
-	flushEv    sim.Event
+// deFlush is a file's one flush, from its trigger until the last flusher
+// finishes its range.
+type deFlush struct {
+	start, end sim.Time
+	remaining  int       // flushers still writing
+	done       sim.Event // set when the last flusher finishes
 }
 
 // Open is the collective open. Write mode creates the shared cache file on
@@ -107,6 +110,9 @@ func (h *deHandle) WriteAt(off, size int64, data []byte) error {
 	if size <= 0 {
 		return fmt.Errorf("dataelevator: write size %d must be positive", size)
 	}
+	if off < 0 {
+		return fmt.Errorf("dataelevator: write offset %d is negative", off)
+	}
 	if err := h.f.bbf.Write(h.r.P, h.r.Node(), off, size, h.r.H.MemPort); err != nil {
 		return err
 	}
@@ -125,6 +131,9 @@ func (h *deHandle) ReadAt(off, size int64) ([]byte, error) {
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("dataelevator: read size %d must be positive", size)
+	}
+	if off < 0 {
+		return nil, fmt.Errorf("dataelevator: read offset %d is negative", off)
 	}
 	// Reads are served from the burst-buffer cache (it retains the data
 	// after flush, like any cache).
@@ -152,35 +161,31 @@ func (h *deHandle) Close() error {
 // file to a shared stripe-all PFS file (no adaptive striping, no
 // interference-aware scheduling).
 func (d *Driver) triggerFlush(p *sim.Proc, f *deFile) {
-	if f.flushing || f.flushed || f.size == 0 {
+	if f.flush != nil || f.size == 0 {
 		return
 	}
-	f.flushing = true
-	f.flushStart = p.Now()
 	spec := lustre.StripeSpec{Size: 1 << 20, Count: d.PFS.OSTCount(), StartOST: 0}
 	pfsFile, err := d.PFS.Create("deflush:"+f.name, spec, flushLockEff)
 	if err != nil {
 		panic(fmt.Sprintf("dataelevator: flush file: %v", err))
 	}
 	nServers := len(d.W.Cluster.Nodes) * serversPerNode
-	remaining := nServers
+	fl := &deFlush{start: p.Now(), remaining: nServers}
+	f.flush = fl
 	for i := 0; i < nServers; i++ {
 		rangeOff, length := striping.ServerRange(f.size, nServers, i)
 		node := i / serversPerNode
 		if length == 0 {
-			remaining--
+			fl.remaining--
 			continue
 		}
 		d.W.E.Go(fmt.Sprintf("de-flush[%d]", i), func(fp *sim.Proc) {
 			if err := pfsFile.Write(fp, node, rangeOff, length, d.bbAgg); err != nil {
 				panic(fmt.Sprintf("dataelevator: flush write: %v", err))
 			}
-			remaining--
-			if remaining == 0 {
-				f.flushing = false
-				f.flushed = true
-				f.flushEnd = fp.Now()
-				f.flushEv.Set()
+			if fl.remaining--; fl.remaining == 0 {
+				fl.end = fp.Now()
+				fl.done.Set()
 			}
 		})
 	}
@@ -188,18 +193,16 @@ func (d *Driver) triggerFlush(p *sim.Proc, f *deFile) {
 
 // WaitFlush blocks until the file's flush completes (no-op if none ran).
 func (d *Driver) WaitFlush(p *sim.Proc, name string) {
-	f, ok := d.files[name]
-	if !ok || (!f.flushing && !f.flushed) {
-		return
+	if f, ok := d.files[name]; ok && f.flush != nil {
+		f.flush.done.Wait(p)
 	}
-	f.flushEv.Wait(p)
 }
 
 // FlushStats reports the bytes and interval of the completed flush.
 func (d *Driver) FlushStats(name string) (bytes int64, start, end sim.Time, ok bool) {
 	f, found := d.files[name]
-	if !found || !f.flushed {
+	if !found || f.flush == nil || f.flush.remaining > 0 {
 		return 0, 0, 0, false
 	}
-	return f.size, f.flushStart, f.flushEnd, true
+	return f.size, f.flush.start, f.flush.end, true
 }

@@ -175,3 +175,31 @@ func TestZeroSizeFlushCompletes(t *testing.T) {
 		t.Error("zero-size close deadlocked the flush wait")
 	}
 }
+
+// Data Elevator rejects a negative offset: no panic, the cached file stays
+// empty and no flush runs.
+func TestNegativeOffsetRejected(t *testing.T) {
+	w, d := testSetup(t)
+	env, _ := mpiio.NewEnv("dataelevator", d)
+	w.Launch("app", 1, func(r *mpi.Rank) {
+		f, err := env.Open(r, "f", mpi.WriteOnly)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		if err := f.WriteAt(-4*mib, 4*mib, bytes.Repeat([]byte("n"), int(4*mib))); err == nil {
+			t.Error("WriteAt at a negative offset accepted")
+		}
+		if _, err := f.ReadAt(-1*mib, 2*mib); err == nil {
+			t.Error("ReadAt at a negative offset accepted")
+		}
+		f.Close()
+	}, mpi.LaunchOpts{RanksPerNode: 1})
+	w.E.Run()
+	if size := d.files["f"].size; size != 0 {
+		t.Errorf("cached file size %d, want 0", size)
+	}
+	if _, _, _, ok := d.FlushStats("f"); ok {
+		t.Error("a flush ran for a file nothing was written to")
+	}
+}

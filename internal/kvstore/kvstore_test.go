@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -492,6 +493,35 @@ func TestRingRoutesToHomeServers(t *testing.T) {
 	}
 }
 
+// Fig. 3: the offsets of four ranges go round-robin to four servers, and
+// wrap with fewer servers. A bad range size, server count or offset
+// panics.
+func TestRingHomeServerRoundRobin(t *testing.T) {
+	r := NewRing(4, 4)
+	for off := int64(0); off < 16; off++ {
+		if got, want := r.HomeServer(off), int(off/4%4); got != want {
+			t.Errorf("HomeServer(%d) = %d, want %d", off, got, want)
+		}
+	}
+	if r2 := NewRing(2, 4); r2.HomeServer(8) != 0 || r2.HomeServer(12) != 1 {
+		t.Error("round-robin wrap incorrect")
+	}
+	for name, f := range map[string]func(){
+		"zero range size": func() { NewRing(4, 0) },
+		"no servers":      func() { NewRing(0, 4) },
+		"negative offset": func() { r.HomeServer(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestRingCoveringExactSegments(t *testing.T) {
 	r := NewRing(2, 100)
 	for off := int64(0); off < 1000; off += 50 {
@@ -728,8 +758,9 @@ func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
 // exactly what the set-based reference returns, on random record sets of
 // two files (touching, overlapping and gapped, up to one partition long)
 // over rings of 1–5 servers with random partition sizes, and counts from
-// the block index exactly what its scan collects. CoveringStore appends
-// what a fresh call returns. Warm calls allocate nothing.
+// the block index exactly what its scan collects. The same holds for one
+// store scanned as one partition of unbounded size, as the node metadata
+// buffer is. Warm calls allocate nothing.
 func TestCoverRangeMatchesSetReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	recHead, partHead := []meta.Record{rec(9, 1, 1, 0)}, []int{42}
@@ -763,9 +794,14 @@ func TestCoverRangeMatchesSetReference(t *testing.T) {
 				t.Fatalf("CoverRange(%d, %d, %d) = %v %v %d, want %v %v %d",
 					fid, off, size, recs[1:], parts[1:], back, want, wantParts, wantBack)
 			}
-			want = CoveringStore(nil, local, fid, off, size)
-			if recs = CoveringStore(append(recs[:0], recHead...), local, fid, off, size); !slices.Equal(recs[1:], want) {
-				t.Fatalf("CoveringStore(%d, %d, %d) = %v, want %v", fid, off, size, recs[1:], want)
+			// One store is one partition of unbounded size.
+			at := func(int64) (int, *Store) { return 0, local }
+			want, wantParts, wantBack, _ = coverRangeReference(fid, off, size, math.MaxInt64, at)
+			recs, parts, back = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
+				fid, off, size, math.MaxInt64, at)
+			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) || back != wantBack {
+				t.Fatalf("one-store CoverRange(%d, %d, %d) = %v %v %d, want %v %v %d",
+					fid, off, size, recs[1:], parts[1:], back, want, wantParts, wantBack)
 			}
 		}
 	}
@@ -775,9 +811,10 @@ func TestCoverRangeMatchesSetReference(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 100, 900, 64, r.at)
-		recs = CoveringStore(recs[:0], r.stores[0], 1, 100, 900)
+		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 100, 900, math.MaxInt64,
+			func(int64) (int, *Store) { return 0, r.stores[0] })
 	}); allocs != 0 {
-		t.Errorf("warm CoverRange and CoveringStore allocate %.1f objects/op, want 0", allocs)
+		t.Errorf("warm ring and one-store CoverRange allocate %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -12,27 +12,40 @@ import (
 // Methods take and return plain data; the owning service layers in the
 // messaging costs.
 type Ring struct {
-	part   meta.Partitioner
-	stores []*Store
+	rangeSize int64
+	stores    []*Store
 }
 
 // NewRing builds a ring of n server stores partitioned at rangeSize
 // granularity.
 func NewRing(n int, rangeSize int64) *Ring {
-	r := &Ring{part: meta.NewPartitioner(rangeSize, n)}
+	if rangeSize <= 0 {
+		panic(fmt.Sprintf("kvstore: range size must be positive, got %d", rangeSize))
+	}
+	if n <= 0 {
+		panic(fmt.Sprintf("kvstore: need at least one server, got %d", n))
+	}
+	r := &Ring{rangeSize: rangeSize}
 	for i := 0; i < n; i++ {
 		r.stores = append(r.stores, NewStore())
 	}
 	return r
 }
 
-// HomeServer returns the server owning the record for (fid, offset).
-func (r *Ring) HomeServer(offset int64) int { return r.part.ServerFor(offset) }
+// HomeServer returns the server owning the record at offset: the offset
+// space of each file is cut into rangeSize ranges assigned round-robin to
+// the servers (§II-B3, Fig. 3).
+func (r *Ring) HomeServer(offset int64) int {
+	if offset < 0 {
+		panic(fmt.Sprintf("kvstore: negative offset %d", offset))
+	}
+	return int((offset / r.rangeSize) % int64(len(r.stores)))
+}
 
 // Put stores the record on its home server and returns that server's index
 // so the caller can charge the network hop.
 func (r *Ring) Put(rec meta.Record) int {
-	srv := r.part.ServerFor(rec.Offset)
+	srv := r.HomeServer(rec.Offset)
 	r.stores[srv].Put(rec)
 	return srv
 }
@@ -40,12 +53,12 @@ func (r *Ring) Put(rec meta.Record) int {
 // Delete removes the record keyed exactly by (fid, offset), reporting
 // whether it existed.
 func (r *Ring) Delete(fid meta.FileID, offset int64) bool {
-	return r.stores[r.part.ServerFor(offset)].Delete(meta.Key{FID: fid, Offset: offset})
+	return r.stores[r.HomeServer(offset)].Delete(meta.Key{FID: fid, Offset: offset})
 }
 
 // Get fetches the record keyed exactly by (fid, offset).
 func (r *Ring) Get(fid meta.FileID, offset int64) (meta.Record, bool) {
-	return r.stores[r.part.ServerFor(offset)].Get(meta.Key{FID: fid, Offset: offset})
+	return r.stores[r.HomeServer(offset)].Get(meta.Key{FID: fid, Offset: offset})
 }
 
 // Covering appends to recs, in offset order, every record of the file
@@ -56,7 +69,7 @@ func (r *Ring) Get(fid meta.FileID, offset int64) (meta.Record, bool) {
 // and rec.Offset+rec.Size > offset.
 func (r *Ring) Covering(recs []meta.Record, servers []int, fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
 	base := len(servers)
-	recs, servers, back := CoverRange(recs, servers, fid, offset, size, r.part.RangeSize, r.at)
+	recs, servers, back := CoverRange(recs, servers, fid, offset, size, r.rangeSize, r.at)
 	if back >= 0 && !slices.Contains(servers[base:], back) {
 		servers = append(servers, back)
 	}
@@ -66,7 +79,7 @@ func (r *Ring) Covering(recs []meta.Record, servers []int, fid meta.FileID, offs
 // at maps an offset to the server owning its partition and that server's
 // store.
 func (r *Ring) at(offset int64) (int, *Store) {
-	srv := r.part.ServerFor(offset)
+	srv := r.HomeServer(offset)
 	return srv, r.stores[srv]
 }
 
@@ -170,29 +183,6 @@ func sortRecords(recs []meta.Record) {
 	}
 }
 
-// CoveringStore appends to dst, in offset order, every record of the file
-// in a single store overlapping [offset, offset+size). It is the
-// single-store analogue of Ring.Covering, used for the per-node shared
-// metadata buffer of the location-aware read service.
-func CoveringStore(dst []meta.Record, st *Store, fid meta.FileID, offset, size int64) []meta.Record {
-	if size <= 0 {
-		return dst
-	}
-	base := len(dst)
-	if prev, ok := st.Floor(meta.Key{FID: fid, Offset: offset}); ok &&
-		prev.FID == fid && prev.Offset+prev.Size > offset && prev.Offset < offset+size {
-		dst = append(dst, prev)
-	}
-	st.Scan(meta.Key{FID: fid, Offset: offset}, meta.Key{FID: fid, Offset: offset + size},
-		func(rec meta.Record) bool {
-			if len(dst) == base || dst[len(dst)-1].Key() != rec.Key() {
-				dst = append(dst, rec)
-			}
-			return true
-		})
-	return dst
-}
-
 // Total returns the number of records across all servers.
 func (r *Ring) Total() int {
 	n := 0
@@ -206,7 +196,7 @@ func (r *Ring) Total() int {
 func (r *Ring) Validate() error {
 	for i, s := range r.stores {
 		for _, rec := range s.All() {
-			if home := r.part.ServerFor(rec.Offset); home != i {
+			if home := r.HomeServer(rec.Offset); home != i {
 				return fmt.Errorf("kvstore: record fid=%d off=%d on server %d, home %d",
 					rec.FID, rec.Offset, i, home)
 			}

@@ -1,6 +1,7 @@
 // Package meta defines the storage-tier taxonomy, the virtual-address (VA)
-// scheme of paper §II-B2 (Eq. 1), and the metadata records and
-// range-partitioning rules of the distributed metadata service (§II-B3).
+// scheme of paper §II-B2 (Eq. 1), and the metadata records of the
+// distributed metadata service (§II-B3). The service's range-partitioning
+// rule lives with its stores, in kvstore.Ring.
 //
 // A segment's VA identifies both the storage tier its log lives on and its
 // physical (log-local) address within that tier:
@@ -141,31 +142,4 @@ func (k Key) Less(o Key) bool {
 		return k.FID < o.FID
 	}
 	return k.Offset < o.Offset
-}
-
-// Partitioner maps logical offsets to metadata servers. The offset space of
-// each file is cut into fixed-size ranges assigned round-robin to servers
-// (§II-B3, Fig. 3).
-type Partitioner struct {
-	RangeSize int64
-	Servers   int
-}
-
-// NewPartitioner returns a partitioner with the given range granularity.
-func NewPartitioner(rangeSize int64, servers int) Partitioner {
-	if rangeSize <= 0 {
-		panic(fmt.Sprintf("meta: range size must be positive, got %d", rangeSize))
-	}
-	if servers <= 0 {
-		panic(fmt.Sprintf("meta: need at least one server, got %d", servers))
-	}
-	return Partitioner{RangeSize: rangeSize, Servers: servers}
-}
-
-// ServerFor returns the metadata server owning the range containing offset.
-func (p Partitioner) ServerFor(offset int64) int {
-	if offset < 0 {
-		panic(fmt.Sprintf("meta: negative offset %d", offset))
-	}
-	return int((offset / p.RangeSize) % int64(p.Servers))
 }

@@ -137,19 +137,3 @@ func TestTierStringCoversAllTiers(t *testing.T) {
 		}
 	}
 }
-
-func TestPartitionerRoundRobin(t *testing.T) {
-	// Fig. 3: offsets 1-16 in 4 ranges assigned round-robin to servers.
-	p := NewPartitioner(4, 4)
-	for off := int64(0); off < 16; off++ {
-		want := int(off / 4 % 4)
-		if got := p.ServerFor(off); got != want {
-			t.Errorf("ServerFor(%d) = %d, want %d", off, got, want)
-		}
-	}
-	// Wraps around with fewer servers.
-	p2 := NewPartitioner(4, 2)
-	if p2.ServerFor(8) != 0 || p2.ServerFor(12) != 1 {
-		t.Error("round-robin wrap incorrect")
-	}
-}

@@ -84,6 +84,9 @@ func (f *lustreFile) WriteAt(off, size int64, data []byte) error {
 	if size <= 0 {
 		return fmt.Errorf("lustre driver: write size %d must be positive", size)
 	}
+	if off < 0 {
+		return fmt.Errorf("lustre driver: write offset %d is negative", off)
+	}
 	extra := f.extra(f.sh.writerPorts, "lwr", f.d.cfg.SharedWriterBW)
 	if err := f.sh.f.Write(f.r.P, f.r.Node(), off, size, extra...); err != nil {
 		return err
@@ -100,6 +103,9 @@ func (f *lustreFile) ReadAt(off, size int64) ([]byte, error) {
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("lustre driver: read size %d must be positive", size)
+	}
+	if off < 0 {
+		return nil, fmt.Errorf("lustre driver: read offset %d is negative", off)
 	}
 	extra := f.extra(f.sh.readerPorts, "lrd", 4*f.d.cfg.SharedWriterBW)
 	f.sh.f.Read(f.r.P, f.r.Node(), off, size, extra...)

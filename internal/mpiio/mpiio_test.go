@@ -301,3 +301,30 @@ func TestLustreWriterBWFromClusterConfig(t *testing.T) {
 		t.Errorf("write took %v at SharedWriterBW/2, %v at the default: want longer", half, full)
 	}
 }
+
+// The Lustre driver rejects a negative offset: no panic, and nothing
+// reaches the OSTs.
+func TestLustreNegativeOffsetRejected(t *testing.T) {
+	w := testWorld(t)
+	env, _ := NewEnv("lustre", NewLustreDriver(lustre.NewFS(w.Cluster)))
+	w.Launch("app", 1, func(r *mpi.Rank) {
+		f, err := env.Open(r, "shared", mpi.WriteOnly)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		if err := f.WriteAt(-4*mib, 4*mib, bytes.Repeat([]byte("n"), int(4*mib))); err == nil {
+			t.Error("WriteAt at a negative offset accepted")
+		}
+		if _, err := f.ReadAt(-1*mib, 2*mib); err == nil {
+			t.Error("ReadAt at a negative offset accepted")
+		}
+		f.Close()
+	}, mpi.LaunchOpts{RanksPerNode: 1})
+	w.E.Run()
+	for _, ost := range w.Cluster.OSTs {
+		if used := ost.Cap.Used(); used != 0 {
+			t.Errorf("OST %d holds %d bytes, want 0", ost.ID, used)
+		}
+	}
+}

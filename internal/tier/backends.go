@@ -1,14 +1,13 @@
 package tier
 
-// Adapters wrapping the existing device models — the per-backend homes of
-// the transfer paths that previously lived in core's tier switches. The
-// resource paths here are load-bearing: they reproduce the seed model's
-// write/read legs exactly, so benchmark shapes are unchanged.
+// Adapters wrapping the device models: each backend's capacity rule and
+// transfer paths. The resource paths here are load-bearing: they reproduce
+// the seed model's write/read legs exactly, so benchmark shapes are
+// unchanged.
 
 import (
 	"fmt"
 
-	"univistor/internal/bb"
 	"univistor/internal/lustre"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
@@ -63,6 +62,29 @@ func readExtras(op ReadOp) []*sim.Resource {
 	return []*sim.Resource{op.ReaderSrvMemPort, op.ReaderMemPort}
 }
 
+// logFile is a per-process log on a shared striped device: a burst-buffer
+// file or an object-store namespace. Transfers cross the node's NIC and
+// the fabric to the device, then extra.
+type logFile interface {
+	Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) error
+	Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource)
+}
+
+// fileDevice adapts a logFile to the Device interface: writes land from
+// the co-located server's memory port, reads pass readExtras.
+type fileDevice struct{ f logFile }
+
+func (d fileDevice) Write(p *sim.Proc, op WriteOp) error {
+	// The server's memory path starts at its memory port. Passing that
+	// slice on spares the call through the interface an allocation.
+	return d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPath[:1]...)
+}
+
+func (d fileDevice) Read(p *sim.Proc, op ReadOp) (Locality, error) {
+	d.f.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
+	return Shared, nil
+}
+
 // ---------------------------------------------------------------------------
 // DRAM: node-local memory-mapped logs. The backend is every process's
 // device too: it holds no per-process state.
@@ -80,11 +102,9 @@ func newDRAM(env *Env) Backend { return &dramBackend{env: env} }
 func (b *dramBackend) Tier() meta.Tier { return meta.TierDRAM }
 func (b *dramBackend) Shared() bool    { return false }
 
-func (b *dramBackend) Provision(req ProvisionReq) int64 {
-	return b.env.Cfg.provision(b.env.Cluster.Nodes[req.Node].DRAM, meta.TierDRAM, dramLogFraction, req.ProcsOnNode)
+func (b *dramBackend) Open(req OpenReq) (Device, int64) {
+	return b, b.env.Cfg.provision(b.env.Cluster.Nodes[req.Node].DRAM, meta.TierDRAM, dramLogFraction, req.ProcsOnNode)
 }
-
-func (b *dramBackend) Open(OpenSpec) Device { return b }
 
 func (b *dramBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
 	return serverMemPath
@@ -114,11 +134,9 @@ func newLocalSSD(env *Env) Backend { return &ssdBackend{env} }
 func (b *ssdBackend) Tier() meta.Tier { return meta.TierLocalSSD }
 func (b *ssdBackend) Shared() bool    { return false }
 
-func (b *ssdBackend) Provision(req ProvisionReq) int64 {
-	return b.env.Cfg.provision(b.env.Cluster.Nodes[req.Node].SSD, meta.TierLocalSSD, ssdLogFraction, req.ProcsOnNode)
+func (b *ssdBackend) Open(req OpenReq) (Device, int64) {
+	return b, b.env.Cfg.provision(b.env.Cluster.Nodes[req.Node].SSD, meta.TierLocalSSD, ssdLogFraction, req.ProcsOnNode)
 }
-
-func (b *ssdBackend) Open(OpenSpec) Device { return b }
 
 func (b *ssdBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
 	return []*sim.Resource{b.env.Cluster.Nodes[node].SSDBW}
@@ -156,10 +174,15 @@ func newBB(env *Env) Backend {
 func (b *bbBackend) Tier() meta.Tier { return meta.TierBB }
 func (b *bbBackend) Shared() bool    { return true }
 
-func (b *bbBackend) Provision(req ProvisionReq) int64 {
+// Open reserves the log's space from the BB pool, so the file itself must
+// not charge it again.
+func (b *bbBackend) Open(req OpenReq) (Device, int64) {
 	want := b.env.Cfg.logShare(meta.TierBB, b.env.BB.FreeBytes(), bbLogFraction, req.ProcsGlobal, true)
 	got := b.reserve(want)
-	return got - got%b.env.Cfg.ChunkSize
+	if got -= got % b.env.Cfg.ChunkSize; got <= 0 {
+		return nil, 0
+	}
+	return fileDevice{b.env.BB.CreateReserved(fmt.Sprintf("uvlog/%d/%d", req.FID, req.Owner), 1)}, got
 }
 
 // reserve takes bytes from the BB pool, spread evenly across the service
@@ -187,29 +210,8 @@ func (b *bbBackend) reserve(bytes int64) int64 {
 	return got
 }
 
-func (b *bbBackend) Open(spec OpenSpec) Device {
-	if spec.Capacity <= 0 {
-		return nil
-	}
-	// The log's space was reserved from the BB pool by Provision; the
-	// file itself must not double-charge it.
-	return bbDevice{b.env.BB.CreateReserved(fmt.Sprintf("uvlog/%d/%d", spec.FID, spec.Owner), 1)}
-}
-
 func (b *bbBackend) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
 	return []*sim.Resource{b.readAgg, b.env.Cluster.Fabric}
-}
-
-// bbDevice adapts a burst-buffer file to the Device interface.
-type bbDevice struct{ f *bb.File }
-
-func (d bbDevice) Write(p *sim.Proc, op WriteOp) error {
-	return d.f.Write(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
-}
-
-func (d bbDevice) Read(p *sim.Proc, op ReadOp) (Locality, error) {
-	d.f.Read(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
-	return Shared, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -224,12 +226,10 @@ func newPFS(env *Env) Backend { return &pfsBackend{env} }
 func (b *pfsBackend) Tier() meta.Tier { return meta.TierPFS }
 func (b *pfsBackend) Shared() bool    { return true }
 
-func (b *pfsBackend) Provision(ProvisionReq) int64 {
-	return 0 // unbounded terminal: the spill log grows on demand
-}
-
-func (b *pfsBackend) Open(spec OpenSpec) Device {
-	return &pfsDevice{env: b.env, fid: spec.FID, owner: spec.Owner}
+// Open reserves nothing: the terminal is unbounded, and the spill log
+// grows on demand.
+func (b *pfsBackend) Open(req OpenReq) (Device, int64) {
+	return &pfsDevice{env: b.env, fid: req.FID, owner: req.Owner}, 0
 }
 
 func (b *pfsBackend) FlushLeg(int, []*sim.Resource) []*sim.Resource {

@@ -3,6 +3,8 @@ package tier
 import (
 	"testing"
 
+	"univistor/internal/bb"
+	"univistor/internal/lustre"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
 	"univistor/internal/topology"
@@ -45,6 +47,9 @@ func TestChainBuildOrderAndTerminal(t *testing.T) {
 	if !equalTiers(ch.CacheTiers(), []meta.Tier{meta.TierDRAM, meta.TierObject}) {
 		t.Errorf("CacheTiers = %v, want spill order", ch.CacheTiers())
 	}
+	if got := tiersOf(ch.Caches()); !equalTiers(got, want[:2]) {
+		t.Errorf("Caches = %v, want %v without the terminal", got, want[:2])
+	}
 	if len(ch.Dropped()) != 0 {
 		t.Errorf("Dropped = %v, want none", ch.Dropped())
 	}
@@ -83,6 +88,59 @@ func TestChainBuildTerminalOnly(t *testing.T) {
 	}
 	if ct := ch.CacheTiers(); len(ct) != 0 {
 		t.Errorf("CacheTiers = %v, want none", ct)
+	}
+	if c := ch.Caches(); len(c) != 0 {
+		t.Errorf("Caches = %v, want none", tiersOf(c))
+	}
+}
+
+// When a pool cannot grant one chunk, Open grants nothing: the shared
+// tiers bind no device, the node-local tiers (which hold no per-process
+// state) still return themselves, and the terminal binds its lazy spill
+// log.
+func TestOpenWithoutOneChunkGrantsNothing(t *testing.T) {
+	const chunk = int64(1) << 20
+	tc := topology.Cori()
+	tc.Nodes, tc.CoresPerNode, tc.SocketsPerNode = 1, 4, 1
+	tc.DRAMPerNode, tc.LocalSSDPerNode, tc.LocalSSDBW = 8*chunk, 8*chunk, 1<<30
+	tc.BBNodes, tc.BBCapPerNode, tc.BBStripeSize = 2, 8*chunk, chunk
+	tc.OSTs = 2
+	c := topology.New(sim.NewEngine(), tc)
+	bbs, err := bb.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{Cluster: c, BB: bbs, PFS: lustre.NewFS(c), Cfg: Params{ChunkSize: chunk}}
+	ch, err := Build([]meta.Tier{meta.TierDRAM, meta.TierLocalSSD, meta.TierBB, meta.TierObject}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave half a chunk free in every pool; the BB's is on its first node.
+	for _, pool := range []*topology.Capacity{c.Nodes[0].DRAM, c.Nodes[0].SSD, c.BB[0].Cap,
+		ch.Backend(meta.TierObject).(*objStore).pool} {
+		pool.Alloc(pool.Free() - chunk/2)
+	}
+	c.BB[1].Cap.Alloc(c.BB[1].Cap.Free())
+	req := OpenReq{FID: 1, Owner: 0, Node: 0, ProcsOnNode: 1, ProcsGlobal: 1}
+	for _, bk := range ch.Backends() {
+		dev, got := bk.Open(req)
+		if got != 0 {
+			t.Errorf("%s: Open granted %d bytes, want 0", bk.Tier(), got)
+		}
+		switch bk.Tier() {
+		case meta.TierBB, meta.TierObject:
+			if dev != nil {
+				t.Errorf("%s: Open bound a device without capacity", bk.Tier())
+			}
+		case meta.TierDRAM, meta.TierLocalSSD:
+			if dev != bk.(Device) {
+				t.Errorf("%s: Open returned %v, want the backend itself", bk.Tier(), dev)
+			}
+		case meta.TierPFS:
+			if dev == nil {
+				t.Error("PFS: Open bound no spill log")
+			}
+		}
 	}
 }
 
@@ -145,5 +203,29 @@ func TestDRAMWriteDoesNotAllocate(t *testing.T) {
 	e.Run()
 	if allocs != 0 {
 		t.Errorf("warm DRAM write allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// nopFile is a logFile that moves nothing.
+type nopFile struct{}
+
+func (nopFile) Write(*sim.Proc, int, int64, int64, ...*sim.Resource) error { return nil }
+func (nopFile) Read(*sim.Proc, int, int64, int64, ...*sim.Resource)        {}
+
+// A write through the shared-device adapter passes the server's memory
+// port without allocating a slice for it.
+func TestFileDeviceWriteDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	e := sim.NewEngine()
+	op := WriteOp{Size: 1 << 20, ServerMemPath: []*sim.Resource{e.NewResource("server", 1<<30), e.NewResource("numa", 1<<30)}}
+	var dev Device = fileDevice{nopFile{}}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := dev.Write(nil, op); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("fileDevice write allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -63,18 +63,15 @@ func newObjStore(env *Env) Backend {
 func (s *objStore) Tier() meta.Tier { return meta.TierObject }
 func (s *objStore) Shared() bool    { return true }
 
-// Provision draws on the job's pool. The store is provisioned per job here
-// (a cache in front of the PFS), so the flush pipeline still moves its
-// bytes down.
-func (s *objStore) Provision(req ProvisionReq) int64 {
-	return s.env.Cfg.provision(s.pool, meta.TierObject, objLogFraction, req.ProcsGlobal)
-}
-
-func (s *objStore) Open(spec OpenSpec) Device {
-	if spec.Capacity <= 0 {
-		return nil
+// Open draws on the job's pool. The store is provisioned per job here (a
+// cache in front of the PFS), so the flush pipeline still moves its bytes
+// down.
+func (s *objStore) Open(req OpenReq) (Device, int64) {
+	got := s.env.Cfg.provision(s.pool, meta.TierObject, objLogFraction, req.ProcsGlobal)
+	if got <= 0 {
+		return nil, 0
 	}
-	return &objLog{store: s, owner: spec.Owner}
+	return fileDevice{&objLog{store: s, owner: req.Owner}}, got
 }
 
 func (s *objStore) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource {
@@ -83,7 +80,7 @@ func (s *objStore) FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Reso
 
 // objLog is one process's flat object namespace: each objStripeSize slice
 // of the log is one object, hashed to a gateway. Capacity was charged to
-// the pool by Provision, so transfers do no per-write accounting.
+// the pool by Open, so transfers do no per-write accounting.
 type objLog struct {
 	store *objStore
 	owner int
@@ -95,17 +92,15 @@ func (l *objLog) gateway(obj int64) int {
 	return int(h % uint64(len(l.store.gateways)))
 }
 
-func (l *objLog) Write(p *sim.Proc, op WriteOp) error {
-	l.transfer(p, op.Node, op.Addr, op.Size, op.ServerMemPort)
+// Write costs what Read does: writes to a reserved log do no accounting.
+func (l *objLog) Write(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) error {
+	l.Read(p, node, off, size, extra...)
 	return nil
 }
 
-func (l *objLog) Read(p *sim.Proc, op ReadOp) (Locality, error) {
-	l.transfer(p, op.ReaderNode, op.Addr, op.Size, readExtras(op)...)
-	return Shared, nil
-}
-
-func (l *objLog) transfer(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) {
+// Read pays one gateway round trip, then moves the range as one flow per
+// gateway its objects hash to.
+func (l *objLog) Read(p *sim.Proc, node int, off, size int64, extra ...*sim.Resource) {
 	if size <= 0 {
 		return
 	}

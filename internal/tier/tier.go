@@ -100,22 +100,14 @@ type Env struct {
 	Cfg     Params
 }
 
-// ProvisionReq asks a backend for one process's log capacity.
-type ProvisionReq struct {
-	// Node is the process's compute node (for node-local pools).
-	Node int
-	// ProcsOnNode is the number of application processes sharing the
-	// node's local pools (p in the paper's c/p).
-	ProcsOnNode int
-	// ProcsGlobal is the number of processes sharing global pools.
-	ProcsGlobal int
-}
-
-// OpenSpec binds one per-process log to a device.
-type OpenSpec struct {
-	FID      int64 // logical file id (namespacing for device files)
-	Owner    int   // global client id
-	Capacity int64 // capacity granted by Provision (0 = tier unused)
+// OpenReq asks a backend for one process's log: its capacity and the
+// device binding it.
+type OpenReq struct {
+	FID         int64 // logical file id (namespacing for device files)
+	Owner       int   // global client id
+	Node        int   // the process's compute node (for node-local pools)
+	ProcsOnNode int   // processes sharing the node's local pools (p in c/p)
+	ProcsGlobal int   // processes sharing the global pools
 }
 
 // WriteOp is one log append's data-plane context: the resources between
@@ -162,7 +154,7 @@ type Device interface {
 
 // Backend is one storage layer: capacity accounting, device binding, and
 // the visibility the placement and replication paths dispatch on. The PFS
-// terminal is the one durable layer; core recognises it by its tier.
+// terminal is the one durable layer; the chain keeps it out of Caches.
 type Backend interface {
 	// Tier is the layer's position in the spill order.
 	Tier() meta.Tier
@@ -170,14 +162,12 @@ type Backend interface {
 	// directly, and segments survive their producer node's failure. A
 	// private (node-local) layer's segments die with their node.
 	Shared() bool
-	// Provision reserves one process's log capacity (chunk-aligned) from
-	// the backend's pool, shrinking to what is available; 0 means the
-	// process gets no log on this tier.
-	Provision(req ProvisionReq) int64
-	// Open binds a per-process log of the granted capacity to a Device.
-	// A nil Device means the tier holds nothing for this process and will
-	// never be dispatched to.
-	Open(spec OpenSpec) Device
+	// Open reserves one process's log capacity (chunk-aligned) from the
+	// backend's pool, shrinking to what is available, and binds the log
+	// to a Device. A capacity of 0 means the process gets no log on this
+	// tier; a nil Device means the tier holds nothing for this process
+	// and will never be dispatched to.
+	Open(req OpenReq) (Device, int64)
 	// FlushLeg returns the read-side resources of the server flush
 	// pipeline for cached bytes on this tier (nil for the terminal).
 	FlushLeg(node int, serverMemPath []*sim.Resource) []*sim.Resource
@@ -245,10 +235,14 @@ func (ch *Chain) Backend(t meta.Tier) Backend {
 	return ch.byTier[t]
 }
 
+// Caches returns the surviving cache backends in spill order: the chain
+// without its terminal.
+func (ch *Chain) Caches() []Backend { return ch.backends[:len(ch.backends)-1] }
+
 // CacheTiers returns the surviving cache tiers in spill order.
 func (ch *Chain) CacheTiers() []meta.Tier {
 	var out []meta.Tier
-	for _, b := range ch.backends[:len(ch.backends)-1] {
+	for _, b := range ch.Caches() {
 		out = append(out, b.Tier())
 	}
 	return out
