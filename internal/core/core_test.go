@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"univistor/internal/meta"
@@ -432,17 +433,32 @@ func TestWriteValidation(t *testing.T) {
 	})
 }
 
-// A negative offset is an error on every client path, in ring and plane
-// metadata modes alike: no panic, no record stored, invariants clean.
+// A negative offset, or a range whose end overflows int64, is an error on
+// every client path, in ring and plane metadata modes alike: no panic, no
+// record stored or removed, the stored segments intact, invariants clean.
 func TestNegativeOffsetRejected(t *testing.T) {
 	for mode, shards := range map[string]int{"ring": 0, "plane": 2} {
 		t.Run(mode, func(t *testing.T) {
 			w, sys := testEnv(t, func(_ *topology.Config, cc *Config) { cc.MetaShards = shards })
+			records := func() int {
+				n := sys.nodeMeta[0].Len() + sys.nodeMeta[1].Len()
+				if sys.plane != nil {
+					return n + sys.plane.Total()
+				}
+				return n + sys.meta.(*ringMeta).ring.Total()
+			}
+			payload := bytes.Repeat([]byte("s"), int(4*mib))
 			runApp(t, w, sys, 1, 1, func(c *Client) {
 				f, err := c.Open("f", mpi.WriteOnly)
 				if err != nil {
 					t.Fatal(err)
 				}
+				for off := int64(0); off < 4*mib; off += mib {
+					if err := f.WriteAt(off, mib, payload[off:off+mib]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				stored := records()
 				if err := f.WriteAt(-4*mib, 4*mib, nil); err == nil {
 					t.Error("WriteAt at a negative offset accepted")
 				}
@@ -455,17 +471,26 @@ func TestNegativeOffsetRejected(t *testing.T) {
 				if _, err := f.Delete(-1*mib, 2*mib); err == nil {
 					t.Error("Delete at a negative offset accepted")
 				}
+				if err := f.WriteAt(math.MaxInt64-10, mib, nil); err == nil {
+					t.Error("WriteAt whose end overflows accepted")
+				}
+				if err := f.WriteAtTagged(math.MaxInt64-10, mib, nil, 7); err == nil {
+					t.Error("WriteAtTagged whose end overflows accepted")
+				}
+				if _, err := f.ReadAt(mib, math.MaxInt64); err == nil {
+					t.Error("ReadAt whose end overflows accepted")
+				}
+				if _, err := f.Delete(mib, math.MaxInt64); err == nil {
+					t.Error("Delete whose end overflows accepted")
+				}
+				if n := records(); n != stored {
+					t.Errorf("%d records stored after the rejected calls, want %d", n, stored)
+				}
+				if got, err := f.ReadAt(0, 4*mib); err != nil || !bytes.Equal(got, payload) {
+					t.Errorf("segments changed by the rejected calls (err %v)", err)
+				}
 				f.Close()
 			})
-			records := sys.nodeMeta[0].Len() + sys.nodeMeta[1].Len()
-			if sys.plane != nil {
-				records += sys.plane.Total()
-			} else {
-				records += sys.meta.(*ringMeta).ring.Total()
-			}
-			if records != 0 {
-				t.Errorf("%d records stored, want 0", records)
-			}
 			if v := sys.CheckInvariants(); len(v) != 0 {
 				t.Errorf("invariants: %v", v)
 			}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"univistor/internal/meta"
 	"univistor/internal/mpi"
@@ -65,7 +66,6 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 	// producer's co-located server. A segment whose device has nothing to
 	// read (e.g. an unspilled PFS log) promotes for free.
 	prodNode := producer.c.rank.Node()
-	srvPort := producer.c.server.Rank.H.MemPort
 	if dev := producer.devs[oldTier]; dev != nil {
 		devSp := sys.W.Trace.Begin(p, tier.Cat(oldTier), "read-op")
 		dev.Read(p, tier.ReadOp{
@@ -74,7 +74,7 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 			ReaderNode:    prodNode,
 			ProducerNode:  prodNode,
 			LocationAware: true,
-			ReaderMemPort: srvPort,
+			ReaderMemPath: producer.c.server.Rank.H.MemPath(),
 		})
 		devSp.End(p.Now())
 	}
@@ -108,8 +108,8 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 	if cf.closed {
 		return 0, fmt.Errorf("core: delete on closed file %q", cf.fs.name)
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("core: delete offset %d is negative", off)
+	if off < 0 || (size > 0 && off > math.MaxInt64-size) {
+		return 0, fmt.Errorf("core: delete offset %d is negative or its end overflows", off)
 	}
 	sys := cf.c.sys
 	fs := cf.fs

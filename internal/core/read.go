@@ -32,8 +32,8 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: read size %d must be positive", size)
 	}
-	if off < 0 {
-		return nil, fmt.Errorf("core: read offset %d is negative", off)
+	if off < 0 || off > math.MaxInt64-size {
+		return nil, fmt.Errorf("core: read offset %d is negative or its end overflows", off)
 	}
 	c := cf.c
 	sys := c.sys
@@ -57,7 +57,7 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 	// size.
 	if la {
 		st := sys.nodeMeta[node]
-		b.local, b.idx, _ = kvstore.CoverRange(b.local, b.idx, fs.fid, off, size, math.MaxInt64,
+		b.local, b.idx = kvstore.CoverRange(b.local, b.idx, fs.fid, off, size, math.MaxInt64,
 			func(int64) (int, *kvstore.Store) { return 0, st })
 	}
 	b.gaps = appendGaps(b.gaps, off, size, b.local)

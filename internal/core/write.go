@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"univistor/internal/castore"
 	"univistor/internal/meta"
@@ -41,8 +42,8 @@ func (cf *ClientFile) write(off, size int64, data []byte, tag uint64) error {
 	if size <= 0 {
 		return fmt.Errorf("core: write size %d must be positive", size)
 	}
-	if off < 0 {
-		return fmt.Errorf("core: write offset %d is negative", off)
+	if off < 0 || off > math.MaxInt64-size {
+		return fmt.Errorf("core: write offset %d is negative or its end overflows", off)
 	}
 	if data != nil && int64(len(data)) != size {
 		return fmt.Errorf("core: payload length %d != size %d", len(data), size)

@@ -15,6 +15,7 @@ package dataelevator
 
 import (
 	"fmt"
+	"math"
 
 	"univistor/internal/bb"
 	"univistor/internal/extent"
@@ -110,8 +111,8 @@ func (h *deHandle) WriteAt(off, size int64, data []byte) error {
 	if size <= 0 {
 		return fmt.Errorf("dataelevator: write size %d must be positive", size)
 	}
-	if off < 0 {
-		return fmt.Errorf("dataelevator: write offset %d is negative", off)
+	if off < 0 || off > math.MaxInt64-size {
+		return fmt.Errorf("dataelevator: write offset %d is negative or its end overflows", off)
 	}
 	if err := h.f.bbf.Write(h.r.P, h.r.Node(), off, size, h.r.H.MemPort); err != nil {
 		return err
@@ -132,8 +133,8 @@ func (h *deHandle) ReadAt(off, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("dataelevator: read size %d must be positive", size)
 	}
-	if off < 0 {
-		return nil, fmt.Errorf("dataelevator: read offset %d is negative", off)
+	if off < 0 || off > math.MaxInt64-size {
+		return nil, fmt.Errorf("dataelevator: read offset %d is negative or its end overflows", off)
 	}
 	// Reads are served from the burst-buffer cache (it retains the data
 	// after flush, like any cache).

@@ -2,6 +2,7 @@ package dataelevator
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"univistor/internal/bb"
@@ -176,8 +177,8 @@ func TestZeroSizeFlushCompletes(t *testing.T) {
 	}
 }
 
-// Data Elevator rejects a negative offset: no panic, the cached file stays
-// empty and no flush runs.
+// Data Elevator rejects a negative offset, and a range whose end overflows
+// int64: no panic, the cached file stays empty and no flush runs.
 func TestNegativeOffsetRejected(t *testing.T) {
 	w, d := testSetup(t)
 	env, _ := mpiio.NewEnv("dataelevator", d)
@@ -192,6 +193,12 @@ func TestNegativeOffsetRejected(t *testing.T) {
 		}
 		if _, err := f.ReadAt(-1*mib, 2*mib); err == nil {
 			t.Error("ReadAt at a negative offset accepted")
+		}
+		if err := f.WriteAt(math.MaxInt64-10, mib, nil); err == nil {
+			t.Error("WriteAt whose end overflows accepted")
+		}
+		if _, err := f.ReadAt(math.MaxInt64-10, mib); err == nil {
+			t.Error("ReadAt whose end overflows accepted")
 		}
 		f.Close()
 	}, mpi.LaunchOpts{RanksPerNode: 1})

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -702,20 +703,20 @@ func TestRingCoveringProperty(t *testing.T) {
 }
 
 // coverRangeReference is the covering scan as it was written with a
-// per-call set of the keys already collected: the oracle that the
-// allocation-free CoverRange must reproduce record for record, partition
-// for partition. scanned counts what a scan that kept the copies a
-// partition's head record makes would collect, which CoverRange must size
-// its buffer for.
+// per-call set of the keys already collected: a Floor at every partition
+// start, a scan of every partition, and the record straddling in from the
+// partition before the range, sorted at the end. It is the oracle that the
+// one-pass CoverRange must reproduce record for record, partition for
+// partition: the partitions ascending, then the straddler's index if it is
+// not among them, as Ring.Covering returns them.
 func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
-	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int, back, scanned int) {
+	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int) {
 	if size <= 0 {
-		return nil, nil, -1, 0
+		return nil, nil
 	}
 	end := offset + size
 	seen := map[meta.Key]bool{}
 	collect := func(rec meta.Record) {
-		scanned++
 		if !seen[rec.Key()] {
 			seen[rec.Key()] = true
 			recs = append(recs, rec)
@@ -740,27 +741,26 @@ func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
 	}
 	slices.Sort(parts)
 	parts = slices.Compact(parts)
-	back = -1
 	if partStart := (offset / rangeSize) * rangeSize; partStart > 0 {
 		idx, st := at(partStart - 1)
 		if prev, ok := st.Floor(meta.Key{FID: fid, Offset: partStart - 1}); ok &&
 			prev.FID == fid && prev.Offset+prev.Size > offset && !seen[prev.Key()] {
-			scanned++
 			recs = append(recs, prev)
-			back = idx
+			if !slices.Contains(parts, idx) {
+				parts = append(parts, idx)
+			}
 		}
 	}
-	sortRecords(recs)
-	return recs, parts, back, scanned
+	slices.SortFunc(recs, func(a, b meta.Record) int { return cmp.Compare(a.Offset, b.Offset) })
+	return recs, parts
 }
 
 // CoverRange, appending after existing entries of warm buffers, returns
 // exactly what the set-based reference returns, on random record sets of
 // two files (touching, overlapping and gapped, up to one partition long)
-// over rings of 1–5 servers with random partition sizes, and counts from
-// the block index exactly what its scan collects. The same holds for one
-// store scanned as one partition of unbounded size, as the node metadata
-// buffer is. Warm calls allocate nothing.
+// over rings of 1–5 servers with random partition sizes. The same holds
+// for one store scanned as one partition of unbounded size, as the node
+// metadata buffer is. Warm calls allocate nothing.
 func TestCoverRangeMatchesSetReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	recHead, partHead := []meta.Record{rec(9, 1, 1, 0)}, []int{42}
@@ -782,26 +782,22 @@ func TestCoverRangeMatchesSetReference(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			fid := meta.FileID(1 + rng.Intn(2))
 			off, size := int64(rng.Intn(1500)), int64(rng.Intn(400))-20
-			want, wantParts, wantBack, scanned := coverRangeReference(fid, off, size, rangeSize, r.at)
-			if n, _, _ := coverCount(fid, off, off+size, rangeSize, r.at); size > 0 && n != scanned {
-				t.Fatalf("coverCount(%d, %d, %d) = %d, want %d", fid, off, size, n, scanned)
-			}
-			var back int
-			recs, parts, back = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
+			want, wantParts := coverRangeReference(fid, off, size, rangeSize, r.at)
+			recs, parts = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
 				fid, off, size, rangeSize, r.at)
-			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) || back != wantBack ||
+			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) ||
 				recs[0] != recHead[0] || parts[0] != partHead[0] {
-				t.Fatalf("CoverRange(%d, %d, %d) = %v %v %d, want %v %v %d",
-					fid, off, size, recs[1:], parts[1:], back, want, wantParts, wantBack)
+				t.Fatalf("CoverRange(%d, %d, %d) = %v %v, want %v %v",
+					fid, off, size, recs[1:], parts[1:], want, wantParts)
 			}
 			// One store is one partition of unbounded size.
 			at := func(int64) (int, *Store) { return 0, local }
-			want, wantParts, wantBack, _ = coverRangeReference(fid, off, size, math.MaxInt64, at)
-			recs, parts, back = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
+			want, wantParts = coverRangeReference(fid, off, size, math.MaxInt64, at)
+			recs, parts = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
 				fid, off, size, math.MaxInt64, at)
-			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) || back != wantBack {
-				t.Fatalf("one-store CoverRange(%d, %d, %d) = %v %v %d, want %v %v %d",
-					fid, off, size, recs[1:], parts[1:], back, want, wantParts, wantBack)
+			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) {
+				t.Fatalf("one-store CoverRange(%d, %d, %d) = %v %v, want %v %v",
+					fid, off, size, recs[1:], parts[1:], want, wantParts)
 			}
 		}
 	}
@@ -810,8 +806,8 @@ func TestCoverRangeMatchesSetReference(t *testing.T) {
 		r.Put(rec(1, off, 50, 0))
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 100, 900, 64, r.at)
-		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 100, 900, math.MaxInt64,
+		recs, parts = CoverRange(recs[:0], parts[:0], 1, 100, 900, 64, r.at)
+		recs, parts = CoverRange(recs[:0], parts[:0], 1, 100, 900, math.MaxInt64,
 			func(int64) (int, *Store) { return 0, r.stores[0] })
 	}); allocs != 0 {
 		t.Errorf("warm ring and one-store CoverRange allocate %.1f objects/op, want 0", allocs)
@@ -831,7 +827,7 @@ func TestCoverRangeAllocatesOnce(t *testing.T) {
 	parts := make([]int, 0, 16)
 	var recs []meta.Record
 	if n := testing.AllocsPerRun(20, func() {
-		recs, parts, _ = CoverRange(nil, parts[:0], 1, 40, 1000, 64, r.at)
+		recs, parts = CoverRange(nil, parts[:0], 1, 40, 1000, 64, r.at)
 	}); n != 1 {
 		t.Errorf("CoverRange into a nil buffer allocates %v times, want 1", n)
 	}
@@ -839,8 +835,41 @@ func TestCoverRangeAllocatesOnce(t *testing.T) {
 		t.Fatalf("CoverRange returned %d records from %d servers, want 63 from 3", len(recs), len(parts))
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		recs, parts, _ = CoverRange(recs[:0], parts[:0], 1, 40, 1000, 64, r.at)
+		recs, parts = CoverRange(recs[:0], parts[:0], 1, 40, 1000, 64, r.at)
 	}); n != 0 {
 		t.Errorf("CoverRange into a warm buffer allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkCoverRange times warm coverings of a file of 4,096 8-MiB
+// records laid 3 MiB off the 16-MiB partition grid: a 40-MiB read over a
+// 3-server ring, which touches three partitions, and a 16-MiB read of one
+// store as the node metadata buffer covers it, one partition of unbounded
+// size. Both find a record straddling in from before the range.
+func BenchmarkCoverRange(b *testing.B) {
+	const seg, part = 8 << 20, 16 << 20
+	r := NewRing(3, part)
+	local := NewStore()
+	for i := int64(0); i < 4096; i++ {
+		r.Put(rec(1, i*seg+3<<20, seg, 0))
+		local.Put(rec(1, i*seg+3<<20, seg, 0))
+	}
+	for _, bc := range []struct {
+		name            string
+		size, rangeSize int64
+		at              func(int64) (int, *Store)
+	}{
+		{"ring", 40 << 20, part, r.at},
+		{"node-buffer", 16 << 20, math.MaxInt64, func(int64) (int, *Store) { return 0, local }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const off = 1000 * part
+			recs, parts := CoverRange(nil, nil, 1, off, bc.size, bc.rangeSize, bc.at)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recs, parts = CoverRange(recs[:0], parts[:0], 1, off, bc.size, bc.rangeSize, bc.at)
+			}
+		})
 	}
 }

@@ -68,12 +68,7 @@ func (r *Ring) Get(fid meta.FileID, offset int64) (meta.Record, bool) {
 // if it is not among them. A record overlaps if rec.Offset < offset+size
 // and rec.Offset+rec.Size > offset.
 func (r *Ring) Covering(recs []meta.Record, servers []int, fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
-	base := len(servers)
-	recs, servers, back := CoverRange(recs, servers, fid, offset, size, r.rangeSize, r.at)
-	if back >= 0 && !slices.Contains(servers[base:], back) {
-		servers = append(servers, back)
-	}
-	return recs, servers
+	return CoverRange(recs, servers, fid, offset, size, r.rangeSize, r.at)
 }
 
 // at maps an offset to the server owning its partition and that server's
@@ -84,32 +79,62 @@ func (r *Ring) at(offset int64) (int, *Store) {
 }
 
 // CoverRange is the covering scan of a range-partitioned set of stores,
-// shared by Ring.Covering and the metadata plane. It appends to recs, in
-// key order, every record of the file overlapping [offset, offset+size),
-// and to parts the ascending, distinct indices of the rangeSize
-// partitions the range touches; it returns the index holding a record
-// that straddles into the range from the partition before it (-1 if there
-// is none). at maps an offset to the index and store owning its
-// partition. Records must be no larger than rangeSize, so one partition
-// back suffices. recs grows at most once, by exactly what the scan
-// appends when every record has a positive size; with warm buffers the
-// scan allocates nothing.
+// shared by Ring.Covering, the metadata plane and the node metadata
+// buffer. It appends to recs, in key order, every record of the file
+// overlapping [offset, offset+size); and to parts the ascending, distinct
+// indices of the rangeSize partitions the range touches, then the index
+// holding a record that straddles in from the partition before the range
+// if it is not among them. at maps an offset to the index and store
+// owning its partition.
+//
+// Records are no larger than rangeSize and live in their own partition's
+// store, so each partition's scan finds keys no other finds, and only the
+// first partition's head and the partition before can reach in from
+// before the range: the result needs no sort or deduplication. recs grows
+// at most once, by exactly what is appended when every record has a
+// positive size; with warm buffers nothing is allocated.
 func CoverRange(recs []meta.Record, parts []int, fid meta.FileID, offset, size, rangeSize int64,
-	at func(offset int64) (int, *Store)) ([]meta.Record, []int, int) {
+	at func(offset int64) (int, *Store)) ([]meta.Record, []int) {
 	if size <= 0 {
-		return recs, parts, -1
+		return recs, parts
 	}
-	base, pbase := len(recs), len(parts)
 	end := offset + size
-	n, back, backRec := coverCount(fid, offset, end, rangeSize, at)
-	recs = slices.Grow(recs, n)
+	// At most two records reach in from before the range, ahead of every
+	// scanned one: the first partition's head, and the record of the
+	// partition before unless the head is that record.
+	var lead [2]meta.Record
+	nl, back := 0, -1
+	_, st := at(offset)
+	if head, ok := straddler(st, fid, offset, offset); ok {
+		lead[0], nl = head, 1
+	}
+	if partStart := offset / rangeSize * rangeSize; partStart > 0 {
+		idx, st := at(partStart - 1)
+		if prev, ok := straddler(st, fid, partStart-1, offset); ok && (nl == 0 || prev.Key() != lead[0].Key()) {
+			lead[nl], back = prev, idx
+			nl++
+		}
+	}
+	if nl == 2 && lead[1].Offset < lead[0].Offset {
+		lead[0], lead[1] = lead[1], lead[0]
+	}
+	n, pbase := nl, len(parts)
 	for off := offset; off < end; {
 		partEnd := min((off/rangeSize+1)*rangeSize, end)
 		idx, st := at(off)
 		parts = append(parts, idx)
-		if prev, ok := straddler(st, fid, off, off); ok {
-			recs = append(recs, prev)
-		}
+		n += st.count(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd})
+		off = partEnd
+	}
+	slices.Sort(parts[pbase:])
+	parts = append(parts[:pbase], slices.Compact(parts[pbase:])...)
+	if back >= 0 && !slices.Contains(parts[pbase:], back) {
+		parts = append(parts, back)
+	}
+	recs = append(slices.Grow(recs, n), lead[:nl]...)
+	for off := offset; off < end; {
+		partEnd := min((off/rangeSize+1)*rangeSize, end)
+		_, st := at(off)
 		st.Scan(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd},
 			func(rec meta.Record) bool {
 				if rec.Offset+rec.Size > offset && rec.Offset < end {
@@ -119,68 +144,14 @@ func CoverRange(recs []meta.Record, parts []int, fid meta.FileID, offset, size, 
 			})
 		off = partEnd
 	}
-	slices.Sort(parts[pbase:])
-	parts = append(parts[:pbase], slices.Compact(parts[pbase:])...)
-	// A partition's head record is also its scan's first record, or the
-	// previous partition's last: sorting brings every key's copies
-	// together, and the first copy found stays.
-	sortRecords(recs[base:])
-	recs = append(recs[:base], slices.CompactFunc(recs[base:], func(a, b meta.Record) bool {
-		return a.Key() == b.Key()
-	})...)
-	if back >= 0 {
-		recs = append(recs, backRec)
-		sortRecords(recs[base:])
-	}
-	return recs, parts, back
-}
-
-// coverCount returns how many records CoverRange's partition scans append
-// for [offset, end), plus one for the record straddling in from the
-// partition before the range if it is not already the first partition's
-// head; that record and its index (-1 if none) come back too. It counts
-// from each store's block index, without scanning records.
-func coverCount(fid meta.FileID, offset, end, rangeSize int64,
-	at func(offset int64) (int, *Store)) (n, back int, backRec meta.Record) {
-	back = -1
-	// A record straddling the range's first partition boundary lives with
-	// the partition before it.
-	if partStart := (offset / rangeSize) * rangeSize; partStart > 0 {
-		idx, st := at(partStart - 1)
-		if prev, ok := straddler(st, fid, partStart-1, offset); ok {
-			n, back, backRec = 1, idx, prev
-		}
-	}
-	for off := offset; off < end; {
-		partEnd := min((off/rangeSize+1)*rangeSize, end)
-		_, st := at(off)
-		if prev, ok := straddler(st, fid, off, off); ok {
-			n++
-			// The first partition's head may be the record from the
-			// partition before, which then is not appended again.
-			if off == offset && back >= 0 && prev.Key() == backRec.Key() {
-				n, back = n-1, -1
-			}
-		}
-		n += st.count(meta.Key{FID: fid, Offset: off}, meta.Key{FID: fid, Offset: partEnd})
-		off = partEnd
-	}
-	return n, back, backRec
+	return recs, parts
 }
 
 // straddler returns the record of fid in st with the greatest key ≤ key,
-// if it reaches past from.
+// if it starts before from and reaches past it.
 func straddler(st *Store, fid meta.FileID, key, from int64) (meta.Record, bool) {
 	prev, ok := st.Floor(meta.Key{FID: fid, Offset: key})
-	return prev, ok && prev.FID == fid && prev.Offset+prev.Size > from
-}
-
-func sortRecords(recs []meta.Record) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Key().Less(recs[j-1].Key()); j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
+	return prev, ok && prev.FID == fid && prev.Offset < from && prev.Offset+prev.Size > from
 }
 
 // Total returns the number of records across all servers.

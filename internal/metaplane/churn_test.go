@@ -3,6 +3,7 @@ package metaplane
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -56,8 +57,18 @@ func TestMembershipChurnAgainstOracle(t *testing.T) {
 					case c < 85:
 						qoff := int64(rng.Intn(100)) * 199
 						qsize := int64(rng.Intn(2000) + 1)
-						got, _ := pl.CoveringLocal(nil, nil, fid, qoff, qsize)
+						got, shards := pl.CoveringLocal(nil, nil, fid, qoff, qsize)
 						want := oracleCovering(oracle, fid, qoff, qsize)
+						for j := 1; j < len(shards); j++ {
+							if shards[j-1] >= shards[j] {
+								t.Fatalf("op %d: covering shards %v not ascending and distinct", i, shards)
+							}
+						}
+						for at := qoff; at < qoff+qsize; at = (at/cfg.RangeSize + 1) * cfg.RangeSize {
+							if s := pl.ShardFor(fid, at); !slices.Contains(shards, s) {
+								t.Fatalf("op %d: covering shards %v miss shard %d of offset %d", i, shards, s, at)
+							}
+						}
 						if len(got) != len(want) {
 							t.Fatalf("op %d: covering fid=%d [%d,%d): got %d recs, want %d",
 								i, fid, qoff, qoff+qsize, len(got), len(want))

@@ -338,15 +338,12 @@ func (pl *Plane) GetLocal(fid meta.FileID, offset int64) (meta.Record, bool) {
 // straddling into the query starts at most one partition range back.
 func (pl *Plane) CoveringLocal(recs []meta.Record, shards []int, fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
 	base := len(shards)
-	recs, shards, back := kvstore.CoverRange(recs, shards, fid, offset, size, pl.cfg.RangeSize,
+	recs, shards = kvstore.CoverRange(recs, shards, fid, offset, size, pl.cfg.RangeSize,
 		func(off int64) (int, *kvstore.Store) {
 			shard := pl.ShardFor(fid, off)
 			return shard, pl.groups[shard].lead().store
 		})
-	if back >= 0 && !slices.Contains(shards[base:], back) {
-		shards = append(shards, back)
-		slices.Sort(shards[base:])
-	}
+	slices.Sort(shards[base:])
 	return recs, shards
 }
 

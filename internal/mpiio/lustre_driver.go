@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"fmt"
+	"math"
 
 	"univistor/internal/extent"
 	"univistor/internal/lustre"
@@ -84,8 +85,8 @@ func (f *lustreFile) WriteAt(off, size int64, data []byte) error {
 	if size <= 0 {
 		return fmt.Errorf("lustre driver: write size %d must be positive", size)
 	}
-	if off < 0 {
-		return fmt.Errorf("lustre driver: write offset %d is negative", off)
+	if off < 0 || off > math.MaxInt64-size {
+		return fmt.Errorf("lustre driver: write offset %d is negative or its end overflows", off)
 	}
 	extra := f.extra(f.sh.writerPorts, "lwr", f.d.cfg.SharedWriterBW)
 	if err := f.sh.f.Write(f.r.P, f.r.Node(), off, size, extra...); err != nil {
@@ -104,8 +105,8 @@ func (f *lustreFile) ReadAt(off, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("lustre driver: read size %d must be positive", size)
 	}
-	if off < 0 {
-		return nil, fmt.Errorf("lustre driver: read offset %d is negative", off)
+	if off < 0 || off > math.MaxInt64-size {
+		return nil, fmt.Errorf("lustre driver: read offset %d is negative or its end overflows", off)
 	}
 	extra := f.extra(f.sh.readerPorts, "lrd", 4*f.d.cfg.SharedWriterBW)
 	f.sh.f.Read(f.r.P, f.r.Node(), off, size, extra...)

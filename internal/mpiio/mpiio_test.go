@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"univistor/internal/core"
@@ -302,8 +303,8 @@ func TestLustreWriterBWFromClusterConfig(t *testing.T) {
 	}
 }
 
-// The Lustre driver rejects a negative offset: no panic, and nothing
-// reaches the OSTs.
+// The Lustre driver rejects a negative offset, and a range whose end
+// overflows int64: no panic, and nothing reaches the OSTs.
 func TestLustreNegativeOffsetRejected(t *testing.T) {
 	w := testWorld(t)
 	env, _ := NewEnv("lustre", NewLustreDriver(lustre.NewFS(w.Cluster)))
@@ -318,6 +319,12 @@ func TestLustreNegativeOffsetRejected(t *testing.T) {
 		}
 		if _, err := f.ReadAt(-1*mib, 2*mib); err == nil {
 			t.Error("ReadAt at a negative offset accepted")
+		}
+		if err := f.WriteAt(math.MaxInt64-10, mib, nil); err == nil {
+			t.Error("WriteAt whose end overflows accepted")
+		}
+		if _, err := f.ReadAt(math.MaxInt64-10, mib); err == nil {
+			t.Error("ReadAt whose end overflows accepted")
 		}
 		f.Close()
 	}, mpi.LaunchOpts{RanksPerNode: 1})

@@ -54,10 +54,12 @@ func nodeLocalRead(env *Env, p *sim.Proc, op ReadOp) (Locality, error) {
 
 // readExtras returns the reader-side resources appended to a shared-device
 // transfer: the co-located server relay (without the location-aware
-// service) and the reading process's memory port.
+// service) and the reading process's memory port. The reader's memory path
+// starts at that port, and the transfer only copies its extras, so the
+// location-aware read passes that slice on and allocates nothing.
 func readExtras(op ReadOp) []*sim.Resource {
 	if op.LocationAware {
-		return []*sim.Resource{op.ReaderMemPort}
+		return op.ReaderMemPath[:1]
 	}
 	return []*sim.Resource{op.ReaderSrvMemPort, op.ReaderMemPort}
 }

@@ -229,3 +229,53 @@ func TestFileDeviceWriteDoesNotAllocate(t *testing.T) {
 		t.Errorf("fileDevice write allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// A warm location-aware read of a burst-buffer log passes the reader's
+// memory port without allocating a slice for it.
+func TestBBReadDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const chunk = int64(1) << 20
+	tc := topology.Cori()
+	tc.Nodes, tc.CoresPerNode, tc.SocketsPerNode = 1, 4, 1
+	tc.BBNodes, tc.BBCapPerNode, tc.BBStripeSize = 2, 64*chunk, chunk
+	tc.OSTs = 2
+	e := sim.NewEngine()
+	e.SetDifferentialCheck(false) // the oracle's global re-solve allocates
+	c := topology.New(e, tc)
+	bbs, err := bb.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{Cluster: c, BB: bbs, PFS: lustre.NewFS(c), Cfg: Params{ChunkSize: chunk}}
+	ch, err := Build([]meta.Tier{meta.TierBB}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, got := ch.Backend(meta.TierBB).Open(OpenReq{FID: 1, Node: 0, ProcsOnNode: 1, ProcsGlobal: 1})
+	if got == 0 {
+		t.Fatal("BB Open granted nothing")
+	}
+	port := e.NewResource("reader", 1<<30)
+	op := ReadOp{
+		Size:          4 * chunk,
+		LocationAware: true,
+		ReaderMemPort: port,
+		ReaderMemPath: []*sim.Resource{port, e.NewResource("numa", 1<<30)},
+	}
+	allocs := -1.0
+	e.Go("reader", func(p *sim.Proc) {
+		read := func() {
+			if _, err := dev.Read(p, op); err != nil {
+				t.Error(err)
+			}
+		}
+		read()
+		allocs = testing.AllocsPerRun(50, read)
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Errorf("warm location-aware BB read allocates %.1f objects, want 0", allocs)
+	}
+}
