@@ -39,13 +39,14 @@ trace-smoke:
 
 # Run each internal/sim, internal/kvstore, internal/metaplane,
 # internal/striping, internal/lustre, internal/bb, internal/gateway,
-# internal/logstore and internal/hdf5lite benchmark once, so the solver,
-# metadata-store, commit-path, stripe-cutter, PFS-write, BB-write, gateway-op,
-# log-recycling and collective-step benchmarks that performance changes
-# quote keep building and running; -benchmem prints each one's allocs/op.
+# internal/logstore, internal/hdf5lite and internal/trace benchmark once, so
+# the solver, metadata-store, commit-path, stripe-cutter, PFS-write, BB-write,
+# gateway-op, log-recycling, collective-step and latency-ledger benchmarks
+# that performance changes quote keep building and running; -benchmem prints
+# each one's allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/kvstore ./internal/metaplane ./internal/striping \
-		./internal/lustre ./internal/bb ./internal/gateway ./internal/logstore ./internal/hdf5lite
+		./internal/lustre ./internal/bb ./internal/gateway ./internal/logstore ./internal/hdf5lite ./internal/trace
 
 # The benchmark harness is its own module: vet and test it there.
 benchmark-test:

@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"univistor/internal/core"
 	"univistor/internal/meta"
@@ -77,7 +76,7 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 	if err != nil {
 		panic(fmt.Sprintf("bench: figmeta plane: %v", err))
 	}
-	var lat []float64 // stat round trips, timed at the caller
+	var lat trace.Ledger // stat round trips, timed at the caller
 	for c := 0; c < clients; c++ {
 		c := c
 		e.Go(fmt.Sprintf("meta-client-%d", c), func(p *sim.Proc) {
@@ -91,7 +90,7 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 				if i%2 == 1 {
 					t0 := p.Now()
 					pl.Stat(p, node, fid, off)
-					lat = append(lat, float64(p.Now()-t0))
+					lat.Add(float64(p.Now() - t0))
 				}
 			}
 		})
@@ -102,6 +101,5 @@ func runMetaScale(shards, replicas, clients, opsPer int) (opsPerSec, p99us float
 	if end > 0 {
 		opsPerSec = float64(charged) / float64(end)
 	}
-	sort.Float64s(lat)
-	return opsPerSec, trace.Quantile(lat, 0.99) * 1e6
+	return opsPerSec, trace.Digests(&lat)[0].P99 * 1e6
 }

@@ -15,7 +15,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"univistor/internal/core"
 	"univistor/internal/meta"
@@ -170,12 +169,12 @@ func runSplitStorm(leased bool, opsPer int) [3]float64 {
 	pl.SplitDone = func() { phase = 2 }
 	e := sim.NewEngine()
 	stats := 0
-	var lats [3][]float64
+	var lats [3]trace.Ledger
 	runStorm(e, pl, clients, opsPer, func(p *sim.Proc, c int, fid meta.FileID, off int64) {
 		ph := phase // classify by the phase at the issue instant
 		t0 := p.Now()
 		pl.Stat(p, c%8, fid, off)
-		lats[ph] = append(lats[ph], float64(p.Now()-t0))
+		lats[ph].Add(float64(p.Now() - t0))
 		stats++
 	})
 	e.Go("split-controller", func(p *sim.Proc) {
@@ -193,9 +192,8 @@ func runSplitStorm(leased bool, opsPer int) [3]float64 {
 		panic("bench: figsplit storm ended before the split finished")
 	}
 	var out [3]float64
-	for i, l := range lats {
-		sort.Float64s(l)
-		out[i] = trace.Quantile(l, 0.99)
+	for i, d := range trace.Digests(&lats[0], &lats[1], &lats[2]) {
+		out[i] = d.P99
 	}
 	return out
 }

@@ -45,11 +45,13 @@ func opsMallocs(t *testing.T, cfg Config, ops int) uint64 {
 
 // The steady-state op path allocates next to nothing: doubling the ops
 // per tenant of the mix adds at most maxMallocsPerOp heap allocations per
-// extra op (about 0.15 measured; an op cost 5.4 before the path stopped
-// allocating). What remains is the amortized growth of logs, WALs and
-// latency ledgers.
+// extra op (0.00–0.02 measured over 10 runs, ±0.03 under -race; an op cost
+// 5.4 before the path stopped allocating). The latency ledgers allocate
+// only at each 4096-sample chunk edge, which this mix never reaches, so
+// what remains is the amortized growth of logs and WALs and the spread of
+// the collector's own allocations from run to run.
 func TestExtraOpsAllocateLittle(t *testing.T) {
-	const n, maxMallocsPerOp = 150, 0.5
+	const n, maxMallocsPerOp = 150, 0.1
 	cfg := opMix()
 	base := opsMallocs(t, cfg, n)
 	double := opsMallocs(t, cfg, 2*n)

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
-	"sort"
 
 	"univistor/internal/core"
 	"univistor/internal/mpi"
@@ -84,12 +82,13 @@ type Config struct {
 
 	// OpsPerTenant selects the closed loop: each tenant issues exactly
 	// this many ops, separated by exponential think time with mean
-	// thinkSeconds. Ignored when ArrivalRate is set.
+	// thinkSeconds. Must be 0 when ArrivalRate is set.
 	OpsPerTenant int
 	// ArrivalRate > 0 selects the open loop: each tenant draws Poisson
 	// arrivals at this mean rate (ops/s) over DurationSeconds of virtual
-	// time. Latency is measured from the *scheduled* arrival, so service
-	// slower than arrival inflates the tail without bound.
+	// time (DurationSeconds must be 0 in the closed loop). Latency is
+	// measured from the *scheduled* arrival, so service slower than arrival
+	// inflates the tail without bound.
 	ArrivalRate     float64
 	DurationSeconds float64
 
@@ -140,8 +139,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gateway: DurationSeconds must be finite, got %v", c.DurationSeconds)
 	case c.ArrivalRate > 0 && c.DurationSeconds <= 0:
 		return fmt.Errorf("gateway: open loop needs DurationSeconds > 0")
+	case c.ArrivalRate > 0 && c.OpsPerTenant != 0:
+		return fmt.Errorf("gateway: OpsPerTenant %d is ignored by the open loop; set it to 0", c.OpsPerTenant)
 	case c.ArrivalRate == 0 && c.OpsPerTenant <= 0:
 		return fmt.Errorf("gateway: closed loop needs OpsPerTenant > 0")
+	case c.ArrivalRate == 0 && c.DurationSeconds != 0:
+		return fmt.Errorf("gateway: DurationSeconds %v is ignored by the closed loop; set ArrivalRate or leave it 0", c.DurationSeconds)
 	case !finite(c.ZipfS):
 		return fmt.Errorf("gateway: ZipfS must be finite, got %v", c.ZipfS)
 	case !(c.HeavyFrac >= 0 && c.HeavyFrac <= 1): // also rejects NaN
@@ -213,7 +216,7 @@ type Gateway struct {
 	ingress *sim.Resource
 	tenants []*tenant
 	comms   []*mpi.Comm
-	lat     [numKinds][]float64
+	lat     [numKinds]trace.Ledger
 	runErr  error
 }
 
@@ -300,7 +303,7 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 			return false
 		}
 		if lat {
-			g.record(kind, float64(r.Now()-start))
+			g.lat[kind].Add(float64(r.Now() - start))
 		}
 		return true
 	}
@@ -346,18 +349,6 @@ func (g *Gateway) runTenant(r *mpi.Rank, t *tenant) {
 		}
 	}
 	tr.Mark(r.P, trace.CatGateway, fmt.Sprintf("tenant%04d-done", t.id))
-}
-
-// record appends one completed op's latency to its kind's ledger. A full
-// ledger doubles: append's own growth falls to 1.25× for large slices, so
-// a long run would copy its ledger about five times its final size.
-// digest sorts each ledger, so the growth policy cannot change a report.
-func (g *Gateway) record(kind opKind, lat float64) {
-	l := g.lat[kind]
-	if len(l) == cap(l) {
-		l = slices.Grow(l, len(l))
-	}
-	g.lat[kind] = append(l, lat)
 }
 
 // pickObject draws an object index from the tenant's popularity curve.
@@ -480,7 +471,9 @@ func (g *Gateway) serve(r *mpi.Rank, c *core.Client, t *tenant, obj *objState, k
 func (g *Gateway) CheckInvariants() []string {
 	var out []string
 	now := g.sys.W.E.Now()
+	var completed int64
 	for _, t := range g.tenants {
+		completed += t.completed
 		inflight := t.issued - t.completed - t.rejected
 		// Tenants issue sequentially: at most one op is between admission
 		// and completion at any instant.
@@ -506,6 +499,16 @@ func (g *Gateway) CheckInvariants() []string {
 				t.id, t.deliveredBytes, t.admittedBytes))
 		}
 	}
+	// step records each completion's latency with no yield in between, so
+	// the ledgers hold exactly one sample per completed op at every instant.
+	recorded := 0
+	for k := range g.lat {
+		recorded += g.lat[k].Len()
+	}
+	if int64(recorded) != completed {
+		out = append(out, fmt.Sprintf(
+			"gateway: latency ledgers hold %d samples, tenants completed %d ops", recorded, completed))
+	}
 	return out
 }
 
@@ -524,26 +527,13 @@ type LatencyDigest struct {
 	Max   float64 `json:"max_seconds"`
 }
 
-// digest sorts the ledger in place: its order carries nothing, and a
-// copy of every completed op's latency would double the ledger's memory
-// at report time.
-func digest(lats []float64) LatencyDigest {
-	d := LatencyDigest{Count: len(lats)}
-	if len(lats) == 0 {
-		return d
+// latencyDigest converts a ledger digest to its report form.
+func latencyDigest(d trace.Digest) LatencyDigest {
+	ld := LatencyDigest{Count: d.Count, P50: d.P50, P95: d.P95, P99: d.P99, P999: d.P999, Max: d.Max}
+	if d.Count > 0 {
+		ld.Mean = d.Total / float64(d.Count)
 	}
-	sort.Float64s(lats)
-	total := 0.0
-	for _, v := range lats {
-		total += v
-	}
-	d.Mean = total / float64(len(lats))
-	d.P50 = trace.Quantile(lats, 0.50)
-	d.P95 = trace.Quantile(lats, 0.95)
-	d.P99 = trace.Quantile(lats, 0.99)
-	d.P999 = trace.Quantile(lats, 0.999)
-	d.Max = lats[len(lats)-1]
-	return d
+	return ld
 }
 
 // Report is the gateway's machine-readable outcome, embedded in tool JSON.
@@ -575,15 +565,17 @@ type Report struct {
 // Err returns the first tenant error of the run (nil on success).
 func (g *Gateway) Err() error { return g.runErr }
 
-// Report digests the run. Call after the engine has drained.
+// Report digests the run. It only reads the gateway, so it may also be
+// taken mid-run; the final one is taken after the engine has drained.
 func (g *Gateway) Report() Report {
+	ds := trace.Digests(&g.lat[opWrite], &g.lat[opRead], &g.lat[opStat])
 	rep := Report{
 		Tenants:  len(g.tenants),
 		QoS:      g.cfg.QoS,
 		OpenLoop: g.cfg.ArrivalRate > 0,
-		Write:    digest(g.lat[opWrite]),
-		Read:     digest(g.lat[opRead]),
-		Stat:     digest(g.lat[opStat]),
+		Write:    latencyDigest(ds[opWrite]),
+		Read:     latencyDigest(ds[opRead]),
+		Stat:     latencyDigest(ds[opStat]),
 	}
 	var sum, sumSq float64
 	for _, t := range g.tenants {

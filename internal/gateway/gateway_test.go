@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"univistor/internal/core"
@@ -231,7 +232,8 @@ func TestCheckInvariantsDeliveredWithinAdmittedQoSOff(t *testing.T) {
 // Validate must reject configs that would silently do nothing useful: an
 // op larger than the tenant burst (every such op rejected, the run
 // "succeeds" at ~100% rejects), a quota with QoS off (only QoS admission
-// enforces it), and a heavy factor with no heavy tenant.
+// enforces it), a heavy factor with no heavy tenant, and a loop setting
+// the other loop ignores.
 func TestConfigValidateQoSEdges(t *testing.T) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -278,6 +280,23 @@ func TestConfigValidateQoSEdges(t *testing.T) {
 		t.Fatalf("HeavyFactor with HeavyFrac must validate, got %v", err)
 	}
 
+	// Each loop rejects the other loop's setting: the open loop has no op
+	// budget and the closed loop no run length.
+	cfg = base()
+	cfg.ArrivalRate, cfg.DurationSeconds = 10, 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("OpsPerTenant with an open loop passed validation")
+	}
+	cfg.OpsPerTenant = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("an open loop without OpsPerTenant must validate, got %v", err)
+	}
+	cfg = base()
+	cfg.DurationSeconds = 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("DurationSeconds with a closed loop passed validation")
+	}
+
 	// Non-finite numbers never validate: an infinite arrival rate, run
 	// length or skew would hang the run, and NaN slips past every < check.
 	nan, inf := math.NaN(), math.Inf(1)
@@ -297,6 +316,60 @@ func TestConfigValidateQoSEdges(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s passed validation", name)
 		}
+	}
+}
+
+// The latency ledgers hold one sample per completed op; a ledger that
+// drifts from the tenants' completion counts is named as a violation.
+func TestCheckInvariantsLedgerMatchesCompleted(t *testing.T) {
+	sys := testSystem(t)
+	g, _ := run(t, sys, smallConfig())
+	g.lat[opStat].Add(0)
+	viol := g.CheckInvariants()
+	if len(viol) != 1 || !strings.Contains(viol[0], "latency ledgers") {
+		t.Fatalf("one extra ledger sample gave violations %v, want exactly one naming the ledgers", viol)
+	}
+}
+
+// Report only reads the gateway: two Reports are equal, and a Report taken
+// by a proc mid-run leaves the final Report as a run without it.
+func TestReportIsPureRead(t *testing.T) {
+	final := func(peek bool) string {
+		sys := testSystem(t)
+		cfg := smallConfig()
+		cfg.QoS = true
+		cfg.ArrivalRate, cfg.DurationSeconds, cfg.OpsPerTenant = 20, 2, 0
+		g, err := Start(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peek {
+			sys.W.E.Go("peek", func(p *sim.Proc) {
+				p.Sleep(cfg.DurationSeconds / 2)
+				if rep := g.Report(); rep.Write.Count == 0 || rep.Read.Count == 0 || rep.Stat.Count == 0 {
+					t.Errorf("mid-run report saw no ops of some kind: %+v", rep)
+				}
+				if viol := g.CheckInvariants(); len(viol) > 0 {
+					t.Errorf("mid-run invariants violated: %v", viol)
+				}
+			})
+		}
+		sys.W.E.Run()
+		if err := g.Err(); err != nil {
+			t.Fatal(err)
+		}
+		a, b := g.Report(), g.Report()
+		if a != b {
+			t.Fatalf("two Reports differ:\n%+v\n%+v", a, b)
+		}
+		js, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js)
+	}
+	if plain, peeked := final(false), final(true); plain != peeked {
+		t.Fatalf("a mid-run Report moved the final one:\n%s\n%s", plain, peeked)
 	}
 }
 

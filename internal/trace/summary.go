@@ -5,7 +5,10 @@ package trace
 // value of every counter series — the at-a-glance block univistor-sim
 // embeds in its JSON output.
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // CategorySummary aggregates the spans of one category.
 type CategorySummary struct {
@@ -72,8 +75,8 @@ type CounterSummary struct {
 // interpolates between sorted[⌊h⌋] and sorted[⌊h⌋+1]. Unlike nearest-rank
 // rounding this keeps p50 of an even-count set at the midpoint of the two
 // middle values and does not collapse high quantiles to the max for small
-// sets. It is the one estimator: the summary digest and every layer that
-// computes tail latencies over its own samples (gateway, bench) use it.
+// sets. It is the one estimator: Digests applies it to every Ledger, which
+// holds every latency and span-duration sample in the tree.
 func Quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -105,7 +108,8 @@ func (r *Recorder) Summarize(maxResources int) *Summary {
 	}
 	s := &Summary{VirtualSeconds: float64(r.maxTime), Flows: len(r.flows)}
 
-	durs := map[Category][]float64{}
+	durs := map[Category]*Ledger{}
+	var cats []Category
 	for _, tr := range r.tracks {
 		for _, ev := range tr.events {
 			if ev.Dur == instantDur {
@@ -116,27 +120,32 @@ func (r *Recorder) Summarize(maxResources int) *Summary {
 			if d == openDur {
 				d = float64(r.maxTime - ev.Start)
 			}
-			durs[ev.Cat] = append(durs[ev.Cat], d)
+			l := durs[ev.Cat]
+			if l == nil {
+				l = new(Ledger)
+				durs[ev.Cat] = l
+				cats = append(cats, ev.Cat)
+			}
+			l.Add(d)
 		}
 	}
-	for cat, ds := range durs {
-		sort.Float64s(ds)
-		total := 0.0
-		for _, d := range ds {
-			total += d
-		}
+	slices.Sort(cats)
+	ls := make([]*Ledger, len(cats))
+	for i, cat := range cats {
+		ls[i] = durs[cat]
+	}
+	for i, d := range Digests(ls...) {
 		s.Spans = append(s.Spans, CategorySummary{
-			Category:     string(cat),
-			Count:        len(ds),
-			TotalSeconds: total,
-			P50:          Quantile(ds, 0.50),
-			P95:          Quantile(ds, 0.95),
-			P99:          Quantile(ds, 0.99),
-			P999:         Quantile(ds, 0.999),
-			MaxSeconds:   ds[len(ds)-1],
+			Category:     string(cats[i]),
+			Count:        d.Count,
+			TotalSeconds: d.Total,
+			P50:          d.P50,
+			P95:          d.P95,
+			P99:          d.P99,
+			P999:         d.P999,
+			MaxSeconds:   d.Max,
 		})
 	}
-	sort.Slice(s.Spans, func(i, j int) bool { return s.Spans[i].Category < s.Spans[j].Category })
 
 	end := float64(r.maxTime)
 	for _, res := range r.timelineOrder {
