@@ -106,7 +106,7 @@ func main() {
 			"gateway: open-loop arrivals per tenant per virtual second (>0 switches from closed to open loop)")
 		gwSecs  = flag.Float64("gw-seconds", 0, "gateway: open-loop duration in virtual seconds (0 = gateway default)")
 		gwKiB   = flag.Int64("gw-kb", 0, "gateway: payload KiB per data op (0 = gateway default)")
-		seed    = flag.Int64("seed", 1, "workload seed of -gateway or -ckpt")
+		seed    = flag.Int64("seed", 1, "workload seed of -gateway, or of -ckpt with -dedup")
 		traceTo = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto) to this path")
 		chaosIn = flag.String("chaos", "", "chaos spec, e.g. seed=1,check=0.5,crash=0@2 (univistor driver only; exits 1 on invariant violations)")
 	)
@@ -145,12 +145,15 @@ func main() {
 		}
 	}
 	requires(*driver == "univistor", "-driver univistor", "tiers", "no-ia", "no-coc", "no-adpt", "meta-shards",
-		"meta-replicas", "meta-follower-reads", "dedup", "gateway", "chaos")
+		"meta-replicas", "meta-follower-reads", "dedup", "gateway", "chaos", "ckpt-retain")
 	requires(*gwMode, "-gateway", "tenants", "zipf", "qos", "gw-ops", "gw-arrival", "gw-seconds", "gw-kb")
 	requires(*gwRate > 0, "-gw-arrival", "gw-seconds")
 	requires(*gwRate <= 0, "a closed loop (no -gw-arrival)", "gw-ops")
 	requires(*ckptSteps > 0, "-ckpt", "ckpt-change", "ckpt-retain")
-	requires(*gwMode || *ckptSteps > 0, "-gateway or -ckpt", "seed")
+	// The checkpoint's change rate and seed only shape content tags, which
+	// only the dedup layer reads.
+	requires(*dedup, "-dedup", "ckpt-change")
+	requires(*gwMode || *ckptSteps > 0 && *dedup, "-gateway, or -ckpt with -dedup", "seed")
 	requires(*metaShards > 0, "-meta-shards", "meta-replicas", "meta-follower-reads")
 	if *ckptSteps > 0 && *doRead {
 		fatal("-read is not supported with -ckpt (the checkpoint kernel is write-only)")
@@ -256,11 +259,9 @@ func main() {
 		out.WriteSecs = float64(m.Write)
 		out.ReadSecs = float64(m.Read)
 		out.ReadLostRanks = m.ReadLost
-		if *doFlush {
-			if bytes, start, endF, ok := st.FlushStats(cfg.FileName); ok && endF > start {
-				out.FlushSecs = float64(endF - start)
-				out.FlushGiBs = float64(bytes) / float64(endF-start) / gib
-			}
+		if m.FlushTime > 0 {
+			out.FlushSecs = float64(m.FlushTime)
+			out.FlushGiBs = float64(m.FlushBytes) / out.FlushSecs / gib
 		}
 	}
 	out.VirtualEnd = float64(end)

@@ -68,8 +68,8 @@ func buildSim(t *testing.T) string {
 // Sizes that would divide by zero, crash the launcher or produce a
 // meaningless report, and flags that would silently do nothing (UniviStor
 // flags with another driver, gateway flags without -gateway, checkpoint
-// flags without -ckpt, -seed without either) or that the program does not
-// know, are refused up front: exit 1 with a univistor-sim: message, never a
+// flags without -ckpt, content-tag flags without -dedup, -seed without a
+// kernel it seeds) or that the program does not know, are refused up front: exit 1 with a univistor-sim: message, never a
 // panic.
 func TestBadSizesRejected(t *testing.T) {
 	if testing.Short() {
@@ -101,6 +101,13 @@ func TestBadSizesRejected(t *testing.T) {
 		"-gateway -gw-seconds 2",
 		"-ckpt-retain 2",
 		"-ckpt-change 0.2",
+		// Lustre and Data Elevator delete no step file, and without
+		// -dedup nothing reads the content tags the change rate and the
+		// seed shape.
+		"-driver lustre -procs 8 -ranks-per-node 8 -mb 8 -seg-mb 4 -ckpt 3 -ckpt-retain 1",
+		"-driver dataelevator -procs 8 -ranks-per-node 8 -mb 8 -seg-mb 4 -ckpt 3 -ckpt-retain 1",
+		"-procs 8 -ranks-per-node 8 -mb 8 -seg-mb 4 -ckpt 3 -ckpt-change 0.5",
+		"-procs 8 -ranks-per-node 8 -mb 8 -seg-mb 4 -ckpt 3 -seed 2",
 		// Non-finite numbers are rejected before the run: the first three
 		// would never finish, the rest would run a nonsense schedule.
 		"-gateway -tenants 4 -gw-arrival Inf -gw-seconds 0.01",
@@ -111,6 +118,10 @@ func TestBadSizesRejected(t *testing.T) {
 		"-chaos seed=1,check=NaN",
 		"-chaos seed=1,degrade=nic:0:NaN@0.1",
 		"-chaos seed=1,metasplit@NaN",
+		// Chaos tokens that would do nothing: a crash has no window, and
+		// a sweep interval past the horizon schedules no sweep.
+		"-chaos seed=1,crash=0@1+2",
+		"-chaos seed=1,check=2,horizon=1",
 	} {
 		t.Run(args, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

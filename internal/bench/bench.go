@@ -15,7 +15,6 @@ import (
 	"univistor/internal/chaos"
 	"univistor/internal/core"
 	"univistor/internal/meta"
-	"univistor/internal/sim"
 	"univistor/internal/topology"
 	"univistor/internal/workloads"
 )
@@ -40,7 +39,7 @@ type Options struct {
 	// TimeSteps5 and TimeSteps10 are the two workload lengths of §III-C/D.
 	TimeSteps5  int
 	TimeSteps10 int
-	// Progress, when set, receives a progress line per data point.
+	// Progress, when set, receives one line per data point (see sweep).
 	Progress io.Writer
 	// TracePath, when set, attaches a trace recorder to every stack the
 	// sweep builds and exports a Chrome trace-event JSON of each completed
@@ -80,12 +79,6 @@ func QuickOptions() Options {
 		ComputeSeconds: 5,
 		TimeSteps5:     3,
 		TimeSteps10:    6,
-	}
-}
-
-func (o Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		fmt.Fprintf(o.Progress, format+"\n", args...)
 	}
 }
 
@@ -194,19 +187,15 @@ func (v variant) stack(procs int, o Options) *Stack {
 	return st
 }
 
-// run runs st to completion behind a janitor waiting on wait (see
-// Stack.Run) and finishes it; an error is a harness bug.
-func (st *Stack) run(o Options, wait func(*sim.Proc)) {
-	if _, err := st.Run(wait); err != nil {
-		panic("bench: " + err.Error())
+// finish closes a completed run: err, the runner's error, is a harness bug
+// and panics; otherwise the stack is finished and its chaos report handed
+// to o.ChaosReport. Every completed run of a sweep overwrites the trace
+// file.
+func (st *Stack) finish(o Options, err error) {
+	var rep *chaos.Report
+	if err == nil {
+		rep, err = st.Finish()
 	}
-	st.finish(o)
-}
-
-// finish finishes a completed run and hands the chaos report to
-// o.ChaosReport. Every completed run of a sweep overwrites the trace file.
-func (st *Stack) finish(o Options) {
-	rep, err := st.Finish()
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
@@ -215,18 +204,35 @@ func (st *Stack) finish(o Options) {
 	}
 }
 
-// sweep appends one series per variant to res, with one point per scale of
-// o measured by point, and reports each point as progress; format prints
-// the point's value, e.g. "rate=%.2f GiB/s".
-func sweep(res *Result, o Options, variants []variant, format string, point func(v variant, procs int) float64) {
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, procs := range o.Scales {
-			val := point(v, procs)
-			s.Points = append(s.Points, Point{Procs: procs, Value: val})
-			o.progress("%s %s procs=%d "+format, res.ID, v.name, procs, val)
+// sweep appends one series per name to res, with one point per x: point(x)
+// returns that point's value in every series, in names order. Each point is
+// reported as one progress line: the figure id, x and each series' quoted
+// name and value.
+func sweep(res *Result, o Options, names []string, xs []int, point func(x int) []float64) {
+	first := len(res.Series)
+	for _, name := range names {
+		res.Series = append(res.Series, Series{Name: name})
+	}
+	series := res.Series[first:]
+	for _, x := range xs {
+		line := fmt.Sprintf("%s x=%d:", res.ID, x)
+		for i, v := range point(x) {
+			series[i].Points = append(series[i].Points, Point{Procs: x, Value: v})
+			line += fmt.Sprintf(" %q=%.3f", names[i], v)
 		}
-		res.Series = append(res.Series, s)
+		if o.Progress != nil {
+			fmt.Fprintln(o.Progress, line)
+		}
+	}
+}
+
+// sweepVariants sweeps each variant in turn over the scales of o, one
+// series per variant, measuring each point with point.
+func sweepVariants(res *Result, o Options, variants []variant, point func(v variant, procs int) float64) {
+	for _, v := range variants {
+		sweep(res, o, []string{v.name}, o.Scales, func(procs int) []float64 {
+			return []float64{point(v, procs)}
+		})
 	}
 }
 
@@ -241,7 +247,7 @@ const (
 
 // microSweep sweeps variants over the micro-benchmark and plots rate.
 func microSweep(res *Result, o Options, variants []variant, rate microRate) {
-	sweep(res, o, variants, "rate=%.2f GiB/s", func(v variant, procs int) float64 {
+	sweepVariants(res, o, variants, func(v variant, procs int) float64 {
 		return runMicro(v, procs, o, rate)
 	})
 }
@@ -258,21 +264,14 @@ func runMicro(v variant, procs int, o Options, rate microRate) float64 {
 		FileName:     "micro.h5",
 	}
 	m, err := st.Micro(procs, o.RanksPerNode, cfg, rate == readRate, rate == flushRate)
-	if err != nil {
-		panic(fmt.Sprintf("bench: micro: %v", err))
-	}
-	st.finish(o)
+	st.finish(o, err)
 	total := float64(procs) * float64(o.BytesPerRank)
 	t := m.Write
 	switch rate {
 	case readRate:
 		t = m.Read
 	case flushRate:
-		bytes, start, end, ok := st.FlushStats(cfg.FileName)
-		if !ok || end <= start {
-			return 0
-		}
-		total, t = float64(bytes), end-start
+		total, t = float64(m.FlushBytes), m.FlushTime
 	}
 	if t <= 0 {
 		return 0

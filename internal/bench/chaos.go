@@ -53,7 +53,6 @@ func ChaosSmoke(o Options, spec string) ([]SmokeResult, error) {
 		}
 		var reports []chaos.Report
 		o.ChaosReport = func(r chaos.Report) { reports = append(reports, r) }
-		o.progress("chaos-smoke %s", f.id)
 		f.run(o)
 		out = append(out, SmokeResult{Fig: f.id, Reports: reports})
 	}

@@ -9,8 +9,6 @@ package bench
 // bytes.
 
 import (
-	"fmt"
-
 	"univistor/internal/core"
 	"univistor/internal/workloads"
 )
@@ -32,14 +30,11 @@ func FigDedup(o Options) *Result {
 		steps = 10
 	}
 	segs := max(1, int(o.BytesPerRank/o.SegmentBytes))
-	sLog := Series{Name: "logical GiB"}
-	sPhys := Series{Name: "physical GiB dedup"}
-	sOff := Series{Name: "end-to-end s off"}
-	sOn := Series{Name: "end-to-end s dedup"}
-	for _, procs := range o.Scales {
+	names := []string{"logical GiB", "physical GiB dedup", "end-to-end s off", "end-to-end s dedup"}
+	sweep(res, o, names, o.Scales, func(procs int) []float64 {
 		var logical, physical int64
-		var offSecs, onSecs float64
-		for _, dedup := range []bool{false, true} {
+		var ends [2]float64 // end-to-end seconds, dedup off and on
+		for i, dedup := range []bool{false, true} {
 			v := uvVariant("", tiersDRAM, func(c *core.Config) {
 				if dedup {
 					c.Dedup = true
@@ -58,27 +53,14 @@ func FigDedup(o Options) *Result {
 				Seed:            4242,
 			}
 			ck, err := st.Checkpoint(procs, o.RanksPerNode, cfg)
-			if err != nil {
-				panic(fmt.Sprintf("bench: figdedup checkpoint: %v", err))
-			}
-			st.finish(o)
-			s := st.UV.Sys.Stats()
+			st.finish(o, err)
+			ends[i] = float64(ck.End)
 			if dedup {
-				logical = s.BytesFlushed
-				physical = s.BytesFlushedPhysical
-				onSecs = float64(ck.End)
-			} else {
-				offSecs = float64(ck.End)
+				s := st.UV.Sys.Stats()
+				logical, physical = s.BytesFlushed, s.BytesFlushedPhysical
 			}
 		}
-		sLog.Points = append(sLog.Points, Point{Procs: procs, Value: float64(logical) / GiB})
-		sPhys.Points = append(sPhys.Points, Point{Procs: procs, Value: float64(physical) / GiB})
-		sOff.Points = append(sOff.Points, Point{Procs: procs, Value: offSecs})
-		sOn.Points = append(sOn.Points, Point{Procs: procs, Value: onSecs})
-		o.progress("figdedup procs=%d logical=%.2f GiB physical=%.2f GiB (%.0f%%) end %.0fs→%.0fs",
-			procs, float64(logical)/GiB, float64(physical)/GiB,
-			100*float64(physical)/float64(logical), offSecs, onSecs)
-	}
-	res.Series = append(res.Series, sLog, sPhys, sOff, sOn)
+		return []float64{float64(logical) / GiB, float64(physical) / GiB, ends[0], ends[1]}
+	})
 	return res
 }

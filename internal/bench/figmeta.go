@@ -42,15 +42,11 @@ func FigMeta(o Options) *Result {
 	}
 	const clients = 4
 	for _, r := range figMetaReplicas {
-		sOps := Series{Name: fmt.Sprintf("ops/s R=%d", r)}
-		sP99 := Series{Name: fmt.Sprintf("p99 stat µs R=%d", r)}
-		for _, shards := range figMetaShards {
+		names := []string{fmt.Sprintf("ops/s R=%d", r), fmt.Sprintf("p99 stat µs R=%d", r)}
+		sweep(res, o, names, figMetaShards, func(shards int) []float64 {
 			rate, p99 := runMetaScale(shards, r, clients, opsPerClient)
-			sOps.Points = append(sOps.Points, Point{Procs: shards, Value: rate})
-			sP99.Points = append(sP99.Points, Point{Procs: shards, Value: p99})
-			o.progress("figmeta shards=%d R=%d ops/s=%.0f p99=%.2fµs", shards, r, rate, p99)
-		}
-		res.Series = append(res.Series, sOps, sP99)
+			return []float64{rate, p99}
+		})
 	}
 	return res
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 
 	"univistor/internal/core"
-	"univistor/internal/mpi"
-	"univistor/internal/sim"
 	"univistor/internal/workloads"
 )
 
@@ -41,29 +38,9 @@ func uvWorkflowLogs(o Options) func(*core.Config) {
 // plus the tail of the last step's flush beyond its close (§III-C).
 func runVPIC(v variant, procs int, o Options, steps int) float64 {
 	st := v.stack(procs, o)
-	cfg := vpicConfig(o, steps)
-	var maxIO, lastClose, flushTail sim.Time
-
-	app := st.W.Launch("vpic", procs, func(r *mpi.Rank) {
-		stats, err := workloads.RunVPIC(r, st.Env, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("bench: vpic: %v", err))
-		}
-		maxIO = max(maxIO, stats.TotalIO)
-		lastClose = max(lastClose, stats.LastClose)
-		r.Barrier()
-		lastFile := cfg.StepFile(steps - 1)
-		st.WaitFlush(r.P, lastFile)
-		r.Barrier()
-		if r.Rank() == 0 {
-			if _, _, end, ok := st.FlushStats(lastFile); ok && end > lastClose {
-				flushTail = end - lastClose
-			}
-		}
-		st.Disconnect(r)
-	}, mpi.LaunchOpts{RanksPerNode: o.RanksPerNode})
-	st.run(o, app.Wait)
-	return float64(maxIO + flushTail)
+	res, err := st.VPIC(procs, o.RanksPerNode, vpicConfig(o, steps))
+	st.finish(o, err)
+	return float64(res.TotalIO + res.FlushTail)
 }
 
 // Fig7 regenerates Fig. 7: total I/O time of 5-time-step VPIC-IO under
@@ -77,7 +54,7 @@ func Fig7(o Options) *Result {
 	}
 	res := &Result{ID: "fig7", Title: "Total I/O time of 5-time-step VPIC-IO",
 		Metric: "total I/O time (s)"}
-	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+	sweepVariants(res, o, variants, func(v variant, procs int) float64 {
 		return runVPIC(v, procs, o, o.TimeSteps5)
 	})
 	return res
@@ -94,7 +71,7 @@ func Fig8(o Options) *Result {
 	}
 	res := &Result{ID: "fig8", Title: "Total I/O time of 10-time-step VPIC-IO across layer combinations",
 		Metric: "total I/O time (s)"}
-	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+	sweepVariants(res, o, variants, func(v variant, procs int) float64 {
 		return runVPIC(v, procs, o, o.TimeSteps10)
 	})
 	return res
@@ -107,56 +84,14 @@ func Fig8(o Options) *Result {
 // nonoverlap mode the analysis starts only after the producer exits.
 func runWorkflow(v variant, procs int, o Options, steps int, overlap bool) float64 {
 	st := v.stack(procs, o)
-	writers := procs / 2
-	readers := procs - writers
-	perNode := max(1, o.RanksPerNode/2)
-	nodes := make([]int, len(st.W.Cluster.Nodes))
-	for i := range nodes {
-		nodes[i] = i
-	}
 	cfg := vpicConfig(o, steps)
 	// §III-D measures the workflow's data-movement pipeline: unlike the
 	// §III-C checkpoint runs, there is no artificial compute phase between
 	// steps, so the elapsed time is I/O-dominated.
 	cfg.ComputeSeconds = 0
-	bdcfg := workloads.BDCATSConfig{VPIC: cfg, WritersN: writers, Collective: true}
-	var elapsed sim.Time
-
-	vpicMain := func(r *mpi.Rank) {
-		if _, err := workloads.RunVPIC(r, st.Env, cfg); err != nil {
-			panic(fmt.Sprintf("bench: workflow vpic: %v", err))
-		}
-		st.Disconnect(r)
-	}
-	bdcatsMain := func(r *mpi.Rank) {
-		if _, err := workloads.RunBDCATS(r, st.Env, bdcfg); err != nil {
-			panic(fmt.Sprintf("bench: workflow bdcats: %v", err))
-		}
-		elapsed = max(elapsed, r.Now())
-		st.Disconnect(r)
-	}
-
-	opts := mpi.LaunchOpts{RanksPerNode: perNode, Nodes: nodes}
-	vpic := st.W.Launch("vpic", writers, vpicMain, opts)
-	if overlap {
-		bd := st.W.Launch("bdcats", readers, bdcatsMain, opts)
-		st.run(o, func(p *sim.Proc) {
-			vpic.Wait(p)
-			bd.Wait(p)
-		})
-	} else {
-		var bd *mpi.Comm
-		gate := &sim.Event{}
-		st.E.Go("sequencer", func(p *sim.Proc) {
-			vpic.Wait(p)
-			bd = st.W.Launch("bdcats", readers, bdcatsMain, opts)
-			gate.Set()
-		})
-		st.run(o, func(p *sim.Proc) {
-			gate.Wait(p)
-			bd.Wait(p)
-		})
-	}
+	writers := procs / 2
+	elapsed, err := st.Workflow(writers, procs-writers, max(1, o.RanksPerNode/2), cfg, overlap)
+	st.finish(o, err)
 	return float64(elapsed)
 }
 
@@ -180,7 +115,7 @@ func Fig9(o Options) *Result {
 	}
 	res := &Result{ID: "fig9", Title: "5-step VPIC→BD-CATS workflow time",
 		Metric: "elapsed time (s)"}
-	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+	sweepVariants(res, o, variants, func(v variant, procs int) float64 {
 		return runWorkflow(v, procs, o, o.TimeSteps5, strings.HasSuffix(v.name, " Overlap"))
 	})
 	return res
@@ -196,7 +131,7 @@ func Fig10(o Options) *Result {
 	}
 	res := &Result{ID: "fig10", Title: "10-step workflow time across layer combinations",
 		Metric: "elapsed time (s)"}
-	sweep(res, o, variants, "time=%.2f s", func(v variant, procs int) float64 {
+	sweepVariants(res, o, variants, func(v variant, procs int) float64 {
 		return runWorkflow(v, procs, o, o.TimeSteps10, true)
 	})
 	return res

@@ -54,24 +54,15 @@ func FigSplit(o Options) *Result {
 		leased bool
 	}{{"leader-only", false}, {"leased", true}}
 	for _, m := range modes {
-		s := Series{Name: "storm ops/s " + m.name}
-		for _, clients := range figSplitClients {
-			rate := runLeaseStorm(clients, m.leased, opsPerClient)
-			s.Points = append(s.Points, Point{Procs: clients, Value: rate})
-			o.progress("figsplit storm clients=%d %s ops/s=%.0f", clients, m.name, rate)
-		}
-		res.Series = append(res.Series, s)
+		sweep(res, o, []string{"storm ops/s " + m.name}, figSplitClients, func(clients int) []float64 {
+			return []float64{runLeaseStorm(clients, m.leased, opsPerClient)}
+		})
 	}
-	for _, m := range modes {
-		p99s := runSplitStorm(m.leased, opsPerClient)
-		s := Series{Name: "split p99 stat µs " + m.name}
-		for phase, v := range p99s {
-			s.Points = append(s.Points, Point{Procs: phase + 1, Value: v * 1e6})
-		}
-		o.progress("figsplit split %s p99µs before=%.2f during=%.2f after=%.2f",
-			m.name, p99s[0]*1e6, p99s[1]*1e6, p99s[2]*1e6)
-		res.Series = append(res.Series, s)
-	}
+	p99s := [2][3]float64{runSplitStorm(modes[0].leased, opsPerClient), runSplitStorm(modes[1].leased, opsPerClient)}
+	names := []string{"split p99 stat µs " + modes[0].name, "split p99 stat µs " + modes[1].name}
+	sweep(res, o, names, []int{1, 2, 3}, func(phase int) []float64 {
+		return []float64{p99s[0][phase-1] * 1e6, p99s[1][phase-1] * 1e6}
+	})
 	return res
 }
 

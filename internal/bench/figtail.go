@@ -12,11 +12,7 @@ package bench
 // price of enforcement) and the byte quota clips the heavy tenants, so
 // fairness holds. Deterministic: same options, same report.
 
-import (
-	"fmt"
-
-	"univistor/internal/gateway"
-)
+import "univistor/internal/gateway"
 
 // figtailTenants is the tenant population per data point; small enough to
 // keep the sweep in smoke-test budgets, large enough for a meaningful
@@ -37,13 +33,8 @@ func FigTail(o Options) *Result {
 		Title:  "Multi-tenant gateway — tail latency and fairness vs offered load",
 		Metric: "ms | index",
 	}
-	sP99Off := Series{Name: "p99 ms off"}
-	sP99On := Series{Name: "p99 ms qos"}
-	sP999Off := Series{Name: "p999 ms off"}
-	sP999On := Series{Name: "p999 ms qos"}
-	sJainOff := Series{Name: "jain off"}
-	sJainOn := Series{Name: "jain qos"}
-	for _, rate := range figtailRates() {
+	names := []string{"p99 ms off", "p99 ms qos", "p999 ms off", "p999 ms qos", "jain off", "jain qos"}
+	sweep(res, o, names, figtailRates(), func(rate int) []float64 {
 		var reps [2]gateway.Report
 		for i, qos := range []bool{false, true} {
 			st := uvVariant("", tiersDRAM, nil).stack(figtailTenants, o)
@@ -63,24 +54,12 @@ func FigTail(o Options) *Result {
 			}
 			gcfg.Seed = 1717
 			rep, _, err := st.Gateway(gcfg)
-			if err != nil {
-				panic(fmt.Sprintf("bench: figtail: %v", err))
-			}
-			st.finish(o)
+			st.finish(o, err)
 			reps[i] = rep
 		}
 		off, on := reps[0], reps[1]
-		sP99Off.Points = append(sP99Off.Points, Point{Procs: rate, Value: off.Write.P99 * 1e3})
-		sP99On.Points = append(sP99On.Points, Point{Procs: rate, Value: on.Write.P99 * 1e3})
-		sP999Off.Points = append(sP999Off.Points, Point{Procs: rate, Value: off.Write.P999 * 1e3})
-		sP999On.Points = append(sP999On.Points, Point{Procs: rate, Value: on.Write.P999 * 1e3})
-		sJainOff.Points = append(sJainOff.Points, Point{Procs: rate, Value: off.JainFairness})
-		sJainOn.Points = append(sJainOn.Points, Point{Procs: rate, Value: on.JainFairness})
-		o.progress("figtail rate=%d ops/s p99 %.1f→%.1f ms p999 %.1f→%.1f ms jain %.3f→%.3f (rejected %d)",
-			rate, off.Write.P99*1e3, on.Write.P99*1e3,
-			off.Write.P999*1e3, on.Write.P999*1e3,
-			off.JainFairness, on.JainFairness, on.Rejected)
-	}
-	res.Series = append(res.Series, sP99Off, sP99On, sP999Off, sP999On, sJainOff, sJainOn)
+		return []float64{off.Write.P99 * 1e3, on.Write.P99 * 1e3,
+			off.Write.P999 * 1e3, on.Write.P999 * 1e3, off.JainFairness, on.JainFairness}
+	})
 	return res
 }

@@ -24,9 +24,9 @@ import (
 // Stack is one fully built simulation stack: an engine, an MPI world on the
 // simulated cluster, and one ADIO driver behind an MPI-IO environment.
 // NewStack is the one place that builds a stack; Run and Finish are the one
-// way to run it, and Micro, Checkpoint and Gateway are the one runner of
-// each kernel. WaitFlush, FlushStats and Disconnect are the only code that
-// asks which driver is underneath.
+// way to run it, and Micro, Checkpoint, VPIC, Workflow and Gateway are the
+// one runner of each kernel. WaitFlush, flushStats and Disconnect are the
+// only code that asks which driver is underneath.
 type Stack struct {
 	E   *sim.Engine
 	W   *mpi.World
@@ -126,9 +126,9 @@ func (s *Stack) WaitFlush(p *sim.Proc, name string) {
 	}
 }
 
-// FlushStats reports the bytes and the virtual-time window of the named
+// flushStats reports the bytes and the virtual-time window of the named
 // file's flush to the PFS; ok is false when no flush was recorded.
-func (s *Stack) FlushStats(name string) (bytes int64, start, end sim.Time, ok bool) {
+func (s *Stack) flushStats(name string) (bytes int64, start, end sim.Time, ok bool) {
 	switch {
 	case s.UV != nil:
 		return s.UV.Sys.FlushStats(name)
@@ -182,28 +182,43 @@ func (s *Stack) Finish() (*chaos.Report, error) {
 	return rep, nil
 }
 
+// launch starts n ranks of the app name, each running body and then
+// disconnecting; a rank whose body fails keeps the first error in *firstErr
+// and exits without disconnecting.
+func (s *Stack) launch(name string, n int, opts mpi.LaunchOpts, firstErr *error, body func(*mpi.Rank) error) *mpi.Comm {
+	return s.W.Launch(name, n, func(r *mpi.Rank) {
+		if err := body(r); err != nil {
+			*firstErr = cmp.Or(*firstErr, err)
+			return
+		}
+		s.Disconnect(r)
+	}, opts)
+}
+
 // MicroResult is what one micro-benchmark run measured.
 type MicroResult struct {
 	Write, Read sim.Time // the slowest rank's write and read-back time
 	ReadLost    int      // ranks whose read-back lost data to an injected fault
 	End         sim.Time // virtual end of the run
+	FlushBytes  int64    // bytes of the file's flush to the PFS; 0 unless flush was set
+	FlushTime   sim.Time // that flush's virtual-time window; 0 unless flush was set
 }
 
 // Micro runs the §III-B micro-benchmark to completion (see Run); the caller
 // finishes the stack. procs ranks, ranksPerNode to a node, each write their
 // block of cfg.FileName and meet at a barrier. With read or flush set, each
 // rank then waits out the file's asynchronous flush and meets the others
-// again, so FlushStats covers the whole flush and a read measures the read
-// path of a quiesced system. With read set, each rank reads its block back;
-// under chaos, a read that hits core.ErrDataLost counts as a lost rank.
+// again, so the flush window covers the whole flush and a read measures the
+// read path of a quiesced system. With read set, each rank reads its block
+// back; under chaos, a read that hits core.ErrDataLost counts as a lost
+// rank. The first rank error wins over the run's own.
 func (s *Stack) Micro(procs, ranksPerNode int, cfg workloads.MicroConfig, read, flush bool) (MicroResult, error) {
 	var res MicroResult
 	var firstErr error
-	app := s.W.Launch("app", procs, func(r *mpi.Rank) {
+	app := s.launch("app", procs, mpi.LaunchOpts{RanksPerNode: ranksPerNode}, &firstErr, func(r *mpi.Rank) error {
 		ws, err := workloads.MicroWrite(r, s.Env, cfg)
 		if err != nil {
-			firstErr = cmp.Or(firstErr, fmt.Errorf("write: %w", err))
-			return
+			return fmt.Errorf("write: %w", err)
 		}
 		res.Write = max(res.Write, ws.Total())
 		r.Barrier()
@@ -219,14 +234,16 @@ func (s *Stack) Micro(procs, ranksPerNode int, cfg workloads.MicroConfig, read, 
 			case s.Chaos != nil && errors.Is(err, core.ErrDataLost):
 				res.ReadLost++
 			default:
-				firstErr = cmp.Or(firstErr, fmt.Errorf("read: %w", err))
-				return
+				return fmt.Errorf("read: %w", err)
 			}
 		}
-		s.Disconnect(r)
-	}, mpi.LaunchOpts{RanksPerNode: ranksPerNode})
+		return nil
+	})
 	end, err := s.Run(app.Wait)
 	res.End = end
+	if bytes, start, fend, ok := s.flushStats(cfg.FileName); flush && ok && fend > start {
+		res.FlushBytes, res.FlushTime = bytes, fend-start
+	}
 	return res, cmp.Or(firstErr, err)
 }
 
@@ -238,23 +255,102 @@ type CheckpointResult struct {
 
 // Checkpoint runs the dedup checkpoint kernel to completion (see Run); the
 // caller finishes the stack. procs ranks, ranksPerNode to a node, each run
-// workloads.RunCheckpoint with cfg and then disconnect. As in Micro, the
-// first rank error wins over the run's own.
+// workloads.RunCheckpoint with cfg. As in Micro, the first rank error wins.
 func (s *Stack) Checkpoint(procs, ranksPerNode int, cfg workloads.CheckpointConfig) (CheckpointResult, error) {
 	var res CheckpointResult
 	var firstErr error
-	app := s.W.Launch("app", procs, func(r *mpi.Rank) {
+	app := s.launch("app", procs, mpi.LaunchOpts{RanksPerNode: ranksPerNode}, &firstErr, func(r *mpi.Rank) error {
 		cs, err := workloads.RunCheckpoint(r, s.Env, cfg)
-		if err != nil {
-			firstErr = cmp.Or(firstErr, err)
-			return
-		}
 		res.TotalIO = max(res.TotalIO, cs.TotalIO)
-		s.Disconnect(r)
-	}, mpi.LaunchOpts{RanksPerNode: ranksPerNode})
+		return err
+	})
 	end, err := s.Run(app.Wait)
 	res.End = end
 	return res, cmp.Or(firstErr, err)
+}
+
+// VPICResult is what one VPIC-IO run measured.
+type VPICResult struct {
+	TotalIO   sim.Time // the slowest rank's open+write+close time over every step
+	FlushTail sim.Time // how far the last step's flush ran past the last close
+}
+
+// VPIC runs the VPIC-IO checkpointing kernel (§III-C) to completion (see
+// Run); the caller finishes the stack. procs ranks, ranksPerNode to a node,
+// each run workloads.RunVPIC with cfg, then wait out the last step's flush
+// between two barriers. As in Micro, the first rank error wins.
+func (s *Stack) VPIC(procs, ranksPerNode int, cfg workloads.VPICConfig) (VPICResult, error) {
+	var res VPICResult
+	var lastClose sim.Time
+	var firstErr error
+	lastFile := cfg.StepFile(cfg.TimeSteps - 1)
+	app := s.launch("vpic", procs, mpi.LaunchOpts{RanksPerNode: ranksPerNode}, &firstErr, func(r *mpi.Rank) error {
+		vs, err := workloads.RunVPIC(r, s.Env, cfg)
+		if err != nil {
+			return err
+		}
+		res.TotalIO = max(res.TotalIO, vs.TotalIO)
+		lastClose = max(lastClose, vs.LastClose)
+		r.Barrier()
+		s.WaitFlush(r.P, lastFile)
+		r.Barrier()
+		return nil
+	})
+	_, err := s.Run(app.Wait)
+	if _, _, end, ok := s.flushStats(lastFile); ok && end > lastClose {
+		res.FlushTail = end - lastClose
+	}
+	return res, cmp.Or(firstErr, err)
+}
+
+// Workflow runs the VPIC-IO → BD-CATS-IO workflow of §III-D to completion
+// (see Run) and returns the virtual time at which the last BD-CATS rank
+// finished; the caller finishes the stack. writers VPIC ranks and readers
+// BD-CATS ranks share every node, ranksPerNode of each app to a node. With
+// overlap both apps start at once; without it a sequencer launches BD-CATS
+// once VPIC has exited. As in Micro, the first rank error wins.
+func (s *Stack) Workflow(writers, readers, ranksPerNode int, cfg workloads.VPICConfig, overlap bool) (sim.Time, error) {
+	nodes := make([]int, len(s.W.Cluster.Nodes))
+	for i := range nodes {
+		nodes[i] = i
+	}
+	opts := mpi.LaunchOpts{RanksPerNode: ranksPerNode, Nodes: nodes}
+	bdcfg := workloads.BDCATSConfig{VPIC: cfg, WritersN: writers, Collective: true}
+	var elapsed sim.Time
+	var firstErr error
+	launchBDCATS := func() *mpi.Comm {
+		return s.launch("bdcats", readers, opts, &firstErr, func(r *mpi.Rank) error {
+			if _, err := workloads.RunBDCATS(r, s.Env, bdcfg); err != nil {
+				return err
+			}
+			elapsed = max(elapsed, r.Now())
+			return nil
+		})
+	}
+	vpic := s.launch("vpic", writers, opts, &firstErr, func(r *mpi.Rank) error {
+		_, err := workloads.RunVPIC(r, s.Env, cfg)
+		return err
+	})
+	// The janitor waits for VPIC's exit, or for the sequencer's launch of
+	// BD-CATS, and then for BD-CATS.
+	var bd *mpi.Comm
+	launched := vpic.Wait
+	if overlap {
+		bd = launchBDCATS()
+	} else {
+		gate := &sim.Event{}
+		s.E.Go("sequencer", func(p *sim.Proc) {
+			vpic.Wait(p)
+			bd = launchBDCATS()
+			gate.Set()
+		})
+		launched = gate.Wait
+	}
+	_, err := s.Run(func(p *sim.Proc) {
+		launched(p)
+		bd.Wait(p)
+	})
+	return elapsed, cmp.Or(firstErr, err)
 }
 
 // Gateway drives the UniviStor system through the multi-tenant QoS gateway

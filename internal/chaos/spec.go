@@ -116,7 +116,11 @@ func (f Fault) String() string {
 	return "?" + f.Kind
 }
 
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// ftoa renders v exactly, with no '+' in an exponent: the grammar reads
+// '+' as the start of a window, so "1e+21" would not parse back.
+func ftoa(v float64) string {
+	return strings.Replace(strconv.FormatFloat(v, 'g', -1, 64), "e+", "e", 1)
+}
 
 // Spec is a complete chaos schedule.
 type Spec struct {
@@ -162,8 +166,10 @@ func (s Spec) String() string {
 //
 //	seed=N                     PRNG seed (default 1)
 //	check=DT                   periodic invariant sweep every DT virtual secs
+//	                           (DT at most the horizon)
 //	horizon=T                  last periodic sweep / random-fault window
-//	rand=K                     K extra seeded non-destructive faults
+//	                           (only with check= or rand=)
+//	rand=K                     K ≥ 0 extra seeded non-destructive faults
 //	crash=NODE@T               fail node NODE at virtual time T
 //	crash=NODE@wN              fail node NODE after the N-th write completes
 //	buddy=NODE@T               fail NODE and its replica buddy at T
@@ -199,6 +205,9 @@ func Parse(s string) (Spec, error) {
 		case "rand":
 			var v int64
 			v, err = parseInt(key, val, hasVal)
+			if err == nil && v < 0 {
+				err = fmt.Errorf("chaos: rand=%s: want a fault count of at least 0", val)
+			}
 			spec.Rand = int(v)
 		case "crash", "buddy", "stall", "metacrash":
 			var f Fault
@@ -226,8 +235,14 @@ func Parse(s string) (Spec, error) {
 			return Spec{}, err
 		}
 	}
+	if spec.Horizon > 0 && spec.Check == 0 && spec.Rand == 0 {
+		return Spec{}, fmt.Errorf("chaos: horizon=%s bounds nothing without check= or rand=", ftoa(float64(spec.Horizon)))
+	}
 	if spec.Horizon <= 0 && (spec.Check > 0 || spec.Rand > 0) {
 		spec.Horizon = DefaultHorizon
+	}
+	if spec.Check > 0 && sim.Time(spec.Check) > spec.Horizon {
+		return Spec{}, fmt.Errorf("chaos: check=%s exceeds horizon=%s: no sweep would run", ftoa(float64(spec.Check)), ftoa(float64(spec.Horizon)))
 	}
 	sortFaults(spec.Faults)
 	return spec, nil
@@ -296,6 +311,9 @@ func parseTargeted(kind, val string, hasVal bool) (Fault, error) {
 		return f, nil
 	}
 	at, dur, err := parseWindow(when, kind == KindStall)
+	if err == nil && dur > 0 && (kind == KindCrash || kind == KindBuddy) {
+		err = fmt.Errorf("a %s takes a bare time, not a window", kind)
+	}
 	if err != nil {
 		return Fault{}, fmt.Errorf("chaos: %s=%s: %w", kind, val, err)
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,6 +117,45 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", s)
 		}
 	}
+	// Specs that would silently do nothing are refused with a message
+	// naming the token that does nothing.
+	for s, token := range map[string]string{
+		"crash=0@1+2":       "crash=0@1+2", // a crash has no window
+		"buddy=1@1+2":       "buddy=1@1+2",
+		"rand=-3":           "rand=-3",
+		"horizon=4":         "horizon=4", // bounds neither sweeps nor random faults
+		"check=2,horizon=1": "check=2",   // no sweep would run
+		"check=6":           "check=6",   // past the default horizon
+	} {
+		_, err := Parse(s)
+		if err == nil || !strings.Contains(err.Error(), token) {
+			t.Errorf("Parse(%q): got %v, want an error naming %q", s, err, token)
+		}
+	}
+}
+
+// FuzzParse checks the canonical form: whatever spec Parse accepts, its
+// String() parses back to an equal Spec with the same String(). The
+// committed seed corpus in testdata/fuzz/FuzzParse runs under plain
+// `go test`.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := Parse(s)
+		if err != nil {
+			return
+		}
+		canon := spec.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its canonical form %q fails: %v", s, canon, err)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Errorf("Parse(%q) = %#v, but its canonical form %q parses to %#v", s, spec, canon, again)
+		}
+		if again.String() != canon {
+			t.Errorf("canonical form of %q is unstable: %q then %q", s, canon, again.String())
+		}
+	})
 }
 
 // A degrade fraction of 0 is an outage request; the parser must refuse
