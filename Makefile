@@ -28,14 +28,17 @@ race:
 check: build vet race race-diffcheck trace-smoke examples chaos-smoke bench-smoke benchmark-test digests
 
 # Export a figure trace, a counter-rich feature trace and a run that spills
-# DRAM to the object tier, then validate all three.
+# DRAM to the object tier, then validate all three. The traces go to a
+# private temporary directory, removed on exit, so concurrent runs do not
+# overwrite each other's files.
 trace-smoke:
-	$(GO) run ./cmd/univibench -quick -fig fig6a -trace /tmp/t.json > /dev/null
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/univibench -quick -fig fig6a -trace $$dir/t.json > /dev/null; \
 	$(GO) run ./cmd/univistor-sim -meta-shards 2 -meta-replicas 3 -meta-follower-reads -chaos metasplit@1 \
-		-dedup -ckpt 3 -trace /tmp/counters.json > /dev/null
+		-dedup -ckpt 3 -trace $$dir/counters.json > /dev/null; \
 	$(GO) run ./cmd/univistor-sim -procs 16 -ranks-per-node 8 -mb 8192 -seg-mb 64 -tiers object,dram \
-		-read -flush -trace /tmp/tiers.json > /dev/null
-	$(GO) run ./cmd/univistor-trace /tmp/t.json /tmp/counters.json /tmp/tiers.json
+		-read -flush -trace $$dir/tiers.json > /dev/null; \
+	$(GO) run ./cmd/univistor-trace $$dir/t.json $$dir/counters.json $$dir/tiers.json
 
 # Run each internal/sim, internal/kvstore, internal/metaplane,
 # internal/striping, internal/lustre, internal/bb, internal/gateway,
@@ -64,18 +67,20 @@ chaos-smoke:
 
 # Every facade-level example program, and both univistor-explain modes
 # (striping in both regimes), must run to completion and print exactly
-# its pinned stdout in examples/testdata.
+# its pinned stdout in examples/testdata. The outputs go to a private
+# temporary directory, removed on exit.
 examples:
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for ex in quickstart tiering vpic workflow resilience; do \
-		$(GO) run ./examples/$$ex > /tmp/example-$$ex.txt || exit 1; \
-		diff -u examples/testdata/$$ex.txt /tmp/example-$$ex.txt || exit 1; \
-	done
-	$(GO) run ./cmd/univistor-explain -mode striping > /tmp/explain-striping.txt
-	diff -u examples/testdata/explain-striping.txt /tmp/explain-striping.txt
-	$(GO) run ./cmd/univistor-explain -mode striping -servers 4 -file 64GiB > /tmp/explain-striping-4.txt
-	diff -u examples/testdata/explain-striping-4.txt /tmp/explain-striping-4.txt
-	$(GO) run ./cmd/univistor-explain -mode va > /tmp/explain-va.txt
-	diff -u examples/testdata/explain-va.txt /tmp/explain-va.txt
+		$(GO) run ./examples/$$ex > $$dir/example-$$ex.txt; \
+		diff -u examples/testdata/$$ex.txt $$dir/example-$$ex.txt; \
+	done; \
+	$(GO) run ./cmd/univistor-explain -mode striping > $$dir/explain-striping.txt; \
+	diff -u examples/testdata/explain-striping.txt $$dir/explain-striping.txt; \
+	$(GO) run ./cmd/univistor-explain -mode striping -servers 4 -file 64GiB > $$dir/explain-striping-4.txt; \
+	diff -u examples/testdata/explain-striping-4.txt $$dir/explain-striping-4.txt; \
+	$(GO) run ./cmd/univistor-explain -mode va > $$dir/explain-va.txt; \
+	diff -u examples/testdata/explain-va.txt $$dir/explain-va.txt
 
 # Quick paper-figure sweep (simulated results). Host performance is
 # measured by `bash benchmark/run.sh` (see benchmark/README.md).

@@ -441,11 +441,10 @@ func TestNegativeOffsetRejected(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			w, sys := testEnv(t, func(_ *topology.Config, cc *Config) { cc.MetaShards = shards })
 			records := func() int {
-				n := sys.nodeMeta[0].Len() + sys.nodeMeta[1].Len()
 				if sys.plane != nil {
-					return n + sys.plane.Total()
+					return sys.plane.Total()
 				}
-				return n + sys.meta.(*ringMeta).ring.Total()
+				return sys.meta.(*ringMeta).store.Len()
 			}
 			payload := bytes.Repeat([]byte("s"), int(4*mib))
 			runApp(t, w, sys, 1, 1, func(c *Client) {

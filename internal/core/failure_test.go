@@ -4,6 +4,7 @@ package core
 // workflow access, degenerate flushes, and teardown ordering.
 
 import (
+	"bytes"
 	"testing"
 
 	"univistor/internal/meta"
@@ -206,8 +207,8 @@ func TestConcurrentAppsIsolatedFiles(t *testing.T) {
 			t.Errorf("%s size = %d, %v", name, size, ok)
 		}
 	}
-	if v := sys.meta.checkInvariants(); len(v) != 0 {
-		t.Errorf("metadata ring corrupted: %v", v)
+	if v := sys.CheckInvariants(); len(v) != 0 {
+		t.Errorf("invariants: %v", v)
 	}
 }
 
@@ -227,4 +228,71 @@ func TestOpenReadOnlyMissingFileFailsCleanly(t *testing.T) {
 		f.WriteAt(int64(c.Rank().Rank())*mib, 1*mib, nil)
 		f.Close()
 	})
+}
+
+// A rewrite of the same key from another node moves the segment there: the
+// first producer's node must not resolve it locally any more. Rank 0 writes
+// [0, 1 MiB), rank 1 on the other node rewrites it, and rank 0 reads it
+// back: the bytes are remote, node 1's DRAM. After node 0 fails, the read
+// still finds them on node 1 instead of losing them with node 0's copy.
+func TestCrossNodeRewriteLeavesNoStaleLocalRecord(t *testing.T) {
+	for mode, shards := range map[string]int{"ring": 0, "plane": 2} {
+		for _, crash := range []bool{false, true} {
+			name := mode
+			if crash {
+				name += "-crash"
+			}
+			t.Run(name, func(t *testing.T) {
+				w, sys := testEnv(t, func(_ *topology.Config, cc *Config) {
+					cc.FlushOnClose = false
+					cc.MetaShards = shards
+				})
+				first, rewrite := bytes.Repeat([]byte("a"), int(mib)), bytes.Repeat([]byte("b"), int(mib))
+				var got []byte
+				var readErr error
+				var before, after Stats
+				runApp(t, w, sys, 2, 1, func(c *Client) {
+					f, err := c.Open("f", mpi.WriteOnly)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					rank := c.Rank().Rank()
+					for writer, payload := range [][]byte{first, rewrite} {
+						if rank == writer {
+							if err := f.WriteAt(0, mib, payload); err != nil {
+								t.Error(err)
+							}
+						}
+						c.Rank().Barrier()
+					}
+					if rank == 0 {
+						if crash {
+							sys.FailNode(0)
+						}
+						before = sys.Stats()
+						got, readErr = f.ReadAt(0, mib)
+						after = sys.Stats()
+					}
+					c.Rank().Barrier()
+					f.Close()
+				})
+				if readErr != nil {
+					t.Fatalf("read after the rewrite: %v", readErr)
+				}
+				if !bytes.Equal(got, rewrite) {
+					t.Fatal("read returned other bytes than the rewrite")
+				}
+				local, remote := after.BytesReadLocal-before.BytesReadLocal, after.BytesReadRemote-before.BytesReadRemote
+				if local != 0 || remote != mib {
+					t.Errorf("read counted %d bytes local and %d remote, want 0 and %d", local, remote, mib)
+				}
+				if !crash {
+					if v := sys.CheckInvariants(); len(v) != 0 {
+						t.Errorf("invariants: %v", v)
+					}
+				}
+			})
+		}
+	}
 }

@@ -42,7 +42,11 @@ func (sys *System) CheckInvariants() []string {
 	out = append(out, sys.checkMetadataCoverage()...)
 	out = append(out, sys.checkStatsCoherence()...)
 	out = append(out, sys.checkCAS()...)
-	out = append(out, sys.meta.checkInvariants()...)
+	if sys.plane != nil {
+		for _, v := range sys.plane.CheckInvariants() {
+			out = append(out, "metaplane "+v)
+		}
+	}
 	out = append(out, sys.W.E.CheckFlowConservation(1e-6)...)
 	return out
 }

@@ -257,15 +257,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		func() { fs.totalWritten += 7 },
 		func() { fs.totalWritten -= 7 })
 
-	ring := sys.meta.(*ringMeta).ring
+	store := sys.meta.(*ringMeta).store
 	recs := sys.metaCoveringFree(fs.fid, 0, fs.logicalSize)
 	if len(recs) == 0 {
 		t.Fatal("no metadata records to corrupt")
 	}
 	lost := recs[0]
 	expect("dropped metadata record", "records lost",
-		func() { ring.Delete(fs.fid, lost.Offset) },
-		func() { ring.Put(lost) })
+		func() { store.Delete(lost.Key()) },
+		func() { store.Put(lost) })
 
 	expect("stats counter drift", "BytesWritten",
 		func() { sys.stats.BytesWritten[meta.TierDRAM] += 3 },

@@ -5,11 +5,10 @@ package core
 // System.meta, one of two metaService implementations chosen once in
 // NewSystem:
 //
-//   - ringMeta, the single logical ring of kvstore.Ring (the default; the
-//     paper figures depend on its exact costs): records range-partitioned
-//     over the servers, each charged op one round trip serialized on the
-//     serving server's queue — the same queue open/close ops and chaos
-//     stalls hold;
+//   - ringMeta, the single logical ring (the default; the paper figures
+//     depend on its exact costs): records range-partitioned over the
+//     servers, each charged op one round trip serialized on the serving
+//     server's queue — the same queue open/close ops and chaos stalls hold;
 //   - planeMeta, the sharded, replicated plane of internal/metaplane
 //     (Config.MetaShards > 0): mutations are replicated WAL commits, reads
 //     are charged on the owning shard's leader (or a leased follower).
@@ -81,8 +80,6 @@ type metaService interface {
 	repoint(p *sim.Proc, fromNode int, rec meta.Record)
 	// stat charges one client Stat of the named file (fid 0 if absent).
 	stat(p *sim.Proc, fromNode int, name string, fid meta.FileID)
-	// checkInvariants returns the store's own violations.
-	checkInvariants() []string
 }
 
 // metaPut inserts a record through the metadata service, charging one
@@ -130,14 +127,22 @@ func (sys *System) metaDelete(p *sim.Proc, fromNode int, fid meta.FileID, off in
 // ---------------------------------------------------------------------------
 // ringMeta: the single logical ring.
 
+// The ring keeps every record in one store: the partition of a record's
+// offset decides only which server's queue its ops are charged on.
 type ringMeta struct {
-	sys  *System
-	ring *kvstore.Ring
+	sys     *System
+	store   *kvstore.Store
+	servers int // 1 under CentralMetadata
 }
 
-// server maps a ring index onto the serving process. The ring has one
-// store per server, or a single store under CentralMetadata, so every index
-// names a server.
+// at is the ring's home rule (§II-B3, Fig. 3): the offset space of each
+// file is cut into MetaRangeSize ranges assigned round-robin to the
+// servers. It returns the server charged for offset and the store.
+func (m *ringMeta) at(offset int64) (int, *kvstore.Store) {
+	return int(offset / m.sys.Cfg.MetaRangeSize % int64(m.servers)), m.store
+}
+
+// server maps a ring index onto the serving process.
 func (m *ringMeta) server(idx int) *Server { return m.sys.servers[idx] }
 
 // charge charges one metadata record operation from a process on fromNode
@@ -152,15 +157,15 @@ func (m *ringMeta) charge(p *sim.Proc, fromNode int, srv *Server) {
 }
 
 func (m *ringMeta) put(p *sim.Proc, fromNode int, rec meta.Record) (meta.Record, bool, int) {
-	srv := m.ring.HomeServer(rec.Offset)
+	srv, _ := m.at(rec.Offset)
 	m.charge(p, fromNode, m.server(srv))
-	prev, replaced := m.ring.Get(rec.FID, rec.Offset)
-	m.ring.Put(rec)
+	prev, replaced := m.store.Get(rec.Key())
+	m.store.Put(rec)
 	return prev, replaced, srv
 }
 
 func (m *ringMeta) covering(recs []meta.Record, idx []int, fid meta.FileID, off, size int64) ([]meta.Record, []int) {
-	return m.ring.Covering(recs, idx, fid, off, size)
+	return kvstore.CoverRange(recs, idx, fid, off, size, m.sys.Cfg.MetaRangeSize, m.at)
 }
 
 func (m *ringMeta) chargeLookup(p *sim.Proc, fromNode, idx int) {
@@ -170,27 +175,21 @@ func (m *ringMeta) chargeLookup(p *sim.Proc, fromNode, idx int) {
 // delete is free: a range delete pays one round trip for the whole range
 // (chargeRangeDelete).
 func (m *ringMeta) delete(_ *sim.Proc, _ int, fid meta.FileID, off int64) (bool, int) {
-	return m.ring.Delete(fid, off), m.ring.HomeServer(off)
+	srv, _ := m.at(off)
+	return m.store.Delete(meta.Key{FID: fid, Offset: off}), srv
 }
 
 func (m *ringMeta) chargeRangeDelete(p *sim.Proc, fromNode int, off int64) {
-	m.charge(p, fromNode, m.server(m.ring.HomeServer(off)))
+	srv, _ := m.at(off)
+	m.charge(p, fromNode, m.server(srv))
 }
 
 // repoint is free and uncounted: it rides inside the promotion.
-func (m *ringMeta) repoint(_ *sim.Proc, _ int, rec meta.Record) { m.ring.Put(rec) }
+func (m *ringMeta) repoint(_ *sim.Proc, _ int, rec meta.Record) { m.store.Put(rec) }
 
 // stat charges the file's home server.
 func (m *ringMeta) stat(p *sim.Proc, fromNode int, name string, _ meta.FileID) {
 	m.charge(p, fromNode, m.sys.homeServer(name))
-}
-
-// checkInvariants audits the ring's own record placement.
-func (m *ringMeta) checkInvariants() []string {
-	if err := m.ring.Validate(); err != nil {
-		return []string{err.Error()}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -258,14 +257,6 @@ func (m *planeMeta) stat(p *sim.Proc, fromNode int, _ string, fid meta.FileID) {
 	sp := m.span(p, "plane-stat")
 	m.pl.Stat(p, fromNode, fid, 0)
 	m.end(p, sp)
-}
-
-func (m *planeMeta) checkInvariants() []string {
-	var out []string
-	for _, v := range m.pl.CheckInvariants() {
-		out = append(out, "metaplane "+v)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -376,3 +376,53 @@ func TestConfigMetaValidation(t *testing.T) {
 		t.Errorf("valid plane config rejected: %v", err)
 	}
 }
+
+// Fig. 3: the ring's home rule deals the MetaRangeSize ranges of a file's
+// offsets round-robin to the servers, all kept in one store; under
+// CentralMetadata every range homes on the one server. A range size that
+// is not positive is a config error.
+func TestRingHomeServerRoundRobin(t *testing.T) {
+	_, sys := testEnv(t, nil) // 4 servers, 16-MiB ranges
+	_, central := testEnv(t, func(_ *topology.Config, cc *Config) { cc.CentralMetadata = true })
+	m, c := sys.meta.(*ringMeta), central.meta.(*ringMeta)
+	for off := int64(0); off < 160*mib; off += 4 * mib {
+		if srv, st := m.at(off); srv != int(off/(16*mib)%4) || st != m.store {
+			t.Errorf("at(%d) = %d, want %d on the one store", off, srv, off/(16*mib)%4)
+		}
+		if srv, _ := c.at(off); srv != 0 {
+			t.Errorf("central at(%d) = %d, want 0", off, srv)
+		}
+	}
+	cc := DefaultConfig()
+	cc.MetaRangeSize = 0
+	if cc.Validate() == nil {
+		t.Error("zero MetaRangeSize accepted")
+	}
+}
+
+// Every record op is charged on its home server: six 1-MiB writes, one per
+// 16-MiB range, charge two puts on servers 0 and 1 and one on servers 2 and
+// 3, and the one store holds all six records.
+func TestRingRoutesToHomeServers(t *testing.T) {
+	w, sys := testEnv(t, func(_ *topology.Config, cc *Config) { cc.FlushOnClose = false })
+	runApp(t, w, sys, 1, 1, func(c *Client) {
+		f, err := c.Open("f", mpi.WriteOnly)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := int64(0); i < 6; i++ {
+			if err := f.WriteAt(i*16*mib, mib, nil); err != nil {
+				t.Error(err)
+			}
+		}
+		f.Close()
+	})
+	if d := sys.MetaOpDetail(); d.Puts != 6 || !reflect.DeepEqual(d.PerServer, []int64{2, 2, 1, 1}) {
+		t.Errorf("puts %d per server %v, want 6 as [2 2 1 1]", d.Puts, d.PerServer)
+	}
+	st := sys.meta.(*ringMeta).store
+	if rec, ok := st.Get(meta.Key{FID: sys.files["f"].fid, Offset: 5 * 16 * mib}); st.Len() != 6 || !ok || rec.Size != mib {
+		t.Errorf("store holds %d records, range 5's %+v %v; want 6, a 1-MiB record", st.Len(), rec, ok)
+	}
+}

@@ -85,7 +85,6 @@ func (sys *System) promoteSegment(p *sim.Proc, fs *fileState, rec meta.Record, p
 	// Re-point the metadata at the promoted copy.
 	rec.VA = newVA
 	sys.meta.repoint(p, prodNode, rec)
-	sys.nodeMeta[prodNode].Put(rec)
 
 	// Pending-flush accounting follows the bytes.
 	if byTier := fs.cached[producer.c.server.GlobalIdx]; byTier[oldTier] >= rec.Size {
@@ -129,7 +128,6 @@ func (cf *ClientFile) Delete(off, size int64) (int, error) {
 		}
 		producer.ls.Log(tier).PunchRange(addr, rec.Size)
 		sys.metaDelete(cf.c.rank.P, cf.c.rank.Node(), rec.FID, rec.Offset)
-		sys.nodeMeta[producer.c.rank.Node()].Delete(rec.Key())
 		// The deleted bytes leave the resolvable set, like an exact-key
 		// rewrite — the coverage invariant reconciles against this ledger.
 		fs.overwritten += rec.Size

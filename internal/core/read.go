@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"univistor/internal/kvstore"
 	"univistor/internal/meta"
 	"univistor/internal/sim"
 	"univistor/internal/tier"
@@ -15,12 +14,12 @@ import (
 // ReadAt reads [off, off+size) of the logical file, returning the payload
 // bytes (zero-filled where size-only writes carried no data).
 //
-// With the location-aware read service (§II-B4): portions whose metadata
-// sits in the node's shared metadata buffer are read straight from local
-// storage with no server hop; metadata for the rest is fetched by the
-// client directly from the owning metadata servers; segments on globally
-// visible tiers (BB, PFS) are retrieved directly from those devices; only
-// segments on a remote node's private tiers take a server round-trip.
+// With the location-aware read service (§II-B4): portions produced on the
+// reader's node resolve with no server hop and are read straight from local
+// storage; metadata for the rest is fetched by the client directly from the
+// owning metadata servers; segments on globally visible tiers (BB, PFS) are
+// retrieved directly from those devices; only segments on a remote node's
+// private tiers take a server round-trip.
 //
 // With the service disabled, every byte funnels through the co-located
 // server (an extra memory-copy leg) and remote-node data is relayed
@@ -53,12 +52,16 @@ func (cf *ClientFile) ReadAt(off, size int64) ([]byte, error) {
 	}
 
 	// 1. Local shared metadata buffer: free lookups for local segments. The
-	// buffer is one store, so its covering is one partition of unbounded
-	// size.
+	// buffer is a view of the metadata service, the free covering's records
+	// whose producer runs on this node.
 	if la {
-		st := sys.nodeMeta[node]
-		b.local, b.idx = kvstore.CoverRange(b.local, b.idx, fs.fid, off, size, math.MaxInt64,
-			func(int64) (int, *kvstore.Store) { return 0, st })
+		b.recs, b.idx = sys.meta.covering(b.recs, b.idx, fs.fid, off, size)
+		for _, rec := range b.recs {
+			if pf := fs.procFiles[rec.Proc]; pf != nil && pf.c.rank.Node() == node {
+				b.local = append(b.local, rec)
+			}
+		}
+		b.recs = b.recs[:0]
 	}
 	b.gaps = appendGaps(b.gaps, off, size, b.local)
 

@@ -3,7 +3,7 @@ package core
 // Operation statistics: the observability surface downstream users need to
 // understand where their bytes went and which services fired. Counters are
 // aggregated system-wide; per-file placement detail is available through
-// the metadata ring.
+// System.Segments, which reads the metadata service.
 
 import (
 	"encoding/json"

@@ -37,12 +37,12 @@ type System struct {
 	// meta is the metadata service every client path goes through: the
 	// single logical ring, or the sharded replicated plane when
 	// Cfg.MetaShards > 0. plane is the plane's store (nil in ring mode),
-	// kept for the Plane accessor and the plane-only fault entry points.
+	// kept for the Plane accessor, the plane-only fault entry points and
+	// the plane's invariant audit.
 	meta       metaService
 	plane      *metaplane.Plane
 	metaDetail MetaOpDetail
-	nodeMeta   []*kvstore.Store // per-node shared metadata buffer (§II-B4)
-	chain      *tier.Chain      // the ordered storage hierarchy, terminal last
+	chain      *tier.Chain // the ordered storage hierarchy, terminal last
 
 	// coverBufs is the free list of the covering buffers of ReadAt and
 	// triggerFlush.
@@ -246,7 +246,7 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 		if cfg.CentralMetadata {
 			ringServers = 1
 		}
-		sys.meta = &ringMeta{sys: sys, ring: kvstore.NewRing(ringServers, cfg.MetaRangeSize)}
+		sys.meta = &ringMeta{sys: sys, store: kvstore.NewStore(), servers: ringServers}
 	} else {
 		replicas := cfg.MetaReplicas
 		if replicas <= 0 {
@@ -285,9 +285,6 @@ func NewSystem(w *mpi.World, cfg Config) (*System, error) {
 			}
 		}
 		pl.Trace = w.Trace
-	}
-	for n := 0; n < nNodes; n++ {
-		sys.nodeMeta = append(sys.nodeMeta, kvstore.NewStore())
 	}
 	sys.nodeFlushCount = make([]int, nNodes)
 	sys.nodeAppCount = map[string][]int{}

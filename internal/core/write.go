@@ -107,10 +107,6 @@ func (cf *ClientFile) write(off, size int64, data []byte, tag uint64) error {
 			s.run = nil
 		}
 	}
-	// Shared metadata buffer on the producing node (§II-B4): free local
-	// lookup for locally generated segments.
-	sys.nodeMeta[c.rank.Node()].Put(rec)
-
 	// Bookkeeping.
 	if data != nil {
 		cf.fs.content.Write(off, data)

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -474,61 +473,70 @@ func BenchmarkStoreChurn(b *testing.B) {
 	}
 }
 
-func TestRingRoutesToHomeServers(t *testing.T) {
-	r := NewRing(4, 100)
-	for off := int64(0); off < 1600; off += 100 {
-		srv := r.Put(rec(1, off, 100, 0))
-		if want := int(off / 100 % 4); srv != want {
-			t.Errorf("Put(off=%d) went to server %d, want %d", off, srv, want)
-		}
-	}
-	if err := r.Validate(); err != nil {
-		t.Error(err)
-	}
-	if r.Total() != 16 {
-		t.Errorf("Total = %d, want 16", r.Total())
-	}
-	got, ok := r.Get(1, 700)
-	if !ok || got.Offset != 700 {
-		t.Errorf("Get(700) = %+v, %v", got, ok)
-	}
+// testRing lays records out as the ring metadata service does, every
+// server's partitions in one store, and also in one store per server: the
+// layout whose coverings the one store must reproduce. Records are homed by
+// the ring's rule, offset / rangeSize mod servers.
+type testRing struct {
+	rangeSize int64
+	one       *Store
+	stores    []*Store
 }
 
-// Fig. 3: the offsets of four ranges go round-robin to four servers, and
-// wrap with fewer servers. A bad range size, server count or offset
-// panics.
-func TestRingHomeServerRoundRobin(t *testing.T) {
-	r := NewRing(4, 4)
-	for off := int64(0); off < 16; off++ {
-		if got, want := r.HomeServer(off), int(off/4%4); got != want {
-			t.Errorf("HomeServer(%d) = %d, want %d", off, got, want)
-		}
+func newTestRing(servers int, rangeSize int64) *testRing {
+	r := &testRing{rangeSize: rangeSize, one: NewStore()}
+	for i := 0; i < servers; i++ {
+		r.stores = append(r.stores, NewStore())
 	}
-	if r2 := NewRing(2, 4); r2.HomeServer(8) != 0 || r2.HomeServer(12) != 1 {
-		t.Error("round-robin wrap incorrect")
+	return r
+}
+
+func (r *testRing) home(off int64) int { return int(off / r.rangeSize % int64(len(r.stores))) }
+
+func (r *testRing) put(rc meta.Record) {
+	r.one.Put(rc)
+	r.stores[r.home(rc.Offset)].Put(rc)
+}
+
+// del removes the exact key from both layouts.
+func (r *testRing) del(t *testing.T, fid meta.FileID, off int64) bool {
+	t.Helper()
+	key := meta.Key{FID: fid, Offset: off}
+	ok := r.one.Delete(key)
+	if r.stores[r.home(off)].Delete(key) != ok {
+		t.Fatalf("Delete(%d) differs between one store and per-server stores", off)
 	}
-	for name, f := range map[string]func(){
-		"zero range size": func() { NewRing(4, 0) },
-		"no servers":      func() { NewRing(0, 4) },
-		"negative offset": func() { r.HomeServer(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
+	return ok
+}
+
+// at is the ring service's partition map: every server shares one store.
+func (r *testRing) at(off int64) (int, *Store) { return r.home(off), r.one }
+
+// perServer maps a partition to its own server's store.
+func (r *testRing) perServer(off int64) (int, *Store) {
+	srv := r.home(off)
+	return srv, r.stores[srv]
+}
+
+// cover returns the one store's covering, failing t unless the per-server
+// stores return exactly the same records and servers.
+func (r *testRing) cover(t *testing.T, fid meta.FileID, off, size int64) ([]meta.Record, []int) {
+	t.Helper()
+	recs, servers := CoverRange(nil, nil, fid, off, size, r.rangeSize, r.at)
+	want, wantServers := CoverRange(nil, nil, fid, off, size, r.rangeSize, r.perServer)
+	if !slices.Equal(recs, want) || !slices.Equal(servers, wantServers) {
+		t.Errorf("CoverRange(%d, %d, %d) over one store = %v %v, per server %v %v",
+			fid, off, size, recs, servers, want, wantServers)
 	}
+	return recs, servers
 }
 
 func TestRingCoveringExactSegments(t *testing.T) {
-	r := NewRing(2, 100)
+	r := newTestRing(2, 100)
 	for off := int64(0); off < 1000; off += 50 {
-		r.Put(rec(1, off, 50, int(off/50)))
+		r.put(rec(1, off, 50, int(off/50)))
 	}
-	recs, servers := r.Covering(nil, nil, 1, 200, 300) // segments at 200..450
+	recs, servers := r.cover(t, 1, 200, 300) // segments at 200..450
 	if len(recs) != 6 {
 		t.Fatalf("Covering returned %d records, want 6: %+v", len(recs), recs)
 	}
@@ -542,12 +550,15 @@ func TestRingCoveringExactSegments(t *testing.T) {
 	}
 }
 
+// A record straddling into the range from the partition before is served
+// by that partition's server, which the covering reports after the range's
+// own.
 func TestRingCoveringPartialOverlaps(t *testing.T) {
-	r := NewRing(3, 100)
-	r.Put(rec(1, 90, 50, 1))  // straddles boundary at 100, stored on server of 90
-	r.Put(rec(1, 140, 20, 2)) // inside partition 1
+	r := newTestRing(3, 100)
+	r.put(rec(1, 90, 50, 1))  // straddles boundary at 100, stored on server of 90
+	r.put(rec(1, 140, 20, 2)) // inside partition 1
 	// Request [120, 150): overlaps both records.
-	recs, _ := r.Covering(nil, nil, 1, 120, 30)
+	recs, _ := r.cover(t, 1, 120, 30)
 	if len(recs) != 2 {
 		t.Fatalf("Covering = %+v, want both overlapping records", recs)
 	}
@@ -555,20 +566,23 @@ func TestRingCoveringPartialOverlaps(t *testing.T) {
 		t.Errorf("records = %+v", recs)
 	}
 	// Request entirely within the straddler's tail partition.
-	recs, _ = r.Covering(nil, nil, 1, 100, 10)
+	recs, servers := r.cover(t, 1, 100, 10)
 	if len(recs) != 1 || recs[0].Offset != 90 {
 		t.Errorf("tail lookup = %+v, want the straddling record", recs)
+	}
+	if !slices.Equal(servers, []int{1, 0}) {
+		t.Errorf("tail lookup contacted %v, want [1 0]: the range's server, then the straddler's", servers)
 	}
 }
 
 func TestRingCoveringNoMatch(t *testing.T) {
-	r := NewRing(2, 100)
-	r.Put(rec(1, 0, 10, 0))
-	recs, _ := r.Covering(nil, nil, 1, 500, 50)
+	r := newTestRing(2, 100)
+	r.put(rec(1, 0, 10, 0))
+	recs, _ := r.cover(t, 1, 500, 50)
 	if len(recs) != 0 {
 		t.Errorf("Covering of empty range = %+v", recs)
 	}
-	recs, _ = r.Covering(nil, nil, 2, 0, 10) // wrong file
+	recs, _ = r.cover(t, 2, 0, 10) // wrong file
 	if len(recs) != 0 {
 		t.Errorf("Covering of wrong file = %+v", recs)
 	}
@@ -579,13 +593,13 @@ func TestRingCoveringNoMatch(t *testing.T) {
 // covers every partition of the query, empty ones included — the caller
 // charges a round trip per contacted server, gap or not.
 func TestRingCoveringMultiServerWithGaps(t *testing.T) {
-	r := NewRing(3, 100)
+	r := newTestRing(3, 100)
 	// Partitions 0..5 map to servers 0,1,2,0,1,2. Populate partitions 0, 2,
 	// and 5; leave 1, 3, 4 as gaps.
-	r.Put(rec(1, 10, 40, 0))  // partition 0, server 0
-	r.Put(rec(1, 220, 30, 1)) // partition 2, server 2
-	r.Put(rec(1, 550, 20, 2)) // partition 5, server 2
-	recs, servers := r.Covering(nil, nil, 1, 0, 600)
+	r.put(rec(1, 10, 40, 0))  // partition 0, server 0
+	r.put(rec(1, 220, 30, 1)) // partition 2, server 2
+	r.put(rec(1, 550, 20, 2)) // partition 5, server 2
+	recs, servers := r.cover(t, 1, 0, 600)
 	if len(recs) != 3 || recs[0].Offset != 10 || recs[1].Offset != 220 || recs[2].Offset != 550 {
 		t.Fatalf("Covering = %+v, want the 3 stored segments in order", recs)
 	}
@@ -599,7 +613,7 @@ func TestRingCoveringMultiServerWithGaps(t *testing.T) {
 	}
 	// A sub-query covering only empty partitions returns nothing but still
 	// reports the servers it had to ask.
-	recs, servers = r.Covering(nil, nil, 1, 300, 200) // partitions 3 and 4
+	recs, servers = r.cover(t, 1, 300, 200) // partitions 3 and 4
 	if len(recs) != 0 {
 		t.Errorf("gap query returned %+v", recs)
 	}
@@ -608,53 +622,46 @@ func TestRingCoveringMultiServerWithGaps(t *testing.T) {
 	}
 }
 
-// Delete routes by the key's home partition: deleting an offset that is
-// covered by a straddling record (whose key lives one partition back, on a
-// different server) must NOT remove the straddler — only an exact key on
-// its own home server deletes.
+// Delete is by exact key: deleting an offset that is covered by a
+// straddling record (whose key lives one partition back, on a different
+// server) must NOT remove the straddler — only its exact key deletes.
 func TestRingDeleteNonHomeKey(t *testing.T) {
-	r := NewRing(3, 100)
-	r.Put(rec(1, 90, 50, 1)) // key 90 on server 0; bytes extend into partition 1
-	if r.Delete(1, 120) {    // offset 120's home is server 1, no key there
-		t.Error("Delete(120) removed something on the non-home server")
+	r := newTestRing(3, 100)
+	r.put(rec(1, 90, 50, 1)) // key 90 on server 0; bytes extend into partition 1
+	if r.del(t, 1, 120) {    // offset 120's home is server 1, no key there
+		t.Error("Delete(120) removed something")
 	}
-	if recs, _ := r.Covering(nil, nil, 1, 100, 40); len(recs) != 1 || recs[0].Offset != 90 {
+	if recs, _ := r.cover(t, 1, 100, 40); len(recs) != 1 || recs[0].Offset != 90 {
 		t.Fatalf("straddler gone after non-home delete: %+v", recs)
 	}
-	if !r.Delete(1, 90) {
-		t.Error("Delete of the exact home key failed")
+	if !r.del(t, 1, 90) {
+		t.Error("Delete of the exact key failed")
 	}
-	if recs, _ := r.Covering(nil, nil, 1, 100, 40); len(recs) != 0 {
+	if recs, _ := r.cover(t, 1, 100, 40); len(recs) != 0 {
 		t.Errorf("straddler survived exact-key delete: %+v", recs)
 	}
 }
 
 // Put of the same (fid, offset) key is an in-place overwrite, however many
-// times it happens: the count stays 1, the latest payload wins, and
-// Covering resolves the latest size.
+// times it happens: the count stays 1, the latest payload wins, and the
+// covering resolves the latest size.
 func TestRingPutOverwriteAcrossRewrites(t *testing.T) {
-	r := NewRing(4, 100)
-	home := r.Put(rec(1, 250, 30, 0))
+	r := newTestRing(4, 100)
+	r.put(rec(1, 250, 30, 0))
 	for i := 1; i <= 5; i++ {
 		size := int64(30 + i) // grow within the partition bound
-		rc := rec(1, 250, size, i)
-		if srv := r.Put(rc); srv != home {
-			t.Errorf("rewrite %d routed to server %d, want home %d", i, srv, home)
+		r.put(rec(1, 250, size, i))
+		if r.one.Len() != 1 || r.stores[r.home(250)].Len() != 1 {
+			t.Fatalf("rewrite %d: %d records, want 1", i, r.one.Len())
 		}
-		if r.Total() != 1 {
-			t.Fatalf("rewrite %d: Total = %d, want 1", i, r.Total())
-		}
-		got, ok := r.Get(1, 250)
+		got, ok := r.one.Get(meta.Key{FID: 1, Offset: 250})
 		if !ok || got.Proc != i || got.Size != size {
 			t.Fatalf("rewrite %d: Get = %+v, %v", i, got, ok)
 		}
 	}
-	recs, _ := r.Covering(nil, nil, 1, 280, 10) // only the grown record reaches 280+
+	recs, _ := r.cover(t, 1, 280, 10) // only the grown record reaches 280+
 	if len(recs) != 1 || recs[0].Size != 35 || recs[0].Proc != 5 {
 		t.Errorf("Covering after rewrites = %+v, want the final 35-byte record", recs)
-	}
-	if err := r.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -665,21 +672,20 @@ func TestRingCoveringProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rangeSize := int64(rng.Intn(90) + 10)
-		servers := rng.Intn(5) + 1
-		r := NewRing(servers, rangeSize)
+		r := newTestRing(rng.Intn(5)+1, rangeSize)
 		var all []meta.Record
 		cur := int64(rng.Intn(20))
 		for i := 0; i < 50; i++ {
 			size := int64(rng.Intn(int(rangeSize))) + 1
 			rc := rec(1, cur, size, i)
-			r.Put(rc)
+			r.put(rc)
 			all = append(all, rc)
 			cur += size + int64(rng.Intn(15)) // optional gap
 		}
 		for q := 0; q < 20; q++ {
 			qOff := int64(rng.Intn(int(cur + 10)))
 			qSize := int64(rng.Intn(200) + 1)
-			got, _ := r.Covering(nil, nil, 1, qOff, qSize)
+			got, _ := r.cover(t, 1, qOff, qSize)
 			var want []meta.Record
 			for _, rc := range all {
 				if rc.Offset < qOff+qSize && rc.Offset+rc.Size > qOff {
@@ -708,7 +714,7 @@ func TestRingCoveringProperty(t *testing.T) {
 // partition before the range, sorted at the end. It is the oracle that the
 // one-pass CoverRange must reproduce record for record, partition for
 // partition: the partitions ascending, then the straddler's index if it is
-// not among them, as Ring.Covering returns them.
+// not among them.
 func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
 	at func(offset int64) (int, *Store)) (recs []meta.Record, parts []int) {
 	if size <= 0 {
@@ -755,63 +761,68 @@ func coverRangeReference(fid meta.FileID, offset, size, rangeSize int64,
 	return recs, parts
 }
 
-// CoverRange, appending after existing entries of warm buffers, returns
-// exactly what the set-based reference returns, on random record sets of
-// two files (touching, overlapping and gapped, up to one partition long)
-// over rings of 1–5 servers with random partition sizes. The same holds
-// for one store scanned as one partition of unbounded size, as the node
-// metadata buffer is. Warm calls allocate nothing.
-func TestCoverRangeMatchesSetReference(t *testing.T) {
+// randomCoverings calls check on 300 random rings of 1–5 servers with
+// random partition sizes, each holding two files of records (touching,
+// overlapping and gapped, up to one partition long), 20 queries each.
+func randomCoverings(check func(r *testRing, fid meta.FileID, off, size int64)) {
 	rng := rand.New(rand.NewSource(4))
-	recHead, partHead := []meta.Record{rec(9, 1, 1, 0)}, []int{42}
-	var recs []meta.Record
-	var parts []int
 	for trial := 0; trial < 300; trial++ {
 		rangeSize := int64(rng.Intn(90) + 10)
-		r := NewRing(rng.Intn(5)+1, rangeSize)
-		local := NewStore()
+		r := newTestRing(rng.Intn(5)+1, rangeSize)
 		for fid := meta.FileID(1); fid <= 2; fid++ {
 			for cur, i := int64(rng.Intn(20)), 0; i < 40; i++ {
 				rc := rec(fid, cur, int64(rng.Intn(int(rangeSize)))+1, i)
-				r.Put(rc)
-				local.Put(rc)
+				r.put(rc)
 				cur += int64(rng.Intn(int(rangeSize))) - rangeSize/4 // overlaps, touches or gaps
 				cur = max(cur, rc.Offset+1)
 			}
 		}
 		for q := 0; q < 20; q++ {
 			fid := meta.FileID(1 + rng.Intn(2))
-			off, size := int64(rng.Intn(1500)), int64(rng.Intn(400))-20
-			want, wantParts := coverRangeReference(fid, off, size, rangeSize, r.at)
-			recs, parts = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
-				fid, off, size, rangeSize, r.at)
-			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) ||
-				recs[0] != recHead[0] || parts[0] != partHead[0] {
-				t.Fatalf("CoverRange(%d, %d, %d) = %v %v, want %v %v",
-					fid, off, size, recs[1:], parts[1:], want, wantParts)
-			}
-			// One store is one partition of unbounded size.
-			at := func(int64) (int, *Store) { return 0, local }
-			want, wantParts = coverRangeReference(fid, off, size, math.MaxInt64, at)
-			recs, parts = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
-				fid, off, size, math.MaxInt64, at)
-			if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) {
-				t.Fatalf("one-store CoverRange(%d, %d, %d) = %v %v, want %v %v",
-					fid, off, size, recs[1:], parts[1:], want, wantParts)
-			}
+			check(r, fid, int64(rng.Intn(1500)), int64(rng.Intn(400))-20)
 		}
 	}
-	r := NewRing(3, 64)
+}
+
+// CoverRange over one store per server, appending after existing entries
+// of warm buffers, returns exactly what the set-based reference returns on
+// random coverings. Warm calls allocate nothing, over one store per server
+// or one store for all.
+func TestCoverRangeMatchesSetReference(t *testing.T) {
+	recHead, partHead := []meta.Record{rec(9, 1, 1, 0)}, []int{42}
+	var recs []meta.Record
+	var parts []int
+	randomCoverings(func(r *testRing, fid meta.FileID, off, size int64) {
+		want, wantParts := coverRangeReference(fid, off, size, r.rangeSize, r.perServer)
+		recs, parts = CoverRange(append(recs[:0], recHead...), append(parts[:0], partHead...),
+			fid, off, size, r.rangeSize, r.perServer)
+		if !slices.Equal(recs[1:], want) || !slices.Equal(parts[1:], wantParts) ||
+			recs[0] != recHead[0] || parts[0] != partHead[0] {
+			t.Fatalf("CoverRange(%d, %d, %d) = %v %v, want %v %v",
+				fid, off, size, recs[1:], parts[1:], want, wantParts)
+		}
+	})
+	r := newTestRing(3, 64)
 	for off := int64(0); off < 4096; off += 48 {
-		r.Put(rec(1, off, 50, 0))
+		r.put(rec(1, off, 50, 0))
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
+		recs, parts = CoverRange(recs[:0], parts[:0], 1, 100, 900, 64, r.perServer)
 		recs, parts = CoverRange(recs[:0], parts[:0], 1, 100, 900, 64, r.at)
-		recs, parts = CoverRange(recs[:0], parts[:0], 1, 100, 900, math.MaxInt64,
-			func(int64) (int, *Store) { return 0, r.stores[0] })
 	}); allocs != 0 {
-		t.Errorf("warm ring and one-store CoverRange allocate %.1f objects/op, want 0", allocs)
+		t.Errorf("warm per-server and one-store CoverRange allocate %.1f objects/op, want 0", allocs)
 	}
+}
+
+// The ring service keeps every server's partitions in one store. On random
+// coverings, CoverRange over that store returns exactly what it returns
+// over one store per server, records and indices in order: in particular
+// the server of a record straddling in from the partition before, which
+// one store returns as the head of the offset's own partition.
+func TestCoverRangeOneStoreMatchesPerServer(t *testing.T) {
+	randomCoverings(func(r *testRing, fid meta.FileID, off, size int64) {
+		r.cover(t, fid, off, size)
+	})
 }
 
 // A covering across several partitions into a nil buffer allocates one
@@ -820,9 +831,9 @@ func TestCoverRangeAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	r := NewRing(3, 64)
+	r := newTestRing(3, 64)
 	for off := int64(0); off < 4096; off += 16 {
-		r.Put(rec(1, off, 16, 0))
+		r.put(rec(1, off, 16, 0))
 	}
 	parts := make([]int, 0, 16)
 	var recs []meta.Record
@@ -841,35 +852,21 @@ func TestCoverRangeAllocatesOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkCoverRange times warm coverings of a file of 4,096 8-MiB
-// records laid 3 MiB off the 16-MiB partition grid: a 40-MiB read over a
-// 3-server ring, which touches three partitions, and a 16-MiB read of one
-// store as the node metadata buffer covers it, one partition of unbounded
-// size. Both find a record straddling in from before the range.
+// BenchmarkCoverRange times a warm covering of a file of 4,096 8-MiB
+// records laid 3 MiB off the 16-MiB partition grid, in one store as the
+// ring service keeps them: a 40-MiB read over 3 servers, which touches
+// three partitions and finds a record straddling in from before the range.
 func BenchmarkCoverRange(b *testing.B) {
-	const seg, part = 8 << 20, 16 << 20
-	r := NewRing(3, part)
-	local := NewStore()
+	const seg, part, size = 8 << 20, 16 << 20, 40 << 20
+	const off = 1000 * part
+	r := newTestRing(3, part)
 	for i := int64(0); i < 4096; i++ {
-		r.Put(rec(1, i*seg+3<<20, seg, 0))
-		local.Put(rec(1, i*seg+3<<20, seg, 0))
+		r.put(rec(1, i*seg+3<<20, seg, 0))
 	}
-	for _, bc := range []struct {
-		name            string
-		size, rangeSize int64
-		at              func(int64) (int, *Store)
-	}{
-		{"ring", 40 << 20, part, r.at},
-		{"node-buffer", 16 << 20, math.MaxInt64, func(int64) (int, *Store) { return 0, local }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			const off = 1000 * part
-			recs, parts := CoverRange(nil, nil, 1, off, bc.size, bc.rangeSize, bc.at)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recs, parts = CoverRange(recs[:0], parts[:0], 1, off, bc.size, bc.rangeSize, bc.at)
-			}
-		})
+	recs, parts := CoverRange(nil, nil, 1, off, size, part, r.at)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, parts = CoverRange(recs[:0], parts[:0], 1, off, size, part, r.at)
 	}
 }

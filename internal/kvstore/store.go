@@ -1,6 +1,6 @@
 // Package kvstore implements the distributed key-value substrate of the
 // metadata service: an ordered in-memory store (sorted blocks of records)
-// and a Ring that range-partitions the key space across server stores
+// and the covering scan of a key space range-partitioned across servers
 // (§II-B3). The package is pure data structure: messaging and latency costs
 // for remote operations are modelled by the callers that own the sim
 // processes.

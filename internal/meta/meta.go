@@ -1,7 +1,7 @@
 // Package meta defines the storage-tier taxonomy, the virtual-address (VA)
 // scheme of paper §II-B2 (Eq. 1), and the metadata records of the
 // distributed metadata service (§II-B3). The service's range-partitioning
-// rule lives with its stores, in kvstore.Ring.
+// rule lives with its stores, in core's ring service and metaplane.
 //
 // A segment's VA identifies both the storage tier its log lives on and its
 // physical (log-local) address within that tier:

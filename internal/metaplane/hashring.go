@@ -7,7 +7,7 @@
 // change is an online split (split.go), which adds a shard. Every cost is charged on the simulation's
 // virtual clock, so runs with equal seeds and specs are byte-identical.
 //
-// The plane replaces the single logical kvstore.Ring of §II-B3 when
+// The plane replaces core's single logical metadata ring of §II-B3 when
 // core.Config.MetaShards is positive; the legacy ring remains the default
 // so the paper figures stay byte-identical.
 package metaplane

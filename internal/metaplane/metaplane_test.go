@@ -249,12 +249,14 @@ func TestPlaneMatchesSingleStore(t *testing.T) {
 	}
 }
 
-// CoveringLocal must return the same record set as the legacy ring for the
-// same contents (shards differ from servers; records don't).
+// CoveringLocal must return the same record set as one store holding the
+// same contents, the ring service's layout (shards differ from servers;
+// records don't).
 func TestCoveringMatchesLegacyRing(t *testing.T) {
 	cfg := testConfig(4, 1)
 	pl := mustPlane(t, cfg)
-	ring := kvstore.NewRing(4, cfg.RangeSize)
+	st := kvstore.NewStore()
+	one := func(int64) (int, *kvstore.Store) { return 0, st }
 	rng := rand.New(rand.NewSource(5))
 
 	drive(t, func(p *sim.Proc) {
@@ -266,7 +268,7 @@ func TestCoveringMatchesLegacyRing(t *testing.T) {
 			}
 			r := rec(1, off, size)
 			pl.Put(p, 0, r)
-			ring.Put(r)
+			st.Put(r)
 		}
 	})
 
@@ -274,7 +276,7 @@ func TestCoveringMatchesLegacyRing(t *testing.T) {
 		off := int64(rng.Intn(220)) * 113
 		size := int64(rng.Intn(5000) + 1)
 		got, _ := pl.CoveringLocal(nil, nil, 1, off, size)
-		want, _ := ring.Covering(nil, nil, 1, off, size)
+		want, _ := kvstore.CoverRange(nil, nil, 1, off, size, cfg.RangeSize, one)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query off=%d size=%d: plane %v != ring %v", off, size, got, want)
 		}

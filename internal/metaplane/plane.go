@@ -333,7 +333,7 @@ func (pl *Plane) GetLocal(fid meta.FileID, offset int64) (meta.Record, bool) {
 
 // CoveringLocal appends to recs, in offset order, every record of the
 // file overlapping [offset, offset+size), and to shards the ascending set
-// of shards that a charged query would contact. Like the legacy ring it
+// of shards that a charged query would contact. Like the ring service it
 // relies on record sizes being bounded by RangeSize, so a record
 // straddling into the query starts at most one partition range back.
 func (pl *Plane) CoveringLocal(recs []meta.Record, shards []int, fid meta.FileID, offset, size int64) ([]meta.Record, []int) {
