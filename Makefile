@@ -95,8 +95,10 @@ bench:
 # figure workload runs armed under the chaos schedule, whose capacity
 # degradations reach the solver through RecomputeResources. The bench step
 # also regenerates the committed results/ rows up to 128 ranks with the
-# oracle armed (TestResultsReproduce).
+# oracle armed (TestResultsReproduce). Last, the four host-benchmark
+# workload shapes run armed at small scale.
 race-diffcheck:
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -race ./internal/sim/... ./internal/chaos/... ./internal/core/...
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test ./internal/bench/...
 	UNIVISTOR_SIM_DIFFCHECK=1 $(GO) run ./cmd/univibench -chaos-smoke -quick > /dev/null
+	cd benchmark && UNIVISTOR_SIM_DIFFCHECK=1 $(GO) test -run TestWorkloadsDeterministicAtSmallScale ./...

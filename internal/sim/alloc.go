@@ -30,12 +30,12 @@
 //     arithmetic in the reference's order, so every cached value is
 //     bitwise what a fresh walk would give; the differential check
 //     asserts exactly that before it compares rates.
-//   - Set-up is one pass: admitting the component's resources to the heap
-//     also closes those whose last crossing retired and sets aside those
-//     claimed since the last solve, to be admitted and appended in
-//     first-crossing order (see byFirstCrossing).
+//   - Set-up is one pass: admitting the component's resources to the
+//     water-fill also closes those whose last crossing retired and sets
+//     aside those claimed since the last solve, to be appended to the
+//     resource list in first-crossing order (see byFirstCrossing).
 //   - Rate samples are summed only for a tracer: nothing else reads them.
-//   - Non-binding resources never enter the share heap. Every flow's rate
+//   - Non-binding resources are never admitted. Every flow's rate
 //     is at most bound(f,r) = max(the smallest capacity on its path other
 //     than this crossing of r, 1e-12 × the largest capacity on its path):
 //     the bottleneck's share is at most the key of every other resource on
@@ -47,7 +47,7 @@
 //     remCap subtraction and in the sum) is never a bottleneck. Left out,
 //     it is never popped, so the other pops are unchanged. The smallest
 //     capacity on a path has a bound of at least itself and always stays,
-//     so every unassigned flow keeps a heap resource. Pruned resources
+//     so every unassigned flow keeps an admitted resource. Pruned resources
 //     keep their crossing lists, so tracer samples do not change. In
 //     fabric-coupled components (one wide fabric, DRAM ports, memory
 //     sockets) most resources are of this kind.
@@ -58,14 +58,27 @@
 //     member the freezes drained (no unassigned crossing left) leaves the
 //     heap then; the reference would pop its stale entry later and skip
 //     it, so the pops it acts on are the same.
-//   - The heap is 4-ary, and removals (pops included) run bottom-up.
-//     Because (share, resource id) is a strict total order, the heap pops
-//     the same minimum whatever its shape, so neither the deferred
-//     re-keys, the removals nor the arity change the pop sequence.
+//   - The share heap holds only what the solve re-keys. Each component
+//     keeps order, its admitted resources sorted by (initial share,
+//     resource id), across solves; the initial share of r is
+//     Capacity/live. Set-up keeps an entry in place when its resource is
+//     still admitted and its key is bitwise unchanged, sorts only the
+//     rest (claimed, stale, of a new capacity generation, or handed back
+//     by a merge) and merges them into order from the back. A solve pops
+//     the smaller of the first untouched order entry and the heap's top.
+//     A member's first touch moves it from order to the (4-ary, indexed)
+//     heap, or marks it out if the freezes drained it. Untouched entries
+//     still hold their current key, and the heap holds the current key of
+//     every touched member, so the smaller of the two is the minimum over
+//     every member. Because (share, resource id) is a strict total order,
+//     that minimum is what one heap of every member would pop, whatever
+//     its shape, so neither the split, the deferred re-keys, the removals
+//     nor the arity change the pop sequence.
 
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
@@ -279,15 +292,27 @@ type resState struct {
 	// (see allocateFast); compact marks one queued in completeAll.
 	fresh, compact bool
 
+	// ordered marks that the owning component's order holds an entry for
+	// the resource, whose key is key: Capacity/float64(live) as of the
+	// solve that inserted it.
+	ordered bool
+	key     float64
+
 	// Water-fill state of the current solve. heapPos is the resource's
-	// slot in the share heap, or -1 when not enqueued; pend marks a heap
-	// member already queued for re-keying after the current bottleneck's
-	// freezes.
+	// slot in the share heap, inOrder while its order entry is untouched,
+	// or outOfHeap; pend marks a member already queued for re-keying after
+	// the current bottleneck's freezes.
 	pend    bool
 	heapPos int32
 	remCap  float64
 	remCnt  int
 }
+
+// Values of resState.heapPos other than a heap slot.
+const (
+	outOfHeap int32 = -1 // not admitted, popped or drained: never read again
+	inOrder   int32 = -2 // admitted, and its order entry is still untouched
+)
 
 // pathFacts caches what the solver reads of the flow's path: whether it
 // crosses a zero-capacity resource, its two smallest capacities (with
@@ -371,28 +396,25 @@ func (a *fastEntry) before(b *fastEntry) bool {
 	return a.id < b.id
 }
 
-// fastHeap is the fast path's share min-heap: the same (share, resource
-// id) comparator as shareHeap, but *indexed* — each resource holds at
-// most one entry whose key is updated in place (resState.heapPos), so
-// the heap stays bounded by the live resource count instead of
-// accumulating one lazy entry per water-fill step. The reference
-// solver's lazy heap skips every stale entry it pops, so the first
-// valid entry it acts on is the minimum over current shares — exactly
-// what this heap pops — and the share value both read is computed from
-// the same remCap/remCnt operands, keeping results bitwise identical.
-// It is 4-ary (children of i are 4i+1..4i+4): half the levels of a binary
-// heap for pop and down, at the cost of more comparisons per level.
+// fastHeap is the fast path's share min-heap of the members a solve has
+// re-keyed: the same (share, resource id) comparator as shareHeap, but
+// *indexed* — each resource holds at most one entry whose key is updated
+// in place (resState.heapPos), so the heap stays bounded by the live
+// resource count instead of accumulating one lazy entry per water-fill
+// step. The reference solver's lazy heap skips every stale entry it pops,
+// so the first valid entry it acts on is the minimum over current shares
+// — exactly what this heap and the component's order together pop — and
+// the share value both read is computed from the same remCap/remCnt
+// operands, keeping results bitwise identical. It is 4-ary (children of
+// i are 4i+1..4i+4): half the levels of a binary heap for pop and down,
+// at the cost of more comparisons per level.
 type fastHeap []fastEntry
 
 const fastHeapArity = 4
 
-func (h fastHeap) init() {
-	if len(h) < 2 {
-		return
-	}
-	for i := (len(h) - 2) / fastHeapArity; i >= 0; i-- {
-		h.down(i)
-	}
+func (h *fastHeap) push(e fastEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
 
 // up and down move the entry at i through a hole: the entries it passes
@@ -479,20 +501,32 @@ func (h fastHeap) update(i int, share float64) {
 	}
 }
 
-// solveScratch is allocateFast's reusable state: the share-heap and
-// re-key buffers.
+// solveScratch is allocateFast's reusable state: the share-heap, re-key
+// and order-insertion buffers, and host-side diagnostic counters.
 type solveScratch struct {
-	heap fastHeap
-	pend []*resState
-	// pruned counts resources kept out of the share heap as non-binding,
-	// cumulatively. It is a host-side diagnostic for tests, not a
-	// simulation result, so it is not part of AllocStats.
-	pruned int64
+	heap  fastHeap
+	pend  []*Resource
+	moved []*Resource
+	// counts are cumulative diagnostics for tests, not simulation results,
+	// so they are not part of AllocStats.
+	counts solveCounts
+}
+
+// solveCounts counts what allocateFast's set-up did with each resource.
+type solveCounts struct {
+	pruned   int64 // kept out of the share heap as non-binding
+	kept     int64 // order entries kept in place
+	moved    int64 // resources (re)inserted into an order
+	dropped  int64 // order entries of resources no longer admitted
+	absorbed int64 // order entries a merge handed back for re-insertion
+	closed   int64 // ordered resources closed
 }
 
 // admit brings r's live crossing count and bound up to date for capacity
-// generation gen and enqueues r in the share heap, unless no unparked
-// flow crosses it or it is non-binding.
+// generation gen and admits r to the water-fill, unless no unparked flow
+// crosses it or it is non-binding. An admitted resource keeps its order
+// entry if its key, the initial share, is bitwise unchanged; otherwise it
+// is queued in moved for insertion, and its old entry, if any, is dropped.
 func (sc *solveScratch) admit(r *Resource, gen int64) {
 	st := &r.st
 	if st.capGen != gen {
@@ -504,18 +538,75 @@ func (sc *solveScratch) admit(r *Resource, gen int64) {
 		st.live, st.bound = crossingBound(r)
 		st.stale = false
 	}
-	st.heapPos = -1
-	if st.live == 0 {
-		return
-	}
-	if r.Capacity > st.bound*(1+1e-9) {
-		sc.pruned++
+	st.heapPos = outOfHeap
+	if st.live == 0 || r.Capacity > st.bound*(1+1e-9) {
+		if st.live > 0 {
+			sc.counts.pruned++
+		}
+		if st.ordered {
+			st.ordered = false
+			sc.counts.dropped++
+		}
 		return
 	}
 	st.remCap = r.Capacity
 	st.remCnt = st.live
-	st.heapPos = int32(len(sc.heap))
-	sc.heap = append(sc.heap, fastEntry{share: st.remCap / float64(st.remCnt), id: r.id, res: r})
+	st.heapPos = inOrder
+	key := st.remCap / float64(st.remCnt)
+	if st.ordered && key == st.key {
+		sc.counts.kept++
+		return
+	}
+	st.ordered = false
+	st.key = key
+	sc.moved = append(sc.moved, r)
+}
+
+// byKey sorts resources the way a component's order is sorted: by key,
+// then resource id.
+func byKey(a, b *Resource) int {
+	if a.st.key != b.st.key {
+		if a.st.key < b.st.key {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// settleOrder drops the entries of order whose resource is no longer
+// ordered, then merges moved, sorted by byKey, into it from the back, in
+// place, marking each moved resource ordered.
+func (sc *solveScratch) settleOrder(order []fastEntry) []fastEntry {
+	moved := sc.moved
+	slices.SortFunc(moved, byKey)
+	sc.counts.moved += int64(len(moved))
+	n := len(order)
+	kept := order[:0]
+	for _, e := range order {
+		if e.res.st.ordered {
+			kept = append(kept, e)
+		}
+	}
+	i := len(kept) - 1
+	order = slices.Grow(kept, len(moved))[:len(kept)+len(moved)]
+	if n > len(order) {
+		clear(order[len(order):n]) // hold no dropped resource
+	}
+	for j, k := len(moved)-1, len(order)-1; j >= 0; k-- {
+		r := moved[j]
+		m := fastEntry{share: r.st.key, id: r.id, res: r}
+		if i >= 0 && m.before(&order[i]) {
+			order[k] = order[i]
+			i--
+		} else {
+			order[k] = m
+			r.st.ordered = true
+			j--
+		}
+	}
+	sc.moved = moved[:0]
+	return order
 }
 
 // allocateFast water-fills component c: identical arithmetic and
@@ -524,11 +615,12 @@ func (sc *solveScratch) admit(r *Resource, gen int64) {
 // is monomorphic — together removing hashing and per-push boxing from
 // the hot loop. The differential mode cross-checks its output against
 // allocateRef bitwise. It also skips the work that cannot change a rate:
-// set-up re-derives only the path facts and bounds whose inputs changed,
-// non-binding resources stay out of the heap, each bottleneck re-keys the
-// heap members it touched once, and drained members leave the heap at
-// once (see the file comment for why each is exact). Its set-up pass
-// also settles c.resources. Every crossing list must be current.
+// set-up re-derives only the path facts, bounds and order entries whose
+// inputs changed, non-binding resources stay out of the water-fill, only
+// the members a bottleneck touched enter the heap, each re-keyed once,
+// and drained members leave at once (see the file comment for why each
+// is exact). Its set-up pass also settles c.resources. Every crossing
+// list must be current.
 func (fs *flowSet) allocateFast(c *component) {
 	sc := &fs.solve
 	gen := fs.capGen
@@ -545,32 +637,41 @@ func (fs *flowSet) allocateFast(c *component) {
 		f.rate = -1 // unassigned
 		unassigned++
 	}
-	sc.heap = sc.heap[:0]
 	kept := c.resources[:0]
 	fresh := fs.resBuf[:0]
 	for _, r := range c.resources {
-		switch {
-		case len(r.st.flows) == 0:
+		if len(r.st.flows) == 0 {
 			fs.closeResource(r)
-		case r.st.fresh:
+			continue
+		}
+		sc.admit(r, gen)
+		if r.st.fresh {
 			r.st.fresh = false
 			fresh = append(fresh, r)
-		default:
+		} else {
 			kept = append(kept, r)
-			sc.admit(r, gen)
 		}
 	}
 	slices.SortFunc(fresh, byFirstCrossing)
-	for _, r := range fresh {
-		sc.admit(r, gen)
-	}
 	c.resources = append(kept, fresh...)
 	fs.resBuf = fresh[:0]
-	h := sc.heap
-	h.init()
-	pend := sc.pend[:0]
-	for unassigned > 0 && len(h) > 0 {
-		e := h.pop()
+	c.order = sc.settleOrder(c.order)
+	order, next := c.order, 0
+	h, pend := sc.heap[:0], sc.pend[:0]
+	for unassigned > 0 {
+		for next < len(order) && order[next].res.st.heapPos != inOrder {
+			next++ // touched: in the heap, popped or drained
+		}
+		var e fastEntry
+		if next < len(order) && (len(h) == 0 || order[next].before(&h[0])) {
+			e = order[next]
+			e.res.st.heapPos = outOfHeap
+			next++
+		} else if len(h) > 0 {
+			e = h.pop()
+		} else {
+			break
+		}
 		share := e.share
 		if min := e.res.Capacity * 1e-12; share < min {
 			share = min
@@ -583,8 +684,8 @@ func (fs *flowSet) allocateFast(c *component) {
 			unassigned--
 			for _, r := range f.resources {
 				ost := &r.st
-				if ost.heapPos < 0 {
-					continue // pruned or already out of the heap: never read again
+				if ost.heapPos == outOfHeap {
+					continue // never read again this solve
 				}
 				ost.remCap -= share
 				if ost.remCap < 0 {
@@ -593,16 +694,22 @@ func (fs *flowSet) allocateFast(c *component) {
 				ost.remCnt--
 				if !ost.pend {
 					ost.pend = true
-					pend = append(pend, ost)
+					pend = append(pend, r)
 				}
 			}
 		}
-		for _, ost := range pend {
+		for _, r := range pend {
+			ost := &r.st
 			ost.pend = false
-			if ost.remCnt > 0 {
-				h.update(int(ost.heapPos), ost.remCap/float64(ost.remCnt))
-			} else {
+			switch {
+			case ost.remCnt == 0 && ost.heapPos == inOrder:
+				ost.heapPos = outOfHeap // drained at its first touch
+			case ost.remCnt == 0:
 				h.remove(int(ost.heapPos)) // drained: every crossing is frozen
+			case ost.heapPos == inOrder:
+				h.push(fastEntry{share: ost.remCap / float64(ost.remCnt), id: r.id, res: r})
+			default:
+				h.update(int(ost.heapPos), ost.remCap/float64(ost.remCnt))
 			}
 		}
 		pend = pend[:0]
@@ -639,8 +746,9 @@ func (fs *flowSet) verifyIncremental() {
 // mutate-then-recompute contract of Resource.Capacity); every current
 // flow's path facts must equal a fresh walk of its path; every live
 // resource's crossing list must be exactly the active flows crossing it,
-// in seq order; and every current live count and bound must equal a
-// fresh recompute.
+// in seq order; every current live count and bound must equal a fresh
+// recompute; and every component's order must be sorted, complete and
+// current (verifyOrder).
 func (fs *flowSet) verifyCaches() {
 	gen := fs.capGen
 	for _, c := range fs.comps {
@@ -687,6 +795,46 @@ func (fs *flowSet) verifyCaches() {
 	}
 	for r := range crossings {
 		panic(fmt.Sprintf("sim: resource %q is crossed by an active flow but owned by no component", r.Name))
+	}
+	for _, c := range fs.comps {
+		verifyOrder(c, gen)
+	}
+}
+
+// verifyOrder asserts that c's order is strictly ascending by (key, id)
+// and lists exactly the resources c owns and flags ordered, so each of
+// them once; that each entry carries its resource's cached key; and that
+// the key of a resource whose live count is current is bitwise
+// Capacity/float64(live).
+func verifyOrder(c *component, gen int64) {
+	ordered := 0
+	for _, r := range c.resources {
+		if r.st.ordered {
+			ordered++
+		}
+	}
+	for i := range c.order {
+		e := &c.order[i]
+		r, st := e.res, &e.res.st
+		switch {
+		case r.comp != c || !st.ordered || e.id != r.id:
+			panic(fmt.Sprintf("sim: order of component %d lists resource %q (owned: %v, flagged ordered: %v)",
+				c.id, r.Name, r.comp == c, st.ordered))
+		case i > 0 && !c.order[i-1].before(e):
+			p := &c.order[i-1]
+			panic(fmt.Sprintf("sim: order of component %d: entry %d (%q, key %v) does not follow entry %d (%q, key %v) in (key, id) order",
+				c.id, i, r.Name, e.share, i-1, p.res.Name, p.share))
+		case math.Float64bits(e.share) != math.Float64bits(st.key):
+			panic(fmt.Sprintf("sim: order of component %d: entry of resource %q has key %v, but the resource caches %v",
+				c.id, r.Name, e.share, st.key))
+		case !st.stale && st.capGen == gen && math.Float64bits(e.share) != math.Float64bits(r.Capacity/float64(st.live)):
+			panic(fmt.Sprintf("sim: order of component %d: resource %q has key %v, but capacity %v over %d live crossings is %v",
+				c.id, r.Name, e.share, r.Capacity, st.live, r.Capacity/float64(st.live)))
+		}
+	}
+	if ordered != len(c.order) {
+		panic(fmt.Sprintf("sim: component %d flags %d resources ordered, but its order holds %d entries",
+			c.id, ordered, len(c.order)))
 	}
 }
 

@@ -147,16 +147,12 @@ func randomScenario(r *rand.Rand) scenario {
 	return sc
 }
 
-// prunedResources totals the non-binding resources the engine's solver
-// scratch has kept out of the share heap.
-func prunedResources(e *Engine) int64 { return e.flows.solve.pruned }
-
 // run executes the scenario with the differential check on or off and
 // the given tracer attached (nil for none), and returns each flow's
 // completion time (exactly as computed), the final clock, the allocator
-// counters, and the number of resources the solver pruned as
-// non-binding.
-func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocStats, int64) {
+// counters, and the solver's set-up diagnostics (pruned resources and
+// order maintenance).
+func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocStats, solveCounts) {
 	t.Helper()
 	e := NewEngine()
 	e.SetDifferentialCheck(diff)
@@ -198,7 +194,7 @@ func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocS
 		e.RecomputeResources(rs...)
 	})
 	end := e.Run()
-	return completed, end, e.AllocStats(), prunedResources(e)
+	return completed, end, e.AllocStats(), e.flows.solve.counts
 }
 
 // The incremental component-based allocator must match the global
@@ -210,13 +206,16 @@ func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocS
 // observes: the rate samples are summed only when one is attached, so a
 // traced checked run must give bitwise the checked run's completion times
 // and allocator counters. The scenarios' wide fabric must make the solver
-// prune non-binding resources, so the oracle covers that path too.
+// prune non-binding resources, and the trials must take every path that
+// maintains a component's order (an entry kept in place, a resource
+// inserted, an order absorbed by a merge, an ordered resource closed), so
+// the oracle covers those paths too.
 func TestAllocEquivalenceRandomized(t *testing.T) {
 	trials := 25
 	if testing.Short() {
 		trials = 5
 	}
-	var pruned int64
+	var counts solveCounts
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(1000 + trial)))
 		sc := randomScenario(r)
@@ -224,7 +223,7 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 		plain, plainEnd, _, _ := sc.run(t, false, nil)
 		s := &utilSampler{}
 		traced, tracedEnd, tracedStats, _ := sc.run(t, true, s)
-		pruned += n
+		counts.add(n)
 		if stats.DiffChecks == 0 {
 			t.Fatalf("trial %d: differential check armed but never ran", trial)
 		}
@@ -247,9 +246,31 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 			}
 		}
 	}
-	if pruned == 0 {
-		t.Fatal("no trial pruned a non-binding resource; the pruning path went untested")
+	t.Logf("set-up counts over %d trials: %+v", trials, counts)
+	for _, c := range []struct {
+		n    int64
+		what string
+	}{
+		{counts.pruned, "pruned a non-binding resource"},
+		{counts.kept, "kept an order entry in place"},
+		{counts.moved, "inserted a resource into an order"},
+		{counts.absorbed, "absorbed an order in a merge"},
+		{counts.closed, "closed an ordered resource"},
+	} {
+		if c.n == 0 {
+			t.Errorf("no trial %s; that path went untested", c.what)
+		}
 	}
+}
+
+// add accumulates another run's counts.
+func (c *solveCounts) add(o solveCounts) {
+	c.pruned += o.pruned
+	c.kept += o.kept
+	c.moved += o.moved
+	c.dropped += o.dropped
+	c.absorbed += o.absorbed
+	c.closed += o.closed
 }
 
 // Pruning non-binding resources out of the share heap must be exact at
@@ -337,7 +358,7 @@ func TestNonBindingPruning(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, _, stats, pruned := tc.sc.run(t, true, nil)
+			got, _, stats, counts := tc.sc.run(t, true, nil)
 			if stats.DiffChecks == 0 {
 				t.Fatal("differential check armed but never ran")
 			}
@@ -346,8 +367,8 @@ func TestNonBindingPruning(t *testing.T) {
 					t.Errorf("flow %d completed at t=%v, want %v", i, float64(got[i]), float64(w))
 				}
 			}
-			if (pruned > 0) != tc.wantPruned {
-				t.Errorf("pruned %d resources, want pruning=%v", pruned, tc.wantPruned)
+			if (counts.pruned > 0) != tc.wantPruned {
+				t.Errorf("pruned %d resources, want pruning=%v", counts.pruned, tc.wantPruned)
 			}
 		})
 	}
@@ -393,6 +414,36 @@ func TestCapacityChangeWithoutRecomputePanics(t *testing.T) {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, `resource "narrowed" capacity changed`) {
 			t.Fatalf("panic = %q, want one naming the mutated resource", msg)
+		}
+	}()
+	e.Run()
+}
+
+// A component's order must stay sorted by (initial share, id) between
+// solves, since a solve pops its untouched entries front to back. Under
+// the differential check, two swapped entries must panic at the next
+// batch, here a solve of an unrelated component.
+func TestOrderOutOfSortPanics(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	narrow := e.NewResource("narrow", 50)
+	wide := e.NewResource("wide", 300)
+	other := e.NewResource("other", 100)
+	e.Go("a", func(p *Proc) { p.Transfer(1000, narrow, wide) })
+	e.Go("b", func(p *Proc) { p.Transfer(1000, wide) })
+	e.Go("late", func(p *Proc) {
+		p.Sleep(1)
+		order := narrow.comp.order
+		if len(order) != 2 || order[0].res != narrow || order[1].res != wide {
+			t.Errorf("order before the swap holds %d entries, want narrow (key 50) then wide (key 150)", len(order))
+		}
+		order[0], order[1] = order[1], order[0]
+		p.Transfer(100, other)
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"narrow", key 50) does not follow entry 0 ("wide", key 150)`) {
+			t.Fatalf("panic = %q, want one naming the swapped entries", msg)
 		}
 	}()
 	e.Run()

@@ -36,9 +36,13 @@ type component struct {
 	// and merge append, and a solve drops those whose last crossing
 	// retired (see allocateFast).
 	resources []*Resource
-	dirty     bool // queued in flowSet.dirtyComps
-	dead      bool // merged away or drained; skip everywhere
-	visit     bool // add()/completeAll dedup scratch
+	// order holds the resources admitted by the last solve as share-heap
+	// entries, sorted by (initial share, resource id), each once (see
+	// allocateFast).
+	order []fastEntry
+	dirty bool // queued in flowSet.dirtyComps
+	dead  bool // merged away or drained; skip everywhere
+	visit bool // add()/completeAll dedup scratch
 }
 
 // add inserts a started flow into the active set and the partition:
@@ -112,6 +116,21 @@ func (fs *flowSet) merge(cs []*component) *component {
 			r.comp = target
 		}
 		target.resources = append(target.resources, c.resources...)
+		// The longer order's entries stay, and the next solve re-inserts
+		// the other's resources. The entries that stay move to the
+		// roomier of the two arrays, so the re-insertion rarely grows it.
+		keep, spare := target.order, c.order
+		if len(spare) > len(keep) {
+			keep, spare = spare, keep
+		}
+		for _, e := range spare {
+			e.res.st.ordered = false
+		}
+		fs.solve.counts.absorbed += int64(len(spare))
+		if cap(spare) > cap(keep) {
+			keep, spare = append(spare[:0], keep...), keep
+		}
+		target.order, c.order = keep, spare
 		c.dirty = false
 		fs.retire(c)
 	}
@@ -172,14 +191,16 @@ func (fs *flowSet) retire(c *component) {
 	fs.graveyard = append(fs.graveyard, c)
 }
 
-// recycleGraveyard returns every retired component to the pool, its flow
-// and resource arrays kept but cleared so the pool retains no flow or
-// resource. Nothing references a dead component once dirtyComps is empty.
+// recycleGraveyard returns every retired component to the pool, its flow,
+// resource and order arrays kept but cleared so the pool retains no flow
+// or resource. Nothing references a dead component once dirtyComps is
+// empty.
 func (fs *flowSet) recycleGraveyard() {
 	for _, c := range fs.graveyard {
 		clear(c.flows[:cap(c.flows)])
 		clear(c.resources[:cap(c.resources)])
-		*c = component{flows: c.flows[:0], resources: c.resources[:0]}
+		clear(c.order[:cap(c.order)])
+		*c = component{flows: c.flows[:0], resources: c.resources[:0], order: c.order[:0]}
 		fs.compPool = append(fs.compPool, c)
 	}
 	fs.graveyard = fs.graveyard[:0]
@@ -415,10 +436,14 @@ func (fs *flowSet) completeAll(gen int64) {
 }
 
 // closeResource releases a resource whose last crossing flow retired:
-// its ownership is cleared, and with a tracer attached it gets a closing
-// zero-rate sample.
+// its ownership and order entry are cleared, and with a tracer attached
+// it gets a closing zero-rate sample.
 func (fs *flowSet) closeResource(r *Resource) {
 	r.comp = nil
+	if r.st.ordered {
+		r.st.ordered = false
+		fs.solve.counts.closed++
+	}
 	if fs.e.tracer != nil {
 		fs.e.tracer.ResourceSample(fs.e.now, r, 0)
 	}

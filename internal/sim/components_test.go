@@ -176,12 +176,51 @@ func fabricEngine() (*Engine, []*Resource) {
 	return e, all
 }
 
-// startChurn starts a process that moves short flows on fabricEngine's
-// component back to back, each on the following path of paths
-// (cyclically), and returns a step that runs the engine through the next
-// completion instant: one flow finishes, the process starts the next, and
-// the component is re-solved once, with no capacity change. That is the
-// regime the workloads run.
+// checkpointEngine builds one ckpt-shaped component: 32 nodes of 8 ranks,
+// each rank running one long-lived PFS write through its node's
+// PFS-client port and NIC, a single 10 TB/s fabric and one of 248 OSTs
+// (256 flows). The ports tie at one share, below the NICs' and the OSTs';
+// so the ports pop first, in id order, and each one's freezes drain its
+// NIC and most of its OSTs at their first touch. The eight OSTs that two
+// writes share stay, re-keyed. write(n, o) is the path of a write from
+// node n to OST o.
+func checkpointEngine() (e *Engine, write func(n, o int) []*Resource) {
+	const (
+		GB           = 1 << 30
+		nodes        = 32
+		ranksPerNode = 8
+		osts         = 248
+	)
+	e = NewEngine()
+	e.SetDifferentialCheck(false) // the oracle allocates by design
+	fabric := e.NewResource("fabric", 10<<40)
+	pfs := make([]*Resource, nodes)
+	nic := make([]*Resource, nodes)
+	for n := range pfs {
+		pfs[n] = e.NewResource("pfsport", 2.5*GB)
+		nic[n] = e.NewResource("nic", 8*GB)
+	}
+	ost := make([]*Resource, osts)
+	for o := range ost {
+		ost[o] = e.NewResource("ost", 1.1*GB)
+	}
+	write = func(n, o int) []*Resource { return []*Resource{pfs[n], nic[n], fabric, ost[o]} }
+	var pieces []Flow
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < ranksPerNode; i++ {
+			pieces = append(pieces, Flow{Size: 1e15, Path: write(n, (n*ranksPerNode+i)%osts)})
+		}
+	}
+	startAll(e, pieces)
+	return e, write
+}
+
+// startChurn starts a process that moves short flows on a component built
+// by fabricEngine or checkpointEngine back to back, each on the following
+// path of paths (cyclically), and returns a step that runs the engine
+// through the next completion instant: one flow finishes, the process
+// starts the next, and the component is re-solved once, with no capacity
+// change. That is the regime the workloads run.
 func startChurn(e *Engine, paths ...[]*Resource) (step func()) {
 	e.Go("churn", func(p *Proc) {
 		for k := 0; ; k++ {
@@ -208,7 +247,11 @@ func remoteRead(all []*Resource, own ...*Resource) []*Resource {
 // while the finished flow's own two drain: one solve then both claims and
 // closes resources, and sorts the claimed ones. So do a component's birth
 // and retirement, and a merge of two components whose flows interleave:
-// components and merge buffers are pooled. This is the regression
+// components, their order arrays and merge buffers are pooled. So does a
+// churn step on the checkpoint-shaped component. Each step must also take
+// the order-maintenance path it stands for: the churn steps keep entries
+// in place and insert moved ones, a retirement closes ordered resources,
+// and a merge absorbs an order. This is the regression
 // bound for the pooled-scratch refactor; the previous implementation
 // allocated hundreds of objects per batch (scratch maps, share-heap nodes,
 // sample closures).
@@ -218,12 +261,7 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	}
 	for _, build := range []func() (*Engine, []*Resource){steadyEngine, fabricEngine} {
 		e, all := build()
-		allocs := testing.AllocsPerRun(50, func() {
-			for _, r := range all {
-				r.Capacity *= 0.999
-			}
-			e.RecomputeResources(all...)
-		})
+		allocs := testing.AllocsPerRun(50, rescaleAll(e, all))
 		if allocs > 2 {
 			t.Errorf("batch solve of %d flows in %d components allocates %.1f objects/op, want ≤2",
 				len(e.flows.active), len(e.flows.comps), allocs)
@@ -237,6 +275,17 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	}
 	if n := e.AllocStats().ComponentsSolved - solves; n != 51 {
 		t.Errorf("51 churn steps solved %d components, want one each", n)
+	}
+
+	e, write := checkpointEngine()
+	step = startChurn(e, write(0, 100), write(1, 200))
+	before := e.flows.solve.counts
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("checkpoint churn step allocates %.1f objects/op, want 0", allocs)
+	}
+	if c := e.flows.solve.counts; c.kept == before.kept || c.moved == before.moved {
+		t.Errorf("checkpoint churn steps kept %d and moved %d order entries, want both > 0",
+			c.kept-before.kept, c.moved-before.moved)
 	}
 
 	e, all = fabricEngine()
@@ -267,9 +316,12 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	// Both come from and return to the component pool.
 	e, _ = steadyEngine()
 	step = startChurn(e, []*Resource{e.NewResource("solo", 1<<30)}, []*Resource{e.NewResource("solo", 1<<30)})
-	born := e.flows.compSeq
+	born, closed := e.flows.compSeq, e.flows.solve.counts.closed
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("component birth and retirement allocates %.1f objects/op, want 0", allocs)
+	}
+	if e.flows.solve.counts.closed == closed {
+		t.Error("the lifecycle steps closed no ordered resource")
 	}
 	if n := e.flows.compSeq - born; n != 51 {
 		t.Errorf("51 lifecycle steps created %d components, want one each", n)
@@ -307,6 +359,45 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	}
 	if n := e.AllocStats().Merges - merges; n != 51 {
 		t.Errorf("51 merge steps merged %d times, want once each", n)
+	}
+
+	// Absorbing merge: each round starts a flow on x and one on y and z,
+	// whose components are solved apart (orders of one and two entries),
+	// and a second process bridges x and y later in the round. The merged
+	// component keeps the longer order and hands the other's entry back
+	// for re-insertion; it drains and retires before the next round.
+	e = NewEngine()
+	e.SetDifferentialCheck(false)
+	x, y = e.NewResource("x", 1<<30), e.NewResource("y", 1<<30)
+	z := e.NewResource("z", 1<<30)
+	pair := []Flow{{64 << 20, []*Resource{x}}, {64 << 20, []*Resource{y, z}}}
+	bar := NewBarrier(2)
+	rounds = 0
+	e.Go("pair", func(p *Proc) {
+		for ; ; rounds++ {
+			bar.Wait(p)
+			p.TransferAll(pair)
+		}
+	})
+	e.Go("bridge", func(p *Proc) {
+		for {
+			bar.Wait(p)
+			p.Sleep(1.0 / 64)
+			p.Transfer(1<<20, x, y)
+		}
+	})
+	for range 4 {
+		step()
+	}
+	merges, absorbed := e.AllocStats().Merges, e.flows.solve.counts.absorbed
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("absorbing merge step allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := e.AllocStats().Merges - merges; n != 51 {
+		t.Errorf("51 absorbing merge steps merged %d times, want once each", n)
+	}
+	if n := e.flows.solve.counts.absorbed - absorbed; n != 51 {
+		t.Errorf("51 absorbing merges handed back %d order entries, want the shorter order's one each", n)
 	}
 }
 
@@ -358,14 +449,10 @@ func TestMergeBySeq(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchSolve measures the batch hot path — a full capacity-change
-// re-solve of 512 active flows across 4 components — with -benchmem
-// reporting allocs/op (expected ~0 in steady state).
-func BenchmarkBatchSolve(b *testing.B) {
-	e, all := steadyEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// rescaleAll returns a step that moves every capacity in all and re-solves
+// the components that cross them.
+func rescaleAll(e *Engine, all []*Resource) (step func()) {
+	return func() {
 		for _, r := range all {
 			r.Capacity *= 0.999
 		}
@@ -373,21 +460,28 @@ func BenchmarkBatchSolve(b *testing.B) {
 	}
 }
 
+// benchSteps times step after one untimed call, which grows the solver's
+// scratch, so that even a single timed iteration (make bench-smoke)
+// reports the steady state's allocs/op.
+func benchSteps(b *testing.B, step func()) {
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// BenchmarkBatchSolve measures the batch hot path — a full capacity-change
+// re-solve of 512 active flows across 4 components — with -benchmem
+// reporting allocs/op (expected 0 in steady state).
+func BenchmarkBatchSolve(b *testing.B) { benchSteps(b, rescaleAll(steadyEngine())) }
+
 // BenchmarkSolveFabricComponent measures a full re-solve of one
 // workflow-shaped component (fabricEngine: 1536 flows over ~1900
 // resources, all coupled through the fabric), the regime where the share
 // heap dominates the solve.
-func BenchmarkSolveFabricComponent(b *testing.B) {
-	e, all := fabricEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range all {
-			r.Capacity *= 0.999
-		}
-		e.RecomputeResources(all...)
-	}
-}
+func BenchmarkSolveFabricComponent(b *testing.B) { benchSteps(b, rescaleAll(fabricEngine())) }
 
 // BenchmarkSolveFabricChurn measures the churn step on fabricEngine's
 // component: one flow finishes and one starts, then one re-solve with no
@@ -395,10 +489,14 @@ func BenchmarkSolveFabricComponent(b *testing.B) {
 // valid everywhere but on the resources the two flows cross.
 func BenchmarkSolveFabricChurn(b *testing.B) {
 	e, all := fabricEngine()
-	step := startChurn(e, remoteRead(all, e.NewResource("memport", 7<<30)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
+	benchSteps(b, startChurn(e, remoteRead(all, e.NewResource("memport", 7<<30))))
+}
+
+// BenchmarkSolveCheckpointChurn measures the churn step on
+// checkpointEngine's component, the small-write checkpoint regime: tied
+// shares, most pops taking an order entry no freeze has touched, and most
+// members drained at their first touch.
+func BenchmarkSolveCheckpointChurn(b *testing.B) {
+	e, write := checkpointEngine()
+	benchSteps(b, startChurn(e, write(0, 100), write(1, 200)))
 }

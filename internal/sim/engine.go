@@ -41,10 +41,10 @@ type Duration = float64
 const Infinity Time = Time(math.MaxFloat64)
 
 // completionQuantum is the virtual-time window within which flow
-// completions are batched (see completeAll). 20 µs is far below every
-// modelled latency, so measurements are unaffected, while synchronized
-// fan-outs (thousands of ranks finishing near-together) collapse into a
-// handful of allocation rounds.
+// completions are batched (see scheduleCompletion). 20 µs is far below
+// every modelled latency, so measurements are unaffected, while
+// synchronized fan-outs (thousands of ranks finishing near-together)
+// collapse into a handful of allocation rounds.
 const completionQuantum = 2e-5
 
 // Event kinds. The engine's own recurring events (process resumes, flow
