@@ -30,10 +30,23 @@
 //     arithmetic in the reference's order, so every cached value is
 //     bitwise what a fresh walk would give; the differential check
 //     asserts exactly that before it compares rates.
-//   - Set-up is one pass: admitting the component's resources to the
-//     water-fill also closes those whose last crossing retired and sets
-//     aside those claimed since the last solve, to be appended to the
-//     resource list in first-crossing order (see byFirstCrossing).
+//   - Set-up visits only the resources whose inputs changed. Each
+//     component lists, through resState.next, the resources whose
+//     crossing list changed (queued where stale is set: add and
+//     completeAll) or whose order entry a merge handed back, and on a
+//     second list the resources it claimed since its last solve. Set-up
+//     admits those, closes the listed ones whose last crossing retired
+//     (compacting the resource list only then), and appends the claimed
+//     ones in first-crossing order (see byFirstCrossing). It visits every
+//     resource instead when the component's last solve ran under another
+//     capacity generation. An unvisited resource's crossing list,
+//     capacity and generation are those of the solve that last admitted
+//     it or left it out, so admit would re-derive the same live count,
+//     bound, decision and key. Its water-fill state is set at its first
+//     touch and keyed by a per-solve stamp (see touch): an ordered
+//     resource starts at Capacity and live with its order entry
+//     untouched, any other is out of the water-fill, which is bitwise
+//     what admit would have set, so every pop, key and rate is unchanged.
 //   - Rate samples are summed only for a tracer: nothing else reads them.
 //   - Non-binding resources are never admitted. Every flow's rate
 //     is at most bound(f,r) = max(the smallest capacity on its path other
@@ -64,7 +77,8 @@
 //     Capacity/live. Set-up keeps an entry in place when its resource is
 //     still admitted and its key is bitwise unchanged, sorts only the
 //     rest (claimed, stale, of a new capacity generation, or handed back
-//     by a merge) and merges them into order from the back. A solve pops
+//     by a merge) and merges them into order from the back, filtering
+//     order first only if it unflagged an entry. A solve pops
 //     the smaller of the first untouched order entry and the heap's top.
 //     A member's first touch moves it from order to the (4-ary, indexed)
 //     heap, or marks it out if the freezes drained it. Untouched entries
@@ -286,26 +300,32 @@ type resState struct {
 	// cap is Capacity as of capGen, taken when the resource is claimed or
 	// the generation moves. The differential check compares it with
 	// Capacity to catch a mutation that skipped RecomputeResources.
-	cap   float64
-	stale bool // the crossing list changed since live and bound were set
-	// fresh marks a resource claimed since its component's last solve
-	// (see allocateFast); compact marks one queued in completeAll.
-	fresh, compact bool
-
+	cap float64
+	// next links the owning component's changed or fresh list (see
+	// allocateFast). queued marks a resource on the changed list, and
+	// fresh one on the fresh list, claimed since the component's last
+	// solve; compact marks one queued in completeAll.
+	next                   *Resource
+	stale                  bool // the crossing list changed since live and bound were set
+	queued, fresh, compact bool
+	// pend marks a member already queued for re-keying after the current
+	// bottleneck's freezes.
+	pend bool
 	// ordered marks that the owning component's order holds an entry for
 	// the resource, whose key is key: Capacity/float64(live) as of the
 	// solve that inserted it.
 	ordered bool
 	key     float64
 
-	// Water-fill state of the current solve. heapPos is the resource's
-	// slot in the share heap, inOrder while its order entry is untouched,
-	// or outOfHeap; pend marks a member already queued for re-keying after
-	// the current bottleneck's freezes.
-	pend    bool
+	// Water-fill state of the solve whose solveScratch.stamp is stamp,
+	// set by admit or at the resource's first touch (see touch). heapPos
+	// is the resource's slot in the share heap, inOrder while its order
+	// entry is untouched, or outOfHeap. remCnt is an int32 beside heapPos
+	// so that a Resource keeps its allocation size class.
+	stamp   int64
 	heapPos int32
+	remCnt  int32
 	remCap  float64
-	remCnt  int
 }
 
 // Values of resState.heapPos other than a heap slot.
@@ -502,33 +522,53 @@ func (h fastHeap) update(i int, share float64) {
 }
 
 // solveScratch is allocateFast's reusable state: the share-heap, re-key
-// and order-insertion buffers, and host-side diagnostic counters.
+// and order-insertion buffers, the solve stamp, and host-side diagnostic
+// counters.
 type solveScratch struct {
 	heap  fastHeap
 	pend  []*Resource
 	moved []*Resource
+	// stamp numbers the solves; a resource whose resState.stamp differs
+	// has no water-fill state of the current solve yet.
+	stamp int64
+	// holes counts the order entries the current solve unflagged, which
+	// settleOrder must filter out.
+	holes int
 	// counts are cumulative diagnostics for tests, not simulation results,
 	// so they are not part of AllocStats.
 	counts solveCounts
 }
 
-// solveCounts counts what allocateFast's set-up did with each resource.
+// solveCounts counts what allocateFast's set-up did with each resource,
+// and which set-up each solve ran.
 type solveCounts struct {
 	pruned   int64 // kept out of the share heap as non-binding
-	kept     int64 // order entries kept in place
+	skipped  int64 // resources a changed-only set-up left unvisited
 	moved    int64 // resources (re)inserted into an order
 	dropped  int64 // order entries of resources no longer admitted
 	absorbed int64 // order entries a merge handed back for re-insertion
 	closed   int64 // ordered resources closed
+
+	changedOnly   int64 // solves whose set-up visited only changed resources
+	full          int64 // solves whose set-up visited every resource
+	changedClosed int64 // resources closed by a changed-only set-up
+	mixedMerges   int64 // merges of components last solved under different generations
 }
 
-// admit brings r's live crossing count and bound up to date for capacity
-// generation gen and admits r to the water-fill, unless no unparked flow
+// admit takes r, which its component's set-up visits, off the changed
+// list. If r's last crossing retired, it reports that and does nothing
+// else, leaving r to be closed. Otherwise it brings r's live crossing
+// count and bound up to date for capacity generation gen and admits r to
+// the water-fill of the solve stamped stamp, unless no unparked flow
 // crosses it or it is non-binding. An admitted resource keeps its order
 // entry if its key, the initial share, is bitwise unchanged; otherwise it
 // is queued in moved for insertion, and its old entry, if any, is dropped.
-func (sc *solveScratch) admit(r *Resource, gen int64) {
+func (sc *solveScratch) admit(r *Resource, gen, stamp int64) (retired bool) {
 	st := &r.st
+	st.queued, st.next = false, nil
+	if len(st.flows) == 0 {
+		return true
+	}
 	if st.capGen != gen {
 		st.capGen = gen
 		st.cap = r.Capacity
@@ -538,28 +578,58 @@ func (sc *solveScratch) admit(r *Resource, gen int64) {
 		st.live, st.bound = crossingBound(r)
 		st.stale = false
 	}
+	st.stamp = stamp
 	st.heapPos = outOfHeap
-	if st.live == 0 || r.Capacity > st.bound*(1+1e-9) {
+	if !binding(r, st.live, st.bound) {
 		if st.live > 0 {
 			sc.counts.pruned++
 		}
 		if st.ordered {
 			st.ordered = false
 			sc.counts.dropped++
+			sc.holes++
 		}
-		return
+		return false
 	}
 	st.remCap = r.Capacity
-	st.remCnt = st.live
+	st.remCnt = int32(st.live)
 	st.heapPos = inOrder
 	key := st.remCap / float64(st.remCnt)
-	if st.ordered && key == st.key {
-		sc.counts.kept++
-		return
+	if st.ordered {
+		if key == st.key {
+			return false
+		}
+		st.ordered = false
+		sc.holes++
 	}
-	st.ordered = false
 	st.key = key
 	sc.moved = append(sc.moved, r)
+	return false
+}
+
+// binding is the admission test: some unparked flow crosses r, and r's
+// capacity does not exceed Σ bound(f,r) over its live crossings with a
+// 1e-9 relative margin (see the file comment).
+func binding(r *Resource, live int, bound float64) bool {
+	return live > 0 && !(r.Capacity > bound*(1+1e-9))
+}
+
+// touch returns r's water-fill state for the solve stamped stamp, setting
+// it at the first touch of a resource set-up did not visit. Such a
+// resource's crossing list, capacity and generation are those of the
+// solve that last admitted it or left it out, so admit would set exactly
+// this: an ordered resource starts at its capacity and live count with its
+// order entry untouched, and any other is out of the water-fill.
+func (r *Resource) touch(stamp int64) *resState {
+	st := &r.st
+	if st.stamp != stamp {
+		st.stamp = stamp
+		st.heapPos = outOfHeap
+		if st.ordered {
+			st.heapPos, st.remCap, st.remCnt = inOrder, r.Capacity, int32(st.live)
+		}
+	}
+	return st
 }
 
 // byKey sorts resources the way a component's order is sorted: by key,
@@ -575,17 +645,21 @@ func byKey(a, b *Resource) int {
 }
 
 // settleOrder drops the entries of order whose resource is no longer
-// ordered, then merges moved, sorted by byKey, into it from the back, in
-// place, marking each moved resource ordered.
+// ordered, if the solve unflagged any, then merges moved, sorted by
+// byKey, into it from the back, in place, marking each moved resource
+// ordered.
 func (sc *solveScratch) settleOrder(order []fastEntry) []fastEntry {
 	moved := sc.moved
 	slices.SortFunc(moved, byKey)
 	sc.counts.moved += int64(len(moved))
 	n := len(order)
-	kept := order[:0]
-	for _, e := range order {
-		if e.res.st.ordered {
-			kept = append(kept, e)
+	kept := order
+	if sc.holes > 0 {
+		kept = order[:0]
+		for _, e := range order {
+			if e.res.st.ordered {
+				kept = append(kept, e)
+			}
 		}
 	}
 	i := len(kept) - 1
@@ -615,15 +689,18 @@ func (sc *solveScratch) settleOrder(order []fastEntry) []fastEntry {
 // is monomorphic — together removing hashing and per-push boxing from
 // the hot loop. The differential mode cross-checks its output against
 // allocateRef bitwise. It also skips the work that cannot change a rate:
-// set-up re-derives only the path facts, bounds and order entries whose
-// inputs changed, non-binding resources stay out of the water-fill, only
-// the members a bottleneck touched enter the heap, each re-keyed once,
-// and drained members leave at once (see the file comment for why each
-// is exact). Its set-up pass also settles c.resources. Every crossing
-// list must be current.
+// set-up visits only the resources whose inputs changed, and re-derives
+// only the path facts, bounds and order entries that did; non-binding
+// resources stay out of the water-fill, only the members a bottleneck
+// touched enter the heap, each re-keyed once, and drained members leave
+// at once (see the file comment for why each is exact). Its set-up also
+// settles c.resources. Every crossing list must be current.
 func (fs *flowSet) allocateFast(c *component) {
 	sc := &fs.solve
 	gen := fs.capGen
+	sc.stamp++
+	stamp := sc.stamp
+	sc.holes = 0
 	unassigned := 0
 	for _, f := range c.flows {
 		if f.factsGen != gen {
@@ -637,34 +714,72 @@ func (fs *flowSet) allocateFast(c *component) {
 		f.rate = -1 // unassigned
 		unassigned++
 	}
-	kept := c.resources[:0]
-	fresh := fs.resBuf[:0]
-	for _, r := range c.resources {
-		if len(r.st.flows) == 0 {
-			fs.closeResource(r)
-			continue
+	// Admit the changed resources, or every one after a generation move,
+	// walking the resource list (a slice walk beats following the links),
+	// and count those whose last crossing retired.
+	closing := 0
+	if c.solvedGen == gen {
+		visited := 0
+		for r := c.changed; r != nil; visited++ {
+			next := r.st.next
+			if sc.admit(r, gen, stamp) {
+				closing++
+			}
+			r = next
 		}
-		sc.admit(r, gen)
-		if r.st.fresh {
-			r.st.fresh = false
-			fresh = append(fresh, r)
-		} else {
-			kept = append(kept, r)
+		sc.counts.changedOnly++
+		sc.counts.skipped += int64(len(c.resources) - visited)
+		sc.counts.changedClosed += int64(closing)
+	} else {
+		for _, r := range c.resources {
+			if sc.admit(r, gen, stamp) {
+				closing++
+			}
 		}
+		c.solvedGen = gen
+		sc.counts.full++
 	}
+	c.changed = nil
+	if closing > 0 {
+		kept := c.resources[:0]
+		for _, r := range c.resources {
+			if len(r.st.flows) == 0 {
+				fs.closeResource(r)
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		c.resources = kept
+	}
+	fresh := fs.resBuf[:0]
+	for r := c.fresh; r != nil; {
+		next := r.st.next
+		r.st.fresh = false
+		sc.admit(r, gen, stamp) // a claimed resource has a crossing
+		fresh = append(fresh, r)
+		r = next
+	}
+	c.fresh = nil
+	// The list runs newest claim first. Claim order is nearly
+	// first-crossing order, which the sort handles fastest.
+	slices.Reverse(fresh)
 	slices.SortFunc(fresh, byFirstCrossing)
-	c.resources = append(kept, fresh...)
+	c.resources = append(c.resources, fresh...)
 	fs.resBuf = fresh[:0]
 	c.order = sc.settleOrder(c.order)
 	order, next := c.order, 0
 	h, pend := sc.heap[:0], sc.pend[:0]
 	for unassigned > 0 {
-		for next < len(order) && order[next].res.st.heapPos != inOrder {
+		for next < len(order) {
+			if st := &order[next].res.st; st.stamp != stamp || st.heapPos == inOrder {
+				break
+			}
 			next++ // touched: in the heap, popped or drained
 		}
 		var e fastEntry
 		if next < len(order) && (len(h) == 0 || order[next].before(&h[0])) {
 			e = order[next]
+			e.res.st.stamp = stamp
 			e.res.st.heapPos = outOfHeap
 			next++
 		} else if len(h) > 0 {
@@ -683,7 +798,7 @@ func (fs *flowSet) allocateFast(c *component) {
 			f.rate = share
 			unassigned--
 			for _, r := range f.resources {
-				ost := &r.st
+				ost := r.touch(stamp)
 				if ost.heapPos == outOfHeap {
 					continue // never read again this solve
 				}
@@ -718,17 +833,23 @@ func (fs *flowSet) allocateFast(c *component) {
 }
 
 // verifyIncremental is the differential mode: after an incremental batch
-// it checks the state the solver keeps across solves (verifyCaches), then
-// re-solves the entire active set with the global reference solver (into
-// flow.refRate) and asserts every rate is bitwise-identical to the
-// incremental result. A mismatch is a bug in the partition or cache
-// maintenance; it panics with the diverging flow or resource.
+// it checks that the flows stand at the current instant and the state the
+// solver keeps across solves (verifyCaches), certifies the rates max-min
+// fair (verifyMaxMin), then re-solves the entire active set with the
+// global reference solver (into flow.refRate) and asserts every rate is
+// bitwise-identical to the incremental result. A mismatch is a bug in the
+// partition or cache maintenance; it panics with the diverging flow or
+// resource.
 func (fs *flowSet) verifyIncremental() {
+	if fs.last != fs.e.now {
+		panic(fmt.Sprintf("sim: flows advanced to t=%v but the clock is at t=%v", float64(fs.last), float64(fs.e.now)))
+	}
 	fs.verifyCaches()
 	if len(fs.active) == 0 {
 		fs.stats.DiffChecks++
 		return
 	}
+	fs.verifyMaxMin()
 	fs.ref.allocateRef(fs.active)
 	for _, f := range fs.active {
 		if f.refRate != f.rate {
@@ -740,15 +861,56 @@ func (fs *flowSet) verifyIncremental() {
 	fs.stats.DiffChecks++
 }
 
+// verifyMaxMin certifies the rates of the active flows with the two
+// conditions that characterize a max-min fair allocation, sharing no
+// water-fill order with either solver: every resource carries at most its
+// capacity, and every flow not parked on a zero-capacity resource crosses
+// a saturated resource on which no flow gets a higher rate. A flow's rate
+// is charged once per crossing, as the solvers charge it, and both
+// conditions hold within a 1e-9 relative margin for rounding.
+func (fs *flowSet) verifyMaxMin() {
+	const margin = 1e-9
+	used := make(map[*Resource]float64)
+	top := make(map[*Resource]float64)
+	for _, f := range fs.active {
+		for _, r := range f.resources {
+			used[r] += f.rate
+			top[r] = max(top[r], f.rate)
+		}
+	}
+	for _, f := range fs.active {
+		for _, r := range f.resources {
+			if used[r] > r.Capacity*(1+margin) {
+				panic(fmt.Sprintf("sim: max-min certificate failed at t=%v: resource %q carries %v B/s over a capacity of %v B/s",
+					float64(fs.e.now), r.Name, used[r], r.Capacity))
+			}
+		}
+	}
+	for _, f := range fs.active {
+		if slices.ContainsFunc(f.resources, func(r *Resource) bool { return r.Capacity <= 0 }) {
+			continue // parked
+		}
+		if !slices.ContainsFunc(f.resources, func(r *Resource) bool {
+			return used[r] >= r.Capacity*(1-margin) && top[r] <= f.rate*(1+margin)
+		}) {
+			panic(fmt.Sprintf("sim: max-min certificate failed at t=%v: flow seq=%d path=%v at rate %v crosses no saturated resource on which it has the highest rate",
+				float64(fs.e.now), f.seq, pathNames(f), f.rate))
+		}
+	}
+}
+
 // verifyCaches asserts that what the solver caches across solves equals
 // a fresh derivation. For every live resource whose state is of the
 // current capacity generation, Capacity must not have moved since (the
 // mutate-then-recompute contract of Resource.Capacity); every current
 // flow's path facts must equal a fresh walk of its path; every live
 // resource's crossing list must be exactly the active flows crossing it,
-// in seq order; every current live count and bound must equal a fresh
-// recompute; and every component's order must be sorted, complete and
-// current (verifyOrder).
+// in seq order; no component may still list a changed or fresh resource,
+// nor hold a resource that is stale, queued, fresh or, if the component's
+// last solve ran under the current generation, of another generation;
+// every current live count and bound must equal a fresh recompute, and
+// every ordered flag a fresh admission decision; and every component's
+// order must be sorted, complete and current (verifyOrder).
 func (fs *flowSet) verifyCaches() {
 	gen := fs.capGen
 	for _, c := range fs.comps {
@@ -776,6 +938,9 @@ func (fs *flowSet) verifyCaches() {
 		}
 	}
 	for _, c := range fs.comps {
+		if c.changed != nil || c.fresh != nil {
+			panic(fmt.Sprintf("sim: component %d still lists changed or fresh resources after its batch", c.id))
+		}
 		for _, r := range c.resources {
 			st := &r.st
 			want, ok := crossings[r]
@@ -784,12 +949,18 @@ func (fs *flowSet) verifyCaches() {
 				panic(fmt.Sprintf("sim: resource %q: crossing list of %d flows (owned by its component: %v) != the %d active crossings",
 					r.Name, len(st.flows), r.comp == c, len(want)))
 			}
-			if st.stale || st.capGen != gen {
-				continue
+			if st.stale || st.queued || st.fresh || (c.solvedGen == gen && st.capGen != gen) {
+				panic(fmt.Sprintf("sim: resource %q of component %d is stale=%v queued=%v fresh=%v or of generation %d (component solved under %d, current %d) after its batch",
+					r.Name, c.id, st.stale, st.queued, st.fresh, st.capGen, c.solvedGen, gen))
 			}
-			if n, b := crossingBound(r); n != st.live || b != st.bound {
+			n, b := crossingBound(r)
+			if st.capGen == gen && (n != st.live || b != st.bound) {
 				panic(fmt.Sprintf("sim: resource %q: cached live count %d and bound %v != recomputed %d and %v",
 					r.Name, st.live, st.bound, n, b))
+			}
+			if binding(r, n, b) != st.ordered {
+				panic(fmt.Sprintf("sim: resource %q: flagged ordered=%v, but a fresh admission over %d live crossings (bound %v, capacity %v) says %v",
+					r.Name, st.ordered, n, b, r.Capacity, !st.ordered))
 			}
 		}
 	}
@@ -827,7 +998,7 @@ func verifyOrder(c *component, gen int64) {
 		case math.Float64bits(e.share) != math.Float64bits(st.key):
 			panic(fmt.Sprintf("sim: order of component %d: entry of resource %q has key %v, but the resource caches %v",
 				c.id, r.Name, e.share, st.key))
-		case !st.stale && st.capGen == gen && math.Float64bits(e.share) != math.Float64bits(r.Capacity/float64(st.live)):
+		case st.capGen == gen && math.Float64bits(e.share) != math.Float64bits(r.Capacity/float64(st.live)):
 			panic(fmt.Sprintf("sim: order of component %d: resource %q has key %v, but capacity %v over %d live crossings is %v",
 				c.id, r.Name, e.share, r.Capacity, st.live, r.Capacity/float64(st.live)))
 		}

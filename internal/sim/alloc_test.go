@@ -144,6 +144,17 @@ func randomScenario(r *rand.Rand) scenario {
 			frac: 0.001 + 0.01*r.Float64(),
 		})
 	}
+	// Two islands, each crossed by one long flow of its own from early
+	// on: a capacity change re-solves the first alone, under a new
+	// generation, and a later flow bridges the two, merging components
+	// last solved under different generations.
+	a, b := len(sc.caps), len(sc.caps)+1
+	sc.caps = append(sc.caps, 10+990*r.Float64(), 10+990*r.Float64())
+	sc.flows = append(sc.flows,
+		scenFlow{start: Time(r.Float64() * 5), size: 2e4 * (1 + r.Float64()), path: []int{a}},
+		scenFlow{start: Time(r.Float64() * 5), size: 2e4 * (1 + r.Float64()), path: []int{b}},
+		scenFlow{start: Time(10 + r.Float64()*10), size: 1 + 5000*r.Float64(), path: []int{a, b}})
+	sc.events = append(sc.events, scenEvent{at: Time(5 + r.Float64()*5), res: a, frac: 0.05 + 0.9*r.Float64()})
 	return sc
 }
 
@@ -207,9 +218,12 @@ func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocS
 // traced checked run must give bitwise the checked run's completion times
 // and allocator counters. The scenarios' wide fabric must make the solver
 // prune non-binding resources, and the trials must take every path that
-// maintains a component's order (an entry kept in place, a resource
-// inserted, an order absorbed by a merge, an ordered resource closed), so
-// the oracle covers those paths too.
+// maintains a component's order (a resource inserted, an order absorbed
+// by a merge, an ordered resource closed) and every set-up path (one
+// visiting only changed resources, leaving others unvisited and closing
+// a resource; one visiting every resource after a generation move; a
+// merge of components last solved under different generations), so the
+// oracle covers those paths too.
 func TestAllocEquivalenceRandomized(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -252,10 +266,14 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 		what string
 	}{
 		{counts.pruned, "pruned a non-binding resource"},
-		{counts.kept, "kept an order entry in place"},
 		{counts.moved, "inserted a resource into an order"},
 		{counts.absorbed, "absorbed an order in a merge"},
 		{counts.closed, "closed an ordered resource"},
+		{counts.changedOnly, "ran a changed-only set-up"},
+		{counts.skipped, "left a resource unvisited in set-up"},
+		{counts.changedClosed, "closed a resource in a changed-only set-up"},
+		{counts.full, "ran a full set-up"},
+		{counts.mixedMerges, "merged components solved under different generations"},
 	} {
 		if c.n == 0 {
 			t.Errorf("no trial %s; that path went untested", c.what)
@@ -266,11 +284,15 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 // add accumulates another run's counts.
 func (c *solveCounts) add(o solveCounts) {
 	c.pruned += o.pruned
-	c.kept += o.kept
+	c.skipped += o.skipped
 	c.moved += o.moved
 	c.dropped += o.dropped
 	c.absorbed += o.absorbed
 	c.closed += o.closed
+	c.changedOnly += o.changedOnly
+	c.full += o.full
+	c.changedClosed += o.changedClosed
+	c.mixedMerges += o.mixedMerges
 }
 
 // Pruning non-binding resources out of the share heap must be exact at
@@ -447,6 +469,38 @@ func TestOrderOutOfSortPanics(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// The max-min certificate judges rates without either solver's pop order.
+// Flow b is held to 20 B/s by narrow and a takes the other 80 of shared.
+// Raised above that, a over-fills shared; lowered, a crosses no saturated
+// resource. Each must panic naming what failed.
+func TestMaxMinCertificatePanics(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		want  string
+	}{
+		{1.5, `resource "shared" carries 140 B/s over a capacity of 100 B/s`},
+		{0.5, `flow seq=1 path=[shared] at rate 40 crosses no saturated resource`},
+	} {
+		e := NewEngine()
+		shared := e.NewResource("shared", 100)
+		narrow := e.NewResource("narrow", 20)
+		e.Go("a", func(p *Proc) { p.Transfer(1000, shared) })
+		e.Go("b", func(p *Proc) { p.Transfer(1000, shared, narrow) })
+		runTo(e, 0)
+		e.flows.verifyMaxMin() // the solver's rates pass
+		e.flows.active[0].rate *= tc.scale
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("rate ×%v: panic = %q, want one containing %q", tc.scale, msg, tc.want)
+				}
+			}()
+			e.flows.verifyMaxMin()
+		}()
+	}
 }
 
 // The contract binds only while flows cross the resource: a resource no

@@ -32,10 +32,21 @@ type component struct {
 	// order — the same relative order the global solver would visit them,
 	// which keeps per-component solving bitwise-identical to it.
 	flows []*flow
-	// resources owned by this component (r.comp == c), each once: add
-	// and merge append, and a solve drops those whose last crossing
-	// retired (see allocateFast).
+	// resources owned by this component (r.comp == c) but those claimed
+	// since its last solve, each once: merge appends, and a solve drops
+	// those whose last crossing retired and appends those claimed since
+	// (see allocateFast).
 	resources []*Resource
+	// changed lists the members of resources whose crossing list changed,
+	// or whose order entry a merge handed back, since the last solve;
+	// fresh lists the resources claimed since then. Both link through
+	// resState.next, each resource once.
+	changed, fresh *Resource
+	// solvedGen is the capacity generation every resource but the fresh
+	// ones is current at: that of the last solve, 0 before the first, or
+	// -1 after a merge of components last solved under different
+	// generations.
+	solvedGen int64
 	// order holds the resources admitted by the last solve as share-heap
 	// entries, sorted by (initial share, resource id), each once (see
 	// allocateFast).
@@ -48,8 +59,9 @@ type component struct {
 // add inserts a started flow into the active set and the partition:
 // the components reachable through the flow's resources are unioned (the
 // flow may bridge several), the flow joins each resource's crossing list,
-// unowned resources are claimed, and the target component is queued for
-// a same-instant batch solve.
+// unowned resources are claimed onto the fresh list and owned ones queued
+// as changed, and the target component is queued for a same-instant batch
+// solve.
 func (fs *flowSet) add(f *flow) {
 	fs.flowSeq++
 	f.seq = fs.flowSeq
@@ -85,9 +97,11 @@ func (fs *flowSet) add(f *flow) {
 		st.stale = true
 		if r.comp == nil {
 			r.comp = target
-			target.resources = append(target.resources, r)
 			st.fresh = true
+			st.next, target.fresh = target.fresh, r
 			st.capGen = 0 // take Capacity afresh: no cached fact depends on it
+		} else {
+			target.queue(r)
 		}
 	}
 	fs.markCompDirty(target)
@@ -116,15 +130,26 @@ func (fs *flowSet) merge(cs []*component) *component {
 			r.comp = target
 		}
 		target.resources = append(target.resources, c.resources...)
+		target.changed = moveList(c.changed, target.changed, target)
+		target.fresh = moveList(c.fresh, target.fresh, target)
+		switch {
+		case target.solvedGen == 0:
+			target.solvedGen = c.solvedGen
+		case c.solvedGen != 0 && c.solvedGen != target.solvedGen:
+			target.solvedGen = -1 // the next solve visits every resource
+			fs.solve.counts.mixedMerges++
+		}
 		// The longer order's entries stay, and the next solve re-inserts
-		// the other's resources. The entries that stay move to the
-		// roomier of the two arrays, so the re-insertion rarely grows it.
+		// the other's resources, queued as changed. The entries that stay
+		// move to the roomier of the two arrays, so the re-insertion rarely
+		// grows it.
 		keep, spare := target.order, c.order
 		if len(spare) > len(keep) {
 			keep, spare = spare, keep
 		}
 		for _, e := range spare {
 			e.res.st.ordered = false
+			target.queue(e.res)
 		}
 		fs.solve.counts.absorbed += int64(len(spare))
 		if cap(spare) > cap(keep) {
@@ -136,6 +161,29 @@ func (fs *flowSet) merge(cs []*component) *component {
 	}
 	fs.removeDead()
 	return target
+}
+
+// queue puts r, which c owns, on c's changed list unless it is on one of
+// c's lists already.
+func (c *component) queue(r *Resource) {
+	st := &r.st
+	if st.queued || st.fresh {
+		return
+	}
+	st.queued = true
+	st.next, c.changed = c.changed, r
+}
+
+// moveList pushes every resource of the list headed by r onto the list
+// headed by dst, owned by c, and returns the new head.
+func moveList(r, dst *Resource, c *component) *Resource {
+	for r != nil {
+		next := r.st.next
+		r.comp = c
+		r.st.next, dst = dst, r
+		r = next
+	}
+	return dst
 }
 
 // mergeBySeq merges two flow lists each in ascending seq order. A pure
@@ -350,7 +398,6 @@ func (fs *flowSet) completeAll(gen int64) {
 		return
 	}
 	e := fs.e
-	fs.advance(e.now)
 	finished := fs.finBuf[:0]
 	kept := fs.active[:0]
 	for _, f := range fs.active {
@@ -391,7 +438,7 @@ func (fs *flowSet) completeAll(gen int64) {
 		c.flows = keptF
 	}
 	// Compact the crossing list of every resource a finished flow crossed,
-	// once per batch.
+	// once per batch, and queue it as changed.
 	crossed := fs.resBuf[:0]
 	for _, f := range finished {
 		for _, r := range f.resources {
@@ -412,6 +459,7 @@ func (fs *flowSet) completeAll(gen int64) {
 		}
 		st.flows = keptF
 		st.stale = true
+		r.comp.queue(r)
 	}
 	fs.resBuf = crossed[:0]
 	for _, f := range finished {
@@ -436,13 +484,16 @@ func (fs *flowSet) completeAll(gen int64) {
 }
 
 // closeResource releases a resource whose last crossing flow retired:
-// its ownership and order entry are cleared, and with a tracer attached
-// it gets a closing zero-rate sample.
+// its ownership, order entry and changed-list link are cleared, and with
+// a tracer attached it gets a closing zero-rate sample.
 func (fs *flowSet) closeResource(r *Resource) {
 	r.comp = nil
-	if r.st.ordered {
-		r.st.ordered = false
+	st := &r.st
+	st.queued, st.next = false, nil
+	if st.ordered {
+		st.ordered = false
 		fs.solve.counts.closed++
+		fs.solve.holes++
 	}
 	if fs.e.tracer != nil {
 		fs.e.tracer.ResourceSample(fs.e.now, r, 0)

@@ -249,12 +249,12 @@ func remoteRead(all []*Resource, own ...*Resource) []*Resource {
 // and retirement, and a merge of two components whose flows interleave:
 // components, their order arrays and merge buffers are pooled. So does a
 // churn step on the checkpoint-shaped component. Each step must also take
-// the order-maintenance path it stands for: the churn steps keep entries
-// in place and insert moved ones, a retirement closes ordered resources,
-// and a merge absorbs an order. This is the regression
-// bound for the pooled-scratch refactor; the previous implementation
-// allocated hundreds of objects per batch (scratch maps, share-heap nodes,
-// sample closures).
+// the order-maintenance path it stands for: the churn steps leave
+// unchanged resources unvisited in set-up and insert moved ones, a
+// retirement closes ordered resources, and a merge absorbs an order. This
+// is the regression bound for the pooled-scratch refactor; the previous
+// implementation allocated hundreds of objects per batch (scratch maps,
+// share-heap nodes, sample closures).
 func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -283,9 +283,9 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("checkpoint churn step allocates %.1f objects/op, want 0", allocs)
 	}
-	if c := e.flows.solve.counts; c.kept == before.kept || c.moved == before.moved {
-		t.Errorf("checkpoint churn steps kept %d and moved %d order entries, want both > 0",
-			c.kept-before.kept, c.moved-before.moved)
+	if c := e.flows.solve.counts; c.skipped == before.skipped || c.moved == before.moved {
+		t.Errorf("checkpoint churn steps skipped %d resources in set-up and moved %d order entries, want both > 0",
+			c.skipped-before.skipped, c.moved-before.moved)
 	}
 
 	e, all = fabricEngine()

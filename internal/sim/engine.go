@@ -395,7 +395,6 @@ func (fs *flowSet) freeFlow(f *flow) {
 // to the tracer. The caller sets the flow's completion hook.
 func (fs *flowSet) start(size float64, path []*Resource) *flow {
 	e := fs.e
-	fs.advance(e.now)
 	f := fs.newFlow()
 	f.resources = append(f.resources, path...)
 	f.remaining = size
@@ -407,6 +406,9 @@ func (fs *flowSet) start(size float64, path []*Resource) *flow {
 }
 
 // advance progresses all active flows to time t at their current rates.
+// Engine.step is its one caller, right before it moves the clock to t, so
+// fs.last equals the engine's clock everywhere else (verifyIncremental
+// asserts it) and the flows are always advanced to the current instant.
 func (fs *flowSet) advance(t Time) {
 	if dt := float64(t - fs.last); dt > 0 {
 		for _, f := range fs.active {
@@ -480,12 +482,11 @@ func (e *Engine) RecomputeResources(rs ...*Resource) {
 	fs.runPending()
 }
 
-// runPending advances flows to the current instant, solves every queued
-// dirty component synchronously (superseding the deferred same-instant
-// batch event), and reschedules the global completion event.
+// runPending solves every queued dirty component synchronously
+// (superseding the deferred same-instant batch event), and reschedules the
+// global completion event.
 func (fs *flowSet) runPending() {
 	fs.dirty = false
-	fs.advance(fs.e.now)
 	fs.processDirty()
 	fs.scheduleCompletion()
 }
