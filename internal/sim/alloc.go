@@ -88,6 +88,28 @@
 //     that minimum is what one heap of every member would pop, whatever
 //     its shape, so neither the split, the deferred re-keys, the removals
 //     nor the arity change the pop sequence.
+//   - A freeze charges only the admitted crossings. Each flow keeps a mask
+//     with bit i set exactly when resources[i] is ordered, that is, in the
+//     water-fill; crossings past the mask's 64 bits are walked as before.
+//     A charge on a resource outside the water-fill did nothing but mark
+//     it out, and nothing reads that mark, so visiting the set bits in
+//     path order leaves pend, every heap operation, every pop and every
+//     rate as they were. The bits move only when an admission really
+//     changes: resState.inMask records what the bits say, admit clears
+//     them when it leaves out a resource whose bits are set, and
+//     settleOrder sets them when it inserts a resource whose bits are
+//     clear. A key-only re-key, or an entry a merge handed back and the
+//     next solve re-admitted, walks nothing. add sets a new flow's bits
+//     from the inMask of the resources already owned; a claimed resource
+//     was closed, and closing clears inMask, so its bits start clear.
+//   - The completion schedule reuses the solve's minima. The freezes take
+//     each component's earliest finish time, now + remaining/rate, where
+//     they set the rate, with the expression scheduleCompletion uses, so
+//     the value is bitwise the same. scheduleCompletion walks only the
+//     components neither solved nor walked at the current instant: the
+//     others' rates and remaining bytes have not moved since their
+//     minimum was taken (add and completeAll invalidate it), and a
+//     minimum over bitwise-equal values is the same in any grouping.
 
 package sim
 
@@ -96,6 +118,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -313,9 +336,11 @@ type resState struct {
 	pend bool
 	// ordered marks that the owning component's order holds an entry for
 	// the resource, whose key is key: Capacity/float64(live) as of the
-	// solve that inserted it.
-	ordered bool
-	key     float64
+	// solve that inserted it. inMask marks that the mask bit of every
+	// crossing in flows is set (see flipMask); after a solve it equals
+	// ordered.
+	ordered, inMask bool
+	key             float64
 
 	// Water-fill state of the solve whose solveScratch.stamp is stamp,
 	// set by admit or at the resource's first touch (see touch). heapPos
@@ -553,6 +578,9 @@ type solveCounts struct {
 	full          int64 // solves whose set-up visited every resource
 	changedClosed int64 // resources closed by a changed-only set-up
 	mixedMerges   int64 // merges of components last solved under different generations
+
+	maskOn, maskOff int64 // crossings whose mask bits a flip set or cleared
+	minReused       int64 // component minima a later scheduleCompletion of the same instant took again
 }
 
 // admit takes r, which its component's set-up visits, off the changed
@@ -563,6 +591,7 @@ type solveCounts struct {
 // crosses it or it is non-binding. An admitted resource keeps its order
 // entry if its key, the initial share, is bitwise unchanged; otherwise it
 // is queued in moved for insertion, and its old entry, if any, is dropped.
+// A resource left out has its crossings' mask bits cleared, if set.
 func (sc *solveScratch) admit(r *Resource, gen, stamp int64) (retired bool) {
 	st := &r.st
 	st.queued, st.next = false, nil
@@ -583,6 +612,9 @@ func (sc *solveScratch) admit(r *Resource, gen, stamp int64) (retired bool) {
 	if !binding(r, st.live, st.bound) {
 		if st.live > 0 {
 			sc.counts.pruned++
+		}
+		if st.inMask {
+			sc.flipMask(r, false)
 		}
 		if st.ordered {
 			st.ordered = false
@@ -644,10 +676,37 @@ func byKey(a, b *Resource) int {
 	return cmp.Compare(a.id, b.id)
 }
 
+// maskBits is the number of path positions a flow's mask covers.
+const maskBits = 64
+
+// flipMask sets (on) or clears the mask bit of every crossing of r, for
+// r's admission to the water-fill changed, and records it in inMask.
+// Crossings at a path position of maskBits or more have no bit.
+func (sc *solveScratch) flipMask(r *Resource, on bool) {
+	st := &r.st
+	st.inMask = on
+	for _, f := range st.flows {
+		for i, x := range f.resources[:min(len(f.resources), maskBits)] {
+			if x == r {
+				if on {
+					f.mask |= 1 << i
+				} else {
+					f.mask &^= 1 << i
+				}
+			}
+		}
+	}
+	if on {
+		sc.counts.maskOn += int64(len(st.flows))
+	} else {
+		sc.counts.maskOff += int64(len(st.flows))
+	}
+}
+
 // settleOrder drops the entries of order whose resource is no longer
 // ordered, if the solve unflagged any, then merges moved, sorted by
 // byKey, into it from the back, in place, marking each moved resource
-// ordered.
+// ordered and, if its crossings' mask bits are clear, setting them.
 func (sc *solveScratch) settleOrder(order []fastEntry) []fastEntry {
 	moved := sc.moved
 	slices.SortFunc(moved, byKey)
@@ -676,6 +735,9 @@ func (sc *solveScratch) settleOrder(order []fastEntry) []fastEntry {
 		} else {
 			order[k] = m
 			r.st.ordered = true
+			if !r.st.inMask {
+				sc.flipMask(r, true)
+			}
 			j--
 		}
 	}
@@ -691,10 +753,13 @@ func (sc *solveScratch) settleOrder(order []fastEntry) []fastEntry {
 // allocateRef bitwise. It also skips the work that cannot change a rate:
 // set-up visits only the resources whose inputs changed, and re-derives
 // only the path facts, bounds and order entries that did; non-binding
-// resources stay out of the water-fill, only the members a bottleneck
-// touched enter the heap, each re-keyed once, and drained members leave
-// at once (see the file comment for why each is exact). Its set-up also
-// settles c.resources. Every crossing list must be current.
+// resources stay out of the water-fill, a freeze charges only the
+// crossings its flow's mask marks as admitted (and any past the mask),
+// only the members a bottleneck touched enter the heap, each re-keyed
+// once, and drained members leave at once (see the file comment for why
+// each is exact). Its set-up also settles c.resources and the masks, and
+// its freezes take c's earliest finish time for scheduleCompletion. Every
+// crossing list must be current.
 func (fs *flowSet) allocateFast(c *component) {
 	sc := &fs.solve
 	gen := fs.capGen
@@ -769,6 +834,7 @@ func (fs *flowSet) allocateFast(c *component) {
 	c.order = sc.settleOrder(c.order)
 	order, next := c.order, 0
 	h, pend := sc.heap[:0], sc.pend[:0]
+	now, minT := fs.e.now, Infinity
 	for unassigned > 0 {
 		for next < len(order) {
 			if st := &order[next].res.st; st.stamp != stamp || st.heapPos == inOrder {
@@ -796,8 +862,24 @@ func (fs *flowSet) allocateFast(c *component) {
 				continue
 			}
 			f.rate = share
+			if t := now + Time(f.remaining/share); t < minT {
+				minT = t
+			}
 			unassigned--
-			for _, r := range f.resources {
+			// Charge the admitted crossings in path order: those the mask
+			// marks, then every crossing past the mask's reach.
+			m, tail := f.mask, maskBits
+			for {
+				var r *Resource
+				if m != 0 {
+					r = f.resources[bits.TrailingZeros64(m)]
+					m &= m - 1
+				} else if tail < len(f.resources) {
+					r = f.resources[tail]
+					tail++
+				} else {
+					break
+				}
 				ost := r.touch(stamp)
 				if ost.heapPos == outOfHeap {
 					continue // never read again this solve
@@ -830,6 +912,7 @@ func (fs *flowSet) allocateFast(c *component) {
 		pend = pend[:0]
 	}
 	sc.heap, sc.pend = h[:0], pend
+	c.minT, c.minAt, c.minTaken = minT, now, false
 }
 
 // verifyIncremental is the differential mode: after an incremental batch
@@ -908,9 +991,11 @@ func (fs *flowSet) verifyMaxMin() {
 // in seq order; no component may still list a changed or fresh resource,
 // nor hold a resource that is stale, queued, fresh or, if the component's
 // last solve ran under the current generation, of another generation;
-// every current live count and bound must equal a fresh recompute, and
-// every ordered flag a fresh admission decision; and every component's
-// order must be sorted, complete and current (verifyOrder).
+// every current live count and bound must equal a fresh recompute, every
+// ordered flag a fresh admission decision, and every inMask flag the
+// ordered flag; every active flow's mask must mark exactly the crossings
+// within its reach whose resource is ordered; and every component's order
+// must be sorted, complete and current (verifyOrder).
 func (fs *flowSet) verifyCaches() {
 	gen := fs.capGen
 	for _, c := range fs.comps {
@@ -962,6 +1047,21 @@ func (fs *flowSet) verifyCaches() {
 				panic(fmt.Sprintf("sim: resource %q: flagged ordered=%v, but a fresh admission over %d live crossings (bound %v, capacity %v) says %v",
 					r.Name, st.ordered, n, b, r.Capacity, !st.ordered))
 			}
+			if st.inMask != st.ordered {
+				panic(fmt.Sprintf("sim: resource %q: flagged inMask=%v but ordered=%v after its batch", r.Name, st.inMask, st.ordered))
+			}
+		}
+	}
+	for _, f := range fs.active {
+		var want uint64
+		for i, r := range f.resources[:min(len(f.resources), maskBits)] {
+			if r.st.ordered {
+				want |= 1 << i
+			}
+		}
+		if f.mask != want {
+			panic(fmt.Sprintf("sim: flow seq=%d path=%v: mask %b != its crossings' ordered flags %b",
+				f.seq, pathNames(f), f.mask, want))
 		}
 	}
 	for r := range crossings {

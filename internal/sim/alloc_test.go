@@ -154,7 +154,12 @@ func randomScenario(r *rand.Rand) scenario {
 		scenFlow{start: Time(r.Float64() * 5), size: 2e4 * (1 + r.Float64()), path: []int{a}},
 		scenFlow{start: Time(r.Float64() * 5), size: 2e4 * (1 + r.Float64()), path: []int{b}},
 		scenFlow{start: Time(10 + r.Float64()*10), size: 1 + 5000*r.Float64(), path: []int{a, b}})
-	sc.events = append(sc.events, scenEvent{at: Time(5 + r.Float64()*5), res: a, frac: 0.05 + 0.9*r.Float64()})
+	at := Time(5 + r.Float64()*5)
+	sc.events = append(sc.events, scenEvent{at: at, res: a, frac: 0.05 + 0.9*r.Float64()})
+	// The second island's capacity moves at the same instant, in a
+	// recompute of its own: the completion schedule after it takes the
+	// first island's minimum, and every other component's, again.
+	sc.events = append(sc.events, scenEvent{at: at, res: b, frac: 0.5})
 	return sc
 }
 
@@ -222,8 +227,10 @@ func (sc scenario) run(t *testing.T, diff bool, tr Tracer) ([]Time, Time, AllocS
 // by a merge, an ordered resource closed) and every set-up path (one
 // visiting only changed resources, leaving others unvisited and closing
 // a resource; one visiting every resource after a generation move; a
-// merge of components last solved under different generations), so the
-// oracle covers those paths too.
+// merge of components last solved under different generations), set and
+// clear flows' mask bits as admissions change, and take a component's
+// completion minimum a second time at one instant, so the oracle covers
+// those paths too.
 func TestAllocEquivalenceRandomized(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -274,6 +281,9 @@ func TestAllocEquivalenceRandomized(t *testing.T) {
 		{counts.changedClosed, "closed a resource in a changed-only set-up"},
 		{counts.full, "ran a full set-up"},
 		{counts.mixedMerges, "merged components solved under different generations"},
+		{counts.maskOn, "set the mask bits of an admitted resource"},
+		{counts.maskOff, "cleared the mask bits of a resource left out"},
+		{counts.minReused, "took a component's completion minimum again at one instant"},
 	} {
 		if c.n == 0 {
 			t.Errorf("no trial %s; that path went untested", c.what)
@@ -293,6 +303,9 @@ func (c *solveCounts) add(o solveCounts) {
 	c.full += o.full
 	c.changedClosed += o.changedClosed
 	c.mixedMerges += o.mixedMerges
+	c.maskOn += o.maskOn
+	c.maskOff += o.maskOff
+	c.minReused += o.minReused
 }
 
 // Pruning non-binding resources out of the share heap must be exact at
@@ -500,6 +513,145 @@ func TestMaxMinCertificatePanics(t *testing.T) {
 			}()
 			e.flows.verifyMaxMin()
 		}()
+	}
+}
+
+// A flow's mask reaches only the first maskBits crossings of its path; the
+// freezes charge every later crossing by walking it. Flow a crosses 70
+// resources, all 1 kB/s but r2 (120 B/s, shared with c) and r66 (150 B/s,
+// shared with b); the others are pruned. r2 binds first at 60 B/s for a
+// and c, and a's freeze charges r66, past the mask, so b gets the 90 B/s
+// left instead of an even 75: it finishes at t=5, not 6. After b, r66 is
+// pruned too, with no mask bit to clear. The differential check runs
+// armed throughout.
+func TestPathPastMaskReach(t *testing.T) {
+	sc := scenario{caps: make([]float64, 70)}
+	path := make([]int, 70)
+	for i := range path {
+		path[i] = i
+		sc.caps[i] = 1000
+	}
+	sc.caps[2], sc.caps[66] = 120, 150
+	sc.flows = []scenFlow{
+		{size: 600, path: path},
+		{size: 450, path: []int{66}},
+		{size: 600, path: []int{2}},
+	}
+	got, _, stats, counts := sc.run(t, true, nil)
+	if stats.DiffChecks == 0 {
+		t.Fatal("differential check armed but never ran")
+	}
+	for i, want := range []Time{10, 5, 10} {
+		if math.Abs(float64(got[i]-want)) > 1e-9*float64(want) {
+			t.Errorf("flow %d completed at t=%v, want %v", i, float64(got[i]), float64(want))
+		}
+	}
+	if counts.pruned < 68 {
+		t.Errorf("pruned %d resources, want the 68 wide ones", counts.pruned)
+	}
+}
+
+// Every flow's mask must mark exactly its crossings of resources in the
+// water-fill, since the freezes charge only those. Under the differential
+// check, one bit cleared must panic at the next batch, here a solve of an
+// unrelated component.
+func TestMaskOutOfStepPanics(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	narrow := e.NewResource("narrow", 50)
+	wide := e.NewResource("wide", 300)
+	other := e.NewResource("other", 100)
+	e.Go("a", func(p *Proc) { p.Transfer(1000, wide, narrow) })
+	e.Go("b", func(p *Proc) { p.Transfer(1000, wide) })
+	e.Go("late", func(p *Proc) {
+		p.Sleep(1)
+		f := e.flows.active[0]
+		if f.mask != 0b11 {
+			t.Errorf("flow a's mask before the change is %b, want 11 (both crossings admitted)", f.mask)
+		}
+		f.mask = 0b10
+		p.Transfer(100, other)
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "flow seq=1 path=[wide narrow]: mask 10 != its crossings' ordered flags 11") {
+			t.Fatalf("panic = %q, want one naming the flow and both masks", msg)
+		}
+	}()
+	e.Run()
+}
+
+// A resource's inMask flag decides whether a change of its admission walks
+// its crossing list, so it must equal the ordered flag after every batch.
+// Under the differential check, a flag flipped must panic at the next
+// batch, here a solve of an unrelated component.
+func TestInMaskOutOfStepPanics(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	narrow := e.NewResource("narrow", 50)
+	other := e.NewResource("other", 100)
+	e.Go("a", func(p *Proc) { p.Transfer(1000, narrow) })
+	e.Go("late", func(p *Proc) {
+		p.Sleep(1)
+		narrow.st.inMask = false
+		p.Transfer(100, other)
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `resource "narrow": flagged inMask=false but ordered=true`) {
+			t.Fatalf("panic = %q, want one naming the resource and both flags", msg)
+		}
+	}()
+	e.Run()
+}
+
+// The completion schedule takes each component's earliest finish time
+// from its solve, or from an earlier walk at the same instant. Under the
+// differential check a stale minimum must panic: here one component's
+// minimum is pushed later at the instant of its last solve, and a
+// recompute with nothing to solve schedules completions again.
+func TestStaleCompletionMinimumPanics(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	a := e.NewResource("a", 100)
+	b := e.NewResource("b", 100)
+	e.Go("a", func(p *Proc) { p.Transfer(100, a) })
+	e.Go("b", func(p *Proc) { p.Transfer(1000, b) })
+	runTo(e, 0)
+	c := a.comp
+	if c.minAt != 0 || c.minT != 1 {
+		t.Fatalf("component of a holds minimum %v taken at t=%v, want 1 taken at t=0", float64(c.minT), float64(c.minAt))
+	}
+	c.minT = 5
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "earliest completion at t=0 from the component minima is 5, but a walk of every active flow gives 1") {
+			t.Fatalf("panic = %q, want one naming both times", msg)
+		}
+	}()
+	e.RecomputeResources()
+}
+
+// add invalidates the completion minimum of the component it changes. The
+// engine solves that component before it schedules completions again, and
+// the solve retakes the minimum, but the minimum must follow the flow set
+// by itself: here a flow joins a solved component, merging in one whose
+// flow finishes first, and completions are scheduled at the same instant
+// before any solve. The differential check compares the result with a walk
+// of every active flow.
+func TestCompletionMinimumFollowsAdd(t *testing.T) {
+	e := NewEngine()
+	e.SetDifferentialCheck(true)
+	a := e.NewResource("a", 100)
+	b := e.NewResource("b", 100)
+	e.Go("a", func(p *Proc) { p.Transfer(100, a) })
+	e.Go("b", func(p *Proc) { p.Transfer(500, b) })
+	e.Go("b", func(p *Proc) { p.Transfer(500, b) })
+	runTo(e, 0)
+	e.flows.add(&flow{resources: []*Resource{a, b}, remaining: 100})
+	e.flows.scheduleCompletion()
+	if c := b.comp; c != a.comp || c.minT != 1 {
+		t.Errorf("merged component's earliest finish is %v, want 1 (the flow on a)", float64(c.minT))
 	}
 }
 

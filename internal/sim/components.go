@@ -20,12 +20,14 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 )
 
 // component is one connected set of active flows and the resources they
-// cross.
+// cross, with the solver state it keeps across solves: its changed and
+// claimed resources, its order, and its flows' earliest finish time.
 type component struct {
 	id int64
 	// flows is the component's active flow list in ascending flow.seq
@@ -51,6 +53,13 @@ type component struct {
 	// entries, sorted by (initial share, resource id), each once (see
 	// allocateFast).
 	order []fastEntry
+	// minT is the earliest finish time, now + remaining/rate, over the
+	// component's flows with a positive rate, taken at the instant minAt
+	// by its last solve or by scheduleCompletion; add and completeAll
+	// invalidate it. minTaken marks that a scheduleCompletion used it.
+	minT, minAt Time
+	minTaken    bool
+
 	dirty bool // queued in flowSet.dirtyComps
 	dead  bool // merged away or drained; skip everywhere
 	visit bool // add()/completeAll dedup scratch
@@ -60,8 +69,9 @@ type component struct {
 // the components reachable through the flow's resources are unioned (the
 // flow may bridge several), the flow joins each resource's crossing list,
 // unowned resources are claimed onto the fresh list and owned ones queued
-// as changed, and the target component is queued for a same-instant batch
-// solve.
+// as changed, the flow's mask takes the owned ones' inMask, and the target
+// component's completion minimum is invalidated and the component queued
+// for a same-instant batch solve. An unowned resource's inMask is clear.
 func (fs *flowSet) add(f *flow) {
 	fs.flowSeq++
 	f.seq = fs.flowSeq
@@ -90,8 +100,9 @@ func (fs *flowSet) add(f *flow) {
 	}
 	fs.compScratch = found[:0]
 	target.flows = append(target.flows, f) // f.seq is the maximum: stays sorted
+	target.minAt = -1
 	f.comp = target
-	for _, r := range f.resources {
+	for i, r := range f.resources {
 		st := &r.st
 		st.flows = append(st.flows, f) // f.seq is the maximum: stays sorted
 		st.stale = true
@@ -102,6 +113,9 @@ func (fs *flowSet) add(f *flow) {
 			st.capGen = 0 // take Capacity afresh: no cached fact depends on it
 		} else {
 			target.queue(r)
+			if st.inMask && i < maskBits {
+				f.mask |= 1 << i
+			}
 		}
 	}
 	fs.markCompDirty(target)
@@ -358,17 +372,33 @@ func byFirstCrossing(a, b *Resource) int {
 
 // scheduleCompletion reschedules the single global completion event at
 // the earliest finish time over the active flows. Every batch bumps the
-// generation, superseding the previous event.
+// generation, superseding the previous event. The earliest time is the
+// least of the components' minima: a component solved at this instant
+// took its minimum in the solve, and one whose minimum was taken at this
+// instant before still has it, since neither its rates nor its flows'
+// remaining bytes have moved since (add and completeAll invalidate it).
+// Only the other components are walked. A minimum over the same values is
+// bitwise the same in any grouping, so bestT is that of one walk of every
+// active flow, which the differential check asserts.
 func (fs *flowSet) scheduleCompletion() {
 	fs.gen++
 	bestT := Infinity
 	now := fs.e.now
-	for _, f := range fs.active {
-		if f.rate <= 0 {
-			continue
+	for _, c := range fs.comps {
+		if c.minAt != now {
+			c.minT, c.minAt = earliestFinish(c.flows, now), now
+		} else if c.minTaken {
+			fs.solve.counts.minReused++
 		}
-		if t := now + Time(f.remaining/f.rate); t < bestT {
-			bestT = t
+		c.minTaken = true
+		if c.minT < bestT {
+			bestT = c.minT
+		}
+	}
+	if fs.diffCheck {
+		if want := earliestFinish(fs.active, now); math.Float64bits(float64(bestT)) != math.Float64bits(float64(want)) {
+			panic(fmt.Sprintf("sim: earliest completion at t=%v from the component minima is %v, but a walk of every active flow gives %v",
+				float64(now), float64(bestT), float64(want)))
 		}
 	}
 	if bestT == Infinity {
@@ -384,6 +414,21 @@ func (fs *flowSet) scheduleCompletion() {
 		bestT += Time(completionQuantum) + (bestT-fs.e.now)*Time(0.02)
 	}
 	fs.e.at(bestT, event{kind: evComplete, gen: fs.gen})
+}
+
+// earliestFinish is the earliest finish time, now + remaining/rate, over
+// the flows with a positive rate, or Infinity if there is none.
+func earliestFinish(flows []*flow, now Time) Time {
+	bestT := Infinity
+	for _, f := range flows {
+		if f.rate <= 0 {
+			continue
+		}
+		if t := now + Time(f.remaining/f.rate); t < bestT {
+			bestT = t
+		}
+	}
+	return bestT
 }
 
 // completeAll finishes every flow whose remaining bytes have drained.
@@ -429,6 +474,7 @@ func (fs *flowSet) completeAll(gen int64) {
 	}
 	for _, c := range affected {
 		c.visit = false
+		c.minAt = -1
 		keptF := c.flows[:0]
 		for _, f := range c.flows {
 			if f.comp != nil {
@@ -484,12 +530,13 @@ func (fs *flowSet) completeAll(gen int64) {
 }
 
 // closeResource releases a resource whose last crossing flow retired:
-// its ownership, order entry and changed-list link are cleared, and with
-// a tracer attached it gets a closing zero-rate sample.
+// its ownership, order entry, inMask flag and changed-list link are
+// cleared, and with a tracer attached it gets a closing zero-rate sample.
 func (fs *flowSet) closeResource(r *Resource) {
 	r.comp = nil
 	st := &r.st
 	st.queued, st.next = false, nil
+	st.inMask = false // its crossing list is empty: no bit to clear
 	if st.ordered {
 		st.ordered = false
 		fs.solve.counts.closed++

@@ -215,6 +215,52 @@ func checkpointEngine() (e *Engine, write func(n, o int) []*Resource) {
 	return e, write
 }
 
+// workflowEngine builds one component in the workflow regime, where most
+// crossings are wider than the bottleneck: 64 nodes of 16 ranks, each rank
+// running one long-lived remote read from the next node's memory through
+// that node's rank memory port (20 GB/s), socket port (160 GB/s) and NIC
+// (8 GB/s), a single 10 TB/s fabric, and its own node's NIC, socket port
+// and rank memory port (1024 flows). Only the NICs bind: a NIC bounds
+// every crossing of the other resources, and a rank port carries 2
+// crossings (16 GB/s of bounds), a socket port 16 (128 GB/s). So 5 of
+// every read's 7 crossings are outside the water-fill. read(n, i) is the path
+// of rank i of node n; all lists the resources.
+func workflowEngine() (e *Engine, read func(n, i int) []*Resource, all []*Resource) {
+	const (
+		GB           = 1 << 30
+		nodes        = 64
+		ranksPerNode = 16
+	)
+	e = NewEngine()
+	e.SetDifferentialCheck(false) // the oracle allocates by design
+	fabric := e.NewResource("fabric", 10<<40)
+	all = []*Resource{fabric}
+	nic := make([]*Resource, nodes)
+	sock := make([][2]*Resource, nodes)
+	port := make([][]*Resource, nodes)
+	for n := range nic {
+		nic[n] = e.NewResource("nic", 8*GB)
+		sock[n] = [2]*Resource{e.NewResource("sock", 160*GB), e.NewResource("sock", 160*GB)}
+		all = append(all, nic[n], sock[n][0], sock[n][1])
+		for range ranksPerNode {
+			port[n] = append(port[n], e.NewResource("memport", 20*GB))
+		}
+		all = append(all, port[n]...)
+	}
+	read = func(n, i int) []*Resource {
+		m := (n + 1) % nodes
+		return []*Resource{port[m][i], sock[m][i%2], nic[m], fabric, nic[n], sock[n][i%2], port[n][i]}
+	}
+	var pieces []Flow
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < ranksPerNode; i++ {
+			pieces = append(pieces, Flow{Size: 1e15, Path: read(n, i)})
+		}
+	}
+	startAll(e, pieces)
+	return e, read, all
+}
+
 // startChurn starts a process that moves short flows on a component built
 // by fabricEngine or checkpointEngine back to back, each on the following
 // path of paths (cyclically), and returns a step that runs the engine
@@ -248,10 +294,12 @@ func remoteRead(all []*Resource, own ...*Resource) []*Resource {
 // closes resources, and sorts the claimed ones. So do a component's birth
 // and retirement, and a merge of two components whose flows interleave:
 // components, their order arrays and merge buffers are pooled. So does a
-// churn step on the checkpoint-shaped component. Each step must also take
-// the order-maintenance path it stands for: the churn steps leave
-// unchanged resources unvisited in set-up and insert moved ones, a
-// retirement closes ordered resources, and a merge absorbs an order. This
+// churn step on the checkpoint-shaped component, and a pair of capacity
+// changes that admits a resource to a component's water-fill and leaves
+// it out again. Each step must also take the path it stands for: the
+// churn steps leave unchanged resources unvisited in set-up and insert
+// moved ones, a retirement closes ordered resources, a merge absorbs an
+// order, and the admission flips set and clear mask bits. This
 // is the regression bound for the pooled-scratch refactor; the previous
 // implementation allocated hundreds of objects per batch (scratch maps,
 // share-heap nodes, sample closures).
@@ -277,9 +325,29 @@ func TestBatchSolveDoesNotAllocate(t *testing.T) {
 		t.Errorf("51 churn steps solved %d components, want one each", n)
 	}
 
+	// Admission flips: the fabric narrowed into a bottleneck is admitted,
+	// which sets its 1024 crossings' mask bits, and restored it is left
+	// out again, which clears them.
+	e, _, all = workflowEngine()
+	fabric, wide := all[0], all[0].Capacity
+	step = func() {
+		fabric.Capacity = 1 << 30
+		e.RecomputeResources(fabric)
+		fabric.Capacity = wide
+		e.RecomputeResources(fabric)
+	}
+	before := e.flows.solve.counts
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("admission flip step allocates %.1f objects/op, want 0", allocs)
+	}
+	if c := e.flows.solve.counts; c.maskOn-before.maskOn != 51*1024 || c.maskOff-before.maskOff != 51*1024 {
+		t.Errorf("51 admission flip steps set %d and cleared %d mask bits, want %d each",
+			c.maskOn-before.maskOn, c.maskOff-before.maskOff, 51*1024)
+	}
+
 	e, write := checkpointEngine()
 	step = startChurn(e, write(0, 100), write(1, 200))
-	before := e.flows.solve.counts
+	before = e.flows.solve.counts
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Errorf("checkpoint churn step allocates %.1f objects/op, want 0", allocs)
 	}
@@ -490,6 +558,14 @@ func BenchmarkSolveFabricComponent(b *testing.B) { benchSteps(b, rescaleAll(fabr
 func BenchmarkSolveFabricChurn(b *testing.B) {
 	e, all := fabricEngine()
 	benchSteps(b, startChurn(e, remoteRead(all, e.NewResource("memport", 7<<30))))
+}
+
+// BenchmarkSolveWorkflowChurn measures the churn step on workflowEngine's
+// component, the workflow regime: most crossings lie outside the
+// water-fill, so a freeze charges only the NICs its flow crosses.
+func BenchmarkSolveWorkflowChurn(b *testing.B) {
+	e, read, _ := workflowEngine()
+	benchSteps(b, startChurn(e, read(0, 0), read(5, 3)))
 }
 
 // BenchmarkSolveCheckpointChurn measures the churn step on

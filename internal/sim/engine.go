@@ -308,6 +308,10 @@ func (e *Engine) NewResource(name string, capacity float64) *Resource {
 
 type flow struct {
 	resources []*Resource
+	// mask has bit i set exactly when resources[i], for i < maskBits, is
+	// in its component's water-fill (resState.ordered); see allocateFast.
+	// It sits beside resources and rate, in the cache line a freeze reads.
+	mask      uint64
 	remaining float64
 	rate      float64
 	p         *Proc // Transfer: the parked caller to wake on completion
